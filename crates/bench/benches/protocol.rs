@@ -12,6 +12,7 @@ fn protocol_benches(c: &mut Criterion) {
     // Encode + decode a representative request.
     c.bench_function("protocol/encode_decode_enqueue_nd_range", |b| {
         use dopencl::protocol::{Request, WireNdRange};
+        use gcf::wire::{Decode, Encode};
         let request = Request::EnqueueNdRange {
             queue_id: 2,
             kernel_id: 5,
@@ -20,8 +21,8 @@ fn protocol_benches(c: &mut Criterion) {
             wait_events: vec![7, 8],
         };
         b.iter(|| {
-            let bytes = dopencl::protocol::encode_request(&request);
-            let back = dopencl::protocol::decode_request(&bytes).unwrap();
+            let bytes = request.to_bytes();
+            let back = Request::from_bytes(&bytes).unwrap();
             std::hint::black_box(back);
         });
     });

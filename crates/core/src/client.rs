@@ -76,33 +76,6 @@
 //! measurements, and [`Client::traffic_stats`] exposes the wire-message
 //! counters the `fig7`/`fig8` harnesses record.
 //!
-//! # Migration from the retired `Client` god-object
-//!
-//! The pre-0.2 API funnelled all ~30 operations through `Client` methods.
-//! Those methods remain as `#[deprecated]` forwarding shims for one release;
-//! migrate as follows:
-//!
-//! | old (deprecated) | new |
-//! |---|---|
-//! | `client.create_context(&devs)` | [`Context::new`]`(&client, &devs)` |
-//! | `client.create_command_queue(&ctx, &dev)` | `ctx.create_command_queue(&dev)` |
-//! | `client.create_buffer(&ctx, n)` | `ctx.create_buffer(n)` |
-//! | `client.create_program_with_source(&ctx, src)` | `ctx.create_program_with_source(src)` |
-//! | `client.create_program_with_built_in_kernels(&ctx, names)` | `ctx.create_program_with_built_in_kernels(names)` |
-//! | `client.build_program(&prog)` | `prog.build()` |
-//! | `client.get_build_log(&prog)` | `prog.build_log()` |
-//! | `client.create_kernel(&prog, name)` | `prog.create_kernel(name)` |
-//! | `client.set_kernel_arg_scalar(&k, i, v)` | `k.set_arg(i, v)` |
-//! | `client.set_kernel_arg_buffer(&k, i, &buf)` | `k.set_arg(i, &buf)` |
-//! | `client.set_kernel_arg_local(&k, i, n)` | `k.set_arg(i, Arg::local(n))` |
-//! | `client.enqueue_write_buffer(&q, &b, off, data, &ws)` | `q.write_buffer(&b, data).at_offset(off).after(&ws).submit()` |
-//! | `client.enqueue_read_buffer(&q, &b, off, len, &ws)` | `q.read_buffer(&b).at_offset(off).len(len).after(&ws).submit()` |
-//! | `client.enqueue_nd_range_kernel(&q, &k, r, &ws)` | `q.launch(&k, r).after(&ws).submit()` |
-//! | `client.enqueue_marker(&q, &ws)` | `q.marker().after(&ws).submit()` |
-//! | `client.finish(&q)` | `q.finish()` |
-//! | `client.wait_for_events(&es)` | [`Event::wait_all`]`(&es)` |
-//! | `client.devices_of_type("GPU")` | `client.devices_of(DeviceType::Gpu)` |
-//!
 //! # Consistency protocols
 //!
 //! *Compound stubs* (contexts, programs, kernels, buffers, events) replicate
@@ -214,8 +187,7 @@ pub struct ServerId(pub usize);
 
 /// `CL_DEVICE_TYPE_*` as seen through the dOpenCL platform.
 ///
-/// Replaces the stringly-typed `devices_of_type("GPU")` filter of the old
-/// API; parse daemon-reported descriptor strings with [`DeviceType::parse`].
+/// Parse daemon-reported descriptor strings with [`DeviceType::parse`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceType {
     /// `CL_DEVICE_TYPE_CPU`
@@ -289,12 +261,6 @@ impl Device {
     /// `CL_DEVICE_TYPE`.
     pub fn kind(&self) -> DeviceType {
         DeviceType::parse(&self.descriptor.device_type)
-    }
-
-    /// `CL_DEVICE_TYPE` as the raw descriptor string (`CPU`, `GPU`, ...).
-    #[deprecated(since = "0.2.0", note = "use `kind()` and the `DeviceType` enum instead")]
-    pub fn device_type(&self) -> &str {
-        &self.descriptor.device_type
     }
 
     /// `CL_DEVICE_MAX_COMPUTE_UNITS`.
@@ -1508,8 +1474,8 @@ impl ClientInner {
         // the batch is re-sent verbatim after the reconnect, and the
         // daemon's dedup window (keyed by the entries' command ids) makes
         // the replay execute exactly once.
-        self.charge_message(phase, &request);
-        let response = match self.call_with_recovery(batch.server, &request) {
+        let payload = self.encode_charged(phase, &request);
+        let response = match self.call_with_recovery(batch.server, &payload) {
             Ok(response) => response,
             Err(e) => {
                 self.fail_events(&event_ids, -14);
@@ -1908,14 +1874,17 @@ impl ClientInner {
         Ok(data)
     }
 
-    fn charge_message(&self, phase: Phase, request: &Request) {
-        let size = crate::protocol::request_wire_size(request);
-        self.clock.charge(phase, self.link.round_trip_time(size, 64));
+    /// Encode `request` once and charge its modelled round trip on the
+    /// link; the returned bytes are what goes on the wire.
+    fn encode_charged(&self, phase: Phase, request: &Request) -> Vec<u8> {
+        let payload = request.to_bytes();
+        self.clock.charge(phase, self.link.round_trip_time(payload.len() as u64, 64));
+        payload
     }
 
     fn call_server(&self, server: usize, request: Request, phase: Phase) -> Result<Response> {
-        self.charge_message(phase, &request);
-        let response = self.call_with_recovery(server, &request)?.into_result()?;
+        let payload = self.encode_charged(phase, &request);
+        let response = self.call_with_recovery(server, &payload)?.into_result()?;
         // Record setup requests so a reconnect to a restarted daemon can
         // re-create the remote objects (see the recovery path).
         if Self::is_setup_request(&request) {
@@ -1954,17 +1923,17 @@ impl ClientInner {
             || self.servers.lock().get(index).is_none_or(|conn| conn.is_none())
     }
 
-    /// Call `request` on `server`, transparently reconnecting and retrying
-    /// when the connection dies mid-call.  Safe because every request the
-    /// protocol retries this way is idempotent — batches through their
-    /// command ids, creation calls because they overwrite the same object
-    /// id.  (Bulk-transfer requests bypass this path; their stream dies
-    /// with the connection.)
-    fn call_with_recovery(&self, server: usize, request: &Request) -> Result<Response> {
+    /// Call the encoded request `payload` on `server`, transparently
+    /// reconnecting and re-sending the same bytes when the connection dies
+    /// mid-call.  Safe because every request the protocol retries this way
+    /// is idempotent — batches through their command ids, creation calls
+    /// because they overwrite the same object id.  (Bulk-transfer requests
+    /// bypass this path; their stream dies with the connection.)
+    fn call_with_recovery(&self, server: usize, payload: &[u8]) -> Result<Response> {
         let mut recoveries = 0u32;
         loop {
             let conn = self.server(server)?;
-            match conn.endpoint.call(request.to_bytes()) {
+            match conn.endpoint.call(payload.to_vec()) {
                 Ok(bytes) => {
                     return Response::from_bytes(&bytes)
                         .map_err(|e| DclError::Protocol(e.to_string()))
@@ -2072,8 +2041,8 @@ impl ClientInner {
             // object, then mark this server's buffer copies stale so the
             // MSI directory re-validates them from a surviving copy.
             for request in log {
-                self.charge_message(Phase::Initialization, request);
-                let bytes = endpoint.call(request.to_bytes()).map_err(DclError::Network)?;
+                let payload = self.encode_charged(Phase::Initialization, request);
+                let bytes = endpoint.call(payload).map_err(DclError::Network)?;
                 Response::from_bytes(&bytes)
                     .map_err(|e| DclError::Protocol(e.to_string()))?
                     .into_result()?;
@@ -2112,8 +2081,8 @@ impl ClientInner {
             auth_id: self.auth_id.lock().clone(),
             epoch,
         };
-        self.charge_message(Phase::Initialization, &hello);
-        let response = Response::from_bytes(&endpoint.call(hello.to_bytes())?)
+        let payload = self.encode_charged(Phase::Initialization, &hello);
+        let response = Response::from_bytes(&endpoint.call(payload)?)
             .map_err(|e| DclError::Protocol(e.to_string()))?;
         let resumed = match response.into_result()? {
             Response::SessionInfo(info) => info.resumed,
@@ -2121,8 +2090,8 @@ impl ClientInner {
         };
 
         let list_req = Request::GetDeviceList;
-        self.charge_message(Phase::Initialization, &list_req);
-        let response = Response::from_bytes(&endpoint.call(list_req.to_bytes())?)
+        let payload = self.encode_charged(Phase::Initialization, &list_req);
+        let response = Response::from_bytes(&endpoint.call(payload)?)
             .map_err(|e| DclError::Protocol(e.to_string()))?;
         let devices = match response.into_result()? {
             Response::DeviceList { devices } => devices,
@@ -2195,10 +2164,10 @@ impl ClientInner {
         request: &Request,
         phase: Phase,
     ) -> Result<Response> {
-        self.charge_message(phase, request);
+        let payload = self.encode_charged(phase, request);
         let bytes = conn
             .endpoint
-            .call(request.to_bytes())
+            .call(payload)
             .map_err(|e| DclError::ServerUnavailable(format!("{}: {e}", conn.name)))?;
         let response =
             Response::from_bytes(&bytes).map_err(|e| DclError::Protocol(e.to_string()))?;
@@ -2412,9 +2381,8 @@ impl Client {
     pub fn disconnect_server(&self, server: ServerId) -> Result<()> {
         let _ = self.inner.flush_server(server.0);
         let conn = self.inner.server(server.0)?;
-        let request = Request::Disconnect;
-        self.inner.charge_message(Phase::Initialization, &request);
-        let _ = conn.endpoint.call(request.to_bytes());
+        let payload = self.inner.encode_charged(Phase::Initialization, &Request::Disconnect);
+        let _ = conn.endpoint.call(payload);
         conn.endpoint.close();
         self.inner.servers.lock()[server.0] = None;
         Ok(())
@@ -2494,164 +2462,5 @@ impl Client {
     /// Devices of the given [`DeviceType`].
     pub fn devices_of(&self, kind: DeviceType) -> Vec<Device> {
         self.devices().into_iter().filter(|d| d.kind() == kind).collect()
-    }
-
-    // ----- deprecated god-object forwarding shims --------------------------
-    //
-    // The pre-0.2 API routed every object operation through `Client`.  The
-    // shims below keep those call sites compiling for one release; they
-    // forward to the handle methods, which are the only implementation.
-
-    /// Devices of a given type (`"CPU"`, `"GPU"`, ...).
-    #[deprecated(since = "0.2.0", note = "use `devices_of(DeviceType::...)` instead")]
-    pub fn devices_of_type(&self, device_type: &str) -> Vec<Device> {
-        self.devices_of(DeviceType::parse(device_type))
-    }
-
-    /// `clCreateContext` over any mix of devices from any servers.
-    #[deprecated(since = "0.2.0", note = "use `Context::new(&client, &devices)` instead")]
-    pub fn create_context(&self, devices: &[Device]) -> Result<Context> {
-        Context::new(self, devices)
-    }
-
-    /// `clCreateCommandQueue` for `device` within `context`.
-    #[deprecated(since = "0.2.0", note = "use `context.create_command_queue(&device)` instead")]
-    pub fn create_command_queue(&self, context: &Context, device: &Device) -> Result<CommandQueue> {
-        self.inner.create_command_queue(context, device)
-    }
-
-    /// `clCreateBuffer` of `size` bytes.
-    #[deprecated(since = "0.2.0", note = "use `context.create_buffer(size)` instead")]
-    pub fn create_buffer(&self, context: &Context, size: usize) -> Result<Buffer> {
-        self.inner.create_buffer(context, size)
-    }
-
-    /// `clCreateProgramWithSource`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `context.create_program_with_source(source)` instead"
-    )]
-    pub fn create_program_with_source(&self, context: &Context, source: &str) -> Result<Program> {
-        self.inner.create_program_with_source(context, source)
-    }
-
-    /// `clCreateProgramWithBuiltInKernels` (OpenCL 1.2-style).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `context.create_program_with_built_in_kernels(names)` instead"
-    )]
-    pub fn create_program_with_built_in_kernels(
-        &self,
-        context: &Context,
-        names: &str,
-    ) -> Result<Program> {
-        self.inner.create_program_with_built_in_kernels(context, names)
-    }
-
-    /// `clBuildProgram` on every participating server.
-    #[deprecated(since = "0.2.0", note = "use `program.build()` instead")]
-    pub fn build_program(&self, program: &Program) -> Result<()> {
-        self.inner.build_program(program)
-    }
-
-    /// `clGetProgramBuildInfo(CL_PROGRAM_BUILD_LOG)` from the first server.
-    #[deprecated(since = "0.2.0", note = "use `program.build_log()` instead")]
-    pub fn get_build_log(&self, program: &Program) -> Result<String> {
-        self.inner.get_build_log(program)
-    }
-
-    /// `clCreateKernel`.
-    #[deprecated(since = "0.2.0", note = "use `program.create_kernel(name)` instead")]
-    pub fn create_kernel(&self, program: &Program, name: &str) -> Result<Kernel> {
-        self.inner.create_kernel(program, name)
-    }
-
-    /// `clSetKernelArg` with a by-value argument.
-    #[deprecated(since = "0.2.0", note = "use `kernel.set_arg(index, value)` instead")]
-    pub fn set_kernel_arg_scalar(&self, kernel: &Kernel, index: u32, value: Value) -> Result<()> {
-        self.inner.set_kernel_arg(kernel, index, Arg::Scalar(value))
-    }
-
-    /// `clSetKernelArg` with a buffer argument.
-    #[deprecated(since = "0.2.0", note = "use `kernel.set_arg(index, &buffer)` instead")]
-    pub fn set_kernel_arg_buffer(
-        &self,
-        kernel: &Kernel,
-        index: u32,
-        buffer: &Buffer,
-    ) -> Result<()> {
-        self.inner.set_kernel_arg(kernel, index, Arg::Buffer(buffer.clone()))
-    }
-
-    /// `clSetKernelArg` with a `__local` memory argument.
-    #[deprecated(since = "0.2.0", note = "use `kernel.set_arg(index, Arg::local(bytes))` instead")]
-    pub fn set_kernel_arg_local(&self, kernel: &Kernel, index: u32, bytes: usize) -> Result<()> {
-        self.inner.set_kernel_arg(kernel, index, Arg::Local(bytes))
-    }
-
-    /// `clEnqueueWriteBuffer`: upload `data` into `buffer` through `queue`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `queue.write_buffer(&buffer, data).at_offset(o).after(&ws).submit()` instead"
-    )]
-    pub fn enqueue_write_buffer(
-        &self,
-        queue: &CommandQueue,
-        buffer: &Buffer,
-        offset: usize,
-        data: &[u8],
-        wait_list: &[Event],
-    ) -> Result<Event> {
-        queue.write_buffer(buffer, data).at_offset(offset).after(wait_list).submit()
-    }
-
-    /// `clEnqueueReadBuffer` (blocking): download `len` bytes at `offset`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `queue.read_buffer(&buffer).at_offset(o).len(n).after(&ws).submit()` instead"
-    )]
-    pub fn enqueue_read_buffer(
-        &self,
-        queue: &CommandQueue,
-        buffer: &Buffer,
-        offset: usize,
-        len: usize,
-        wait_list: &[Event],
-    ) -> Result<(Vec<u8>, Event)> {
-        queue.read_buffer(buffer).at_offset(offset).len(len).after(wait_list).submit()
-    }
-
-    /// `clEnqueueNDRangeKernel`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `queue.launch(&kernel, range).after(&ws).submit()` instead"
-    )]
-    pub fn enqueue_nd_range_kernel(
-        &self,
-        queue: &CommandQueue,
-        kernel: &Kernel,
-        range: NdRange,
-        wait_list: &[Event],
-    ) -> Result<Event> {
-        queue.launch(kernel, range).after(wait_list).submit()
-    }
-
-    /// `clEnqueueMarkerWithWaitList`.
-    #[deprecated(since = "0.2.0", note = "use `queue.marker().after(&ws).submit()` instead")]
-    pub fn enqueue_marker(&self, queue: &CommandQueue, wait_list: &[Event]) -> Result<Event> {
-        queue.marker().after(wait_list).submit()
-    }
-
-    /// `clFinish`: block until every command previously enqueued on `queue`
-    /// has completed.
-    #[deprecated(since = "0.2.0", note = "use `queue.finish()` instead")]
-    pub fn finish(&self, queue: &CommandQueue) -> Result<()> {
-        queue.finish()
-    }
-
-    /// `clWaitForEvents`.
-    #[deprecated(since = "0.2.0", note = "use `Event::wait_all(&events)` instead")]
-    pub fn wait_for_events(&self, events: &[Event]) -> Result<()> {
-        Event::wait_all(events)
     }
 }

@@ -38,9 +38,7 @@
 //! builders ([`client::WriteBufferOp`], [`client::ReadBufferOp`],
 //! [`client::LaunchOp`], [`client::MarkerOp`]) carry offset / wait-list /
 //! blocking options so future capabilities (batching, async submission) can
-//! be added without changing any signatures.  The old `Client` methods
-//! survive one release as `#[deprecated]` forwarding shims; the migration
-//! table lives in the [`client`] module docs.
+//! be added without changing any signatures.
 //!
 //! # Mapping to the paper
 //!

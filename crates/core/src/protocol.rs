@@ -14,9 +14,17 @@
 //! bulk data of an upload *before* the `EnqueueWriteBuffer` request that
 //! references it, so by the time the daemon handles the request the stream
 //! has fully arrived and the daemon never blocks its receive loop.
+//!
+//! ## Wire format
+//!
+//! Every message type is declared once with [`gcf::wire_message!`]: each
+//! variant's literal tag and field list is the single source of truth for
+//! its bytes (the tag byte, then each field in declaration order).  Tags are
+//! never reused or renumbered.  Only [`WireValue`] and [`WireNdRange`],
+//! whose layouts are not a plain field sequence, have hand-written codecs.
 
 use crate::error::{DclError, Result};
-use gcf::wire::{decode_bytes, encode_bytes, Decode, Encode, Reader};
+use gcf::wire::{Decode, Encode, Reader};
 use gcf::GcfError;
 use oclc::{NdRange, Scalar, ScalarType, Value};
 
@@ -196,48 +204,24 @@ impl Decode for WireNdRange {
     }
 }
 
-/// Description of a remote device as reported by a daemon.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeviceDescriptor {
-    /// The daemon-local device id used in later requests.
-    pub remote_id: ObjectId,
-    /// `CL_DEVICE_NAME`.
-    pub name: String,
-    /// `CL_DEVICE_VENDOR`.
-    pub vendor: String,
-    /// `CL_DEVICE_TYPE` as its display string (`CPU`, `GPU`, ...).
-    pub device_type: String,
-    /// `CL_DEVICE_MAX_COMPUTE_UNITS`.
-    pub compute_units: u32,
-    /// `CL_DEVICE_GLOBAL_MEM_SIZE`.
-    pub global_mem_bytes: u64,
-    /// `CL_DEVICE_MAX_MEM_ALLOC_SIZE`.
-    pub max_alloc_bytes: u64,
-}
-
-impl Encode for DeviceDescriptor {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.remote_id.encode(buf);
-        self.name.encode(buf);
-        self.vendor.encode(buf);
-        self.device_type.encode(buf);
-        self.compute_units.encode(buf);
-        self.global_mem_bytes.encode(buf);
-        self.max_alloc_bytes.encode(buf);
-    }
-}
-
-impl Decode for DeviceDescriptor {
-    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, GcfError> {
-        Ok(DeviceDescriptor {
-            remote_id: ObjectId::decode(r)?,
-            name: String::decode(r)?,
-            vendor: String::decode(r)?,
-            device_type: String::decode(r)?,
-            compute_units: u32::decode(r)?,
-            global_mem_bytes: u64::decode(r)?,
-            max_alloc_bytes: u64::decode(r)?,
-        })
+gcf::wire_message! {
+    /// Description of a remote device as reported by a daemon.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct DeviceDescriptor {
+        /// The daemon-local device id used in later requests.
+        pub remote_id: ObjectId,
+        /// `CL_DEVICE_NAME`.
+        pub name: String,
+        /// `CL_DEVICE_VENDOR`.
+        pub vendor: String,
+        /// `CL_DEVICE_TYPE` as its display string (`CPU`, `GPU`, ...).
+        pub device_type: String,
+        /// `CL_DEVICE_MAX_COMPUTE_UNITS`.
+        pub compute_units: u32,
+        /// `CL_DEVICE_GLOBAL_MEM_SIZE`.
+        pub global_mem_bytes: u64,
+        /// `CL_DEVICE_MAX_MEM_ALLOC_SIZE`.
+        pub max_alloc_bytes: u64,
     }
 }
 
@@ -245,429 +229,363 @@ impl Decode for DeviceDescriptor {
 // Requests
 // ---------------------------------------------------------------------------
 
-/// A request from the client driver to a daemon.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request {
-    /// Handshake: announce the client and (in managed mode) the lease
-    /// authentication id obtained from the device manager.
-    ///
-    /// The daemon answers with [`Response::SessionInfo`].  A client that
-    /// reconnects after a connection failure re-handshakes with the same
-    /// identity and a bumped `epoch`; the daemon then revives the parked
-    /// session state (including the command dedup window) so replayed
-    /// batches execute exactly once.
-    Hello {
-        /// Client host name.
-        client_name: String,
-        /// Lease authentication id, if the client got its devices from the
-        /// device manager.
-        auth_id: Option<String>,
-        /// Session epoch: 0 on first connect, incremented by the client on
-        /// every reconnect to the same daemon.
-        epoch: u64,
-    },
-    /// List the devices this daemon exposes (filtered by lease in managed
-    /// mode).
-    GetDeviceList,
-    /// Create a remote context over the given remote device ids.
-    CreateContext {
-        /// Client-assigned id for the context stub.
-        context_id: ObjectId,
-        /// Daemon-local device ids participating on this server.
-        devices: Vec<ObjectId>,
-    },
-    /// Release a remote context.
-    ReleaseContext {
-        /// Context id.
-        context_id: ObjectId,
-    },
-    /// Create a command queue for `device` in `context`.
-    CreateCommandQueue {
-        /// Client-assigned id for the queue stub.
-        queue_id: ObjectId,
-        /// Owning context id.
-        context_id: ObjectId,
-        /// Daemon-local device id.
-        device: ObjectId,
-    },
-    /// Release a command queue.
-    ReleaseCommandQueue {
-        /// Queue id.
-        queue_id: ObjectId,
-    },
-    /// Create a buffer of `size` bytes in `context`.
-    CreateBuffer {
-        /// Client-assigned id for the buffer stub.
-        buffer_id: ObjectId,
-        /// Owning context id.
-        context_id: ObjectId,
-        /// Size in bytes.
-        size: u64,
-        /// Whether kernels may read the buffer.
-        readable: bool,
-        /// Whether kernels may write the buffer.
-        writable: bool,
-    },
-    /// Release a buffer.
-    ReleaseBuffer {
-        /// Buffer id.
-        buffer_id: ObjectId,
-    },
-    /// Create a program from OpenCL C source.
-    CreateProgramWithSource {
-        /// Client-assigned id for the program stub.
-        program_id: ObjectId,
-        /// Owning context id.
-        context_id: ObjectId,
-        /// The source text.
-        source: String,
-    },
-    /// Create a program from registered built-in kernels.
-    CreateProgramWithBuiltInKernels {
-        /// Client-assigned id for the program stub.
-        program_id: ObjectId,
-        /// Owning context id.
-        context_id: ObjectId,
-        /// Semicolon-separated kernel names.
-        names: String,
-    },
-    /// Build a program.
-    BuildProgram {
-        /// Program id.
-        program_id: ObjectId,
-    },
-    /// Fetch the build log of a program.
-    GetBuildLog {
-        /// Program id.
-        program_id: ObjectId,
-    },
-    /// Create a kernel from a program.
-    CreateKernel {
-        /// Client-assigned id for the kernel stub.
-        kernel_id: ObjectId,
-        /// Owning program id.
-        program_id: ObjectId,
-        /// Kernel function name.
-        name: String,
-    },
-    /// Set a by-value kernel argument.
-    SetKernelArgScalar {
-        /// Kernel id.
-        kernel_id: ObjectId,
-        /// Argument index.
-        index: u32,
-        /// The value.
-        value: WireValue,
-    },
-    /// Set a buffer kernel argument.
-    SetKernelArgBuffer {
-        /// Kernel id.
-        kernel_id: ObjectId,
-        /// Argument index.
-        index: u32,
-        /// Buffer id.
-        buffer_id: ObjectId,
-    },
-    /// Set a `__local` memory kernel argument.
-    SetKernelArgLocal {
-        /// Kernel id.
-        kernel_id: ObjectId,
-        /// Argument index.
-        index: u32,
-        /// Size in bytes.
-        bytes: u64,
-    },
-    /// Upload data into a buffer (the payload arrives as bulk stream
-    /// `stream_id`, sent *before* this request).
-    EnqueueWriteBuffer {
-        /// Queue id.
-        queue_id: ObjectId,
-        /// Buffer id.
-        buffer_id: ObjectId,
-        /// Destination offset in bytes.
-        offset: u64,
-        /// Payload size in bytes.
-        size: u64,
-        /// Client-assigned id for the completion event.
-        event_id: ObjectId,
-        /// Bulk stream carrying the payload.
-        stream_id: u64,
-        /// Events that must complete before the write executes.
-        wait_events: Vec<ObjectId>,
-    },
-    /// Download data from a buffer (the daemon sends the payload as bulk
-    /// stream `stream_id` when the read completes).
-    EnqueueReadBuffer {
-        /// Queue id.
-        queue_id: ObjectId,
-        /// Buffer id.
-        buffer_id: ObjectId,
-        /// Source offset in bytes.
-        offset: u64,
-        /// Size in bytes.
-        size: u64,
-        /// Client-assigned id for the completion event.
-        event_id: ObjectId,
-        /// Bulk stream the daemon will send the data on.
-        stream_id: u64,
-        /// Events that must complete before the read executes.
-        wait_events: Vec<ObjectId>,
-    },
-    /// Launch a kernel over an NDRange.
-    EnqueueNdRange {
-        /// Queue id.
-        queue_id: ObjectId,
-        /// Kernel id.
-        kernel_id: ObjectId,
-        /// Client-assigned id for the completion event.
-        event_id: ObjectId,
-        /// The index space.
-        range: WireNdRange,
-        /// Events that must complete before the kernel executes.
-        wait_events: Vec<ObjectId>,
-    },
-    /// Enqueue a marker (used to implement `clFinish` without blocking the
-    /// daemon).
-    EnqueueMarker {
-        /// Queue id.
-        queue_id: ObjectId,
-        /// Client-assigned id for the completion event.
-        event_id: ObjectId,
-        /// Events the marker waits for.
-        wait_events: Vec<ObjectId>,
-    },
-    /// Create a user event (the replacement object of the event-consistency
-    /// protocol).
-    CreateUserEvent {
-        /// Client-assigned event id (same id as the original event on the
-        /// owning server).
-        event_id: ObjectId,
-    },
-    /// Complete a user event previously created with `CreateUserEvent`.
-    SetUserEventComplete {
-        /// Event id.
-        event_id: ObjectId,
-    },
-    /// Query the status of an event.
-    GetEventStatus {
-        /// Event id.
-        event_id: ObjectId,
-    },
-    /// Query server information (`clGetServerInfoWWU`).
-    GetServerInfo,
-    /// Orderly disconnect (`clDisconnectServerWWU` or application exit).
-    Disconnect,
-    /// Coherence traffic: replace the remote buffer's contents with the data
-    /// arriving on bulk stream `stream_id` (sent before this request).
-    ///
-    /// Used by the MSI protocol when a server holds an *invalid* copy and the
-    /// client uploads a valid one (Section III-D).
-    UploadBufferData {
-        /// Buffer id.
-        buffer_id: ObjectId,
-        /// Bulk stream carrying the payload.
-        stream_id: u64,
-        /// Payload size in bytes.
-        size: u64,
-    },
-    /// Coherence traffic: send the remote buffer's contents to the client on
-    /// bulk stream `stream_id`.
-    ///
-    /// Used by the MSI protocol when the client needs a valid copy and this
-    /// server owns one.
-    DownloadBufferData {
-        /// Buffer id.
-        buffer_id: ObjectId,
-        /// Bulk stream the daemon sends the data on.
-        stream_id: u64,
-    },
-    /// A batch of enqueue commands accumulated client-side and shipped in a
-    /// single round trip (the batched command pipeline).  Entries are
-    /// enqueued strictly in order; completion is reported asynchronously per
-    /// entry through [`Notification::EventCompleted`].
-    EnqueueBatch {
-        /// The commands, in submission order.
-        entries: Vec<BatchEntry>,
-    },
-    /// Query the daemon's view of this session (used by the fault-tolerance
-    /// tests and the client supervisor after a reconnect).
-    GetSessionInfo,
-    /// Coherence delta traffic: overwrite `[offset, offset + size)` of the
-    /// remote buffer with the data arriving on bulk stream `stream_id`
-    /// (sent before this request).
-    ///
-    /// Used by the range-granular directory when only some byte ranges of a
-    /// server's copy are stale; the whole-buffer variant remains
-    /// [`Request::UploadBufferData`].
-    UploadBufferRange {
-        /// Buffer id.
-        buffer_id: ObjectId,
-        /// First byte to overwrite.
-        offset: u64,
-        /// Payload size in bytes.
-        size: u64,
-        /// Bulk stream carrying the payload.
-        stream_id: u64,
-    },
-    /// Coherence delta traffic: send `[offset, offset + size)` of the
-    /// remote buffer to the client on bulk stream `stream_id`.  The daemon
-    /// answers with [`Response::BufferRange`].
-    DownloadBufferRange {
-        /// Buffer id.
-        buffer_id: ObjectId,
-        /// First byte to send.
-        offset: u64,
-        /// Number of bytes to send.
-        size: u64,
-        /// Bulk stream the daemon sends the data on.
-        stream_id: u64,
-    },
-}
-
-/// One command of a [`Request::EnqueueBatch`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchEntry {
-    /// Client-generated idempotency id, unique per command for the lifetime
-    /// of the session.  The daemon keeps a bounded window of recently seen
-    /// ids so a batch replayed after a reconnect executes each command
-    /// exactly once.
-    pub command_id: u64,
-    /// Queue the command targets.
-    pub queue_id: ObjectId,
-    /// Client-assigned id for the completion event.
-    pub event_id: ObjectId,
-    /// Events that must complete before the command executes.
-    pub wait_events: Vec<ObjectId>,
-    /// The command itself.
-    pub command: BatchCommand,
-}
-
-/// The command payload of a [`BatchEntry`].
-///
-/// Bulk data still travels as streams: a `WriteBuffer` entry's payload is
-/// sent *before* the batch request (FIFO ordering guarantees it has arrived),
-/// and a `ReadBuffer` entry's data is sent back on `stream_id` when the read
-/// completes.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BatchCommand {
-    /// `clEnqueueWriteBuffer`; payload arrives on bulk stream `stream_id`.
-    WriteBuffer {
-        /// Buffer id.
-        buffer_id: ObjectId,
-        /// Destination offset in bytes.
-        offset: u64,
-        /// Payload size in bytes.
-        size: u64,
-        /// Bulk stream carrying the payload.
-        stream_id: u64,
-    },
-    /// `clEnqueueReadBuffer`; the daemon sends the data on `stream_id` when
-    /// the read completes.
-    ReadBuffer {
-        /// Buffer id.
-        buffer_id: ObjectId,
-        /// Source offset in bytes.
-        offset: u64,
-        /// Size in bytes.
-        size: u64,
-        /// Bulk stream the daemon will send the data on.
-        stream_id: u64,
-    },
-    /// `clEnqueueNDRangeKernel`.
-    NdRange {
-        /// Kernel id.
-        kernel_id: ObjectId,
-        /// The index space.
-        range: WireNdRange,
-    },
-    /// `clEnqueueMarkerWithWaitList`.
-    Marker,
-}
-
-impl Encode for BatchEntry {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.command_id.encode(buf);
-        self.queue_id.encode(buf);
-        self.event_id.encode(buf);
-        self.wait_events.encode(buf);
-        self.command.encode(buf);
+gcf::wire_message! {
+    /// A request from the client driver to a daemon.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Request {
+        /// Handshake: announce the client and (in managed mode) the lease
+        /// authentication id obtained from the device manager.
+        ///
+        /// The daemon answers with [`Response::SessionInfo`].  A client that
+        /// reconnects after a connection failure re-handshakes with the same
+        /// identity and a bumped `epoch`; the daemon then revives the parked
+        /// session state (including the command dedup window) so replayed
+        /// batches execute exactly once.
+        0 => Hello {
+            /// Client host name.
+            client_name: String,
+            /// Lease authentication id, if the client got its devices from the
+            /// device manager.
+            auth_id: Option<String>,
+            /// Session epoch: 0 on first connect, incremented by the client on
+            /// every reconnect to the same daemon.
+            epoch: u64,
+        },
+        /// List the devices this daemon exposes (filtered by lease in managed
+        /// mode).
+        1 => GetDeviceList,
+        /// Create a remote context over the given remote device ids.
+        2 => CreateContext {
+            /// Client-assigned id for the context stub.
+            context_id: ObjectId,
+            /// Daemon-local device ids participating on this server.
+            devices: Vec<ObjectId>,
+        },
+        /// Release a remote context.
+        3 => ReleaseContext {
+            /// Context id.
+            context_id: ObjectId,
+        },
+        /// Create a command queue for `device` in `context`.
+        4 => CreateCommandQueue {
+            /// Client-assigned id for the queue stub.
+            queue_id: ObjectId,
+            /// Owning context id.
+            context_id: ObjectId,
+            /// Daemon-local device id.
+            device: ObjectId,
+        },
+        /// Release a command queue.
+        5 => ReleaseCommandQueue {
+            /// Queue id.
+            queue_id: ObjectId,
+        },
+        /// Create a buffer of `size` bytes in `context`.
+        6 => CreateBuffer {
+            /// Client-assigned id for the buffer stub.
+            buffer_id: ObjectId,
+            /// Owning context id.
+            context_id: ObjectId,
+            /// Size in bytes.
+            size: u64,
+            /// Whether kernels may read the buffer.
+            readable: bool,
+            /// Whether kernels may write the buffer.
+            writable: bool,
+        },
+        /// Release a buffer.
+        7 => ReleaseBuffer {
+            /// Buffer id.
+            buffer_id: ObjectId,
+        },
+        /// Create a program from OpenCL C source.
+        8 => CreateProgramWithSource {
+            /// Client-assigned id for the program stub.
+            program_id: ObjectId,
+            /// Owning context id.
+            context_id: ObjectId,
+            /// The source text.
+            source: String,
+        },
+        /// Create a program from registered built-in kernels.
+        9 => CreateProgramWithBuiltInKernels {
+            /// Client-assigned id for the program stub.
+            program_id: ObjectId,
+            /// Owning context id.
+            context_id: ObjectId,
+            /// Semicolon-separated kernel names.
+            names: String,
+        },
+        /// Build a program.
+        10 => BuildProgram {
+            /// Program id.
+            program_id: ObjectId,
+        },
+        /// Fetch the build log of a program.
+        11 => GetBuildLog {
+            /// Program id.
+            program_id: ObjectId,
+        },
+        /// Create a kernel from a program.
+        12 => CreateKernel {
+            /// Client-assigned id for the kernel stub.
+            kernel_id: ObjectId,
+            /// Owning program id.
+            program_id: ObjectId,
+            /// Kernel function name.
+            name: String,
+        },
+        /// Set a by-value kernel argument.
+        13 => SetKernelArgScalar {
+            /// Kernel id.
+            kernel_id: ObjectId,
+            /// Argument index.
+            index: u32,
+            /// The value.
+            value: WireValue,
+        },
+        /// Set a buffer kernel argument.
+        14 => SetKernelArgBuffer {
+            /// Kernel id.
+            kernel_id: ObjectId,
+            /// Argument index.
+            index: u32,
+            /// Buffer id.
+            buffer_id: ObjectId,
+        },
+        /// Set a `__local` memory kernel argument.
+        15 => SetKernelArgLocal {
+            /// Kernel id.
+            kernel_id: ObjectId,
+            /// Argument index.
+            index: u32,
+            /// Size in bytes.
+            bytes: u64,
+        },
+        /// Upload data into a buffer (the payload arrives as bulk stream
+        /// `stream_id`, sent *before* this request).
+        16 => EnqueueWriteBuffer {
+            /// Queue id.
+            queue_id: ObjectId,
+            /// Buffer id.
+            buffer_id: ObjectId,
+            /// Destination offset in bytes.
+            offset: u64,
+            /// Payload size in bytes.
+            size: u64,
+            /// Client-assigned id for the completion event.
+            event_id: ObjectId,
+            /// Bulk stream carrying the payload.
+            stream_id: u64,
+            /// Events that must complete before the write executes.
+            wait_events: Vec<ObjectId>,
+        },
+        /// Download data from a buffer (the daemon sends the payload as bulk
+        /// stream `stream_id` when the read completes).
+        17 => EnqueueReadBuffer {
+            /// Queue id.
+            queue_id: ObjectId,
+            /// Buffer id.
+            buffer_id: ObjectId,
+            /// Source offset in bytes.
+            offset: u64,
+            /// Size in bytes.
+            size: u64,
+            /// Client-assigned id for the completion event.
+            event_id: ObjectId,
+            /// Bulk stream the daemon will send the data on.
+            stream_id: u64,
+            /// Events that must complete before the read executes.
+            wait_events: Vec<ObjectId>,
+        },
+        /// Launch a kernel over an NDRange.
+        18 => EnqueueNdRange {
+            /// Queue id.
+            queue_id: ObjectId,
+            /// Kernel id.
+            kernel_id: ObjectId,
+            /// Client-assigned id for the completion event.
+            event_id: ObjectId,
+            /// The index space.
+            range: WireNdRange,
+            /// Events that must complete before the kernel executes.
+            wait_events: Vec<ObjectId>,
+        },
+        /// Enqueue a marker (used to implement `clFinish` without blocking the
+        /// daemon).
+        19 => EnqueueMarker {
+            /// Queue id.
+            queue_id: ObjectId,
+            /// Client-assigned id for the completion event.
+            event_id: ObjectId,
+            /// Events the marker waits for.
+            wait_events: Vec<ObjectId>,
+        },
+        /// Create a user event (the replacement object of the event-consistency
+        /// protocol).
+        20 => CreateUserEvent {
+            /// Client-assigned event id (same id as the original event on the
+            /// owning server).
+            event_id: ObjectId,
+        },
+        /// Complete a user event previously created with `CreateUserEvent`.
+        21 => SetUserEventComplete {
+            /// Event id.
+            event_id: ObjectId,
+        },
+        /// Query the status of an event.
+        22 => GetEventStatus {
+            /// Event id.
+            event_id: ObjectId,
+        },
+        /// Query server information (`clGetServerInfoWWU`).
+        23 => GetServerInfo,
+        /// Orderly disconnect (`clDisconnectServerWWU` or application exit).
+        24 => Disconnect,
+        /// Coherence traffic: replace the remote buffer's contents with the data
+        /// arriving on bulk stream `stream_id` (sent before this request).
+        ///
+        /// Used by the MSI protocol when a server holds an *invalid* copy and the
+        /// client uploads a valid one (Section III-D).
+        25 => UploadBufferData {
+            /// Buffer id.
+            buffer_id: ObjectId,
+            /// Bulk stream carrying the payload.
+            stream_id: u64,
+            /// Payload size in bytes.
+            size: u64,
+        },
+        /// Coherence traffic: send the remote buffer's contents to the client on
+        /// bulk stream `stream_id`.
+        ///
+        /// Used by the MSI protocol when the client needs a valid copy and this
+        /// server owns one.
+        26 => DownloadBufferData {
+            /// Buffer id.
+            buffer_id: ObjectId,
+            /// Bulk stream the daemon sends the data on.
+            stream_id: u64,
+        },
+        /// A batch of enqueue commands accumulated client-side and shipped in a
+        /// single round trip (the batched command pipeline).  Entries are
+        /// enqueued strictly in order; completion is reported asynchronously per
+        /// entry through [`Notification::EventCompleted`].
+        27 => EnqueueBatch {
+            /// The commands, in submission order.
+            entries: Vec<BatchEntry>,
+        },
+        /// Query the daemon's view of this session (used by the fault-tolerance
+        /// tests and the client supervisor after a reconnect).
+        28 => GetSessionInfo,
+        /// Coherence delta traffic: overwrite `[offset, offset + size)` of the
+        /// remote buffer with the data arriving on bulk stream `stream_id`
+        /// (sent before this request).
+        ///
+        /// Used by the range-granular directory when only some byte ranges of a
+        /// server's copy are stale; the whole-buffer variant remains
+        /// [`Request::UploadBufferData`].
+        29 => UploadBufferRange {
+            /// Buffer id.
+            buffer_id: ObjectId,
+            /// First byte to overwrite.
+            offset: u64,
+            /// Payload size in bytes.
+            size: u64,
+            /// Bulk stream carrying the payload.
+            stream_id: u64,
+        },
+        /// Coherence delta traffic: send `[offset, offset + size)` of the
+        /// remote buffer to the client on bulk stream `stream_id`.  The daemon
+        /// answers with [`Response::BufferRange`].
+        30 => DownloadBufferRange {
+            /// Buffer id.
+            buffer_id: ObjectId,
+            /// First byte to send.
+            offset: u64,
+            /// Number of bytes to send.
+            size: u64,
+            /// Bulk stream the daemon sends the data on.
+            stream_id: u64,
+        },
     }
 }
 
-impl Decode for BatchEntry {
-    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, GcfError> {
-        Ok(BatchEntry {
-            command_id: u64::decode(r)?,
-            queue_id: ObjectId::decode(r)?,
-            event_id: ObjectId::decode(r)?,
-            wait_events: Vec::decode(r)?,
-            command: BatchCommand::decode(r)?,
-        })
+gcf::wire_message! {
+    /// One command of a [`Request::EnqueueBatch`].
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct BatchEntry {
+        /// Client-generated idempotency id, unique per command for the lifetime
+        /// of the session.  The daemon keeps a bounded window of recently seen
+        /// ids so a batch replayed after a reconnect executes each command
+        /// exactly once.
+        pub command_id: u64,
+        /// Queue the command targets.
+        pub queue_id: ObjectId,
+        /// Client-assigned id for the completion event.
+        pub event_id: ObjectId,
+        /// Events that must complete before the command executes.
+        pub wait_events: Vec<ObjectId>,
+        /// The command itself.
+        pub command: BatchCommand,
     }
 }
 
-impl Encode for BatchCommand {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            BatchCommand::WriteBuffer { buffer_id, offset, size, stream_id } => {
-                buf.push(0);
-                buffer_id.encode(buf);
-                offset.encode(buf);
-                size.encode(buf);
-                stream_id.encode(buf);
-            }
-            BatchCommand::ReadBuffer { buffer_id, offset, size, stream_id } => {
-                buf.push(1);
-                buffer_id.encode(buf);
-                offset.encode(buf);
-                size.encode(buf);
-                stream_id.encode(buf);
-            }
-            BatchCommand::NdRange { kernel_id, range } => {
-                buf.push(2);
-                kernel_id.encode(buf);
-                range.encode(buf);
-            }
-            BatchCommand::Marker => buf.push(3),
-        }
+gcf::wire_message! {
+    /// The command payload of a [`BatchEntry`].
+    ///
+    /// Bulk data still travels as streams: a `WriteBuffer` entry's payload is
+    /// sent *before* the batch request (FIFO ordering guarantees it has arrived),
+    /// and a `ReadBuffer` entry's data is sent back on `stream_id` when the read
+    /// completes.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum BatchCommand {
+        /// `clEnqueueWriteBuffer`; payload arrives on bulk stream `stream_id`.
+        0 => WriteBuffer {
+            /// Buffer id.
+            buffer_id: ObjectId,
+            /// Destination offset in bytes.
+            offset: u64,
+            /// Payload size in bytes.
+            size: u64,
+            /// Bulk stream carrying the payload.
+            stream_id: u64,
+        },
+        /// `clEnqueueReadBuffer`; the daemon sends the data on `stream_id` when
+        /// the read completes.
+        1 => ReadBuffer {
+            /// Buffer id.
+            buffer_id: ObjectId,
+            /// Source offset in bytes.
+            offset: u64,
+            /// Size in bytes.
+            size: u64,
+            /// Bulk stream the daemon will send the data on.
+            stream_id: u64,
+        },
+        /// `clEnqueueNDRangeKernel`.
+        2 => NdRange {
+            /// Kernel id.
+            kernel_id: ObjectId,
+            /// The index space.
+            range: WireNdRange,
+        },
+        /// `clEnqueueMarkerWithWaitList`.
+        3 => Marker,
     }
 }
 
-impl Decode for BatchCommand {
-    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, GcfError> {
-        Ok(match u8::decode(r)? {
-            0 => BatchCommand::WriteBuffer {
-                buffer_id: ObjectId::decode(r)?,
-                offset: u64::decode(r)?,
-                size: u64::decode(r)?,
-                stream_id: u64::decode(r)?,
-            },
-            1 => BatchCommand::ReadBuffer {
-                buffer_id: ObjectId::decode(r)?,
-                offset: u64::decode(r)?,
-                size: u64::decode(r)?,
-                stream_id: u64::decode(r)?,
-            },
-            2 => BatchCommand::NdRange {
-                kernel_id: ObjectId::decode(r)?,
-                range: WireNdRange::decode(r)?,
-            },
-            3 => BatchCommand::Marker,
-            other => return Err(codec_err(format!("invalid batch command tag {other}"))),
-        })
+gcf::wire_message! {
+    /// Per-entry enqueue outcome of a [`Request::EnqueueBatch`], reported in
+    /// [`Response::BatchEnqueued`].  Code 0 means the entry was enqueued; a
+    /// negative code is the OpenCL error that rejected it at enqueue time
+    /// (execution-time failures are reported through the entry's event instead).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct BatchEntryStatus {
+        /// 0 on success, a negative OpenCL error code otherwise.
+        pub code: i32,
+        /// Human-readable description (empty on success).
+        pub message: String,
     }
-}
-
-/// Per-entry enqueue outcome of a [`Request::EnqueueBatch`], reported in
-/// [`Response::BatchEnqueued`].  Code 0 means the entry was enqueued; a
-/// negative code is the OpenCL error that rejected it at enqueue time
-/// (execution-time failures are reported through the entry's event instead).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchEntryStatus {
-    /// 0 on success, a negative OpenCL error code otherwise.
-    pub code: i32,
-    /// Human-readable description (empty on success).
-    pub message: String,
 }
 
 impl BatchEntryStatus {
@@ -677,527 +595,102 @@ impl BatchEntryStatus {
     }
 }
 
-impl Encode for BatchEntryStatus {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.code.encode(buf);
-        self.message.encode(buf);
-    }
-}
-
-impl Decode for BatchEntryStatus {
-    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, GcfError> {
-        Ok(BatchEntryStatus { code: i32::decode(r)?, message: String::decode(r)? })
-    }
-}
-
-const REQ_TAGS: &[(&str, u8)] = &[];
-
-impl Encode for Request {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        let _ = REQ_TAGS;
-        match self {
-            Request::Hello { client_name, auth_id, epoch } => {
-                buf.push(0);
-                client_name.encode(buf);
-                auth_id.encode(buf);
-                epoch.encode(buf);
-            }
-            Request::GetDeviceList => buf.push(1),
-            Request::CreateContext { context_id, devices } => {
-                buf.push(2);
-                context_id.encode(buf);
-                devices.encode(buf);
-            }
-            Request::ReleaseContext { context_id } => {
-                buf.push(3);
-                context_id.encode(buf);
-            }
-            Request::CreateCommandQueue { queue_id, context_id, device } => {
-                buf.push(4);
-                queue_id.encode(buf);
-                context_id.encode(buf);
-                device.encode(buf);
-            }
-            Request::ReleaseCommandQueue { queue_id } => {
-                buf.push(5);
-                queue_id.encode(buf);
-            }
-            Request::CreateBuffer { buffer_id, context_id, size, readable, writable } => {
-                buf.push(6);
-                buffer_id.encode(buf);
-                context_id.encode(buf);
-                size.encode(buf);
-                readable.encode(buf);
-                writable.encode(buf);
-            }
-            Request::ReleaseBuffer { buffer_id } => {
-                buf.push(7);
-                buffer_id.encode(buf);
-            }
-            Request::CreateProgramWithSource { program_id, context_id, source } => {
-                buf.push(8);
-                program_id.encode(buf);
-                context_id.encode(buf);
-                source.encode(buf);
-            }
-            Request::CreateProgramWithBuiltInKernels { program_id, context_id, names } => {
-                buf.push(9);
-                program_id.encode(buf);
-                context_id.encode(buf);
-                names.encode(buf);
-            }
-            Request::BuildProgram { program_id } => {
-                buf.push(10);
-                program_id.encode(buf);
-            }
-            Request::GetBuildLog { program_id } => {
-                buf.push(11);
-                program_id.encode(buf);
-            }
-            Request::CreateKernel { kernel_id, program_id, name } => {
-                buf.push(12);
-                kernel_id.encode(buf);
-                program_id.encode(buf);
-                name.encode(buf);
-            }
-            Request::SetKernelArgScalar { kernel_id, index, value } => {
-                buf.push(13);
-                kernel_id.encode(buf);
-                index.encode(buf);
-                value.encode(buf);
-            }
-            Request::SetKernelArgBuffer { kernel_id, index, buffer_id } => {
-                buf.push(14);
-                kernel_id.encode(buf);
-                index.encode(buf);
-                buffer_id.encode(buf);
-            }
-            Request::SetKernelArgLocal { kernel_id, index, bytes } => {
-                buf.push(15);
-                kernel_id.encode(buf);
-                index.encode(buf);
-                bytes.encode(buf);
-            }
-            Request::EnqueueWriteBuffer {
-                queue_id,
-                buffer_id,
-                offset,
-                size,
-                event_id,
-                stream_id,
-                wait_events,
-            } => {
-                buf.push(16);
-                queue_id.encode(buf);
-                buffer_id.encode(buf);
-                offset.encode(buf);
-                size.encode(buf);
-                event_id.encode(buf);
-                stream_id.encode(buf);
-                wait_events.encode(buf);
-            }
-            Request::EnqueueReadBuffer {
-                queue_id,
-                buffer_id,
-                offset,
-                size,
-                event_id,
-                stream_id,
-                wait_events,
-            } => {
-                buf.push(17);
-                queue_id.encode(buf);
-                buffer_id.encode(buf);
-                offset.encode(buf);
-                size.encode(buf);
-                event_id.encode(buf);
-                stream_id.encode(buf);
-                wait_events.encode(buf);
-            }
-            Request::EnqueueNdRange { queue_id, kernel_id, event_id, range, wait_events } => {
-                buf.push(18);
-                queue_id.encode(buf);
-                kernel_id.encode(buf);
-                event_id.encode(buf);
-                range.encode(buf);
-                wait_events.encode(buf);
-            }
-            Request::EnqueueMarker { queue_id, event_id, wait_events } => {
-                buf.push(19);
-                queue_id.encode(buf);
-                event_id.encode(buf);
-                wait_events.encode(buf);
-            }
-            Request::CreateUserEvent { event_id } => {
-                buf.push(20);
-                event_id.encode(buf);
-            }
-            Request::SetUserEventComplete { event_id } => {
-                buf.push(21);
-                event_id.encode(buf);
-            }
-            Request::GetEventStatus { event_id } => {
-                buf.push(22);
-                event_id.encode(buf);
-            }
-            Request::GetServerInfo => buf.push(23),
-            Request::Disconnect => buf.push(24),
-            Request::UploadBufferData { buffer_id, stream_id, size } => {
-                buf.push(25);
-                buffer_id.encode(buf);
-                stream_id.encode(buf);
-                size.encode(buf);
-            }
-            Request::DownloadBufferData { buffer_id, stream_id } => {
-                buf.push(26);
-                buffer_id.encode(buf);
-                stream_id.encode(buf);
-            }
-            Request::EnqueueBatch { entries } => {
-                buf.push(27);
-                entries.encode(buf);
-            }
-            Request::GetSessionInfo => buf.push(28),
-            Request::UploadBufferRange { buffer_id, offset, size, stream_id } => {
-                buf.push(29);
-                buffer_id.encode(buf);
-                offset.encode(buf);
-                size.encode(buf);
-                stream_id.encode(buf);
-            }
-            Request::DownloadBufferRange { buffer_id, offset, size, stream_id } => {
-                buf.push(30);
-                buffer_id.encode(buf);
-                offset.encode(buf);
-                size.encode(buf);
-                stream_id.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for Request {
-    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, GcfError> {
-        Ok(match u8::decode(r)? {
-            0 => Request::Hello {
-                client_name: String::decode(r)?,
-                auth_id: Option::decode(r)?,
-                epoch: u64::decode(r)?,
-            },
-            1 => Request::GetDeviceList,
-            2 => Request::CreateContext {
-                context_id: ObjectId::decode(r)?,
-                devices: Vec::decode(r)?,
-            },
-            3 => Request::ReleaseContext { context_id: ObjectId::decode(r)? },
-            4 => Request::CreateCommandQueue {
-                queue_id: ObjectId::decode(r)?,
-                context_id: ObjectId::decode(r)?,
-                device: ObjectId::decode(r)?,
-            },
-            5 => Request::ReleaseCommandQueue { queue_id: ObjectId::decode(r)? },
-            6 => Request::CreateBuffer {
-                buffer_id: ObjectId::decode(r)?,
-                context_id: ObjectId::decode(r)?,
-                size: u64::decode(r)?,
-                readable: bool::decode(r)?,
-                writable: bool::decode(r)?,
-            },
-            7 => Request::ReleaseBuffer { buffer_id: ObjectId::decode(r)? },
-            8 => Request::CreateProgramWithSource {
-                program_id: ObjectId::decode(r)?,
-                context_id: ObjectId::decode(r)?,
-                source: String::decode(r)?,
-            },
-            9 => Request::CreateProgramWithBuiltInKernels {
-                program_id: ObjectId::decode(r)?,
-                context_id: ObjectId::decode(r)?,
-                names: String::decode(r)?,
-            },
-            10 => Request::BuildProgram { program_id: ObjectId::decode(r)? },
-            11 => Request::GetBuildLog { program_id: ObjectId::decode(r)? },
-            12 => Request::CreateKernel {
-                kernel_id: ObjectId::decode(r)?,
-                program_id: ObjectId::decode(r)?,
-                name: String::decode(r)?,
-            },
-            13 => Request::SetKernelArgScalar {
-                kernel_id: ObjectId::decode(r)?,
-                index: u32::decode(r)?,
-                value: WireValue::decode(r)?,
-            },
-            14 => Request::SetKernelArgBuffer {
-                kernel_id: ObjectId::decode(r)?,
-                index: u32::decode(r)?,
-                buffer_id: ObjectId::decode(r)?,
-            },
-            15 => Request::SetKernelArgLocal {
-                kernel_id: ObjectId::decode(r)?,
-                index: u32::decode(r)?,
-                bytes: u64::decode(r)?,
-            },
-            16 => Request::EnqueueWriteBuffer {
-                queue_id: ObjectId::decode(r)?,
-                buffer_id: ObjectId::decode(r)?,
-                offset: u64::decode(r)?,
-                size: u64::decode(r)?,
-                event_id: ObjectId::decode(r)?,
-                stream_id: u64::decode(r)?,
-                wait_events: Vec::decode(r)?,
-            },
-            17 => Request::EnqueueReadBuffer {
-                queue_id: ObjectId::decode(r)?,
-                buffer_id: ObjectId::decode(r)?,
-                offset: u64::decode(r)?,
-                size: u64::decode(r)?,
-                event_id: ObjectId::decode(r)?,
-                stream_id: u64::decode(r)?,
-                wait_events: Vec::decode(r)?,
-            },
-            18 => Request::EnqueueNdRange {
-                queue_id: ObjectId::decode(r)?,
-                kernel_id: ObjectId::decode(r)?,
-                event_id: ObjectId::decode(r)?,
-                range: WireNdRange::decode(r)?,
-                wait_events: Vec::decode(r)?,
-            },
-            19 => Request::EnqueueMarker {
-                queue_id: ObjectId::decode(r)?,
-                event_id: ObjectId::decode(r)?,
-                wait_events: Vec::decode(r)?,
-            },
-            20 => Request::CreateUserEvent { event_id: ObjectId::decode(r)? },
-            21 => Request::SetUserEventComplete { event_id: ObjectId::decode(r)? },
-            22 => Request::GetEventStatus { event_id: ObjectId::decode(r)? },
-            23 => Request::GetServerInfo,
-            24 => Request::Disconnect,
-            25 => Request::UploadBufferData {
-                buffer_id: ObjectId::decode(r)?,
-                stream_id: u64::decode(r)?,
-                size: u64::decode(r)?,
-            },
-            26 => Request::DownloadBufferData {
-                buffer_id: ObjectId::decode(r)?,
-                stream_id: u64::decode(r)?,
-            },
-            27 => Request::EnqueueBatch { entries: Vec::decode(r)? },
-            28 => Request::GetSessionInfo,
-            29 => Request::UploadBufferRange {
-                buffer_id: ObjectId::decode(r)?,
-                offset: u64::decode(r)?,
-                size: u64::decode(r)?,
-                stream_id: u64::decode(r)?,
-            },
-            30 => Request::DownloadBufferRange {
-                buffer_id: ObjectId::decode(r)?,
-                offset: u64::decode(r)?,
-                size: u64::decode(r)?,
-                stream_id: u64::decode(r)?,
-            },
-            other => return Err(codec_err(format!("invalid request tag {other}"))),
-        })
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Responses
 // ---------------------------------------------------------------------------
 
-/// Server information returned by [`Request::GetServerInfo`]
-/// (`clGetServerInfoWWU`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServerInfo {
-    /// The daemon's node name.
-    pub name: String,
-    /// Number of devices currently visible to this client.
-    pub device_count: u32,
-    /// Whether the daemon runs in managed mode (Section IV-A).
-    pub managed: bool,
-}
-
-impl Encode for ServerInfo {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.name.encode(buf);
-        self.device_count.encode(buf);
-        self.managed.encode(buf);
+gcf::wire_message! {
+    /// Server information returned by [`Request::GetServerInfo`]
+    /// (`clGetServerInfoWWU`).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ServerInfo {
+        /// The daemon's node name.
+        pub name: String,
+        /// Number of devices currently visible to this client.
+        pub device_count: u32,
+        /// Whether the daemon runs in managed mode (Section IV-A).
+        pub managed: bool,
     }
 }
 
-impl Decode for ServerInfo {
-    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, GcfError> {
-        Ok(ServerInfo {
-            name: String::decode(r)?,
-            device_count: u32::decode(r)?,
-            managed: bool::decode(r)?,
-        })
+gcf::wire_message! {
+    /// The daemon's view of a client session, returned as the answer to
+    /// [`Request::Hello`] and [`Request::GetSessionInfo`].
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct SessionInfo {
+        /// Lease authentication id the session presented, if any.
+        pub auth_id: Option<String>,
+        /// The session epoch from the most recent `Hello`.
+        pub epoch: u64,
+        /// Whether this session was revived from parked state after a reconnect
+        /// (its remote objects and dedup window survived).
+        pub resumed: bool,
+        /// Commands admitted (executed for the first time) by the dedup window.
+        pub dedup_admitted: u64,
+        /// Replayed commands the dedup window suppressed.
+        pub dedup_replayed: u64,
     }
 }
 
-/// The daemon's view of a client session, returned as the answer to
-/// [`Request::Hello`] and [`Request::GetSessionInfo`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SessionInfo {
-    /// Lease authentication id the session presented, if any.
-    pub auth_id: Option<String>,
-    /// The session epoch from the most recent `Hello`.
-    pub epoch: u64,
-    /// Whether this session was revived from parked state after a reconnect
-    /// (its remote objects and dedup window survived).
-    pub resumed: bool,
-    /// Commands admitted (executed for the first time) by the dedup window.
-    pub dedup_admitted: u64,
-    /// Replayed commands the dedup window suppressed.
-    pub dedup_replayed: u64,
-}
-
-impl Encode for SessionInfo {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.auth_id.encode(buf);
-        self.epoch.encode(buf);
-        self.resumed.encode(buf);
-        self.dedup_admitted.encode(buf);
-        self.dedup_replayed.encode(buf);
-    }
-}
-
-impl Decode for SessionInfo {
-    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, GcfError> {
-        Ok(SessionInfo {
-            auth_id: Option::decode(r)?,
-            epoch: u64::decode(r)?,
-            resumed: bool::decode(r)?,
-            dedup_admitted: u64::decode(r)?,
-            dedup_replayed: u64::decode(r)?,
-        })
-    }
-}
-
-/// A daemon's answer to a [`Request`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum Response {
-    /// The request succeeded and carries no payload.
-    Ok,
-    /// The request failed.
-    Error {
-        /// OpenCL error code (negative) or protocol error.
-        code: i32,
-        /// Human-readable description.
-        message: String,
-    },
-    /// Device list for [`Request::GetDeviceList`].
-    DeviceList {
-        /// Devices visible to the requesting client.
-        devices: Vec<DeviceDescriptor>,
-    },
-    /// Build log for [`Request::GetBuildLog`].
-    BuildLog {
-        /// The log text (empty on success).
-        log: String,
-    },
-    /// Event status for [`Request::GetEventStatus`].
-    EventStatus {
-        /// Numeric OpenCL event status.
-        status: i32,
-    },
-    /// Server information for [`Request::GetServerInfo`].
-    ServerInfo(ServerInfo),
-    /// Acknowledgement carrying the modelled duration of a completed
-    /// synchronous operation, in nanoseconds (e.g. a buffer upload).
-    OkTimed {
-        /// Modelled duration in nanoseconds.
-        modeled_nanos: u64,
-    },
-    /// Per-entry enqueue outcome of a [`Request::EnqueueBatch`].
-    ///
-    /// `statuses[k]` is the outcome of entry `k`.  The daemon stops at the
-    /// first entry that fails to *enqueue*, so `statuses` may be shorter
-    /// than the batch; the client fails the remaining entries' events
-    /// locally.
-    BatchEnqueued {
-        /// Outcomes of the attempted entries, in batch order.
-        statuses: Vec<BatchEntryStatus>,
-    },
-    /// Session state for [`Request::Hello`] / [`Request::GetSessionInfo`].
-    SessionInfo(SessionInfo),
-    /// Acknowledgement of a [`Request::DownloadBufferRange`], echoing the
-    /// byte range actually shipped on the bulk stream plus the modelled
-    /// transfer duration.
-    BufferRange {
-        /// First byte shipped.
-        offset: u64,
-        /// Number of bytes shipped.
-        size: u64,
-        /// Modelled duration in nanoseconds.
-        modeled_nanos: u64,
-    },
-}
-
-impl Encode for Response {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Response::Ok => buf.push(0),
-            Response::Error { code, message } => {
-                buf.push(1);
-                code.encode(buf);
-                message.encode(buf);
-            }
-            Response::DeviceList { devices } => {
-                buf.push(2);
-                devices.encode(buf);
-            }
-            Response::BuildLog { log } => {
-                buf.push(3);
-                log.encode(buf);
-            }
-            Response::EventStatus { status } => {
-                buf.push(4);
-                status.encode(buf);
-            }
-            Response::ServerInfo(info) => {
-                buf.push(5);
-                info.encode(buf);
-            }
-            Response::OkTimed { modeled_nanos } => {
-                buf.push(6);
-                modeled_nanos.encode(buf);
-            }
-            Response::BatchEnqueued { statuses } => {
-                buf.push(7);
-                statuses.encode(buf);
-            }
-            Response::SessionInfo(info) => {
-                buf.push(8);
-                info.encode(buf);
-            }
-            Response::BufferRange { offset, size, modeled_nanos } => {
-                buf.push(9);
-                offset.encode(buf);
-                size.encode(buf);
-                modeled_nanos.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for Response {
-    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, GcfError> {
-        Ok(match u8::decode(r)? {
-            0 => Response::Ok,
-            1 => Response::Error { code: i32::decode(r)?, message: String::decode(r)? },
-            2 => Response::DeviceList { devices: Vec::decode(r)? },
-            3 => Response::BuildLog { log: String::decode(r)? },
-            4 => Response::EventStatus { status: i32::decode(r)? },
-            5 => Response::ServerInfo(ServerInfo::decode(r)?),
-            6 => Response::OkTimed { modeled_nanos: u64::decode(r)? },
-            7 => Response::BatchEnqueued { statuses: Vec::decode(r)? },
-            8 => Response::SessionInfo(SessionInfo::decode(r)?),
-            9 => Response::BufferRange {
-                offset: u64::decode(r)?,
-                size: u64::decode(r)?,
-                modeled_nanos: u64::decode(r)?,
-            },
-            other => return Err(codec_err(format!("invalid response tag {other}"))),
-        })
+gcf::wire_message! {
+    /// A daemon's answer to a [`Request`].
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Response {
+        /// The request succeeded and carries no payload.
+        0 => Ok,
+        /// The request failed.
+        1 => Error {
+            /// OpenCL error code (negative) or protocol error.
+            code: i32,
+            /// Human-readable description.
+            message: String,
+        },
+        /// Device list for [`Request::GetDeviceList`].
+        2 => DeviceList {
+            /// Devices visible to the requesting client.
+            devices: Vec<DeviceDescriptor>,
+        },
+        /// Build log for [`Request::GetBuildLog`].
+        3 => BuildLog {
+            /// The log text (empty on success).
+            log: String,
+        },
+        /// Event status for [`Request::GetEventStatus`].
+        4 => EventStatus {
+            /// Numeric OpenCL event status.
+            status: i32,
+        },
+        /// Server information for [`Request::GetServerInfo`].
+        5 => ServerInfo(ServerInfo),
+        /// Acknowledgement carrying the modelled duration of a completed
+        /// synchronous operation, in nanoseconds (e.g. a buffer upload).
+        6 => OkTimed {
+            /// Modelled duration in nanoseconds.
+            modeled_nanos: u64,
+        },
+        /// Per-entry enqueue outcome of a [`Request::EnqueueBatch`].
+        ///
+        /// `statuses[k]` is the outcome of entry `k`.  The daemon stops at the
+        /// first entry that fails to *enqueue*, so `statuses` may be shorter
+        /// than the batch; the client fails the remaining entries' events
+        /// locally.
+        7 => BatchEnqueued {
+            /// Outcomes of the attempted entries, in batch order.
+            statuses: Vec<BatchEntryStatus>,
+        },
+        /// Session state for [`Request::Hello`] / [`Request::GetSessionInfo`].
+        8 => SessionInfo(SessionInfo),
+        /// Acknowledgement of a [`Request::DownloadBufferRange`], echoing the
+        /// byte range actually shipped on the bulk stream plus the modelled
+        /// transfer duration.
+        9 => BufferRange {
+            /// First byte shipped.
+            offset: u64,
+            /// Number of bytes shipped.
+            size: u64,
+            /// Modelled duration in nanoseconds.
+            modeled_nanos: u64,
+        },
     }
 }
 
@@ -1218,304 +711,326 @@ impl Response {
 // Notifications
 // ---------------------------------------------------------------------------
 
-/// Asynchronous notifications sent by a daemon to the client.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Notification {
-    /// An event on this server reached a terminal state.
-    EventCompleted {
-        /// The client-assigned event id.
-        event_id: ObjectId,
-        /// Final OpenCL status (0 = complete, negative = error).
-        status: i32,
-        /// Modelled duration of the command in nanoseconds.
-        modeled_nanos: u64,
-        /// Number of work-items executed (kernel commands only).
-        work_items: u64,
-    },
-}
-
-impl Encode for Notification {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Notification::EventCompleted { event_id, status, modeled_nanos, work_items } => {
-                buf.push(0);
-                event_id.encode(buf);
-                status.encode(buf);
-                modeled_nanos.encode(buf);
-                work_items.encode(buf);
-            }
-        }
+gcf::wire_message! {
+    /// Asynchronous notifications sent by a daemon to the client.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum Notification {
+        /// An event on this server reached a terminal state.
+        0 => EventCompleted {
+            /// The client-assigned event id.
+            event_id: ObjectId,
+            /// Final OpenCL status (0 = complete, negative = error).
+            status: i32,
+            /// Modelled duration of the command in nanoseconds.
+            modeled_nanos: u64,
+            /// Number of work-items executed (kernel commands only).
+            work_items: u64,
+        },
     }
-}
-
-impl Decode for Notification {
-    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, GcfError> {
-        Ok(match u8::decode(r)? {
-            0 => Notification::EventCompleted {
-                event_id: ObjectId::decode(r)?,
-                status: i32::decode(r)?,
-                modeled_nanos: u64::decode(r)?,
-                work_items: u64::decode(r)?,
-            },
-            other => return Err(codec_err(format!("invalid notification tag {other}"))),
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Helpers
-// ---------------------------------------------------------------------------
-
-/// Encode a request to bytes (payload of a gcf request frame).
-pub fn encode_request(request: &Request) -> Vec<u8> {
-    request.to_bytes()
-}
-
-/// Decode a request from a gcf request frame payload.
-pub fn decode_request(bytes: &[u8]) -> Result<Request> {
-    Request::from_bytes(bytes).map_err(|e| DclError::Protocol(e.to_string()))
-}
-
-/// Encode a response to bytes.
-pub fn encode_response(response: &Response) -> Vec<u8> {
-    response.to_bytes()
-}
-
-/// Decode a response from bytes.
-pub fn decode_response(bytes: &[u8]) -> Result<Response> {
-    Response::from_bytes(bytes).map_err(|e| DclError::Protocol(e.to_string()))
-}
-
-/// Estimate of the on-wire size of a request in bytes (used when charging
-/// the link model for message-based communication).
-pub fn request_wire_size(request: &Request) -> u64 {
-    request.to_bytes().len() as u64
-}
-
-/// Keep `encode_bytes`/`decode_bytes` linked for protocol extensions that
-/// embed opaque payloads.
-#[allow(dead_code)]
-fn _wire_helpers(buf: &mut Vec<u8>, r: &mut Reader<'_>) -> std::result::Result<Vec<u8>, GcfError> {
-    encode_bytes(&[], buf);
-    decode_bytes(r)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn roundtrip_request(req: Request) {
-        let bytes = encode_request(&req);
-        assert_eq!(decode_request(&bytes).unwrap(), req);
-    }
-
-    fn roundtrip_response(resp: Response) {
-        let bytes = encode_response(&resp);
-        assert_eq!(decode_response(&bytes).unwrap(), resp);
+    /// Pins the wire format: `msg` encodes to exactly the bytes `golden`
+    /// (hex), decodes back to itself, and every strict prefix of its
+    /// encoding is rejected with an error rather than a panic.
+    fn check<T: Encode + Decode + PartialEq + std::fmt::Debug>(msg: T, golden: &str) {
+        let bytes = msg.to_bytes();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, golden, "wire format of {msg:?} changed");
+        assert_eq!(T::from_bytes(&bytes).unwrap(), msg);
+        for n in 0..bytes.len() {
+            assert!(T::from_bytes(&bytes[..n]).is_err(), "{n}-byte prefix of {msg:?} decoded");
+        }
     }
 
     #[test]
     fn all_requests_roundtrip() {
-        roundtrip_request(Request::Hello {
-            client_name: "pc".into(),
-            auth_id: Some("lease-1".into()),
-            epoch: 3,
-        });
-        roundtrip_request(Request::GetDeviceList);
-        roundtrip_request(Request::CreateContext { context_id: 1, devices: vec![10, 11] });
-        roundtrip_request(Request::ReleaseContext { context_id: 1 });
-        roundtrip_request(Request::CreateCommandQueue { queue_id: 2, context_id: 1, device: 10 });
-        roundtrip_request(Request::ReleaseCommandQueue { queue_id: 2 });
-        roundtrip_request(Request::CreateBuffer {
-            buffer_id: 3,
-            context_id: 1,
-            size: 4096,
-            readable: true,
-            writable: false,
-        });
-        roundtrip_request(Request::ReleaseBuffer { buffer_id: 3 });
-        roundtrip_request(Request::CreateProgramWithSource {
-            program_id: 4,
-            context_id: 1,
-            source: "__kernel void k() {}".into(),
-        });
-        roundtrip_request(Request::CreateProgramWithBuiltInKernels {
-            program_id: 4,
-            context_id: 1,
-            names: "mandelbrot;osem".into(),
-        });
-        roundtrip_request(Request::BuildProgram { program_id: 4 });
-        roundtrip_request(Request::GetBuildLog { program_id: 4 });
-        roundtrip_request(Request::CreateKernel { kernel_id: 5, program_id: 4, name: "k".into() });
-        roundtrip_request(Request::SetKernelArgScalar {
-            kernel_id: 5,
-            index: 0,
-            value: WireValue(Value::float(1.5)),
-        });
-        roundtrip_request(Request::SetKernelArgBuffer { kernel_id: 5, index: 1, buffer_id: 3 });
-        roundtrip_request(Request::SetKernelArgLocal { kernel_id: 5, index: 2, bytes: 256 });
-        roundtrip_request(Request::EnqueueWriteBuffer {
-            queue_id: 2,
-            buffer_id: 3,
-            offset: 0,
-            size: 4096,
-            event_id: 7,
-            stream_id: 99,
-            wait_events: vec![6],
-        });
-        roundtrip_request(Request::EnqueueReadBuffer {
-            queue_id: 2,
-            buffer_id: 3,
-            offset: 16,
-            size: 64,
-            event_id: 8,
-            stream_id: 100,
-            wait_events: vec![],
-        });
-        roundtrip_request(Request::EnqueueNdRange {
-            queue_id: 2,
-            kernel_id: 5,
-            event_id: 9,
-            range: WireNdRange(NdRange::two_d(64, 32).with_local([8, 8, 1])),
-            wait_events: vec![7, 8],
-        });
-        roundtrip_request(Request::EnqueueMarker {
-            queue_id: 2,
-            event_id: 10,
-            wait_events: vec![9],
-        });
-        roundtrip_request(Request::CreateUserEvent { event_id: 11 });
-        roundtrip_request(Request::SetUserEventComplete { event_id: 11 });
-        roundtrip_request(Request::GetEventStatus { event_id: 9 });
-        roundtrip_request(Request::GetServerInfo);
-        roundtrip_request(Request::Disconnect);
-        roundtrip_request(Request::UploadBufferData { buffer_id: 3, stream_id: 12, size: 64 });
-        roundtrip_request(Request::DownloadBufferData { buffer_id: 3, stream_id: 13 });
-        roundtrip_request(Request::EnqueueBatch {
-            entries: vec![
-                BatchEntry {
-                    command_id: 900,
-                    queue_id: 2,
-                    event_id: 20,
-                    wait_events: vec![6, 7],
-                    command: BatchCommand::WriteBuffer {
-                        buffer_id: 3,
-                        offset: 8,
-                        size: 64,
-                        stream_id: 200,
+        check(
+            Request::Hello { client_name: "pc".into(), auth_id: Some("lease-1".into()), epoch: 3 },
+            "0002000000706301070000006c656173652d310300000000000000",
+        );
+        check(Request::GetDeviceList, "01");
+        check(
+            Request::CreateContext { context_id: 1, devices: vec![10, 11] },
+            "020100000000000000020000000a000000000000000b00000000000000",
+        );
+        check(Request::ReleaseContext { context_id: 1 }, "030100000000000000");
+        check(
+            Request::CreateCommandQueue { queue_id: 2, context_id: 1, device: 10 },
+            "04020000000000000001000000000000000a00000000000000",
+        );
+        check(Request::ReleaseCommandQueue { queue_id: 2 }, "050200000000000000");
+        check(
+            Request::CreateBuffer {
+                buffer_id: 3,
+                context_id: 1,
+                size: 4096,
+                readable: true,
+                writable: false,
+            },
+            "060300000000000000010000000000000000100000000000000100",
+        );
+        check(Request::ReleaseBuffer { buffer_id: 3 }, "070300000000000000");
+        check(
+            Request::CreateProgramWithSource {
+                program_id: 4,
+                context_id: 1,
+                source: "__kernel void k() {}".into(),
+            },
+            "0804000000000000000100000000000000140000005f5f6b65726e656c20766f\
+                6964206b2829207b7d",
+        );
+        check(
+            Request::CreateProgramWithBuiltInKernels {
+                program_id: 4,
+                context_id: 1,
+                names: "mandelbrot;osem".into(),
+            },
+            "09040000000000000001000000000000000f0000006d616e64656c62726f743b\
+                6f73656d",
+        );
+        check(Request::BuildProgram { program_id: 4 }, "0a0400000000000000");
+        check(Request::GetBuildLog { program_id: 4 }, "0b0400000000000000");
+        check(
+            Request::CreateKernel { kernel_id: 5, program_id: 4, name: "k".into() },
+            "0c05000000000000000400000000000000010000006b",
+        );
+        check(
+            Request::SetKernelArgScalar {
+                kernel_id: 5,
+                index: 0,
+                value: WireValue(Value::float(1.5)),
+            },
+            "0d050000000000000000000000000a02000000000000f83f",
+        );
+        check(
+            Request::SetKernelArgBuffer { kernel_id: 5, index: 1, buffer_id: 3 },
+            "0e0500000000000000010000000300000000000000",
+        );
+        check(
+            Request::SetKernelArgLocal { kernel_id: 5, index: 2, bytes: 256 },
+            "0f0500000000000000020000000001000000000000",
+        );
+        check(
+            Request::EnqueueWriteBuffer {
+                queue_id: 2,
+                buffer_id: 3,
+                offset: 0,
+                size: 4096,
+                event_id: 7,
+                stream_id: 99,
+                wait_events: vec![6],
+            },
+            "1002000000000000000300000000000000000000000000000000100000000000\
+                0007000000000000006300000000000000010000000600000000000000",
+        );
+        check(
+            Request::EnqueueReadBuffer {
+                queue_id: 2,
+                buffer_id: 3,
+                offset: 16,
+                size: 64,
+                event_id: 8,
+                stream_id: 100,
+                wait_events: vec![],
+            },
+            "1102000000000000000300000000000000100000000000000040000000000000\
+                000800000000000000640000000000000000000000",
+        );
+        check(
+            Request::EnqueueNdRange {
+                queue_id: 2,
+                kernel_id: 5,
+                event_id: 9,
+                range: WireNdRange(NdRange::two_d(64, 32).with_local([8, 8, 1])),
+                wait_events: vec![7, 8],
+            },
+            "1202000000000000000500000000000000090000000000000002400000000000\
+                0000200000000000000001000000000000000000000000000000000000000000\
+                0000000000000000000001080000000000000008000000000000000100000000\
+                0000000200000007000000000000000800000000000000",
+        );
+        check(
+            Request::EnqueueMarker { queue_id: 2, event_id: 10, wait_events: vec![9] },
+            "1302000000000000000a00000000000000010000000900000000000000",
+        );
+        check(Request::CreateUserEvent { event_id: 11 }, "140b00000000000000");
+        check(Request::SetUserEventComplete { event_id: 11 }, "150b00000000000000");
+        check(Request::GetEventStatus { event_id: 9 }, "160900000000000000");
+        check(Request::GetServerInfo, "17");
+        check(Request::Disconnect, "18");
+        check(
+            Request::UploadBufferData { buffer_id: 3, stream_id: 12, size: 64 },
+            "1903000000000000000c000000000000004000000000000000",
+        );
+        check(
+            Request::DownloadBufferData { buffer_id: 3, stream_id: 13 },
+            "1a03000000000000000d00000000000000",
+        );
+        check(
+            Request::EnqueueBatch {
+                entries: vec![
+                    BatchEntry {
+                        command_id: 900,
+                        queue_id: 2,
+                        event_id: 20,
+                        wait_events: vec![6, 7],
+                        command: BatchCommand::WriteBuffer {
+                            buffer_id: 3,
+                            offset: 8,
+                            size: 64,
+                            stream_id: 200,
+                        },
                     },
-                },
-                BatchEntry {
-                    command_id: 901,
-                    queue_id: 2,
-                    event_id: 21,
-                    wait_events: vec![],
-                    command: BatchCommand::ReadBuffer {
-                        buffer_id: 3,
-                        offset: 0,
-                        size: 16,
-                        stream_id: 201,
+                    BatchEntry {
+                        command_id: 901,
+                        queue_id: 2,
+                        event_id: 21,
+                        wait_events: vec![],
+                        command: BatchCommand::ReadBuffer {
+                            buffer_id: 3,
+                            offset: 0,
+                            size: 16,
+                            stream_id: 201,
+                        },
                     },
-                },
-                BatchEntry {
-                    command_id: 902,
-                    queue_id: 2,
-                    event_id: 22,
-                    wait_events: vec![20],
-                    command: BatchCommand::NdRange {
-                        kernel_id: 5,
-                        range: WireNdRange(NdRange::linear(128)),
+                    BatchEntry {
+                        command_id: 902,
+                        queue_id: 2,
+                        event_id: 22,
+                        wait_events: vec![20],
+                        command: BatchCommand::NdRange {
+                            kernel_id: 5,
+                            range: WireNdRange(NdRange::linear(128)),
+                        },
                     },
-                },
-                BatchEntry {
-                    command_id: 903,
-                    queue_id: 2,
-                    event_id: 23,
-                    wait_events: vec![],
-                    command: BatchCommand::Marker,
-                },
-            ],
-        });
-        roundtrip_request(Request::GetSessionInfo);
-        roundtrip_request(Request::UploadBufferRange {
-            buffer_id: 3,
-            offset: 4096,
-            size: 512,
-            stream_id: 14,
-        });
-        roundtrip_request(Request::DownloadBufferRange {
-            buffer_id: 3,
-            offset: 128,
-            size: 64,
-            stream_id: 15,
-        });
+                    BatchEntry {
+                        command_id: 903,
+                        queue_id: 2,
+                        event_id: 23,
+                        wait_events: vec![],
+                        command: BatchCommand::Marker,
+                    },
+                ],
+            },
+            "1b04000000840300000000000002000000000000001400000000000000020000\
+                0006000000000000000700000000000000000300000000000000080000000000\
+                00004000000000000000c8000000000000008503000000000000020000000000\
+                0000150000000000000000000000010300000000000000000000000000000010\
+                00000000000000c9000000000000008603000000000000020000000000000016\
+                0000000000000001000000140000000000000002050000000000000001800000\
+                0000000000010000000000000001000000000000000000000000000000000000\
+                0000000000000000000000000000870300000000000002000000000000001700\
+                0000000000000000000003",
+        );
+        check(Request::GetSessionInfo, "1c");
+        check(
+            Request::UploadBufferRange { buffer_id: 3, offset: 4096, size: 512, stream_id: 14 },
+            "1d0300000000000000001000000000000000020000000000000e000000000000\
+                00",
+        );
+        check(
+            Request::DownloadBufferRange { buffer_id: 3, offset: 128, size: 64, stream_id: 15 },
+            "1e0300000000000000800000000000000040000000000000000f000000000000\
+                00",
+        );
     }
 
     #[test]
     fn all_responses_roundtrip() {
-        roundtrip_response(Response::Ok);
-        roundtrip_response(Response::Error { code: -30, message: "CL_INVALID_VALUE".into() });
-        roundtrip_response(Response::DeviceList {
-            devices: vec![DeviceDescriptor {
-                remote_id: 1,
-                name: "Tesla".into(),
-                vendor: "NVIDIA".into(),
-                device_type: "GPU".into(),
-                compute_units: 30,
-                global_mem_bytes: 4 << 30,
-                max_alloc_bytes: 1 << 30,
-            }],
-        });
-        roundtrip_response(Response::BuildLog { log: "error at 1:1".into() });
-        roundtrip_response(Response::EventStatus { status: 0 });
-        roundtrip_response(Response::ServerInfo(ServerInfo {
-            name: "gpuserver".into(),
-            device_count: 4,
-            managed: true,
-        }));
-        roundtrip_response(Response::OkTimed { modeled_nanos: 123_456 });
-        roundtrip_response(Response::BatchEnqueued {
-            statuses: vec![
-                BatchEntryStatus::ok(),
-                BatchEntryStatus { code: -34, message: "unknown event id 9".into() },
-            ],
-        });
-        roundtrip_response(Response::SessionInfo(SessionInfo {
-            auth_id: Some("lease-1".into()),
-            epoch: 2,
-            resumed: true,
-            dedup_admitted: 17,
-            dedup_replayed: 3,
-        }));
-        roundtrip_response(Response::BufferRange { offset: 4096, size: 512, modeled_nanos: 987 });
+        check(Response::Ok, "00");
+        check(
+            Response::Error { code: -30, message: "CL_INVALID_VALUE".into() },
+            "01e2ffffff10000000434c5f494e56414c49445f56414c5545",
+        );
+        check(
+            Response::DeviceList {
+                devices: vec![DeviceDescriptor {
+                    remote_id: 1,
+                    name: "Tesla".into(),
+                    vendor: "NVIDIA".into(),
+                    device_type: "GPU".into(),
+                    compute_units: 30,
+                    global_mem_bytes: 4 << 30,
+                    max_alloc_bytes: 1 << 30,
+                }],
+            },
+            "02010000000100000000000000050000005465736c61060000004e5649444941\
+                030000004750551e00000000000000010000000000004000000000",
+        );
+        check(
+            Response::BuildLog { log: "error at 1:1".into() },
+            "030c0000006572726f7220617420313a31",
+        );
+        check(Response::EventStatus { status: 0 }, "0400000000");
+        check(
+            Response::ServerInfo(ServerInfo {
+                name: "gpuserver".into(),
+                device_count: 4,
+                managed: true,
+            }),
+            "05090000006770757365727665720400000001",
+        );
+        check(Response::OkTimed { modeled_nanos: 123_456 }, "0640e2010000000000");
+        check(
+            Response::BatchEnqueued {
+                statuses: vec![
+                    BatchEntryStatus::ok(),
+                    BatchEntryStatus { code: -34, message: "unknown event id 9".into() },
+                ],
+            },
+            "07020000000000000000000000deffffff12000000756e6b6e6f776e20657665\
+                6e742069642039",
+        );
+        check(
+            Response::SessionInfo(SessionInfo {
+                auth_id: Some("lease-1".into()),
+                epoch: 2,
+                resumed: true,
+                dedup_admitted: 17,
+                dedup_replayed: 3,
+            }),
+            "0801070000006c656173652d3102000000000000000111000000000000000300\
+                000000000000",
+        );
+        check(
+            Response::BufferRange { offset: 4096, size: 512, modeled_nanos: 987 },
+            "0900100000000000000002000000000000db03000000000000",
+        );
     }
 
     #[test]
     fn notification_roundtrip() {
-        let n = Notification::EventCompleted {
-            event_id: 42,
-            status: 0,
-            modeled_nanos: 5_000_000,
-            work_items: 1024,
-        };
-        assert_eq!(Notification::from_bytes(&n.to_bytes()).unwrap(), n);
+        check(
+            Notification::EventCompleted {
+                event_id: 42,
+                status: 0,
+                modeled_nanos: 5_000_000,
+                work_items: 1024,
+            },
+            "002a0000000000000000000000404b4c00000000000004000000000000",
+        );
     }
 
     #[test]
     fn wire_values_roundtrip() {
-        for v in [
-            Value::int(-3),
-            Value::uint(7),
-            Value::float(2.5),
-            Value::double(-1.25),
-            Value::size_t(1 << 40),
-            Value::boolean(true),
-            Value::Vector(ScalarType::Float, vec![Scalar::F(1.0), Scalar::F(2.0)]),
-            Value::Void,
+        for (v, golden) in [
+            (Value::int(-3), "000500fdffffffffffffff"),
+            (Value::uint(7), "0006010700000000000000"),
+            (Value::float(2.5), "000a020000000000000440"),
+            (Value::double(-1.25), "000b02000000000000f4bf"),
+            (Value::size_t(1 << 40), "0009010000000000010000"),
+            (Value::boolean(true), "0000010100000000000000"),
+            (
+                Value::Vector(ScalarType::Float, vec![Scalar::F(1.0), Scalar::F(2.0)]),
+                "010a0200000002000000000000f03f020000000000000040",
+            ),
+            (Value::Void, "02"),
         ] {
-            let w = WireValue(v);
-            let bytes = w.to_bytes();
-            assert_eq!(WireValue::from_bytes(&bytes).unwrap(), w);
+            check(WireValue(v), golden);
         }
     }
 
@@ -1528,8 +1043,8 @@ mod tests {
 
     #[test]
     fn corrupted_bytes_are_rejected() {
-        assert!(decode_request(&[200]).is_err());
-        assert!(decode_response(&[99]).is_err());
+        assert!(Request::from_bytes(&[200]).is_err());
+        assert!(Response::from_bytes(&[99]).is_err());
         assert!(Notification::from_bytes(&[7]).is_err());
     }
 }

@@ -12,29 +12,24 @@
 //!   client, [`DmRequest::ReportDisconnect`] from a daemon that lost its
 //!   client, Section IV-C).
 
-use gcf::wire::{Decode, Encode, Reader};
-use gcf::GcfError;
-
-fn codec_err(msg: impl Into<String>) -> GcfError {
-    GcfError::Codec(msg.into())
-}
-
-/// A device as registered by a daemon with the device manager.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DmDevice {
-    /// The daemon-local device id (what the dOpenCL protocol calls the
-    /// remote device id).
-    pub remote_id: u64,
-    /// `CL_DEVICE_NAME`.
-    pub name: String,
-    /// `CL_DEVICE_VENDOR`.
-    pub vendor: String,
-    /// `CL_DEVICE_TYPE` as a string (`CPU`, `GPU`, ...).
-    pub device_type: String,
-    /// `CL_DEVICE_MAX_COMPUTE_UNITS`.
-    pub compute_units: u32,
-    /// `CL_DEVICE_GLOBAL_MEM_SIZE`.
-    pub global_mem_bytes: u64,
+gcf::wire_message! {
+    /// A device as registered by a daemon with the device manager.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct DmDevice {
+        /// The daemon-local device id (what the dOpenCL protocol calls the
+        /// remote device id).
+        pub remote_id: u64,
+        /// `CL_DEVICE_NAME`.
+        pub name: String,
+        /// `CL_DEVICE_VENDOR`.
+        pub vendor: String,
+        /// `CL_DEVICE_TYPE` as a string (`CPU`, `GPU`, ...).
+        pub device_type: String,
+        /// `CL_DEVICE_MAX_COMPUTE_UNITS`.
+        pub compute_units: u32,
+        /// `CL_DEVICE_GLOBAL_MEM_SIZE`.
+        pub global_mem_bytes: u64,
+    }
 }
 
 impl DmDevice {
@@ -61,534 +56,261 @@ impl DmDevice {
     }
 }
 
-impl Encode for DmDevice {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.remote_id.encode(buf);
-        self.name.encode(buf);
-        self.vendor.encode(buf);
-        self.device_type.encode(buf);
-        self.compute_units.encode(buf);
-        self.global_mem_bytes.encode(buf);
+gcf::wire_message! {
+    /// One device requirement of an assignment request.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct DmRequirement {
+        /// Number of devices with these attributes.
+        pub count: u32,
+        /// Attribute constraints.
+        pub attributes: Vec<(String, String)>,
     }
 }
 
-impl Decode for DmDevice {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, GcfError> {
-        Ok(DmDevice {
-            remote_id: u64::decode(r)?,
-            name: String::decode(r)?,
-            vendor: String::decode(r)?,
-            device_type: String::decode(r)?,
-            compute_units: u32::decode(r)?,
-            global_mem_bytes: u64::decode(r)?,
-        })
+gcf::wire_message! {
+    /// One fractional-share requirement of an assignment request (the
+    /// resource-manager generalization of [`DmRequirement`]): device attributes
+    /// plus compute/memory quotas.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct DmShareRequest {
+        /// Number of shares with these parameters, each on a distinct device.
+        pub count: u32,
+        /// Attribute constraints on the physical device.
+        pub attributes: Vec<(String, String)>,
+        /// Desired compute share in millis (1000 = a whole device).
+        pub compute_millis: u32,
+        /// Smallest acceptable grant (0 = all-or-nothing).
+        pub min_millis: u32,
+        /// Required device-memory quota in bytes (0 = no requirement).
+        pub mem_bytes: u64,
     }
 }
 
-/// One device requirement of an assignment request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DmRequirement {
-    /// Number of devices with these attributes.
-    pub count: u32,
-    /// Attribute constraints.
-    pub attributes: Vec<(String, String)>,
-}
-
-impl Encode for DmRequirement {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.count.encode(buf);
-        self.attributes.encode(buf);
+gcf::wire_message! {
+    /// A per-device quota, as pushed to daemons and reported to clients.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct DmQuota {
+        /// Daemon-local device id.
+        pub device_id: u64,
+        /// Granted compute share in millis.
+        pub compute_millis: u32,
+        /// Granted memory quota in bytes (0 = unlimited).
+        pub mem_bytes: u64,
     }
 }
 
-impl Decode for DmRequirement {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, GcfError> {
-        Ok(DmRequirement { count: u32::decode(r)?, attributes: Vec::decode(r)? })
+gcf::wire_message! {
+    /// One grant of a lease, as reported to clients by
+    /// [`DmResponse::LeaseInfo`]: which server/device hosts the share and its
+    /// current quotas.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct DmGrant {
+        /// Address of the server hosting the share.
+        pub server: String,
+        /// Daemon-local device id.
+        pub device_id: u64,
+        /// Current compute share in millis.
+        pub compute_millis: u32,
+        /// Current memory quota in bytes.
+        pub mem_bytes: u64,
     }
 }
 
-/// One fractional-share requirement of an assignment request (the
-/// resource-manager generalization of [`DmRequirement`]): device attributes
-/// plus compute/memory quotas.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DmShareRequest {
-    /// Number of shares with these parameters, each on a distinct device.
-    pub count: u32,
-    /// Attribute constraints on the physical device.
-    pub attributes: Vec<(String, String)>,
-    /// Desired compute share in millis (1000 = a whole device).
-    pub compute_millis: u32,
-    /// Smallest acceptable grant (0 = all-or-nothing).
-    pub min_millis: u32,
-    /// Required device-memory quota in bytes (0 = no requirement).
-    pub mem_bytes: u64,
-}
-
-impl Encode for DmShareRequest {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.count.encode(buf);
-        self.attributes.encode(buf);
-        self.compute_millis.encode(buf);
-        self.min_millis.encode(buf);
-        self.mem_bytes.encode(buf);
+gcf::wire_message! {
+    /// Why a lease changed underneath its client
+    /// ([`DmNotification::LeaseChanged`]).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum LeaseChangeReason {
+        /// One or more shares moved to another server (failover, drain, or
+        /// preemption-driven migration); re-read the lease and reconcile
+        /// connections.
+        0 => Migrated,
+        /// Quotas were shrunk by fair-share rebalancing.
+        1 => Shrunk,
+        /// One or more shares were revoked without replacement.
+        2 => Revoked,
     }
 }
 
-impl Decode for DmShareRequest {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, GcfError> {
-        Ok(DmShareRequest {
-            count: u32::decode(r)?,
-            attributes: Vec::decode(r)?,
-            compute_millis: u32::decode(r)?,
-            min_millis: u32::decode(r)?,
-            mem_bytes: u64::decode(r)?,
-        })
+gcf::wire_message! {
+    /// Requests understood by the device manager.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum DmRequest {
+        /// A daemon in managed mode announces itself and its devices.
+        0 => RegisterServer {
+            /// The daemon's node name.
+            server_name: String,
+            /// The address clients should connect to.
+            address: String,
+            /// The devices the daemon owns.
+            devices: Vec<DmDevice>,
+        },
+        /// A client asks for devices (step 1 in Figure 2).
+        1 => RequestAssignment {
+            /// The requesting client's name.
+            client_name: String,
+            /// What it needs.
+            requirements: Vec<DmRequirement>,
+        },
+        /// The client is done with its lease.
+        2 => ReleaseLease {
+            /// The lease's authentication id.
+            auth_id: String,
+        },
+        /// A daemon reports that the client holding `auth_id` disconnected
+        /// (abnormal termination, Section IV-C).
+        3 => ReportDisconnect {
+            /// The invalidated authentication id.
+            auth_id: String,
+        },
+        /// Diagnostics: free/assigned device counts.
+        4 => GetStatus,
+        /// A daemon's liveness beacon (Section IV-C): the manager marks servers
+        /// down — and fails their leases over — after too many missed beats.
+        5 => Heartbeat {
+            /// The reporting daemon's node name.
+            server_name: String,
+        },
+        /// A client asks for fractional shares (the resource-manager form of
+        /// [`DmRequest::RequestAssignment`]).
+        6 => RequestShares {
+            /// The requesting client's name.
+            client_name: String,
+            /// Scheduling priority (only meaningful under the Priority policy;
+            /// higher wins).
+            priority: u32,
+            /// The requested shares.
+            shares: Vec<DmShareRequest>,
+        },
+        /// Administratively drain a server: no new placements land on it and
+        /// its shares are migrated to other nodes where capacity allows
+        /// (graceful leave, first half).
+        7 => DrainServer {
+            /// The node name to drain.
+            server_name: String,
+        },
+        /// Remove a (typically drained) server from the cluster; shares still
+        /// on it are failed over like a crash.
+        8 => RemoveServer {
+            /// The node name to remove.
+            server_name: String,
+        },
+        /// Query the current grants of a lease.
+        9 => GetLease {
+            /// The lease's authentication id.
+            auth_id: String,
+        },
+        /// Subscribe this connection to [`DmNotification::LeaseChanged`] pushes
+        /// for a lease (clients call this to learn about migrations,
+        /// rebalancing shrinks and revocations).
+        10 => WatchLease {
+            /// The lease's authentication id.
+            auth_id: String,
+        },
     }
 }
 
-/// A per-device quota, as pushed to daemons and reported to clients.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DmQuota {
-    /// Daemon-local device id.
-    pub device_id: u64,
-    /// Granted compute share in millis.
-    pub compute_millis: u32,
-    /// Granted memory quota in bytes (0 = unlimited).
-    pub mem_bytes: u64,
-}
-
-impl Encode for DmQuota {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.device_id.encode(buf);
-        self.compute_millis.encode(buf);
-        self.mem_bytes.encode(buf);
+gcf::wire_message! {
+    /// Responses of the device manager.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum DmResponse {
+        /// Success without payload.
+        0 => Ok,
+        /// Failure (e.g. no matching devices available).
+        1 => Error {
+            /// Description.
+            message: String,
+        },
+        /// A granted lease (step 3a in Figure 2).
+        2 => Assignment {
+            /// The lease's authentication id.
+            auth_id: String,
+            /// Addresses of the servers owning the assigned devices.
+            servers: Vec<String>,
+        },
+        /// Diagnostics.
+        3 => Status {
+            /// Devices not assigned to any lease.
+            free_devices: u32,
+            /// Devices currently assigned.
+            assigned_devices: u32,
+            /// Active leases.
+            leases: u32,
+        },
+        /// The current grants of a lease ([`DmRequest::GetLease`]).
+        4 => LeaseInfo {
+            /// The lease's authentication id.
+            auth_id: String,
+            /// Per-device grants with their current quotas.
+            grants: Vec<DmGrant>,
+        },
     }
 }
 
-impl Decode for DmQuota {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, GcfError> {
-        Ok(DmQuota {
-            device_id: u64::decode(r)?,
-            compute_millis: u32::decode(r)?,
-            mem_bytes: u64::decode(r)?,
-        })
-    }
-}
-
-/// One grant of a lease, as reported to clients by
-/// [`DmResponse::LeaseInfo`]: which server/device hosts the share and its
-/// current quotas.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DmGrant {
-    /// Address of the server hosting the share.
-    pub server: String,
-    /// Daemon-local device id.
-    pub device_id: u64,
-    /// Current compute share in millis.
-    pub compute_millis: u32,
-    /// Current memory quota in bytes.
-    pub mem_bytes: u64,
-}
-
-impl Encode for DmGrant {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.server.encode(buf);
-        self.device_id.encode(buf);
-        self.compute_millis.encode(buf);
-        self.mem_bytes.encode(buf);
-    }
-}
-
-impl Decode for DmGrant {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, GcfError> {
-        Ok(DmGrant {
-            server: String::decode(r)?,
-            device_id: u64::decode(r)?,
-            compute_millis: u32::decode(r)?,
-            mem_bytes: u64::decode(r)?,
-        })
-    }
-}
-
-/// Why a lease changed underneath its client
-/// ([`DmNotification::LeaseChanged`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LeaseChangeReason {
-    /// One or more shares moved to another server (failover, drain, or
-    /// preemption-driven migration); re-read the lease and reconcile
-    /// connections.
-    Migrated,
-    /// Quotas were shrunk by fair-share rebalancing.
-    Shrunk,
-    /// One or more shares were revoked without replacement.
-    Revoked,
-}
-
-impl LeaseChangeReason {
-    fn to_u8(self) -> u8 {
-        match self {
-            LeaseChangeReason::Migrated => 0,
-            LeaseChangeReason::Shrunk => 1,
-            LeaseChangeReason::Revoked => 2,
-        }
-    }
-
-    fn from_u8(v: u8) -> Result<Self, GcfError> {
-        Ok(match v {
-            0 => LeaseChangeReason::Migrated,
-            1 => LeaseChangeReason::Shrunk,
-            2 => LeaseChangeReason::Revoked,
-            other => return Err(codec_err(format!("invalid lease-change reason {other}"))),
-        })
-    }
-}
-
-/// Requests understood by the device manager.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DmRequest {
-    /// A daemon in managed mode announces itself and its devices.
-    RegisterServer {
-        /// The daemon's node name.
-        server_name: String,
-        /// The address clients should connect to.
-        address: String,
-        /// The devices the daemon owns.
-        devices: Vec<DmDevice>,
-    },
-    /// A client asks for devices (step 1 in Figure 2).
-    RequestAssignment {
-        /// The requesting client's name.
-        client_name: String,
-        /// What it needs.
-        requirements: Vec<DmRequirement>,
-    },
-    /// The client is done with its lease.
-    ReleaseLease {
-        /// The lease's authentication id.
-        auth_id: String,
-    },
-    /// A daemon reports that the client holding `auth_id` disconnected
-    /// (abnormal termination, Section IV-C).
-    ReportDisconnect {
-        /// The invalidated authentication id.
-        auth_id: String,
-    },
-    /// Diagnostics: free/assigned device counts.
-    GetStatus,
-    /// A daemon's liveness beacon (Section IV-C): the manager marks servers
-    /// down — and fails their leases over — after too many missed beats.
-    Heartbeat {
-        /// The reporting daemon's node name.
-        server_name: String,
-    },
-    /// A client asks for fractional shares (the resource-manager form of
-    /// [`DmRequest::RequestAssignment`]).
-    RequestShares {
-        /// The requesting client's name.
-        client_name: String,
-        /// Scheduling priority (only meaningful under the Priority policy;
-        /// higher wins).
-        priority: u32,
-        /// The requested shares.
-        shares: Vec<DmShareRequest>,
-    },
-    /// Administratively drain a server: no new placements land on it and
-    /// its shares are migrated to other nodes where capacity allows
-    /// (graceful leave, first half).
-    DrainServer {
-        /// The node name to drain.
-        server_name: String,
-    },
-    /// Remove a (typically drained) server from the cluster; shares still
-    /// on it are failed over like a crash.
-    RemoveServer {
-        /// The node name to remove.
-        server_name: String,
-    },
-    /// Query the current grants of a lease.
-    GetLease {
-        /// The lease's authentication id.
-        auth_id: String,
-    },
-    /// Subscribe this connection to [`DmNotification::LeaseChanged`] pushes
-    /// for a lease (clients call this to learn about migrations,
-    /// rebalancing shrinks and revocations).
-    WatchLease {
-        /// The lease's authentication id.
-        auth_id: String,
-    },
-}
-
-impl Encode for DmRequest {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            DmRequest::RegisterServer { server_name, address, devices } => {
-                buf.push(0);
-                server_name.encode(buf);
-                address.encode(buf);
-                devices.encode(buf);
-            }
-            DmRequest::RequestAssignment { client_name, requirements } => {
-                buf.push(1);
-                client_name.encode(buf);
-                requirements.encode(buf);
-            }
-            DmRequest::ReleaseLease { auth_id } => {
-                buf.push(2);
-                auth_id.encode(buf);
-            }
-            DmRequest::ReportDisconnect { auth_id } => {
-                buf.push(3);
-                auth_id.encode(buf);
-            }
-            DmRequest::GetStatus => buf.push(4),
-            DmRequest::Heartbeat { server_name } => {
-                buf.push(5);
-                server_name.encode(buf);
-            }
-            DmRequest::RequestShares { client_name, priority, shares } => {
-                buf.push(6);
-                client_name.encode(buf);
-                priority.encode(buf);
-                shares.encode(buf);
-            }
-            DmRequest::DrainServer { server_name } => {
-                buf.push(7);
-                server_name.encode(buf);
-            }
-            DmRequest::RemoveServer { server_name } => {
-                buf.push(8);
-                server_name.encode(buf);
-            }
-            DmRequest::GetLease { auth_id } => {
-                buf.push(9);
-                auth_id.encode(buf);
-            }
-            DmRequest::WatchLease { auth_id } => {
-                buf.push(10);
-                auth_id.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for DmRequest {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, GcfError> {
-        Ok(match u8::decode(r)? {
-            0 => DmRequest::RegisterServer {
-                server_name: String::decode(r)?,
-                address: String::decode(r)?,
-                devices: Vec::decode(r)?,
-            },
-            1 => DmRequest::RequestAssignment {
-                client_name: String::decode(r)?,
-                requirements: Vec::decode(r)?,
-            },
-            2 => DmRequest::ReleaseLease { auth_id: String::decode(r)? },
-            3 => DmRequest::ReportDisconnect { auth_id: String::decode(r)? },
-            4 => DmRequest::GetStatus,
-            5 => DmRequest::Heartbeat { server_name: String::decode(r)? },
-            6 => DmRequest::RequestShares {
-                client_name: String::decode(r)?,
-                priority: u32::decode(r)?,
-                shares: Vec::decode(r)?,
-            },
-            7 => DmRequest::DrainServer { server_name: String::decode(r)? },
-            8 => DmRequest::RemoveServer { server_name: String::decode(r)? },
-            9 => DmRequest::GetLease { auth_id: String::decode(r)? },
-            10 => DmRequest::WatchLease { auth_id: String::decode(r)? },
-            other => return Err(codec_err(format!("invalid device-manager request tag {other}"))),
-        })
-    }
-}
-
-/// Responses of the device manager.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DmResponse {
-    /// Success without payload.
-    Ok,
-    /// Failure (e.g. no matching devices available).
-    Error {
-        /// Description.
-        message: String,
-    },
-    /// A granted lease (step 3a in Figure 2).
-    Assignment {
-        /// The lease's authentication id.
-        auth_id: String,
-        /// Addresses of the servers owning the assigned devices.
-        servers: Vec<String>,
-    },
-    /// Diagnostics.
-    Status {
-        /// Devices not assigned to any lease.
-        free_devices: u32,
-        /// Devices currently assigned.
-        assigned_devices: u32,
-        /// Active leases.
-        leases: u32,
-    },
-    /// The current grants of a lease ([`DmRequest::GetLease`]).
-    LeaseInfo {
-        /// The lease's authentication id.
-        auth_id: String,
-        /// Per-device grants with their current quotas.
-        grants: Vec<DmGrant>,
-    },
-}
-
-impl Encode for DmResponse {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            DmResponse::Ok => buf.push(0),
-            DmResponse::Error { message } => {
-                buf.push(1);
-                message.encode(buf);
-            }
-            DmResponse::Assignment { auth_id, servers } => {
-                buf.push(2);
-                auth_id.encode(buf);
-                servers.encode(buf);
-            }
-            DmResponse::Status { free_devices, assigned_devices, leases } => {
-                buf.push(3);
-                free_devices.encode(buf);
-                assigned_devices.encode(buf);
-                leases.encode(buf);
-            }
-            DmResponse::LeaseInfo { auth_id, grants } => {
-                buf.push(4);
-                auth_id.encode(buf);
-                grants.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for DmResponse {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, GcfError> {
-        Ok(match u8::decode(r)? {
-            0 => DmResponse::Ok,
-            1 => DmResponse::Error { message: String::decode(r)? },
-            2 => DmResponse::Assignment { auth_id: String::decode(r)?, servers: Vec::decode(r)? },
-            3 => DmResponse::Status {
-                free_devices: u32::decode(r)?,
-                assigned_devices: u32::decode(r)?,
-                leases: u32::decode(r)?,
-            },
-            4 => DmResponse::LeaseInfo { auth_id: String::decode(r)?, grants: Vec::decode(r)? },
-            other => return Err(codec_err(format!("invalid device-manager response tag {other}"))),
-        })
-    }
-}
-
-/// Notifications pushed by the device manager to registered daemons.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DmNotification {
-    /// Associate `device_ids` with the authentication id (step 3b).
-    AssignDevices {
-        /// The lease's authentication id.
-        auth_id: String,
-        /// Daemon-local device ids the lease may use on this server.
-        device_ids: Vec<u64>,
-    },
-    /// Discard the authentication id; its devices are free again.
-    RevokeLease {
-        /// The lease's authentication id.
-        auth_id: String,
-    },
-    /// Associate fractional shares with the authentication id (the
-    /// quota-carrying form of [`DmNotification::AssignDevices`]).
-    AssignShares {
-        /// The lease's authentication id.
-        auth_id: String,
-        /// Per-device quotas the lease may use on this server.
-        shares: Vec<DmQuota>,
-    },
-    /// Replace the lease's quotas on this server (rebalancing shrink or
-    /// grow).  A quota of 0 compute millis removes the device from the
-    /// lease.
-    UpdateQuota {
-        /// The lease's authentication id.
-        auth_id: String,
-        /// The new per-device quotas.
-        quotas: Vec<DmQuota>,
-    },
-    /// Pushed to watching clients ([`DmRequest::WatchLease`]): the lease's
-    /// placement or quotas changed; re-read it with
-    /// [`DmRequest::GetLease`] and reconcile server connections.
-    LeaseChanged {
-        /// The lease's authentication id.
-        auth_id: String,
-        /// Current addresses of the servers hosting the lease's shares.
-        servers: Vec<String>,
-        /// What happened.
-        reason: LeaseChangeReason,
-    },
-}
-
-impl Encode for DmNotification {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            DmNotification::AssignDevices { auth_id, device_ids } => {
-                buf.push(0);
-                auth_id.encode(buf);
-                device_ids.encode(buf);
-            }
-            DmNotification::RevokeLease { auth_id } => {
-                buf.push(1);
-                auth_id.encode(buf);
-            }
-            DmNotification::AssignShares { auth_id, shares } => {
-                buf.push(2);
-                auth_id.encode(buf);
-                shares.encode(buf);
-            }
-            DmNotification::UpdateQuota { auth_id, quotas } => {
-                buf.push(3);
-                auth_id.encode(buf);
-                quotas.encode(buf);
-            }
-            DmNotification::LeaseChanged { auth_id, servers, reason } => {
-                buf.push(4);
-                auth_id.encode(buf);
-                servers.encode(buf);
-                buf.push(reason.to_u8());
-            }
-        }
-    }
-}
-
-impl Decode for DmNotification {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, GcfError> {
-        Ok(match u8::decode(r)? {
-            0 => DmNotification::AssignDevices {
-                auth_id: String::decode(r)?,
-                device_ids: Vec::decode(r)?,
-            },
-            1 => DmNotification::RevokeLease { auth_id: String::decode(r)? },
-            2 => DmNotification::AssignShares {
-                auth_id: String::decode(r)?,
-                shares: Vec::decode(r)?,
-            },
-            3 => {
-                DmNotification::UpdateQuota { auth_id: String::decode(r)?, quotas: Vec::decode(r)? }
-            }
-            4 => DmNotification::LeaseChanged {
-                auth_id: String::decode(r)?,
-                servers: Vec::decode(r)?,
-                reason: LeaseChangeReason::from_u8(u8::decode(r)?)?,
-            },
-            other => {
-                return Err(codec_err(format!("invalid device-manager notification tag {other}")))
-            }
-        })
+gcf::wire_message! {
+    /// Notifications pushed by the device manager to registered daemons.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum DmNotification {
+        /// Associate `device_ids` with the authentication id (step 3b).
+        0 => AssignDevices {
+            /// The lease's authentication id.
+            auth_id: String,
+            /// Daemon-local device ids the lease may use on this server.
+            device_ids: Vec<u64>,
+        },
+        /// Discard the authentication id; its devices are free again.
+        1 => RevokeLease {
+            /// The lease's authentication id.
+            auth_id: String,
+        },
+        /// Associate fractional shares with the authentication id (the
+        /// quota-carrying form of [`DmNotification::AssignDevices`]).
+        2 => AssignShares {
+            /// The lease's authentication id.
+            auth_id: String,
+            /// Per-device quotas the lease may use on this server.
+            shares: Vec<DmQuota>,
+        },
+        /// Replace the lease's quotas on this server (rebalancing shrink or
+        /// grow).  A quota of 0 compute millis removes the device from the
+        /// lease.
+        3 => UpdateQuota {
+            /// The lease's authentication id.
+            auth_id: String,
+            /// The new per-device quotas.
+            quotas: Vec<DmQuota>,
+        },
+        /// Pushed to watching clients ([`DmRequest::WatchLease`]): the lease's
+        /// placement or quotas changed; re-read it with
+        /// [`DmRequest::GetLease`] and reconcile server connections.
+        4 => LeaseChanged {
+            /// The lease's authentication id.
+            auth_id: String,
+            /// Current addresses of the servers hosting the lease's shares.
+            servers: Vec<String>,
+            /// What happened.
+            reason: LeaseChangeReason,
+        },
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gcf::wire::{Decode, Encode};
+
+    /// Pins the wire format: `msg` encodes to exactly the bytes `golden`
+    /// (hex), decodes back to itself, and every strict prefix of its
+    /// encoding is rejected with an error rather than a panic.
+    fn check<T: Encode + Decode + PartialEq + std::fmt::Debug>(msg: T, golden: &str) {
+        let bytes = msg.to_bytes();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, golden, "wire format of {msg:?} changed");
+        assert_eq!(T::from_bytes(&bytes).unwrap(), msg);
+        for n in 0..bytes.len() {
+            assert!(T::from_bytes(&bytes[..n]).is_err(), "{n}-byte prefix of {msg:?} decoded");
+        }
+    }
 
     fn device() -> DmDevice {
         DmDevice {
@@ -603,83 +325,130 @@ mod tests {
 
     #[test]
     fn requests_roundtrip() {
-        for req in [
-            DmRequest::RegisterServer {
-                server_name: "gpuserver".into(),
-                address: "gpuserver:7079".into(),
-                devices: vec![device()],
-            },
-            DmRequest::RequestAssignment {
-                client_name: "desktop".into(),
-                requirements: vec![DmRequirement {
-                    count: 2,
-                    attributes: vec![("TYPE".into(), "CPU".into())],
-                }],
-            },
-            DmRequest::ReleaseLease { auth_id: "lease-1".into() },
-            DmRequest::ReportDisconnect { auth_id: "lease-1".into() },
-            DmRequest::GetStatus,
-            DmRequest::Heartbeat { server_name: "gpuserver".into() },
-            DmRequest::RequestShares {
-                client_name: "desktop".into(),
-                priority: 7,
-                shares: vec![DmShareRequest {
-                    count: 2,
-                    attributes: vec![("TYPE".into(), "GPU".into())],
-                    compute_millis: 250,
-                    min_millis: 50,
-                    mem_bytes: 1 << 20,
-                }],
-            },
-            DmRequest::DrainServer { server_name: "gpuserver".into() },
-            DmRequest::RemoveServer { server_name: "gpuserver".into() },
-            DmRequest::GetLease { auth_id: "lease-1".into() },
-            DmRequest::WatchLease { auth_id: "lease-1".into() },
+        for (req, golden) in [
+            (
+                DmRequest::RegisterServer {
+                    server_name: "gpuserver".into(),
+                    address: "gpuserver:7079".into(),
+                    devices: vec![device()],
+                },
+                "00090000006770757365727665720e0000006770757365727665723a37303739\
+                    010000000700000000000000120000004e5649444941205465736c6120533130\
+                    3730120000004e564944494120436f72706f726174696f6e030000004750551e\
+                    0000000000000001000000",
+            ),
+            (
+                DmRequest::RequestAssignment {
+                    client_name: "desktop".into(),
+                    requirements: vec![DmRequirement {
+                        count: 2,
+                        attributes: vec![("TYPE".into(), "CPU".into())],
+                    }],
+                },
+                "01070000006465736b746f700100000002000000010000000400000054595045\
+                    03000000435055",
+            ),
+            (DmRequest::ReleaseLease { auth_id: "lease-1".into() }, "02070000006c656173652d31"),
+            (DmRequest::ReportDisconnect { auth_id: "lease-1".into() }, "03070000006c656173652d31"),
+            (DmRequest::GetStatus, "04"),
+            (
+                DmRequest::Heartbeat { server_name: "gpuserver".into() },
+                "0509000000677075736572766572",
+            ),
+            (
+                DmRequest::RequestShares {
+                    client_name: "desktop".into(),
+                    priority: 7,
+                    shares: vec![DmShareRequest {
+                        count: 2,
+                        attributes: vec![("TYPE".into(), "GPU".into())],
+                        compute_millis: 250,
+                        min_millis: 50,
+                        mem_bytes: 1 << 20,
+                    }],
+                },
+                "06070000006465736b746f700700000001000000020000000100000004000000\
+                    5459504503000000475055fa000000320000000000100000000000",
+            ),
+            (
+                DmRequest::DrainServer { server_name: "gpuserver".into() },
+                "0709000000677075736572766572",
+            ),
+            (
+                DmRequest::RemoveServer { server_name: "gpuserver".into() },
+                "0809000000677075736572766572",
+            ),
+            (DmRequest::GetLease { auth_id: "lease-1".into() }, "09070000006c656173652d31"),
+            (DmRequest::WatchLease { auth_id: "lease-1".into() }, "0a070000006c656173652d31"),
         ] {
-            assert_eq!(DmRequest::from_bytes(&req.to_bytes()).unwrap(), req);
+            check(req, golden);
         }
     }
 
     #[test]
     fn responses_and_notifications_roundtrip() {
-        for resp in [
-            DmResponse::Ok,
-            DmResponse::Error { message: "no device".into() },
-            DmResponse::Assignment {
-                auth_id: "lease-2".into(),
-                servers: vec!["a".into(), "b".into()],
-            },
-            DmResponse::Status { free_devices: 3, assigned_devices: 1, leases: 1 },
-            DmResponse::LeaseInfo {
-                auth_id: "lease-2".into(),
-                grants: vec![DmGrant {
-                    server: "gpuserver".into(),
-                    device_id: 3,
-                    compute_millis: 250,
-                    mem_bytes: 1 << 20,
-                }],
-            },
+        for (resp, golden) in [
+            (DmResponse::Ok, "00"),
+            (DmResponse::Error { message: "no device".into() }, "01090000006e6f20646576696365"),
+            (
+                DmResponse::Assignment {
+                    auth_id: "lease-2".into(),
+                    servers: vec!["a".into(), "b".into()],
+                },
+                "02070000006c656173652d320200000001000000610100000062",
+            ),
+            (
+                DmResponse::Status { free_devices: 3, assigned_devices: 1, leases: 1 },
+                "03030000000100000001000000",
+            ),
+            (
+                DmResponse::LeaseInfo {
+                    auth_id: "lease-2".into(),
+                    grants: vec![DmGrant {
+                        server: "gpuserver".into(),
+                        device_id: 3,
+                        compute_millis: 250,
+                        mem_bytes: 1 << 20,
+                    }],
+                },
+                "04070000006c656173652d320100000009000000677075736572766572030000\
+                    0000000000fa0000000000100000000000",
+            ),
         ] {
-            assert_eq!(DmResponse::from_bytes(&resp.to_bytes()).unwrap(), resp);
+            check(resp, golden);
         }
-        for n in [
-            DmNotification::AssignDevices { auth_id: "lease-2".into(), device_ids: vec![1, 2] },
-            DmNotification::RevokeLease { auth_id: "lease-2".into() },
-            DmNotification::AssignShares {
-                auth_id: "lease-2".into(),
-                shares: vec![DmQuota { device_id: 1, compute_millis: 500, mem_bytes: 0 }],
-            },
-            DmNotification::UpdateQuota {
-                auth_id: "lease-2".into(),
-                quotas: vec![DmQuota { device_id: 1, compute_millis: 250, mem_bytes: 0 }],
-            },
-            DmNotification::LeaseChanged {
-                auth_id: "lease-2".into(),
-                servers: vec!["a".into(), "b".into()],
-                reason: LeaseChangeReason::Migrated,
-            },
+        for (n, golden) in [
+            (
+                DmNotification::AssignDevices { auth_id: "lease-2".into(), device_ids: vec![1, 2] },
+                "00070000006c656173652d320200000001000000000000000200000000000000",
+            ),
+            (DmNotification::RevokeLease { auth_id: "lease-2".into() }, "01070000006c656173652d32"),
+            (
+                DmNotification::AssignShares {
+                    auth_id: "lease-2".into(),
+                    shares: vec![DmQuota { device_id: 1, compute_millis: 500, mem_bytes: 0 }],
+                },
+                "02070000006c656173652d32010000000100000000000000f401000000000000\
+                    00000000",
+            ),
+            (
+                DmNotification::UpdateQuota {
+                    auth_id: "lease-2".into(),
+                    quotas: vec![DmQuota { device_id: 1, compute_millis: 250, mem_bytes: 0 }],
+                },
+                "03070000006c656173652d32010000000100000000000000fa00000000000000\
+                    00000000",
+            ),
+            (
+                DmNotification::LeaseChanged {
+                    auth_id: "lease-2".into(),
+                    servers: vec!["a".into(), "b".into()],
+                    reason: LeaseChangeReason::Migrated,
+                },
+                "04070000006c656173652d32020000000100000061010000006200",
+            ),
         ] {
-            assert_eq!(DmNotification::from_bytes(&n.to_bytes()).unwrap(), n);
+            check(n, golden);
         }
     }
 

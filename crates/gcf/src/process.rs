@@ -5,50 +5,32 @@
 //! descriptor type used by the session harness and the device manager to
 //! identify nodes of the (simulated or real) distributed system.
 
-use crate::wire::{Decode, Encode, Reader};
-use crate::{GcfError, Result};
-
-/// The role a process plays in the distributed system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Role {
-    /// The host system running the OpenCL application plus the dOpenCL
-    /// client driver.
-    Client,
-    /// A node running a dOpenCL daemon in front of its native OpenCL
-    /// implementation.
-    Server,
-    /// The central device manager (Section IV of the paper).
-    DeviceManager,
-}
-
-impl Role {
-    fn to_byte(self) -> u8 {
-        match self {
-            Role::Client => 0,
-            Role::Server => 1,
-            Role::DeviceManager => 2,
-        }
-    }
-
-    fn from_byte(b: u8) -> Result<Self> {
-        Ok(match b {
-            0 => Role::Client,
-            1 => Role::Server,
-            2 => Role::DeviceManager,
-            other => return Err(GcfError::Codec(format!("invalid role byte {other}"))),
-        })
+crate::wire_message! {
+    /// The role a process plays in the distributed system.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum Role {
+        /// The host system running the OpenCL application plus the dOpenCL
+        /// client driver.
+        0 => Client,
+        /// A node running a dOpenCL daemon in front of its native OpenCL
+        /// implementation.
+        1 => Server,
+        /// The central device manager (Section IV of the paper).
+        2 => DeviceManager,
     }
 }
 
-/// Identity of a process in the distributed system.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ProcessDescriptor {
-    /// Human-readable node name (e.g. `gpuserver.example.com`).
-    pub name: String,
-    /// Transport address the process listens on (empty for clients).
-    pub address: String,
-    /// The process role.
-    pub role: Role,
+crate::wire_message! {
+    /// Identity of a process in the distributed system.
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    pub struct ProcessDescriptor {
+        /// Human-readable node name (e.g. `gpuserver.example.com`).
+        pub name: String,
+        /// Transport address the process listens on (empty for clients).
+        pub address: String,
+        /// The process role.
+        pub role: Role,
+    }
 }
 
 impl ProcessDescriptor {
@@ -68,35 +50,32 @@ impl ProcessDescriptor {
     }
 }
 
-impl Encode for ProcessDescriptor {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.name.encode(buf);
-        self.address.encode(buf);
-        buf.push(self.role.to_byte());
-    }
-}
-
-impl Decode for ProcessDescriptor {
-    fn decode(r: &mut Reader<'_>) -> Result<Self> {
-        let name = String::decode(r)?;
-        let address = String::decode(r)?;
-        let role = Role::from_byte(u8::decode(r)?)?;
-        Ok(ProcessDescriptor { name, address, role })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{Decode, Encode};
 
     #[test]
     fn descriptor_roundtrip() {
-        let d = ProcessDescriptor::server("gpuserver", "inproc://gpuserver");
-        assert_eq!(ProcessDescriptor::from_bytes(&d.to_bytes()).unwrap(), d);
-        let c = ProcessDescriptor::client("desktop");
-        assert_eq!(ProcessDescriptor::from_bytes(&c.to_bytes()).unwrap(), c);
-        let m = ProcessDescriptor::device_manager("devmngr", "inproc://devmngr");
-        assert_eq!(ProcessDescriptor::from_bytes(&m.to_bytes()).unwrap(), m);
+        for (d, golden) in [
+            (
+                ProcessDescriptor::server("gpuserver", "inproc://gpuserver"),
+                "0900000067707573657276657212000000696e70726f633a2f2f67707573657276657201",
+            ),
+            (ProcessDescriptor::client("desktop"), "070000006465736b746f700000000000"),
+            (
+                ProcessDescriptor::device_manager("devmngr", "inproc://devmngr"),
+                "070000006465766d6e677210000000696e70726f633a2f2f6465766d6e677202",
+            ),
+        ] {
+            let bytes = d.to_bytes();
+            let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, golden, "wire format of {d:?} changed");
+            assert_eq!(ProcessDescriptor::from_bytes(&bytes).unwrap(), d);
+            for n in 0..bytes.len() {
+                assert!(ProcessDescriptor::from_bytes(&bytes[..n]).is_err());
+            }
+        }
     }
 
     #[test]

@@ -5,6 +5,69 @@
 //! explicit little-endian byte layout: no external serialization crate is
 //! used, which keeps the wire format stable and auditable and mirrors the
 //! low-level framing a real middleware would define.
+//!
+//! # Declaring a message
+//!
+//! Almost every message is "a tag byte, then each field in declaration
+//! order" (structs carry no tag).  Such a type is declared once with
+//! [`wire_message!`](crate::wire_message), which emits the type unchanged —
+//! doc comments, derives and all — plus its `Encode` and `Decode` impls, so
+//! the declaration is the single source of truth for the layout:
+//!
+//! ```
+//! use gcf::wire::{Decode, Encode};
+//!
+//! gcf::wire_message! {
+//!     /// A request of some protocol.
+//!     #[derive(Debug, PartialEq)]
+//!     pub enum Ping {
+//!         /// No payload: encodes as the tag byte alone.
+//!         0 => Hello,
+//!         /// Fields follow the tag in declaration order.
+//!         1 => Echo { id: u64, text: String },
+//!         /// A single wrapped type.
+//!         2 => Nested(Pong),
+//!     }
+//! }
+//!
+//! gcf::wire_message! {
+//!     /// A struct: its fields in declaration order, no tag.
+//!     #[derive(Debug, PartialEq)]
+//!     pub struct Pong {
+//!         /// Payload.
+//!         pub value: u32,
+//!     }
+//! }
+//!
+//! let msg = Ping::Echo { id: 7, text: "hi".into() };
+//! assert_eq!(msg.to_bytes()[0], 1);
+//! assert_eq!(Ping::from_bytes(&msg.to_bytes()).unwrap(), msg);
+//! assert_eq!(Ping::Nested(Pong { value: 3 }).to_bytes(), [2, 3, 0, 0, 0]);
+//! ```
+//!
+//! Two rules the macro cannot enforce on its own:
+//!
+//! * **A tag is never reused or renumbered.**  The tag is a variant's
+//!   identity on the wire; retire it together with its variant and give new
+//!   variants fresh tags.  Only a tag used twice *at once* is caught, as a
+//!   build error:
+//!
+//! ```compile_fail
+//! gcf::wire_message! {
+//!     pub enum Clash {
+//!         0 => First,
+//!         0 => Second,
+//!     }
+//! }
+//! ```
+//!
+//! * **Opaque byte payloads use [`encode_bytes`] / [`decode_bytes`].**  A
+//!   `Vec<u8>` field has the same layout but goes through the generic
+//!   one-element-at-a-time `Vec<T>` codec, far too slow for bulk frames;
+//!   such types keep a hand-written codec (see `gcf::Envelope`).
+//!
+//! Formats that are not a plain field sequence (the primitive and container
+//! impls below, `Envelope`, kernel argument values) are written by hand.
 
 use crate::error::{GcfError, Result};
 
@@ -164,7 +227,9 @@ impl<T: Encode> Encode for Vec<T> {
 impl<T: Decode> Decode for Vec<T> {
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
         let len = u32::decode(r)? as usize;
-        let mut out = Vec::with_capacity(len.min(1 << 16));
+        // `len` is untrusted: every element takes at least one byte, so
+        // never reserve more elements than there are bytes left.
+        let mut out = Vec::with_capacity(len.min(1 << 16).min(r.remaining()));
         for _ in 0..len {
             out.push(T::decode(r)?);
         }
@@ -219,6 +284,135 @@ impl<A: Decode, B: Decode, C: Decode> Decode for (A, B, C) {
     fn decode(r: &mut Reader<'_>) -> Result<Self> {
         Ok((A::decode(r)?, B::decode(r)?, C::decode(r)?))
     }
+}
+
+/// Declare a wire message once and derive its [`Encode`] and [`Decode`]
+/// impls from the declaration (see the [module docs](self) for an example
+/// and the rules).
+///
+/// * `struct Name { field: Type, .. }` encodes each field in declaration
+///   order.
+/// * `enum Name { TAG => Variant, .. }` encodes the literal `TAG` as one
+///   byte, then the variant's fields in declaration order.  A variant is a
+///   unit (`0 => Ping`), a single wrapped type (`1 => Info(Info)`) or has
+///   named fields (`2 => Open { id: u64 }`).  Decoding an unknown tag is a
+///   [`GcfError::Codec`] error.
+#[macro_export]
+macro_rules! wire_message {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $( $(#[$fmeta:meta])* $fvis:vis $field:ident : $fty:ty ),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $( $(#[$fmeta])* $fvis $field: $fty, )+
+        }
+
+        impl $crate::wire::Encode for $name {
+            fn encode(&self, buf: &mut ::std::vec::Vec<u8>) {
+                $( $crate::wire::Encode::encode(&self.$field, buf); )+
+            }
+        }
+
+        impl $crate::wire::Decode for $name {
+            fn decode(r: &mut $crate::wire::Reader<'_>) -> $crate::Result<Self> {
+                ::std::result::Result::Ok($name {
+                    $( $field: $crate::wire::Decode::decode(r)?, )+
+                })
+            }
+        }
+    };
+
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident { $($variants:tt)* }
+    ) => {
+        $crate::wire_message!(@enum [$(#[$meta])* $vis enum $name] [] [] [] [] $($variants)*);
+    };
+
+    // The variants are sorted into declarations (in order) and one list per
+    // shape -- unit, single wrapped type, named fields -- so each shape gets
+    // its own match arms below.
+    (@enum [$(#[$meta:meta])* $vis:vis enum $name:ident] [$($decl:tt)*]
+        [$($utag:literal => $uvariant:ident,)*]
+        [$($ttag:literal => $tvariant:ident,)*]
+        [$($stag:literal => $svariant:ident { $($sfield:ident),* },)*]
+    ) => {
+        $(#[$meta])*
+        $vis enum $name { $($decl)* }
+
+        // A tag used twice within one type is a build error.
+        const _: () = {
+            let tags: &[u8] = &[$($utag,)* $($ttag,)* $($stag,)*];
+            let mut i = 0;
+            while i < tags.len() {
+                let mut j = i + 1;
+                while j < tags.len() {
+                    assert!(tags[i] != tags[j], concat!("duplicate tag in ", stringify!($name)));
+                    j += 1;
+                }
+                i += 1;
+            }
+        };
+
+        impl $crate::wire::Encode for $name {
+            fn encode(&self, buf: &mut ::std::vec::Vec<u8>) {
+                match self {
+                    $( $name::$uvariant => buf.push($utag), )*
+                    $( $name::$tvariant(value) => {
+                        buf.push($ttag);
+                        $crate::wire::Encode::encode(value, buf);
+                    } )*
+                    $( $name::$svariant { $($sfield),* } => {
+                        buf.push($stag);
+                        $( $crate::wire::Encode::encode($sfield, buf); )*
+                    } )*
+                }
+            }
+        }
+
+        impl $crate::wire::Decode for $name {
+            fn decode(r: &mut $crate::wire::Reader<'_>) -> $crate::Result<Self> {
+                ::std::result::Result::Ok(match <u8 as $crate::wire::Decode>::decode(r)? {
+                    $( $utag => $name::$uvariant, )*
+                    $( $ttag => $name::$tvariant($crate::wire::Decode::decode(r)?), )*
+                    $( $stag => $name::$svariant {
+                        $( $sfield: $crate::wire::Decode::decode(r)?, )*
+                    }, )*
+                    other => {
+                        return ::std::result::Result::Err($crate::GcfError::Codec(::std::format!(
+                            "invalid {} tag {other}",
+                            stringify!($name)
+                        )))
+                    }
+                })
+            }
+        }
+    };
+    (@enum $head:tt [$($decl:tt)*] [$($unit:tt)*] [$($tuple:tt)*] [$($named:tt)*]
+        $(#[$vmeta:meta])* $tag:literal => $variant:ident $(, $($rest:tt)*)?
+    ) => {
+        $crate::wire_message!(@enum $head [$($decl)* $(#[$vmeta])* $variant,]
+            [$($unit)* $tag => $variant,] [$($tuple)*] [$($named)*] $($($rest)*)?);
+    };
+    (@enum $head:tt [$($decl:tt)*] [$($unit:tt)*] [$($tuple:tt)*] [$($named:tt)*]
+        $(#[$vmeta:meta])* $tag:literal => $variant:ident ($inner:ty) $(, $($rest:tt)*)?
+    ) => {
+        $crate::wire_message!(@enum $head [$($decl)* $(#[$vmeta])* $variant($inner),]
+            [$($unit)*] [$($tuple)* $tag => $variant,] [$($named)*] $($($rest)*)?);
+    };
+    (@enum $head:tt [$($decl:tt)*] [$($unit:tt)*] [$($tuple:tt)*] [$($named:tt)*]
+        $(#[$vmeta:meta])* $tag:literal => $variant:ident {
+            $( $(#[$fmeta:meta])* $field:ident : $fty:ty ),* $(,)?
+        } $(, $($rest:tt)*)?
+    ) => {
+        $crate::wire_message!(@enum $head
+            [$($decl)* $(#[$vmeta])* $variant { $( $(#[$fmeta])* $field: $fty, )* },]
+            [$($unit)*] [$($tuple)*] [$($named)* $tag => $variant { $($field),* },]
+            $($($rest)*)?);
+    };
 }
 
 /// Encode raw bytes with a length prefix (distinct from `Vec<u8>` only in
@@ -288,6 +482,13 @@ mod tests {
     fn truncated_input_rejected() {
         let bytes = 5u64.to_bytes();
         assert!(u64::from_bytes(&bytes[..4]).is_err());
+    }
+
+    #[test]
+    fn oversized_length_prefix_rejected() {
+        // Claims 2^32 - 1 elements but carries none: fails on the first
+        // element instead of trusting the count.
+        assert!(Vec::<u64>::from_bytes(&u32::MAX.to_bytes()).is_err());
     }
 
     #[test]

@@ -80,18 +80,7 @@ pub use types::{AddressSpace, ScalarType, Type};
 pub use value::{Scalar, Value};
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Counts every successful [`Program::build`] in this process.  Lets the
-/// runtime (and its tests) verify that launches reuse cached artifacts
-/// instead of re-compiling kernel source per launch.
-static BUILDS: AtomicU64 = AtomicU64::new(0);
-
-/// Number of successful [`Program::build`] calls so far in this process.
-pub fn total_builds() -> u64 {
-    BUILDS.load(Ordering::Relaxed)
-}
 
 /// Which executor [`KernelHandle::execute`] dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,7 +143,6 @@ impl Program {
                 kernels.insert(f.name.clone(), ast::FunctionIndex(idx));
             }
         }
-        BUILDS.fetch_add(1, Ordering::Relaxed);
         Ok(Program {
             source: source.to_string(),
             unit: Arc::new(unit),
@@ -304,14 +292,15 @@ mod tests {
     }
 
     #[test]
-    fn build_increments_build_counter() {
-        let before = total_builds();
+    fn kernel_handles_share_the_compiled_program() {
         let program = Program::build(VEC_ADD).unwrap();
-        assert_eq!(total_builds(), before + 1);
-        // Handle creation and cloning never recompile.
+        // Handle creation and cloning never recompile: every handle points
+        // at the bytecode the one build produced.
         let k1 = program.kernel("vec_add").unwrap();
-        let _k2 = k1.clone();
-        assert_eq!(total_builds(), before + 1);
+        let k2 = k1.clone();
+        assert!(Arc::ptr_eq(&k1.compiled, &program.compiled));
+        assert!(Arc::ptr_eq(&k2.compiled, &program.compiled));
+        assert!(Arc::ptr_eq(&k2.unit, &program.unit));
     }
 
     #[test]

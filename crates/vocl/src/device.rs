@@ -94,6 +94,8 @@ pub struct Device {
     id: u64,
     device_type: DeviceType,
     profile: DeviceProfile,
+    /// Source programs compiled for this device (see [`Device::programs_built`]).
+    programs_built: AtomicU64,
 }
 
 impl Device {
@@ -103,6 +105,7 @@ impl Device {
             id: NEXT_DEVICE_ID.fetch_add(1, Ordering::Relaxed),
             device_type,
             profile,
+            programs_built: AtomicU64::new(0),
         })
     }
 
@@ -129,6 +132,17 @@ impl Device {
     /// The full performance profile.
     pub fn profile(&self) -> &DeviceProfile {
         &self.profile
+    }
+
+    /// Number of source programs compiled for this device so far.  A
+    /// program compiles once, at its first successful `clBuildProgram`;
+    /// rebuilds and kernel launches reuse the cached bytecode.
+    pub fn programs_built(&self) -> u64 {
+        self.programs_built.load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn record_program_built(&self) {
+        self.programs_built.fetch_add(1, Ordering::Relaxed);
     }
 
     /// `clGetDeviceInfo`.

@@ -135,6 +135,9 @@ impl Program {
                 match oclc::Program::build(source) {
                     Ok(p) => {
                         *slot = Some(Ok(Arc::new(p)));
+                        for device in self.context.devices() {
+                            device.record_program_built();
+                        }
                         Ok(())
                     }
                     Err(log) => {

@@ -136,7 +136,7 @@ fn after_propagates_wait_lists_across_servers() {
     let (data, _) = q1.read_buffer(&buffer).submit().unwrap();
     assert_eq!(as_i32s(&data), vec![2, 2, 2, 2]);
 
-    // Event::wait_all is the replacement for client.wait_for_events.
+    // `clWaitForEvents` over events of different queues.
     Event::wait_all(&[first, second, marker]).unwrap();
 }
 

@@ -1,8 +1,7 @@
 //! Regression tests for per-launch recompilation: the daemon must compile a
 //! program exactly once per `clBuildProgram` and execute cached bytecode on
-//! every launch.  `oclc::total_builds()` is a process-global counter, so
-//! these tests live in their own integration-test binary where no other
-//! test builds programs concurrently.
+//! every launch.  Each test reads the build count of the device its own
+//! cluster serves, so the tests are independent of each other.
 
 use dopencl::{Context, NdRange, Value};
 use integration_tests::{as_i32s, test_cluster};
@@ -12,17 +11,17 @@ const INC_KERNEL: &str =
 
 #[test]
 fn launches_execute_cached_bytecode_without_rebuilding() {
-    let (_cluster, client, _clock) = test_cluster(1, 1);
+    let (cluster, client, _clock) = test_cluster(1, 1);
+    let device = &cluster.daemons()[0].devices()[0];
     let devices = client.devices();
     let context = Context::new(&client, &devices).unwrap();
     let queue = context.create_command_queue(&devices[0]).unwrap();
     let buffer = context.create_buffer(64).unwrap();
     let program = context.create_program_with_source(INC_KERNEL).unwrap();
 
-    let before = oclc::total_builds();
+    assert_eq!(device.programs_built(), 0);
     program.build().unwrap();
-    let after_build = oclc::total_builds();
-    assert_eq!(after_build, before + 1, "clBuildProgram compiles exactly once");
+    assert_eq!(device.programs_built(), 1, "clBuildProgram compiles exactly once");
 
     let kernel = program.create_kernel("inc").unwrap();
     kernel.set_arg(0, &buffer).unwrap();
@@ -32,8 +31,8 @@ fn launches_execute_cached_bytecode_without_rebuilding() {
     queue.finish().unwrap();
 
     assert_eq!(
-        oclc::total_builds(),
-        after_build,
+        device.programs_built(),
+        1,
         "kernel launches must not re-parse/re-sema/re-lower the program"
     );
     let (data, _) = queue.read_buffer(&buffer).submit().unwrap();
@@ -42,7 +41,8 @@ fn launches_execute_cached_bytecode_without_rebuilding() {
 
 #[test]
 fn repeated_build_calls_and_kernels_reuse_the_cached_artifact() {
-    let (_cluster, client, _clock) = test_cluster(1, 1);
+    let (cluster, client, _clock) = test_cluster(1, 1);
+    let device = &cluster.daemons()[0].devices()[0];
     let devices = client.devices();
     let context = Context::new(&client, &devices).unwrap();
     let queue = context.create_command_queue(&devices[0]).unwrap();
@@ -53,10 +53,9 @@ fn repeated_build_calls_and_kernels_reuse_the_cached_artifact() {
     "#;
     let program = context.create_program_with_source(source).unwrap();
 
-    let before = oclc::total_builds();
     program.build().unwrap();
     program.build().unwrap();
-    assert_eq!(oclc::total_builds(), before + 1, "re-building is a cached no-op");
+    assert_eq!(device.programs_built(), 1, "re-building is a cached no-op");
 
     // Two kernels from the same program share the one compiled artifact.
     let set = program.create_kernel("set").unwrap();
@@ -69,7 +68,7 @@ fn repeated_build_calls_and_kernels_reuse_the_cached_artifact() {
     queue.launch(&add, NdRange::linear(4)).submit().unwrap();
     queue.finish().unwrap();
 
-    assert_eq!(oclc::total_builds(), before + 1);
+    assert_eq!(device.programs_built(), 1);
     let (data, _) = queue.read_buffer(&buffer).submit().unwrap();
     assert_eq!(as_i32s(&data), vec![7, 7, 7, 7]);
 }
