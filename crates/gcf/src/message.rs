@@ -27,7 +27,8 @@ pub enum MessageKind {
 }
 
 impl MessageKind {
-    fn to_byte(self) -> u8 {
+    /// The kind's byte on the wire.
+    pub(crate) fn to_byte(self) -> u8 {
         match self {
             MessageKind::Request => 0,
             MessageKind::Response => 1,
@@ -38,7 +39,8 @@ impl MessageKind {
         }
     }
 
-    fn from_byte(b: u8) -> Result<Self> {
+    /// The kind a wire byte names; an unknown byte is a codec error.
+    pub(crate) fn from_byte(b: u8) -> Result<Self> {
         Ok(match b {
             0 => MessageKind::Request,
             1 => MessageKind::Response,

@@ -400,24 +400,21 @@ impl Endpoint {
 
     /// Send a bulk payload on stream `stream_id` (chunked; the receiver
     /// reassembles it and makes it available via [`Endpoint::wait_bulk`]).
+    ///
+    /// Each chunk of up to [`STREAM_CHUNK`] bytes goes out through
+    /// [`Connection::send_stream`]; over TCP that sends it straight from
+    /// `data`, without copying it.
     pub fn send_bulk(&self, stream_id: u64, data: &[u8]) -> Result<()> {
         if !self.is_open() {
             return Err(GcfError::Disconnected(self.conn.peer()));
         }
         self.stats.lock().stream_bytes_sent += data.len() as u64;
         if data.is_empty() {
-            let payload = vec![1u8];
-            return self.conn.send(Envelope::stream(stream_id, payload));
+            return self.conn.send_stream(stream_id, true, &[]);
         }
-        let mut offset = 0;
-        while offset < data.len() {
-            let end = (offset + STREAM_CHUNK).min(data.len());
-            let last = end == data.len();
-            let mut payload = Vec::with_capacity(1 + end - offset);
-            payload.push(u8::from(last));
-            payload.extend_from_slice(&data[offset..end]);
-            self.conn.send(Envelope::stream(stream_id, payload))?;
-            offset = end;
+        let last = (data.len() - 1) / STREAM_CHUNK;
+        for (i, chunk) in data.chunks(STREAM_CHUNK).enumerate() {
+            self.conn.send_stream(stream_id, i == last, chunk)?;
         }
         Ok(())
     }
@@ -483,6 +480,7 @@ impl Drop for Endpoint {
 mod tests {
     use super::*;
     use crate::transport::inproc::InprocTransport;
+    use crate::transport::tcp::TcpTransport;
     use crate::transport::Transport;
 
     struct EchoHandler;
@@ -510,14 +508,34 @@ mod tests {
         client_handler: Arc<dyn EndpointHandler>,
         server_handler: Arc<dyn EndpointHandler>,
     ) -> (Arc<Endpoint>, Arc<Endpoint>) {
-        let t = InprocTransport::new();
-        let listener = t.listen("srv").unwrap();
+        endpoint_pair_over(&InprocTransport::new(), "srv", client_handler, server_handler)
+    }
+
+    fn endpoint_pair_over(
+        transport: &dyn Transport,
+        addr: &str,
+        client_handler: Arc<dyn EndpointHandler>,
+        server_handler: Arc<dyn EndpointHandler>,
+    ) -> (Arc<Endpoint>, Arc<Endpoint>) {
+        let listener = transport.listen(addr).unwrap();
+        let bound = listener.local_addr();
         let h = std::thread::spawn(move || listener.accept().unwrap());
-        let client_conn = t.connect("srv").unwrap();
+        let client_conn = transport.connect(&bound).unwrap();
         let server_conn = h.join().unwrap();
         let client = Endpoint::new(client_conn, client_handler, "client");
         let server = Endpoint::new(server_conn, server_handler, "server");
         (client, server)
+    }
+
+    /// A client/server pair over each transport: in-process, then TCP on
+    /// loopback.
+    fn endpoint_pairs() -> Vec<(&'static str, Arc<Endpoint>, Arc<Endpoint>)> {
+        let pair = |t: &dyn Transport, addr| {
+            let (client, server) =
+                endpoint_pair_over(t, addr, Arc::new(NullHandler), Arc::new(NullHandler));
+            (t.name(), client, server)
+        };
+        vec![pair(&InprocTransport::new(), "srv"), pair(&TcpTransport::new(), "127.0.0.1:0")]
     }
 
     /// A handler that needs a reference to its own endpoint (the accept-loop
@@ -613,21 +631,33 @@ mod tests {
 
     #[test]
     fn bulk_transfer_roundtrip_multi_chunk() {
-        let (client, server) = endpoint_pair(Arc::new(NullHandler), Arc::new(NullHandler));
-        let data: Vec<u8> = (0..3 * STREAM_CHUNK + 123).map(|i| (i % 251) as u8).collect();
-        client.send_bulk(7, &data).unwrap();
-        let received = server.wait_bulk(7, Duration::from_secs(5)).unwrap();
-        assert_eq!(received, data);
-        assert_eq!(client.stats().stream_bytes_sent, data.len() as u64);
-        assert_eq!(server.stats().stream_bytes_received, data.len() as u64);
+        let sizes = [
+            STREAM_CHUNK - 1,
+            STREAM_CHUNK,
+            STREAM_CHUNK + 1,
+            3 * STREAM_CHUNK,
+            3 * STREAM_CHUNK + 123,
+        ];
+        for (transport, client, server) in endpoint_pairs() {
+            for (stream_id, &size) in (1..).zip(&sizes) {
+                let data: Vec<u8> = (0..size).map(|i| (i % 251) as u8).collect();
+                client.send_bulk(stream_id, &data).unwrap();
+                let received = server.wait_bulk(stream_id, Duration::from_secs(5)).unwrap();
+                assert!(received == data, "{transport}: {size}-byte transfer corrupted");
+            }
+            let total: usize = sizes.iter().sum();
+            assert_eq!(client.stats().stream_bytes_sent, total as u64, "{transport}");
+            assert_eq!(server.stats().stream_bytes_received, total as u64, "{transport}");
+        }
     }
 
     #[test]
     fn empty_bulk_transfer_completes() {
-        let (client, server) = endpoint_pair(Arc::new(NullHandler), Arc::new(NullHandler));
-        client.send_bulk(3, &[]).unwrap();
-        let received = server.wait_bulk(3, Duration::from_secs(5)).unwrap();
-        assert!(received.is_empty());
+        for (transport, client, server) in endpoint_pairs() {
+            client.send_bulk(3, &[]).unwrap();
+            let received = server.wait_bulk(3, Duration::from_secs(5)).unwrap();
+            assert!(received.is_empty(), "{transport}");
+        }
     }
 
     #[test]

@@ -315,6 +315,7 @@ impl Transport for ChaosTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rpc::{Endpoint, NullHandler, STREAM_CHUNK};
     use crate::transport::inproc::InprocTransport;
     use crate::transport::Transport;
 
@@ -397,6 +398,23 @@ mod tests {
         assert!(!faulty.is_open());
         // The peer sees the close, not a hang.
         assert!(server.recv().is_err());
+    }
+
+    /// Bulk chunks reach the connection through the provided
+    /// `send_stream`, which still passes each one through the chunk budget.
+    #[test]
+    fn stream_chunk_budget_kills_a_bulk_send() {
+        let (client, _server) = connected_pair();
+        let faulty = FaultyConnection::with_policy(
+            client,
+            ChaosPolicy { fail_after_stream_chunks: 2, ..ChaosPolicy::default() },
+        );
+        let endpoint = Endpoint::new(Arc::clone(&faulty) as _, Arc::new(NullHandler), "client");
+        let err = endpoint.send_bulk(1, &vec![7u8; 2 * STREAM_CHUNK + 1]).unwrap_err();
+        assert!(matches!(err, GcfError::Disconnected(_)), "{err:?}");
+        assert_eq!(faulty.stream_chunk_count(), 3);
+        assert_eq!(faulty.sent_count(), 2);
+        assert!(!endpoint.is_open());
     }
 
     #[test]

@@ -22,6 +22,22 @@ pub trait Connection: Send + Sync {
     /// Send one frame to the peer.
     fn send(&self, env: Envelope) -> Result<()>;
 
+    /// Send one chunk of bulk stream `id`: a
+    /// [`MessageKind::StreamData`](crate::MessageKind::StreamData) frame
+    /// whose payload is the `last` flag as one byte (0 or 1), then `chunk`.
+    ///
+    /// The default builds that [`Envelope`] and passes it to
+    /// [`Connection::send`], so wrappers such as
+    /// [`faulty::FaultyConnection`] see every chunk as a frame.  A transport
+    /// that can send the chunk straight from the caller's slice overrides
+    /// it ([`tcp::TcpConnection`]).
+    fn send_stream(&self, id: u64, last: bool, chunk: &[u8]) -> Result<()> {
+        let mut payload = Vec::with_capacity(1 + chunk.len());
+        payload.push(u8::from(last));
+        payload.extend_from_slice(chunk);
+        self.send(Envelope::stream(id, payload))
+    }
+
     /// Receive the next frame, blocking until one arrives or the connection
     /// is closed.
     fn recv(&self) -> Result<Envelope>;
