@@ -95,7 +95,7 @@
 //! the driver asks the directory for a [`crate::coherence::DeltaPlan`] and
 //! moves *only the stale ranges*: it downloads the ranges its own copy
 //! lacks from their current owners (`DownloadBufferRange`), then uploads
-//! the server's stale ranges (`UploadBufferRange`).  Host writes dirty
+//! the server's stale ranges, all in one `UploadBufferRange`.  Host writes dirty
 //! exactly the written range; kernel launches dirty the whole buffer unless
 //! the launch declares its access slice with [`LaunchOp::writes_slice`]
 //! (or opts out of dirtying entirely with [`LaunchOp::reads_only`]) — which
@@ -707,7 +707,8 @@ impl ReadBufferOp<'_> {
 ///
 /// The daemon streams the data to the client when the command executes;
 /// [`PendingRead::wait`] flushes the owning queue's batch (via the event),
-/// blocks for completion, and collects the stream.
+/// blocks for completion, and collects the stream.  Dropping it uncollected
+/// discards the stream as it arrives.
 #[must_use = "the data is not received until wait() is called"]
 #[derive(Debug)]
 pub struct PendingRead {
@@ -718,6 +719,7 @@ pub struct PendingRead {
     len: usize,
     buffer: Buffer,
     event: Event,
+    collected: bool,
 }
 
 impl PendingRead {
@@ -729,15 +731,28 @@ impl PendingRead {
 
     /// Block until the read completes and return the data together with the
     /// (now terminal) completion event.
-    pub fn wait(self) -> Result<(Vec<u8>, Event)> {
+    pub fn wait(mut self) -> Result<(Vec<u8>, Event)> {
         self.event.wait()?;
         let inner = upgrade(&self.client)?;
         let conn = inner.server(self.server)?;
         let data = conn.endpoint.wait_bulk(self.stream_id, Duration::from_secs(300))?;
+        self.collected = true;
         // Stream-based communication back to the client.
         inner.clock.charge(Phase::DataTransfer, inner.link.transfer_time(self.len as u64));
         self.buffer.directory.lock().record_host_read(self.server, self.offset, &data);
-        Ok((data, self.event))
+        Ok((data, self.event.clone()))
+    }
+}
+
+impl Drop for PendingRead {
+    fn drop(&mut self) {
+        if self.collected {
+            return;
+        }
+        // The daemon streams the data whether or not anyone waits for it.
+        if let Some(conn) = self.client.upgrade().and_then(|inner| inner.server(self.server).ok()) {
+            conn.endpoint.discard_bulk(self.stream_id);
+        }
     }
 }
 
@@ -1627,6 +1642,7 @@ impl ClientInner {
             len,
             buffer: buffer.clone(),
             event,
+            collected: false,
         })
     }
 
@@ -1799,38 +1815,48 @@ impl ClientInner {
                 &data,
             );
         }
+        let data = {
+            let dir = buffer.directory.lock();
+            match plan.uploads.as_slice() {
+                [one] => dir.client_data_range(*one),
+                many => many.iter().map(|r| dir.client_data_range(*r)).collect::<Vec<_>>().concat(),
+            }
+        };
+        self.upload_buffer_ranges(server, buffer, &plan.uploads, &data)?;
+        let mut dir = buffer.directory.lock();
         for upload in &plan.uploads {
-            let data = buffer.directory.lock().client_data_range(*upload);
-            self.upload_buffer_range(server, buffer, *upload, &data)?;
-            buffer.directory.lock().record_upload_range(server, *upload);
+            dir.record_upload_range(server, *upload);
         }
         Ok(())
     }
 
-    /// Upload `range` of `buffer` to `server`.  Whole-buffer ranges use the
-    /// original `UploadBufferData` message, partial ranges the range
-    /// variant — so the `DCL_COHERENCE=whole` oracle exercises exactly the
-    /// pre-range wire protocol.
-    fn upload_buffer_range(
+    /// Upload `ranges` of `buffer` to `server` in one request, `data` holding
+    /// them back to back.  A single whole-buffer range uses the original
+    /// `UploadBufferData` message, anything else one `UploadBufferRange` —
+    /// so the `DCL_COHERENCE=whole` oracle exercises exactly the pre-range
+    /// wire protocol.
+    fn upload_buffer_ranges(
         &self,
         server: usize,
         buffer: &Buffer,
-        range: ByteRange,
+        ranges: &[ByteRange],
         data: &[u8],
     ) -> Result<()> {
         let conn = self.server(server)?;
         let stream_id = conn.endpoint.allocate_id();
         self.clock.charge(Phase::DataTransfer, self.link.transfer_time(data.len() as u64));
         conn.endpoint.send_bulk(stream_id, data)?;
-        let request = if range.start == 0 && range.end == buffer.size {
-            Request::UploadBufferData { buffer_id: buffer.id, stream_id, size: data.len() as u64 }
-        } else {
-            Request::UploadBufferRange {
+        let request = match ranges {
+            [one] if one.start == 0 && one.end == buffer.size => Request::UploadBufferData {
                 buffer_id: buffer.id,
-                offset: range.start as u64,
-                size: data.len() as u64,
                 stream_id,
-            }
+                size: data.len() as u64,
+            },
+            _ => Request::UploadBufferRange {
+                buffer_id: buffer.id,
+                ranges: ranges.iter().map(|r| (r.start as u64, r.len() as u64)).collect(),
+                stream_id,
+            },
         };
         match self.call_server_on(&conn, &request, Phase::DataTransfer)? {
             Response::OkTimed { modeled_nanos } => {
@@ -2462,5 +2488,37 @@ impl Client {
     /// Devices of the given [`DeviceType`].
     pub fn devices_of(&self, kind: DeviceType) -> Vec<Device> {
         self.devices().into_iter().filter(|d| d.kind() == kind).collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{Context, LocalCluster};
+    use gcf::LinkModel;
+    use vocl::Platform;
+
+    #[test]
+    fn dropped_pending_read_leaves_no_stream_behind() {
+        let mut cluster = LocalCluster::new(LinkModel::ideal());
+        cluster.add_node("node0", &Platform::test_platform(1)).unwrap();
+        let client = cluster.client("dropped-read").unwrap();
+        let devices = client.devices();
+        let context = Context::new(&client, &devices).unwrap();
+        let queue = context.create_command_queue(&devices[0]).unwrap();
+        let buffer = context.create_buffer(256 << 10).unwrap();
+        // Dropped before the stream arrives, and after.
+        let early = queue.read_buffer(&buffer).submit_async().unwrap();
+        let early_event = early.event().clone();
+        drop(early);
+        early_event.wait().unwrap();
+        let late = queue.read_buffer(&buffer).submit_async().unwrap();
+        late.event().wait().unwrap();
+        drop(late);
+        // A collected read behind them on the FIFO connection: both dropped
+        // streams have fully arrived by the time its data has.
+        let (data, _) = queue.read_buffer(&buffer).submit().unwrap();
+        assert_eq!(data.len(), 256 << 10);
+        let endpoint = &client.inner.server(0).unwrap().endpoint;
+        assert_eq!(endpoint.bulk_streams_held(), 0);
     }
 }

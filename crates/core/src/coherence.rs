@@ -18,13 +18,22 @@
 //!
 //! # Range coherence semantics
 //!
-//! The directory tracks state at **byte-range granularity**: internally it
-//! keeps a sorted, non-overlapping segment list covering `[0, size)`, each
-//! segment carrying a per-server [`CoherenceState`] plus the client's own
-//! state for that range.  Every recording operation (host write, device
-//! write, fetch, upload, invalidation) first splits segments at the range
-//! boundaries, updates the covered segments, then re-coalesces adjacent
-//! segments whose states became equal — so the segment list stays minimal.
+//! The directory tracks state at **byte-range granularity**: a sorted
+//! segment list covering `[0, size)`, each segment holding the client's
+//! validity and two bitmasks over the buffer's server slots (valid copies,
+//! Modified copies), so a segment state is copied and compared in O(1).
+//! Every recording operation (host write, device write, fetch, upload)
+//! splits segments at the range boundaries, updates the covered ones, then
+//! re-coalesces equal neighbours, so the segment list stays minimal.
+//!
+//! **Cost**, for `n` segments of which an operation covers `k`: finding a
+//! boundary is a binary search; an update changes the `k` covered segments
+//! and re-coalesces only them plus one neighbour each side, shifting the
+//! segment tail once (a memmove) if that splits or merges segments.
+//! `plan_delta` and the range queries binary-search their bound's start and
+//! walk its `k` segments once.  Whole-buffer summaries (`server_state`,
+//! `client_valid`, `valid_servers`), `invalidate_server` and a collapsed
+//! plan walk all `n`; `add_server` touches none.
 //!
 //! **Device writes** are scoped: a kernel launch that declares the slice it
 //! accesses (see `LaunchOp::writes_slice` in the client) dirties only that
@@ -38,14 +47,19 @@
 //! transfer set that makes a server's copy valid, as a [`DeltaPlan`] of
 //! range *fetches* (pull ranges the client lacks from their current owners)
 //! followed by range *uploads* (push exactly the server's stale ranges).
-//! Only stale bytes move; adjacent stale ranges are coalesced into single
-//! transfers.
+//! Only stale bytes move; adjacent stale ranges are coalesced.  Each fetch
+//! is one `DownloadBufferRange` request; all uploads go in **one**
+//! `UploadBufferRange { buffer_id, ranges: [(offset, size), ..], stream_id }`
+//! whose bulk stream carries the ranges' bytes back to back (the daemon
+//! checks every range and the stream length before writing any), and a
+//! whole-buffer upload stays `UploadBufferData`.
 //!
 //! **Fragmentation cap**: a pathological write pattern (e.g. alternating
 //! dirty bytes) can degenerate the interval map into thousands of tiny
-//! ranges whose per-message overhead would dwarf the payload.  When a plan
-//! would need more than [`BufferDirectory::set_fragmentation_cap`] wire
-//! operations (default [`DEFAULT_FRAGMENTATION_CAP`]), it *collapses*: the
+//! ranges whose per-range overhead would dwarf the payload.  When a plan
+//! would need more than [`BufferDirectory::set_fragmentation_cap`] ranges
+//! (fetches plus uploads, default [`DEFAULT_FRAGMENTATION_CAP`]) — which
+//! also bounds the ranges inside one upload message — it *collapses*: the
 //! client fetches each source's ranges as one spanning read (applying only
 //! the valid sub-ranges), completes its copy over the whole buffer, and
 //! ships a single whole-buffer upload — at most one fetch per source plus
@@ -99,8 +113,8 @@ impl CoherenceMode {
     }
 }
 
-/// Maximum number of wire operations (fetches + uploads) a [`DeltaPlan`] may
-/// schedule before it collapses to whole-buffer transfer.
+/// Maximum number of ranges (fetches + uploads) a [`DeltaPlan`] may schedule
+/// before it collapses to whole-buffer transfer.
 pub const DEFAULT_FRAGMENTATION_CAP: usize = 32;
 
 /// A half-open `[start, end)` byte range within a buffer.
@@ -406,38 +420,57 @@ impl WholeDirectory {
 // Range-granular directory
 // ---------------------------------------------------------------------------
 
-/// Per-segment coherence state: the client's state plus each server's.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Bitmask over a directory's server slots: bit `i` stands for `slots[i]`.
+type Mask = u64;
+
+/// Per-segment coherence state.  Plain bitmasks, so a split copies it and a
+/// coalesce compares it in O(1); `modified` is always a subset of `valid`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct SegState {
-    client: CoherenceState,
-    servers: BTreeMap<usize, CoherenceState>,
+    /// Whether the client's copy is valid (Shared).
+    client: bool,
+    /// Servers holding a valid (Shared or Modified) copy.
+    valid: Mask,
+    /// Servers holding a Modified copy.
+    modified: Mask,
 }
 
 impl SegState {
-    fn server(&self, server: usize) -> CoherenceState {
-        self.servers.get(&server).copied().unwrap_or(CoherenceState::Invalid)
-    }
-
-    /// Lowest-indexed server holding a valid copy of this segment (matches
-    /// the whole-buffer protocol's "first valid server" source choice).
-    fn first_valid_server(&self) -> Option<usize> {
-        self.servers.iter().find(|(_, s)| **s != CoherenceState::Invalid).map(|(k, _)| *k)
+    fn server(&self, bit: Mask) -> CoherenceState {
+        if self.modified & bit != 0 {
+            CoherenceState::Modified
+        } else if self.valid & bit != 0 {
+            CoherenceState::Shared
+        } else {
+            CoherenceState::Invalid
+        }
     }
 }
 
-/// One segment of the interval map: state for bytes `[start, end)`.
-#[derive(Debug, Clone)]
+/// One segment of the interval map: `state` holds for bytes from `start` up
+/// to the next segment's start (the buffer size for the last one).
+#[derive(Debug, Clone, Copy)]
 struct Segment {
     start: usize,
-    end: usize,
     state: SegState,
 }
 
-/// The range-granular directory: a sorted, non-overlapping segment list
-/// covering `[0, size)`.
+/// Append `r` to `out`, extending the last range if they touch.
+fn push_coalesced(out: &mut Vec<ByteRange>, r: ByteRange) {
+    match out.last_mut() {
+        Some(last) if last.end == r.start => last.end = r.end,
+        _ => out.push(r),
+    }
+}
+
+/// The range-granular directory: segments sorted by start, the first at 0,
+/// each different in state from its neighbours.
 #[derive(Debug, Clone)]
 struct RangeDirectory {
     segments: Vec<Segment>,
+    /// Server id of each mask bit.  Registration order, so at most
+    /// [`Mask::BITS`] servers per buffer.
+    slots: Vec<usize>,
     /// The client's cached bytes; validity is tracked per segment, so the
     /// vector may hold stale bytes in client-Invalid ranges.  `None` means
     /// "all zeroes" (fresh buffer).
@@ -448,71 +481,95 @@ struct RangeDirectory {
 
 impl RangeDirectory {
     fn new(servers: impl IntoIterator<Item = usize>, size: usize) -> Self {
-        let state = SegState {
-            client: CoherenceState::Shared,
-            servers: servers.into_iter().map(|s| (s, CoherenceState::Invalid)).collect(),
-        };
-        let segments =
-            if size == 0 { Vec::new() } else { vec![Segment { start: 0, end: size, state }] };
-        RangeDirectory { segments, client_copy: None, size, frag_cap: DEFAULT_FRAGMENTATION_CAP }
+        let state = SegState { client: true, valid: 0, modified: 0 };
+        let segments = if size == 0 { Vec::new() } else { vec![Segment { start: 0, state }] };
+        let frag_cap = DEFAULT_FRAGMENTATION_CAP;
+        let mut dir =
+            RangeDirectory { segments, slots: Vec::new(), client_copy: None, size, frag_cap };
+        servers.into_iter().for_each(|s| dir.add_server(s));
+        dir
     }
 
-    /// Ensure a segment boundary exists at `pos` (splitting the segment that
-    /// straddles it).  `pos` outside `(0, size)` is a no-op.
-    fn split_at(&mut self, pos: usize) {
-        if pos == 0 || pos >= self.size {
-            return;
-        }
-        if let Some(i) = self.segments.iter().position(|s| s.start < pos && pos < s.end) {
-            let right = Segment { start: pos, ..self.segments[i].clone() };
-            self.segments[i].end = pos;
-            self.segments.insert(i + 1, right);
-        }
+    /// The mask bit of `server`; 0 (no copy anywhere) if it is unregistered.
+    fn bit(&self, server: usize) -> Mask {
+        self.slots.iter().position(|&s| s == server).map_or(0, |i| 1 << i)
     }
 
-    /// Apply `f` to every segment fully inside `range` (after splitting at
-    /// its boundaries), then re-coalesce.
-    fn update_range(&mut self, range: ByteRange, mut f: impl FnMut(&mut SegState)) {
+    /// The server ids in `mask`, in slot order.
+    fn servers_in(&self, mask: Mask) -> impl Iterator<Item = usize> + '_ {
+        self.slots.iter().enumerate().filter(move |(i, _)| mask >> i & 1 != 0).map(|(_, &s)| s)
+    }
+
+    /// Lowest server id in `mask` (the whole-buffer protocol's "first valid
+    /// server" source choice).
+    fn first_server(&self, mask: Mask) -> Option<usize> {
+        self.servers_in(mask).min()
+    }
+
+    /// End of segment `i`.
+    fn end_of(&self, i: usize) -> usize {
+        self.segments.get(i + 1).map_or(self.size, |s| s.start)
+    }
+
+    /// Ensure a segment starts at `pos` (splitting the one that straddles
+    /// it) and return its index; `pos >= size` returns the segment count.
+    fn split_at(&mut self, pos: usize) -> usize {
+        let i = self.segments.partition_point(|s| s.start < pos);
+        if pos < self.size && self.segments.get(i).is_none_or(|s| s.start != pos) {
+            let state = self.segments[i - 1].state;
+            self.segments.insert(i, Segment { start: pos, state });
+        }
+        i
+    }
+
+    /// Replace the state of every byte in `range` by `f` of it, then merge
+    /// equal neighbours inside the touched window plus one segment each side
+    /// (everything outside it was coalesced already).
+    fn update_range(&mut self, range: ByteRange, f: impl Fn(SegState) -> SegState) {
         let range = range.clamp_to(self.size);
         if range.is_empty() {
             return;
         }
-        self.split_at(range.start);
-        self.split_at(range.end);
-        for seg in &mut self.segments {
-            if seg.start >= range.start && seg.end <= range.end {
-                f(&mut seg.state);
-            }
+        let lo = self.split_at(range.start);
+        let hi = self.split_at(range.end);
+        for seg in &mut self.segments[lo..hi] {
+            seg.state = f(seg.state);
         }
-        self.coalesce();
+        self.coalesce(lo.saturating_sub(1), (hi + 1).min(self.segments.len()));
     }
 
-    /// Merge adjacent segments with equal states.
-    fn coalesce(&mut self) {
-        let mut merged: Vec<Segment> = Vec::with_capacity(self.segments.len());
-        for seg in self.segments.drain(..) {
-            match merged.last_mut() {
-                Some(last) if last.end == seg.start && last.state == seg.state => {
-                    last.end = seg.end;
-                }
-                _ => merged.push(seg),
+    /// Merge adjacent equal segments among `segments[from..to]`.
+    fn coalesce(&mut self, from: usize, to: usize) {
+        if from >= to {
+            return;
+        }
+        let mut kept = from;
+        for i in from + 1..to {
+            if self.segments[i].state != self.segments[kept].state {
+                kept += 1;
+                self.segments[kept] = self.segments[i];
             }
         }
-        self.segments = merged;
+        self.segments.drain(kept + 1..to);
+    }
+
+    /// The segments overlapping `bound`, clipped to it, starting at the
+    /// binary-searched segment that holds `bound.start`.
+    fn segments_in(&self, bound: ByteRange) -> impl Iterator<Item = (ByteRange, SegState)> + '_ {
+        let bound = bound.clamp_to(self.size);
+        let first = self.segments.partition_point(|s| s.start <= bound.start).saturating_sub(1);
+        (first..self.segments.len())
+            .map(move |i| (ByteRange::new(self.segments[i].start, self.end_of(i)), i))
+            .take_while(move |(r, _)| r.start < bound.end)
+            .filter_map(move |(r, i)| Some((r.intersect(bound)?, self.segments[i].state)))
     }
 
     /// Coalesced ranges within `bound` whose state satisfies `pred`.
-    fn ranges_where(&self, bound: ByteRange, pred: impl Fn(&SegState) -> bool) -> Vec<ByteRange> {
-        let bound = bound.clamp_to(self.size);
-        let mut out: Vec<ByteRange> = Vec::new();
-        for seg in &self.segments {
-            let Some(part) = ByteRange::new(seg.start, seg.end).intersect(bound) else { continue };
-            if !pred(&seg.state) {
-                continue;
-            }
-            match out.last_mut() {
-                Some(last) if last.end == part.start => last.end = part.end,
-                _ => out.push(part),
+    fn ranges_where(&self, bound: ByteRange, pred: impl Fn(SegState) -> bool) -> Vec<ByteRange> {
+        let mut out = Vec::new();
+        for (r, st) in self.segments_in(bound) {
+            if pred(st) {
+                push_coalesced(&mut out, r);
             }
         }
         out
@@ -536,8 +593,8 @@ impl RangeDirectory {
     /// Whole-buffer summary of a copy's state: the uniform state when every
     /// segment agrees, `Invalid` otherwise (a partially valid copy cannot be
     /// used as-is).
-    fn summarise(&self, get: impl Fn(&SegState) -> CoherenceState) -> CoherenceState {
-        let mut iter = self.segments.iter().map(|s| get(&s.state));
+    fn summarise(&self, get: impl Fn(SegState) -> CoherenceState) -> CoherenceState {
+        let mut iter = self.segments.iter().map(|s| get(s.state));
         let Some(first) = iter.next() else { return CoherenceState::Shared };
         if iter.all(|s| s == first) {
             first
@@ -547,40 +604,35 @@ impl RangeDirectory {
     }
 
     fn server_state(&self, server: usize) -> CoherenceState {
-        self.summarise(|st| st.server(server))
+        let bit = self.bit(server);
+        self.summarise(|st| st.server(bit))
     }
 
     fn client_state(&self) -> CoherenceState {
-        self.summarise(|st| st.client)
+        self.summarise(
+            |st| if st.client { CoherenceState::Shared } else { CoherenceState::Invalid },
+        )
     }
 
     fn client_valid(&self) -> bool {
-        self.segments.iter().all(|s| s.state.client != CoherenceState::Invalid)
+        self.segments.iter().all(|s| s.state.client)
     }
 
     fn valid_servers(&self) -> Vec<usize> {
-        let Some(first) = self.segments.first() else { return Vec::new() };
-        first
-            .state
-            .servers
-            .keys()
-            .copied()
-            .filter(|&srv| {
-                self.segments.iter().all(|s| s.state.server(srv) != CoherenceState::Invalid)
-            })
-            .collect()
+        let everywhere = self.segments.iter().fold(Mask::MAX, |m, s| m & s.state.valid);
+        let mut ids: Vec<usize> = self.servers_in(everywhere).collect();
+        ids.sort_unstable();
+        ids
     }
 
     fn valid_ranges(&self, server: usize) -> Vec<ByteRange> {
-        self.ranges_where(ByteRange::new(0, self.size), |st| {
-            st.server(server) != CoherenceState::Invalid
-        })
+        let bit = self.bit(server);
+        self.ranges_where(ByteRange::new(0, self.size), |st| st.valid & bit != 0)
     }
 
     fn stale_ranges(&self, server: usize) -> Vec<ByteRange> {
-        self.ranges_where(ByteRange::new(0, self.size), |st| {
-            st.server(server) == CoherenceState::Invalid
-        })
+        let bit = self.bit(server);
+        self.ranges_where(ByteRange::new(0, self.size), |st| st.valid & bit == 0)
     }
 
     // ----- recording operations --------------------------------------------
@@ -591,23 +643,20 @@ impl RangeDirectory {
         }
         let range = ByteRange::new(offset, offset + data.len()).clamp_to(self.size);
         self.client_data_mut()[range.start..range.end].copy_from_slice(&data[..range.len()]);
-        self.update_range(range, |st| {
-            st.client = CoherenceState::Shared;
-            for (s, state) in st.servers.iter_mut() {
-                *state =
-                    if *s == server { CoherenceState::Shared } else { CoherenceState::Invalid };
-            }
-        });
+        let bit = self.bit(server);
+        self.update_range(range, |_| SegState { client: true, valid: bit, modified: 0 });
     }
 
     fn record_device_write(&mut self, server: usize, range: ByteRange) {
-        self.update_range(range, |st| {
-            st.client = CoherenceState::Invalid;
-            for (s, state) in st.servers.iter_mut() {
-                *state =
-                    if *s == server { CoherenceState::Modified } else { CoherenceState::Invalid };
-            }
-        });
+        let bit = self.bit(server);
+        self.update_range(range, |_| SegState { client: false, valid: bit, modified: bit });
+    }
+
+    /// The client copy of `r` became valid from `bit`'s copy, which is now
+    /// Shared there if it was Modified.
+    fn refresh_client(&mut self, r: ByteRange, src: &[u8], bit: Mask) {
+        self.client_data_mut()[r.start..r.end].copy_from_slice(src);
+        self.update_range(r, |st| SegState { client: true, modified: st.modified & !bit, ..st });
     }
 
     fn record_host_read(&mut self, server: usize, offset: usize, data: &[u8]) {
@@ -618,20 +667,9 @@ impl RangeDirectory {
         // Only ranges where the server actually holds a valid copy can
         // refresh the client copy (defensive, mirroring the whole-buffer
         // protocol: the driver validates the server before reading).
-        let fresh = self.ranges_where(range, |st| st.server(server) != CoherenceState::Invalid);
-        for r in &fresh {
-            let src = &data[r.start - offset..r.end - offset];
-            self.client_data_mut()[r.start..r.end].copy_from_slice(src);
-        }
-        for r in fresh {
-            self.update_range(r, |st| {
-                st.client = CoherenceState::Shared;
-                if let Some(s) = st.servers.get_mut(&server) {
-                    if *s == CoherenceState::Modified {
-                        *s = CoherenceState::Shared;
-                    }
-                }
-            });
+        let bit = self.bit(server);
+        for r in self.ranges_where(range, |st| st.valid & bit != 0) {
+            self.refresh_client(r, &data[r.start - offset..r.end - offset], bit);
         }
     }
 
@@ -643,98 +681,83 @@ impl RangeDirectory {
         data: &[u8],
     ) {
         let span = span.clamp_to(self.size);
-        for r in apply {
-            let Some(r) = r.intersect(span) else { continue };
-            let src = &data[r.start - span.start..r.end - span.start];
-            self.client_data_mut()[r.start..r.end].copy_from_slice(src);
-            self.update_range(r, |st| {
-                st.client = CoherenceState::Shared;
-                if let Some(s) = st.servers.get_mut(&source) {
-                    if *s == CoherenceState::Modified {
-                        *s = CoherenceState::Shared;
-                    }
-                }
-            });
+        let bit = self.bit(source);
+        for r in apply.iter().filter_map(|r| r.intersect(span)) {
+            self.refresh_client(r, &data[r.start - span.start..r.end - span.start], bit);
         }
     }
 
     fn record_upload(&mut self, server: usize, range: ByteRange) {
-        self.update_range(range, |st| {
-            st.servers.insert(server, CoherenceState::Shared);
-            // Mirror the whole-buffer protocol's "nobody valid" fallback:
-            // uploading (zero/stale) client bytes leaves client and server
-            // in agreement.
-            if st.client == CoherenceState::Invalid {
-                st.client = CoherenceState::Shared;
-            }
+        self.add_server(server);
+        let bit = self.bit(server);
+        // Mirror the whole-buffer protocol's "nobody valid" fallback:
+        // uploading (zero/stale) client bytes leaves client and server in
+        // agreement.
+        self.update_range(range, |st| SegState {
+            client: true,
+            valid: st.valid | bit,
+            modified: st.modified & !bit,
         });
     }
 
+    /// Give `server` a slot; its copy starts Invalid everywhere, which an
+    /// unset bit already says, so no segment changes.
     fn add_server(&mut self, server: usize) {
-        for seg in &mut self.segments {
-            seg.state.servers.entry(server).or_insert(CoherenceState::Invalid);
+        if !self.slots.contains(&server) {
+            assert!(self.slots.len() < Mask::BITS as usize, "a buffer spans at most 64 servers");
+            self.slots.push(server);
         }
-        self.coalesce();
     }
 
     fn invalidate_server(&mut self, server: usize) -> bool {
+        let bit = self.bit(server);
         let mut lost = false;
-        for seg in &mut self.segments {
-            if seg.state.server(server) == CoherenceState::Invalid {
-                continue;
-            }
-            seg.state.servers.insert(server, CoherenceState::Invalid);
-            let any_valid = seg.state.client != CoherenceState::Invalid
-                || seg.state.first_valid_server().is_some();
-            if !any_valid {
+        for st in self.segments.iter_mut().map(|s| &mut s.state).filter(|st| st.valid & bit != 0) {
+            st.valid &= !bit;
+            st.modified &= !bit;
+            if !st.client && st.valid == 0 {
                 // Data loss on this range: degrade to the stale client copy
                 // so the buffer stays usable.
-                seg.state.client = CoherenceState::Shared;
+                st.client = true;
                 lost = true;
             }
         }
-        self.coalesce();
+        self.coalesce(0, self.segments.len());
         lost
     }
 
     // ----- delta planning --------------------------------------------------
 
+    /// One pass over the segments in `bound`: every range stale on `server`
+    /// is uploaded, and the part of it the client lacks is first fetched
+    /// from the lowest server holding it.
     fn plan_delta(&self, server: usize, bound: ByteRange) -> DeltaPlan {
-        let bound = bound.clamp_to(self.size);
-        let stale = self.ranges_where(bound, |st| st.server(server) == CoherenceState::Invalid);
-        if stale.is_empty() {
-            return DeltaPlan::noop();
-        }
-        // Fetch ranges the client itself lacks, each from the first server
-        // holding a valid copy of that segment.
+        let bit = self.bit(server);
+        let mut uploads = Vec::new();
         let mut needs: Vec<(usize, ByteRange)> = Vec::new();
-        for seg in &self.segments {
-            if seg.state.client != CoherenceState::Invalid {
+        for (r, st) in self.segments_in(bound) {
+            if st.valid & bit != 0 {
                 continue;
             }
-            let seg_range = ByteRange::new(seg.start, seg.end);
-            for r in &stale {
-                let Some(part) = seg_range.intersect(*r) else { continue };
-                // No valid server copy either: fall back to uploading the
-                // (zero/stale) client bytes, as the whole protocol does.
-                let Some(src) = seg.state.first_valid_server() else { continue };
-                match needs.last_mut() {
-                    Some((last_src, last)) if *last_src == src && last.end == part.start => {
-                        last.end = part.end;
-                    }
-                    _ => needs.push((src, part)),
+            push_coalesced(&mut uploads, r);
+            // With no server copy either, the (zero/stale) client bytes are
+            // uploaded as they are, as the whole protocol does.
+            let Some(src) = self.first_server(st.valid).filter(|_| !st.client) else { continue };
+            match needs.last_mut() {
+                Some((last_src, last)) if *last_src == src && last.end == r.start => {
+                    last.end = r.end
                 }
+                _ => needs.push((src, r)),
             }
         }
-        let fetches = needs
+        let fetches: Vec<RangeFetch> = needs
             .into_iter()
             .map(|(source, r)| RangeFetch { source, span: r, apply: vec![r] })
-            .collect::<Vec<_>>();
-        let plan = DeltaPlan { fetches, uploads: stale, collapsed: false };
-        if plan.fetches.len() + plan.uploads.len() > self.frag_cap {
+            .collect();
+        if fetches.len() + uploads.len() > self.frag_cap {
             return self.collapsed_plan();
         }
-        plan
+        DeltaPlan { fetches, uploads, collapsed: false }
     }
 
     /// The fragmentation-cap fallback: complete the client's copy over the
@@ -742,76 +765,42 @@ impl RangeDirectory {
     /// sub-ranges that are valid there), then one whole-buffer upload.
     fn collapsed_plan(&self) -> DeltaPlan {
         let mut by_source: BTreeMap<usize, Vec<ByteRange>> = BTreeMap::new();
-        for seg in &self.segments {
-            if seg.state.client != CoherenceState::Invalid {
-                continue;
-            }
-            let Some(src) = seg.state.first_valid_server() else { continue };
-            let ranges = by_source.entry(src).or_default();
-            match ranges.last_mut() {
-                Some(last) if last.end == seg.start => last.end = seg.end,
-                _ => ranges.push(ByteRange::new(seg.start, seg.end)),
+        for (r, st) in self.segments_in(ByteRange::new(0, self.size)) {
+            if let Some(src) = self.first_server(st.valid).filter(|_| !st.client) {
+                push_coalesced(by_source.entry(src).or_default(), r);
             }
         }
         let fetches = by_source
             .into_iter()
             .map(|(source, apply)| RangeFetch {
                 source,
-                span: ByteRange::new(
-                    apply.first().map(|r| r.start).unwrap_or(0),
-                    apply.last().map(|r| r.end).unwrap_or(0),
-                ),
+                span: ByteRange::new(apply[0].start, apply[apply.len() - 1].end),
                 apply,
             })
             .collect();
         DeltaPlan { fetches, uploads: vec![ByteRange::new(0, self.size)], collapsed: true }
     }
 
-    fn segment_count(&self) -> usize {
-        self.segments.len()
-    }
-
     fn check_invariants(&self) -> std::result::Result<(), String> {
-        if self.size == 0 {
-            return if self.segments.is_empty() {
-                Ok(())
-            } else {
-                Err("zero-size buffer with segments".into())
-            };
+        if self.segments.first().is_some_and(|s| s.start != 0)
+            || self.segments.is_empty() != (self.size == 0)
+        {
+            return Err(format!("segments do not start at 0 of a {}-byte buffer", self.size));
         }
-        let mut pos = 0;
         for (i, seg) in self.segments.iter().enumerate() {
-            if seg.start != pos {
-                return Err(format!("segment {i} starts at {} (expected {pos})", seg.start));
+            let (start, end, st) = (seg.start, self.end_of(i), seg.state);
+            if end <= start {
+                return Err(format!("segment {i} is empty ({start}..{end})"));
             }
-            if seg.end <= seg.start {
-                return Err(format!("segment {i} is empty ({}..{})", seg.start, seg.end));
-            }
-            pos = seg.end;
-            if i > 0 && self.segments[i - 1].state == seg.state {
+            if i > 0 && self.segments[i - 1].state == st {
                 return Err(format!("segments {} and {i} are not coalesced", i - 1));
             }
-            let modified: Vec<usize> = seg
-                .state
-                .servers
-                .iter()
-                .filter(|(_, s)| **s == CoherenceState::Modified)
-                .map(|(k, _)| *k)
-                .collect();
-            if modified.len() > 1 {
-                return Err(format!(
-                    "bytes {}..{} Modified on multiple servers: {modified:?}",
-                    seg.start, seg.end
-                ));
+            if st.modified & !st.valid != 0 || st.modified.count_ones() > 1 {
+                return Err(format!("bytes {start}..{end} have a bad Modified set {st:?}"));
             }
-            let any_valid = seg.state.client != CoherenceState::Invalid
-                || seg.state.first_valid_server().is_some();
-            if !any_valid {
-                return Err(format!("bytes {}..{} have no valid copy", seg.start, seg.end));
+            if !st.client && st.valid == 0 {
+                return Err(format!("bytes {start}..{end} have no valid copy"));
             }
-        }
-        if pos != self.size {
-            return Err(format!("segments cover up to {pos}, buffer size is {}", self.size));
         }
         Ok(())
     }
@@ -881,8 +870,8 @@ impl BufferDirectory {
         ByteRange::new(0, self.size())
     }
 
-    /// Cap on the number of wire operations a [`DeltaPlan`] may schedule
-    /// before collapsing to whole-buffer transfer (range mode only).
+    /// Cap on the number of ranges a [`DeltaPlan`] may schedule before
+    /// collapsing to whole-buffer transfer (range mode only).
     pub fn set_fragmentation_cap(&mut self, cap: usize) {
         if let Inner::Range(d) = &mut self.inner {
             d.frag_cap = cap.max(1);
@@ -976,7 +965,7 @@ impl BufferDirectory {
     pub fn segment_count(&self) -> usize {
         match &self.inner {
             Inner::Whole(_) => 1,
-            Inner::Range(d) => d.segment_count(),
+            Inner::Range(d) => d.segments.len(),
         }
     }
 
@@ -1473,5 +1462,289 @@ mod tests {
             Some(ByteRange::new(5, 10))
         );
         assert_eq!(ByteRange::new(4, 99).clamp_to(8), ByteRange::new(4, 8));
+    }
+
+    // ----- property test against a per-byte reference model ---------------
+
+    mod model {
+        use super::*;
+        use proptest::prelude::*;
+        use CoherenceState::{Invalid, Modified, Shared};
+
+        const SIZE: usize = 4096;
+
+        /// The directory's meaning spelled out byte by byte: the client's
+        /// validity and cached value, and each registered server's state.
+        struct ByteModel {
+            client: Vec<bool>,
+            data: Vec<u8>,
+            servers: BTreeMap<usize, Vec<CoherenceState>>,
+        }
+
+        impl ByteModel {
+            fn new(servers: &[usize]) -> Self {
+                ByteModel {
+                    client: vec![true; SIZE],
+                    data: vec![0; SIZE],
+                    servers: servers.iter().map(|&s| (s, vec![Invalid; SIZE])).collect(),
+                }
+            }
+
+            fn valid(&self, server: usize, b: usize) -> bool {
+                self.servers.get(&server).is_some_and(|v| v[b] != Invalid)
+            }
+
+            /// Lowest server holding byte `b`.
+            fn source(&self, b: usize) -> Option<usize> {
+                self.servers.iter().find(|(_, v)| v[b] != Invalid).map(|(s, _)| *s)
+            }
+
+            /// Maximal runs of bytes in `bound` with the same `Some` key.
+            fn runs(
+                &self,
+                bound: ByteRange,
+                key: impl Fn(usize) -> Option<usize>,
+            ) -> Vec<(usize, ByteRange)> {
+                let mut out: Vec<(usize, ByteRange)> = Vec::new();
+                for b in bound.start..bound.end {
+                    let Some(k) = key(b) else { continue };
+                    match out.last_mut() {
+                        Some((last_k, r)) if *last_k == k && r.end == b => r.end = b + 1,
+                        _ => out.push((k, ByteRange::new(b, b + 1))),
+                    }
+                }
+                out
+            }
+
+            fn ranges(&self, pred: impl Fn(usize) -> bool) -> Vec<ByteRange> {
+                let full = ByteRange::new(0, SIZE);
+                self.runs(full, |b| pred(b).then_some(0)).into_iter().map(|(_, r)| r).collect()
+            }
+
+            /// Set every byte of `r` to `client` validity and `state(server)`.
+            fn set(&mut self, r: ByteRange, client: bool, state: impl Fn(usize) -> CoherenceState) {
+                for b in r.start..r.end {
+                    self.client[b] = client;
+                    for (s, v) in self.servers.iter_mut() {
+                        v[b] = state(*s);
+                    }
+                }
+            }
+
+            /// The client copy of byte `b` became `value`, valid, from
+            /// `source`, which is demoted to Shared.
+            fn refresh(&mut self, b: usize, value: u8, source: usize) {
+                self.data[b] = value;
+                self.client[b] = true;
+                if let Some(st) = self.servers.get_mut(&source).map(|v| &mut v[b]) {
+                    if *st == Modified {
+                        *st = Shared;
+                    }
+                }
+            }
+
+            fn register(&mut self, server: usize) {
+                self.servers.entry(server).or_insert_with(|| vec![Invalid; SIZE]);
+            }
+
+            fn upload(&mut self, server: usize, r: ByteRange) {
+                self.register(server);
+                for b in r.start..r.end {
+                    self.servers.get_mut(&server).unwrap()[b] = Shared;
+                    self.client[b] = true;
+                }
+            }
+
+            fn invalidate(&mut self, server: usize) -> bool {
+                let mut lost = false;
+                for b in 0..SIZE {
+                    if !self.valid(server, b) {
+                        continue;
+                    }
+                    self.servers.get_mut(&server).unwrap()[b] = Invalid;
+                    if !self.client[b] && self.source(b).is_none() {
+                        self.client[b] = true;
+                        lost = true;
+                    }
+                }
+                lost
+            }
+
+            /// The plan the directory must produce for `server` over `bound`.
+            fn plan(&self, server: usize, bound: ByteRange, cap: usize) -> DeltaPlan {
+                let stale = |b: usize| !self.valid(server, b);
+                let uploads: Vec<ByteRange> = self
+                    .runs(bound, |b| stale(b).then_some(0))
+                    .into_iter()
+                    .map(|(_, r)| r)
+                    .collect();
+                let need = |b: usize| self.source(b).filter(|_| !self.client[b]);
+                let fetches: Vec<RangeFetch> = self
+                    .runs(bound, |b| need(b).filter(|_| stale(b)))
+                    .into_iter()
+                    .map(|(source, r)| RangeFetch { source, span: r, apply: vec![r] })
+                    .collect();
+                if uploads.is_empty() {
+                    return DeltaPlan::noop();
+                }
+                if fetches.len() + uploads.len() <= cap {
+                    return DeltaPlan { fetches, uploads, collapsed: false };
+                }
+                let mut by_source: BTreeMap<usize, Vec<ByteRange>> = BTreeMap::new();
+                for (source, r) in self.runs(ByteRange::new(0, SIZE), need) {
+                    by_source.entry(source).or_default().push(r);
+                }
+                let fetches = by_source
+                    .into_iter()
+                    .map(|(source, apply)| RangeFetch {
+                        source,
+                        span: ByteRange::new(apply[0].start, apply[apply.len() - 1].end),
+                        apply,
+                    })
+                    .collect();
+                DeltaPlan { fetches, uploads: vec![ByteRange::new(0, SIZE)], collapsed: true }
+            }
+        }
+
+        fn bytes(seed: u64, len: usize) -> Vec<u8> {
+            let mut x = seed | 1;
+            (0..len)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x as u8
+                })
+                .collect()
+        }
+
+        /// A range from two random words: a short one (≤ 64 bytes) or a
+        /// long one, sometimes reaching past the buffer end.
+        fn range(a: u64, b: u64) -> ByteRange {
+            let start = (a % (SIZE as u64 + 16)) as usize;
+            let len = if b.is_multiple_of(3) { b as usize % SIZE } else { b as usize % 65 };
+            ByteRange::new(start, start + len)
+        }
+
+        fn assert_agree(dir: &BufferDirectory, model: &ByteModel, step: &str) {
+            dir.check_invariants().unwrap_or_else(|e| panic!("{step}: {e}"));
+            for server in 0..5 {
+                let valid = model.ranges(|b| model.valid(server, b));
+                let stale = model.ranges(|b| !model.valid(server, b));
+                assert_eq!(dir.valid_ranges(server), valid, "{step}: valid ranges of {server}");
+                assert_eq!(dir.stale_ranges(server), stale, "{step}: stale ranges of {server}");
+            }
+            assert_eq!(dir.client_data(), model.data, "{step}: client data");
+            assert_eq!(dir.client_valid(), model.client.iter().all(|&c| c), "{step}: client valid");
+        }
+
+        /// Servers 0..3 hold interleaved host-written and device-written
+        /// patches: 2 segments per 8 bytes.
+        fn fragmented() -> (BufferDirectory, ByteModel) {
+            let mut dir = BufferDirectory::new_with_mode([0, 1, 2], SIZE, CoherenceMode::Range);
+            let mut model = ByteModel::new(&[0, 1, 2]);
+            for k in 0..SIZE / 8 {
+                let (server, r) = (k % 3, ByteRange::new(k * 8 + k % 3, k * 8 + 4 + k % 4));
+                if k % 4 == 3 {
+                    dir.record_device_write_range(server, r);
+                    model.set(r, false, |s| if s == server { Modified } else { Invalid });
+                } else {
+                    let data = bytes(k as u64, r.len());
+                    dir.record_host_write(server, r.start, &data);
+                    model.data[r.start..r.end].copy_from_slice(&data);
+                    model.set(r, true, |s| if s == server { Shared } else { Invalid });
+                }
+            }
+            assert!(dir.segment_count() >= 512, "{} segments", dir.segment_count());
+            assert_agree(&dir, &model, "pre-fragmentation");
+            (dir, model)
+        }
+
+        proptest! {
+            /// Every directory operation agrees with the per-byte model on a
+            /// heavily fragmented directory, including the plans it makes.
+            #[test]
+            fn directory_matches_per_byte_model(
+                cap in prop_oneof![2usize..6, 32usize..33, 100_000usize..100_001],
+                ops in proptest::collection::vec((0u8..9, 0usize..5, any::<u64>(), any::<u64>()), 1..40),
+            ) {
+                let (mut dir, mut model) = fragmented();
+                dir.set_fragmentation_cap(cap);
+                for (i, &(op, server, a, b)) in ops.iter().enumerate() {
+                    let r = range(a, b);
+                    let clamped = r.clamp_to(SIZE);
+                    // Devices exist only on registered servers.
+                    let registered = model.servers.contains_key(&server);
+                    match op {
+                        0 => {
+                            let data = bytes(a ^ b, r.len());
+                            dir.record_host_write(server, r.start, &data);
+                            if r.start < SIZE {
+                                model.data[clamped.start..clamped.end].copy_from_slice(&data[..clamped.len()]);
+                                model.set(clamped, true, |s| if s == server { Shared } else { Invalid });
+                            }
+                        }
+                        1 | 2 if registered => {
+                            let r = if op == 1 { ByteRange::new(0, SIZE) } else { clamped };
+                            if op == 1 {
+                                dir.record_device_write(server);
+                            } else {
+                                dir.record_device_write_range(server, r);
+                            }
+                            model.set(r, false, |s| if s == server { Modified } else { Invalid });
+                        }
+                        3 => {
+                            let data = bytes(a.rotate_left(7), r.len());
+                            dir.record_host_read(server, r.start, &data);
+                            for x in clamped.start..clamped.end {
+                                if r.start < SIZE && model.valid(server, x) {
+                                    model.refresh(x, data[x - r.start], server);
+                                }
+                            }
+                        }
+                        4 if registered => {
+                            let apply = [range(b, a).clamp_to(SIZE), range(a ^ b, b)];
+                            let data = bytes(b, clamped.len());
+                            dir.record_client_fetch_ranges(server, clamped, &apply, &data);
+                            for x in apply.iter().filter_map(|r| r.intersect(clamped)) {
+                                for y in x.start..x.end {
+                                    model.refresh(y, data[y - clamped.start], server);
+                                }
+                            }
+                        }
+                        5 => {
+                            let bound = if a % 2 == 0 { ByteRange::new(0, SIZE) } else { r };
+                            let plan = dir.plan_delta_range(server, bound);
+                            assert_eq!(plan, model.plan(server, bound.clamp_to(SIZE), cap), "op {i}: plan");
+                            for f in &plan.fetches {
+                                let data = bytes(f.span.start as u64 ^ a, f.span.len());
+                                dir.record_client_fetch_ranges(f.source, f.span, &f.apply, &data);
+                                for x in &f.apply {
+                                    for y in x.start..x.end {
+                                        model.refresh(y, data[y - f.span.start], f.source);
+                                    }
+                                }
+                            }
+                            for u in &plan.uploads {
+                                dir.record_upload_range(server, *u);
+                                model.upload(server, *u);
+                            }
+                            assert!(dir.plan_delta_range(server, bound).is_noop(), "op {i}: executed plan");
+                        }
+                        6 => {
+                            dir.record_upload_range(server, r);
+                            model.upload(server, clamped);
+                        }
+                        7 => assert_eq!(dir.invalidate_server(server), model.invalidate(server), "op {i}: lost"),
+                        8 => {
+                            dir.add_server(server);
+                            model.register(server);
+                        }
+                        _ => {}
+                    }
+                    assert_agree(&dir, &model, &format!("op {i} ({op}, server {server}, {r:?})"));
+                }
+            }
+        }
     }
 }

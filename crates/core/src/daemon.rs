@@ -1099,7 +1099,7 @@ impl DaemonSession {
                 let _ = endpoint.send_bulk(stream_id, &data);
                 Response::OkTimed { modeled_nanos: bus_time.as_nanos() as u64 }
             }
-            Request::UploadBufferRange { buffer_id, offset, size, stream_id } => {
+            Request::UploadBufferRange { buffer_id, ranges, stream_id } => {
                 let Some(endpoint) = self.endpoint() else {
                     return Response::Error { code: -36, message: "no endpoint".into() };
                 };
@@ -1112,37 +1112,49 @@ impl DaemonSession {
                         }
                     }
                 };
-                if data.len() as u64 != size {
+                let total = ranges.iter().try_fold(0u64, |sum, &(_, size)| sum.checked_add(size));
+                if total != Some(data.len() as u64) {
                     return Response::Error {
                         code: -30,
-                        message: "coherence range upload size mismatch".into(),
+                        message: format!(
+                            "range upload stream holds {} bytes, not the ranges' total",
+                            data.len()
+                        ),
                     };
                 }
                 let buffer = match self.state().lock().buffers.get(&buffer_id) {
                     Some(b) => Arc::clone(b),
                     None => return Self::missing("buffer", buffer_id),
                 };
-                if offset.saturating_add(size) > buffer.size() as u64 {
+                let limit = buffer.size() as u64;
+                if let Some((offset, size)) =
+                    ranges.iter().find(|(offset, size)| offset.saturating_add(*size) > limit)
+                {
                     return Response::Error {
                         code: -30,
                         message: format!(
-                            "range upload {offset}+{size} exceeds buffer size {}",
-                            buffer.size()
+                            "range upload {offset}+{size} exceeds buffer size {limit}"
                         ),
                     };
                 }
                 self.quiesce_buffer_queues(&buffer);
-                self.stats.lock().bytes_uploaded += size;
-                let bus_time = buffer
-                    .context()
-                    .devices()
-                    .first()
-                    .map(|d| d.profile().bus.write_time(size))
-                    .unwrap_or_default();
-                match buffer.write(offset as usize, &data) {
-                    Ok(()) => Response::OkTimed { modeled_nanos: bus_time.as_nanos() as u64 },
-                    Err(e) => Self::cl_error(&e),
+                self.stats.lock().bytes_uploaded += data.len() as u64;
+                // Each range is its own device write and pays its own bus cost.
+                let devices = buffer.context().devices();
+                let mut bus_time = Duration::ZERO;
+                let mut at = 0;
+                for &(offset, size) in &ranges {
+                    let size = size as usize;
+                    if let Err(e) = buffer.write(offset as usize, &data[at..at + size]) {
+                        return Self::cl_error(&e);
+                    }
+                    at += size;
+                    bus_time += devices
+                        .first()
+                        .map(|d| d.profile().bus.write_time(size as u64))
+                        .unwrap_or_default();
                 }
+                Response::OkTimed { modeled_nanos: bus_time.as_nanos() as u64 }
             }
             Request::DownloadBufferRange { buffer_id, offset, size, stream_id } => {
                 let Some(endpoint) = self.endpoint() else {
@@ -1412,6 +1424,59 @@ mod tests {
         assert!(matches!(resp, Response::Ok), "{resp:?}");
         let data = endpoint.wait_bulk(43, Duration::from_secs(5)).unwrap();
         assert_eq!(data, vec![1, 2, 3, 4, 5, 6, 7, 8]);
+    }
+
+    #[test]
+    fn range_upload_writes_every_range_or_nothing() {
+        let (_daemon, endpoint, _t) = start_test_daemon();
+        call(&endpoint, Request::Hello { client_name: "c".into(), auth_id: None, epoch: 0 });
+        let Response::DeviceList { devices } = call(&endpoint, Request::GetDeviceList) else {
+            panic!()
+        };
+        call(
+            &endpoint,
+            Request::CreateContext { context_id: 1, devices: vec![devices[0].remote_id] },
+        );
+        let create = Request::CreateBuffer {
+            buffer_id: 3,
+            context_id: 1,
+            size: 64,
+            readable: true,
+            writable: true,
+        };
+        call(&endpoint, create);
+        let original: Vec<u8> = (0..64).collect();
+        endpoint.send_bulk(40, &original).unwrap();
+        let resp =
+            call(&endpoint, Request::UploadBufferData { buffer_id: 3, stream_id: 40, size: 64 });
+        assert!(matches!(resp, Response::OkTimed { .. }), "{resp:?}");
+        let contents = |stream_id: u64| {
+            call(&endpoint, Request::DownloadBufferData { buffer_id: 3, stream_id });
+            endpoint.wait_bulk(stream_id, Duration::from_secs(5)).unwrap()
+        };
+        let upload = |stream_id: u64, ranges: Vec<(u64, u64)>, data: &[u8]| {
+            endpoint.send_bulk(stream_id, data).unwrap();
+            call(&endpoint, Request::UploadBufferRange { buffer_id: 3, ranges, stream_id })
+        };
+        // A stream one byte short of its ranges, a range past the end, and a
+        // range whose end overflows: each is refused before any write.
+        let refused = [
+            (vec![(4, 4), (40, 8)], 11),
+            (vec![(4, 4), (60, 8)], 12),
+            (vec![(4, 4), (u64::MAX, 1)], 5),
+        ];
+        for (i, (ranges, len)) in refused.into_iter().enumerate() {
+            let resp = upload(50 + i as u64, ranges, &vec![0xee; len]);
+            assert!(matches!(resp, Response::Error { code: -30, .. }), "{resp:?}");
+        }
+        assert_eq!(contents(60), original, "a refused upload wrote bytes");
+        // A good one writes each range from its part of the stream.
+        let resp = upload(61, vec![(4, 4), (40, 8)], &[[0xaa; 4].as_slice(), &[0xbb; 8]].concat());
+        assert!(matches!(resp, Response::OkTimed { .. }), "{resp:?}");
+        let mut expect = original.clone();
+        expect[4..8].fill(0xaa);
+        expect[40..48].fill(0xbb);
+        assert_eq!(contents(62), expect);
     }
 
     #[test]

@@ -477,21 +477,22 @@ gcf::wire_message! {
         /// Query the daemon's view of this session (used by the fault-tolerance
         /// tests and the client supervisor after a reconnect).
         28 => GetSessionInfo,
-        /// Coherence delta traffic: overwrite `[offset, offset + size)` of the
-        /// remote buffer with the data arriving on bulk stream `stream_id`
-        /// (sent before this request).
+        /// Coherence delta traffic: overwrite each `(offset, size)` range of
+        /// the remote buffer, in order, with the next `size` bytes of bulk
+        /// stream `stream_id` (sent before this request), whose length is the
+        /// sum of the sizes.  The daemon checks every range and the stream
+        /// length before it writes anything.
         ///
         /// Used by the range-granular directory when only some byte ranges of a
-        /// server's copy are stale; the whole-buffer variant remains
+        /// server's copy are stale: one request carries a whole delta plan's
+        /// uploads.  The whole-buffer variant remains
         /// [`Request::UploadBufferData`].
         29 => UploadBufferRange {
             /// Buffer id.
             buffer_id: ObjectId,
-            /// First byte to overwrite.
-            offset: u64,
-            /// Payload size in bytes.
-            size: u64,
-            /// Bulk stream carrying the payload.
+            /// `(offset, size)` of each range to overwrite.
+            ranges: Vec<(u64, u64)>,
+            /// Bulk stream carrying the concatenated payload.
             stream_id: u64,
         },
         /// Coherence delta traffic: send `[offset, offset + size)` of the
@@ -928,9 +929,13 @@ mod tests {
         );
         check(Request::GetSessionInfo, "1c");
         check(
-            Request::UploadBufferRange { buffer_id: 3, offset: 4096, size: 512, stream_id: 14 },
-            "1d0300000000000000001000000000000000020000000000000e000000000000\
-                00",
+            Request::UploadBufferRange {
+                buffer_id: 3,
+                ranges: vec![(4096, 512), (8192, 64)],
+                stream_id: 14,
+            },
+            "1d03000000000000000200000000100000000000000002000000000000002000\
+                000000000040000000000000000e00000000000000",
         );
         check(
             Request::DownloadBufferRange { buffer_id: 3, offset: 128, size: 64, stream_id: 15 },
@@ -1039,6 +1044,18 @@ mod tests {
         let r = Response::Error { code: -5, message: "boom".into() };
         assert!(r.into_result().is_err());
         assert!(Response::Ok.into_result().is_ok());
+    }
+
+    #[test]
+    fn range_upload_with_an_overlong_range_list_is_rejected() {
+        let msg = Request::UploadBufferRange { buffer_id: 3, ranges: vec![(0, 8)], stream_id: 1 };
+        let mut bytes = msg.to_bytes();
+        // Claim 2^32 - 1 ranges where one follows: truncated, not a huge
+        // allocation.
+        bytes[9..13].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(Request::from_bytes(&bytes).is_err());
+        let empty = Request::UploadBufferRange { buffer_id: 3, ranges: vec![], stream_id: 1 };
+        assert_eq!(Request::from_bytes(&empty.to_bytes()).unwrap(), empty);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::message::{Envelope, MessageKind};
 use crate::transport::Connection;
 use crossbeam_channel::{bounded, Sender};
 use parking_lot::{Condvar, Mutex};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -150,6 +150,8 @@ struct BulkBuffers {
     partial: HashMap<u64, Vec<u8>>,
     /// Completed streams waiting to be claimed.
     complete: HashMap<u64, Vec<u8>>,
+    /// Streams nobody will claim: their chunks are dropped on arrival.
+    discarded: HashSet<u64>,
 }
 
 /// Callback invoked (once per connection loss) when the endpoint dies, so a
@@ -198,7 +200,11 @@ impl Endpoint {
             conn,
             next_id: AtomicU64::new(1),
             pending: Mutex::new(HashMap::new()),
-            bulk: Mutex::new(BulkBuffers { partial: HashMap::new(), complete: HashMap::new() }),
+            bulk: Mutex::new(BulkBuffers {
+                partial: HashMap::new(),
+                complete: HashMap::new(),
+                discarded: HashSet::new(),
+            }),
             bulk_cond: Condvar::new(),
             stats: Mutex::new(TrafficStats::default()),
             call_timeout: Mutex::new(DEFAULT_CALL_TIMEOUT),
@@ -302,8 +308,14 @@ impl Endpoint {
         let last = payload[0] == 1;
         let data = &payload[1..];
         let mut bulk = self.bulk.lock();
-        bulk.partial.entry(stream_id).or_default().extend_from_slice(data);
         self.stats.lock().stream_bytes_received += data.len() as u64;
+        if bulk.discarded.contains(&stream_id) {
+            if last {
+                bulk.discarded.remove(&stream_id);
+            }
+            return;
+        }
+        bulk.partial.entry(stream_id).or_default().extend_from_slice(data);
         if last {
             let complete = bulk.partial.remove(&stream_id).unwrap_or_default();
             bulk.complete.insert(stream_id, complete);
@@ -443,6 +455,24 @@ impl Endpoint {
     /// Non-blocking check whether a bulk transfer has completed.
     pub fn try_take_bulk(&self, stream_id: u64) -> Option<Vec<u8>> {
         self.bulk.lock().complete.remove(&stream_id)
+    }
+
+    /// Give up on stream `stream_id`: free it if it has arrived, otherwise
+    /// drop its chunks (those already here and those still to come) as they
+    /// arrive, so an unclaimed stream does not stay buffered until disconnect.
+    pub fn discard_bulk(&self, stream_id: u64) {
+        let mut bulk = self.bulk.lock();
+        if bulk.complete.remove(&stream_id).is_none() {
+            bulk.partial.remove(&stream_id);
+            bulk.discarded.insert(stream_id);
+        }
+    }
+
+    /// Number of streams buffered here, complete or partial (a leak check
+    /// for tests).
+    pub fn bulk_streams_held(&self) -> usize {
+        let bulk = self.bulk.lock();
+        bulk.partial.len() + bulk.complete.len()
     }
 
     /// Abruptly sever the connection *without* telling the peer (no Bye
@@ -648,6 +678,34 @@ mod tests {
             let total: usize = sizes.iter().sum();
             assert_eq!(client.stats().stream_bytes_sent, total as u64, "{transport}");
             assert_eq!(server.stats().stream_bytes_received, total as u64, "{transport}");
+        }
+    }
+
+    #[test]
+    fn discarded_streams_are_not_kept() {
+        for (transport, client, server) in endpoint_pairs() {
+            // Each connection is FIFO: once a stream sent after another has
+            // arrived, so has all of the earlier one.
+            let sync = |stream_id: u64| {
+                client.send_bulk(stream_id, &[1]).unwrap();
+                assert_eq!(server.wait_bulk(stream_id, Duration::from_secs(5)).unwrap(), vec![1]);
+            };
+            // Arrived before the discard.
+            client.send_bulk(1, &[7; 100]).unwrap();
+            sync(10);
+            assert_eq!(server.bulk_streams_held(), 1, "{transport}");
+            server.discard_bulk(1);
+            assert_eq!(server.bulk_streams_held(), 0, "{transport}: complete stream kept");
+            // Discarded before any chunk arrives.
+            server.discard_bulk(2);
+            client.send_bulk(2, &vec![9; 3 * STREAM_CHUNK]).unwrap();
+            sync(11);
+            // Discarded half way through.
+            server.accept_stream_chunk(4, vec![0, 1, 2]);
+            server.discard_bulk(4);
+            server.accept_stream_chunk(4, vec![1, 3]);
+            assert_eq!(server.bulk_streams_held(), 0, "{transport}: stream kept");
+            assert!(server.bulk.lock().discarded.is_empty(), "{transport}: ids kept");
         }
     }
 
