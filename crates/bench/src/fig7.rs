@@ -148,7 +148,7 @@ pub struct SparseTraffic {
 
 /// A/B measurement of the sparse-update workload: the same scattered
 /// patches and cross-node reads, once under range-granular coherence and
-/// once under the whole-buffer oracle (`BENCH_fig7.json`'s
+/// once under the whole-buffer policy (`BENCH_fig7.json`'s
 /// `sparse_update` section).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SparseCoherenceRun {
@@ -227,7 +227,7 @@ fn sparse_mode(
 /// Run the sparse-update workload in both coherence modes and check the
 /// final reads are byte-identical.  Under range coherence the client ships
 /// each round's patches twice (once to node0, once as delta uploads to
-/// node1); the whole-buffer oracle re-ships the entire buffer per round.
+/// node1); the whole-buffer policy re-ships the entire buffer per round.
 pub fn run_sparse_update(
     buffer_bytes: usize,
     patches: usize,

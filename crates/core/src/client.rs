@@ -105,10 +105,10 @@
 //! whole-buffer transfer.
 //!
 //! Setting `DCL_COHERENCE=whole` (or [`Client::set_coherence_mode`])
-//! restores the pre-range whole-buffer protocol — full-copy transfers on
-//! every ownership change — which serves as the differential-testing oracle
-//! for the range directory, mirroring the `DCL_INTERP=tree` interpreter
-//! oracle.  After a failover to a restarted daemon, the supervisor
+//! puts the same directory under the paper's whole-buffer policy: a kernel
+//! launch dirties the whole buffer and every validation ships the whole
+//! buffer.  fig7 measures it as the paper baseline against range
+//! transfers.  After a failover to a restarted daemon, the supervisor
 //! invalidates only that server's ranges, so re-validation traffic is
 //! limited to the ranges that were actually lost.
 //!
@@ -140,8 +140,9 @@
 //!   kernel-argument calls) against the fresh daemon, then invalidates the
 //!   server's buffer copies in the MSI directory.  The next command that
 //!   reads a buffer there re-validates it from a surviving copy through the
-//!   normal [`crate::coherence::DeltaPlan`] machinery — in range mode
-//!   re-uploading only the ranges that are stale there.
+//!   normal [`crate::coherence::DeltaPlan`] machinery, re-uploading only
+//!   the ranges that are stale there (the whole buffer under the
+//!   whole-buffer policy).
 //! * **Exactly-once replay** — every batch entry carries a client-generated
 //!   `command_id`.  A batch whose response was lost is re-sent verbatim
 //!   after the reconnect; the daemon's bounded dedup window recognises ids
@@ -360,8 +361,8 @@ impl Buffer {
     }
 
     /// Current coherence state of the copy on `server` (for tests and
-    /// diagnostics).  In range mode this is the whole-buffer summary: the
-    /// uniform state if every range agrees, `Invalid` otherwise.
+    /// diagnostics), summarised over the whole buffer: the uniform state if
+    /// every range agrees, `Invalid` otherwise.
     pub fn coherence_state(&self, server: ServerId) -> crate::coherence::CoherenceState {
         self.directory.lock().server_state(server.0)
     }
@@ -378,8 +379,8 @@ impl Buffer {
         self.directory.lock().stale_ranges(server.0)
     }
 
-    /// Number of interval-map segments in the coherence directory (1 in
-    /// whole mode) — a fragmentation diagnostic.
+    /// Number of interval-map segments in the coherence directory — a
+    /// fragmentation diagnostic.
     pub fn segment_count(&self) -> usize {
         self.directory.lock().segment_count()
     }
@@ -1072,9 +1073,8 @@ struct ClientInner {
     /// Directories of every live buffer, so a reconnect to a restarted
     /// daemon can invalidate that server's copies.
     buffer_dirs: Mutex<Vec<Weak<Mutex<BufferDirectory>>>>,
-    /// Coherence tracking granularity for buffers created from now on
-    /// (initialised from `DCL_COHERENCE`; see
-    /// [`crate::coherence::CoherenceMode`]).
+    /// Coherence policy for buffers created from now on (initialised from
+    /// `DCL_COHERENCE`; see [`crate::coherence::CoherenceMode`]).
     coherence_mode: Mutex<CoherenceMode>,
 }
 
@@ -1557,14 +1557,6 @@ impl ClientInner {
             )));
         }
         let server = queue.server;
-        // A partial write leaves the rest of the server's copy untouched,
-        // but the whole-buffer directory marks the target fully valid
-        // afterwards — bring the remainder up to date first.  The range
-        // directory tracks the unwritten bytes precisely and never asks
-        // for this.
-        if buffer.directory.lock().needs_write_validation(server, offset, data.len()) {
-            self.ensure_valid_on(server, buffer)?;
-        }
         let conn = self.server(server)?;
         let event_id = self.allocate_id();
         let stream_id = conn.endpoint.allocate_id();
@@ -1833,8 +1825,8 @@ impl ClientInner {
     /// Upload `ranges` of `buffer` to `server` in one request, `data` holding
     /// them back to back.  A single whole-buffer range uses the original
     /// `UploadBufferData` message, anything else one `UploadBufferRange` —
-    /// so the `DCL_COHERENCE=whole` oracle exercises exactly the pre-range
-    /// wire protocol.
+    /// so the whole-buffer policy, which only uploads whole buffers, keeps
+    /// the original message.
     fn upload_buffer_ranges(
         &self,
         server: usize,
@@ -2314,11 +2306,11 @@ impl Client {
         }
     }
 
-    /// Coherence tracking granularity for buffers created from now on:
-    /// range-granular delta transfers ([`CoherenceMode::Range`], the
-    /// default) or the whole-buffer oracle ([`CoherenceMode::Whole`],
-    /// also selectable with `DCL_COHERENCE=whole`).  Existing buffers keep
-    /// the mode they were created with.
+    /// Coherence policy for buffers created from now on: delta transfers
+    /// of the stale ranges ([`CoherenceMode::Range`], the default) or the
+    /// paper's whole-buffer policy ([`CoherenceMode::Whole`], also
+    /// selectable with `DCL_COHERENCE=whole`).  Existing buffers keep the
+    /// policy they were created with.
     pub fn set_coherence_mode(&self, mode: CoherenceMode) {
         *self.inner.coherence_mode.lock() = mode;
     }

@@ -37,11 +37,10 @@
 //!
 //! **Device writes** are scoped: a kernel launch that declares the slice it
 //! accesses (see `LaunchOp::writes_slice` in the client) dirties only that
-//! range; an undeclared launch conservatively dirties the whole buffer, the
-//! same fallback the whole-buffer protocol always used.  This is what lets a
-//! buffer be *partitioned* across daemons: when each device's launches only
-//! ever touch its own slice, each daemon remains the Modified owner of its
-//! slice and no full-frame round trips occur.
+//! range; an undeclared launch conservatively dirties the whole buffer.
+//! This is what lets a buffer be *partitioned* across daemons: when each
+//! device's launches only ever touch its own slice, each daemon remains the
+//! Modified owner of its slice and no full-frame round trips occur.
 //!
 //! **Delta planning**: [`BufferDirectory::plan_delta`] computes the minimal
 //! transfer set that makes a server's copy valid, as a [`DeltaPlan`] of
@@ -63,18 +62,22 @@
 //! client fetches each source's ranges as one spanning read (applying only
 //! the valid sub-ranges), completes its copy over the whole buffer, and
 //! ships a single whole-buffer upload — at most one fetch per source plus
-//! one upload, exactly the old whole-buffer cost.
+//! one upload.
 //!
-//! **Differential oracle**: the pre-range whole-buffer implementation
-//! survives verbatim behind [`CoherenceMode::Whole`], selected by the
-//! `DCL_COHERENCE=whole` environment variable (mirroring the
-//! `DCL_INTERP=tree` oracle of the kernel VM).  Both implementations answer
-//! the same [`DeltaPlan`] interface — the whole-buffer one always plans
-//! full-buffer transfers — so the client driver has a single code path and
-//! the differential suite in `tests/tests/coherence.rs` can drive random
-//! operation interleavings through both and assert byte-identical reads.
+//! **Whole-buffer policy**: the paper's protocol, which moves whole buffers
+//! on every ownership change, is this same directory under
+//! [`CoherenceMode::Whole`] (`DCL_COHERENCE=whole`, or
+//! `Client::set_coherence_mode`).  The policy changes two things: a device
+//! write that dirties any byte dirties the whole buffer, and a plan for a
+//! non-empty range is made for the whole buffer and, unless it is a no-op,
+//! is the collapsed plan above.  A server therefore only ever runs a kernel
+//! on a fully valid copy, which is what makes widening its write sound.
+//! Host writes and reads are tracked exactly under both policies.  fig7's
+//! sparse-update experiment runs it as the paper baseline, and the
+//! differential suite in `tests/tests/coherence.rs` checks both policies
+//! against a perfectly coherent reference buffer.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Coherence state of one cached copy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,19 +90,19 @@ pub enum CoherenceState {
     Invalid,
 }
 
-/// How a [`BufferDirectory`] tracks validity.
+/// The transfer policy of a [`BufferDirectory`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoherenceMode {
-    /// Range-granular directory with delta transfers (the default).
+    /// Delta transfers of exactly the stale ranges (the default).
     Range,
-    /// Whole-buffer validity, full-copy transfers — the pre-range protocol,
-    /// kept as the differential-testing oracle (`DCL_COHERENCE=whole`).
+    /// The paper's whole-buffer protocol: device writes dirty the whole
+    /// buffer and every transfer validates all of it (`DCL_COHERENCE=whole`).
     Whole,
 }
 
 impl CoherenceMode {
     /// Parse a `DCL_COHERENCE` value: `"whole"` (case-insensitive) selects
-    /// the whole-buffer oracle, anything else the range directory.
+    /// the whole-buffer policy, anything else range transfers.
     pub fn parse(value: Option<&str>) -> CoherenceMode {
         match value {
             Some(v) if v.eq_ignore_ascii_case("whole") => CoherenceMode::Whole,
@@ -184,8 +187,8 @@ pub struct DeltaPlan {
     pub fetches: Vec<RangeFetch>,
     /// Ranges to upload to the target server afterwards.
     pub uploads: Vec<ByteRange>,
-    /// Whether the fragmentation cap collapsed this plan to a whole-buffer
-    /// transfer.
+    /// Whether this plan was collapsed to a whole-buffer transfer (by the
+    /// fragmentation cap or the whole-buffer policy).
     pub collapsed: bool,
 }
 
@@ -210,215 +213,6 @@ impl DeltaPlan {
         self.uploads.iter().map(|r| r.len()).sum()
     }
 }
-
-/// The transfers the client must perform so that a given server holds a
-/// valid copy (the whole-buffer protocol's plan; kept for the oracle and
-/// for API compatibility — new code should use [`DeltaPlan`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ValidationPlan {
-    /// The server already holds a valid copy; nothing to do.
-    AlreadyValid,
-    /// Upload the client's (valid) copy to the server.
-    UploadFromClient,
-    /// Download a valid copy from `source` first, then upload it to the
-    /// target server.
-    FetchThenUpload {
-        /// Server that owns a valid copy.
-        source: usize,
-    },
-}
-
-// ---------------------------------------------------------------------------
-// Whole-buffer directory (the DCL_COHERENCE=whole differential oracle)
-// ---------------------------------------------------------------------------
-
-/// The pre-range whole-buffer directory, preserved as the differential
-/// oracle.  Semantics are unchanged except for two soundness fixes the
-/// differential suite depends on: zero-length host writes are now no-ops
-/// (previously they could promote a stale client copy to Shared without
-/// moving any bytes), and a partial host write no longer promotes a stale
-/// client copy to Shared (the untouched remainder would have been served
-/// from stale cached bytes).  The matching driver-side fix is
-/// [`BufferDirectory::needs_write_validation`].
-#[derive(Debug, Clone)]
-struct WholeDirectory {
-    /// Coherence state of each server's remote memory object.
-    per_server: HashMap<usize, CoherenceState>,
-    /// Coherence state of the client's own (host-memory) copy.
-    client_state: CoherenceState,
-    /// The client's cached data, if any (`None` means "all zeroes", the
-    /// state of a freshly created buffer).
-    client_copy: Option<Vec<u8>>,
-    /// Buffer size in bytes.
-    size: usize,
-}
-
-impl WholeDirectory {
-    fn new(servers: impl IntoIterator<Item = usize>, size: usize) -> Self {
-        WholeDirectory {
-            per_server: servers.into_iter().map(|s| (s, CoherenceState::Invalid)).collect(),
-            client_state: CoherenceState::Shared,
-            client_copy: None,
-            size,
-        }
-    }
-
-    fn server_state(&self, server: usize) -> CoherenceState {
-        self.per_server.get(&server).copied().unwrap_or(CoherenceState::Invalid)
-    }
-
-    fn valid_servers(&self) -> Vec<usize> {
-        let mut v: Vec<usize> = self
-            .per_server
-            .iter()
-            .filter(|(_, s)| **s != CoherenceState::Invalid)
-            .map(|(k, _)| *k)
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
-    fn client_data(&self) -> Vec<u8> {
-        self.client_copy.clone().unwrap_or_else(|| vec![0u8; self.size])
-    }
-
-    fn client_valid(&self) -> bool {
-        self.client_state != CoherenceState::Invalid
-    }
-
-    fn plan_validation(&self, server: usize) -> ValidationPlan {
-        if self.server_state(server) != CoherenceState::Invalid {
-            return ValidationPlan::AlreadyValid;
-        }
-        if self.client_valid() {
-            return ValidationPlan::UploadFromClient;
-        }
-        match self.valid_servers().first() {
-            Some(source) => ValidationPlan::FetchThenUpload { source: *source },
-            // Nobody has valid data (cannot happen through the public API,
-            // but stay safe): treat the zero-filled client copy as valid.
-            None => ValidationPlan::UploadFromClient,
-        }
-    }
-
-    fn record_client_fetch(&mut self, source: usize, data: Vec<u8>) {
-        self.client_copy = Some(data);
-        self.client_state = CoherenceState::Shared;
-        if let Some(s) = self.per_server.get_mut(&source) {
-            *s = CoherenceState::Shared;
-        }
-    }
-
-    fn record_upload(&mut self, server: usize) {
-        self.per_server.insert(server, CoherenceState::Shared);
-        if self.client_state == CoherenceState::Invalid {
-            self.client_state = CoherenceState::Shared;
-        }
-    }
-
-    fn record_host_write(&mut self, server: usize, offset: usize, data: &[u8]) {
-        if data.is_empty() {
-            return;
-        }
-        let client_was_valid = self.client_valid();
-        let mut copy = self.client_data();
-        let end = (offset + data.len()).min(copy.len());
-        if offset < copy.len() {
-            copy[offset..end].copy_from_slice(&data[..end - offset]);
-        }
-        self.client_copy = Some(copy);
-        // A full-buffer write makes the client copy valid outright; a partial
-        // write only keeps it valid — patching a stale copy must not promote
-        // the untouched remainder.
-        if client_was_valid || (offset == 0 && data.len() >= self.size) {
-            self.client_state = CoherenceState::Shared;
-        }
-        for (s, state) in self.per_server.iter_mut() {
-            *state = if *s == server { CoherenceState::Shared } else { CoherenceState::Invalid };
-        }
-    }
-
-    fn record_device_write(&mut self, server: usize) {
-        for (s, state) in self.per_server.iter_mut() {
-            *state = if *s == server { CoherenceState::Modified } else { CoherenceState::Invalid };
-        }
-        self.client_state = CoherenceState::Invalid;
-        self.client_copy = None;
-    }
-
-    fn record_host_read(&mut self, server: usize, offset: usize, data: &[u8]) {
-        // A read from a server that holds no valid copy cannot make the
-        // client's copy valid (the client driver always validates the server
-        // first, so this is purely defensive).
-        if self.server_state(server) == CoherenceState::Invalid {
-            return;
-        }
-        if offset == 0 && data.len() == self.size {
-            self.client_copy = Some(data.to_vec());
-            self.client_state = CoherenceState::Shared;
-        }
-        if let Some(s) = self.per_server.get_mut(&server) {
-            if *s == CoherenceState::Modified {
-                *s = CoherenceState::Shared;
-            }
-        }
-    }
-
-    fn add_server(&mut self, server: usize) {
-        self.per_server.entry(server).or_insert(CoherenceState::Invalid);
-    }
-
-    fn invalidate_server(&mut self, server: usize) -> bool {
-        let was_only_valid = self.server_state(server) != CoherenceState::Invalid
-            && !self.client_valid()
-            && self.valid_servers() == [server];
-        self.per_server.insert(server, CoherenceState::Invalid);
-        if was_only_valid {
-            // Degrade to the stale client copy so the buffer stays usable;
-            // callers that care can surface the loss to the application.
-            self.client_state = CoherenceState::Shared;
-        }
-        was_only_valid
-    }
-
-    fn plan_delta(&self, server: usize) -> DeltaPlan {
-        let full = ByteRange::new(0, self.size);
-        match self.plan_validation(server) {
-            ValidationPlan::AlreadyValid => DeltaPlan::noop(),
-            ValidationPlan::UploadFromClient => {
-                DeltaPlan { fetches: Vec::new(), uploads: vec![full], collapsed: false }
-            }
-            ValidationPlan::FetchThenUpload { source } => DeltaPlan {
-                fetches: vec![RangeFetch { source, span: full, apply: vec![full] }],
-                uploads: vec![full],
-                collapsed: false,
-            },
-        }
-    }
-
-    fn check_invariants(&self) -> std::result::Result<(), String> {
-        let modified: Vec<usize> = self
-            .per_server
-            .iter()
-            .filter(|(_, s)| **s == CoherenceState::Modified)
-            .map(|(k, _)| *k)
-            .collect();
-        if modified.len() > 1 {
-            return Err(format!("multiple Modified owners: {modified:?}"));
-        }
-        if modified.len() == 1 && self.client_valid() {
-            return Err("client valid while a server copy is Modified".into());
-        }
-        if !self.client_valid() && self.valid_servers().is_empty() {
-            return Err("no valid copy anywhere".into());
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Range-granular directory
-// ---------------------------------------------------------------------------
 
 /// Bitmask over a directory's server slots: bit `i` stands for `slots[i]`.
 type Mask = u64;
@@ -463,10 +257,13 @@ fn push_coalesced(out: &mut Vec<ByteRange>, r: ByteRange) {
     }
 }
 
-/// The range-granular directory: segments sorted by start, the first at 0,
-/// each different in state from its neighbours.
+/// Per-buffer directory tracking the state of every copy, byte range by
+/// byte range: segments sorted by start, the first at 0, each different in
+/// state from its neighbours.  See the [module docs](self) for the
+/// semantics; the whole-buffer methods ([`BufferDirectory::record_upload`],
+/// [`BufferDirectory::record_device_write`], ...) operate on the full range.
 #[derive(Debug, Clone)]
-struct RangeDirectory {
+pub struct BufferDirectory {
     segments: Vec<Segment>,
     /// Server id of each mask bit.  Registration order, so at most
     /// [`Mask::BITS`] servers per buffer.
@@ -477,17 +274,52 @@ struct RangeDirectory {
     client_copy: Option<Vec<u8>>,
     size: usize,
     frag_cap: usize,
+    /// The whole-buffer policy ([`CoherenceMode::Whole`]) is in force.
+    whole: bool,
 }
 
-impl RangeDirectory {
-    fn new(servers: impl IntoIterator<Item = usize>, size: usize) -> Self {
+impl BufferDirectory {
+    /// A fresh range-coherence directory: every remote copy is invalid, the
+    /// client's (conceptual, all-zero) copy is shared — exactly the initial
+    /// state the paper describes.
+    pub fn new(servers: impl IntoIterator<Item = usize>, size: usize) -> Self {
+        Self::new_with_mode(servers, size, CoherenceMode::Range)
+    }
+
+    /// A fresh directory under an explicit [`CoherenceMode`].
+    pub fn new_with_mode(
+        servers: impl IntoIterator<Item = usize>,
+        size: usize,
+        mode: CoherenceMode,
+    ) -> Self {
         let state = SegState { client: true, valid: 0, modified: 0 };
         let segments = if size == 0 { Vec::new() } else { vec![Segment { start: 0, state }] };
-        let frag_cap = DEFAULT_FRAGMENTATION_CAP;
-        let mut dir =
-            RangeDirectory { segments, slots: Vec::new(), client_copy: None, size, frag_cap };
+        let mut dir = BufferDirectory {
+            segments,
+            slots: Vec::new(),
+            client_copy: None,
+            size,
+            frag_cap: DEFAULT_FRAGMENTATION_CAP,
+            whole: mode == CoherenceMode::Whole,
+        };
         servers.into_iter().for_each(|s| dir.add_server(s));
         dir
+    }
+
+    /// Buffer size in bytes.
+    pub fn size(&self) -> usize {
+        self.size
+    }
+
+    /// The whole buffer as a [`ByteRange`].
+    pub fn full_range(&self) -> ByteRange {
+        ByteRange::new(0, self.size)
+    }
+
+    /// Cap on the number of ranges a [`DeltaPlan`] may schedule before
+    /// collapsing to whole-buffer transfer.
+    pub fn set_fragmentation_cap(&mut self, cap: usize) {
+        self.frag_cap = cap.max(1);
     }
 
     /// The mask bit of `server`; 0 (no copy anywhere) if it is unregistered.
@@ -500,8 +332,7 @@ impl RangeDirectory {
         self.slots.iter().enumerate().filter(move |(i, _)| mask >> i & 1 != 0).map(|(_, &s)| s)
     }
 
-    /// Lowest server id in `mask` (the whole-buffer protocol's "first valid
-    /// server" source choice).
+    /// Lowest server id in `mask`, the source a plan fetches from.
     fn first_server(&self, mask: Mask) -> Option<usize> {
         self.servers_in(mask).min()
     }
@@ -580,15 +411,7 @@ impl RangeDirectory {
         self.client_copy.get_or_insert_with(|| vec![0u8; size])
     }
 
-    fn client_data_range(&self, range: ByteRange) -> Vec<u8> {
-        let range = range.clamp_to(self.size);
-        match &self.client_copy {
-            Some(copy) => copy[range.start..range.end].to_vec(),
-            None => vec![0u8; range.len()],
-        }
-    }
-
-    // ----- summaries (whole-buffer-compatible accessors) -------------------
+    // ----- whole-buffer summaries and range queries ------------------------
 
     /// Whole-buffer summary of a copy's state: the uniform state when every
     /// segment agrees, `Invalid` otherwise (a partially valid copy cannot be
@@ -603,41 +426,73 @@ impl RangeDirectory {
         }
     }
 
-    fn server_state(&self, server: usize) -> CoherenceState {
+    /// State of the copy on `server`, summarised over the whole buffer: the
+    /// uniform state if every range agrees, `Invalid` otherwise.
+    pub fn server_state(&self, server: usize) -> CoherenceState {
         let bit = self.bit(server);
         self.summarise(|st| st.server(bit))
     }
 
-    fn client_state(&self) -> CoherenceState {
+    /// State of the client's copy, summarised over the whole buffer.
+    pub fn client_state(&self) -> CoherenceState {
         self.summarise(
             |st| if st.client { CoherenceState::Shared } else { CoherenceState::Invalid },
         )
     }
 
-    fn client_valid(&self) -> bool {
+    /// Whether the client currently holds a valid copy of the whole buffer.
+    pub fn client_valid(&self) -> bool {
         self.segments.iter().all(|s| s.state.client)
     }
 
-    fn valid_servers(&self) -> Vec<usize> {
+    /// Servers that currently hold a valid (shared or modified) copy of the
+    /// *entire* buffer.
+    pub fn valid_servers(&self) -> Vec<usize> {
         let everywhere = self.segments.iter().fold(Mask::MAX, |m, s| m & s.state.valid);
         let mut ids: Vec<usize> = self.servers_in(everywhere).collect();
         ids.sort_unstable();
         ids
     }
 
-    fn valid_ranges(&self, server: usize) -> Vec<ByteRange> {
+    /// Coalesced ranges of the buffer that are valid on `server`.
+    pub fn valid_ranges(&self, server: usize) -> Vec<ByteRange> {
         let bit = self.bit(server);
-        self.ranges_where(ByteRange::new(0, self.size), |st| st.valid & bit != 0)
+        self.ranges_where(self.full_range(), |st| st.valid & bit != 0)
     }
 
-    fn stale_ranges(&self, server: usize) -> Vec<ByteRange> {
+    /// Coalesced ranges of the buffer that are stale on `server`.
+    pub fn stale_ranges(&self, server: usize) -> Vec<ByteRange> {
         let bit = self.bit(server);
-        self.ranges_where(ByteRange::new(0, self.size), |st| st.valid & bit == 0)
+        self.ranges_where(self.full_range(), |st| st.valid & bit == 0)
+    }
+
+    /// The client's cached bytes, materialising the all-zero default.
+    pub fn client_data(&self) -> Vec<u8> {
+        self.client_data_range(self.full_range())
+    }
+
+    /// The client's cached bytes over `range` (clamped to the buffer).
+    pub fn client_data_range(&self, range: ByteRange) -> Vec<u8> {
+        let range = range.clamp_to(self.size);
+        match &self.client_copy {
+            Some(copy) => copy[range.start..range.end].to_vec(),
+            None => vec![0u8; range.len()],
+        }
+    }
+
+    /// Number of interval-map segments — a fragmentation diagnostic for
+    /// tests and benches.
+    pub fn segment_count(&self) -> usize {
+        self.segments.len()
     }
 
     // ----- recording operations --------------------------------------------
 
-    fn record_host_write(&mut self, server: usize, offset: usize, data: &[u8]) {
+    /// Record a host-initiated write (`clEnqueueWriteBuffer` to `server`):
+    /// the written range updates the client copy and becomes shared between
+    /// client and target; every other copy of *that range* is invalidated.
+    /// Zero-length writes are no-ops.
+    pub fn record_host_write(&mut self, server: usize, offset: usize, data: &[u8]) {
         if data.is_empty() || offset >= self.size {
             return;
         }
@@ -647,7 +502,23 @@ impl RangeDirectory {
         self.update_range(range, |_| SegState { client: true, valid: bit, modified: 0 });
     }
 
-    fn record_device_write(&mut self, server: usize, range: ByteRange) {
+    /// Record that a device on `server` (potentially) wrote the whole
+    /// buffer: that copy becomes modified, every other copy — including the
+    /// client's — becomes invalid.
+    pub fn record_device_write(&mut self, server: usize) {
+        self.record_device_write_range(server, self.full_range());
+    }
+
+    /// Record that a device on `server` wrote only `range` (a kernel launch
+    /// with a declared access slice).  The whole-buffer policy widens a
+    /// non-empty slice to the full buffer.  An empty slice dirties nothing —
+    /// widening it would mark a copy Modified that was never validated.
+    pub fn record_device_write_range(&mut self, server: usize, range: ByteRange) {
+        let range = if self.whole && !range.clamp_to(self.size).is_empty() {
+            self.full_range()
+        } else {
+            range
+        };
         let bit = self.bit(server);
         self.update_range(range, |_| SegState { client: false, valid: bit, modified: bit });
     }
@@ -659,21 +530,35 @@ impl RangeDirectory {
         self.update_range(r, |st| SegState { client: true, modified: st.modified & !bit, ..st });
     }
 
-    fn record_host_read(&mut self, server: usize, offset: usize, data: &[u8]) {
+    /// Record that the client read the buffer back from `server`
+    /// (`clEnqueueReadBuffer`): the read bytes refresh the client's copy
+    /// over the ranges the server validly owns, and a Modified owner is
+    /// demoted to Shared there.
+    pub fn record_host_read(&mut self, server: usize, offset: usize, data: &[u8]) {
         if offset >= self.size {
             return;
         }
         let range = ByteRange::new(offset, offset + data.len()).clamp_to(self.size);
         // Only ranges where the server actually holds a valid copy can
-        // refresh the client copy (defensive, mirroring the whole-buffer
-        // protocol: the driver validates the server before reading).
+        // refresh the client copy (defensive: the client validates the
+        // server before reading).
         let bit = self.bit(server);
         for r in self.ranges_where(range, |st| st.valid & bit != 0) {
             self.refresh_client(r, &data[r.start - offset..r.end - offset], bit);
         }
     }
 
-    fn record_client_fetch(
+    /// Record that the client downloaded a full valid copy from a server:
+    /// both the source copy and the client copy are now shared.
+    pub fn record_client_fetch(&mut self, source: usize, data: Vec<u8>) {
+        let full = self.full_range();
+        self.record_client_fetch_ranges(source, full, &[full], &data);
+    }
+
+    /// Record a [`RangeFetch`]: `data` holds `span` downloaded from
+    /// `source`; the `apply` sub-ranges of it are merged into the client's
+    /// copy and become shared with the source.
+    pub fn record_client_fetch_ranges(
         &mut self,
         source: usize,
         span: ByteRange,
@@ -687,12 +572,17 @@ impl RangeDirectory {
         }
     }
 
-    fn record_upload(&mut self, server: usize, range: ByteRange) {
+    /// Record that the client uploaded its valid copy to `server`.
+    pub fn record_upload(&mut self, server: usize) {
+        self.record_upload_range(server, self.full_range());
+    }
+
+    /// Record that the client uploaded `range` of its copy to `server`.
+    pub fn record_upload_range(&mut self, server: usize, range: ByteRange) {
         self.add_server(server);
         let bit = self.bit(server);
-        // Mirror the whole-buffer protocol's "nobody valid" fallback:
-        // uploading (zero/stale) client bytes leaves client and server in
-        // agreement.
+        // With no valid copy anywhere the uploaded (zero/stale) client bytes
+        // leave client and server in agreement.
         self.update_range(range, |st| SegState {
             client: true,
             valid: st.valid | bit,
@@ -700,16 +590,27 @@ impl RangeDirectory {
         });
     }
 
-    /// Give `server` a slot; its copy starts Invalid everywhere, which an
-    /// unset bit already says, so no segment changes.
-    fn add_server(&mut self, server: usize) {
+    /// Register a server that joined the directory after creation (e.g. a
+    /// dynamically connected server, Section III-C).  Its copy starts
+    /// Invalid everywhere, which an unset bit already says, so no segment
+    /// changes.
+    pub fn add_server(&mut self, server: usize) {
         if !self.slots.contains(&server) {
             assert!(self.slots.len() < Mask::BITS as usize, "a buffer spans at most 64 servers");
             self.slots.push(server);
         }
     }
 
-    fn invalidate_server(&mut self, server: usize) -> bool {
+    /// Mark `server`'s copy invalid — the daemon crashed or its remote
+    /// memory object was re-created empty after a reconnect.  Returns
+    /// `true` if data was lost: the server held the *only* valid copy of
+    /// some range, which degrades to the client's last cached bytes (or
+    /// zeroes).
+    ///
+    /// Used by the client's connection supervisor: after re-creating a
+    /// buffer on a fresh daemon, the next command that reads it there plans
+    /// a normal re-validation from the surviving copies.
+    pub fn invalidate_server(&mut self, server: usize) -> bool {
         let bit = self.bit(server);
         let mut lost = false;
         for st in self.segments.iter_mut().map(|s| &mut s.state).filter(|st| st.valid & bit != 0) {
@@ -728,10 +629,22 @@ impl RangeDirectory {
 
     // ----- delta planning --------------------------------------------------
 
-    /// One pass over the segments in `bound`: every range stale on `server`
-    /// is uploaded, and the part of it the client lacks is first fetched
-    /// from the lowest server holding it.
-    fn plan_delta(&self, server: usize, bound: ByteRange) -> DeltaPlan {
+    /// The minimal delta set that makes `server`'s whole copy valid.
+    pub fn plan_delta(&self, server: usize) -> DeltaPlan {
+        self.plan_delta_range(server, self.full_range())
+    }
+
+    /// The minimal delta set that makes `server` valid over `bound`, in one
+    /// pass over its segments: every range stale on `server` is uploaded,
+    /// and the part of it the client lacks is first fetched from the lowest
+    /// server holding it.  The whole-buffer policy plans a non-empty bound
+    /// over the whole buffer and collapses any plan that moves bytes.
+    pub fn plan_delta_range(&self, server: usize, bound: ByteRange) -> DeltaPlan {
+        let bound = if self.whole && !bound.clamp_to(self.size).is_empty() {
+            self.full_range()
+        } else {
+            bound
+        };
         let bit = self.bit(server);
         let mut uploads = Vec::new();
         let mut needs: Vec<(usize, ByteRange)> = Vec::new();
@@ -741,7 +654,7 @@ impl RangeDirectory {
             }
             push_coalesced(&mut uploads, r);
             // With no server copy either, the (zero/stale) client bytes are
-            // uploaded as they are, as the whole protocol does.
+            // uploaded as they are.
             let Some(src) = self.first_server(st.valid).filter(|_| !st.client) else { continue };
             match needs.last_mut() {
                 Some((last_src, last)) if *last_src == src && last.end == r.start => {
@@ -750,22 +663,22 @@ impl RangeDirectory {
                 _ => needs.push((src, r)),
             }
         }
-        let fetches: Vec<RangeFetch> = needs
+        if needs.len() + uploads.len() > self.frag_cap || self.whole && !uploads.is_empty() {
+            return self.collapsed_plan();
+        }
+        let fetches = needs
             .into_iter()
             .map(|(source, r)| RangeFetch { source, span: r, apply: vec![r] })
             .collect();
-        if fetches.len() + uploads.len() > self.frag_cap {
-            return self.collapsed_plan();
-        }
         DeltaPlan { fetches, uploads, collapsed: false }
     }
 
-    /// The fragmentation-cap fallback: complete the client's copy over the
-    /// *whole* buffer (one spanning fetch per source, applying only the
-    /// sub-ranges that are valid there), then one whole-buffer upload.
+    /// The collapsed plan: complete the client's copy over the *whole*
+    /// buffer (one spanning fetch per source, applying only the sub-ranges
+    /// that are valid there), then one whole-buffer upload.
     fn collapsed_plan(&self) -> DeltaPlan {
         let mut by_source: BTreeMap<usize, Vec<ByteRange>> = BTreeMap::new();
-        for (r, st) in self.segments_in(ByteRange::new(0, self.size)) {
+        for (r, st) in self.segments_in(self.full_range()) {
             if let Some(src) = self.first_server(st.valid).filter(|_| !st.client) {
                 push_coalesced(by_source.entry(src).or_default(), r);
             }
@@ -778,10 +691,14 @@ impl RangeDirectory {
                 apply,
             })
             .collect();
-        DeltaPlan { fetches, uploads: vec![ByteRange::new(0, self.size)], collapsed: true }
+        DeltaPlan { fetches, uploads: vec![self.full_range()], collapsed: true }
     }
 
-    fn check_invariants(&self) -> std::result::Result<(), String> {
+    /// Check the directory's structural invariants (used by the property
+    /// suites): segments sorted, contiguous, covering the buffer and
+    /// coalesced; no byte Modified on more than one server; every byte has
+    /// at least one valid copy.
+    pub fn check_invariants(&self) -> std::result::Result<(), String> {
         if self.segments.first().is_some_and(|s| s.start != 0)
             || self.segments.is_empty() != (self.size == 0)
         {
@@ -806,375 +723,11 @@ impl RangeDirectory {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Public directory: mode dispatch
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-enum Inner {
-    Whole(WholeDirectory),
-    Range(RangeDirectory),
-}
-
-/// Per-buffer directory tracking the state of every copy.
-///
-/// See the [module docs](self) for the range-coherence semantics; the
-/// whole-buffer methods ([`BufferDirectory::record_device_write`],
-/// [`BufferDirectory::plan_validation`], ...) remain and operate on the full
-/// range.
-#[derive(Debug, Clone)]
-pub struct BufferDirectory {
-    inner: Inner,
-}
-
-impl BufferDirectory {
-    /// A fresh directory in the mode selected by `DCL_COHERENCE` (range
-    /// granular unless `DCL_COHERENCE=whole`): every remote copy is invalid,
-    /// the client's (conceptual, all-zero) copy is shared — exactly the
-    /// initial state the paper describes.
-    pub fn new(servers: impl IntoIterator<Item = usize>, size: usize) -> Self {
-        Self::new_with_mode(servers, size, CoherenceMode::from_env())
-    }
-
-    /// A fresh directory with an explicit [`CoherenceMode`].
-    pub fn new_with_mode(
-        servers: impl IntoIterator<Item = usize>,
-        size: usize,
-        mode: CoherenceMode,
-    ) -> Self {
-        let inner = match mode {
-            CoherenceMode::Whole => Inner::Whole(WholeDirectory::new(servers, size)),
-            CoherenceMode::Range => Inner::Range(RangeDirectory::new(servers, size)),
-        };
-        BufferDirectory { inner }
-    }
-
-    /// The directory's tracking mode.
-    pub fn mode(&self) -> CoherenceMode {
-        match &self.inner {
-            Inner::Whole(_) => CoherenceMode::Whole,
-            Inner::Range(_) => CoherenceMode::Range,
-        }
-    }
-
-    /// Buffer size in bytes.
-    pub fn size(&self) -> usize {
-        match &self.inner {
-            Inner::Whole(d) => d.size,
-            Inner::Range(d) => d.size,
-        }
-    }
-
-    /// The whole buffer as a [`ByteRange`].
-    pub fn full_range(&self) -> ByteRange {
-        ByteRange::new(0, self.size())
-    }
-
-    /// Cap on the number of ranges a [`DeltaPlan`] may schedule before
-    /// collapsing to whole-buffer transfer (range mode only).
-    pub fn set_fragmentation_cap(&mut self, cap: usize) {
-        if let Inner::Range(d) = &mut self.inner {
-            d.frag_cap = cap.max(1);
-        }
-    }
-
-    /// State of the copy on `server`.  In range mode this is the
-    /// whole-buffer summary: the uniform state if every range agrees,
-    /// `Invalid` otherwise.
-    pub fn server_state(&self, server: usize) -> CoherenceState {
-        match &self.inner {
-            Inner::Whole(d) => d.server_state(server),
-            Inner::Range(d) => d.server_state(server),
-        }
-    }
-
-    /// State of the client's copy (whole-buffer summary in range mode).
-    pub fn client_state(&self) -> CoherenceState {
-        match &self.inner {
-            Inner::Whole(d) => d.client_state,
-            Inner::Range(d) => d.client_state(),
-        }
-    }
-
-    /// Servers that currently hold a valid (shared or modified) copy of the
-    /// *entire* buffer.
-    pub fn valid_servers(&self) -> Vec<usize> {
-        match &self.inner {
-            Inner::Whole(d) => d.valid_servers(),
-            Inner::Range(d) => d.valid_servers(),
-        }
-    }
-
-    /// Coalesced ranges of the buffer that are valid on `server`.
-    pub fn valid_ranges(&self, server: usize) -> Vec<ByteRange> {
-        match &self.inner {
-            Inner::Whole(d) => {
-                if d.server_state(server) != CoherenceState::Invalid && d.size > 0 {
-                    vec![ByteRange::new(0, d.size)]
-                } else {
-                    Vec::new()
-                }
-            }
-            Inner::Range(d) => d.valid_ranges(server),
-        }
-    }
-
-    /// Coalesced ranges of the buffer that are stale on `server`.
-    pub fn stale_ranges(&self, server: usize) -> Vec<ByteRange> {
-        match &self.inner {
-            Inner::Whole(d) => {
-                if d.server_state(server) == CoherenceState::Invalid && d.size > 0 {
-                    vec![ByteRange::new(0, d.size)]
-                } else {
-                    Vec::new()
-                }
-            }
-            Inner::Range(d) => d.stale_ranges(server),
-        }
-    }
-
-    /// The client's cached bytes, materialising the all-zero default.
-    pub fn client_data(&self) -> Vec<u8> {
-        match &self.inner {
-            Inner::Whole(d) => d.client_data(),
-            Inner::Range(d) => d.client_data_range(ByteRange::new(0, d.size)),
-        }
-    }
-
-    /// The client's cached bytes over `range` (clamped to the buffer).
-    pub fn client_data_range(&self, range: ByteRange) -> Vec<u8> {
-        match &self.inner {
-            Inner::Whole(d) => {
-                let range = range.clamp_to(d.size);
-                d.client_data()[range.start..range.end].to_vec()
-            }
-            Inner::Range(d) => d.client_data_range(range),
-        }
-    }
-
-    /// Whether the client currently holds a valid copy of the whole buffer.
-    pub fn client_valid(&self) -> bool {
-        match &self.inner {
-            Inner::Whole(d) => d.client_valid(),
-            Inner::Range(d) => d.client_valid(),
-        }
-    }
-
-    /// Number of interval-map segments (1 in whole mode) — a fragmentation
-    /// diagnostic for tests and benches.
-    pub fn segment_count(&self) -> usize {
-        match &self.inner {
-            Inner::Whole(_) => 1,
-            Inner::Range(d) => d.segments.len(),
-        }
-    }
-
-    /// Compute what must be transferred for `server` to hold a valid copy,
-    /// as the whole-buffer protocol's [`ValidationPlan`] (kept for
-    /// compatibility; [`BufferDirectory::plan_delta`] is the range-aware
-    /// interface).
-    pub fn plan_validation(&self, server: usize) -> ValidationPlan {
-        match &self.inner {
-            Inner::Whole(d) => d.plan_validation(server),
-            Inner::Range(_) => {
-                let plan = self.plan_delta(server);
-                if plan.is_noop() {
-                    ValidationPlan::AlreadyValid
-                } else {
-                    match plan.fetches.first() {
-                        Some(f) => ValidationPlan::FetchThenUpload { source: f.source },
-                        None => ValidationPlan::UploadFromClient,
-                    }
-                }
-            }
-        }
-    }
-
-    /// The minimal delta set that makes `server`'s whole copy valid.
-    pub fn plan_delta(&self, server: usize) -> DeltaPlan {
-        self.plan_delta_range(server, self.full_range())
-    }
-
-    /// The minimal delta set that makes `server` valid over `range` (whole
-    /// mode ignores `range` and plans a full-buffer transfer unless the
-    /// server is already valid).
-    pub fn plan_delta_range(&self, server: usize, range: ByteRange) -> DeltaPlan {
-        match &self.inner {
-            Inner::Whole(d) => {
-                if range.clamp_to(d.size).is_empty() && d.size > 0 {
-                    DeltaPlan::noop()
-                } else {
-                    d.plan_delta(server)
-                }
-            }
-            Inner::Range(d) => d.plan_delta(server, range),
-        }
-    }
-
-    /// Whether a host write of `len` bytes at `offset` must validate the
-    /// target server *before* the write reaches it.  The whole-buffer
-    /// oracle marks the target fully valid after any write, so a partial
-    /// write to a stale copy has to bring the untouched remainder up to
-    /// date first; the range directory tracks the remainder precisely and
-    /// never asks for a pre-validation.
-    pub fn needs_write_validation(&self, server: usize, offset: usize, len: usize) -> bool {
-        match &self.inner {
-            Inner::Whole(d) => {
-                len > 0
-                    && !(offset == 0 && len >= d.size)
-                    && d.server_state(server) == CoherenceState::Invalid
-            }
-            Inner::Range(_) => false,
-        }
-    }
-
-    /// Record that the client downloaded a full valid copy from a server:
-    /// both the source copy and the client copy are now shared.
-    pub fn record_client_fetch(&mut self, source: usize, data: Vec<u8>) {
-        match &mut self.inner {
-            Inner::Whole(d) => d.record_client_fetch(source, data),
-            Inner::Range(d) => {
-                let full = ByteRange::new(0, d.size);
-                d.record_client_fetch(source, full, &[full], &data);
-            }
-        }
-    }
-
-    /// Record a [`RangeFetch`]: `data` holds `span` downloaded from
-    /// `source`; the `apply` sub-ranges of it are merged into the client's
-    /// copy and become shared with the source.
-    pub fn record_client_fetch_ranges(
-        &mut self,
-        source: usize,
-        span: ByteRange,
-        apply: &[ByteRange],
-        data: &[u8],
-    ) {
-        match &mut self.inner {
-            Inner::Whole(d) => {
-                // The whole-mode planner only emits full-span fetches.
-                if span.start == 0 && span.end == d.size {
-                    d.record_client_fetch(source, data.to_vec());
-                }
-            }
-            Inner::Range(d) => d.record_client_fetch(source, span, apply, data),
-        }
-    }
-
-    /// Record that the client uploaded its valid copy to `server`.
-    pub fn record_upload(&mut self, server: usize) {
-        match &mut self.inner {
-            Inner::Whole(d) => d.record_upload(server),
-            Inner::Range(d) => {
-                let full = ByteRange::new(0, d.size);
-                d.record_upload(server, full);
-            }
-        }
-    }
-
-    /// Record that the client uploaded `range` of its copy to `server`.
-    pub fn record_upload_range(&mut self, server: usize, range: ByteRange) {
-        match &mut self.inner {
-            Inner::Whole(d) => d.record_upload(server),
-            Inner::Range(d) => d.record_upload(server, range),
-        }
-    }
-
-    /// Record a host-initiated write (`clEnqueueWriteBuffer` to `server`):
-    /// the written range updates the client copy and becomes shared between
-    /// client and target; every other copy of *that range* is invalidated
-    /// (the whole buffer in whole mode).  Zero-length writes are no-ops.
-    pub fn record_host_write(&mut self, server: usize, offset: usize, data: &[u8]) {
-        match &mut self.inner {
-            Inner::Whole(d) => d.record_host_write(server, offset, data),
-            Inner::Range(d) => d.record_host_write(server, offset, data),
-        }
-    }
-
-    /// Record that a device on `server` (potentially) wrote the whole
-    /// buffer: that copy becomes modified, every other copy — including the
-    /// client's — becomes invalid.
-    pub fn record_device_write(&mut self, server: usize) {
-        match &mut self.inner {
-            Inner::Whole(d) => d.record_device_write(server),
-            Inner::Range(d) => {
-                let full = ByteRange::new(0, d.size);
-                d.record_device_write(server, full);
-            }
-        }
-    }
-
-    /// Record that a device on `server` wrote only `range` (a kernel launch
-    /// with a declared access slice).  Whole mode conservatively widens this
-    /// to the full buffer.  An empty slice dirties nothing in either mode —
-    /// widening it would mark a copy Modified that was never validated.
-    pub fn record_device_write_range(&mut self, server: usize, range: ByteRange) {
-        match &mut self.inner {
-            Inner::Whole(d) => {
-                if !range.clamp_to(d.size).is_empty() {
-                    d.record_device_write(server);
-                }
-            }
-            Inner::Range(d) => d.record_device_write(server, range),
-        }
-    }
-
-    /// Record that the client read the buffer back from `server`
-    /// (`clEnqueueReadBuffer`): the read bytes refresh the client's copy
-    /// over the ranges the server validly owns, and a Modified owner is
-    /// demoted to Shared there.  (Whole mode only caches full-buffer
-    /// reads.)
-    pub fn record_host_read(&mut self, server: usize, offset: usize, data: &[u8]) {
-        match &mut self.inner {
-            Inner::Whole(d) => d.record_host_read(server, offset, data),
-            Inner::Range(d) => d.record_host_read(server, offset, data),
-        }
-    }
-
-    /// Register a server that joined the directory after creation (e.g. a
-    /// dynamically connected server, Section III-C).
-    pub fn add_server(&mut self, server: usize) {
-        match &mut self.inner {
-            Inner::Whole(d) => d.add_server(server),
-            Inner::Range(d) => d.add_server(server),
-        }
-    }
-
-    /// Mark `server`'s copy invalid — the daemon crashed or its remote
-    /// memory object was re-created empty after a reconnect.  Returns
-    /// `true` if data was lost: the server held the *only* valid copy of
-    /// some range, which degrades to the client's last cached bytes (or
-    /// zeroes).
-    ///
-    /// Used by the client's connection supervisor: after re-creating a
-    /// buffer on a fresh daemon, the next command that reads it there plans
-    /// a normal re-validation from the surviving copies — in range mode
-    /// moving only the ranges that are actually stale there.
-    pub fn invalidate_server(&mut self, server: usize) -> bool {
-        match &mut self.inner {
-            Inner::Whole(d) => d.invalidate_server(server),
-            Inner::Range(d) => d.invalidate_server(server),
-        }
-    }
-
-    /// Check the directory's structural invariants (used by the property
-    /// suite): segments sorted, contiguous, covering the buffer and
-    /// coalesced; no byte Modified on more than one server; no byte
-    /// Modified on a server while the client is valid (whole mode); every
-    /// byte has at least one valid copy.
-    pub fn check_invariants(&self) -> std::result::Result<(), String> {
-        match &self.inner {
-            Inner::Whole(d) => d.check_invariants(),
-            Inner::Range(d) => d.check_invariants(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // ----- whole-buffer semantics (both modes must satisfy these) ----------
+    // ----- whole-buffer semantics (both policies must satisfy these) -------
 
     fn both_modes(f: impl Fn(CoherenceMode)) {
         f(CoherenceMode::Range);
@@ -1187,7 +740,9 @@ mod tests {
             let dir = BufferDirectory::new_with_mode([0, 1], 16, mode);
             assert_eq!(dir.server_state(0), CoherenceState::Invalid);
             assert_eq!(dir.client_state(), CoherenceState::Shared);
-            assert_eq!(dir.plan_validation(0), ValidationPlan::UploadFromClient);
+            let plan = dir.plan_delta(0);
+            assert!(plan.fetches.is_empty());
+            assert_eq!(plan.uploads, vec![dir.full_range()]);
             assert_eq!(dir.client_data(), vec![0u8; 16]);
             assert!(dir.valid_servers().is_empty());
             dir.check_invariants().unwrap();
@@ -1202,8 +757,10 @@ mod tests {
             assert_eq!(dir.server_state(0), CoherenceState::Shared);
             assert_eq!(dir.server_state(1), CoherenceState::Invalid);
             assert_eq!(dir.client_data(), vec![1, 2, 3, 4]);
-            assert_eq!(dir.plan_validation(0), ValidationPlan::AlreadyValid);
-            assert_eq!(dir.plan_validation(1), ValidationPlan::UploadFromClient);
+            assert!(dir.plan_delta(0).is_noop());
+            let plan = dir.plan_delta(1);
+            assert!(plan.fetches.is_empty());
+            assert_eq!(plan.uploads, vec![dir.full_range()]);
             dir.check_invariants().unwrap();
         });
     }
@@ -1226,7 +783,7 @@ mod tests {
             dir.record_device_write(0);
             assert_eq!(dir.server_state(0), CoherenceState::Modified);
             assert_eq!(dir.client_state(), CoherenceState::Invalid);
-            assert_eq!(dir.plan_validation(1), ValidationPlan::FetchThenUpload { source: 0 });
+            assert_eq!(dir.plan_delta(1).fetches[0].source, 0);
             // After the fetch + upload, both servers and the client share.
             dir.record_client_fetch(0, vec![9; 8]);
             dir.record_upload(1);
@@ -1270,6 +827,33 @@ mod tests {
         });
     }
 
+    #[test]
+    fn whole_policy_validates_the_whole_buffer_before_a_widened_write() {
+        // A partial host write leaves server 1 valid only where it landed.
+        // A launch there that touches only that slice must still validate
+        // the whole copy, because the whole-buffer policy widens its write.
+        let mut dir = BufferDirectory::new_with_mode([0, 1], 32, CoherenceMode::Whole);
+        dir.record_host_write(0, 0, &[1; 32]);
+        dir.record_device_write(0);
+        dir.record_host_write(1, 0, &[2; 8]);
+        assert_eq!(dir.valid_ranges(1), vec![ByteRange::new(0, 8)]);
+        let plan = dir.plan_delta_range(1, ByteRange::new(0, 8));
+        assert!(plan.collapsed);
+        assert_eq!(plan.uploads, vec![dir.full_range()]);
+        assert_eq!(plan.fetches.len(), 1);
+        assert_eq!(plan.fetches[0].source, 0);
+        assert_eq!(plan.fetches[0].apply, vec![ByteRange::new(8, 32)]);
+        assert!(dir.plan_delta_range(1, ByteRange::new(4, 4)).is_noop());
+        let fetched = ByteRange::new(8, 32);
+        dir.record_client_fetch_ranges(0, fetched, &[fetched], &[3; 24]);
+        dir.record_upload(1);
+        dir.record_device_write_range(1, ByteRange::new(0, 8));
+        assert_eq!(dir.valid_ranges(1), vec![dir.full_range()]);
+        assert_eq!(dir.server_state(1), CoherenceState::Modified);
+        assert!(dir.valid_ranges(0).is_empty());
+        dir.check_invariants().unwrap();
+    }
+
     // ----- interval-map edge cases -----------------------------------------
 
     #[test]
@@ -1284,9 +868,7 @@ mod tests {
             assert_eq!(dir.client_data(), before.client_data());
             assert_eq!(dir.segment_count(), before.segment_count());
             dir.record_device_write_range(0, ByteRange::new(4, 4));
-            if mode == CoherenceMode::Range {
-                assert_eq!(dir.client_state(), CoherenceState::Shared);
-            }
+            assert_eq!(dir.client_state(), CoherenceState::Shared);
             dir.check_invariants().unwrap();
         });
     }
@@ -1474,11 +1056,13 @@ mod tests {
         const SIZE: usize = 4096;
 
         /// The directory's meaning spelled out byte by byte: the client's
-        /// validity and cached value, and each registered server's state.
+        /// validity and cached value, each registered server's state, and
+        /// whether the whole-buffer policy is in force.
         struct ByteModel {
             client: Vec<bool>,
             data: Vec<u8>,
             servers: BTreeMap<usize, Vec<CoherenceState>>,
+            whole: bool,
         }
 
         impl ByteModel {
@@ -1487,6 +1071,7 @@ mod tests {
                     client: vec![true; SIZE],
                     data: vec![0; SIZE],
                     servers: servers.iter().map(|&s| (s, vec![Invalid; SIZE])).collect(),
+                    whole: false,
                 }
             }
 
@@ -1570,8 +1155,12 @@ mod tests {
                 lost
             }
 
-            /// The plan the directory must produce for `server` over `bound`.
+            /// The plan the directory must produce for `server` over `bound`:
+            /// under the whole-buffer policy a non-empty bound is the whole
+            /// buffer and any transfer collapses.
             fn plan(&self, server: usize, bound: ByteRange, cap: usize) -> DeltaPlan {
+                let bound =
+                    if self.whole && !bound.is_empty() { ByteRange::new(0, SIZE) } else { bound };
                 let stale = |b: usize| !self.valid(server, b);
                 let uploads: Vec<ByteRange> = self
                     .runs(bound, |b| stale(b).then_some(0))
@@ -1587,7 +1176,7 @@ mod tests {
                 if uploads.is_empty() {
                     return DeltaPlan::noop();
                 }
-                if fetches.len() + uploads.len() <= cap {
+                if !self.whole && fetches.len() + uploads.len() <= cap {
                     return DeltaPlan { fetches, uploads, collapsed: false };
                 }
                 let mut by_source: BTreeMap<usize, Vec<ByteRange>> = BTreeMap::new();
@@ -1639,8 +1228,10 @@ mod tests {
         }
 
         /// Servers 0..3 hold interleaved host-written and device-written
-        /// patches: 2 segments per 8 bytes.
-        fn fragmented() -> (BufferDirectory, ByteModel) {
+        /// patches: 2 segments per 8 bytes.  The fragments are recorded
+        /// under range coherence, then `whole` switches the policy, so the
+        /// whole-buffer policy starts from the same fragmented state.
+        fn fragmented(whole: bool) -> (BufferDirectory, ByteModel) {
             let mut dir = BufferDirectory::new_with_mode([0, 1, 2], SIZE, CoherenceMode::Range);
             let mut model = ByteModel::new(&[0, 1, 2]);
             for k in 0..SIZE / 8 {
@@ -1657,18 +1248,24 @@ mod tests {
             }
             assert!(dir.segment_count() >= 512, "{} segments", dir.segment_count());
             assert_agree(&dir, &model, "pre-fragmentation");
+            dir.whole = whole;
+            model.whole = whole;
             (dir, model)
         }
 
         proptest! {
             /// Every directory operation agrees with the per-byte model on a
-            /// heavily fragmented directory, including the plans it makes.
+            /// heavily fragmented directory, including the plans it makes,
+            /// under both policies.  An executed plan ships only bytes the
+            /// client holds (or that no server holds), and under the
+            /// whole-buffer policy leaves its target valid everywhere.
             #[test]
             fn directory_matches_per_byte_model(
+                whole in any::<bool>(),
                 cap in prop_oneof![2usize..6, 32usize..33, 100_000usize..100_001],
                 ops in proptest::collection::vec((0u8..9, 0usize..5, any::<u64>(), any::<u64>()), 1..40),
             ) {
-                let (mut dir, mut model) = fragmented();
+                let (mut dir, mut model) = fragmented(whole);
                 dir.set_fragmentation_cap(cap);
                 for (i, &(op, server, a, b)) in ops.iter().enumerate() {
                     let r = range(a, b);
@@ -1685,7 +1282,8 @@ mod tests {
                             }
                         }
                         1 | 2 if registered => {
-                            let r = if op == 1 { ByteRange::new(0, SIZE) } else { clamped };
+                            let widen = op == 1 || whole && !clamped.is_empty();
+                            let r = if widen { ByteRange::new(0, SIZE) } else { clamped };
                             if op == 1 {
                                 dir.record_device_write(server);
                             } else {
@@ -1726,10 +1324,17 @@ mod tests {
                                 }
                             }
                             for u in &plan.uploads {
+                                for b in u.start..u.end {
+                                    let held = model.client[b] || model.source(b).is_none();
+                                    assert!(held, "op {i}: upload ships byte {b} the client lacks");
+                                }
                                 dir.record_upload_range(server, *u);
                                 model.upload(server, *u);
                             }
                             assert!(dir.plan_delta_range(server, bound).is_noop(), "op {i}: executed plan");
+                            if whole && !bound.clamp_to(SIZE).is_empty() {
+                                assert!(dir.stale_ranges(server).is_empty(), "op {i}: whole-policy target");
+                            }
                         }
                         6 => {
                             dir.record_upload_range(server, r);

@@ -54,7 +54,7 @@
 //! barrier semantics; kernels that combine `barrier()` with `__local`-memory
 //! writes are rejected with a clear error instead of silently producing
 //! wrong results.  `DCL_VM_THREADS` caps the VM's worker threads (default:
-//! available parallelism).
+//! available parallelism); it is read when a kernel handle is created.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -80,7 +80,7 @@ pub use types::{AddressSpace, ScalarType, Type};
 pub use value::{Scalar, Value};
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Which executor [`KernelHandle::execute`] dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,11 +108,15 @@ impl ExecMode {
 }
 
 /// Worker-thread count for the VM: `DCL_VM_THREADS` if set (minimum 1),
-/// otherwise the host's available parallelism.
+/// otherwise the host's available parallelism, measured once per process
+/// because on Linux each measurement reads cgroup files (tens of µs).
 fn default_threads() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
     match std::env::var("DCL_VM_THREADS").ok().and_then(|v| v.parse::<usize>().ok()) {
         Some(n) if n >= 1 => n,
-        _ => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+        _ => {
+            *HOST.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
+        }
     }
 }
 
@@ -161,13 +165,16 @@ impl Program {
         self.kernels.keys().cloned().collect()
     }
 
-    /// Look up a kernel by name.
+    /// Look up a kernel by name.  The handle's VM worker-thread count
+    /// (`DCL_VM_THREADS` or the host's available parallelism) is resolved
+    /// here, once, not on every launch.
     pub fn kernel(&self, name: &str) -> Option<KernelHandle> {
         self.kernels.get(name).map(|idx| KernelHandle {
             unit: Arc::clone(&self.unit),
             compiled: Arc::clone(&self.compiled),
             index: *idx,
             name: name.to_string(),
+            threads: default_threads(),
         })
     }
 
@@ -186,6 +193,8 @@ pub struct KernelHandle {
     compiled: Arc<bytecode::CompiledUnit>,
     index: ast::FunctionIndex,
     name: String,
+    /// VM worker threads for [`KernelHandle::execute_vm`].
+    threads: usize,
 }
 
 impl KernelHandle {
@@ -236,14 +245,15 @@ impl KernelHandle {
     }
 
     /// Execute on the bytecode VM with the default worker-thread count
-    /// (`DCL_VM_THREADS` or the host's available parallelism).
+    /// (`DCL_VM_THREADS` or the host's available parallelism), resolved
+    /// when [`Program::kernel`] created this handle.
     pub fn execute_vm(
         &self,
         range: &NdRange,
         args: &[KernelArgValue],
         buffers: &mut [BufferBinding<'_>],
     ) -> Result<WorkItemCounters, CompileError> {
-        self.execute_vm_with_threads(range, args, buffers, default_threads())
+        self.execute_vm_with_threads(range, args, buffers, self.threads)
     }
 
     /// Execute on the bytecode VM fanning work-groups across up to

@@ -1,22 +1,23 @@
-//! Range-granular buffer coherence: differential + property suite.
+//! Buffer coherence: differential + property suite.
 //!
 //! The first half drives a *simulated* driver — a [`Sim`] holds a
 //! `BufferDirectory` plus per-server byte storage and executes delta plans
 //! exactly the way the client driver does — through random interleavings of
 //! host writes, device writes (with and without declared access slices),
-//! host reads and validations.  Every sequence runs against three models at
-//! once: a range-mode directory, a whole-buffer-mode directory (the
-//! `DCL_COHERENCE=whole` oracle) and a perfectly coherent reference buffer.
-//! Observable reads must be byte-identical across all three and the
-//! directory invariants must hold after every step.
+//! host reads and validations.  Every sequence runs on the one directory
+//! under both of its policies — range transfers and the paper's
+//! whole-buffer policy (`DCL_COHERENCE=whole`) — and on a perfectly
+//! coherent reference buffer.  Observable reads must match the reference
+//! under both policies, and the directory invariants must hold after every
+//! step.
 //!
 //! The second half proves the same machinery through the real client /
 //! daemon wire path: sparse updates move only the stale ranges (and at
-//! least 5x less traffic than the whole-buffer oracle), a buffer
+//! least 5x less traffic than the whole-buffer policy), a buffer
 //! partitioned across two daemons with `writes_slice` hints assembles
-//! bit-correct, and an unpinned mixed workload stays bit-correct in
-//! whichever mode `DCL_COHERENCE` selected for the session (CI runs this
-//! binary in both).
+//! bit-correct, and an unpinned mixed workload stays bit-correct under
+//! whichever policy `DCL_COHERENCE` selected for the run (CI runs this
+//! binary under both).
 
 use dopencl::coherence::{BufferDirectory, ByteRange, CoherenceMode};
 use dopencl::{Context, LinkModel, LocalCluster, NdRange, SimClock, Value};
@@ -71,9 +72,6 @@ impl Sim {
 
     /// `clEnqueueWriteBuffer` to `server`.
     fn host_write(&mut self, server: usize, offset: usize, data: &[u8]) {
-        if self.dir.needs_write_validation(server, offset, data.len()) {
-            self.ensure_valid(server, None);
-        }
         self.storage[server][offset..offset + data.len()].copy_from_slice(data);
         self.dir.record_host_write(server, offset, data);
     }
@@ -237,12 +235,12 @@ const SERVERS: usize = 3;
 const SIZE: usize = 48;
 
 proptest! {
-    /// The tentpole differential property: for any interleaving of host
-    /// writes, device writes (hinted or not), reads and validations, the
-    /// range directory and the whole-buffer oracle observe byte-identical
-    /// reads, both match a perfectly coherent reference, both keep their
-    /// invariants after every step — and the range directory never moves
-    /// more coherence bytes than the oracle.
+    /// The differential property: for any interleaving of host writes,
+    /// device writes (hinted or not), reads and validations, the directory
+    /// observes the reads of a perfectly coherent reference under both
+    /// policies, keeps its invariants after every step — and range
+    /// transfers never move more coherence bytes than the whole-buffer
+    /// policy.
     #[test]
     fn range_and_whole_modes_agree_on_observable_reads(
         ops in proptest::collection::vec(op_strategy(SERVERS, SIZE), 1..=24),
@@ -255,7 +253,7 @@ proptest! {
             let from_whole = apply(&mut whole_sim, op);
             let expected = apply_reference(&mut reference, op);
             prop_assert_eq!(&from_range, &expected, "range mode diverged on {:?}", op);
-            prop_assert_eq!(&from_whole, &expected, "whole oracle diverged on {:?}", op);
+            prop_assert_eq!(&from_whole, &expected, "whole policy diverged on {:?}", op);
             if let Op::HostRead { server, .. } = *op {
                 // A completed read is covered by valid ranges on its server.
                 for sim in [&range_sim, &whole_sim] {
@@ -267,7 +265,7 @@ proptest! {
         }
         prop_assert!(
             range_sim.moved <= whole_sim.moved,
-            "range coherence moved {} bytes, the whole-buffer oracle only {}",
+            "range coherence moved {} bytes, the whole-buffer policy only {}",
             range_sim.moved,
             whole_sim.moved
         );
@@ -351,16 +349,15 @@ fn sparse_scenario(mode: CoherenceMode, name: &str) -> (Vec<u8>, u64) {
         q0.write_buffer(&buffer, &patch).at_offset(offset).blocking().submit().unwrap();
     }
 
-    if mode == CoherenceMode::Range {
-        // Diagnostics: node1 is stale over exactly the ten patches.
-        let stale = buffer.stale_ranges(devices[1].server());
-        assert_eq!(stale.len(), SPARSE_PATCHES);
-        let stale_bytes: usize = stale.iter().map(|r| r.len()).sum();
-        assert_eq!(stale_bytes, SPARSE_PATCHES * PATCH_LEN);
-        // Ten patch segments and ten gap segments (the first patch starts
-        // at offset 0, so there is no leading gap).
-        assert_eq!(buffer.segment_count(), 2 * SPARSE_PATCHES);
-    }
+    // Diagnostics: both policies track host writes exactly, so node1 is
+    // stale over exactly the ten patches.
+    let stale = buffer.stale_ranges(devices[1].server());
+    assert_eq!(stale.len(), SPARSE_PATCHES);
+    let stale_bytes: usize = stale.iter().map(|r| r.len()).sum();
+    assert_eq!(stale_bytes, SPARSE_PATCHES * PATCH_LEN);
+    // Ten patch segments and ten gap segments (the first patch starts at
+    // offset 0, so there is no leading gap).
+    assert_eq!(buffer.segment_count(), 2 * SPARSE_PATCHES);
 
     let (data, _) = q1.read_buffer(&buffer).submit().unwrap();
     assert_eq!(data, expected, "sparse updates must be visible on node1");

@@ -1,6 +1,6 @@
 //! Property-based tests of the core data structures and protocols.
 
-use dopencl::coherence::{BufferDirectory, CoherenceState, ValidationPlan};
+use dopencl::coherence::{BufferDirectory, CoherenceMode, CoherenceState};
 use dopencl::protocol::{Request, Response, WireValue};
 use gcf::wire::{Decode, Encode};
 use oclc::{Scalar, ScalarType, Value};
@@ -87,25 +87,28 @@ proptest! {
 
     /// MSI invariant: after any sequence of operations there is at most one
     /// modified copy, and if one exists every other copy (including the
-    /// client's) is invalid.
+    /// client's) is invalid.  Holds under both coherence policies.
     #[test]
-    fn msi_directory_invariants(ops in proptest::collection::vec((0usize..4, 0usize..3), 1..40)) {
+    fn msi_directory_invariants(
+        whole in any::<bool>(),
+        ops in proptest::collection::vec((0usize..4, 0usize..3), 1..40),
+    ) {
         let servers = [0usize, 1, 2];
-        let mut dir = BufferDirectory::new(servers, 64);
+        let mode = if whole { CoherenceMode::Whole } else { CoherenceMode::Range };
+        let mut dir = BufferDirectory::new_with_mode(servers, 64, mode);
         for (op, server) in ops {
             match op {
                 0 => dir.record_host_write(server, 0, &[1u8; 64]),
                 1 => dir.record_device_write(server),
                 2 => {
                     // Run the validation plan the client driver would run.
-                    match dir.plan_validation(server) {
-                        ValidationPlan::AlreadyValid => {}
-                        ValidationPlan::UploadFromClient => dir.record_upload(server),
-                        ValidationPlan::FetchThenUpload { source } => {
-                            let data = dir.client_data();
-                            dir.record_client_fetch(source, data);
-                            dir.record_upload(server);
-                        }
+                    let plan = dir.plan_delta(server);
+                    if let Some(fetch) = plan.fetches.first() {
+                        let data = dir.client_data();
+                        dir.record_client_fetch(fetch.source, data);
+                    }
+                    if !plan.is_noop() {
+                        dir.record_upload(server);
                     }
                 }
                 _ => dir.record_host_read(server, 0, &[0u8; 64]),
