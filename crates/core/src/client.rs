@@ -83,9 +83,19 @@
 //!
 //! * memory objects through the directory-based MSI protocol in
 //!   [`crate::coherence`], and
-//! * events through the original-event/user-event completion-forwarding
-//!   protocol (the daemon notifies the client on completion, the client
-//!   completes the user events it created on the other servers).
+//! * events through *replacement* user events, created only where a wait
+//!   list crosses servers.  When a command bound for server S waits on an
+//!   event owned by another server, the batch carrying the command to S
+//!   first creates the replacement there — already terminal, with the
+//!   event's status, if the event has finished.  Otherwise, when the owning
+//!   daemon notifies the client of the completion, the client forwards the
+//!   status (success or the error code) to every server holding a
+//!   replacement as a one-way notification, so a failed event fails its
+//!   dependants there with the wait-list error (`-14`).  Once the
+//!   application has dropped every handle to a finished event, its id
+//!   rides the next batch to each server that knows it, which then forgets
+//!   the event.  Contexts whose wait lists never cross servers pay nothing
+//!   for any of this.  `ARCHITECTURE.md` walks through the lifecycle.
 //!
 //! ## Range coherence
 //!
@@ -165,8 +175,8 @@ use crate::coherence::{BufferDirectory, ByteRange, CoherenceMode};
 use crate::config;
 use crate::error::{DclError, Result};
 use crate::protocol::{
-    BatchCommand, BatchEntry, DeviceDescriptor, Notification, ObjectId, Request, Response,
-    ServerInfo, SessionInfo, WireNdRange, WireValue,
+    BatchCommand, BatchEntry, ClientNotification, DeviceDescriptor, Notification, ObjectId,
+    Request, Response, ServerInfo, SessionInfo, WireNdRange, WireValue,
 };
 use gcf::retry::{retry_with_backoff, Backoff};
 use gcf::rpc::{Endpoint, EndpointHandler, TrafficStats};
@@ -521,7 +531,6 @@ pub struct CommandQueue {
     id: ObjectId,
     server: usize,
     device: Device,
-    context_servers: Vec<usize>,
     // RAII guard: flushes the pending batch when the last clone drops.
     _flusher: Arc<QueueFlusher>,
 }
@@ -587,9 +596,14 @@ impl CommandQueue {
     }
 
     /// `clFlush`: ship this queue's pending batch to its server without
-    /// waiting for completion.  A no-op if nothing is pending.
+    /// waiting for completion.  Event releases still waiting for a batch to
+    /// that server go with it — on their own, as one one-way notification,
+    /// if nothing is pending.
     pub fn flush(&self) -> Result<()> {
-        self.inner()?.flush_queue(self.id)
+        let inner = self.inner()?;
+        inner.flush_queue(self.id)?;
+        inner.flush_releases(self.server);
+        Ok(())
     }
 
     /// Number of commands accumulated client-side and not yet shipped.
@@ -617,7 +631,7 @@ pub struct WriteBufferOp<'a> {
     buffer: &'a Buffer,
     data: &'a [u8],
     offset: usize,
-    wait: Vec<ObjectId>,
+    wait: Vec<Event>,
     blocking: bool,
 }
 
@@ -630,7 +644,7 @@ impl WriteBufferOp<'_> {
 
     /// Wait for `events` before executing (appends to the wait list).
     pub fn after(mut self, events: &[Event]) -> Self {
-        self.wait.extend(events.iter().map(|e| e.id));
+        self.wait.extend_from_slice(events);
         self
     }
 
@@ -665,7 +679,7 @@ pub struct ReadBufferOp<'a> {
     buffer: &'a Buffer,
     offset: usize,
     len: Option<usize>,
-    wait: Vec<ObjectId>,
+    wait: Vec<Event>,
 }
 
 impl ReadBufferOp<'_> {
@@ -683,7 +697,7 @@ impl ReadBufferOp<'_> {
 
     /// Wait for `events` before executing (appends to the wait list).
     pub fn after(mut self, events: &[Event]) -> Self {
-        self.wait.extend(events.iter().map(|e| e.id));
+        self.wait.extend_from_slice(events);
         self
     }
 
@@ -764,7 +778,7 @@ pub struct LaunchOp<'a> {
     queue: &'a CommandQueue,
     kernel: &'a Kernel,
     range: NdRange,
-    wait: Vec<ObjectId>,
+    wait: Vec<Event>,
     access: Vec<(ObjectId, AccessHint)>,
 }
 
@@ -781,7 +795,7 @@ enum AccessHint {
 impl LaunchOp<'_> {
     /// Wait for `events` before executing (appends to the wait list).
     pub fn after(mut self, events: &[Event]) -> Self {
-        self.wait.extend(events.iter().map(|e| e.id));
+        self.wait.extend_from_slice(events);
         self
     }
 
@@ -822,13 +836,13 @@ impl LaunchOp<'_> {
 #[derive(Debug)]
 pub struct MarkerOp<'a> {
     queue: &'a CommandQueue,
-    wait: Vec<ObjectId>,
+    wait: Vec<Event>,
 }
 
 impl MarkerOp<'_> {
     /// Wait for `events` before completing (appends to the wait list).
     pub fn after(mut self, events: &[Event]) -> Self {
-        self.wait.extend(events.iter().map(|e| e.id));
+        self.wait.extend_from_slice(events);
         self
     }
 
@@ -843,68 +857,124 @@ impl MarkerOp<'_> {
     }
 }
 
+/// Client-side state of one event, shared by its [`Event`] handles and —
+/// until the event is terminal — the client's event table.
 struct EventRecord {
     // Back-reference so that waiting on an event can flush the pending
     // batches the event's command may still be sitting in.
     client: Weak<ClientInner>,
+    id: ObjectId,
     owner: usize,
-    user_event_servers: Vec<usize>,
     phase: Phase,
-    status: Mutex<Option<i32>>,
-    modeled: Mutex<Duration>,
+    state: Mutex<EventState>,
     cond: Condvar,
 }
 
+#[derive(Default)]
+struct EventState {
+    /// Terminal status, once the owning server reported it (or the client
+    /// failed the command locally).
+    status: Option<i32>,
+    modeled: Duration,
+    /// Servers holding a replacement for this event: a command bound there
+    /// waits on it.  Those added while `status` is `None` get the status
+    /// forwarded; all of them get the release.
+    replicas: Vec<usize>,
+    /// The status is known and forwarded; waiters see the event terminal
+    /// from here on.
+    settled: bool,
+    /// The last [`Event`] handle is gone.
+    unreferenced: bool,
+}
+
 impl EventRecord {
-    fn new(
-        client: Weak<ClientInner>,
-        owner: usize,
-        user_event_servers: Vec<usize>,
-        phase: Phase,
-    ) -> Arc<Self> {
+    fn new(client: Weak<ClientInner>, id: ObjectId, owner: usize, phase: Phase) -> Arc<Self> {
         Arc::new(EventRecord {
             client,
+            id,
             owner,
-            user_event_servers,
             phase,
-            status: Mutex::new(None),
-            modeled: Mutex::new(Duration::ZERO),
+            state: Mutex::new(EventState::default()),
             cond: Condvar::new(),
         })
     }
+
+    /// Record that `server` gets a replacement for this event and return the
+    /// status to create it with: the terminal status if it is known, else
+    /// `None`, and the completion will be forwarded to `server`.  One lock
+    /// covers the check and the insert, so no completion slips in between.
+    fn replicate_on(&self, server: usize) -> Option<i32> {
+        let mut state = self.state.lock();
+        if !state.replicas.contains(&server) {
+            state.replicas.push(server);
+        }
+        state.status
+    }
+
+    /// The last handle dropped: release the event once it is settled (now,
+    /// if it already is).
+    fn unreference(&self) {
+        let settled = {
+            let mut state = self.state.lock();
+            state.unreferenced = true;
+            state.settled
+        };
+        if settled {
+            if let Some(inner) = self.client.upgrade() {
+                inner.release_event(self);
+            }
+        }
+    }
 }
 
-/// An event stub (compound stub: the original event lives on the owning
-/// server, user events replace it on the others).
+/// The application's share of an [`EventRecord`]: dropping the last one
+/// releases the event.  Pending batches hold one for every event their
+/// commands wait on, so a dependency outlives the commands waiting on it.
+struct EventHandle(Arc<EventRecord>);
+
+impl Drop for EventHandle {
+    fn drop(&mut self) {
+        self.0.unreference();
+    }
+}
+
+/// An event stub (compound stub).  The original event lives on the owning
+/// server.  A server whose command waits on it holds a replacement user
+/// event, created by that command's batch and completed by the client's
+/// status forward.  Dropping the last clone releases the event on every
+/// server that knows it (see the [module docs](self#consistency-protocols)).
 #[derive(Clone)]
 pub struct Event {
-    id: ObjectId,
-    record: Arc<EventRecord>,
+    handle: Arc<EventHandle>,
 }
 
 impl std::fmt::Debug for Event {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Event")
-            .field("id", &self.id)
-            .field("status", &*self.record.status.lock())
+            .field("id", &self.id())
+            .field("status", &self.record().state.lock().status)
             .finish()
     }
 }
 
 impl Event {
+    fn record(&self) -> &Arc<EventRecord> {
+        &self.handle.0
+    }
+
     /// Stub object id.
     pub fn id(&self) -> ObjectId {
-        self.id
+        self.record().id
     }
 
     /// The server owning the original event.
     pub fn owner(&self) -> ServerId {
-        ServerId(self.record.owner)
+        ServerId(self.record().owner)
     }
 
     /// Whether the event reached a terminal state.
     pub fn is_terminal(&self) -> bool {
-        self.record.status.lock().is_some()
+        self.record().state.lock().settled
     }
 
     /// Block until the command completes; errors if the command failed.
@@ -914,37 +984,29 @@ impl Event {
     /// been shipped yet.
     pub fn wait(&self) -> Result<()> {
         self.flush_if_pending();
-        let mut status = self.record.status.lock();
-        while status.is_none() {
-            self.record.cond.wait(&mut status);
+        let record = self.record();
+        let mut state = record.state.lock();
+        while !state.settled {
+            record.cond.wait(&mut state);
         }
-        match status.unwrap() {
-            0 => Ok(()),
-            code => Err(DclError::Cl(vocl::ClError::ExecutionFailure(format!(
-                "remote command failed with status {code}"
-            )))),
-        }
+        outcome(state.status)
     }
 
     /// Wait with a timeout; `Ok(false)` means it expired.  Flushes pending
     /// batches like [`Event::wait`].
     pub fn wait_timeout(&self, timeout: Duration) -> Result<bool> {
         self.flush_if_pending();
-        let mut status = self.record.status.lock();
+        let record = self.record();
+        let mut state = record.state.lock();
         let deadline = std::time::Instant::now() + timeout;
-        while status.is_none() {
+        while !state.settled {
             let now = std::time::Instant::now();
             if now >= deadline {
                 return Ok(false);
             }
-            self.record.cond.wait_for(&mut status, deadline - now);
+            record.cond.wait_for(&mut state, deadline - now);
         }
-        match status.unwrap() {
-            0 => Ok(true),
-            code => Err(DclError::Cl(vocl::ClError::ExecutionFailure(format!(
-                "remote command failed with status {code}"
-            )))),
-        }
+        outcome(state.status).map(|()| true)
     }
 
     /// `clWaitForEvents`: wait for every event in `events`.
@@ -958,7 +1020,7 @@ impl Event {
     /// Modelled duration reported by the owning server (kernel execution or
     /// PCIe transfer time).
     pub fn modeled_duration(&self) -> Duration {
-        *self.record.modeled.lock()
+        self.record().state.lock().modeled
     }
 
     /// Ship every pending batch if this event is not terminal yet (its
@@ -966,11 +1028,31 @@ impl Event {
     /// Transport failures surface through the event status, not here.
     fn flush_if_pending(&self) {
         if !self.is_terminal() {
-            if let Some(inner) = self.record.client.upgrade() {
+            if let Some(inner) = self.record().client.upgrade() {
                 inner.flush_all();
             }
         }
     }
+}
+
+/// The result of a settled event's status.
+fn outcome(status: Option<i32>) -> Result<()> {
+    match status {
+        Some(0) => Ok(()),
+        code => Err(DclError::Cl(vocl::ClError::ExecutionFailure(format!(
+            "remote command failed with status {}",
+            code.unwrap_or(-14)
+        )))),
+    }
+}
+
+fn ids(events: &[Event]) -> Vec<ObjectId> {
+    events.iter().map(Event::id).collect()
+}
+
+/// A batch entry that carries event bookkeeping rather than a command.
+fn bookkeeping_entry(event_id: ObjectId, command: BatchCommand) -> BatchEntry {
+    BatchEntry { command_id: 0, queue_id: 0, event_id, wait_events: Vec::new(), command }
 }
 
 fn upgrade(client: &Weak<ClientInner>) -> Result<Arc<ClientInner>> {
@@ -1034,7 +1116,27 @@ struct ServerConn {
 struct PendingBatch {
     server: usize,
     entries: Vec<BatchEntry>,
+    /// Replacements the entries need on `server`: `(event id, status to
+    /// create it with)`, each event once.
+    replacements: Vec<(ObjectId, Option<i32>)>,
+    /// Handles of every event the entries wait on, held until the batch has
+    /// shipped so none of them is released while a command waits on it.
+    waits: Vec<Event>,
 }
+
+/// Event traffic for one server that waits for a chance to travel.
+#[derive(Default)]
+struct Outbox {
+    /// Status forwards whose notification failed (the server is
+    /// reconnecting); re-sent once it is back, before any release.
+    forwards: Vec<(ObjectId, i32)>,
+    /// Released event ids; they ride the next batch to the server.
+    released: Vec<ObjectId>,
+}
+
+/// Release-list length at which the list stops waiting for a batch and
+/// travels on its own, as one notification.
+const RELEASE_NOTIFY_AT: usize = 512;
 
 /// Client-side command accumulation across all queues.
 ///
@@ -1056,7 +1158,11 @@ struct ClientInner {
     clock: SimClock,
     next_id: AtomicU64,
     servers: Mutex<Vec<Option<Arc<ServerConn>>>>,
+    /// Events not yet terminal, by id, for the completion notifications.
     events: Mutex<HashMap<ObjectId, Arc<EventRecord>>>,
+    /// Per-server forwards and releases waiting to travel.  Lock order:
+    /// `outboxes` before `servers`.
+    outboxes: Mutex<HashMap<usize, Outbox>>,
     batches: Mutex<BatchState>,
     batching: AtomicBool,
     auth_id: Mutex<Option<String>>,
@@ -1092,41 +1198,108 @@ impl ClientInner {
     }
 
     fn complete_event(&self, event_id: ObjectId, status: i32, modeled_nanos: u64) {
-        let record = self.events.lock().get(&event_id).cloned();
-        let Some(record) = record else { return };
+        let Some(record) = self.events.lock().remove(&event_id) else { return };
         let modeled = Duration::from_nanos(modeled_nanos);
         self.clock.charge(record.phase, modeled);
-        {
-            let mut slot = record.status.lock();
-            if slot.is_none() {
-                *slot = Some(status);
-                *record.modeled.lock() = modeled;
-                record.cond.notify_all();
-            }
+        // Event consistency: forward the status to every server holding a
+        // replacement.  From here on `replicate_on` sees the status, so a
+        // replacement requested later is created terminal instead.
+        let replicas = {
+            let mut state = record.state.lock();
+            state.status = Some(status);
+            state.modeled = modeled;
+            state.replicas.clone()
+        };
+        for server in replicas {
+            self.forward_status(server, event_id, status);
         }
-        // Event consistency: complete the user events on every other server.
-        //
-        // This runs on the notification-receiver thread of the owning
-        // server's endpoint.  The completions are sent from a detached
-        // thread so that this receiver thread never blocks waiting for a
-        // response from another server whose own receiver thread may, at the
-        // same moment, be forwarding a completion towards us (the classic
-        // cross-forwarding deadlock).
-        if record.user_event_servers.is_empty() {
+        // Waiters wake only now: once `wait` returns, the forwards are out.
+        let unreferenced = {
+            let mut state = record.state.lock();
+            state.settled = true;
+            record.cond.notify_all();
+            state.unreferenced
+        };
+        if unreferenced {
+            self.release_event(&record);
+        }
+    }
+
+    /// Send `status` for `event_id` to `server`'s replacement as a one-way
+    /// notification.  If the server is reconnecting the forward waits in its
+    /// outbox and goes out once `recover_server` succeeds.
+    fn forward_status(&self, server: usize, event_id: ObjectId, status: i32) {
+        let mut outboxes = self.outboxes.lock();
+        let outbox = outboxes.entry(server).or_default();
+        outbox.forwards.push((event_id, status));
+        self.send_forwards(server, outbox);
+    }
+
+    /// Send `server`'s waiting forwards, in order, until one fails.
+    fn send_forwards(&self, server: usize, outbox: &mut Outbox) {
+        if outbox.forwards.is_empty() {
             return;
         }
-        let servers = record.user_event_servers.clone();
-        let connections: Vec<_> =
-            servers.iter().filter_map(|server| self.server(*server).ok()).collect();
-        std::thread::Builder::new()
-            .name("dcl-event-forward".to_string())
-            .spawn(move || {
-                for conn in connections {
-                    let request = Request::SetUserEventComplete { event_id };
-                    let _ = conn.endpoint.call(request.to_bytes());
-                }
-            })
-            .ok();
+        let Ok(conn) = self.server(server) else { return };
+        let mut sent = 0;
+        for &(event_id, status) in &outbox.forwards {
+            let forward = ClientNotification::EventStatus { event_id, status };
+            if conn.endpoint.notify(forward.to_bytes()).is_err() {
+                break;
+            }
+            sent += 1;
+        }
+        outbox.forwards.drain(..sent);
+    }
+
+    /// Queue `record`'s id for release on its owner and on every server
+    /// holding a replacement for it.  Called once the event is settled and
+    /// its last handle is gone, so no command waits on it any more.
+    fn release_event(&self, record: &EventRecord) {
+        let replicas = std::mem::take(&mut record.state.lock().replicas);
+        let mut outboxes = self.outboxes.lock();
+        for server in std::iter::once(record.owner).chain(replicas) {
+            let outbox = outboxes.entry(server).or_default();
+            outbox.released.push(record.id);
+            if outbox.released.len() >= RELEASE_NOTIFY_AT {
+                self.send_releases(server, outbox);
+            }
+        }
+    }
+
+    /// Take `server`'s release list for the batch about to ship there.  Empty
+    /// while a status forward to the server is still waiting: a release must
+    /// not overtake the forward to the replacement it releases.
+    fn take_releases(&self, server: usize) -> Vec<ObjectId> {
+        let mut outboxes = self.outboxes.lock();
+        let Some(outbox) = outboxes.get_mut(&server) else { return Vec::new() };
+        self.send_forwards(server, outbox);
+        if outbox.forwards.is_empty() {
+            std::mem::take(&mut outbox.released)
+        } else {
+            Vec::new()
+        }
+    }
+
+    /// Ship `server`'s release list on its own, as one notification (same
+    /// ordering rule as [`ClientInner::take_releases`]).  A list whose send
+    /// fails is dropped with its connection.
+    fn send_releases(&self, server: usize, outbox: &mut Outbox) {
+        self.send_forwards(server, outbox);
+        if outbox.released.is_empty() || !outbox.forwards.is_empty() {
+            return;
+        }
+        let event_ids = std::mem::take(&mut outbox.released);
+        if let Ok(conn) = self.server(server) {
+            let release = ClientNotification::ReleaseEvents { event_ids };
+            let _ = conn.endpoint.notify(release.to_bytes());
+        }
+    }
+
+    fn flush_releases(&self, server: usize) {
+        if let Some(outbox) = self.outboxes.lock().get_mut(&server) {
+            self.send_releases(server, outbox);
+        }
     }
 
     // ----- object creation (compound stubs) --------------------------------
@@ -1177,7 +1350,6 @@ impl ClientInner {
             id,
             server: device.server,
             device: device.clone(),
-            context_servers: context.servers.clone(),
             _flusher: Arc::new(QueueFlusher { client: Arc::downgrade(self), queue_id: id }),
         })
     }
@@ -1382,36 +1554,48 @@ impl ClientInner {
 
     // ----- command batching -------------------------------------------------
 
-    /// Append an entry to its queue's pending batch.
+    /// Append an entry, which waits on `wait`, to its queue's pending batch.
     ///
     /// If the entry waits on events whose commands are still pending in
     /// *other* queues, those queues are flushed first: the daemon resolves
     /// wait lists at enqueue time, so every dependency must be on its server
-    /// before this entry arrives.  With batching disabled the entry ships
+    /// before this entry arrives.  A wait-list event owned by another server
+    /// gets a replacement on this one, created by the same batch (event
+    /// consistency, Section III-D).  With batching disabled the entry ships
     /// immediately as a batch of one (the pre-batching wire behaviour).
-    fn push_batch_entry(&self, server: usize, entry: BatchEntry) -> Result<()> {
+    fn push_batch_entry(&self, server: usize, entry: BatchEntry, wait: &[Event]) -> Result<()> {
         let queue_id = entry.queue_id;
         let cross_queues: Vec<ObjectId> = {
             let state = self.batches.lock();
-            entry
-                .wait_events
-                .iter()
-                .filter_map(|event| state.event_queue.get(event).copied())
+            wait.iter()
+                .filter_map(|event| state.event_queue.get(&event.id()).copied())
                 .filter(|q| *q != queue_id)
                 .collect()
         };
         for q in cross_queues {
             self.flush_queue(q)?;
         }
+        let replacements: Vec<(ObjectId, Option<i32>)> = wait
+            .iter()
+            .filter(|event| event.record().owner != server)
+            .map(|event| (event.id(), event.record().replicate_on(server)))
+            .collect();
         {
             let mut state = self.batches.lock();
             state.event_queue.insert(entry.event_id, queue_id);
-            state
-                .queues
-                .entry(queue_id)
-                .or_insert_with(|| PendingBatch { server, entries: Vec::new() })
-                .entries
-                .push(entry);
+            let batch = state.queues.entry(queue_id).or_insert_with(|| PendingBatch {
+                server,
+                entries: Vec::new(),
+                replacements: Vec::new(),
+                waits: Vec::new(),
+            });
+            for replacement in replacements {
+                if !batch.replacements.iter().any(|(id, _)| *id == replacement.0) {
+                    batch.replacements.push(replacement);
+                }
+            }
+            batch.waits.extend_from_slice(wait);
+            batch.entries.push(entry);
         }
         if !self.batching.load(Ordering::Relaxed) {
             self.flush_queue(queue_id)?;
@@ -1466,6 +1650,9 @@ impl ClientInner {
         self.batches.lock().queues.get(&queue_id).map_or(0, |b| b.entries.len())
     }
 
+    /// Ship `batch` as one `EnqueueBatch`: the server's release list first,
+    /// then the replacements the commands need, then the commands.  The
+    /// batch's wait-list handles drop when this returns.
     fn ship_batch(&self, batch: PendingBatch) -> Result<()> {
         if batch.entries.is_empty() {
             return Ok(());
@@ -1483,7 +1670,17 @@ impl ClientInner {
             }
         };
         drop(conn);
-        let request = Request::EnqueueBatch { entries: batch.entries };
+        let released = self.take_releases(batch.server);
+        let mut entries = Vec::with_capacity(batch.entries.len() + batch.replacements.len() + 1);
+        if !released.is_empty() {
+            entries.push(bookkeeping_entry(0, BatchCommand::Release { event_ids: released }));
+        }
+        for &(event_id, status) in &batch.replacements {
+            entries.push(bookkeeping_entry(event_id, BatchCommand::Replacement { status }));
+        }
+        let first_command = entries.len();
+        entries.extend(batch.entries);
+        let request = Request::EnqueueBatch { entries };
         // One round trip for the whole batch — the point of accumulating.
         // Goes through the recovery path: if the connection dies mid-call
         // the batch is re-sent verbatim after the reconnect, and the
@@ -1513,7 +1710,7 @@ impl ClientInner {
         // fail with the wait-list error code.
         let mut first_error = None;
         for (index, event_id) in event_ids.iter().enumerate() {
-            match statuses.get(index) {
+            match statuses.get(first_command + index) {
                 Some(status) if status.code == 0 => {}
                 Some(status) => {
                     self.complete_event(*event_id, status.code, 0);
@@ -1547,7 +1744,7 @@ impl ClientInner {
         buffer: &Buffer,
         offset: usize,
         data: &[u8],
-        wait: &[ObjectId],
+        wait: &[Event],
     ) -> Result<Event> {
         if offset.checked_add(data.len()).is_none_or(|end| end > buffer.size) {
             return Err(DclError::InvalidArgument(format!(
@@ -1565,15 +1762,15 @@ impl ClientInner {
         // FIFO ordering guarantees it reaches the daemon ahead of the
         // batched request that references it.
         self.clock.charge(Phase::DataTransfer, self.link.transfer_time(data.len() as u64));
-        conn.endpoint.send_bulk(stream_id, data)?;
+        let sent = conn.endpoint.send_bulk(stream_id, data).map_err(DclError::from);
+        self.recover_after_bulk(server, sent)?;
 
-        let event =
-            self.register_event(event_id, server, &queue.context_servers, Phase::DataTransfer)?;
+        let event = self.register_event(event_id, server, Phase::DataTransfer);
         let entry = BatchEntry {
             command_id: self.allocate_id(),
             queue_id: queue.id,
             event_id,
-            wait_events: wait.to_vec(),
+            wait_events: ids(wait),
             command: BatchCommand::WriteBuffer {
                 buffer_id: buffer.id,
                 offset: offset as u64,
@@ -1581,7 +1778,7 @@ impl ClientInner {
                 stream_id,
             },
         };
-        if let Err(e) = self.push_batch_entry(server, entry) {
+        if let Err(e) = self.push_batch_entry(server, entry, wait) {
             self.complete_event(event_id, -14, 0);
             return Err(e);
         }
@@ -1595,7 +1792,7 @@ impl ClientInner {
         buffer: &Buffer,
         offset: usize,
         len: usize,
-        wait: &[ObjectId],
+        wait: &[Event],
     ) -> Result<PendingRead> {
         if offset.checked_add(len).is_none_or(|end| end > buffer.size) {
             return Err(DclError::InvalidArgument(format!(
@@ -1608,13 +1805,12 @@ impl ClientInner {
         let conn = self.server(server)?;
         let event_id = self.allocate_id();
         let stream_id = conn.endpoint.allocate_id();
-        let event =
-            self.register_event(event_id, server, &queue.context_servers, Phase::DataTransfer)?;
+        let event = self.register_event(event_id, server, Phase::DataTransfer);
         let entry = BatchEntry {
             command_id: self.allocate_id(),
             queue_id: queue.id,
             event_id,
-            wait_events: wait.to_vec(),
+            wait_events: ids(wait),
             command: BatchCommand::ReadBuffer {
                 buffer_id: buffer.id,
                 offset: offset as u64,
@@ -1622,7 +1818,7 @@ impl ClientInner {
                 stream_id,
             },
         };
-        if let Err(e) = self.push_batch_entry(server, entry) {
+        if let Err(e) = self.push_batch_entry(server, entry, wait) {
             self.complete_event(event_id, -14, 0);
             return Err(e);
         }
@@ -1643,7 +1839,7 @@ impl ClientInner {
         queue: &CommandQueue,
         kernel: &Kernel,
         range: NdRange,
-        wait: &[ObjectId],
+        wait: &[Event],
         access: &[(ObjectId, AccessHint)],
     ) -> Result<Event> {
         let server = queue.server;
@@ -1681,16 +1877,15 @@ impl ClientInner {
             }
         }
         let event_id = self.allocate_id();
-        let event =
-            self.register_event(event_id, server, &queue.context_servers, Phase::Execution)?;
+        let event = self.register_event(event_id, server, Phase::Execution);
         let entry = BatchEntry {
             command_id: self.allocate_id(),
             queue_id: queue.id,
             event_id,
-            wait_events: wait.to_vec(),
+            wait_events: ids(wait),
             command: BatchCommand::NdRange { kernel_id: kernel.id, range: WireNdRange(range) },
         };
-        if let Err(e) = self.push_batch_entry(server, entry) {
+        if let Err(e) = self.push_batch_entry(server, entry, wait) {
             self.complete_event(event_id, -14, 0);
             return Err(e);
         }
@@ -1709,18 +1904,17 @@ impl ClientInner {
         Ok(event)
     }
 
-    fn enqueue_marker(&self, queue: &CommandQueue, wait: &[ObjectId]) -> Result<Event> {
+    fn enqueue_marker(&self, queue: &CommandQueue, wait: &[Event]) -> Result<Event> {
         let event_id = self.allocate_id();
-        let event =
-            self.register_event(event_id, queue.server, &queue.context_servers, Phase::Execution)?;
+        let event = self.register_event(event_id, queue.server, Phase::Execution);
         let entry = BatchEntry {
             command_id: self.allocate_id(),
             queue_id: queue.id,
             event_id,
-            wait_events: wait.to_vec(),
+            wait_events: ids(wait),
             command: BatchCommand::Marker,
         };
-        if let Err(e) = self.push_batch_entry(queue.server, entry) {
+        if let Err(e) = self.push_batch_entry(queue.server, entry, wait) {
             self.complete_event(event_id, -14, 0);
             return Err(e);
         }
@@ -1729,36 +1923,13 @@ impl ClientInner {
 
     // ----- internals --------------------------------------------------------
 
-    fn register_event(
-        &self,
-        event_id: ObjectId,
-        owner: usize,
-        context_servers: &[usize],
-        phase: Phase,
-    ) -> Result<Event> {
-        // Event consistency (Section III-D): create user events as
-        // replacements for the original event on every other server of the
-        // context.  A permanently lost server needs no replacement events —
-        // skipping it keeps a context shared across daemons usable after a
-        // crash (the survivors re-validate buffers from the remaining
-        // copies).
-        let mut user_event_servers = Vec::new();
-        for &server in context_servers {
-            if server != owner {
-                match self.call_server(
-                    server,
-                    Request::CreateUserEvent { event_id },
-                    Phase::Execution,
-                ) {
-                    Ok(_) => user_event_servers.push(server),
-                    Err(_) if self.server_lost(server) => {}
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-        let record = EventRecord::new(self.self_weak.clone(), owner, user_event_servers, phase);
+    /// Track a new event owned by `owner`.  No server hears of it until its
+    /// command ships; replacements elsewhere are created only when a command
+    /// bound for another server waits on it (see `push_batch_entry`).
+    fn register_event(&self, event_id: ObjectId, owner: usize, phase: Phase) -> Event {
+        let record = EventRecord::new(self.self_weak.clone(), event_id, owner, phase);
         self.events.lock().insert(event_id, Arc::clone(&record));
-        Ok(Event { id: event_id, record })
+        Event { handle: Arc::new(EventHandle(record)) }
     }
 
     /// Run the coherence delta plan so that `server` holds a valid copy of
@@ -1799,7 +1970,8 @@ impl ClientInner {
             }
         }
         for fetch in &plan.fetches {
-            let data = self.download_buffer_range(fetch.source, buffer, fetch.span)?;
+            let fetched = self.download_buffer_range(fetch.source, buffer, fetch.span);
+            let data = self.recover_after_bulk(fetch.source, fetched)?;
             buffer.directory.lock().record_client_fetch_ranges(
                 fetch.source,
                 fetch.span,
@@ -1814,7 +1986,8 @@ impl ClientInner {
                 many => many.iter().map(|r| dir.client_data_range(*r)).collect::<Vec<_>>().concat(),
             }
         };
-        self.upload_buffer_ranges(server, buffer, &plan.uploads, &data)?;
+        let uploaded = self.upload_buffer_ranges(server, buffer, &plan.uploads, &data);
+        self.recover_after_bulk(server, uploaded)?;
         let mut dir = buffer.directory.lock();
         for upload in &plan.uploads {
             dir.record_upload_range(server, *upload);
@@ -1892,6 +2065,18 @@ impl ClientInner {
         Ok(data)
     }
 
+    /// Pass `result` of a bulk-path step on `server` through; on a transport
+    /// failure, first run the single-flight `recover_server`, so a dead
+    /// server is reconnected — or dropped under `drop_lost_servers` — now,
+    /// not whenever another request happens to probe it.  The step itself is
+    /// not retried: its stream died with the connection.
+    fn recover_after_bulk<T>(&self, server: usize, result: Result<T>) -> Result<T> {
+        if let Err(DclError::Network(_) | DclError::ServerUnavailable(_)) = &result {
+            let _ = self.recover_server(server);
+        }
+        result
+    }
+
     /// Encode `request` once and charge its modelled round trip on the
     /// link; the returned bytes are what goes on the wire.
     fn encode_charged(&self, phase: Phase, request: &Request) -> Vec<u8> {
@@ -1931,14 +2116,6 @@ impl ClientInner {
                 | Request::SetKernelArgBuffer { .. }
                 | Request::SetKernelArgLocal { .. }
         )
-    }
-
-    /// Whether `server` is permanently gone: its recovery slot gave up (the
-    /// redial budget ran out under `drop_lost_servers`) or its connection
-    /// entry was dropped.
-    fn server_lost(&self, index: usize) -> bool {
-        self.recovery.lock().get(index).is_some_and(|slot| slot.lost)
-            || self.servers.lock().get(index).is_none_or(|conn| conn.is_none())
     }
 
     /// Call the encoded request `payload` on `server`, transparently
@@ -2080,6 +2257,11 @@ impl ClientInner {
             *self.retired.lock() += old.endpoint.stats();
         }
         self.install_supervisor(index, &endpoint);
+        // Status forwards that failed while the server was away go out now,
+        // ahead of any batch the caller re-sends.
+        if let Some(outbox) = self.outboxes.lock().get_mut(&index) {
+            self.send_forwards(index, outbox);
+        }
         Ok(())
     }
 
@@ -2142,30 +2324,33 @@ impl ClientInner {
             *self.retired.lock() += conn.endpoint.stats();
             conn.endpoint.close();
         }
-        let doomed: Vec<ObjectId> = {
+        // The batches drop (with their wait-list handles) outside the lock.
+        let doomed: Vec<PendingBatch> = {
             let mut state = self.batches.lock();
             let queues: Vec<ObjectId> =
                 state.queues.iter().filter(|(_, b)| b.server == index).map(|(id, _)| *id).collect();
-            let mut events = Vec::new();
-            for q in queues {
-                if let Some(batch) = state.queues.remove(&q) {
-                    for entry in batch.entries {
-                        state.event_queue.remove(&entry.event_id);
-                        events.push(entry.event_id);
-                    }
-                }
+            let batches: Vec<PendingBatch> =
+                queues.iter().filter_map(|q| state.queues.remove(q)).collect();
+            for entry in batches.iter().flat_map(|b| &b.entries) {
+                state.event_queue.remove(&entry.event_id);
             }
-            events
+            batches
         };
-        self.fail_events(&doomed, -14);
+        for batch in doomed {
+            let event_ids: Vec<ObjectId> = batch.entries.iter().map(|e| e.event_id).collect();
+            self.fail_events(&event_ids, -14);
+        }
+        // The event table holds only events that are not terminal yet.
         let orphaned: Vec<ObjectId> = self
             .events
             .lock()
             .iter()
-            .filter(|(_, r)| r.owner == index && r.status.lock().is_none())
+            .filter(|(_, r)| r.owner == index)
             .map(|(id, _)| *id)
             .collect();
         self.fail_events(&orphaned, -14);
+        // Forwards and releases for the dead server have nowhere to go.
+        self.outboxes.lock().remove(&index);
         // The dead server's buffer copies are gone with it: mark them
         // invalid so delta plans re-validate from the surviving copies —
         // in range mode moving only the ranges that actually lived there.
@@ -2254,6 +2439,7 @@ impl Client {
                 next_id: AtomicU64::new(1),
                 servers: Mutex::new(Vec::new()),
                 events: Mutex::new(HashMap::new()),
+                outboxes: Mutex::new(HashMap::new()),
                 batches: Mutex::new(BatchState::default()),
                 batching: AtomicBool::new(true),
                 auth_id: Mutex::new(None),
@@ -2333,6 +2519,12 @@ impl Client {
         total
     }
 
+    /// Number of events the client still tracks: those not terminal yet.  A
+    /// leak check for tests — once every command has completed it is 0.
+    pub fn tracked_events(&self) -> usize {
+        self.inner.events.lock().len()
+    }
+
     /// Set how this client reacts to dead server connections (see the
     /// [module docs](self#failure-semantics)).
     pub fn set_failover_policy(&self, policy: FailoverPolicy) {
@@ -2403,6 +2595,8 @@ impl Client {
         let _ = conn.endpoint.call(payload);
         conn.endpoint.close();
         self.inner.servers.lock()[server.0] = None;
+        // Forwards and releases for the server have nowhere to go.
+        self.inner.outboxes.lock().remove(&server.0);
         Ok(())
     }
 

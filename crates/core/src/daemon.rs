@@ -16,8 +16,8 @@
 //! manager crate can plug in without a dependency cycle.
 
 use crate::protocol::{
-    BatchCommand, BatchEntryStatus, DeviceDescriptor, Notification, ObjectId, Request, Response,
-    ServerInfo, SessionInfo, WireNdRange,
+    BatchCommand, BatchEntryStatus, ClientNotification, DeviceDescriptor, Notification, ObjectId,
+    Request, Response, ServerInfo, SessionInfo, WireNdRange,
 };
 use crate::Result;
 use gcf::rpc::{Endpoint, EndpointHandler};
@@ -29,8 +29,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 use vocl::{
-    Buffer, ClError, CommandQueue, Context, Device, DeviceInfoParam, DeviceInfoValue, Event,
-    EventStatus, Kernel, KernelArg, MemFlags, Platform, Program, QueueProperties,
+    Buffer, ClError, CommandQueue, CommandType, Context, Device, DeviceInfoParam, DeviceInfoValue,
+    Event, EventStatus, Kernel, KernelArg, MemFlags, Platform, Program, QueueProperties,
 };
 
 /// Controls which devices a connecting client may see and use.
@@ -235,6 +235,15 @@ impl Daemon {
         let state = state.lock();
         Some((state.dedup.admitted, state.dedup.replayed))
     }
+
+    /// Number of events (originals and replacements) the session for
+    /// `identity` still tracks — a leak check for tests: once the client has
+    /// released every event, this is 0.
+    pub fn events_held(&self, identity: &str) -> Option<usize> {
+        let state = Arc::clone(self.registry.lock().by_identity.get(identity)?);
+        let held = state.lock().events.len();
+        Some(held)
+    }
 }
 
 /// Bounded identity → session-state map enabling reconnect revival.
@@ -416,14 +425,14 @@ impl DaemonSession {
     /// assumes the copy it moves reflects all previously submitted commands.
     ///
     /// The wait is bounded: this runs on the session's receiver thread, and
-    /// a queued command could be gated on a user event whose
-    /// `SetUserEventComplete` arrives over that very thread — an unbounded
-    /// `finish()` would then deadlock.  A queue in that state stalls the
-    /// transfer for the full timeout and the data is read as-is (the
-    /// pre-quiesce behaviour); the timeout is kept short so that worst case
-    /// is a bounded delay, while the common case — a busy but ungated queue
-    /// — drains in microseconds.  Command failures surface through their
-    /// own events, so they are ignored here.
+    /// a queued command could be gated on a replacement event whose status
+    /// forward ([`ClientNotification::EventStatus`]) arrives over that very
+    /// thread — an unbounded `finish()` would then deadlock.  A queue in
+    /// that state stalls the transfer for the full timeout and the data is
+    /// read as-is (the pre-quiesce behaviour); the timeout is kept short so
+    /// that worst case is a bounded delay, while the common case — a busy
+    /// but ungated queue — drains in microseconds.  Command failures surface
+    /// through their own events, so they are ignored here.
     fn quiesce_buffer_queues(&self, buffer: &Buffer) {
         let queues: Vec<Arc<CommandQueue>> = {
             let shared = self.state();
@@ -641,6 +650,36 @@ impl DaemonSession {
         let event = queue.enqueue_marker(wait).map_err(|e| Self::cl_error(&e))?;
         self.track_event(event_id, &event);
         Ok(event)
+    }
+
+    /// Create the replacement event for `event_id` if this session holds
+    /// none yet, then apply `status` if it is terminal.  An idempotent
+    /// upsert: a forward may overtake the batch that creates the
+    /// replacement, and a replayed batch repeats it.  Only user events take
+    /// a forwarded status — a command's own event is never completed from
+    /// outside.
+    fn upsert_replacement(&self, event_id: ObjectId, status: Option<i32>) {
+        let event = {
+            let shared = self.state();
+            let mut state = shared.lock();
+            Arc::clone(state.events.entry(event_id).or_insert_with(Event::user))
+        };
+        match status {
+            Some(_) if event.command_type() != CommandType::User => {}
+            Some(0) => event.set_complete(),
+            Some(code) => event.set_error(code),
+            None => {}
+        }
+    }
+
+    /// Forget events the client released.  A queued command keeps its own
+    /// reference to any event it still waits on.
+    fn release_events(&self, event_ids: &[ObjectId]) {
+        let shared = self.state();
+        let mut state = shared.lock();
+        for event_id in event_ids {
+            state.events.remove(event_id);
+        }
     }
 
     fn handle(&self, request: Request) -> Response {
@@ -938,6 +977,22 @@ impl DaemonSession {
                 let mut statuses = Vec::with_capacity(entries.len());
                 let mut prev: HashMap<ObjectId, Arc<Event>> = HashMap::new();
                 for entry in entries {
+                    // Event bookkeeping: always succeeds, joins no chain.
+                    let bookkeeping = match &entry.command {
+                        BatchCommand::Release { event_ids } => {
+                            self.release_events(event_ids);
+                            true
+                        }
+                        BatchCommand::Replacement { status } => {
+                            self.upsert_replacement(entry.event_id, *status);
+                            true
+                        }
+                        _ => false,
+                    };
+                    if bookkeeping {
+                        statuses.push(BatchEntryStatus::ok());
+                        continue;
+                    }
                     // Idempotent replay (client-generated command ids): a
                     // command already executed under this session state is
                     // recognised by the dedup window and NOT re-enqueued.
@@ -999,6 +1054,9 @@ impl DaemonSession {
                             &entry.wait_events,
                             chain.as_ref(),
                         ),
+                        BatchCommand::Release { .. } | BatchCommand::Replacement { .. } => {
+                            unreachable!("bookkeeping entries are handled above")
+                        }
                     };
                     match result {
                         Ok(event) => {
@@ -1017,19 +1075,6 @@ impl DaemonSession {
                     }
                 }
                 Response::BatchEnqueued { statuses }
-            }
-            Request::CreateUserEvent { event_id } => {
-                let event = Event::user();
-                self.state().lock().events.insert(event_id, event);
-                Response::Ok
-            }
-            Request::SetUserEventComplete { event_id } => {
-                let event = match self.state().lock().events.get(&event_id) {
-                    Some(e) => Arc::clone(e),
-                    None => return Self::missing("event", event_id),
-                };
-                event.set_complete();
-                Response::Ok
             }
             Request::GetEventStatus { event_id } => {
                 let event = match self.state().lock().events.get(&event_id) {
@@ -1217,8 +1262,16 @@ impl EndpointHandler for DaemonSession {
         response.to_bytes()
     }
 
-    fn handle_notification(&self, _payload: &[u8]) {
-        // The client never notifies the daemon in the current protocol.
+    /// Client notifications run on the receiver thread in arrival order,
+    /// interleaved with the requests of the same connection.
+    fn handle_notification(&self, payload: &[u8]) {
+        match ClientNotification::from_bytes(payload) {
+            Ok(ClientNotification::EventStatus { event_id, status }) => {
+                self.upsert_replacement(event_id, Some(status))
+            }
+            Ok(ClientNotification::ReleaseEvents { event_ids }) => self.release_events(&event_ids),
+            Err(_) => {}
+        }
     }
 }
 
@@ -1240,6 +1293,7 @@ impl Drop for DaemonSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::BatchEntry;
     use gcf::rpc::NullHandler;
     use gcf::transport::inproc::InprocTransport;
 
@@ -1479,18 +1533,17 @@ mod tests {
         assert_eq!(contents(62), expect);
     }
 
-    #[test]
-    fn user_events_gate_execution() {
-        let (_daemon, endpoint, _t) = start_test_daemon();
-        call(&endpoint, Request::Hello { client_name: "c".into(), auth_id: None, epoch: 0 });
-        let Response::DeviceList { devices } = call(&endpoint, Request::GetDeviceList) else {
+    /// Session with context 1, queue 2 and a 4-byte buffer 3.
+    fn build_write_session(endpoint: &Arc<Endpoint>) {
+        call(endpoint, Request::Hello { client_name: "c".into(), auth_id: None, epoch: 0 });
+        let Response::DeviceList { devices } = call(endpoint, Request::GetDeviceList) else {
             panic!()
         };
         let dev = devices[0].remote_id;
-        call(&endpoint, Request::CreateContext { context_id: 1, devices: vec![dev] });
-        call(&endpoint, Request::CreateCommandQueue { queue_id: 2, context_id: 1, device: dev });
+        call(endpoint, Request::CreateContext { context_id: 1, devices: vec![dev] });
+        call(endpoint, Request::CreateCommandQueue { queue_id: 2, context_id: 1, device: dev });
         call(
-            &endpoint,
+            endpoint,
             Request::CreateBuffer {
                 buffer_id: 3,
                 context_id: 1,
@@ -1499,50 +1552,137 @@ mod tests {
                 writable: true,
             },
         );
-        assert!(matches!(
-            call(&endpoint, Request::CreateUserEvent { event_id: 100 }),
-            Response::Ok
-        ));
-        endpoint.send_bulk(50, &[9, 9, 9, 9]).unwrap();
-        call(
-            &endpoint,
-            Request::EnqueueWriteBuffer {
-                queue_id: 2,
-                buffer_id: 3,
-                offset: 0,
-                size: 4,
-                event_id: 101,
-                stream_id: 50,
-                wait_events: vec![100],
-            },
-        );
-        // The write is gated by the user event: its status stays submitted.
-        std::thread::sleep(Duration::from_millis(50));
-        let Response::EventStatus { status } =
-            call(&endpoint, Request::GetEventStatus { event_id: 101 })
-        else {
-            panic!()
+    }
+
+    /// A batch whose one entry writes `[9; 4]` (bulk stream `stream_id`,
+    /// sent first) into buffer 3 as event `event_id` once the replacement
+    /// for event 100 — created by the same batch — completes.
+    fn gated_write(endpoint: &Arc<Endpoint>, command_id: u64, event_id: ObjectId, stream_id: u64) {
+        endpoint.send_bulk(stream_id, &[9, 9, 9, 9]).unwrap();
+        let entry = |command_id, event_id, wait_events, command| BatchEntry {
+            command_id,
+            queue_id: 2,
+            event_id,
+            wait_events,
+            command,
         };
-        assert!(status > 0, "write must not have completed yet, status {status}");
-        assert!(matches!(
-            call(&endpoint, Request::SetUserEventComplete { event_id: 100 }),
-            Response::Ok
-        ));
-        // Now it completes.
-        let mut done = false;
-        for _ in 0..100 {
-            let Response::EventStatus { status } =
-                call(&endpoint, Request::GetEventStatus { event_id: 101 })
-            else {
-                panic!()
-            };
-            if status == 0 {
-                done = true;
-                break;
+        let request = Request::EnqueueBatch {
+            entries: vec![
+                entry(0, 100, vec![], BatchCommand::Replacement { status: None }),
+                entry(
+                    command_id,
+                    event_id,
+                    vec![100],
+                    BatchCommand::WriteBuffer { buffer_id: 3, offset: 0, size: 4, stream_id },
+                ),
+            ],
+        };
+        let Response::BatchEnqueued { statuses } = call(endpoint, request) else { panic!() };
+        assert_eq!(statuses, vec![BatchEntryStatus::ok(); 2]);
+    }
+
+    fn forward(endpoint: &Arc<Endpoint>, event_id: ObjectId, status: i32) {
+        let notification = ClientNotification::EventStatus { event_id, status };
+        endpoint.notify(notification.to_bytes()).unwrap();
+    }
+
+    fn event_status(endpoint: &Arc<Endpoint>, event_id: ObjectId) -> i32 {
+        let Response::EventStatus { status } = call(endpoint, Request::GetEventStatus { event_id })
+        else {
+            panic!("expected event status")
+        };
+        status
+    }
+
+    /// Poll until `event_id` is terminal and return its status.
+    fn terminal_status(endpoint: &Arc<Endpoint>, event_id: ObjectId) -> i32 {
+        for _ in 0..500 {
+            let status = event_status(endpoint, event_id);
+            if status <= 0 {
+                return status;
             }
-            std::thread::sleep(Duration::from_millis(10));
+            std::thread::sleep(Duration::from_millis(2));
         }
-        assert!(done, "gated write never completed");
+        panic!("event {event_id} never reached a terminal state")
+    }
+
+    fn buffer_contents(endpoint: &Arc<Endpoint>, stream_id: u64) -> Vec<u8> {
+        call(endpoint, Request::DownloadBufferData { buffer_id: 3, stream_id });
+        endpoint.wait_bulk(stream_id, Duration::from_secs(5)).unwrap()
+    }
+
+    #[test]
+    fn user_events_gate_execution() {
+        let (_daemon, endpoint, _t) = start_test_daemon();
+        build_write_session(&endpoint);
+        gated_write(&endpoint, 1, 101, 50);
+        // The write is gated by the replacement: its status stays submitted.
+        std::thread::sleep(Duration::from_millis(50));
+        let status = event_status(&endpoint, 101);
+        assert!(status > 0, "write must not have completed yet, status {status}");
+        forward(&endpoint, 100, 0);
+        // Now it completes.
+        assert_eq!(terminal_status(&endpoint, 101), 0, "gated write never completed");
+        assert_eq!(buffer_contents(&endpoint, 51), vec![9; 4]);
+    }
+
+    #[test]
+    fn status_forward_overtaking_its_replacement_still_releases_the_command() {
+        let (daemon, endpoint, _t) = start_test_daemon();
+        build_write_session(&endpoint);
+        // The forward arrives first and creates the replacement terminal;
+        // the batch's upsert then finds it and changes nothing.
+        forward(&endpoint, 100, 0);
+        gated_write(&endpoint, 1, 101, 50);
+        assert_eq!(terminal_status(&endpoint, 101), 0);
+        // Repeating the forward (even with another status), and replaying
+        // the batch, are no-ops.
+        forward(&endpoint, 100, -5);
+        assert_eq!(event_status(&endpoint, 100), 0);
+        gated_write(&endpoint, 1, 101, 52);
+        assert_eq!(daemon.dedup_counters("c"), Some((1, 1)));
+        assert_eq!(event_status(&endpoint, 100), 0);
+        assert_eq!(buffer_contents(&endpoint, 51), vec![9; 4]);
+    }
+
+    #[test]
+    fn failed_forward_fails_the_gated_command_and_leaves_its_buffer() {
+        let (_daemon, endpoint, _t) = start_test_daemon();
+        build_write_session(&endpoint);
+        gated_write(&endpoint, 1, 101, 50);
+        forward(&endpoint, 100, -5);
+        assert_eq!(terminal_status(&endpoint, 101), -14, "wait-list error expected");
+        assert_eq!(buffer_contents(&endpoint, 51), vec![0; 4], "the gated write must not run");
+        // A forward never completes a command's own event.
+        forward(&endpoint, 101, 0);
+        assert_eq!(event_status(&endpoint, 101), -14);
+    }
+
+    #[test]
+    fn released_events_leave_the_event_table() {
+        let (daemon, endpoint, _t) = start_test_daemon();
+        build_write_session(&endpoint);
+        gated_write(&endpoint, 1, 101, 50);
+        forward(&endpoint, 100, 0);
+        assert_eq!(terminal_status(&endpoint, 101), 0);
+        assert_eq!(daemon.events_held("c"), Some(2));
+        // A release rides the next batch (here one of nothing else) ...
+        let release = Request::EnqueueBatch {
+            entries: vec![BatchEntry {
+                command_id: 0,
+                queue_id: 2,
+                event_id: 0,
+                wait_events: vec![],
+                command: BatchCommand::Release { event_ids: vec![101] },
+            }],
+        };
+        assert!(matches!(call(&endpoint, release), Response::BatchEnqueued { .. }));
+        assert_eq!(daemon.events_held("c"), Some(1));
+        // ... or travels on its own; ids the daemon does not hold are skipped.
+        let notification = ClientNotification::ReleaseEvents { event_ids: vec![100, 7] };
+        endpoint.notify(notification.to_bytes()).unwrap();
+        call(&endpoint, Request::GetSessionInfo);
+        assert_eq!(daemon.events_held("c"), Some(0));
     }
 
     #[test]

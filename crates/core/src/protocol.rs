@@ -3,7 +3,9 @@
 //! Every OpenCL API call that needs a server is turned into a [`Request`]
 //! message; the daemon answers with a [`Response`].  Asynchronous state
 //! changes (most importantly event completion, the heart of the event
-//! consistency protocol of Section III-D) travel as [`Notification`]s.  Bulk
+//! consistency protocol of Section III-D) travel as [`Notification`]s; the
+//! client forwards a completion to the servers holding a replacement for the
+//! event as a [`ClientNotification`].  Bulk
 //! data (buffer uploads/downloads, i.e. *stream-based communication*) does
 //! not appear here: it is shipped through [`gcf::Endpoint::send_bulk`]
 //! streams identified by a `stream_id` carried in the corresponding request.
@@ -421,18 +423,9 @@ gcf::wire_message! {
             /// Events the marker waits for.
             wait_events: Vec<ObjectId>,
         },
-        /// Create a user event (the replacement object of the event-consistency
-        /// protocol).
-        20 => CreateUserEvent {
-            /// Client-assigned event id (same id as the original event on the
-            /// owning server).
-            event_id: ObjectId,
-        },
-        /// Complete a user event previously created with `CreateUserEvent`.
-        21 => SetUserEventComplete {
-            /// Event id.
-            event_id: ObjectId,
-        },
+        // Tags 20 and 21 (eager user-event creation and completion) are
+        // retired: replacements ride `EnqueueBatch`, completions travel as
+        // [`ClientNotification::EventStatus`].
         /// Query the status of an event.
         22 => GetEventStatus {
             /// Event id.
@@ -469,9 +462,11 @@ gcf::wire_message! {
         /// A batch of enqueue commands accumulated client-side and shipped in a
         /// single round trip (the batched command pipeline).  Entries are
         /// enqueued strictly in order; completion is reported asynchronously per
-        /// entry through [`Notification::EventCompleted`].
+        /// entry through [`Notification::EventCompleted`].  Event bookkeeping
+        /// rides along as entries too: [`BatchCommand::Release`] and
+        /// [`BatchCommand::Replacement`] ahead of the commands.
         27 => EnqueueBatch {
-            /// The commands, in submission order.
+            /// The entries, in submission order.
             entries: Vec<BatchEntry>,
         },
         /// Query the daemon's view of this session (used by the fault-tolerance
@@ -572,6 +567,31 @@ gcf::wire_message! {
         },
         /// `clEnqueueMarkerWithWaitList`.
         3 => Marker,
+        /// Not a command: the replacement event of the event-consistency
+        /// protocol (Section III-D) for the entry's `event_id`, an event owned
+        /// by another server that a later entry of the batch waits on.
+        ///
+        /// An idempotent upsert keyed by `event_id`: the daemon creates the
+        /// user event if it holds none yet, then applies `status` if it is
+        /// terminal.  A status forward
+        /// ([`ClientNotification::EventStatus`]) that overtook the batch has
+        /// already created it, and a replayed batch changes nothing.  The
+        /// entry's `command_id` is 0 and its queue and wait list are unused.
+        4 => Replacement {
+            /// `None` while the original is pending; its terminal status (0 =
+            /// complete, negative = error) if it had finished when the batch
+            /// was built.
+            status: Option<i32>,
+        },
+        /// Not a command: the client holds no handle to these events any
+        /// more, so the daemon drops them from its event table (a queued
+        /// command keeps its own reference to what it waits on).  The entry's
+        /// `command_id` and `event_id` are 0 and its queue and wait list are
+        /// unused.
+        5 => Release {
+            /// Event ids to forget; ids the daemon does not hold are skipped.
+            event_ids: Vec<ObjectId>,
+        },
     }
 }
 
@@ -730,6 +750,29 @@ gcf::wire_message! {
     }
 }
 
+gcf::wire_message! {
+    /// One-way notifications sent by the client driver to a daemon.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum ClientNotification {
+        /// An event owned by another server reached a terminal state: set this
+        /// daemon's replacement for it to `status`, creating the replacement
+        /// already terminal if the batch that creates it has not arrived yet.
+        /// Idempotent: a terminal replacement ignores further statuses.
+        0 => EventStatus {
+            /// The client-assigned event id.
+            event_id: ObjectId,
+            /// Final OpenCL status (0 = complete, negative = error).
+            status: i32,
+        },
+        /// The client released these events: [`BatchCommand::Release`] sent on
+        /// its own, when no batch is going to the daemon soon enough.
+        1 => ReleaseEvents {
+            /// Event ids to drop from the daemon's event table.
+            event_ids: Vec<ObjectId>,
+        },
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -858,8 +901,6 @@ mod tests {
             Request::EnqueueMarker { queue_id: 2, event_id: 10, wait_events: vec![9] },
             "1302000000000000000a00000000000000010000000900000000000000",
         );
-        check(Request::CreateUserEvent { event_id: 11 }, "140b00000000000000");
-        check(Request::SetUserEventComplete { event_id: 11 }, "150b00000000000000");
         check(Request::GetEventStatus { event_id: 9 }, "160900000000000000");
         check(Request::GetServerInfo, "17");
         check(Request::Disconnect, "18");
@@ -915,9 +956,30 @@ mod tests {
                         wait_events: vec![],
                         command: BatchCommand::Marker,
                     },
+                    BatchEntry {
+                        command_id: 0,
+                        queue_id: 2,
+                        event_id: 6,
+                        wait_events: vec![],
+                        command: BatchCommand::Replacement { status: None },
+                    },
+                    BatchEntry {
+                        command_id: 0,
+                        queue_id: 2,
+                        event_id: 7,
+                        wait_events: vec![],
+                        command: BatchCommand::Replacement { status: Some(-5) },
+                    },
+                    BatchEntry {
+                        command_id: 0,
+                        queue_id: 2,
+                        event_id: 0,
+                        wait_events: vec![],
+                        command: BatchCommand::Release { event_ids: vec![4, 5] },
+                    },
                 ],
             },
-            "1b04000000840300000000000002000000000000001400000000000000020000\
+            "1b07000000840300000000000002000000000000001400000000000000020000\
                 0006000000000000000700000000000000000300000000000000080000000000\
                 00004000000000000000c8000000000000008503000000000000020000000000\
                 0000150000000000000000000000010300000000000000000000000000000010\
@@ -925,7 +987,10 @@ mod tests {
                 0000000000000001000000140000000000000002050000000000000001800000\
                 0000000000010000000000000001000000000000000000000000000000000000\
                 0000000000000000000000000000870300000000000002000000000000001700\
-                0000000000000000000003",
+                0000000000000000000003000000000000000002000000000000000600000000\
+                0000000000000004000000000000000000020000000000000007000000000000\
+                00000000000401fbffffff000000000000000002000000000000000000000000\
+                00000000000000050200000004000000000000000500000000000000",
         );
         check(Request::GetSessionInfo, "1c");
         check(
@@ -1021,6 +1086,28 @@ mod tests {
     }
 
     #[test]
+    fn client_notification_roundtrip() {
+        check(
+            ClientNotification::EventStatus { event_id: 42, status: -14 },
+            "002a00000000000000f2ffffff",
+        );
+        check(
+            ClientNotification::ReleaseEvents { event_ids: vec![42, 43] },
+            "01020000002a000000000000002b00000000000000",
+        );
+    }
+
+    #[test]
+    fn retired_user_event_tags_are_rejected() {
+        // 20 and 21 carried the eager user-event requests; they stay unused.
+        for tag in [20u8, 21] {
+            let mut bytes = vec![tag];
+            bytes.extend_from_slice(&11u64.to_le_bytes());
+            assert!(Request::from_bytes(&bytes).is_err(), "tag {tag} decoded");
+        }
+    }
+
+    #[test]
     fn wire_values_roundtrip() {
         for (v, golden) in [
             (Value::int(-3), "000500fdffffffffffffff"),
@@ -1063,5 +1150,6 @@ mod tests {
         assert!(Request::from_bytes(&[200]).is_err());
         assert!(Response::from_bytes(&[99]).is_err());
         assert!(Notification::from_bytes(&[7]).is_err());
+        assert!(ClientNotification::from_bytes(&[7]).is_err());
     }
 }

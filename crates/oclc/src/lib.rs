@@ -54,7 +54,8 @@
 //! barrier semantics; kernels that combine `barrier()` with `__local`-memory
 //! writes are rejected with a clear error instead of silently producing
 //! wrong results.  `DCL_VM_THREADS` caps the VM's worker threads (default:
-//! available parallelism); it is read when a kernel handle is created.
+//! available parallelism).  Both variables are read when a kernel handle is
+//! created.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -165,15 +166,16 @@ impl Program {
         self.kernels.keys().cloned().collect()
     }
 
-    /// Look up a kernel by name.  The handle's VM worker-thread count
-    /// (`DCL_VM_THREADS` or the host's available parallelism) is resolved
-    /// here, once, not on every launch.
+    /// Look up a kernel by name.  The handle's executor (`DCL_INTERP`) and
+    /// VM worker-thread count (`DCL_VM_THREADS` or the host's available
+    /// parallelism) are resolved here, once, not on every launch.
     pub fn kernel(&self, name: &str) -> Option<KernelHandle> {
         self.kernels.get(name).map(|idx| KernelHandle {
             unit: Arc::clone(&self.unit),
             compiled: Arc::clone(&self.compiled),
             index: *idx,
             name: name.to_string(),
+            mode: ExecMode::from_env(),
             threads: default_threads(),
         })
     }
@@ -193,6 +195,8 @@ pub struct KernelHandle {
     compiled: Arc<bytecode::CompiledUnit>,
     index: ast::FunctionIndex,
     name: String,
+    /// Executor for [`KernelHandle::execute`].
+    mode: ExecMode,
     /// VM worker threads for [`KernelHandle::execute_vm`].
     threads: usize,
 }
@@ -216,17 +220,17 @@ impl KernelHandle {
     /// Execute the kernel over `range`, reading and writing the supplied
     /// argument values and buffer bindings.
     ///
-    /// Dispatches to the bytecode VM unless `DCL_INTERP=tree` selects the
-    /// legacy tree-walking interpreter.  Returns per-work-item operation
-    /// counters which the device model uses to derive modelled execution
-    /// time.
+    /// Dispatches to the bytecode VM unless `DCL_INTERP=tree` selected the
+    /// legacy tree-walking interpreter when [`Program::kernel`] created this
+    /// handle.  Returns per-work-item operation counters which the device
+    /// model uses to derive modelled execution time.
     pub fn execute(
         &self,
         range: &NdRange,
         args: &[KernelArgValue],
         buffers: &mut [BufferBinding<'_>],
     ) -> Result<WorkItemCounters, CompileError> {
-        match ExecMode::from_env() {
+        match self.mode {
             ExecMode::Vm => self.execute_vm(range, args, buffers),
             ExecMode::Tree => self.execute_tree(range, args, buffers),
         }

@@ -116,9 +116,9 @@ impl Event {
         })
     }
 
-    /// `clCreateUserEvent`: a user event starts in the `Submitted` state and
-    /// is completed explicitly via [`Event::set_complete`] /
-    /// [`Event::set_error`].
+    /// An OpenCL user event (command type `CL_COMMAND_USER`): it starts in
+    /// the `Submitted` state and is completed explicitly via
+    /// [`Event::set_complete`] / [`Event::set_error`].
     pub fn user() -> Arc<Event> {
         let e = Event::new(CommandType::User);
         e.set_status(EventStatus::Submitted);

@@ -80,12 +80,13 @@ fn scalar_kernels_produce_identical_bytes_in_both_modes() {
         }
     "#;
     let program = Program::build(src).expect("build");
-    let k = program.kernel("fill").expect("kernel");
     let run = |mode: Option<&str>| -> Vec<u8> {
         match mode {
             Some(m) => std::env::set_var("DCL_INTERP", m),
             None => std::env::remove_var("DCL_INTERP"),
         }
+        // The handle reads DCL_INTERP when it is created.
+        let k = program.kernel("fill").expect("kernel");
         let mut buf = vec![0u8; 32];
         {
             let mut bindings = vec![BufferBinding::new(&mut buf)];

@@ -712,3 +712,59 @@ fn crash_between_delta_uploads_revalidates_only_stale_ranges_on_survivor() {
     assert_eq!(data, expected);
     assert_eq!(cluster.daemons()[1].stats().bytes_uploaded, uploaded_before);
 }
+
+/// A command on a survivor waits on an event whose owner is killed while
+/// running it.  Under `drop_lost_servers` the owner's pending events fail
+/// with the wait-list error, the failure is forwarded to the survivor's
+/// replacement, and the dependent command fails with -14 instead of
+/// hanging.
+#[test]
+fn dependant_of_an_event_on_a_killed_server_fails_instead_of_hanging() {
+    const SPIN: &str = r#"
+        __kernel void spin(__global uint* out, uint rounds) {
+            uint x = 1u;
+            for (uint i = 0u; i < rounds; i++) {
+                x = x * 1664525u + 1013904223u;
+            }
+            out[get_global_id(0)] = x;
+        }
+    "#;
+    const MAX_ITEMS: usize = 4096;
+    let mut cluster = LocalCluster::new(LinkModel::gigabit_ethernet());
+    cluster.add_node("node0", &Platform::test_platform(1)).unwrap();
+    cluster.add_node("node1", &Platform::test_platform(1)).unwrap();
+    let client = cluster.client_with_clock("killed-owner", SimClock::new()).unwrap();
+    client.set_failover_policy(FailoverPolicy {
+        reconnect: true,
+        backoff: Backoff::fast(),
+        drop_lost_servers: true,
+    });
+    let devices = client.devices();
+    let context = Context::new(&client, &devices).unwrap();
+    let q0 = context.create_command_queue(&devices[0]).unwrap();
+    let q1 = context.create_command_queue(&devices[1]).unwrap();
+    let buffer = context.create_buffer(MAX_ITEMS * 4).unwrap();
+    let program = context.create_program_with_source(SPIN).unwrap();
+    program.build().unwrap();
+    let kernel = program.create_kernel("spin").unwrap();
+    kernel.set_arg(0, &buffer).unwrap();
+    kernel.set_arg(1, Value::uint(1_000_000)).unwrap();
+
+    // Size the launch so node0 is still running it when it is killed: time
+    // one work-item, then launch enough of them for about a second and a
+    // half.
+    let start = std::time::Instant::now();
+    q0.launch(&kernel, NdRange::linear(1)).submit().unwrap().wait().unwrap();
+    let items = (1.5 / start.elapsed().as_secs_f64()).ceil().clamp(1.0, MAX_ITEMS as f64);
+    let slow = q0.launch(&kernel, NdRange::linear(items as usize)).submit().unwrap();
+    q0.flush().unwrap();
+    let dependent = q1.marker().after(std::slice::from_ref(&slow)).submit().unwrap();
+    assert!(!slow.is_terminal(), "the launch must outlast the dependant's submission");
+
+    cluster.daemons()[0].kill();
+    let err = dependent.wait().unwrap_err();
+    assert!(err.to_string().contains("status -14"), "{err}");
+    let err = slow.wait().unwrap_err();
+    assert!(err.to_string().contains("status -14"), "{err}");
+    assert_eq!(client.servers().len(), 1);
+}

@@ -190,3 +190,119 @@ fn disconnecting_a_server_removes_its_devices_but_others_keep_working() {
     let (data, _) = queue.read_buffer(&buffer).submit().unwrap();
     assert_eq!(data, vec![7u8; 16]);
 }
+
+/// A command on server 1 that waits on an event server 0 has already
+/// finished costs server 1 exactly one request — the batch, which creates
+/// the replacement already complete — and server 0 none.
+#[test]
+fn waiting_on_a_finished_event_of_another_server_costs_only_the_batch() {
+    let (cluster, client, _clock) = test_cluster(2, 1);
+    let devices = client.devices();
+    let context = Context::new(&client, &devices).unwrap();
+    let q0 = context.create_command_queue(&devices[0]).unwrap();
+    let q1 = context.create_command_queue(&devices[1]).unwrap();
+    let buffer = context.create_buffer(16).unwrap();
+    let done = q0.marker().submit().unwrap();
+    done.wait().unwrap();
+
+    let requests =
+        || -> Vec<u64> { cluster.daemons().iter().map(|d| d.stats().requests).collect() };
+    let before = requests();
+    let write = q1.write_buffer(&buffer, &[7u8; 16]).after(std::slice::from_ref(&done)).submit();
+    write.unwrap().wait().unwrap();
+    let after = requests();
+    assert_eq!(after[1] - before[1], 1, "server 1 gets the batch and nothing else");
+    assert_eq!(after[0] - before[0], 0, "server 0 hears nothing of it");
+    let (data, _) = q1.read_buffer(&buffer).submit().unwrap();
+    assert_eq!(data, vec![7u8; 16]);
+}
+
+/// A failed event fails its dependants on another server with the
+/// wait-list error, whether it had already failed when the dependant was
+/// enqueued (its replacement is created failed) or fails afterwards (the
+/// failure is forwarded); the dependent write never touches the buffer.
+#[test]
+fn a_failed_event_fails_its_dependants_on_another_server() {
+    const SPIN: &str = "__kernel void spin(__global uint* out, uint rounds) {
+        uint x = 1u;
+        for (uint i = 0u; i < rounds; i++) { x = x * 1664525u + 1013904223u; }
+        out[0] = x;
+    }";
+    let (_cluster, client, _clock) = test_cluster(2, 1);
+    let devices = client.devices();
+    let context = Context::new(&client, &devices).unwrap();
+    let q0 = context.create_command_queue(&devices[0]).unwrap();
+    let q1 = context.create_command_queue(&devices[1]).unwrap();
+    let buffer = context.create_buffer(16).unwrap();
+    q1.write_buffer(&buffer, &[5u8; 16]).blocking().submit().unwrap();
+    let program = context.create_program_with_source(INC_KERNEL).unwrap();
+    program.build().unwrap();
+    // A kernel whose argument is never set: its launch fails at execution.
+    let unbound = program.create_kernel("inc").unwrap();
+    // A million-round loop ahead of it on q0 keeps the failure pending
+    // while the dependant is enqueued, so the failure reaches server 1 as
+    // a forward.
+    let spin_program = context.create_program_with_source(SPIN).unwrap();
+    spin_program.build().unwrap();
+    let spin = spin_program.create_kernel("spin").unwrap();
+    spin.set_arg(0, context.create_buffer(4).unwrap()).unwrap();
+    spin.set_arg(1, Value::uint(1_000_000)).unwrap();
+
+    for failed_first in [true, false] {
+        if !failed_first {
+            q0.launch(&spin, NdRange::linear(1)).submit().unwrap();
+        }
+        let failed = q0.launch(&unbound, NdRange::linear(4)).submit().unwrap();
+        if failed_first {
+            assert!(failed.wait().is_err());
+        }
+        let dependent =
+            q1.write_buffer(&buffer, &[9u8; 16]).after(std::slice::from_ref(&failed)).submit();
+        assert_eq!(failed.is_terminal(), failed_first);
+        let err = dependent.unwrap().wait().unwrap_err();
+        assert!(err.to_string().contains("status -14"), "{err}");
+        assert!(failed.wait().is_err());
+        let (data, _) = q1.read_buffer(&buffer).submit().unwrap();
+        assert_eq!(data, vec![5u8; 16], "the dependent write must not run");
+    }
+}
+
+/// Once every event has been waited for and every handle dropped, the
+/// client tracks no event and neither daemon holds one: the releases rode
+/// to each server that knew the event (here on their own, through the
+/// explicit flush of an idle queue).
+#[test]
+fn event_tables_empty_once_every_handle_is_dropped() {
+    let (cluster, client, _clock) = test_cluster(2, 1);
+    let devices = client.devices();
+    let context = Context::new(&client, &devices).unwrap();
+    let q0 = context.create_command_queue(&devices[0]).unwrap();
+    let q1 = context.create_command_queue(&devices[1]).unwrap();
+    let buffer = context.create_buffer(16).unwrap();
+    let program = context.create_program_with_source(INC_KERNEL).unwrap();
+    program.build().unwrap();
+    let kernel = program.create_kernel("inc").unwrap();
+    kernel.set_arg(0, &buffer).unwrap();
+    {
+        let first = q0.launch(&kernel, NdRange::linear(4)).submit().unwrap();
+        let second =
+            q1.launch(&kernel, NdRange::linear(4)).after(std::slice::from_ref(&first)).submit();
+        let second = second.unwrap();
+        let third = q0.marker().after(std::slice::from_ref(&second)).submit().unwrap();
+        let (data, read) =
+            q1.read_buffer(&buffer).after(std::slice::from_ref(&third)).submit().unwrap();
+        assert_eq!(as_i32s(&data), vec![2, 2, 2, 2]);
+        dopencl::Event::wait_all(&[first, second, third, read]).unwrap();
+    }
+    assert_eq!(client.tracked_events(), 0);
+    q0.flush().unwrap();
+    q1.flush().unwrap();
+    // A request behind each release on the same connection: once it is
+    // answered, the daemon has handled the release.
+    for server in client.servers() {
+        client.server_info(server).unwrap();
+    }
+    for daemon in cluster.daemons() {
+        assert_eq!(daemon.events_held("integration"), Some(0), "{}", daemon.name());
+    }
+}
