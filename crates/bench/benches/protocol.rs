@@ -9,16 +9,22 @@ use gcf::LinkModel;
 use vocl::Platform;
 
 fn protocol_benches(c: &mut Criterion) {
-    // Encode + decode a representative request.
+    // Encode + decode a representative request: a kernel launch riding a
+    // one-entry batch.
     c.bench_function("protocol/encode_decode_enqueue_nd_range", |b| {
-        use dopencl::protocol::{Request, WireNdRange};
+        use dopencl::protocol::{BatchCommand, BatchEntry, Request, WireNdRange};
         use gcf::wire::{Decode, Encode};
-        let request = Request::EnqueueNdRange {
-            queue_id: 2,
-            kernel_id: 5,
-            event_id: 9,
-            range: WireNdRange(vocl::NdRange::two_d(4800, 3200)),
-            wait_events: vec![7, 8],
+        let request = Request::EnqueueBatch {
+            entries: vec![BatchEntry {
+                command_id: 1,
+                queue_id: 2,
+                event_id: 9,
+                wait_events: vec![7, 8],
+                command: BatchCommand::NdRange {
+                    kernel_id: 5,
+                    range: WireNdRange(vocl::NdRange::two_d(4800, 3200)),
+                },
+            }],
         };
         b.iter(|| {
             let bytes = request.to_bytes();

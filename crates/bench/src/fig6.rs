@@ -8,7 +8,7 @@
 //! * [`cluster_contention`] — ≥ 200 concurrent clients requesting fractional
 //!   GPU shares from a 2-node cluster, recording per-policy assignment tail
 //!   latency (p50/p95/p99) and the per-client completed-work spread
-//!   ([`Strategy::Fair`] keeps max/min ≤ 2× while `FirstFit` starves
+//!   ([`devmgr::Strategy::Fair`] keeps max/min ≤ 2× while `FirstFit` starves
 //!   latecomers outright).
 //! * [`migration_bit_correctness`] — a lease is revoked from a draining node
 //!   mid-computation and migrated; the client follows the

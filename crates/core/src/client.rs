@@ -1995,11 +1995,9 @@ impl ClientInner {
         Ok(())
     }
 
-    /// Upload `ranges` of `buffer` to `server` in one request, `data` holding
-    /// them back to back.  A single whole-buffer range uses the original
-    /// `UploadBufferData` message, anything else one `UploadBufferRange` —
-    /// so the whole-buffer policy, which only uploads whole buffers, keeps
-    /// the original message.
+    /// Upload `ranges` of `buffer` to `server` in one `UploadBufferRange`
+    /// request, `data` holding them back to back.  A whole-buffer upload is
+    /// the one range `[0, size)`.
     fn upload_buffer_ranges(
         &self,
         server: usize,
@@ -2011,30 +2009,21 @@ impl ClientInner {
         let stream_id = conn.endpoint.allocate_id();
         self.clock.charge(Phase::DataTransfer, self.link.transfer_time(data.len() as u64));
         conn.endpoint.send_bulk(stream_id, data)?;
-        let request = match ranges {
-            [one] if one.start == 0 && one.end == buffer.size => Request::UploadBufferData {
-                buffer_id: buffer.id,
-                stream_id,
-                size: data.len() as u64,
-            },
-            _ => Request::UploadBufferRange {
-                buffer_id: buffer.id,
-                ranges: ranges.iter().map(|r| (r.start as u64, r.len() as u64)).collect(),
-                stream_id,
-            },
+        let request = Request::UploadBufferRange {
+            buffer_id: buffer.id,
+            ranges: ranges.iter().map(|r| (r.start as u64, r.len() as u64)).collect(),
+            stream_id,
         };
-        match self.call_server_on(&conn, &request, Phase::DataTransfer)? {
-            Response::OkTimed { modeled_nanos } => {
-                self.clock.charge(Phase::DataTransfer, Duration::from_nanos(modeled_nanos));
-                Ok(())
-            }
-            _ => Ok(()),
+        if let Response::OkTimed { modeled_nanos } =
+            self.call_server_on(&conn, &request, Phase::DataTransfer)?
+        {
+            self.clock.charge(Phase::DataTransfer, Duration::from_nanos(modeled_nanos));
         }
+        Ok(())
     }
 
-    /// Download `range` of `buffer` from `server`.  Whole-buffer ranges use
-    /// the original `DownloadBufferData` message, partial ranges the range
-    /// variant.
+    /// Download `range` of `buffer` from `server` in one
+    /// `DownloadBufferRange` request.
     fn download_buffer_range(
         &self,
         server: usize,
@@ -2043,22 +2032,16 @@ impl ClientInner {
     ) -> Result<Vec<u8>> {
         let conn = self.server(server)?;
         let stream_id = conn.endpoint.allocate_id();
-        let request = if range.start == 0 && range.end == buffer.size {
-            Request::DownloadBufferData { buffer_id: buffer.id, stream_id }
-        } else {
-            Request::DownloadBufferRange {
-                buffer_id: buffer.id,
-                offset: range.start as u64,
-                size: range.len() as u64,
-                stream_id,
-            }
+        let request = Request::DownloadBufferRange {
+            buffer_id: buffer.id,
+            offset: range.start as u64,
+            size: range.len() as u64,
+            stream_id,
         };
-        let response = self.call_server_on(&conn, &request, Phase::DataTransfer)?;
-        match response {
-            Response::OkTimed { modeled_nanos } | Response::BufferRange { modeled_nanos, .. } => {
-                self.clock.charge(Phase::DataTransfer, Duration::from_nanos(modeled_nanos));
-            }
-            _ => {}
+        if let Response::OkTimed { modeled_nanos } =
+            self.call_server_on(&conn, &request, Phase::DataTransfer)?
+        {
+            self.clock.charge(Phase::DataTransfer, Duration::from_nanos(modeled_nanos));
         }
         let data = conn.endpoint.wait_bulk(stream_id, Duration::from_secs(300))?;
         self.clock.charge(Phase::DataTransfer, self.link.transfer_time(data.len() as u64));

@@ -50,8 +50,9 @@
 //! is one `DownloadBufferRange` request; all uploads go in **one**
 //! `UploadBufferRange { buffer_id, ranges: [(offset, size), ..], stream_id }`
 //! whose bulk stream carries the ranges' bytes back to back (the daemon
-//! checks every range and the stream length before writing any), and a
-//! whole-buffer upload stays `UploadBufferData`.
+//! checks every range and the stream length before writing any).  A
+//! whole-buffer move is the one-range case `[(0, size)]` of the same two
+//! messages.
 //!
 //! **Fragmentation cap**: a pathological write pattern (e.g. alternating
 //! dirty bytes) can degenerate the interval map into thousands of tiny

@@ -16,8 +16,8 @@
 //! manager crate can plug in without a dependency cycle.
 
 use crate::protocol::{
-    BatchCommand, BatchEntryStatus, ClientNotification, DeviceDescriptor, Notification, ObjectId,
-    Request, Response, ServerInfo, SessionInfo, WireNdRange,
+    BatchCommand, BatchEntry, BatchEntryStatus, ClientNotification, DeviceDescriptor, Notification,
+    ObjectId, Request, Response, ServerInfo, SessionInfo,
 };
 use crate::Result;
 use gcf::rpc::{Endpoint, EndpointHandler};
@@ -227,15 +227,6 @@ impl Daemon {
         }
     }
 
-    /// Dedup-window counters of the session for `identity` (client name or
-    /// auth id) — lets tests assert exactly-once execution numerically.
-    pub fn dedup_counters(&self, identity: &str) -> Option<(u64, u64)> {
-        let registry = self.registry.lock();
-        let state = registry.by_identity.get(identity)?;
-        let state = state.lock();
-        Some((state.dedup.admitted, state.dedup.replayed))
-    }
-
     /// Number of events (originals and replacements) the session for
     /// `identity` still tracks — a leak check for tests: once the client has
     /// released every event, this is 0.
@@ -353,7 +344,6 @@ pub struct DaemonSession {
     /// The epoch this session adopted the state at (from its `Hello`); the
     /// drop guard skips lease release when a newer session took over.
     my_epoch: AtomicU64,
-    next_stream: AtomicU64,
     registry: Arc<Mutex<SessionRegistry>>,
 }
 
@@ -388,7 +378,6 @@ impl DaemonSession {
             endpoint: Mutex::new(None),
             state: Mutex::new(Arc::new(Mutex::new(SessionState::default()))),
             my_epoch: AtomicU64::new(0),
-            next_stream: AtomicU64::new(1 << 32),
             registry,
         }
     }
@@ -533,122 +522,96 @@ impl DaemonSession {
         self.state().lock().events.insert(event_id, Arc::clone(event));
     }
 
-    // ----- per-command enqueue (shared by the legacy arms and EnqueueBatch) --
-
-    #[allow(clippy::too_many_arguments)]
-    fn enqueue_write_entry(
-        &self,
-        queue_id: ObjectId,
-        buffer_id: ObjectId,
-        offset: u64,
-        size: u64,
-        event_id: ObjectId,
-        stream_id: u64,
-        wait_events: &[ObjectId],
-        chain: Option<&Arc<Event>>,
-    ) -> std::result::Result<Arc<Event>, Response> {
+    /// The payload of an upload, bulk stream `stream_id`.  The client sends
+    /// it before the request that names it, so the stream has already been
+    /// reassembled.
+    fn upload_stream(&self, stream_id: u64) -> std::result::Result<Vec<u8>, Response> {
         let Some(endpoint) = self.endpoint() else {
             return Err(Response::Error { code: -36, message: "no endpoint".into() });
         };
-        // The client sends the bulk payload before the request, so the
-        // stream has already been reassembled.
-        let data = match endpoint.wait_bulk(stream_id, Duration::from_secs(120)) {
-            Ok(d) => d,
-            Err(e) => {
-                return Err(Response::Error {
-                    code: -30,
-                    message: format!("missing upload stream: {e}"),
-                })
-            }
-        };
-        if data.len() as u64 != size {
-            return Err(Response::Error {
-                code: -30,
-                message: format!("upload size mismatch: expected {size}, got {}", data.len()),
-            });
-        }
-        self.stats.lock().bytes_uploaded += size;
-        let (queue, wait) = self.resolve_enqueue(queue_id, wait_events, chain)?;
-        let buffer = self.buffer_by_id(buffer_id)?;
-        let event = queue
-            .enqueue_write_buffer(&buffer, offset as usize, data, wait)
-            .map_err(|e| Self::cl_error(&e))?;
-        self.track_event(event_id, &event);
-        Ok(event)
+        endpoint.wait_bulk(stream_id, Duration::from_secs(120)).map_err(|e| Response::Error {
+            code: -30,
+            message: format!("missing upload stream: {e}"),
+        })
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn enqueue_read_entry(
+    /// Enqueue the command of one [`Request::EnqueueBatch`] entry and track
+    /// its event.
+    fn enqueue_entry(
         &self,
-        queue_id: ObjectId,
-        buffer_id: ObjectId,
-        offset: u64,
-        size: u64,
-        event_id: ObjectId,
-        stream_id: u64,
-        wait_events: &[ObjectId],
+        entry: BatchEntry,
         chain: Option<&Arc<Event>>,
     ) -> std::result::Result<Arc<Event>, Response> {
-        let (queue, wait) = self.resolve_enqueue(queue_id, wait_events, chain)?;
-        let buffer = self.buffer_by_id(buffer_id)?;
-        let event = queue
-            .enqueue_read_buffer(&buffer, offset as usize, size as usize, wait)
-            .map_err(|e| Self::cl_error(&e))?;
-        // When the read completes, ship the data to the client as a bulk
-        // stream; the completion notification follows (FIFO), so by the
-        // time the client's event resolves the data is en route.
-        let endpoint = self.endpoint.lock().clone();
-        let weak_event = Arc::downgrade(&event);
-        let stats = Arc::clone(&self.stats);
-        event.on_complete(Box::new(move |status| {
-            let Some(endpoint) = endpoint.as_ref().and_then(Weak::upgrade) else {
-                return;
-            };
-            if status == EventStatus::Complete {
-                if let Some(event) = weak_event.upgrade() {
-                    if let Some(data) = event.take_result() {
-                        stats.lock().bytes_downloaded += data.len() as u64;
-                        let _ = endpoint.send_bulk(stream_id, &data);
-                    }
+        let event = match entry.command {
+            BatchCommand::WriteBuffer { buffer_id, offset, size, stream_id } => {
+                let data = self.upload_stream(stream_id)?;
+                if data.len() as u64 != size {
+                    return Err(Response::Error {
+                        code: -30,
+                        message: format!(
+                            "upload size mismatch: expected {size}, got {}",
+                            data.len()
+                        ),
+                    });
                 }
+                self.stats.lock().bytes_uploaded += size;
+                let (queue, wait) =
+                    self.resolve_enqueue(entry.queue_id, &entry.wait_events, chain)?;
+                let buffer = self.buffer_by_id(buffer_id)?;
+                queue
+                    .enqueue_write_buffer(&buffer, offset as usize, data, wait)
+                    .map_err(|e| Self::cl_error(&e))?
             }
-        }));
-        self.track_event(event_id, &event);
-        Ok(event)
-    }
-
-    fn enqueue_nd_range_entry(
-        &self,
-        queue_id: ObjectId,
-        kernel_id: ObjectId,
-        event_id: ObjectId,
-        range: WireNdRange,
-        wait_events: &[ObjectId],
-        chain: Option<&Arc<Event>>,
-    ) -> std::result::Result<Arc<Event>, Response> {
-        let (queue, wait) = self.resolve_enqueue(queue_id, wait_events, chain)?;
-        let kernel = match self.state().lock().kernels.get(&kernel_id) {
-            Some(k) => Arc::clone(k),
-            None => return Err(Self::missing("kernel", kernel_id)),
+            BatchCommand::ReadBuffer { buffer_id, offset, size, stream_id } => {
+                let (queue, wait) =
+                    self.resolve_enqueue(entry.queue_id, &entry.wait_events, chain)?;
+                let buffer = self.buffer_by_id(buffer_id)?;
+                let event = queue
+                    .enqueue_read_buffer(&buffer, offset as usize, size as usize, wait)
+                    .map_err(|e| Self::cl_error(&e))?;
+                // When the read completes, ship the data to the client as a
+                // bulk stream; the completion notification follows (FIFO), so
+                // by the time the client's event resolves the data is en route.
+                let endpoint = self.endpoint.lock().clone();
+                let weak_event = Arc::downgrade(&event);
+                let stats = Arc::clone(&self.stats);
+                event.on_complete(Box::new(move |status| {
+                    let Some(endpoint) = endpoint.as_ref().and_then(Weak::upgrade) else {
+                        return;
+                    };
+                    if status == EventStatus::Complete {
+                        if let Some(event) = weak_event.upgrade() {
+                            if let Some(data) = event.take_result() {
+                                stats.lock().bytes_downloaded += data.len() as u64;
+                                let _ = endpoint.send_bulk(stream_id, &data);
+                            }
+                        }
+                    }
+                }));
+                event
+            }
+            BatchCommand::NdRange { kernel_id, range } => {
+                let (queue, wait) =
+                    self.resolve_enqueue(entry.queue_id, &entry.wait_events, chain)?;
+                let kernel = match self.state().lock().kernels.get(&kernel_id) {
+                    Some(k) => Arc::clone(k),
+                    None => return Err(Self::missing("kernel", kernel_id)),
+                };
+                self.stats.lock().kernel_launches += 1;
+                queue
+                    .enqueue_nd_range_kernel(&kernel, range.0, wait)
+                    .map_err(|e| Self::cl_error(&e))?
+            }
+            BatchCommand::Marker => {
+                let (queue, wait) =
+                    self.resolve_enqueue(entry.queue_id, &entry.wait_events, chain)?;
+                queue.enqueue_marker(wait).map_err(|e| Self::cl_error(&e))?
+            }
+            BatchCommand::Release { .. } | BatchCommand::Replacement { .. } => {
+                unreachable!("bookkeeping entries are handled by the batch loop")
+            }
         };
-        self.stats.lock().kernel_launches += 1;
-        let event = queue
-            .enqueue_nd_range_kernel(&kernel, range.0, wait)
-            .map_err(|e| Self::cl_error(&e))?;
-        self.track_event(event_id, &event);
-        Ok(event)
-    }
-
-    fn enqueue_marker_entry(
-        &self,
-        queue_id: ObjectId,
-        event_id: ObjectId,
-        wait_events: &[ObjectId],
-        chain: Option<&Arc<Event>>,
-    ) -> std::result::Result<Arc<Event>, Response> {
-        let (queue, wait) = self.resolve_enqueue(queue_id, wait_events, chain)?;
-        let event = queue.enqueue_marker(wait).map_err(|e| Self::cl_error(&e))?;
-        self.track_event(event_id, &event);
+        self.track_event(entry.event_id, &event);
         Ok(event)
     }
 
@@ -900,71 +863,6 @@ impl DaemonSession {
                     Err(e) => Self::cl_error(&e),
                 }
             }
-            Request::EnqueueWriteBuffer {
-                queue_id,
-                buffer_id,
-                offset,
-                size,
-                event_id,
-                stream_id,
-                wait_events,
-            } => {
-                match self.enqueue_write_entry(
-                    queue_id,
-                    buffer_id,
-                    offset,
-                    size,
-                    event_id,
-                    stream_id,
-                    &wait_events,
-                    None,
-                ) {
-                    Ok(_) => Response::Ok,
-                    Err(resp) => resp,
-                }
-            }
-            Request::EnqueueReadBuffer {
-                queue_id,
-                buffer_id,
-                offset,
-                size,
-                event_id,
-                stream_id,
-                wait_events,
-            } => {
-                match self.enqueue_read_entry(
-                    queue_id,
-                    buffer_id,
-                    offset,
-                    size,
-                    event_id,
-                    stream_id,
-                    &wait_events,
-                    None,
-                ) {
-                    Ok(_) => Response::Ok,
-                    Err(resp) => resp,
-                }
-            }
-            Request::EnqueueNdRange { queue_id, kernel_id, event_id, range, wait_events } => {
-                match self.enqueue_nd_range_entry(
-                    queue_id,
-                    kernel_id,
-                    event_id,
-                    range,
-                    &wait_events,
-                    None,
-                ) {
-                    Ok(_) => Response::Ok,
-                    Err(resp) => resp,
-                }
-            }
-            Request::EnqueueMarker { queue_id, event_id, wait_events } => {
-                match self.enqueue_marker_entry(queue_id, event_id, &wait_events, None) {
-                    Ok(_) => Response::Ok,
-                    Err(resp) => resp,
-                }
-            }
             Request::EnqueueBatch { entries } => {
                 // Entries are enqueued strictly in order.  Each entry gains an
                 // implicit dependency on the previous entry of the *same*
@@ -1017,52 +915,14 @@ impl DaemonSession {
                         continue;
                     }
                     let chain = prev.get(&entry.queue_id).cloned();
-                    let result = match entry.command {
-                        BatchCommand::WriteBuffer { buffer_id, offset, size, stream_id } => self
-                            .enqueue_write_entry(
-                                entry.queue_id,
-                                buffer_id,
-                                offset,
-                                size,
-                                entry.event_id,
-                                stream_id,
-                                &entry.wait_events,
-                                chain.as_ref(),
-                            ),
-                        BatchCommand::ReadBuffer { buffer_id, offset, size, stream_id } => self
-                            .enqueue_read_entry(
-                                entry.queue_id,
-                                buffer_id,
-                                offset,
-                                size,
-                                entry.event_id,
-                                stream_id,
-                                &entry.wait_events,
-                                chain.as_ref(),
-                            ),
-                        BatchCommand::NdRange { kernel_id, range } => self.enqueue_nd_range_entry(
-                            entry.queue_id,
-                            kernel_id,
-                            entry.event_id,
-                            range,
-                            &entry.wait_events,
-                            chain.as_ref(),
-                        ),
-                        BatchCommand::Marker => self.enqueue_marker_entry(
-                            entry.queue_id,
-                            entry.event_id,
-                            &entry.wait_events,
-                            chain.as_ref(),
-                        ),
-                        BatchCommand::Release { .. } | BatchCommand::Replacement { .. } => {
-                            unreachable!("bookkeeping entries are handled above")
-                        }
-                    };
+                    let (command_id, event_id, queue_id) =
+                        (entry.command_id, entry.event_id, entry.queue_id);
+                    let result = self.enqueue_entry(entry, chain.as_ref());
                     match result {
                         Ok(event) => {
                             statuses.push(BatchEntryStatus::ok());
-                            self.state().lock().dedup.admit(entry.command_id, entry.event_id);
-                            prev.insert(entry.queue_id, event);
+                            self.state().lock().dedup.admit(command_id, event_id);
+                            prev.insert(queue_id, event);
                         }
                         Err(resp) => {
                             let (code, message) = match resp {
@@ -1083,79 +943,10 @@ impl DaemonSession {
                 };
                 Response::EventStatus { status: event.status().code() }
             }
-            Request::UploadBufferData { buffer_id, stream_id, size } => {
-                let Some(endpoint) = self.endpoint() else {
-                    return Response::Error { code: -36, message: "no endpoint".into() };
-                };
-                let data = match endpoint.wait_bulk(stream_id, Duration::from_secs(120)) {
-                    Ok(d) => d,
-                    Err(e) => {
-                        return Response::Error {
-                            code: -30,
-                            message: format!("missing upload stream: {e}"),
-                        }
-                    }
-                };
-                if data.len() as u64 != size {
-                    return Response::Error {
-                        code: -30,
-                        message: "coherence upload size mismatch".into(),
-                    };
-                }
-                let buffer = match self.state().lock().buffers.get(&buffer_id) {
-                    Some(b) => Arc::clone(b),
-                    None => return Self::missing("buffer", buffer_id),
-                };
-                self.quiesce_buffer_queues(&buffer);
-                self.stats.lock().bytes_uploaded += size;
-                // Direct write (not through a queue): coherence traffic still
-                // pays the bus cost of the first device of the context.
-                let bus_time = buffer
-                    .context()
-                    .devices()
-                    .first()
-                    .map(|d| d.profile().bus.write_time(size))
-                    .unwrap_or_default();
-                match buffer.write(0, &data) {
-                    Ok(()) => Response::OkTimed { modeled_nanos: bus_time.as_nanos() as u64 },
-                    Err(e) => Self::cl_error(&e),
-                }
-            }
-            Request::DownloadBufferData { buffer_id, stream_id } => {
-                let Some(endpoint) = self.endpoint() else {
-                    return Response::Error { code: -36, message: "no endpoint".into() };
-                };
-                let buffer = match self.state().lock().buffers.get(&buffer_id) {
-                    Some(b) => Arc::clone(b),
-                    None => return Self::missing("buffer", buffer_id),
-                };
-                self.quiesce_buffer_queues(&buffer);
-                let data = match buffer.read(0, buffer.size()) {
-                    Ok(d) => d,
-                    Err(e) => return Self::cl_error(&e),
-                };
-                self.stats.lock().bytes_downloaded += data.len() as u64;
-                let bus_time = buffer
-                    .context()
-                    .devices()
-                    .first()
-                    .map(|d| d.profile().bus.read_time(data.len() as u64))
-                    .unwrap_or_default();
-                let _ = endpoint.send_bulk(stream_id, &data);
-                Response::OkTimed { modeled_nanos: bus_time.as_nanos() as u64 }
-            }
             Request::UploadBufferRange { buffer_id, ranges, stream_id } => {
-                let Some(endpoint) = self.endpoint() else {
-                    return Response::Error { code: -36, message: "no endpoint".into() };
-                };
-                let data = match endpoint.wait_bulk(stream_id, Duration::from_secs(120)) {
+                let data = match self.upload_stream(stream_id) {
                     Ok(d) => d,
-                    Err(e) => {
-                        return Response::Error {
-                            code: -30,
-                            message: format!("missing upload stream: {e}"),
-                        }
-                    }
+                    Err(resp) => return resp,
                 };
                 let total = ranges.iter().try_fold(0u64, |sum, &(_, size)| sum.checked_add(size));
                 if total != Some(data.len() as u64) {
@@ -1167,9 +958,9 @@ impl DaemonSession {
                         ),
                     };
                 }
-                let buffer = match self.state().lock().buffers.get(&buffer_id) {
-                    Some(b) => Arc::clone(b),
-                    None => return Self::missing("buffer", buffer_id),
+                let buffer = match self.buffer_by_id(buffer_id) {
+                    Ok(b) => b,
+                    Err(resp) => return resp,
                 };
                 let limit = buffer.size() as u64;
                 if let Some((offset, size)) =
@@ -1205,9 +996,9 @@ impl DaemonSession {
                 let Some(endpoint) = self.endpoint() else {
                     return Response::Error { code: -36, message: "no endpoint".into() };
                 };
-                let buffer = match self.state().lock().buffers.get(&buffer_id) {
-                    Some(b) => Arc::clone(b),
-                    None => return Self::missing("buffer", buffer_id),
+                let buffer = match self.buffer_by_id(buffer_id) {
+                    Ok(b) => b,
+                    Err(resp) => return resp,
                 };
                 if offset.saturating_add(size) > buffer.size() as u64 {
                     return Response::Error {
@@ -1231,7 +1022,7 @@ impl DaemonSession {
                     .map(|d| d.profile().bus.read_time(data.len() as u64))
                     .unwrap_or_default();
                 let _ = endpoint.send_bulk(stream_id, &data);
-                Response::BufferRange { offset, size, modeled_nanos: bus_time.as_nanos() as u64 }
+                Response::OkTimed { modeled_nanos: bus_time.as_nanos() as u64 }
             }
             Request::Disconnect => {
                 let auth = {
@@ -1244,12 +1035,6 @@ impl DaemonSession {
                 Response::Ok
             }
         }
-    }
-
-    /// Allocate a daemon-side stream id (unused by the current protocol but
-    /// reserved for server-to-server communication, Section III-F).
-    pub fn allocate_stream_id(&self) -> u64 {
-        self.next_stream.fetch_add(1, Ordering::Relaxed)
     }
 }
 
@@ -1293,7 +1078,7 @@ impl Drop for DaemonSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::BatchEntry;
+    use crate::protocol::WireNdRange;
     use gcf::rpc::NullHandler;
     use gcf::transport::inproc::InprocTransport;
 
@@ -1316,6 +1101,35 @@ mod tests {
     fn call(endpoint: &Arc<Endpoint>, request: Request) -> Response {
         let bytes = endpoint.call(request.to_bytes()).unwrap();
         Response::from_bytes(&bytes).unwrap()
+    }
+
+    /// A batch of the one command `command` on queue 2, completing as
+    /// event `event_id` once `wait_events` have.
+    fn single_command(
+        event_id: ObjectId,
+        wait_events: Vec<ObjectId>,
+        command: BatchCommand,
+    ) -> Request {
+        let entry = BatchEntry { command_id: 0, queue_id: 2, event_id, wait_events, command };
+        Request::EnqueueBatch { entries: vec![entry] }
+    }
+
+    /// Whole-buffer download of buffer 3 (`size` bytes) on `stream_id`.
+    fn download_all(endpoint: &Arc<Endpoint>, size: u64, stream_id: u64) -> Vec<u8> {
+        let resp = call(
+            endpoint,
+            Request::DownloadBufferRange { buffer_id: 3, offset: 0, size, stream_id },
+        );
+        assert!(matches!(resp, Response::OkTimed { .. }), "{resp:?}");
+        endpoint.wait_bulk(stream_id, Duration::from_secs(5)).unwrap()
+    }
+
+    /// The session's `(dedup_admitted, dedup_replayed)` counters.
+    fn dedup_window_counts(endpoint: &Arc<Endpoint>) -> (u64, u64) {
+        let Response::SessionInfo(info) = call(endpoint, Request::GetSessionInfo) else {
+            panic!("expected session info")
+        };
+        (info.dedup_admitted, info.dedup_replayed)
     }
 
     #[test]
@@ -1401,24 +1215,12 @@ mod tests {
             ),
             Response::Ok
         ));
-        assert!(matches!(
-            call(
-                &endpoint,
-                Request::EnqueueNdRange {
-                    queue_id: 2,
-                    kernel_id: 5,
-                    event_id: 6,
-                    range: crate::protocol::WireNdRange(vocl::NdRange::linear(16)),
-                    wait_events: vec![]
-                }
-            ),
-            Response::Ok
-        ));
+        let launch =
+            BatchCommand::NdRange { kernel_id: 5, range: WireNdRange(vocl::NdRange::linear(16)) };
+        let resp = call(&endpoint, single_command(6, vec![], launch));
+        assert_eq!(resp, Response::BatchEnqueued { statuses: vec![BatchEntryStatus::ok()] });
         // Download the buffer through the coherence path and check contents.
-        let stream_id = 777u64;
-        let resp = call(&endpoint, Request::DownloadBufferData { buffer_id: 3, stream_id });
-        assert!(matches!(resp, Response::OkTimed { .. }));
-        let data = endpoint.wait_bulk(stream_id, Duration::from_secs(5)).unwrap();
+        let data = download_all(&endpoint, 64, 777);
         assert_eq!(data.len(), 64);
         for chunk in data.chunks_exact(4) {
             assert_eq!(i32::from_le_bytes(chunk.try_into().unwrap()), 7);
@@ -1449,33 +1251,13 @@ mod tests {
         // Send the payload first (stream-based communication), then the
         // request (message-based communication).
         endpoint.send_bulk(42, &[1, 2, 3, 4, 5, 6, 7, 8]).unwrap();
-        let resp = call(
-            &endpoint,
-            Request::EnqueueWriteBuffer {
-                queue_id: 2,
-                buffer_id: 3,
-                offset: 0,
-                size: 8,
-                event_id: 10,
-                stream_id: 42,
-                wait_events: vec![],
-            },
-        );
-        assert!(matches!(resp, Response::Ok), "{resp:?}");
+        let write = BatchCommand::WriteBuffer { buffer_id: 3, offset: 0, size: 8, stream_id: 42 };
+        let resp = call(&endpoint, single_command(10, vec![], write));
+        assert_eq!(resp, Response::BatchEnqueued { statuses: vec![BatchEntryStatus::ok()] });
         // Read it back.
-        let resp = call(
-            &endpoint,
-            Request::EnqueueReadBuffer {
-                queue_id: 2,
-                buffer_id: 3,
-                offset: 0,
-                size: 8,
-                event_id: 11,
-                stream_id: 43,
-                wait_events: vec![10],
-            },
-        );
-        assert!(matches!(resp, Response::Ok), "{resp:?}");
+        let read = BatchCommand::ReadBuffer { buffer_id: 3, offset: 0, size: 8, stream_id: 43 };
+        let resp = call(&endpoint, single_command(11, vec![10], read));
+        assert_eq!(resp, Response::BatchEnqueued { statuses: vec![BatchEntryStatus::ok()] });
         let data = endpoint.wait_bulk(43, Duration::from_secs(5)).unwrap();
         assert_eq!(data, vec![1, 2, 3, 4, 5, 6, 7, 8]);
     }
@@ -1499,19 +1281,15 @@ mod tests {
             writable: true,
         };
         call(&endpoint, create);
-        let original: Vec<u8> = (0..64).collect();
-        endpoint.send_bulk(40, &original).unwrap();
-        let resp =
-            call(&endpoint, Request::UploadBufferData { buffer_id: 3, stream_id: 40, size: 64 });
-        assert!(matches!(resp, Response::OkTimed { .. }), "{resp:?}");
-        let contents = |stream_id: u64| {
-            call(&endpoint, Request::DownloadBufferData { buffer_id: 3, stream_id });
-            endpoint.wait_bulk(stream_id, Duration::from_secs(5)).unwrap()
-        };
         let upload = |stream_id: u64, ranges: Vec<(u64, u64)>, data: &[u8]| {
             endpoint.send_bulk(stream_id, data).unwrap();
             call(&endpoint, Request::UploadBufferRange { buffer_id: 3, ranges, stream_id })
         };
+        let contents = |stream_id: u64| download_all(&endpoint, 64, stream_id);
+        // A whole-buffer upload is the one range `[(0, size)]`.
+        let original: Vec<u8> = (0..64).collect();
+        let resp = upload(40, vec![(0, 64)], &original);
+        assert!(matches!(resp, Response::OkTimed { .. }), "{resp:?}");
         // A stream one byte short of its ranges, a range past the end, and a
         // range whose end overflows: each is refused before any write.
         let refused = [
@@ -1607,8 +1385,7 @@ mod tests {
     }
 
     fn buffer_contents(endpoint: &Arc<Endpoint>, stream_id: u64) -> Vec<u8> {
-        call(endpoint, Request::DownloadBufferData { buffer_id: 3, stream_id });
-        endpoint.wait_bulk(stream_id, Duration::from_secs(5)).unwrap()
+        download_all(endpoint, 4, stream_id)
     }
 
     #[test]
@@ -1628,7 +1405,7 @@ mod tests {
 
     #[test]
     fn status_forward_overtaking_its_replacement_still_releases_the_command() {
-        let (daemon, endpoint, _t) = start_test_daemon();
+        let (_daemon, endpoint, _t) = start_test_daemon();
         build_write_session(&endpoint);
         // The forward arrives first and creates the replacement terminal;
         // the batch's upsert then finds it and changes nothing.
@@ -1640,7 +1417,7 @@ mod tests {
         forward(&endpoint, 100, -5);
         assert_eq!(event_status(&endpoint, 100), 0);
         gated_write(&endpoint, 1, 101, 52);
-        assert_eq!(daemon.dedup_counters("c"), Some((1, 1)));
+        assert_eq!(dedup_window_counts(&endpoint), (1, 1));
         assert_eq!(event_status(&endpoint, 100), 0);
         assert_eq!(buffer_contents(&endpoint, 51), vec![9; 4]);
     }
@@ -1877,7 +1654,7 @@ mod tests {
         };
         assert_eq!(statuses[0].code, 0, "a replayed entry still reports success");
         assert_eq!(daemon.stats().kernel_launches, 1, "replay must not re-execute");
-        assert_eq!(daemon.dedup_counters("app"), Some((1, 1)));
+        assert_eq!(dedup_window_counts(&endpoint), (1, 1));
 
         // Command id 0 opts out of deduplication (legacy clients).
         for _ in 0..2 {
@@ -1887,7 +1664,7 @@ mod tests {
             assert_eq!(statuses[0].code, 0);
         }
         assert_eq!(daemon.stats().kernel_launches, 3, "id 0 executes every time");
-        assert_eq!(daemon.dedup_counters("app"), Some((1, 1)));
+        assert_eq!(dedup_window_counts(&endpoint), (1, 1));
     }
 
     #[test]

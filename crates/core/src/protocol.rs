@@ -13,9 +13,11 @@
 //! ## Ordering requirement
 //!
 //! Both gcf transports are FIFO per connection.  The client always sends the
-//! bulk data of an upload *before* the `EnqueueWriteBuffer` request that
-//! references it, so by the time the daemon handles the request the stream
-//! has fully arrived and the daemon never blocks its receive loop.
+//! bulk data of an upload *before* the request that references it (an
+//! [`Request::EnqueueBatch`] carrying a [`BatchCommand::WriteBuffer`], or an
+//! [`Request::UploadBufferRange`]), so by the time the daemon handles the
+//! request the stream has fully arrived and the daemon never blocks its
+//! receive loop.
 //!
 //! ## Wire format
 //!
@@ -154,7 +156,7 @@ impl Decode for WireValue {
     }
 }
 
-/// NDRange as transmitted with `EnqueueNdRange`.
+/// NDRange as transmitted with [`BatchCommand::NdRange`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireNdRange(pub NdRange);
 
@@ -364,68 +366,11 @@ gcf::wire_message! {
             /// Size in bytes.
             bytes: u64,
         },
-        /// Upload data into a buffer (the payload arrives as bulk stream
-        /// `stream_id`, sent *before* this request).
-        16 => EnqueueWriteBuffer {
-            /// Queue id.
-            queue_id: ObjectId,
-            /// Buffer id.
-            buffer_id: ObjectId,
-            /// Destination offset in bytes.
-            offset: u64,
-            /// Payload size in bytes.
-            size: u64,
-            /// Client-assigned id for the completion event.
-            event_id: ObjectId,
-            /// Bulk stream carrying the payload.
-            stream_id: u64,
-            /// Events that must complete before the write executes.
-            wait_events: Vec<ObjectId>,
-        },
-        /// Download data from a buffer (the daemon sends the payload as bulk
-        /// stream `stream_id` when the read completes).
-        17 => EnqueueReadBuffer {
-            /// Queue id.
-            queue_id: ObjectId,
-            /// Buffer id.
-            buffer_id: ObjectId,
-            /// Source offset in bytes.
-            offset: u64,
-            /// Size in bytes.
-            size: u64,
-            /// Client-assigned id for the completion event.
-            event_id: ObjectId,
-            /// Bulk stream the daemon will send the data on.
-            stream_id: u64,
-            /// Events that must complete before the read executes.
-            wait_events: Vec<ObjectId>,
-        },
-        /// Launch a kernel over an NDRange.
-        18 => EnqueueNdRange {
-            /// Queue id.
-            queue_id: ObjectId,
-            /// Kernel id.
-            kernel_id: ObjectId,
-            /// Client-assigned id for the completion event.
-            event_id: ObjectId,
-            /// The index space.
-            range: WireNdRange,
-            /// Events that must complete before the kernel executes.
-            wait_events: Vec<ObjectId>,
-        },
-        /// Enqueue a marker (used to implement `clFinish` without blocking the
-        /// daemon).
-        19 => EnqueueMarker {
-            /// Queue id.
-            queue_id: ObjectId,
-            /// Client-assigned id for the completion event.
-            event_id: ObjectId,
-            /// Events the marker waits for.
-            wait_events: Vec<ObjectId>,
-        },
-        // Tags 20 and 21 (eager user-event creation and completion) are
-        // retired: replacements ride `EnqueueBatch`, completions travel as
-        // [`ClientNotification::EventStatus`].
+        // Tags 16-19 (the single-command enqueues) are retired: every
+        // command rides [`Request::EnqueueBatch`], a lone one as a batch of
+        // one.  Tags 20 and 21 (eager user-event creation and completion) are
+        // retired too: replacements ride `EnqueueBatch`, completions travel
+        // as [`ClientNotification::EventStatus`].
         /// Query the status of an event.
         22 => GetEventStatus {
             /// Event id.
@@ -435,30 +380,9 @@ gcf::wire_message! {
         23 => GetServerInfo,
         /// Orderly disconnect (`clDisconnectServerWWU` or application exit).
         24 => Disconnect,
-        /// Coherence traffic: replace the remote buffer's contents with the data
-        /// arriving on bulk stream `stream_id` (sent before this request).
-        ///
-        /// Used by the MSI protocol when a server holds an *invalid* copy and the
-        /// client uploads a valid one (Section III-D).
-        25 => UploadBufferData {
-            /// Buffer id.
-            buffer_id: ObjectId,
-            /// Bulk stream carrying the payload.
-            stream_id: u64,
-            /// Payload size in bytes.
-            size: u64,
-        },
-        /// Coherence traffic: send the remote buffer's contents to the client on
-        /// bulk stream `stream_id`.
-        ///
-        /// Used by the MSI protocol when the client needs a valid copy and this
-        /// server owns one.
-        26 => DownloadBufferData {
-            /// Buffer id.
-            buffer_id: ObjectId,
-            /// Bulk stream the daemon sends the data on.
-            stream_id: u64,
-        },
+        // Tags 25 and 26 (whole-buffer coherence upload and download) are
+        // retired: a whole-buffer move is the one-range case `[(0, size)]`
+        // of `UploadBufferRange` / `DownloadBufferRange`.
         /// A batch of enqueue commands accumulated client-side and shipped in a
         /// single round trip (the batched command pipeline).  Entries are
         /// enqueued strictly in order; completion is reported asynchronously per
@@ -472,16 +396,15 @@ gcf::wire_message! {
         /// Query the daemon's view of this session (used by the fault-tolerance
         /// tests and the client supervisor after a reconnect).
         28 => GetSessionInfo,
-        /// Coherence delta traffic: overwrite each `(offset, size)` range of
-        /// the remote buffer, in order, with the next `size` bytes of bulk
-        /// stream `stream_id` (sent before this request), whose length is the
-        /// sum of the sizes.  The daemon checks every range and the stream
-        /// length before it writes anything.
+        /// Coherence upload: overwrite each `(offset, size)` range of the
+        /// remote buffer, in order, with the next `size` bytes of bulk stream
+        /// `stream_id` (sent before this request), whose length is the sum of
+        /// the sizes.  The daemon checks every range and the stream length
+        /// before it writes anything, and answers with [`Response::OkTimed`].
         ///
-        /// Used by the range-granular directory when only some byte ranges of a
-        /// server's copy are stale: one request carries a whole delta plan's
-        /// uploads.  The whole-buffer variant remains
-        /// [`Request::UploadBufferData`].
+        /// The coherence directory's only upload: one request carries a whole
+        /// delta plan's uploads, and a whole-buffer upload is the one range
+        /// `[(0, size)]`.
         29 => UploadBufferRange {
             /// Buffer id.
             buffer_id: ObjectId,
@@ -490,9 +413,10 @@ gcf::wire_message! {
             /// Bulk stream carrying the concatenated payload.
             stream_id: u64,
         },
-        /// Coherence delta traffic: send `[offset, offset + size)` of the
-        /// remote buffer to the client on bulk stream `stream_id`.  The daemon
-        /// answers with [`Response::BufferRange`].
+        /// Coherence download: send `[offset, offset + size)` of the remote
+        /// buffer to the client on bulk stream `stream_id`.  The daemon
+        /// answers with [`Response::OkTimed`]; a whole-buffer download is the
+        /// range `(0, size)`.
         30 => DownloadBufferRange {
             /// Buffer id.
             buffer_id: ObjectId,
@@ -684,7 +608,8 @@ gcf::wire_message! {
         /// Server information for [`Request::GetServerInfo`].
         5 => ServerInfo(ServerInfo),
         /// Acknowledgement carrying the modelled duration of a completed
-        /// synchronous operation, in nanoseconds (e.g. a buffer upload).
+        /// synchronous operation, in nanoseconds (a coherence upload or
+        /// download).
         6 => OkTimed {
             /// Modelled duration in nanoseconds.
             modeled_nanos: u64,
@@ -701,17 +626,8 @@ gcf::wire_message! {
         },
         /// Session state for [`Request::Hello`] / [`Request::GetSessionInfo`].
         8 => SessionInfo(SessionInfo),
-        /// Acknowledgement of a [`Request::DownloadBufferRange`], echoing the
-        /// byte range actually shipped on the bulk stream plus the modelled
-        /// transfer duration.
-        9 => BufferRange {
-            /// First byte shipped.
-            offset: u64,
-            /// Number of bytes shipped.
-            size: u64,
-            /// Modelled duration in nanoseconds.
-            modeled_nanos: u64,
-        },
+        // Tag 9 (the range download's echo of its offset and size) is
+        // retired: a range download answers `OkTimed` like the upload.
     }
 }
 
@@ -858,60 +774,9 @@ mod tests {
             Request::SetKernelArgLocal { kernel_id: 5, index: 2, bytes: 256 },
             "0f0500000000000000020000000001000000000000",
         );
-        check(
-            Request::EnqueueWriteBuffer {
-                queue_id: 2,
-                buffer_id: 3,
-                offset: 0,
-                size: 4096,
-                event_id: 7,
-                stream_id: 99,
-                wait_events: vec![6],
-            },
-            "1002000000000000000300000000000000000000000000000000100000000000\
-                0007000000000000006300000000000000010000000600000000000000",
-        );
-        check(
-            Request::EnqueueReadBuffer {
-                queue_id: 2,
-                buffer_id: 3,
-                offset: 16,
-                size: 64,
-                event_id: 8,
-                stream_id: 100,
-                wait_events: vec![],
-            },
-            "1102000000000000000300000000000000100000000000000040000000000000\
-                000800000000000000640000000000000000000000",
-        );
-        check(
-            Request::EnqueueNdRange {
-                queue_id: 2,
-                kernel_id: 5,
-                event_id: 9,
-                range: WireNdRange(NdRange::two_d(64, 32).with_local([8, 8, 1])),
-                wait_events: vec![7, 8],
-            },
-            "1202000000000000000500000000000000090000000000000002400000000000\
-                0000200000000000000001000000000000000000000000000000000000000000\
-                0000000000000000000001080000000000000008000000000000000100000000\
-                0000000200000007000000000000000800000000000000",
-        );
-        check(
-            Request::EnqueueMarker { queue_id: 2, event_id: 10, wait_events: vec![9] },
-            "1302000000000000000a00000000000000010000000900000000000000",
-        );
         check(Request::GetEventStatus { event_id: 9 }, "160900000000000000");
         check(Request::GetServerInfo, "17");
         check(Request::Disconnect, "18");
-        check(
-            Request::UploadBufferData { buffer_id: 3, stream_id: 12, size: 64 },
-            "1903000000000000000c000000000000004000000000000000",
-        );
-        check(
-            Request::DownloadBufferData { buffer_id: 3, stream_id: 13 },
-            "1a03000000000000000d00000000000000",
-        );
         check(
             Request::EnqueueBatch {
                 entries: vec![
@@ -1066,10 +931,6 @@ mod tests {
             "0801070000006c656173652d3102000000000000000111000000000000000300\
                 000000000000",
         );
-        check(
-            Response::BufferRange { offset: 4096, size: 512, modeled_nanos: 987 },
-            "0900100000000000000002000000000000db03000000000000",
-        );
     }
 
     #[test]
@@ -1098,12 +959,40 @@ mod tests {
     }
 
     #[test]
-    fn retired_user_event_tags_are_rejected() {
-        // 20 and 21 carried the eager user-event requests; they stay unused.
-        for tag in [20u8, 21] {
-            let mut bytes = vec![tag];
-            bytes.extend_from_slice(&11u64.to_le_bytes());
-            assert!(Request::from_bytes(&bytes).is_err(), "tag {tag} decoded");
+    fn retired_tags_are_rejected() {
+        // Each retired message's last encoding, tag first: the tag stays
+        // unused, so the bytes fail to decode however well-formed the rest.
+        let requests = [
+            // 16-19: single-command enqueues (write, read, NDRange, marker).
+            "1002000000000000000300000000000000000000000000000000100000000000\
+                0007000000000000006300000000000000010000000600000000000000",
+            "1102000000000000000300000000000000100000000000000040000000000000\
+                000800000000000000640000000000000000000000",
+            "1202000000000000000500000000000000090000000000000002400000000000\
+                0000200000000000000001000000000000000000000000000000000000000000\
+                0000000000000000000001080000000000000008000000000000000100000000\
+                0000000200000007000000000000000800000000000000",
+            "1302000000000000000a00000000000000010000000900000000000000",
+            // 20, 21: eager user-event creation and completion.
+            "140b00000000000000",
+            "150b00000000000000",
+            // 25, 26: whole-buffer coherence upload and download.
+            "1903000000000000000c000000000000004000000000000000",
+            "1a03000000000000000d00000000000000",
+        ];
+        // 9: the range download's echo of its offset and size.
+        let responses = ["0900100000000000000002000000000000db03000000000000"];
+        let bytes = |hex: &str| -> Vec<u8> {
+            (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+                .collect()
+        };
+        for hex in requests {
+            assert!(Request::from_bytes(&bytes(hex)).is_err(), "retired request {hex} decoded");
+        }
+        for hex in responses {
+            assert!(Response::from_bytes(&bytes(hex)).is_err(), "retired response {hex} decoded");
         }
     }
 

@@ -121,7 +121,10 @@ fn dedup_window_rejects_replayed_ids_across_reconnect() {
     };
     assert_eq!(statuses[0].code, 0, "a replayed entry still reports success");
     assert_eq!(daemon.stats().kernel_launches, 1, "replay must not re-execute");
-    assert_eq!(daemon.dedup_counters("replayer"), Some((1, 1)));
+    let Response::SessionInfo(info) = raw_call(&endpoint2, Request::GetSessionInfo) else {
+        panic!("expected session info")
+    };
+    assert_eq!((info.dedup_admitted, info.dedup_replayed), (1, 1));
 }
 
 // ---------------------------------------------------------------------------
@@ -557,13 +560,13 @@ fn osem_iteration_survives_daemon_partition_with_exactly_once_replay() {
     // double execution despite the replayed traffic.
     let launches: u64 = cluster.daemons().iter().map(|d| d.stats().kernel_launches).sum();
     assert_eq!(launches, params.subsets as u64);
-    let (admitted, replayed) = cluster.daemons()[0].dedup_counters("osem-partition").unwrap();
+    let info = client.session_info(client.servers()[0]).unwrap();
+    let (admitted, replayed) = (info.dedup_admitted, info.dedup_replayed);
     assert!(admitted > 0, "node0 executed commands after the partition");
     assert_eq!(
         launches, params.subsets as u64,
         "dedup window (admitted {admitted}, replayed {replayed}) kept execution exactly-once"
     );
-    let info = client.session_info(client.servers()[0]).unwrap();
     assert!(info.epoch >= 1, "the client re-handshook with node0");
     assert!(client.traffic_stats().reconnects >= 1);
 }

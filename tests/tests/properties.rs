@@ -1,7 +1,7 @@
 //! Property-based tests of the core data structures and protocols.
 
 use dopencl::coherence::{BufferDirectory, CoherenceMode, CoherenceState};
-use dopencl::protocol::{Request, Response, WireValue};
+use dopencl::protocol::{BatchCommand, BatchEntry, Request, Response, WireValue};
 use gcf::wire::{Decode, Encode};
 use oclc::{Scalar, ScalarType, Value};
 use proptest::prelude::*;
@@ -32,7 +32,7 @@ proptest! {
     }
 
     /// Requests survive an encode/decode round trip for arbitrary ids,
-    /// sizes and wait lists.
+    /// sizes and wait lists (a write riding a one-entry batch).
     #[test]
     fn requests_roundtrip(
         queue in any::<u64>(),
@@ -43,14 +43,20 @@ proptest! {
         stream in any::<u64>(),
         wait in proptest::collection::vec(any::<u64>(), 0..8),
     ) {
-        let request = Request::EnqueueWriteBuffer {
-            queue_id: queue,
+        let command = BatchCommand::WriteBuffer {
             buffer_id: buffer,
             offset: offset as u64,
             size: size as u64,
-            event_id: event,
             stream_id: stream,
-            wait_events: wait,
+        };
+        let request = Request::EnqueueBatch {
+            entries: vec![BatchEntry {
+                command_id: 1,
+                queue_id: queue,
+                event_id: event,
+                wait_events: wait,
+                command,
+            }],
         };
         let bytes = request.to_bytes();
         prop_assert_eq!(Request::from_bytes(&bytes).unwrap(), request);
