@@ -167,4 +167,14 @@ mod tests {
         // gigabit-Ethernet link (~400 us per round trip).
         assert!(profile.batched.simulated < profile.unbatched.simulated);
     }
+
+    /// Modelled time is a function of the workload alone: two runs charge
+    /// the same round trips for the same encoded requests.
+    #[test]
+    fn pipeline_simulated_time_is_deterministic() {
+        let first = command_pipeline_profile(8, 3).unwrap();
+        let second = command_pipeline_profile(8, 3).unwrap();
+        assert_eq!(first.unbatched.simulated, second.unbatched.simulated, "unbatched");
+        assert_eq!(first.batched.simulated, second.batched.simulated, "batched");
+    }
 }

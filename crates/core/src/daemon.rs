@@ -20,7 +20,7 @@ use crate::protocol::{
     ObjectId, Request, Response, ServerInfo, SessionInfo,
 };
 use crate::Result;
-use gcf::rpc::{Endpoint, EndpointHandler};
+use gcf::rpc::{Endpoint, EndpointHandler, STREAM_CHUNK};
 use gcf::transport::{Listener, Transport};
 use gcf::wire::{Decode, Encode};
 use parking_lot::Mutex;
@@ -408,10 +408,12 @@ impl DaemonSession {
         Response::Error { code: e.code(), message: e.to_string() }
     }
 
-    /// Drain every queue of `buffer`'s context before coherence traffic
-    /// touches the buffer directly (not through a queue): a kernel that was
-    /// enqueued earlier may still be writing it, and the MSI protocol
-    /// assumes the copy it moves reflects all previously submitted commands.
+    /// Drain every busy queue of `buffer`'s context before coherence
+    /// traffic touches the buffer directly (not through a queue): a kernel
+    /// that was enqueued earlier may still be writing it, and the MSI
+    /// protocol assumes the copy it moves reflects all previously submitted
+    /// commands.  An idle queue (its last command terminal) cannot be
+    /// writing the buffer, so it gets no marker.
     ///
     /// The wait is bounded: this runs on the session's receiver thread, and
     /// a queued command could be gated on a replacement event whose status
@@ -429,7 +431,7 @@ impl DaemonSession {
             state
                 .queues
                 .values()
-                .filter(|q| q.context().id() == buffer.context().id())
+                .filter(|q| q.context().id() == buffer.context().id() && !q.is_idle())
                 .cloned()
                 .collect()
         };
@@ -558,20 +560,31 @@ impl DaemonSession {
                 let (queue, wait) =
                     self.resolve_enqueue(entry.queue_id, &entry.wait_events, chain)?;
                 let buffer = self.buffer_by_id(buffer_id)?;
-                queue
-                    .enqueue_write_buffer(&buffer, offset as usize, data, wait)
-                    .map_err(|e| Self::cl_error(&e))?
+                let offset = offset as usize;
+                if size <= STREAM_CHUNK as u64 {
+                    queue.enqueue_write_buffer_inline(&buffer, offset, data, wait)
+                } else {
+                    queue.enqueue_write_buffer(&buffer, offset, data, wait)
+                }
+                .map_err(|e| Self::cl_error(&e))?
             }
             BatchCommand::ReadBuffer { buffer_id, offset, size, stream_id } => {
                 let (queue, wait) =
                     self.resolve_enqueue(entry.queue_id, &entry.wait_events, chain)?;
                 let buffer = self.buffer_by_id(buffer_id)?;
-                let event = queue
-                    .enqueue_read_buffer(&buffer, offset as usize, size as usize, wait)
-                    .map_err(|e| Self::cl_error(&e))?;
+                let (offset, len) = (offset as usize, size as usize);
+                let event = if len <= STREAM_CHUNK {
+                    queue.enqueue_read_buffer_inline(&buffer, offset, len, wait)
+                } else {
+                    queue.enqueue_read_buffer(&buffer, offset, len, wait)
+                }
+                .map_err(|e| Self::cl_error(&e))?;
                 // When the read completes, ship the data to the client as a
                 // bulk stream; the completion notification follows (FIFO), so
                 // by the time the client's event resolves the data is en route.
+                // A read that ran inline is complete already: the callback
+                // fires here, and the stream and the notification leave
+                // before the batch's response.
                 let endpoint = self.endpoint.lock().clone();
                 let weak_event = Arc::downgrade(&event);
                 let stats = Arc::clone(&self.stats);
@@ -1083,6 +1096,13 @@ mod tests {
     use gcf::transport::inproc::InprocTransport;
 
     fn start_test_daemon() -> (Arc<Daemon>, Arc<Endpoint>, InprocTransport) {
+        start_test_daemon_with(Arc::new(NullHandler))
+    }
+
+    /// A test daemon whose client endpoint hands notifications to `handler`.
+    fn start_test_daemon_with(
+        handler: Arc<dyn EndpointHandler>,
+    ) -> (Arc<Daemon>, Arc<Endpoint>, InprocTransport) {
         let transport = InprocTransport::new();
         let platform = Platform::test_platform(2);
         let daemon = Daemon::start(
@@ -1094,8 +1114,23 @@ mod tests {
         )
         .unwrap();
         let conn = transport.connect(daemon.address()).unwrap();
-        let endpoint = Endpoint::new(conn, Arc::new(NullHandler), "test-client");
+        let endpoint = Endpoint::new(conn, handler, "test-client");
         (daemon, endpoint, transport)
+    }
+
+    /// Records every `EventCompleted` as `(event_id, status)`.
+    #[derive(Default)]
+    struct CompletionLog(Mutex<Vec<(ObjectId, i32)>>);
+
+    impl EndpointHandler for CompletionLog {
+        fn handle_request(&self, _payload: &[u8]) -> Vec<u8> {
+            Vec::new()
+        }
+        fn handle_notification(&self, payload: &[u8]) {
+            let Notification::EventCompleted { event_id, status, .. } =
+                Notification::from_bytes(payload).unwrap();
+            self.0.lock().push((event_id, status));
+        }
     }
 
     fn call(endpoint: &Arc<Endpoint>, request: Request) -> Response {
@@ -1433,6 +1468,108 @@ mod tests {
         // A forward never completes a command's own event.
         forward(&endpoint, 101, 0);
         assert_eq!(event_status(&endpoint, 101), -14);
+    }
+
+    #[test]
+    fn small_transfers_on_an_idle_queue_complete_before_the_response() {
+        let log = Arc::new(CompletionLog::default());
+        let (_daemon, endpoint, _t) = start_test_daemon_with(Arc::clone(&log) as _);
+        build_write_session(&endpoint);
+        // A worker thread can beat the response now and then; running
+        // inline, the stream and the notification always do.
+        for i in 0..100u8 {
+            let (write_id, read_id) = (10 + 2 * u64::from(i), 11 + 2 * u64::from(i));
+            endpoint.send_bulk(write_id, &[i; 4]).unwrap();
+            let write =
+                BatchCommand::WriteBuffer { buffer_id: 3, offset: 0, size: 4, stream_id: write_id };
+            let resp = call(&endpoint, single_command(write_id, vec![], write));
+            assert_eq!(resp, Response::BatchEnqueued { statuses: vec![BatchEntryStatus::ok()] });
+            assert_eq!(log.0.lock().last(), Some(&(write_id, 0)), "write notified late");
+            let read =
+                BatchCommand::ReadBuffer { buffer_id: 3, offset: 0, size: 4, stream_id: read_id };
+            let resp = call(&endpoint, single_command(read_id, vec![write_id], read));
+            assert_eq!(resp, Response::BatchEnqueued { statuses: vec![BatchEntryStatus::ok()] });
+            assert_eq!(endpoint.try_take_bulk(read_id), Some(vec![i; 4]), "read streamed late");
+            assert_eq!(log.0.lock().last(), Some(&(read_id, 0)), "read notified late");
+        }
+    }
+
+    #[test]
+    fn small_read_behind_a_gated_write_waits_for_the_forward() {
+        let (_daemon, endpoint, _t) = start_test_daemon();
+        build_write_session(&endpoint);
+        gated_write(&endpoint, 1, 101, 50);
+        let read = BatchCommand::ReadBuffer { buffer_id: 3, offset: 0, size: 4, stream_id: 60 };
+        let resp = call(&endpoint, single_command(102, vec![], read));
+        assert_eq!(resp, Response::BatchEnqueued { statuses: vec![BatchEntryStatus::ok()] });
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(endpoint.try_take_bulk(60), None, "the read overtook the gated write");
+        assert!(event_status(&endpoint, 102) > 0);
+        forward(&endpoint, 100, 0);
+        assert_eq!(endpoint.wait_bulk(60, Duration::from_secs(5)).unwrap(), vec![9; 4]);
+        assert_eq!(terminal_status(&endpoint, 102), 0);
+    }
+
+    #[test]
+    fn small_read_waiting_on_a_failed_replacement_fails() {
+        let log = Arc::new(CompletionLog::default());
+        let (_daemon, endpoint, _t) = start_test_daemon_with(Arc::clone(&log) as _);
+        build_write_session(&endpoint);
+        let entry = |event_id, wait_events, command| BatchEntry {
+            command_id: 0,
+            queue_id: 2,
+            event_id,
+            wait_events,
+            command,
+        };
+        let read = BatchCommand::ReadBuffer { buffer_id: 3, offset: 0, size: 4, stream_id: 61 };
+        let request = Request::EnqueueBatch {
+            entries: vec![
+                entry(100, vec![], BatchCommand::Replacement { status: Some(-5) }),
+                entry(101, vec![100], read),
+            ],
+        };
+        let Response::BatchEnqueued { statuses } = call(&endpoint, request) else { panic!() };
+        assert_eq!(statuses, vec![BatchEntryStatus::ok(); 2]);
+        assert_eq!(terminal_status(&endpoint, 101), -14, "wait-list error expected");
+        // The worker sends the notification just after the status turns.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while log.0.lock().is_empty() && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(*log.0.lock(), vec![(101, -14)]);
+        assert_eq!(endpoint.try_take_bulk(61), None, "a failed read sent data");
+    }
+
+    #[test]
+    fn read_larger_than_one_stream_chunk_arrives_whole() {
+        let (_daemon, endpoint, _t) = start_test_daemon();
+        call(&endpoint, Request::Hello { client_name: "c".into(), auth_id: None, epoch: 0 });
+        let Response::DeviceList { devices } = call(&endpoint, Request::GetDeviceList) else {
+            panic!()
+        };
+        let dev = devices[0].remote_id;
+        call(&endpoint, Request::CreateContext { context_id: 1, devices: vec![dev] });
+        call(&endpoint, Request::CreateCommandQueue { queue_id: 2, context_id: 1, device: dev });
+        let size = 2 * STREAM_CHUNK + 3;
+        let create = Request::CreateBuffer {
+            buffer_id: 3,
+            context_id: 1,
+            size: size as u64,
+            readable: true,
+            writable: true,
+        };
+        call(&endpoint, create);
+        let data: Vec<u8> = (0..size).map(|i| (i % 251) as u8).collect();
+        endpoint.send_bulk(42, &data).unwrap();
+        let size = size as u64;
+        let write = BatchCommand::WriteBuffer { buffer_id: 3, offset: 0, size, stream_id: 42 };
+        let read = BatchCommand::ReadBuffer { buffer_id: 3, offset: 0, size, stream_id: 43 };
+        let resp = call(&endpoint, single_command(10, vec![], write));
+        assert_eq!(resp, Response::BatchEnqueued { statuses: vec![BatchEntryStatus::ok()] });
+        let resp = call(&endpoint, single_command(11, vec![10], read));
+        assert_eq!(resp, Response::BatchEnqueued { statuses: vec![BatchEntryStatus::ok()] });
+        assert!(endpoint.wait_bulk(43, Duration::from_secs(5)).unwrap() == data);
     }
 
     #[test]

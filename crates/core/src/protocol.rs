@@ -456,7 +456,10 @@ gcf::wire_message! {
     /// Bulk data still travels as streams: a `WriteBuffer` entry's payload is
     /// sent *before* the batch request (FIFO ordering guarantees it has arrived),
     /// and a `ReadBuffer` entry's data is sent back on `stream_id` when the read
-    /// completes.
+    /// completes.  A transfer of at most one stream chunk that finds its queue
+    /// idle and its wait list complete runs while the daemon handles the batch,
+    /// so its stream and its [`Notification::EventCompleted`] leave before the
+    /// [`Response::BatchEnqueued`]; any other transfer completes later.
     #[derive(Debug, Clone, PartialEq)]
     pub enum BatchCommand {
         /// `clEnqueueWriteBuffer`; payload arrives on bulk stream `stream_id`.
@@ -471,7 +474,8 @@ gcf::wire_message! {
             stream_id: u64,
         },
         /// `clEnqueueReadBuffer`; the daemon sends the data on `stream_id` when
-        /// the read completes.
+        /// the read completes, which for a small read on an idle queue is
+        /// before the batch's response.
         1 => ReadBuffer {
             /// Buffer id.
             buffer_id: ObjectId,

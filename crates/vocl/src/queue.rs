@@ -1,8 +1,12 @@
 //! In-order command queues with a worker thread per queue.
 //!
-//! Commands (`clEnqueue*`) are pushed to a per-queue worker thread which
-//! executes them in submission order, honouring per-command wait lists, and
-//! completes their events.  Every completed event carries the *modelled*
+//! Commands (`clEnqueue*`) execute in submission order, honouring
+//! per-command wait lists, and complete their events.  They are pushed to a
+//! per-queue worker thread, except a transfer submitted through
+//! [`CommandQueue::enqueue_write_buffer_inline`] or
+//! [`CommandQueue::enqueue_read_buffer_inline`] that finds nothing ahead of
+//! it: that one runs on the calling thread, through the same executor,
+//! before the enqueue returns.  Every completed event carries the *modelled*
 //! duration of its command (derived from the device's compute and bus
 //! models) so the dOpenCL layer and the figure harnesses can account
 //! simulated time without depending on wall-clock speed of the machine
@@ -73,6 +77,19 @@ enum Command {
     Shutdown,
 }
 
+impl Command {
+    fn wait_list(&self) -> &[Arc<Event>] {
+        match self {
+            Command::Write { wait_list, .. }
+            | Command::Read { wait_list, .. }
+            | Command::Copy { wait_list, .. }
+            | Command::NdRange { wait_list, .. }
+            | Command::Marker { wait_list, .. } => wait_list,
+            Command::Shutdown => &[],
+        }
+    }
+}
+
 /// An in-order command queue (`cl_command_queue`).
 pub struct CommandQueue {
     id: u64,
@@ -82,6 +99,10 @@ pub struct CommandQueue {
     tx: Sender<Command>,
     depth: Arc<AtomicUsize>,
     worker: Mutex<Option<JoinHandle<()>>>,
+    /// The event of the last submitted command.  Its lock is the submit
+    /// lock: it covers an inline submission's idle check and its run, so no
+    /// concurrent submission can overtake the command.
+    last: Mutex<Option<Arc<Event>>>,
 }
 
 impl std::fmt::Debug for CommandQueue {
@@ -132,6 +153,7 @@ impl CommandQueue {
             tx,
             depth,
             worker: Mutex::new(Some(worker)),
+            last: Mutex::new(None),
         }))
     }
 
@@ -155,14 +177,32 @@ impl CommandQueue {
         self.properties
     }
 
-    fn submit(&self, command: Command, event: &Arc<Event>) -> Result<Arc<Event>> {
+    /// Hand `command` to the worker.  With `inline`, a command that finds
+    /// the queue idle and every wait-list event `Complete` runs on the
+    /// calling thread instead, so its event is terminal when this returns.
+    fn submit(&self, command: Command, event: &Arc<Event>, inline: bool) -> Result<Arc<Event>> {
+        let mut last = self.last.lock();
         event.set_status(EventStatus::Submitted);
-        self.depth.fetch_add(1, Ordering::AcqRel);
-        if self.tx.send(command).is_err() {
-            self.depth.fetch_sub(1, Ordering::AcqRel);
-            return Err(ClError::QueueShutDown);
+        if inline
+            && last.as_ref().is_none_or(|e| e.status().is_terminal())
+            && command.wait_list().iter().all(|e| e.status() == EventStatus::Complete)
+        {
+            execute_command(&self.device, command);
+        } else {
+            self.depth.fetch_add(1, Ordering::AcqRel);
+            if self.tx.send(command).is_err() {
+                self.depth.fetch_sub(1, Ordering::AcqRel);
+                return Err(ClError::QueueShutDown);
+            }
         }
+        *last = Some(Arc::clone(event));
         Ok(Arc::clone(event))
+    }
+
+    /// Whether every submitted command has finished: the last one is
+    /// terminal (the queue is in order, so all before it are too).
+    pub fn is_idle(&self) -> bool {
+        self.last.lock().as_ref().is_none_or(|e| e.status().is_terminal())
     }
 
     /// `clEnqueueWriteBuffer` (non-blocking; the returned event completes
@@ -174,6 +214,30 @@ impl CommandQueue {
         data: Vec<u8>,
         wait_list: Vec<Arc<Event>>,
     ) -> Result<Arc<Event>> {
+        self.write(buffer, offset, data, wait_list, false)
+    }
+
+    /// [`CommandQueue::enqueue_write_buffer`], but run on the calling thread
+    /// when the queue is idle and every wait-list event is complete.
+    /// Otherwise it is queued behind the work ahead of it as usual.
+    pub fn enqueue_write_buffer_inline(
+        &self,
+        buffer: &Arc<Buffer>,
+        offset: usize,
+        data: Vec<u8>,
+        wait_list: Vec<Arc<Event>>,
+    ) -> Result<Arc<Event>> {
+        self.write(buffer, offset, data, wait_list, true)
+    }
+
+    fn write(
+        &self,
+        buffer: &Arc<Buffer>,
+        offset: usize,
+        data: Vec<u8>,
+        wait_list: Vec<Arc<Event>>,
+        inline: bool,
+    ) -> Result<Arc<Event>> {
         let event = Event::new(CommandType::WriteBuffer);
         self.submit(
             Command::Write {
@@ -184,6 +248,7 @@ impl CommandQueue {
                 event: Arc::clone(&event),
             },
             &event,
+            inline,
         )
     }
 
@@ -196,6 +261,30 @@ impl CommandQueue {
         len: usize,
         wait_list: Vec<Arc<Event>>,
     ) -> Result<Arc<Event>> {
+        self.read(buffer, offset, len, wait_list, false)
+    }
+
+    /// [`CommandQueue::enqueue_read_buffer`], but run on the calling thread
+    /// when the queue is idle and every wait-list event is complete.
+    /// Otherwise it is queued behind the work ahead of it as usual.
+    pub fn enqueue_read_buffer_inline(
+        &self,
+        buffer: &Arc<Buffer>,
+        offset: usize,
+        len: usize,
+        wait_list: Vec<Arc<Event>>,
+    ) -> Result<Arc<Event>> {
+        self.read(buffer, offset, len, wait_list, true)
+    }
+
+    fn read(
+        &self,
+        buffer: &Arc<Buffer>,
+        offset: usize,
+        len: usize,
+        wait_list: Vec<Arc<Event>>,
+        inline: bool,
+    ) -> Result<Arc<Event>> {
         let event = Event::new(CommandType::ReadBuffer);
         self.submit(
             Command::Read {
@@ -206,6 +295,7 @@ impl CommandQueue {
                 event: Arc::clone(&event),
             },
             &event,
+            inline,
         )
     }
 
@@ -245,6 +335,7 @@ impl CommandQueue {
                 event: Arc::clone(&event),
             },
             &event,
+            false,
         )
     }
 
@@ -264,13 +355,14 @@ impl CommandQueue {
                 event: Arc::clone(&event),
             },
             &event,
+            false,
         )
     }
 
     /// `clEnqueueMarkerWithWaitList`.
     pub fn enqueue_marker(&self, wait_list: Vec<Arc<Event>>) -> Result<Arc<Event>> {
         let event = Event::new(CommandType::Marker);
-        self.submit(Command::Marker { wait_list, event: Arc::clone(&event) }, &event)
+        self.submit(Command::Marker { wait_list, event: Arc::clone(&event) }, &event, false)
     }
 
     /// `clFlush` (a no-op: commands are handed to the worker immediately).
@@ -525,6 +617,62 @@ mod tests {
         }
         queue.finish().unwrap();
         assert_eq!(buffer.read(0, 1).unwrap(), vec![7]);
+    }
+
+    #[test]
+    fn inline_transfers_on_an_idle_queue_are_terminal_on_return() {
+        let (context, _, queue) = setup();
+        let buffer = Buffer::new(Arc::clone(&context), 4, MemFlags::READ_WRITE, None).unwrap();
+        assert!(queue.is_idle());
+        let done = Event::user();
+        done.set_complete();
+        let write = queue.enqueue_write_buffer_inline(&buffer, 0, vec![4; 4], vec![done]).unwrap();
+        assert_eq!(write.status(), EventStatus::Complete);
+        assert!(write.modeled_duration() > Duration::ZERO);
+        let read = queue.enqueue_read_buffer_inline(&buffer, 0, 4, vec![write]).unwrap();
+        assert_eq!(read.status(), EventStatus::Complete);
+        assert_eq!(read.take_result(), Some(vec![4; 4]));
+        assert_eq!(queue.pending_commands(), 0);
+        assert!(queue.is_idle());
+    }
+
+    #[test]
+    fn inline_transfer_behind_pending_work_is_queued_in_order() {
+        let (context, _, queue) = setup();
+        let buffer = Buffer::new(Arc::clone(&context), 4, MemFlags::READ_WRITE, None).unwrap();
+        let gate = Event::user();
+        let gated =
+            queue.enqueue_write_buffer(&buffer, 0, vec![1; 4], vec![Arc::clone(&gate)]).unwrap();
+        assert!(!queue.is_idle());
+        // Nothing in its own wait list, but the gated write is ahead of it.
+        let read = queue.enqueue_read_buffer_inline(&buffer, 0, 4, Vec::new()).unwrap();
+        assert!(!read.status().is_terminal());
+        gate.set_complete();
+        read.wait().unwrap();
+        assert!(gated.status().is_terminal());
+        assert_eq!(read.take_result(), Some(vec![1; 4]), "the read overtook the write");
+    }
+
+    #[test]
+    fn inline_transfer_with_an_incomplete_wait_list_is_queued() {
+        let (context, _, queue) = setup();
+        let buffer = Buffer::new(Arc::clone(&context), 4, MemFlags::READ_WRITE, None).unwrap();
+        let gate = Event::user();
+        let write =
+            queue.enqueue_write_buffer_inline(&buffer, 0, vec![2; 4], vec![Arc::clone(&gate)]);
+        let write = write.unwrap();
+        assert!(!write.status().is_terminal());
+        assert!(!queue.is_idle());
+        gate.set_complete();
+        write.wait().unwrap();
+        assert_eq!(buffer.read(0, 4).unwrap(), vec![2; 4]);
+        // A failed wait-list event does not count as complete either: the
+        // worker fails the command with the wait-list error.
+        let failed = Event::user();
+        failed.set_error(-5);
+        let read = queue.enqueue_read_buffer_inline(&buffer, 0, 4, vec![failed]).unwrap();
+        assert!(read.wait().is_err());
+        assert_eq!(read.status(), EventStatus::Error(-14));
     }
 
     #[test]
