@@ -2,7 +2,7 @@
 //! under the two scheduling strategies.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use devmgr::{DeviceManager, DmDevice, DmRequirement, SchedulingStrategy};
+use devmgr::{DeviceManager, DmDevice, ShareRequest, Strategy};
 
 fn registry(dm: &DeviceManager, servers: usize, gpus_per_server: usize) {
     for s in 0..servers {
@@ -21,9 +21,8 @@ fn registry(dm: &DeviceManager, servers: usize, gpus_per_server: usize) {
 }
 
 fn devmgr_benches(c: &mut Criterion) {
-    let requirement =
-        vec![DmRequirement { count: 1, attributes: vec![("TYPE".into(), "GPU".into())] }];
-    for strategy in [SchedulingStrategy::FirstFit, SchedulingStrategy::RoundRobin] {
+    let requirement = [ShareRequest::whole_device(1, vec![("TYPE".into(), "GPU".into())])];
+    for strategy in [Strategy::FirstFit, Strategy::RoundRobin] {
         let name = format!("devmgr/assign_release_{strategy:?}");
         c.bench_function(&name, |b| {
             b.iter_batched(
@@ -36,7 +35,8 @@ fn devmgr_benches(c: &mut Criterion) {
                     // Assign every device, then release every lease.
                     let mut leases = Vec::new();
                     for i in 0..32 {
-                        let (lease, _) = dm.assign(&format!("client-{i}"), &requirement).unwrap();
+                        let (lease, _) =
+                            dm.assign_shares(&format!("client-{i}"), &requirement, 0).unwrap();
                         leases.push(lease.auth_id);
                     }
                     for auth in leases {

@@ -12,7 +12,7 @@
 
 use dcl_bench::fig6;
 use dcl_bench::report::{print_table, secs, write_json, JsonValue};
-use devmgr::SchedulingStrategy;
+use devmgr::Strategy;
 
 /// Concurrent clients driven at the 2-node cluster per policy.
 const CONTENTION_CLIENTS: usize = 200;
@@ -50,8 +50,7 @@ fn main() {
         &table,
     );
 
-    let policies =
-        [SchedulingStrategy::FirstFit, SchedulingStrategy::RoundRobin, SchedulingStrategy::Fair];
+    let policies = [Strategy::FirstFit, Strategy::RoundRobin, Strategy::Fair];
     let contention: Vec<_> = policies
         .iter()
         .map(|&policy| {

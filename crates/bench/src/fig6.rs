@@ -18,8 +18,7 @@
 
 use crate::report::Percentiles;
 use devmgr::{
-    DeviceManager, DeviceManagerServer, DeviceRequirement, DmShareRequest, ManagedDaemon,
-    SchedulingStrategy,
+    DeviceManager, DeviceManagerServer, DeviceRequirement, DmShareRequest, ManagedDaemon, Strategy,
 };
 use dopencl::{Context, DeviceType, LocalCluster, PhaseBreakdown, SimClock, Value};
 use gcf::LinkModel;
@@ -96,7 +95,7 @@ pub fn with_device_manager(clients: usize, functional_scale: usize) -> dopencl::
 
     let mut cluster = LocalCluster::new(LinkModel::gigabit_ethernet());
     let transport: Arc<dyn gcf::Transport> = Arc::new(cluster.transport());
-    let dm = DeviceManager::new(SchedulingStrategy::FirstFit);
+    let dm = DeviceManager::new(Strategy::FirstFit);
     let dm_server = DeviceManagerServer::start(Arc::clone(&dm), Arc::clone(&transport), "devmngr")
         .map_err(|e| dopencl::DclError::Protocol(e.to_string()))?;
     let platform = Platform::gpu_server();
@@ -208,7 +207,7 @@ pub fn run(client_counts: &[usize], functional_scale: usize) -> dopencl::Result<
 #[derive(Debug, Clone, PartialEq)]
 pub struct ContentionRow {
     /// Scheduling policy under test.
-    pub policy: SchedulingStrategy,
+    pub policy: Strategy,
     /// Number of concurrent clients driven at the manager.
     pub clients: usize,
     /// Clients whose share request was admitted.
@@ -239,13 +238,10 @@ impl ContentionRow {
 /// Drive `clients` concurrent threads at a 2-node cluster (2 × 4 GPUs), each
 /// requesting a fractional GPU share (desired: a whole device, floor: 1% of
 /// one), and record assignment latency plus the final per-client share once
-/// the dust settles.  Under [`SchedulingStrategy::Fair`] every client is
+/// the dust settles.  Under [`Strategy::Fair`] every client is
 /// admitted and rebalancing equalises the shares; under `FirstFit` the first
 /// eight clients take whole devices and everyone else starves.
-pub fn cluster_contention(
-    policy: SchedulingStrategy,
-    clients: usize,
-) -> devmgr::Result<ContentionRow> {
+pub fn cluster_contention(policy: Strategy, clients: usize) -> devmgr::Result<ContentionRow> {
     let transport: Arc<dyn gcf::Transport> =
         Arc::new(gcf::transport::inproc::InprocTransport::new());
     let dm = DeviceManager::new(policy);
@@ -386,7 +382,7 @@ pub fn migration_bit_correctness() -> dopencl::Result<MigrationRow> {
 
     let mut cluster = LocalCluster::new(LinkModel::gigabit_ethernet());
     let transport: Arc<dyn gcf::Transport> = Arc::new(cluster.transport());
-    let dm = DeviceManager::new(SchedulingStrategy::FirstFit);
+    let dm = DeviceManager::new(Strategy::FirstFit);
     let dm_server = DeviceManagerServer::start(Arc::clone(&dm), Arc::clone(&transport), "devmngr")
         .map_err(protocol)?;
     for name in ["gpu-a", "gpu-b"] {
@@ -492,13 +488,13 @@ mod tests {
 
     #[test]
     fn fair_spreads_work_while_first_fit_starves() {
-        let fair = cluster_contention(SchedulingStrategy::Fair, 40).unwrap();
+        let fair = cluster_contention(Strategy::Fair, 40).unwrap();
         assert_eq!(fair.rejected, 0, "Fair admits everyone via rebalancing");
         let ratio = fair.work_ratio().expect("every client completed work");
         assert!(ratio <= 2.0, "fair max/min completed-work ratio {ratio} > 2");
         assert!(fair.latency_ms.p50 <= fair.latency_ms.p99);
 
-        let first_fit = cluster_contention(SchedulingStrategy::FirstFit, 40).unwrap();
+        let first_fit = cluster_contention(Strategy::FirstFit, 40).unwrap();
         assert_eq!(first_fit.admitted, 8, "one whole device per early client");
         assert_eq!(first_fit.min_work, 0, "latecomers starve under FirstFit");
         assert!(first_fit.work_ratio().is_none());

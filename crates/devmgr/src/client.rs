@@ -4,9 +4,9 @@
 use crate::config::{DeviceRequestConfig, DeviceRequirement};
 use crate::error::{DevMgrError, Result};
 use crate::protocol::{
-    DmGrant, DmNotification, DmRequest, DmRequirement, DmResponse, DmShareRequest,
-    LeaseChangeReason,
+    DmGrant, DmNotification, DmRequest, DmResponse, DmShareRequest, LeaseChangeReason,
 };
+use crate::vdev::FULL_COMPUTE_MILLIS;
 use dopencl::Client;
 use gcf::rpc::{Endpoint, EndpointHandler, NullHandler};
 use gcf::transport::Transport;
@@ -23,13 +23,6 @@ pub struct Assignment {
     pub servers: Vec<String>,
     /// The device-manager address (needed later to release the lease).
     pub device_manager: String,
-}
-
-fn requirements_from_config(config: &[DeviceRequirement]) -> Vec<DmRequirement> {
-    config
-        .iter()
-        .map(|d| DmRequirement { count: d.count, attributes: d.attributes.clone() })
-        .collect()
 }
 
 fn dm_endpoint(transport: &Arc<dyn Transport>, dm_address: &str) -> Result<Arc<Endpoint>> {
@@ -57,29 +50,26 @@ fn remote_error(message: String) -> DevMgrError {
     }
 }
 
-/// Step 1 + 3a of Figure 2: send an assignment request and return the lease.
+/// Step 1 + 3a of Figure 2: request whole devices and return the lease.
+/// Each requirement asks for `count` whole-device shares (1000 millis,
+/// floor 1000, no memory quota) at priority 0.
 pub fn request_assignment(
     transport: &Arc<dyn Transport>,
     dm_address: &str,
     client_name: &str,
     requirements: &[DeviceRequirement],
 ) -> Result<Assignment> {
-    let endpoint = dm_endpoint(transport, dm_address)?;
-    let response = dm_call(
-        &endpoint,
-        DmRequest::RequestAssignment {
-            client_name: client_name.to_string(),
-            requirements: requirements_from_config(requirements),
-        },
-    )?;
-    endpoint.close();
-    match response {
-        DmResponse::Assignment { auth_id, servers } => {
-            Ok(Assignment { auth_id, servers, device_manager: dm_address.to_string() })
-        }
-        DmResponse::Error { message } => Err(remote_error(message)),
-        other => Err(DevMgrError::Protocol(format!("unexpected response {other:?}"))),
-    }
+    let shares: Vec<DmShareRequest> = requirements
+        .iter()
+        .map(|d| DmShareRequest {
+            count: d.count,
+            attributes: d.attributes.clone(),
+            compute_millis: FULL_COMPUTE_MILLIS,
+            min_millis: FULL_COMPUTE_MILLIS,
+            mem_bytes: 0,
+        })
+        .collect();
+    request_shares(transport, dm_address, client_name, 0, &shares)
 }
 
 /// Request *fractional* shares from the resource manager: each
@@ -290,7 +280,7 @@ mod tests {
     use super::*;
     use crate::config::parse_device_request;
     use crate::managed::ManagedDaemon;
-    use crate::manager::{DeviceManager, DeviceManagerServer, SchedulingStrategy};
+    use crate::manager::{DeviceManager, DeviceManagerServer, Strategy};
     use dopencl::LocalCluster;
     use gcf::LinkModel;
     use vocl::Platform;
@@ -304,7 +294,7 @@ mod tests {
         let transport: Arc<dyn gcf::Transport> = Arc::new(cluster.transport());
 
         // Device manager.
-        let dm = DeviceManager::new(SchedulingStrategy::FirstFit);
+        let dm = DeviceManager::new(Strategy::FirstFit);
         let dm_server =
             DeviceManagerServer::start(Arc::clone(&dm), Arc::clone(&transport), "devmngr").unwrap();
 
@@ -349,7 +339,7 @@ mod tests {
     fn assignment_failure_when_nothing_matches() {
         let transport: Arc<dyn gcf::Transport> =
             Arc::new(gcf::transport::inproc::InprocTransport::new());
-        let dm = DeviceManager::new(SchedulingStrategy::FirstFit);
+        let dm = DeviceManager::new(Strategy::FirstFit);
         let dm_server = DeviceManagerServer::start(dm, Arc::clone(&transport), "devmngr").unwrap();
         let result = request_assignment(
             &transport,

@@ -10,7 +10,7 @@
 //! ([`vdev`]): a compute share in millis of one device
 //! ([`FULL_COMPUTE_MILLIS`] = the whole device) plus a device-memory quota
 //! in bytes.  The manager guarantees Σ shares ≤ 100% per physical device.
-//! Legacy whole-device requests ([`DmRequirement`]) map to all-or-nothing
+//! Whole-device requests ([`request_assignment`]) are all-or-nothing
 //! 1000-milli shares.
 //!
 //! **Pluggable scheduling** ([`sched`]).  [`Strategy::FirstFit`] and
@@ -36,9 +36,12 @@
 //!
 //! * [`vdev`] — fractional virtual devices and share requests,
 //! * [`sched`] — the scheduling policies and the weighted fair division,
-//! * [`manager::DeviceManager`] — the allocation registry, lease logic and
-//!   node lifecycle; [`manager::DeviceManagerServer`] is its network front
-//!   end,
+//! * `placement` — the placement state machine: servers, leases, and every
+//!   transition on them (place, rebalance, preempt, move a share, evacuate,
+//!   drain, release), each returning the pushes it implies,
+//! * [`manager::DeviceManager`] — that state under one lock, sending each
+//!   transition's pushes after unlocking; [`manager::DeviceManagerServer`]
+//!   is its network front end,
 //! * [`managed::ManagedDaemon`] — the daemon-side integration ("managed
 //!   mode"): registers the server's devices, heartbeats, and installs an
 //!   [`dopencl::AccessPolicy`] that only exposes devices (and quotas)
@@ -56,6 +59,7 @@ pub mod config;
 pub mod error;
 pub mod managed;
 pub mod manager;
+mod placement;
 pub mod protocol;
 pub mod sched;
 // `virtual` is a reserved Rust keyword, so the module is mounted as `vdev`
@@ -70,9 +74,7 @@ pub use client::{
 pub use config::{parse_device_request, DeviceRequestConfig, DeviceRequirement};
 pub use error::{DevMgrError, Result};
 pub use managed::{HeartbeatTimer, ManagedDaemon};
-pub use manager::{
-    DeviceManager, DeviceManagerServer, HealthMonitor, Lease, LeaseFailover, SchedulingStrategy,
-};
-pub use protocol::{DmDevice, DmGrant, DmQuota, DmRequirement, DmShareRequest, LeaseChangeReason};
+pub use manager::{DeviceManager, DeviceManagerServer, HealthMonitor, Lease, LeaseFailover};
+pub use protocol::{DmDevice, DmGrant, DmQuota, DmShareRequest, LeaseChangeReason};
 pub use sched::Strategy;
 pub use vdev::{ShareRequest, VirtualDevice, FULL_COMPUTE_MILLIS};

@@ -10,7 +10,6 @@
 
 use crate::error::Result;
 use crate::protocol::{DmDevice, DmNotification, DmRequest, DmResponse};
-use crate::vdev::FULL_COMPUTE_MILLIS;
 use dopencl::daemon::AccessPolicy;
 use gcf::rpc::{Endpoint, EndpointHandler};
 use gcf::transport::Transport;
@@ -37,7 +36,7 @@ pub fn describe_device(device: &Device) -> DmDevice {
 }
 
 /// The quota a lease holds on one local device: (compute millis, memory
-/// bytes).  Legacy whole-device pushes record a full-device quota.
+/// bytes).  A whole device is (1000, 0).
 pub type DeviceQuota = (u32, u64);
 
 struct LeaseTable {
@@ -54,12 +53,6 @@ impl PolicyNotificationHandler {
         let Ok(notification) = DmNotification::from_bytes(payload) else { return false };
         let mut table = self.table.lock();
         match notification {
-            DmNotification::AssignDevices { auth_id, device_ids } => {
-                let entry = table.assignments.entry(auth_id).or_default();
-                for id in device_ids {
-                    entry.insert(id, (FULL_COMPUTE_MILLIS, 0));
-                }
-            }
             DmNotification::AssignShares { auth_id, shares } => {
                 let entry = table.assignments.entry(auth_id).or_default();
                 for quota in shares {
@@ -93,7 +86,7 @@ impl PolicyNotificationHandler {
 
 impl EndpointHandler for PolicyNotificationHandler {
     fn handle_request(&self, payload: &[u8]) -> Vec<u8> {
-        // The device manager pushes lease updates as *calls* so that the
+        // The device manager pushes lease installs as *calls* so that the
         // client cannot observe a daemon that does not yet know its auth id
         // (the reply acknowledges that the table is updated).
         if self.apply(payload) {
@@ -104,8 +97,10 @@ impl EndpointHandler for PolicyNotificationHandler {
     }
 
     fn handle_notification(&self, payload: &[u8]) {
-        // Older managers pushed updates as fire-and-forget notifications;
-        // keep accepting them.
+        // Quota updates and revocations arrive as one-way notifications:
+        // they need no acknowledgement, and a revocation may be sent from
+        // this daemon's own session receiver thread (ReportDisconnect),
+        // where a call could never see its reply.
         self.apply(payload);
     }
 }
@@ -273,15 +268,15 @@ impl Drop for HeartbeatTimer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manager::{DeviceManager, DeviceManagerServer, SchedulingStrategy};
-    use crate::protocol::DmRequirement;
+    use crate::manager::{DeviceManager, DeviceManagerServer, Strategy};
+    use crate::vdev::ShareRequest;
     use gcf::transport::inproc::InprocTransport;
     use vocl::{DeviceProfile, DeviceType, Platform};
 
     #[test]
     fn managed_policy_filters_by_lease() {
         let transport = InprocTransport::new();
-        let dm = DeviceManager::new(SchedulingStrategy::FirstFit);
+        let dm = DeviceManager::new(Strategy::FirstFit);
         let dm_server =
             DeviceManagerServer::start(Arc::clone(&dm), Arc::new(transport.clone()), "devmngr")
                 .unwrap();
@@ -305,13 +300,14 @@ mod tests {
 
         // Assign one GPU; the notification updates the policy's table.
         let (lease, servers) = dm
-            .assign(
+            .assign_shares(
                 "client-a",
-                &[DmRequirement { count: 1, attributes: vec![("TYPE".into(), "GPU".into())] }],
+                &[ShareRequest::whole_device(1, vec![("TYPE".into(), "GPU".into())])],
+                0,
             )
             .unwrap();
         assert_eq!(servers, vec!["gpuserver".to_string()]);
-        // The lease push is synchronous: once assign() returns, the daemon
+        // The lease push is synchronous: once assign_shares() returns, the daemon
         // knows the auth id.
         let visible = policy.visible_devices(Some(&lease.auth_id), platform.devices());
         assert_eq!(visible.len(), 1);
@@ -332,7 +328,7 @@ mod tests {
         use std::time::Duration;
 
         let transport = InprocTransport::new();
-        let dm = DeviceManager::new(SchedulingStrategy::FirstFit);
+        let dm = DeviceManager::new(Strategy::FirstFit);
         let dm_server =
             DeviceManagerServer::start(Arc::clone(&dm), Arc::new(transport.clone()), "devmngr")
                 .unwrap();
@@ -378,7 +374,7 @@ mod tests {
         use crate::vdev::ShareRequest;
 
         let transport = InprocTransport::new();
-        let dm = DeviceManager::new(SchedulingStrategy::FirstFit);
+        let dm = DeviceManager::new(Strategy::FirstFit);
         let dm_server =
             DeviceManagerServer::start(Arc::clone(&dm), Arc::new(transport.clone()), "devmngr")
                 .unwrap();

@@ -10,24 +10,25 @@
 //! registration, prove liveness through heartbeats, can be drained before
 //! leaving, and shares of crashed or removed nodes are migrated to
 //! survivors — watching clients learn about every change through
-//! [`DmNotification::LeaseChanged`] pushes.
+//! [`crate::protocol::DmNotification::LeaseChanged`] pushes.
+//!
+//! The placement state machine lives in the private `placement` module;
+//! this one holds it under one lock and does its I/O: every public method
+//! locks the state, runs one transition, unlocks, and only then sends the
+//! pushes the transition planned.
 
 use crate::error::{DevMgrError, Result};
-use crate::protocol::{
-    DmDevice, DmGrant, DmNotification, DmQuota, DmRequest, DmRequirement, DmResponse,
-    LeaseChangeReason,
-};
-use crate::sched::{self, CandidateDevice, Placement};
-use crate::vdev::{allocated_mem, allocated_millis, ShareRequest, VirtualDevice};
+use crate::placement::{ManagerState, PushPlan};
+use crate::protocol::{DmDevice, DmGrant, DmRequest, DmResponse};
+use crate::vdev::{allocated_millis, ShareRequest, VirtualDevice};
 use gcf::rpc::{Endpoint, EndpointHandler};
 use gcf::transport::{Listener, Transport};
 use gcf::wire::{Decode, Encode};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 
-pub use crate::sched::{SchedulingStrategy, Strategy};
+pub use crate::sched::Strategy;
 pub use crate::vdev::FULL_COMPUTE_MILLIS;
 
 /// A granted lease: an authentication id plus the fractional shares backing
@@ -64,30 +65,6 @@ impl Lease {
     }
 }
 
-struct RegisteredServer {
-    name: String,
-    address: String,
-    devices: Vec<DmDevice>,
-    endpoint: Option<Weak<Endpoint>>,
-    /// Logical tick of the last heartbeat received from this server.
-    last_beat: u64,
-    /// The server missed too many beats (or was removed) and no longer
-    /// hosts new shares; its existing shares were failed over.
-    down: bool,
-    /// The server is leaving gracefully: existing shares keep running but
-    /// no new placements land on it.
-    draining: bool,
-}
-
-#[derive(Default)]
-struct ManagerState {
-    servers: Vec<RegisteredServer>,
-    leases: BTreeMap<String, Lease>,
-    round_robin_cursor: usize,
-    /// auth id → client endpoints subscribed to lease-change pushes.
-    watchers: HashMap<String, Vec<Weak<Endpoint>>>,
-}
-
 /// Outcome of failing one lease over after its server was marked down,
 /// drained, or removed (Section IV-C, extended to fractional shares).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,42 +80,20 @@ pub struct LeaseFailover {
     pub degraded: bool,
 }
 
-/// A wire push planned while holding the state lock and issued after
-/// releasing it (daemon endpoints reply on this manager's session receiver
-/// threads, which must stay free to take the lock).
-struct Push {
-    endpoint: Arc<Endpoint>,
-    payload: Vec<u8>,
-    /// Acknowledged call (lease installs) vs fire-and-forget notify
-    /// (quota updates, revocations, watcher notices).
-    acked: bool,
-}
-
-#[derive(Default)]
-struct PushPlan {
-    pushes: Vec<Push>,
-}
-
-impl PushPlan {
-    fn call(&mut self, endpoint: Arc<Endpoint>, note: &DmNotification) {
-        self.pushes.push(Push { endpoint, payload: note.to_bytes(), acked: true });
-    }
-
-    fn notify(&mut self, endpoint: Arc<Endpoint>, note: &DmNotification) {
-        self.pushes.push(Push { endpoint, payload: note.to_bytes(), acked: false });
-    }
-
-    /// Issue every planned push; failures are ignored (a dead daemon is
-    /// handled by the health path, a gone client by lease release).
-    fn send(self) {
-        for push in self.pushes {
-            if push.acked {
-                let _ = push.endpoint.call(push.payload);
-            } else {
-                let _ = push.endpoint.notify(push.payload);
-            }
+/// Send every planned push in order.  Returns whether every call was
+/// answered `Ok`; other failures are ignored (a dead daemon is handled by
+/// the health path, a gone client by lease release).
+fn send(plan: PushPlan) -> bool {
+    let mut acked = true;
+    for push in plan.pushes {
+        if push.acked {
+            let reply = push.endpoint.call(push.payload);
+            acked &= matches!(reply.map(|b| DmResponse::from_bytes(&b)), Ok(Ok(DmResponse::Ok)));
+        } else {
+            let _ = push.endpoint.notify(push.payload);
         }
     }
+    acked
 }
 
 /// Guard for a running background health sweep
@@ -164,23 +119,12 @@ impl Drop for HealthMonitor {
 pub struct DeviceManager {
     strategy: Strategy,
     state: Mutex<ManagerState>,
-    next_lease: AtomicU64,
-    next_vd: AtomicU64,
-    /// Logical health clock: heartbeats stamp it, [`DeviceManager::tick`]
-    /// advances it.  Deterministic by design — tests drive time explicitly.
-    health_tick: AtomicU64,
 }
 
 impl DeviceManager {
     /// Create an empty device manager.
     pub fn new(strategy: Strategy) -> Arc<DeviceManager> {
-        Arc::new(DeviceManager {
-            strategy,
-            state: Mutex::new(ManagerState::default()),
-            next_lease: AtomicU64::new(1),
-            next_vd: AtomicU64::new(1),
-            health_tick: AtomicU64::new(0),
-        })
+        Arc::new(DeviceManager { strategy, state: Mutex::new(ManagerState::default()) })
     }
 
     /// The active scheduling policy.
@@ -201,51 +145,20 @@ impl DeviceManager {
         devices: Vec<DmDevice>,
         endpoint: Option<Weak<Endpoint>>,
     ) -> usize {
-        let now = self.health_tick.load(Ordering::Relaxed);
-        let mut state = self.state.lock();
-        if let Some(index) = state.servers.iter().position(|s| s.name == name) {
-            // Re-registration replaces the endpoint but keeps allocations;
-            // a restarted daemon comes back up with a fresh beat.
-            let server = &mut state.servers[index];
-            server.endpoint = endpoint;
-            server.address = address.to_string();
-            server.devices = devices;
-            server.last_beat = now;
-            server.down = false;
-            server.draining = false;
-            return index;
-        }
-        let index = state.servers.len();
-        state.servers.push(RegisteredServer {
-            name: name.to_string(),
-            address: address.to_string(),
-            devices,
-            endpoint,
-            last_beat: now,
-            down: false,
-            draining: false,
-        });
-        index
+        self.state.lock().register(name, address, devices, endpoint)
     }
 
     /// Record a liveness beacon from `server_name`.  Returns `false` for an
     /// unknown server.  A beat from a server previously marked down brings
     /// it back up (its unallocated capacity is schedulable again).
     pub fn heartbeat(&self, server_name: &str) -> bool {
-        let now = self.health_tick.load(Ordering::Relaxed);
-        let mut state = self.state.lock();
-        let Some(index) = state.servers.iter().position(|s| s.name == server_name) else {
-            return false;
-        };
-        state.servers[index].last_beat = now;
-        state.servers[index].down = false;
-        true
+        self.state.lock().heartbeat(server_name)
     }
 
     /// Advance the logical health clock by one tick and return the new
     /// value.  Callers pair this with [`DeviceManager::check_health`].
     pub fn tick(&self) -> u64 {
-        self.health_tick.fetch_add(1, Ordering::Relaxed) + 1
+        self.state.lock().tick()
     }
 
     /// Start a background sweep that advances the health clock and runs
@@ -292,16 +205,9 @@ impl DeviceManager {
     /// and safe to remove after a drain.
     pub fn server_load(&self, server_name: &str) -> Option<u32> {
         let state = self.state.lock();
-        let index = state.servers.iter().position(|s| s.name == server_name)?;
-        Some(
-            state
-                .leases
-                .values()
-                .flat_map(|l| l.virtual_devices.iter())
-                .filter(|vd| vd.server == index)
-                .map(|vd| vd.compute_millis)
-                .sum(),
-        )
+        let index = state.server_index(server_name).ok()?;
+        let shares = state.leases.values().flat_map(|l| l.virtual_devices.iter());
+        Some(shares.filter(|vd| vd.server == index).map(|vd| vd.compute_millis).sum())
     }
 
     /// Mark every server that missed more than `max_missed` ticks since its
@@ -312,25 +218,8 @@ impl DeviceManager {
     /// made whole continue degraded on their surviving shares, or are
     /// released when nothing survives.
     pub fn check_health(&self, max_missed: u64) -> Vec<LeaseFailover> {
-        let now = self.health_tick.load(Ordering::Relaxed);
-        let mut state = self.state.lock();
-        let newly_down: Vec<usize> = state
-            .servers
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.down && now.saturating_sub(s.last_beat) > max_missed)
-            .map(|(i, _)| i)
-            .collect();
-        if newly_down.is_empty() {
-            return Vec::new();
-        }
-        for &i in &newly_down {
-            state.servers[i].down = true;
-        }
-        let mut plan = PushPlan::default();
-        let events = Self::evacuate(&mut state, &newly_down, self.strategy, &mut plan);
-        drop(state);
-        plan.send();
+        let (events, plan) = self.state.lock().check_health(self.strategy, max_missed);
+        send(plan);
         events
     }
 
@@ -340,17 +229,8 @@ impl DeviceManager {
     /// [`DeviceManager::server_load`] to see whether the drain completed,
     /// and [`DeviceManager::remove_server`] to force the leave.
     pub fn drain_server(&self, server_name: &str) -> Result<Vec<LeaseFailover>> {
-        let mut state = self.state.lock();
-        let index = state
-            .servers
-            .iter()
-            .position(|s| s.name == server_name)
-            .ok_or_else(|| DevMgrError::Protocol(format!("unknown server '{server_name}'")))?;
-        state.servers[index].draining = true;
-        let mut plan = PushPlan::default();
-        let events = Self::migrate_off(&mut state, index, self.strategy, false, &mut plan);
-        drop(state);
-        plan.send();
+        let (events, plan) = self.state.lock().drain(self.strategy, server_name)?;
+        send(plan);
         Ok(events)
     }
 
@@ -359,21 +239,8 @@ impl DeviceManager {
     /// are failed over like a crash — leases that cannot be made whole
     /// degrade or are released.
     pub fn remove_server(&self, server_name: &str) -> Result<Vec<LeaseFailover>> {
-        let mut state = self.state.lock();
-        let index = state
-            .servers
-            .iter()
-            .position(|s| s.name == server_name)
-            .ok_or_else(|| DevMgrError::Protocol(format!("unknown server '{server_name}'")))?;
-        state.servers[index].down = true;
-        state.servers[index].draining = true;
-        let mut plan = PushPlan::default();
-        let events = Self::evacuate(&mut state, &[index], self.strategy, &mut plan);
-        // Detach the endpoint only after planning, so the departing daemon
-        // still receives the final RevokeLease/UpdateQuota pushes.
-        state.servers[index].endpoint = None;
-        drop(state);
-        plan.send();
+        let (events, plan) = self.state.lock().remove(self.strategy, server_name)?;
+        send(plan);
         Ok(events)
     }
 
@@ -381,88 +248,20 @@ impl DeviceManager {
     /// to a *different* server (administrative migration; also the
     /// mechanism behind priority preemption).  The victim's daemons drop
     /// the auth id, the receiving daemons learn it, and watching clients
-    /// get a [`DmNotification::LeaseChanged`] push so they can reconnect
-    /// and re-validate their buffers through the coherence directory.
+    /// get a [`crate::protocol::DmNotification::LeaseChanged`] push so
+    /// they can reconnect and re-validate their buffers through the
+    /// coherence directory.
     pub fn migrate_lease(&self, auth_id: &str) -> Result<LeaseFailover> {
-        let mut state = self.state.lock();
-        if !state.leases.contains_key(auth_id) {
-            return Err(DevMgrError::UnknownLease(auth_id.to_string()));
-        }
-        let mut plan = PushPlan::default();
-        let event = Self::migrate_lease_locked(&mut state, auth_id, self.strategy, &mut plan)?;
-        drop(state);
-        plan.send();
+        let (event, plan) = self.state.lock().migrate_lease(self.strategy, auth_id)?;
+        send(plan);
         Ok(event)
-    }
-
-    // ----- capacity bookkeeping --------------------------------------------
-
-    fn allocated_on(state: &ManagerState, server: usize, device: u64) -> (u32, u64) {
-        let allocs = state
-            .leases
-            .values()
-            .flat_map(|l| l.virtual_devices.iter())
-            .filter(|vd| vd.server == server && vd.device == device);
-        let allocs: Vec<&VirtualDevice> = allocs.collect();
-        (allocated_millis(allocs.iter().copied()), allocated_mem(allocs.iter().copied()))
-    }
-
-    fn free_capacity(state: &ManagerState, server: usize, device: &DmDevice) -> (u32, u64) {
-        let (millis, mem) = Self::allocated_on(state, server, device.remote_id);
-        (FULL_COMPUTE_MILLIS.saturating_sub(millis), device.global_mem_bytes.saturating_sub(mem))
-    }
-
-    /// Schedulable candidate devices matching `attributes`, in registration
-    /// order, excluding `exclude` (devices already picked for the request
-    /// in flight — each share of a request lands on a distinct device).
-    fn candidates(
-        state: &ManagerState,
-        attributes: &[(String, String)],
-        exclude: &[(usize, u64)],
-    ) -> Vec<CandidateDevice> {
-        let mut out = Vec::new();
-        for (index, server) in state.servers.iter().enumerate() {
-            if server.down || server.draining {
-                continue;
-            }
-            for device in &server.devices {
-                if exclude.contains(&(index, device.remote_id)) {
-                    continue;
-                }
-                if !attributes.iter().all(|(k, v)| device.satisfies(k, v)) {
-                    continue;
-                }
-                let (free_millis, free_mem) = Self::free_capacity(state, index, device);
-                out.push(CandidateDevice {
-                    server: index,
-                    device: device.remote_id,
-                    free_millis,
-                    free_mem,
-                });
-            }
-        }
-        out
-    }
-
-    fn any_matching_device(state: &ManagerState, attributes: &[(String, String)]) -> bool {
-        state.servers.iter().any(|s| {
-            !s.down && s.devices.iter().any(|d| attributes.iter().all(|(k, v)| d.satisfies(k, v)))
-        })
     }
 
     // ----- diagnostics ------------------------------------------------------
 
     /// Number of devices (on up servers) without any allocated share.
     pub fn free_device_count(&self) -> usize {
-        let state = self.state.lock();
-        state
-            .servers
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.down)
-            .flat_map(|(i, s)| s.devices.iter().map(move |d| (i, d.remote_id)))
-            .filter(|&(i, d)| Self::allocated_on(&state, i, d).0 == 0)
-            .count()
+        self.state.lock().free_devices()
     }
 
     /// Number of active leases.
@@ -482,24 +281,7 @@ impl DeviceManager {
 
     /// Diagnostics counters: (free devices, devices with ≥ 1 share, leases).
     pub fn status(&self) -> (u32, u32, u32) {
-        let state = self.state.lock();
-        let mut assigned = 0u32;
-        for (i, server) in state.servers.iter().enumerate() {
-            for device in &server.devices {
-                if Self::allocated_on(&state, i, device.remote_id).0 > 0 {
-                    assigned += 1;
-                }
-            }
-        }
-        let free = state
-            .servers
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.down)
-            .flat_map(|(i, s)| s.devices.iter().map(move |d| (i, d.remote_id)))
-            .filter(|&(i, d)| Self::allocated_on(&state, i, d).0 == 0)
-            .count() as u32;
-        (free, assigned, state.leases.len() as u32)
+        self.state.lock().status()
     }
 
     /// The current grants of a lease in wire form (server addresses
@@ -507,46 +289,16 @@ impl DeviceManager {
     pub fn lease_grants(&self, auth_id: &str) -> Option<Vec<DmGrant>> {
         let state = self.state.lock();
         let lease = state.leases.get(auth_id)?;
-        Some(
-            lease
-                .virtual_devices
-                .iter()
-                .map(|vd| DmGrant {
-                    server: state.servers[vd.server].address.clone(),
-                    device_id: vd.device,
-                    compute_millis: vd.compute_millis,
-                    mem_bytes: vd.mem_bytes,
-                })
-                .collect(),
-        )
-    }
-
-    fn lease_servers(state: &ManagerState, lease: &Lease) -> Vec<String> {
-        let mut servers: Vec<String> = lease
-            .virtual_devices
-            .iter()
-            .map(|vd| state.servers[vd.server].address.clone())
-            .collect();
-        servers.sort();
-        servers.dedup();
-        servers
+        let grant = |vd: &VirtualDevice| DmGrant {
+            server: state.servers[vd.server].address.clone(),
+            device_id: vd.device,
+            compute_millis: vd.compute_millis,
+            mem_bytes: vd.mem_bytes,
+        };
+        Some(lease.virtual_devices.iter().map(grant).collect())
     }
 
     // ----- assignment -------------------------------------------------------
-
-    /// Handle a legacy whole-device assignment request ([`DmRequirement`]):
-    /// every requirement maps to an all-or-nothing share of a full device.
-    pub fn assign(
-        &self,
-        client_name: &str,
-        requirements: &[DmRequirement],
-    ) -> Result<(Lease, Vec<String>)> {
-        let shares: Vec<ShareRequest> = requirements
-            .iter()
-            .map(|r| ShareRequest::whole_device(r.count, r.attributes.clone()))
-            .collect();
-        self.assign_shares(client_name, &shares, 0)
-    }
 
     /// Handle a fractional assignment request: place each share under the
     /// active policy, build a lease, push the quotas to the involved
@@ -554,741 +306,52 @@ impl DeviceManager {
     ///
     /// Admission control: when matching devices exist but no policy move
     /// can produce every share's floor, the request is rejected with
-    /// [`DevMgrError::Saturated`] and the cluster state is left untouched.
+    /// [`DevMgrError::Saturated`].
     pub fn assign_shares(
         &self,
         client_name: &str,
         requests: &[ShareRequest],
         priority: u32,
     ) -> Result<(Lease, Vec<String>)> {
-        if requests.is_empty() {
-            return Err(DevMgrError::NoMatchingDevices("empty assignment request".into()));
-        }
-        let mut state = self.state.lock();
-        let mut picked: Vec<VirtualDevice> = Vec::new();
-        let mut taken: Vec<(usize, u64)> = Vec::new();
-        // Side effects of saturation moves (fair shrinks, preemptions),
-        // applied to state immediately and pushed after the lock drops.
-        let mut plan = PushPlan::default();
-
-        for request in requests {
-            for _ in 0..request.count.max(1) {
-                let candidates = Self::candidates(&state, &request.attributes, &taken);
-                let placement = sched::place(
-                    self.strategy,
-                    &candidates,
-                    request.compute_millis,
-                    request.floor(),
-                    request.mem_bytes,
-                    state.round_robin_cursor,
-                );
-                let placement = match placement {
-                    Some(p) => p,
-                    None => {
-                        if !Self::any_matching_device(&state, &request.attributes) {
-                            return Err(DevMgrError::NoMatchingDevices(format!(
-                                "no device satisfies {:?} for client '{client_name}'",
-                                request.attributes
-                            )));
-                        }
-                        let saturation_move = match self.strategy {
-                            Strategy::Fair => Self::rebalance_for(
-                                &mut state, request, priority, &taken, &mut plan,
-                            ),
-                            Strategy::Priority => Self::preempt_for(
-                                &mut state,
-                                request,
-                                priority,
-                                &taken,
-                                self.strategy,
-                                &mut plan,
-                            ),
-                            _ => None,
-                        };
-                        match saturation_move {
-                            Some(p) => p,
-                            None => {
-                                return Err(DevMgrError::Saturated(format!(
-                                    "no capacity for a {} milli share (floor {}) of {:?} \
-                                     for client '{client_name}'",
-                                    request.compute_millis,
-                                    request.floor(),
-                                    request.attributes
-                                )))
-                            }
-                        }
-                    }
-                };
-                taken.push((placement.server, placement.device));
-                picked.push(VirtualDevice {
-                    vd_id: self.next_vd.fetch_add(1, Ordering::Relaxed),
-                    server: placement.server,
-                    device: placement.device,
-                    compute_millis: placement.millis,
-                    min_millis: request.floor(),
-                    mem_bytes: request.mem_bytes,
-                });
-            }
-        }
-
-        if self.strategy == Strategy::RoundRobin {
-            state.round_robin_cursor = state.round_robin_cursor.wrapping_add(1);
-        }
-        let auth_id = format!("lease-{}", self.next_lease.fetch_add(1, Ordering::Relaxed));
-        let lease = Lease {
-            auth_id: auth_id.clone(),
-            client_name: client_name.to_string(),
-            priority,
-            virtual_devices: picked.clone(),
-        };
-        state.leases.insert(auth_id.clone(), lease.clone());
-
-        // Step 3b: send each involved daemon the lease's quotas on its
-        // devices.
-        let mut per_server: HashMap<usize, Vec<DmQuota>> = HashMap::new();
-        for vd in &picked {
-            per_server.entry(vd.server).or_default().push(DmQuota {
-                device_id: vd.device,
-                compute_millis: vd.compute_millis,
-                mem_bytes: vd.mem_bytes,
-            });
-        }
-        let mut server_addresses = Vec::new();
-        let mut installs = Vec::new();
-        for (server_index, shares) in &per_server {
-            let server = &state.servers[*server_index];
-            server_addresses.push(server.address.clone());
-            if let Some(endpoint) = server.endpoint.as_ref().and_then(Weak::upgrade) {
-                let note = DmNotification::AssignShares {
-                    auth_id: auth_id.clone(),
-                    shares: shares.clone(),
-                };
-                installs.push((endpoint, note));
-            }
-        }
+        let admission = self.state.lock().place(self.strategy, client_name, requests, priority)?;
         // The daemons must know the lease before the client (who connects
-        // the moment it has the auth id) presents it, so the install is a
-        // synchronous call, issued outside the state lock: the daemon's
-        // reply arrives on this manager's session receiver thread, which
-        // must stay free to take the lock for unrelated requests.
-        drop(state);
-        let mut installed: Vec<Arc<Endpoint>> = Vec::new();
-        for (endpoint, note) in installs {
-            let acked = match endpoint.call(note.to_bytes()) {
-                Ok(bytes) => matches!(DmResponse::from_bytes(&bytes), Ok(DmResponse::Ok)),
-                Err(_) => false,
-            };
-            if !acked {
-                // A daemon that never learned the auth id would show the
-                // client zero devices; hand back an error instead of a
-                // lease that cannot be used.  Roll the commit back and tell
-                // the daemons that did ack to forget the lease.  (Fair
-                // shrinks applied on the way here stay applied — they are
-                // valid allocations either way.)
-                let mut state = self.state.lock();
-                state.leases.remove(&auth_id);
-                drop(state);
-                let revoke = DmNotification::RevokeLease { auth_id: auth_id.clone() };
-                for endpoint in installed {
-                    let _ = endpoint.notify(revoke.to_bytes());
-                }
-                plan.send();
-                return Err(DevMgrError::Protocol(format!(
-                    "a daemon did not acknowledge lease {auth_id}"
-                )));
-            }
-            installed.push(endpoint);
+        // the moment it has the auth id) presents it, so the install is
+        // acknowledged.
+        if !send(admission.install) {
+            // A daemon that never learned the auth id would show the client
+            // zero devices; hand back an error instead of a lease that
+            // cannot be used.  Revoking at a daemon that never acked is
+            // harmless.  (Saturation moves applied on the way here stay
+            // applied — they are valid allocations either way.)
+            let auth_id = admission.lease.auth_id;
+            let revoke = self.state.lock().release(&auth_id).unwrap_or_default();
+            send(revoke);
+            send(admission.effects);
+            return Err(DevMgrError::Protocol(format!(
+                "a daemon did not acknowledge lease {auth_id}"
+            )));
         }
         // Quota shrinks and watcher notices from saturation moves go out
         // only after the new lease is fully installed.
-        plan.send();
-        server_addresses.sort();
-        Ok((lease, server_addresses))
-    }
-
-    /// Fair-policy saturation move: find the device where shrinking every
-    /// tenant toward its weighted fair share frees the most room for the
-    /// newcomer, apply those shrinks, and return the newcomer's placement.
-    fn rebalance_for(
-        state: &mut ManagerState,
-        request: &ShareRequest,
-        priority: u32,
-        exclude: &[(usize, u64)],
-        plan: &mut PushPlan,
-    ) -> Option<Placement> {
-        let floor = request.floor();
-        let weight = priority.max(1);
-        // Evaluate every matching device: what would the newcomer get
-        // after a fair rebalance there?
-        let mut best: Option<(u32, usize, u64)> = None;
-        for cand in Self::candidates(state, &request.attributes, exclude) {
-            if cand.free_mem < request.mem_bytes {
-                continue;
-            }
-            let mut demands: Vec<(u32, u32, u32)> = Vec::new();
-            for lease in state.leases.values() {
-                for vd in &lease.virtual_devices {
-                    if vd.server == cand.server && vd.device == cand.device {
-                        demands.push((lease.priority.max(1), vd.min_millis, vd.compute_millis));
-                    }
-                }
-            }
-            demands.push((weight, floor, request.compute_millis));
-            if demands.iter().map(|d| d.1).sum::<u32>() > FULL_COMPUTE_MILLIS {
-                continue; // floors alone exceed the device
-            }
-            let grants = sched::fair_shares(FULL_COMPUTE_MILLIS, &demands);
-            let newcomer = *grants.last().expect("newcomer demand present");
-            if newcomer < floor {
-                continue;
-            }
-            if best.map(|(g, _, _)| newcomer > g).unwrap_or(true) {
-                best = Some((newcomer, cand.server, cand.device));
-            }
-        }
-        let (_, server, device) = best?;
-
-        // Re-run the division on the chosen device and apply the shrinks
-        // (only ever shrink — growing other tenants here would oscillate).
-        let mut demands: Vec<(u32, u32, u32)> = Vec::new();
-        let mut slots: Vec<(String, usize)> = Vec::new(); // (auth, vd index)
-        for (auth, lease) in state.leases.iter() {
-            for (i, vd) in lease.virtual_devices.iter().enumerate() {
-                if vd.server == server && vd.device == device {
-                    demands.push((lease.priority.max(1), vd.min_millis, vd.compute_millis));
-                    slots.push((auth.clone(), i));
-                }
-            }
-        }
-        demands.push((weight, floor, request.compute_millis));
-        let grants = sched::fair_shares(FULL_COMPUTE_MILLIS, &demands);
-        let mut shrunk: Vec<String> = Vec::new();
-        for (slot, (auth, vd_index)) in slots.iter().enumerate() {
-            let new_grant = grants[slot];
-            let lease = state.leases.get_mut(auth).expect("lease listed");
-            let vd = &mut lease.virtual_devices[*vd_index];
-            if new_grant < vd.compute_millis {
-                vd.compute_millis = new_grant;
-                shrunk.push(auth.clone());
-            }
-        }
-        let descriptor = state.servers[server]
-            .devices
-            .iter()
-            .find(|d| d.remote_id == device)
-            .expect("device present")
-            .clone();
-        let (free_millis, _) = Self::free_capacity(state, server, &descriptor);
-        if free_millis < floor {
-            return None; // arithmetic safety net; floors were checked above
-        }
-        // Tell the affected daemons and watching clients.
-        for auth in shrunk {
-            Self::plan_quota_update(state, &auth, server, plan);
-            Self::plan_lease_changed(state, &auth, LeaseChangeReason::Shrunk, plan);
-        }
-        Some(Placement { server, device, millis: request.compute_millis.min(free_millis) })
-    }
-
-    /// Priority-policy saturation move: on the best matching device, shrink
-    /// shares of strictly lower-priority leases to their floors, then — if
-    /// still short — revoke them entirely, migrating each victim share to
-    /// another device where capacity allows.
-    fn preempt_for(
-        state: &mut ManagerState,
-        request: &ShareRequest,
-        priority: u32,
-        exclude: &[(usize, u64)],
-        strategy: Strategy,
-        plan: &mut PushPlan,
-    ) -> Option<Placement> {
-        let floor = request.floor();
-        // Pick the device where lower-priority tenants hold the most
-        // reclaimable capacity.
-        let mut best: Option<(u32, usize, u64)> = None;
-        for cand in Self::candidates(state, &request.attributes, exclude) {
-            if cand.free_mem < request.mem_bytes {
-                continue;
-            }
-            let reclaimable: u32 = state
-                .leases
-                .values()
-                .filter(|l| l.priority < priority)
-                .flat_map(|l| l.virtual_devices.iter())
-                .filter(|vd| vd.server == cand.server && vd.device == cand.device)
-                .map(|vd| vd.compute_millis)
-                .sum();
-            let potential = cand.free_millis + reclaimable;
-            if potential < floor {
-                continue;
-            }
-            if best.map(|(p, _, _)| potential > p).unwrap_or(true) {
-                best = Some((potential, cand.server, cand.device));
-            }
-        }
-        let (_, server, device) = best?;
-
-        // Victims on the chosen device, lowest priority first.
-        let mut victims: Vec<(u32, String, u64)> = state
-            .leases
-            .iter()
-            .filter(|(_, l)| l.priority < priority)
-            .flat_map(|(auth, l)| {
-                l.virtual_devices
-                    .iter()
-                    .filter(|vd| vd.server == server && vd.device == device)
-                    .map(|vd| (l.priority, auth.clone(), vd.vd_id))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        victims.sort_by_key(|(prio, _, _)| *prio);
-        let victims: Vec<(String, u64)> =
-            victims.into_iter().map(|(_, auth, vd_id)| (auth, vd_id)).collect();
-
-        let descriptor = state.servers[server]
-            .devices
-            .iter()
-            .find(|d| d.remote_id == device)
-            .expect("device present")
-            .clone();
-        let free = |state: &ManagerState| Self::free_capacity(state, server, &descriptor).0;
-
-        // Stage 1: shrink victims to their floors.
-        for (auth, vd_id) in &victims {
-            if free(state) >= floor {
-                break;
-            }
-            let lease = state.leases.get_mut(auth).expect("victim lease");
-            if let Some(vd) = lease.virtual_devices.iter_mut().find(|vd| vd.vd_id == *vd_id) {
-                if vd.compute_millis > vd.min_millis {
-                    vd.compute_millis = vd.min_millis;
-                    Self::plan_quota_update(state, auth, server, plan);
-                    Self::plan_lease_changed(state, auth, LeaseChangeReason::Shrunk, plan);
-                }
-            }
-        }
-        // Stage 2: revoke remaining victims outright, migrating each share
-        // elsewhere when possible.
-        for (auth, vd_id) in &victims {
-            if free(state) >= floor {
-                break;
-            }
-            Self::evict_share(state, auth, *vd_id, strategy, plan);
-        }
-        let available = free(state);
-        if available < floor {
-            return None;
-        }
-        Some(Placement { server, device, millis: request.compute_millis.min(available) })
-    }
-
-    /// Remove one share from a lease and try to re-place it on another
-    /// device (same device type); the lease degrades (or is released) when
-    /// no capacity exists.
-    fn evict_share(
-        state: &mut ManagerState,
-        auth_id: &str,
-        vd_id: u64,
-        strategy: Strategy,
-        plan: &mut PushPlan,
-    ) {
-        let Some(lease) = state.leases.get(auth_id) else { return };
-        let Some(vd) = lease.virtual_devices.iter().find(|vd| vd.vd_id == vd_id).cloned() else {
-            return;
-        };
-        let old_server = vd.server;
-        let wanted_type = state.servers[vd.server]
-            .devices
-            .iter()
-            .find(|d| d.remote_id == vd.device)
-            .map(|d| d.device_type.clone());
-
-        // Take the share out first so its own capacity does not mask the
-        // search (it must land on a *different* device).
-        state
-            .leases
-            .get_mut(auth_id)
-            .expect("lease present")
-            .virtual_devices
-            .retain(|v| v.vd_id != vd_id);
-
-        let attributes: Vec<(String, String)> =
-            wanted_type.map(|t| vec![("TYPE".to_string(), t)]).unwrap_or_default();
-        let exclude = [(vd.server, vd.device)];
-        let candidates = Self::candidates(state, &attributes, &exclude);
-        let placement = sched::place(
-            strategy,
-            &candidates,
-            vd.compute_millis,
-            vd.min_millis.max(1),
-            vd.mem_bytes,
-            0,
-        );
-
-        let lease = state.leases.get_mut(auth_id).expect("lease present");
-        let reason = match placement {
-            Some(p) => {
-                lease.virtual_devices.push(VirtualDevice {
-                    vd_id,
-                    server: p.server,
-                    device: p.device,
-                    compute_millis: p.millis,
-                    min_millis: vd.min_millis,
-                    mem_bytes: vd.mem_bytes,
-                });
-                Self::plan_assign(state, auth_id, p.server, plan);
-                LeaseChangeReason::Migrated
-            }
-            None => LeaseChangeReason::Revoked,
-        };
-        Self::plan_quota_update(state, auth_id, old_server, plan);
-        if state.leases.get(auth_id).map(|l| l.virtual_devices.is_empty()).unwrap_or(false) {
-            Self::plan_release(state, auth_id, plan);
-            state.leases.remove(auth_id);
-            state.watchers.remove(auth_id);
-        } else {
-            Self::plan_lease_changed(state, auth_id, reason, plan);
-        }
-    }
-
-    /// Move every share hosted on `server_index` somewhere else, where
-    /// capacity allows.  With `forced` the shares that cannot move are
-    /// dropped (crash/remove semantics); without it they stay (drain
-    /// semantics).
-    fn migrate_off(
-        state: &mut ManagerState,
-        server_index: usize,
-        strategy: Strategy,
-        forced: bool,
-        plan: &mut PushPlan,
-    ) -> Vec<LeaseFailover> {
-        let lease_ids: Vec<String> = state.leases.keys().cloned().collect();
-        let mut events = Vec::new();
-        for auth_id in lease_ids {
-            let affected: Vec<VirtualDevice> = state
-                .leases
-                .get(&auth_id)
-                .map(|l| {
-                    l.virtual_devices
-                        .iter()
-                        .filter(|vd| vd.server == server_index)
-                        .cloned()
-                        .collect()
-                })
-                .unwrap_or_default();
-            if affected.is_empty() {
-                continue;
-            }
-            let mut moved: Vec<(usize, u64)> = Vec::new();
-            let mut degraded = false;
-            for vd in affected {
-                let wanted_type = state.servers[vd.server]
-                    .devices
-                    .iter()
-                    .find(|d| d.remote_id == vd.device)
-                    .map(|d| d.device_type.clone());
-                let attributes: Vec<(String, String)> =
-                    wanted_type.map(|t| vec![("TYPE".to_string(), t)]).unwrap_or_default();
-                let candidates = Self::candidates(state, &attributes, &[]);
-                let placement = sched::place(
-                    strategy,
-                    &candidates,
-                    vd.compute_millis,
-                    vd.min_millis.max(1),
-                    vd.mem_bytes,
-                    0,
-                );
-                let lease = state.leases.get_mut(&auth_id).expect("lease present");
-                match placement {
-                    Some(p) => {
-                        let slot = lease
-                            .virtual_devices
-                            .iter_mut()
-                            .find(|v| v.vd_id == vd.vd_id)
-                            .expect("share present");
-                        slot.server = p.server;
-                        slot.device = p.device;
-                        slot.compute_millis = p.millis;
-                        moved.push((p.server, p.device));
-                        Self::plan_assign(state, &auth_id, p.server, plan);
-                    }
-                    None if forced => {
-                        lease.virtual_devices.retain(|v| v.vd_id != vd.vd_id);
-                        degraded = true;
-                    }
-                    None => degraded = true, // drain: the share stays put
-                }
-            }
-            let emptied =
-                state.leases.get(&auth_id).map(|l| l.virtual_devices.is_empty()).unwrap_or(false);
-            if emptied {
-                Self::plan_release(state, &auth_id, plan);
-                state.leases.remove(&auth_id);
-                state.watchers.remove(&auth_id);
-            } else if !moved.is_empty() || (forced && degraded) {
-                // The vacated daemon must drop its quota entry, or it would
-                // later report a (legitimate) client disconnect and release
-                // the lease out from under the node it migrated to.
-                Self::plan_quota_update(state, &auth_id, server_index, plan);
-                let reason = if moved.is_empty() {
-                    LeaseChangeReason::Revoked
-                } else {
-                    LeaseChangeReason::Migrated
-                };
-                Self::plan_lease_changed(state, &auth_id, reason, plan);
-            }
-            if !moved.is_empty() || degraded {
-                events.push(LeaseFailover { auth_id: auth_id.clone(), moved, degraded });
-            }
-        }
-        events
-    }
-
-    /// Crash-style evacuation of every share on the given (already
-    /// down-marked) servers.
-    fn evacuate(
-        state: &mut ManagerState,
-        dead: &[usize],
-        strategy: Strategy,
-        plan: &mut PushPlan,
-    ) -> Vec<LeaseFailover> {
-        let mut events: Vec<LeaseFailover> = Vec::new();
-        for &index in dead {
-            for event in Self::migrate_off(state, index, strategy, true, plan) {
-                match events.iter_mut().find(|e| e.auth_id == event.auth_id) {
-                    Some(existing) => {
-                        existing.moved.extend(event.moved);
-                        existing.degraded |= event.degraded;
-                    }
-                    None => events.push(event),
-                }
-            }
-        }
-        events
-    }
-
-    fn migrate_lease_locked(
-        state: &mut ManagerState,
-        auth_id: &str,
-        strategy: Strategy,
-        plan: &mut PushPlan,
-    ) -> Result<LeaseFailover> {
-        let shares: Vec<VirtualDevice> =
-            state.leases.get(auth_id).map(|l| l.virtual_devices.clone()).unwrap_or_default();
-        let mut moved: Vec<(usize, u64)> = Vec::new();
-        let mut degraded = false;
-        let mut old_servers: Vec<usize> = Vec::new();
-        for vd in shares {
-            old_servers.push(vd.server);
-            let wanted_type = state.servers[vd.server]
-                .devices
-                .iter()
-                .find(|d| d.remote_id == vd.device)
-                .map(|d| d.device_type.clone());
-            let attributes: Vec<(String, String)> =
-                wanted_type.map(|t| vec![("TYPE".to_string(), t)]).unwrap_or_default();
-            // Migration means *another node*: exclude every device of the
-            // share's current server.
-            let exclude: Vec<(usize, u64)> =
-                state.servers[vd.server].devices.iter().map(|d| (vd.server, d.remote_id)).collect();
-            let candidates = Self::candidates(state, &attributes, &exclude);
-            let placement = sched::place(
-                strategy,
-                &candidates,
-                vd.compute_millis,
-                vd.min_millis.max(1),
-                vd.mem_bytes,
-                0,
-            );
-            match placement {
-                Some(p) => {
-                    let lease = state.leases.get_mut(auth_id).expect("lease present");
-                    let slot = lease
-                        .virtual_devices
-                        .iter_mut()
-                        .find(|v| v.vd_id == vd.vd_id)
-                        .expect("share present");
-                    slot.server = p.server;
-                    slot.device = p.device;
-                    slot.compute_millis = p.millis;
-                    moved.push((p.server, p.device));
-                    Self::plan_assign(state, auth_id, p.server, plan);
-                }
-                None => degraded = true,
-            }
-        }
-        if moved.is_empty() {
-            return Err(DevMgrError::Saturated(format!(
-                "no capacity on other nodes to migrate lease {auth_id}"
-            )));
-        }
-        old_servers.sort_unstable();
-        old_servers.dedup();
-        for server in old_servers {
-            Self::plan_quota_update(state, auth_id, server, plan);
-        }
-        Self::plan_lease_changed(state, auth_id, LeaseChangeReason::Migrated, plan);
-        Ok(LeaseFailover { auth_id: auth_id.to_string(), moved, degraded })
-    }
-
-    // ----- push planning ----------------------------------------------------
-
-    /// Plan an acknowledged AssignShares install of `auth_id`'s current
-    /// quotas on `server` (the daemon must know the lease before the client
-    /// presents it).
-    fn plan_assign(state: &ManagerState, auth_id: &str, server: usize, plan: &mut PushPlan) {
-        let Some(lease) = state.leases.get(auth_id) else { return };
-        let shares: Vec<DmQuota> = lease
-            .virtual_devices
-            .iter()
-            .filter(|vd| vd.server == server)
-            .map(|vd| DmQuota {
-                device_id: vd.device,
-                compute_millis: vd.compute_millis,
-                mem_bytes: vd.mem_bytes,
-            })
-            .collect();
-        if shares.is_empty() {
-            return;
-        }
-        if let Some(endpoint) = state.servers[server].endpoint.as_ref().and_then(Weak::upgrade) {
-            plan.call(
-                endpoint,
-                &DmNotification::AssignShares { auth_id: auth_id.to_string(), shares },
-            );
-        }
-    }
-
-    /// Plan a fire-and-forget quota refresh of `auth_id` on `server`:
-    /// devices the lease no longer uses there are zeroed out.
-    fn plan_quota_update(state: &ManagerState, auth_id: &str, server: usize, plan: &mut PushPlan) {
-        let Some(endpoint) = state.servers[server].endpoint.as_ref().and_then(Weak::upgrade) else {
-            return;
-        };
-        let current: Vec<DmQuota> = state
-            .leases
-            .get(auth_id)
-            .map(|l| {
-                l.virtual_devices
-                    .iter()
-                    .filter(|vd| vd.server == server)
-                    .map(|vd| DmQuota {
-                        device_id: vd.device,
-                        compute_millis: vd.compute_millis,
-                        mem_bytes: vd.mem_bytes,
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        // Zero out every device of this server the lease no longer holds.
-        let mut quotas = current;
-        for device in &state.servers[server].devices {
-            if !quotas.iter().any(|q| q.device_id == device.remote_id) {
-                quotas.push(DmQuota {
-                    device_id: device.remote_id,
-                    compute_millis: 0,
-                    mem_bytes: 0,
-                });
-            }
-        }
-        plan.notify(
-            endpoint,
-            &DmNotification::UpdateQuota { auth_id: auth_id.to_string(), quotas },
-        );
-    }
-
-    /// Plan RevokeLease notifies to every daemon still holding `auth_id`.
-    fn plan_release(state: &ManagerState, auth_id: &str, plan: &mut PushPlan) {
-        // When the lease's shares were already stripped (forced eviction)
-        // the hosting set is unknown here — notify every daemon; revoking
-        // an auth id a daemon never held is harmless.
-        let involved: Vec<usize> = match state.leases.get(auth_id) {
-            Some(l) if !l.virtual_devices.is_empty() => {
-                l.virtual_devices.iter().map(|vd| vd.server).collect()
-            }
-            _ => (0..state.servers.len()).collect(),
-        };
-        let mut involved = involved;
-        involved.sort_unstable();
-        involved.dedup();
-        for server in involved {
-            if let Some(endpoint) = state.servers[server].endpoint.as_ref().and_then(Weak::upgrade)
-            {
-                plan.notify(
-                    endpoint,
-                    &DmNotification::RevokeLease { auth_id: auth_id.to_string() },
-                );
-            }
-        }
-        // Watchers learn the lease is gone.
-        if let Some(watchers) = state.watchers.get(auth_id) {
-            for w in watchers {
-                if let Some(endpoint) = w.upgrade() {
-                    plan.notify(
-                        endpoint,
-                        &DmNotification::LeaseChanged {
-                            auth_id: auth_id.to_string(),
-                            servers: Vec::new(),
-                            reason: LeaseChangeReason::Revoked,
-                        },
-                    );
-                }
-            }
-        }
-    }
-
-    /// Plan LeaseChanged notifies to every watcher of `auth_id`.
-    fn plan_lease_changed(
-        state: &ManagerState,
-        auth_id: &str,
-        reason: LeaseChangeReason,
-        plan: &mut PushPlan,
-    ) {
-        let Some(watchers) = state.watchers.get(auth_id) else { return };
-        let servers =
-            state.leases.get(auth_id).map(|l| Self::lease_servers(state, l)).unwrap_or_default();
-        for w in watchers {
-            if let Some(endpoint) = w.upgrade() {
-                plan.notify(
-                    endpoint,
-                    &DmNotification::LeaseChanged {
-                        auth_id: auth_id.to_string(),
-                        servers: servers.clone(),
-                        reason,
-                    },
-                );
-            }
-        }
+        send(admission.effects);
+        Ok((admission.lease, admission.servers))
     }
 
     /// Subscribe `endpoint` to lease-change pushes for `auth_id`.
     pub fn watch_lease(&self, auth_id: &str, endpoint: Weak<Endpoint>) -> Result<()> {
-        let mut state = self.state.lock();
-        if !state.leases.contains_key(auth_id) {
-            return Err(DevMgrError::UnknownLease(auth_id.to_string()));
-        }
-        state.watchers.entry(auth_id.to_string()).or_default().push(endpoint);
-        Ok(())
+        self.state.lock().watch(auth_id, endpoint)
     }
 
     /// Release a lease: its shares return to the pool and the involved
     /// daemons are told to discard the authentication id.
     pub fn release(&self, auth_id: &str) -> Result<()> {
-        let mut state = self.state.lock();
-        if !state.leases.contains_key(auth_id) {
-            return Err(DevMgrError::UnknownLease(auth_id.to_string()));
-        }
-        let mut plan = PushPlan::default();
-        Self::plan_release(&state, auth_id, &mut plan);
-        state.leases.remove(auth_id);
-        state.watchers.remove(auth_id);
+        let plan = self.state.lock().release(auth_id)?;
         // Revocation stays fire-and-forget: release() may run on a daemon
         // session's own receiver thread (ReportDisconnect), where a
         // synchronous call back over that endpoint could never see its
         // reply.  The reporting daemon drops the auth id locally anyway;
         // the allocation bookkeeping above is what must be (and is) atomic.
-        drop(state);
-        plan.send();
+        send(plan);
         Ok(())
     }
 }
@@ -1380,14 +443,6 @@ impl DmSession {
                 let endpoint = self.endpoint.lock().clone();
                 self.manager.register_server(&server_name, &address, devices, endpoint);
                 DmResponse::Ok
-            }
-            DmRequest::RequestAssignment { client_name, requirements } => {
-                match self.manager.assign(&client_name, &requirements) {
-                    Ok((lease, servers)) => {
-                        DmResponse::Assignment { auth_id: lease.auth_id, servers }
-                    }
-                    Err(e) => DmResponse::Error { message: e.to_string() },
-                }
             }
             DmRequest::RequestShares { client_name, priority, shares } => {
                 let requests: Vec<ShareRequest> = shares.iter().map(ShareRequest::from).collect();
@@ -1481,8 +536,8 @@ mod tests {
         }
     }
 
-    fn gpu_requirement() -> DmRequirement {
-        DmRequirement { count: 1, attributes: vec![("TYPE".into(), "GPU".into())] }
+    fn gpu_requirement() -> ShareRequest {
+        ShareRequest::whole_device(1, vec![("TYPE".into(), "GPU".into())])
     }
 
     fn gpu_share(desired: u32, min: u32) -> ShareRequest {
@@ -1500,7 +555,7 @@ mod tests {
         let dm = DeviceManager::new(Strategy::FirstFit);
         dm.register_server("srv", "srv-addr", vec![gpu(1), gpu(2), cpu(3)], None);
         assert_eq!(dm.free_device_count(), 3);
-        let (lease, servers) = dm.assign("client-a", &[gpu_requirement()]).unwrap();
+        let (lease, servers) = dm.assign_shares("client-a", &[gpu_requirement()], 0).unwrap();
         assert_eq!(servers, vec!["srv-addr".to_string()]);
         assert_eq!(lease.physical_devices().len(), 1);
         assert_eq!(lease.granted_millis(), FULL_COMPUTE_MILLIS);
@@ -1520,14 +575,15 @@ mod tests {
         dm.register_server("gpuserver", "gpuserver", vec![gpu(1), gpu(2), gpu(3), gpu(4)], None);
         let mut seen = std::collections::HashSet::new();
         for i in 0..4 {
-            let (lease, _) = dm.assign(&format!("client-{i}"), &[gpu_requirement()]).unwrap();
+            let (lease, _) =
+                dm.assign_shares(&format!("client-{i}"), &[gpu_requirement()], 0).unwrap();
             for d in lease.physical_devices() {
                 assert!(seen.insert(d), "device {d:?} assigned twice");
             }
         }
         // A fifth whole-device client is rejected by admission control.
         assert!(matches!(
-            dm.assign("client-4", &[gpu_requirement()]),
+            dm.assign_shares("client-4", &[gpu_requirement()], 0),
             Err(DevMgrError::Saturated(_))
         ));
     }
@@ -1536,15 +592,15 @@ mod tests {
     fn attribute_constraints_are_respected() {
         let dm = DeviceManager::new(Strategy::FirstFit);
         dm.register_server("srv", "srv", vec![gpu(1), cpu(2)], None);
-        let req = DmRequirement {
-            count: 1,
-            attributes: vec![("TYPE".into(), "CPU".into()), ("VENDOR".into(), "Intel".into())],
-        };
-        let (lease, _) = dm.assign("c", &[req]).unwrap();
+        let req = ShareRequest::whole_device(
+            1,
+            vec![("TYPE".into(), "CPU".into()), ("VENDOR".into(), "Intel".into())],
+        );
+        let (lease, _) = dm.assign_shares("c", &[req], 0).unwrap();
         assert_eq!(lease.physical_devices(), vec![(0, 2)]);
         // Requesting 2 CPUs now fails (only one existed and it is taken).
-        let req = DmRequirement { count: 2, attributes: vec![("TYPE".into(), "CPU".into())] };
-        assert!(dm.assign("c2", &[req]).is_err());
+        let req = ShareRequest::whole_device(2, vec![("TYPE".into(), "CPU".into())]);
+        assert!(dm.assign_shares("c2", &[req], 0).is_err());
     }
 
     #[test]
@@ -1552,8 +608,8 @@ mod tests {
         let dm = DeviceManager::new(Strategy::RoundRobin);
         dm.register_server("a", "a", vec![gpu(1), gpu(2)], None);
         dm.register_server("b", "b", vec![gpu(10), gpu(11)], None);
-        let (l1, _) = dm.assign("c1", &[gpu_requirement()]).unwrap();
-        let (l2, _) = dm.assign("c2", &[gpu_requirement()]).unwrap();
+        let (l1, _) = dm.assign_shares("c1", &[gpu_requirement()], 0).unwrap();
+        let (l2, _) = dm.assign_shares("c2", &[gpu_requirement()], 0).unwrap();
         assert_ne!(
             l1.physical_devices()[0],
             l2.physical_devices()[0],
@@ -1566,8 +622,8 @@ mod tests {
         let dm = DeviceManager::new(Strategy::FirstFit);
         dm.register_server("a", "addr-a", vec![gpu(1)], None);
         dm.register_server("b", "addr-b", vec![gpu(2)], None);
-        let req = DmRequirement { count: 2, attributes: vec![("TYPE".into(), "GPU".into())] };
-        let (lease, servers) = dm.assign("c", &[req]).unwrap();
+        let req = ShareRequest::whole_device(2, vec![("TYPE".into(), "GPU".into())]);
+        let (lease, servers) = dm.assign_shares("c", &[req], 0).unwrap();
         assert_eq!(lease.physical_devices().len(), 2);
         assert_eq!(servers, vec!["addr-a".to_string(), "addr-b".to_string()]);
     }
@@ -1576,7 +632,7 @@ mod tests {
     fn reregistration_keeps_assignments() {
         let dm = DeviceManager::new(Strategy::FirstFit);
         dm.register_server("a", "addr-a", vec![gpu(1)], None);
-        let (lease, _) = dm.assign("c", &[gpu_requirement()]).unwrap();
+        let (lease, _) = dm.assign_shares("c", &[gpu_requirement()], 0).unwrap();
         // Daemon restarts and re-registers: device stays assigned.
         dm.register_server("a", "addr-a2", vec![gpu(1)], None);
         assert_eq!(dm.free_device_count(), 0);
@@ -1588,14 +644,14 @@ mod tests {
     fn empty_request_is_rejected() {
         let dm = DeviceManager::new(Strategy::FirstFit);
         dm.register_server("a", "a", vec![gpu(1)], None);
-        assert!(dm.assign("c", &[]).is_err());
+        assert!(dm.assign_shares("c", &[], 0).is_err());
     }
 
     #[test]
     fn status_counts() {
         let dm = DeviceManager::new(Strategy::FirstFit);
         dm.register_server("a", "a", vec![gpu(1), gpu(2)], None);
-        dm.assign("c", &[gpu_requirement()]).unwrap();
+        dm.assign_shares("c", &[gpu_requirement()], 0).unwrap();
         assert_eq!(dm.status(), (1, 1, 1));
     }
 

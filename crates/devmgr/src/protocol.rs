@@ -3,9 +3,9 @@
 //! Three parties use it:
 //!
 //! * **daemons** in managed mode register their devices
-//!   ([`DmRequest::RegisterServer`]) and receive device assignments as
-//!   notifications ([`DmNotification::AssignDevices`], step 3b in Figure 2),
-//! * **clients** send assignment requests ([`DmRequest::RequestAssignment`],
+//!   ([`DmRequest::RegisterServer`]) and receive each lease's quotas on
+//!   them ([`DmNotification::AssignShares`], step 3b in Figure 2),
+//! * **clients** send assignment requests ([`DmRequest::RequestShares`],
 //!   step 1) and receive the lease's authentication id plus server list
 //!   ([`DmResponse::Assignment`], step 3a),
 //! * both report lease termination ([`DmRequest::ReleaseLease`] from the
@@ -57,20 +57,9 @@ impl DmDevice {
 }
 
 gcf::wire_message! {
-    /// One device requirement of an assignment request.
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    pub struct DmRequirement {
-        /// Number of devices with these attributes.
-        pub count: u32,
-        /// Attribute constraints.
-        pub attributes: Vec<(String, String)>,
-    }
-}
-
-gcf::wire_message! {
-    /// One fractional-share requirement of an assignment request (the
-    /// resource-manager generalization of [`DmRequirement`]): device attributes
-    /// plus compute/memory quotas.
+    /// One fractional-share requirement of an assignment request: device
+    /// attributes plus compute/memory quotas.  A whole device is 1000 millis
+    /// with a floor of 1000.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct DmShareRequest {
         /// Number of shares with these parameters, each on a distinct device.
@@ -145,13 +134,6 @@ gcf::wire_message! {
             /// The devices the daemon owns.
             devices: Vec<DmDevice>,
         },
-        /// A client asks for devices (step 1 in Figure 2).
-        1 => RequestAssignment {
-            /// The requesting client's name.
-            client_name: String,
-            /// What it needs.
-            requirements: Vec<DmRequirement>,
-        },
         /// The client is done with its lease.
         2 => ReleaseLease {
             /// The lease's authentication id.
@@ -171,8 +153,9 @@ gcf::wire_message! {
             /// The reporting daemon's node name.
             server_name: String,
         },
-        /// A client asks for fractional shares (the resource-manager form of
-        /// [`DmRequest::RequestAssignment`]).
+        /// A client asks for devices (step 1 in Figure 2), as fractional
+        /// shares.  Tag 1 is retired: it was a whole-device request, now a
+        /// share of 1000 millis with a floor of 1000.
         6 => RequestShares {
             /// The requesting client's name.
             client_name: String,
@@ -249,22 +232,17 @@ gcf::wire_message! {
 
 gcf::wire_message! {
     /// Notifications pushed by the device manager to registered daemons.
+    /// Tag 0 is retired: it assigned whole devices, which
+    /// [`DmNotification::AssignShares`] does with full-device quotas.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub enum DmNotification {
-        /// Associate `device_ids` with the authentication id (step 3b).
-        0 => AssignDevices {
-            /// The lease's authentication id.
-            auth_id: String,
-            /// Daemon-local device ids the lease may use on this server.
-            device_ids: Vec<u64>,
-        },
         /// Discard the authentication id; its devices are free again.
         1 => RevokeLease {
             /// The lease's authentication id.
             auth_id: String,
         },
-        /// Associate fractional shares with the authentication id (the
-        /// quota-carrying form of [`DmNotification::AssignDevices`]).
+        /// Associate fractional shares with the authentication id (step
+        /// 3b).
         2 => AssignShares {
             /// The lease's authentication id.
             auth_id: String,
@@ -337,17 +315,6 @@ mod tests {
                     3730120000004e564944494120436f72706f726174696f6e030000004750551e\
                     0000000000000001000000",
             ),
-            (
-                DmRequest::RequestAssignment {
-                    client_name: "desktop".into(),
-                    requirements: vec![DmRequirement {
-                        count: 2,
-                        attributes: vec![("TYPE".into(), "CPU".into())],
-                    }],
-                },
-                "01070000006465736b746f700100000002000000010000000400000054595045\
-                    03000000435055",
-            ),
             (DmRequest::ReleaseLease { auth_id: "lease-1".into() }, "02070000006c656173652d31"),
             (DmRequest::ReportDisconnect { auth_id: "lease-1".into() }, "03070000006c656173652d31"),
             (DmRequest::GetStatus, "04"),
@@ -418,10 +385,6 @@ mod tests {
             check(resp, golden);
         }
         for (n, golden) in [
-            (
-                DmNotification::AssignDevices { auth_id: "lease-2".into(), device_ids: vec![1, 2] },
-                "00070000006c656173652d320200000001000000000000000200000000000000",
-            ),
             (DmNotification::RevokeLease { auth_id: "lease-2".into() }, "01070000006c656173652d32"),
             (
                 DmNotification::AssignShares {
@@ -450,6 +413,25 @@ mod tests {
         ] {
             check(n, golden);
         }
+    }
+
+    #[test]
+    fn retired_tags_are_rejected() {
+        // Each retired message's last encoding, tag first: the tag stays
+        // unused, so the bytes fail to decode however well-formed the rest.
+        let bytes = |hex: &str| -> Vec<u8> {
+            (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+                .collect()
+        };
+        // Request 1: whole-device assignment request (two CPUs).
+        let request = "01070000006465736b746f700100000002000000010000000400000054595045\
+                       03000000435055";
+        assert!(DmRequest::from_bytes(&bytes(request)).is_err(), "retired request decoded");
+        // Notification 0: whole-device assignment push (devices 1 and 2).
+        let note = "00070000006c656173652d320200000001000000000000000200000000000000";
+        assert!(DmNotification::from_bytes(&bytes(note)).is_err(), "retired notification decoded");
     }
 
     #[test]

@@ -40,10 +40,6 @@ pub enum Strategy {
     Priority,
 }
 
-/// Backwards-compatible name of [`Strategy`] (the pre-resource-manager
-/// device manager called its whole-device policies this).
-pub type SchedulingStrategy = Strategy;
-
 /// The scheduler's view of one schedulable physical device.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CandidateDevice {
@@ -99,21 +95,14 @@ pub fn place(
             let start = cursor % n;
             (0..n).map(|i| &candidates[(start + i) % n]).find(|c| fits(c)).map(grant)
         }
-        // Fair: least-loaded device first, so equal requests spread out and
-        // each lands where rebalancing will bite last.
-        Strategy::Fair => {
-            candidates.iter().filter(|c| fits(c)).max_by_key(|c| (c.free_millis, c.free_mem)).map(
-                |c| Placement {
-                    server: c.server,
-                    device: c.device,
-                    // Fair placements never take more than the fair share of
-                    // the device would be if one more equal tenant arrived —
-                    // this keeps early arrivals from having to be shrunk
-                    // immediately when the next client shows up.
-                    millis: desired.min(c.free_millis),
-                },
-            )
-        }
+        // Fair: the device with the most free capacity first, so equal
+        // requests spread out and each lands where rebalancing will bite
+        // last.  The grant is what every policy grants.
+        Strategy::Fair => candidates
+            .iter()
+            .filter(|c| fits(c))
+            .max_by_key(|c| (c.free_millis, c.free_mem))
+            .map(grant),
     }
 }
 

@@ -60,8 +60,8 @@ pub struct ShareRequest {
 }
 
 impl ShareRequest {
-    /// A whole-device request (the legacy [`crate::DmRequirement`] shape):
-    /// 1000 millis, all-or-nothing, no memory quota.
+    /// A whole-device request (what [`crate::request_assignment`] asks
+    /// for): 1000 millis, all-or-nothing, no memory quota.
     pub fn whole_device(count: u32, attributes: Vec<(String, String)>) -> ShareRequest {
         ShareRequest {
             count,

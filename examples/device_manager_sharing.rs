@@ -8,7 +8,7 @@
 
 use devmgr::{
     connect_via_device_manager, parse_device_request, release_assignment, DeviceManager,
-    DeviceManagerServer, ManagedDaemon, SchedulingStrategy,
+    DeviceManagerServer, ManagedDaemon, Strategy,
 };
 use dopencl::{Context, LinkModel, LocalCluster, NdRange, SimClock, Value};
 use std::sync::Arc;
@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Infrastructure: GPU server daemon (managed mode) + device manager.
     let mut cluster = LocalCluster::new(LinkModel::gigabit_ethernet());
     let transport: Arc<dyn gcf::Transport> = Arc::new(cluster.transport());
-    let dm = DeviceManager::new(SchedulingStrategy::FirstFit);
+    let dm = DeviceManager::new(Strategy::FirstFit);
     let dm_server = DeviceManagerServer::start(Arc::clone(&dm), Arc::clone(&transport), "devmngr")?;
     let platform = Platform::gpu_server();
     let managed = ManagedDaemon::connect(

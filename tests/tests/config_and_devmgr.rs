@@ -1,9 +1,7 @@
 //! Integration tests of the configuration files (Listings 2 and 3) and the
 //! device-manager flow, including abnormal client termination.
 
-use devmgr::{
-    DeviceManager, DeviceManagerServer, DeviceRequirement, ManagedDaemon, SchedulingStrategy,
-};
+use devmgr::{DeviceManager, DeviceManagerServer, DeviceRequirement, ManagedDaemon, Strategy};
 use dopencl::{LinkModel, LocalCluster, SimClock};
 use std::sync::Arc;
 use vocl::Platform;
@@ -32,7 +30,7 @@ fn malformed_config_files_are_rejected() {
 fn four_clients_get_four_distinct_gpus_and_a_fifth_is_rejected() {
     let mut cluster = LocalCluster::new(LinkModel::gigabit_ethernet());
     let transport: Arc<dyn gcf::Transport> = Arc::new(cluster.transport());
-    let dm = DeviceManager::new(SchedulingStrategy::FirstFit);
+    let dm = DeviceManager::new(Strategy::FirstFit);
     let dm_server =
         DeviceManagerServer::start(Arc::clone(&dm), Arc::clone(&transport), "devmngr").unwrap();
     let platform = Platform::gpu_server();
@@ -91,7 +89,7 @@ fn four_clients_get_four_distinct_gpus_and_a_fifth_is_rejected() {
 fn abnormal_disconnect_returns_devices_to_the_free_set() {
     let mut cluster = LocalCluster::new(LinkModel::gigabit_ethernet());
     let transport: Arc<dyn gcf::Transport> = Arc::new(cluster.transport());
-    let dm = DeviceManager::new(SchedulingStrategy::FirstFit);
+    let dm = DeviceManager::new(Strategy::FirstFit);
     let dm_server =
         DeviceManagerServer::start(Arc::clone(&dm), Arc::clone(&transport), "devmngr").unwrap();
     let platform = Platform::gpu_server();

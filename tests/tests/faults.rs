@@ -179,7 +179,7 @@ fn devmgr_reclaims_leases_after_missed_heartbeats() {
     use devmgr::{DeviceManager, DeviceManagerServer, DeviceRequirement, ManagedDaemon};
 
     let transport: Arc<dyn Transport> = Arc::new(gcf::transport::inproc::InprocTransport::new());
-    let dm = DeviceManager::new(devmgr::SchedulingStrategy::FirstFit);
+    let dm = DeviceManager::new(devmgr::Strategy::FirstFit);
     let dm_server =
         DeviceManagerServer::start(Arc::clone(&dm), Arc::clone(&transport), "devmngr").unwrap();
     let platform_a = Platform::gpu_server();
@@ -253,7 +253,7 @@ fn down_server_never_retriggers_failover_and_degraded_leases_are_revoked() {
         compute_units: 16,
         global_mem_bytes: 4 << 30,
     };
-    let dm = DeviceManager::new(devmgr::SchedulingStrategy::FirstFit);
+    let dm = DeviceManager::new(devmgr::Strategy::FirstFit);
     dm.register_server("gpu-node", "gpu-node", vec![device(0, "GPU")], None);
     dm.register_server("cpu-node", "cpu-node", vec![device(1, "CPU")], None);
     let (lease, _) = dm
@@ -296,7 +296,7 @@ fn removed_server_revokes_leases_and_notifies_watchers() {
     use devmgr::{DeviceManager, DeviceManagerServer, DeviceRequirement, ManagedDaemon};
 
     let transport: Arc<dyn Transport> = Arc::new(gcf::transport::inproc::InprocTransport::new());
-    let dm = DeviceManager::new(devmgr::SchedulingStrategy::FirstFit);
+    let dm = DeviceManager::new(devmgr::Strategy::FirstFit);
     let dm_server =
         DeviceManagerServer::start(Arc::clone(&dm), Arc::clone(&transport), "devmngr").unwrap();
     let platform = Platform::gpu_server();
@@ -363,7 +363,7 @@ fn drained_node_lease_migrates_and_finishes_bit_correct() {
 
     let mut cluster = LocalCluster::new(LinkModel::gigabit_ethernet());
     let transport: Arc<dyn Transport> = Arc::new(cluster.transport());
-    let dm = DeviceManager::new(devmgr::SchedulingStrategy::FirstFit);
+    let dm = DeviceManager::new(devmgr::Strategy::FirstFit);
     let dm_server =
         DeviceManagerServer::start(Arc::clone(&dm), Arc::clone(&transport), "devmngr").unwrap();
     let mut managed = Vec::new();

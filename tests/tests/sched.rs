@@ -1,12 +1,13 @@
 //! Property tests of the cluster scheduler: the weighted fair division
 //! never starves a tenant below its floor, and no sequence of fractional
-//! assignments and releases — under any policy — ever oversubscribes a
-//! physical device beyond 100% of its compute millis.
+//! assignments, releases and node-lifecycle operations — under any
+//! policy — ever oversubscribes a physical device beyond 100% of its
+//! compute millis or its memory.
 
 use devmgr::sched::fair_shares;
 use devmgr::{DevMgrError, DeviceManager, DmDevice, ShareRequest, Strategy, FULL_COMPUTE_MILLIS};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 fn gpu(id: u64) -> DmDevice {
     DmDevice {
@@ -71,41 +72,118 @@ proptest! {
         prop_assert!(max - min <= 1, "equal weights diverged: min {min}, max {max}");
     }
 
-    /// Drive a random sequence of fractional share requests and releases at
-    /// a live 2-node manager under every policy.  After every operation, no
-    /// device's fractional shares may sum past 100% and no admitted lease
-    /// may ever sit below its floor (Fair/Priority shrink grants during
-    /// rebalancing and preemption, but never through the floor).
+    /// Drive a random sequence of fractional share requests, releases and
+    /// node-lifecycle operations (drain, forced removal, lease migration,
+    /// a health sweep that silences one server, re-registration) at a live
+    /// 3-node manager under every policy.  After every operation, no
+    /// device's shares may sum past 100% of its compute millis or past its
+    /// memory, no admitted lease may ever sit below its floor
+    /// (Fair/Priority shrink grants during rebalancing and preemption, but
+    /// never through the floor), no lease is empty or hosted on a down
+    /// server, and a newly admitted lease never lands on a draining or down
+    /// server.
     #[test]
     fn no_policy_oversubscribes_or_starves(
         strategy_index in 0usize..4,
         ops in proptest::collection::vec(
-            (1u32..=1_000, 1u32..=150, 1u32..=4, any::<bool>()),
+            ((1u32..=1_000, 1u32..=150, 1u32..=4, any::<bool>()), (0u32..10, 0usize..3, 0u64..=3)),
             1..32,
         ),
     ) {
         let strategy = [Strategy::FirstFit, Strategy::RoundRobin, Strategy::Fair, Strategy::Priority]
             [strategy_index];
         let dm = DeviceManager::new(strategy);
-        dm.register_server("srv-a", "srv-a", (0..4).map(gpu).collect(), None);
-        dm.register_server("srv-b", "srv-b", (4..8).map(gpu).collect(), None);
+        let servers: [(&str, Vec<DmDevice>); 3] = [
+            ("srv-a", (0..4).map(gpu).collect()),
+            ("srv-b", (4..8).map(gpu).collect()),
+            ("srv-c", (8..12).map(gpu).collect()),
+        ];
+        for (name, devices) in &servers {
+            dm.register_server(name, name, devices.clone(), None);
+        }
+        let device_mem: HashMap<(usize, u64), u64> = servers
+            .iter()
+            .enumerate()
+            .flat_map(|(s, (_, devices))| {
+                devices.iter().map(move |d| ((s, d.remote_id), d.global_mem_bytes))
+            })
+            .collect();
+        // Servers drained or removed since their last registration: no new
+        // placement may land on them.
+        let mut draining = [false; 3];
 
         let mut held: Vec<String> = Vec::new();
-        for (i, &(desired, floor, weight, release_one)) in ops.iter().enumerate() {
+        for (i, &((desired, floor, weight, release_one), (lifecycle, target, mem_gib))) in
+            ops.iter().enumerate()
+        {
+            let (name, devices) = &servers[target];
+            match lifecycle {
+                0 => {
+                    dm.drain_server(name).unwrap();
+                    draining[target] = true;
+                }
+                1 => {
+                    dm.remove_server(name).unwrap();
+                    draining[target] = true;
+                }
+                2 if !held.is_empty() => {
+                    // The lease may be gone (preempted, or degraded to
+                    // nothing), or have nowhere else to go.
+                    match dm.migrate_lease(&held[i % held.len()]) {
+                        Ok(_)
+                        | Err(DevMgrError::UnknownLease(_))
+                        | Err(DevMgrError::Saturated(_)) => {}
+                        Err(e) => prop_assert!(false, "unexpected migration error: {e}"),
+                    }
+                }
+                3 => {
+                    // One health sweep in which every server but `target`
+                    // beats: `target` goes down and its shares fail over.
+                    dm.tick();
+                    for (other, _) in servers.iter().filter(|(n, _)| n != name) {
+                        prop_assert!(dm.heartbeat(other));
+                    }
+                    dm.check_health(0);
+                }
+                4 => {
+                    dm.register_server(name, name, devices.clone(), None);
+                    draining[target] = false;
+                }
+                _ => {}
+            }
             if release_one && !held.is_empty() {
                 // Preemption under Priority may already have released the
                 // lease; a stale id is fine.
                 let _ = dm.release(&held.remove(i % held.len()));
             }
             let floor = floor.min(desired);
-            match dm.assign_shares(&format!("client-{i}"), &[gpu_share(desired, floor)], weight) {
-                Ok((lease, _)) => held.push(lease.auth_id),
+            let mut share = gpu_share(desired, floor);
+            share.mem_bytes = mem_gib << 30;
+            let up: Vec<bool> = dm.server_health().into_iter().map(|(_, up)| up).collect();
+            match dm.assign_shares(&format!("client-{i}"), &[share], weight) {
+                Ok((lease, _)) => {
+                    for vd in &lease.virtual_devices {
+                        prop_assert!(
+                            up[vd.server] && !draining[vd.server],
+                            "lease {} admitted onto down or draining server {}",
+                            lease.auth_id,
+                            vd.server
+                        );
+                    }
+                    held.push(lease.auth_id);
+                }
                 Err(DevMgrError::Saturated(_)) => {}
+                // Every server of the cluster can be down at once.
+                Err(DevMgrError::NoMatchingDevices(_)) if up.iter().all(|up| !up) => {}
                 Err(e) => prop_assert!(false, "unexpected assignment error: {e}"),
             }
 
-            let mut per_device: HashMap<(usize, u64), u32> = HashMap::new();
-            for lease in dm.leases() {
+            let up: Vec<bool> = dm.server_health().into_iter().map(|(_, up)| up).collect();
+            let mut per_device: HashMap<(usize, u64), (u32, u64)> = HashMap::new();
+            let mut vd_ids = HashSet::new();
+            let leases = dm.leases();
+            for lease in &leases {
+                prop_assert!(!lease.virtual_devices.is_empty(), "lease {} is empty", lease.auth_id);
                 for vd in &lease.virtual_devices {
                     prop_assert!(
                         vd.compute_millis >= vd.min_millis && vd.compute_millis > 0,
@@ -114,15 +192,34 @@ proptest! {
                         vd.compute_millis,
                         vd.min_millis
                     );
-                    *per_device.entry((vd.server, vd.device)).or_default() += vd.compute_millis;
+                    prop_assert!(vd_ids.insert(vd.vd_id), "vd_id {} granted twice", vd.vd_id);
+                    prop_assert!(
+                        up[vd.server],
+                        "lease {} keeps a share on down server {}",
+                        lease.auth_id,
+                        vd.server
+                    );
+                    let slot = per_device.entry((vd.server, vd.device)).or_default();
+                    slot.0 += vd.compute_millis;
+                    slot.1 += vd.mem_bytes;
                 }
             }
-            for ((server, device), total) in per_device {
+            for (&(server, device), &(total, mem)) in &per_device {
                 prop_assert!(
                     total <= FULL_COMPUTE_MILLIS,
                     "device {device} on server {server} oversubscribed: {total} millis"
                 );
+                let capacity = device_mem[&(server, device)];
+                prop_assert!(
+                    mem <= capacity,
+                    "device {device} on server {server} oversubscribed: {mem} of {capacity} bytes"
+                );
             }
+            let (free, assigned, lease_count) = dm.status();
+            prop_assert_eq!(lease_count as usize, dm.lease_count());
+            prop_assert_eq!(lease_count as usize, leases.len());
+            prop_assert_eq!(free as usize, dm.free_device_count());
+            prop_assert_eq!(assigned as usize, per_device.len());
         }
     }
 }
