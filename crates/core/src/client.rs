@@ -8,7 +8,7 @@
 //!
 //! # The object model
 //!
-//! [`Client`] owns the connection state (server table, event registry,
+//! [`Client`] owns the connection state (server roster, event registry,
 //! simulation clock) and exposes only *platform-level* operations: server
 //! management (the WWU extension of [`crate::ext`]) and device enumeration.
 //! Everything else lives on the object that owns the operation, exactly like
@@ -131,7 +131,10 @@
 //!
 //! A server connection can die at any moment (daemon crash, network
 //! partition, process kill).  The client driver recovers as follows
-//! (Section IV-C of the paper describes the daemon-side half):
+//! (Section IV-C of the paper describes the daemon-side half).  All it
+//! keeps per server (connection, session epoch, setup log, waiting event
+//! traffic, counters of retired endpoints) lives in that server's slot of
+//! the roster, which outlives every connection to it.
 //!
 //! * **Detection** — every endpoint's receiver thread reports its own death
 //!   through a supervisor callback; callers additionally detect death
@@ -159,10 +162,14 @@
 //!   it already executed, suppresses re-execution, and re-arms the
 //!   completion notification instead.
 //! * **Giving up** — if redialling exhausts the backoff budget and
-//!   [`FailoverPolicy::drop_lost_servers`] is set, the server is dropped
-//!   like an explicit `clDisconnectServerWWU`: its outstanding events fail
-//!   with the wait-list error (`-14`), its pending batches are discarded,
-//!   and the application continues on the surviving servers.  Otherwise the
+//!   [`FailoverPolicy::drop_lost_servers`] is set, the server leaves the
+//!   roster through the same routine as an explicit `clDisconnectServerWWU`
+//!   ([`Client::disconnect_server`]): its pending batches are discarded,
+//!   its outstanding events fail with the wait-list error (`-14`), which is
+//!   forwarded to every server holding a replacement so dependants there
+//!   fail too, its buffer copies are invalidated (a range only it held
+//!   degrades to the client's last copy), its traffic stays counted, and
+//!   the application continues on the surviving servers.  Otherwise the
 //!   failure surfaces as [`DclError::ServerUnavailable`].
 //!
 //! Bulk transfers that were *in flight* across the failure are not
@@ -402,7 +409,6 @@ pub struct Program {
     client: Weak<ClientInner>,
     id: ObjectId,
     servers: Vec<usize>,
-    source_len: usize,
     /// Parse-only kernel-argument access analysis of the program source
     /// (empty for built-in kernels or unparsable sources).  Kernels created
     /// from this program use it to *derive* coherence launch hints when the
@@ -851,7 +857,8 @@ impl MarkerOp<'_> {
     /// it.
     pub fn submit(self) -> Result<Event> {
         let inner = self.queue.inner()?;
-        let event = inner.enqueue_marker(self.queue, &self.wait)?;
+        let event =
+            inner.enqueue(self.queue, Phase::Execution, BatchCommand::Marker, &self.wait)?;
         inner.flush_queue(self.queue.id)?;
         Ok(event)
     }
@@ -1088,10 +1095,15 @@ impl FailoverPolicy {
     }
 }
 
-/// Per-server recovery bookkeeping (parallel to the `servers` table).
-struct SlotRecovery {
-    /// The address originally dialled, redialled on reconnect.
-    address: String,
+/// One server's record in the client's roster: everything the client
+/// keeps per server, from `connect_server` until the server leaves.  Slots
+/// are never removed, so a [`ServerId`] stays an index into the roster.
+#[derive(Default)]
+struct ServerSlot {
+    /// The connection; `None` once the server has left.  While the server
+    /// is reconnecting it is the dead one, whose name is the address to
+    /// redial.
+    conn: Option<Arc<ServerConn>>,
     /// Session epoch of the current connection; bumped on every reconnect
     /// so the daemon can tell a revival from a fresh client.
     epoch: u64,
@@ -1101,12 +1113,19 @@ struct SlotRecovery {
     setup_log: Vec<Request>,
     /// A reconnect is in flight; other detections wait on `recovery_cond`.
     reconnecting: bool,
-    /// The server was dropped permanently (redial gave up under
-    /// [`FailoverPolicy::drop_lost_servers`]).
+    /// Redialling gave up under [`FailoverPolicy::drop_lost_servers`].
     lost: bool,
+    /// Event traffic waiting to travel.  Its lock is held across the sends,
+    /// so forwards and releases reach the server in order, and is never
+    /// taken while the roster lock is held.
+    outbox: Arc<Mutex<Outbox>>,
+    /// Counters of the server's replaced or closed endpoints, plus its
+    /// reconnects and retries; `traffic_stats` adds the live endpoint's.
+    retired: TrafficStats,
 }
 
 struct ServerConn {
+    /// The address dialled.
     name: String,
     endpoint: Arc<Endpoint>,
     devices: Vec<DeviceDescriptor>,
@@ -1157,25 +1176,18 @@ struct ClientInner {
     link: LinkModel,
     clock: SimClock,
     next_id: AtomicU64,
-    servers: Mutex<Vec<Option<Arc<ServerConn>>>>,
+    /// The roster: one slot per server ever connected, indexed by
+    /// [`ServerId`].  No network write happens while its lock is held.
+    servers: Mutex<Vec<ServerSlot>>,
     /// Events not yet terminal, by id, for the completion notifications.
     events: Mutex<HashMap<ObjectId, Arc<EventRecord>>>,
-    /// Per-server forwards and releases waiting to travel.  Lock order:
-    /// `outboxes` before `servers`.
-    outboxes: Mutex<HashMap<usize, Outbox>>,
     batches: Mutex<BatchState>,
     batching: AtomicBool,
     auth_id: Mutex<Option<String>>,
-    /// Per-server recovery state (same indexing as `servers`).
-    recovery: Mutex<Vec<SlotRecovery>>,
-    /// Signalled when a reconnect attempt (any server) finishes.
+    /// Signalled, with the roster lock, when a reconnect attempt (any
+    /// server) finishes.
     recovery_cond: Condvar,
     failover: Mutex<FailoverPolicy>,
-    /// Counters of endpoints that were replaced or closed, plus the
-    /// client-level `reconnects`/`retries` counts; added to the live
-    /// endpoints' stats by `traffic_stats` so totals stay monotonic across
-    /// reconnects.
-    retired: Mutex<TrafficStats>,
     /// Directories of every live buffer, so a reconnect to a restarted
     /// daemon can invalidate that server's copies.
     buffer_dirs: Mutex<Vec<Weak<Mutex<BufferDirectory>>>>,
@@ -1189,8 +1201,22 @@ impl ClientInner {
         self.servers
             .lock()
             .get(index)
-            .and_then(|s| s.clone())
+            .and_then(|slot| slot.conn.clone())
             .ok_or_else(|| DclError::ServerUnavailable(format!("server #{index}")))
+    }
+
+    /// Every connected server, by roster index.
+    fn connected(&self) -> Vec<(usize, Arc<ServerConn>)> {
+        let servers = self.servers.lock();
+        servers.iter().enumerate().filter_map(|(i, slot)| Some((i, slot.conn.clone()?))).collect()
+    }
+
+    /// `server`'s outbox, or `None` once the server has left: its event
+    /// traffic has nowhere to go.
+    fn outbox(&self, server: usize) -> Option<Arc<Mutex<Outbox>>> {
+        let servers = self.servers.lock();
+        let slot = servers.get(server)?;
+        slot.conn.as_ref().map(|_| Arc::clone(&slot.outbox))
     }
 
     fn allocate_id(&self) -> ObjectId {
@@ -1229,10 +1255,10 @@ impl ClientInner {
     /// notification.  If the server is reconnecting the forward waits in its
     /// outbox and goes out once `recover_server` succeeds.
     fn forward_status(&self, server: usize, event_id: ObjectId, status: i32) {
-        let mut outboxes = self.outboxes.lock();
-        let outbox = outboxes.entry(server).or_default();
+        let Some(outbox) = self.outbox(server) else { return };
+        let mut outbox = outbox.lock();
         outbox.forwards.push((event_id, status));
-        self.send_forwards(server, outbox);
+        self.send_forwards(server, &mut outbox);
     }
 
     /// Send `server`'s waiting forwards, in order, until one fails.
@@ -1257,12 +1283,12 @@ impl ClientInner {
     /// its last handle is gone, so no command waits on it any more.
     fn release_event(&self, record: &EventRecord) {
         let replicas = std::mem::take(&mut record.state.lock().replicas);
-        let mut outboxes = self.outboxes.lock();
         for server in std::iter::once(record.owner).chain(replicas) {
-            let outbox = outboxes.entry(server).or_default();
+            let Some(outbox) = self.outbox(server) else { continue };
+            let mut outbox = outbox.lock();
             outbox.released.push(record.id);
             if outbox.released.len() >= RELEASE_NOTIFY_AT {
-                self.send_releases(server, outbox);
+                self.send_releases(server, &mut outbox);
             }
         }
     }
@@ -1271,9 +1297,9 @@ impl ClientInner {
     /// while a status forward to the server is still waiting: a release must
     /// not overtake the forward to the replacement it releases.
     fn take_releases(&self, server: usize) -> Vec<ObjectId> {
-        let mut outboxes = self.outboxes.lock();
-        let Some(outbox) = outboxes.get_mut(&server) else { return Vec::new() };
-        self.send_forwards(server, outbox);
+        let Some(outbox) = self.outbox(server) else { return Vec::new() };
+        let mut outbox = outbox.lock();
+        self.send_forwards(server, &mut outbox);
         if outbox.forwards.is_empty() {
             std::mem::take(&mut outbox.released)
         } else {
@@ -1297,8 +1323,8 @@ impl ClientInner {
     }
 
     fn flush_releases(&self, server: usize) {
-        if let Some(outbox) = self.outboxes.lock().get_mut(&server) {
-            self.send_releases(server, outbox);
+        if let Some(outbox) = self.outbox(server) {
+            self.send_releases(server, &mut outbox.lock());
         }
     }
 
@@ -1406,7 +1432,6 @@ impl ClientInner {
             client: Arc::downgrade(self),
             id,
             servers: context.servers.clone(),
-            source_len: source.len(),
             // Parse-only (never bumps the build counter); a source the
             // parser rejects simply derives no hints — the build on the
             // daemon reports the real error.
@@ -1435,7 +1460,6 @@ impl ClientInner {
             client: Arc::downgrade(self),
             id,
             servers: context.servers.clone(),
-            source_len: 0,
             access: Arc::new(Vec::new()),
         })
     }
@@ -1456,7 +1480,6 @@ impl ClientInner {
                 }
             }
         }
-        let _ = program.source_len;
         Ok(())
     }
 
@@ -1662,14 +1685,10 @@ impl ClientInner {
             matches!(e.command, BatchCommand::WriteBuffer { .. } | BatchCommand::ReadBuffer { .. })
         });
         let phase = if has_transfer { Phase::DataTransfer } else { Phase::Execution };
-        let conn = match self.server(batch.server) {
-            Ok(conn) => conn,
-            Err(e) => {
-                self.fail_events(&event_ids, -14);
-                return Err(e);
-            }
-        };
-        drop(conn);
+        if let Err(e) = self.server(batch.server) {
+            self.fail_events(&event_ids, -14);
+            return Err(e);
+        }
         let released = self.take_releases(batch.server);
         let mut entries = Vec::with_capacity(batch.entries.len() + batch.replacements.len() + 1);
         if !released.is_empty() {
@@ -1755,7 +1774,6 @@ impl ClientInner {
         }
         let server = queue.server;
         let conn = self.server(server)?;
-        let event_id = self.allocate_id();
         let stream_id = conn.endpoint.allocate_id();
 
         // Stream-based communication: the payload crosses the network now;
@@ -1765,23 +1783,13 @@ impl ClientInner {
         let sent = conn.endpoint.send_bulk(stream_id, data).map_err(DclError::from);
         self.recover_after_bulk(server, sent)?;
 
-        let event = self.register_event(event_id, server, Phase::DataTransfer);
-        let entry = BatchEntry {
-            command_id: self.allocate_id(),
-            queue_id: queue.id,
-            event_id,
-            wait_events: ids(wait),
-            command: BatchCommand::WriteBuffer {
-                buffer_id: buffer.id,
-                offset: offset as u64,
-                size: data.len() as u64,
-                stream_id,
-            },
+        let command = BatchCommand::WriteBuffer {
+            buffer_id: buffer.id,
+            offset: offset as u64,
+            size: data.len() as u64,
+            stream_id,
         };
-        if let Err(e) = self.push_batch_entry(server, entry, wait) {
-            self.complete_event(event_id, -14, 0);
-            return Err(e);
-        }
+        let event = self.enqueue(queue, Phase::DataTransfer, command, wait)?;
         buffer.directory.lock().record_host_write(server, offset, data);
         Ok(event)
     }
@@ -1801,27 +1809,15 @@ impl ClientInner {
             )));
         }
         let server = queue.server;
-        self.ensure_valid_on(server, buffer)?;
-        let conn = self.server(server)?;
-        let event_id = self.allocate_id();
-        let stream_id = conn.endpoint.allocate_id();
-        let event = self.register_event(event_id, server, Phase::DataTransfer);
-        let entry = BatchEntry {
-            command_id: self.allocate_id(),
-            queue_id: queue.id,
-            event_id,
-            wait_events: ids(wait),
-            command: BatchCommand::ReadBuffer {
-                buffer_id: buffer.id,
-                offset: offset as u64,
-                size: len as u64,
-                stream_id,
-            },
+        self.ensure_valid_range_on(server, buffer, None)?;
+        let stream_id = self.server(server)?.endpoint.allocate_id();
+        let command = BatchCommand::ReadBuffer {
+            buffer_id: buffer.id,
+            offset: offset as u64,
+            size: len as u64,
+            stream_id,
         };
-        if let Err(e) = self.push_batch_entry(server, entry, wait) {
-            self.complete_event(event_id, -14, 0);
-            return Err(e);
-        }
+        let event = self.enqueue(queue, Phase::DataTransfer, command, wait)?;
         Ok(PendingRead {
             client: self.self_weak.clone(),
             server,
@@ -1876,19 +1872,8 @@ impl ClientInner {
                 _ => self.ensure_valid_range_on(server, buffer, None)?,
             }
         }
-        let event_id = self.allocate_id();
-        let event = self.register_event(event_id, server, Phase::Execution);
-        let entry = BatchEntry {
-            command_id: self.allocate_id(),
-            queue_id: queue.id,
-            event_id,
-            wait_events: ids(wait),
-            command: BatchCommand::NdRange { kernel_id: kernel.id, range: WireNdRange(range) },
-        };
-        if let Err(e) = self.push_batch_entry(server, entry, wait) {
-            self.complete_event(event_id, -14, 0);
-            return Err(e);
-        }
+        let command = BatchCommand::NdRange { kernel_id: kernel.id, range: WireNdRange(range) };
+        let event = self.enqueue(queue, Phase::Execution, command, wait)?;
         // The kernel may have written any of its buffer arguments — only
         // the declared (or derived) slice when the launch carries an access
         // hint, and nothing at all for read-only arguments.
@@ -1904,38 +1889,33 @@ impl ClientInner {
         Ok(event)
     }
 
-    fn enqueue_marker(&self, queue: &CommandQueue, wait: &[Event]) -> Result<Event> {
+    // ----- internals --------------------------------------------------------
+
+    /// Track a new event for `command` and append the command, waiting on
+    /// `wait`, to `queue`'s pending batch; if it cannot be queued, the event
+    /// fails with the wait-list error.  No server hears of the event until
+    /// the command ships; replacements elsewhere are created only when a
+    /// command bound for another server waits on it (see
+    /// `push_batch_entry`).
+    fn enqueue(
+        &self,
+        queue: &CommandQueue,
+        phase: Phase,
+        command: BatchCommand,
+        wait: &[Event],
+    ) -> Result<Event> {
         let event_id = self.allocate_id();
-        let event = self.register_event(event_id, queue.server, Phase::Execution);
-        let entry = BatchEntry {
-            command_id: self.allocate_id(),
-            queue_id: queue.id,
-            event_id,
-            wait_events: ids(wait),
-            command: BatchCommand::Marker,
-        };
+        let record = EventRecord::new(self.self_weak.clone(), event_id, queue.server, phase);
+        self.events.lock().insert(event_id, Arc::clone(&record));
+        let event = Event { handle: Arc::new(EventHandle(record)) };
+        let command_id = self.allocate_id();
+        let wait_events = ids(wait);
+        let entry = BatchEntry { command_id, queue_id: queue.id, event_id, wait_events, command };
         if let Err(e) = self.push_batch_entry(queue.server, entry, wait) {
             self.complete_event(event_id, -14, 0);
             return Err(e);
         }
         Ok(event)
-    }
-
-    // ----- internals --------------------------------------------------------
-
-    /// Track a new event owned by `owner`.  No server hears of it until its
-    /// command ships; replacements elsewhere are created only when a command
-    /// bound for another server waits on it (see `push_batch_entry`).
-    fn register_event(&self, event_id: ObjectId, owner: usize, phase: Phase) -> Event {
-        let record = EventRecord::new(self.self_weak.clone(), event_id, owner, phase);
-        self.events.lock().insert(event_id, Arc::clone(&record));
-        Event { handle: Arc::new(EventHandle(record)) }
-    }
-
-    /// Run the coherence delta plan so that `server` holds a valid copy of
-    /// `buffer` before a command reads it there.
-    fn ensure_valid_on(&self, server: usize, buffer: &Buffer) -> Result<()> {
-        self.ensure_valid_range_on(server, buffer, None)
     }
 
     /// Run the coherence delta plan so that `server` holds a valid copy of
@@ -2074,7 +2054,7 @@ impl ClientInner {
         // Record setup requests so a reconnect to a restarted daemon can
         // re-create the remote objects (see the recovery path).
         if Self::is_setup_request(&request) {
-            if let Some(slot) = self.recovery.lock().get_mut(server) {
+            if let Some(slot) = self.servers.lock().get_mut(server) {
                 slot.setup_log.push(request);
             }
         }
@@ -2118,7 +2098,7 @@ impl ClientInner {
                 }
                 Err(e) if e.is_retryable() && recoveries < 3 => {
                     recoveries += 1;
-                    self.retired.lock().retries += 1;
+                    self.servers.lock()[server].retired.retries += 1;
                     self.recover_server(server)
                         .map_err(|_| DclError::ServerUnavailable(format!("{}: {e}", conn.name)))?;
                 }
@@ -2136,55 +2116,43 @@ impl ClientInner {
                 "server #{index} disconnected (failover disabled)"
             )));
         }
-        loop {
-            {
-                let servers = self.servers.lock();
-                match servers.get(index).and_then(|s| s.as_ref()) {
+        let unavailable =
+            |why: &str| Err(DclError::ServerUnavailable(format!("server #{index}{why}")));
+        let (address, epoch, log) = {
+            let mut servers = self.servers.lock();
+            loop {
+                let Some(slot) = servers.get_mut(index) else { return unavailable("") };
+                let address = match &slot.conn {
+                    _ if slot.lost => return unavailable(" is permanently lost"),
+                    None => return unavailable(" was dropped"),
                     Some(conn) if conn.endpoint.is_open() => return Ok(()),
-                    None => {
-                        return Err(DclError::ServerUnavailable(format!(
-                            "server #{index} was dropped"
-                        )))
-                    }
-                    _ => {}
-                }
-            }
-            let (address, epoch, log) = {
-                let mut recovery = self.recovery.lock();
-                let Some(slot) = recovery.get_mut(index) else {
-                    return Err(DclError::ServerUnavailable(format!("server #{index}")));
+                    Some(conn) => conn.name.clone(),
                 };
-                if slot.lost {
-                    return Err(DclError::ServerUnavailable(format!(
-                        "server #{index} is permanently lost"
-                    )));
+                if !slot.reconnecting {
+                    slot.reconnecting = true;
+                    break (address, slot.epoch + 1, slot.setup_log.clone());
                 }
-                if slot.reconnecting {
-                    self.recovery_cond.wait(&mut recovery);
-                    continue;
-                }
-                slot.reconnecting = true;
-                (slot.address.clone(), slot.epoch + 1, slot.setup_log.clone())
-            };
-            let result = self.reconnect_attempt(index, &address, epoch, &log);
-            {
-                let mut recovery = self.recovery.lock();
-                recovery[index].reconnecting = false;
-                if result.is_ok() {
-                    recovery[index].epoch = epoch;
-                } else if self.failover.lock().drop_lost_servers {
-                    recovery[index].lost = true;
-                }
+                self.recovery_cond.wait(&mut servers);
             }
-            // Drop the lost server *before* waking waiters: a caller that
-            // blocked on this recovery must observe the updated roster (and
-            // invalidated directory entries) when its call returns.
-            if result.is_err() && self.failover.lock().drop_lost_servers {
-                self.drop_server(index);
+        };
+        let result = self.reconnect_attempt(index, &address, epoch, &log);
+        let lost = result.is_err() && self.failover.lock().drop_lost_servers;
+        {
+            let slot = &mut self.servers.lock()[index];
+            slot.reconnecting = false;
+            if result.is_ok() {
+                slot.epoch = epoch;
             }
-            self.recovery_cond.notify_all();
-            return result;
+            slot.lost |= lost;
         }
+        // Drop the lost server *before* waking waiters: a caller that
+        // blocked on this recovery must observe the updated roster (and
+        // invalidated directory entries) when its call returns.
+        if lost {
+            self.drop_server(index);
+        }
+        self.recovery_cond.notify_all();
+        result
     }
 
     /// One full redial: retire the dead endpoint, reconnect with backoff,
@@ -2198,10 +2166,10 @@ impl ClientInner {
         epoch: u64,
         log: &[Request],
     ) -> Result<()> {
-        // Close the dead endpoint but leave it in the roster: its traffic
-        // counters are retired exactly once, at the point the slot is
-        // actually vacated (replaced below on success, or by `drop_server`
-        // on permanent loss) — retiring here too would double-count.
+        // Close the dead endpoint but leave it in its slot: its traffic
+        // counters are retired exactly once, when the slot lets go of it
+        // (replaced below on success, or by `drop_server` on permanent
+        // loss) — retiring here too would double-count.
         if let Ok(old) = self.server(index) {
             old.endpoint.close();
         }
@@ -2213,37 +2181,32 @@ impl ClientInner {
             })
         })
         .map_err(DclError::Network)?;
-        self.retired.lock().reconnects += 1;
+        self.servers.lock()[index].retired.reconnects += 1;
         if !resumed {
             // The daemon lost our session (restart): rebuild every remote
             // object, then mark this server's buffer copies stale so the
             // MSI directory re-validates them from a surviving copy.
             for request in log {
-                let payload = self.encode_charged(Phase::Initialization, request);
-                let bytes = endpoint.call(payload).map_err(DclError::Network)?;
-                Response::from_bytes(&bytes)
-                    .map_err(|e| DclError::Protocol(e.to_string()))?
-                    .into_result()?;
+                self.exchange(&endpoint, request, Phase::Initialization)?;
             }
-            let mut dirs = self.buffer_dirs.lock();
-            dirs.retain(|d| d.strong_count() > 0);
-            for dir in dirs.iter().filter_map(Weak::upgrade) {
-                dir.lock().invalidate_server(index);
-            }
+            self.invalidate_copies(index);
         }
         let conn = Arc::new(ServerConn {
             name: address.to_string(),
             endpoint: Arc::clone(&endpoint),
             devices,
         });
-        if let Some(old) = self.servers.lock()[index].replace(conn) {
-            *self.retired.lock() += old.endpoint.stats();
+        {
+            let slot = &mut self.servers.lock()[index];
+            if let Some(old) = slot.conn.replace(conn) {
+                slot.retired += old.endpoint.stats();
+            }
         }
         self.install_supervisor(index, &endpoint);
         // Status forwards that failed while the server was away go out now,
         // ahead of any batch the caller re-sends.
-        if let Some(outbox) = self.outboxes.lock().get_mut(&index) {
-            self.send_forwards(index, outbox);
+        if let Some(outbox) = self.outbox(index) {
+            self.send_forwards(index, &mut outbox.lock());
         }
         Ok(())
     }
@@ -2264,22 +2227,15 @@ impl ClientInner {
             auth_id: self.auth_id.lock().clone(),
             epoch,
         };
-        let payload = self.encode_charged(Phase::Initialization, &hello);
-        let response = Response::from_bytes(&endpoint.call(payload)?)
-            .map_err(|e| DclError::Protocol(e.to_string()))?;
-        let resumed = match response.into_result()? {
+        let resumed = match self.exchange(&endpoint, &hello, Phase::Initialization)? {
             Response::SessionInfo(info) => info.resumed,
             _ => false,
         };
-
-        let list_req = Request::GetDeviceList;
-        let payload = self.encode_charged(Phase::Initialization, &list_req);
-        let response = Response::from_bytes(&endpoint.call(payload)?)
-            .map_err(|e| DclError::Protocol(e.to_string()))?;
-        let devices = match response.into_result()? {
-            Response::DeviceList { devices } => devices,
-            other => return Err(DclError::Protocol(format!("unexpected response {other:?}"))),
-        };
+        let devices =
+            match self.exchange(&endpoint, &Request::GetDeviceList, Phase::Initialization)? {
+                Response::DeviceList { devices } => devices,
+                other => return Err(DclError::Protocol(format!("unexpected response {other:?}"))),
+            };
         Ok((endpoint, devices, resumed))
     }
 
@@ -2299,30 +2255,41 @@ impl ClientInner {
         }));
     }
 
-    /// Permanently drop `server`: retire its endpoint, fail its outstanding
-    /// events and pending batches with the wait-list error, keep going on
-    /// the survivors.
+    /// The one way a server leaves the roster, for an explicit disconnect
+    /// (and so for `sync_servers`) and for failover giving up: retire and
+    /// close its endpoint, fail its pending batches and outstanding events
+    /// with the wait-list error (forwarding the failures to the servers
+    /// holding replacements), drop its waiting event traffic, and
+    /// invalidate its buffer copies.  The client keeps going on the
+    /// survivors.
     fn drop_server(&self, index: usize) {
-        if let Some(conn) = self.servers.lock()[index].take() {
-            *self.retired.lock() += conn.endpoint.stats();
+        let conn = {
+            let slot = &mut self.servers.lock()[index];
+            // Forwards and releases for the server have nowhere to go.
+            slot.outbox = Arc::default();
+            let conn = slot.conn.take();
+            if let Some(conn) = &conn {
+                slot.retired += conn.endpoint.stats();
+            }
+            conn
+        };
+        if let Some(conn) = conn {
             conn.endpoint.close();
         }
-        // The batches drop (with their wait-list handles) outside the lock.
+        // Its pending batches are discarded, and their events fail below
+        // with its other outstanding ones.  The batches drop (with their
+        // wait-list handles) outside the lock.
         let doomed: Vec<PendingBatch> = {
             let mut state = self.batches.lock();
-            let queues: Vec<ObjectId> =
-                state.queues.iter().filter(|(_, b)| b.server == index).map(|(id, _)| *id).collect();
-            let batches: Vec<PendingBatch> =
-                queues.iter().filter_map(|q| state.queues.remove(q)).collect();
-            for entry in batches.iter().flat_map(|b| &b.entries) {
-                state.event_queue.remove(&entry.event_id);
+            let BatchState { queues, event_queue } = &mut *state;
+            let doomed: Vec<_> =
+                queues.extract_if(|_, b| b.server == index).map(|(_, b)| b).collect();
+            for entry in doomed.iter().flat_map(|b| &b.entries) {
+                event_queue.remove(&entry.event_id);
             }
-            batches
+            doomed
         };
-        for batch in doomed {
-            let event_ids: Vec<ObjectId> = batch.entries.iter().map(|e| e.event_id).collect();
-            self.fail_events(&event_ids, -14);
-        }
+        drop(doomed);
         // The event table holds only events that are not terminal yet.
         let orphaned: Vec<ObjectId> = self
             .events
@@ -2332,32 +2299,38 @@ impl ClientInner {
             .map(|(id, _)| *id)
             .collect();
         self.fail_events(&orphaned, -14);
-        // Forwards and releases for the dead server have nowhere to go.
-        self.outboxes.lock().remove(&index);
-        // The dead server's buffer copies are gone with it: mark them
-        // invalid so delta plans re-validate from the surviving copies —
-        // in range mode moving only the ranges that actually lived there.
+        // The server's buffer copies are gone with it: delta plans
+        // re-validate from the surviving copies — in range mode moving only
+        // the ranges that actually lived there.
+        self.invalidate_copies(index);
+    }
+
+    /// Mark `server`'s copy of every live buffer invalid.
+    fn invalidate_copies(&self, server: usize) {
         let mut dirs = self.buffer_dirs.lock();
         dirs.retain(|d| d.strong_count() > 0);
         for dir in dirs.iter().filter_map(Weak::upgrade) {
-            dir.lock().invalidate_server(index);
+            dir.lock().invalidate_server(server);
         }
     }
 
     fn call_server_on(
         &self,
-        conn: &Arc<ServerConn>,
+        conn: &ServerConn,
         request: &Request,
         phase: Phase,
     ) -> Result<Response> {
-        let payload = self.encode_charged(phase, request);
-        let bytes = conn
-            .endpoint
-            .call(payload)
-            .map_err(|e| DclError::ServerUnavailable(format!("{}: {e}", conn.name)))?;
-        let response =
-            Response::from_bytes(&bytes).map_err(|e| DclError::Protocol(e.to_string()))?;
-        response.into_result()
+        self.exchange(&conn.endpoint, request, phase).map_err(|e| match e {
+            DclError::Network(e) => DclError::ServerUnavailable(format!("{}: {e}", conn.name)),
+            other => other,
+        })
+    }
+
+    /// Send `request` on `endpoint`, charging its round trip, and decode the
+    /// answer; an `Error` response becomes `Err`.  No recovery.
+    fn exchange(&self, endpoint: &Endpoint, request: &Request, phase: Phase) -> Result<Response> {
+        let bytes = endpoint.call(self.encode_charged(phase, request))?;
+        Response::from_bytes(&bytes).map_err(|e| DclError::Protocol(e.to_string()))?.into_result()
     }
 }
 
@@ -2397,7 +2370,7 @@ impl std::fmt::Debug for Client {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Client")
             .field("name", &self.inner.name)
-            .field("servers", &self.inner.servers.lock().iter().filter(|s| s.is_some()).count())
+            .field("servers", &self.inner.connected().len())
             .finish()
     }
 }
@@ -2422,14 +2395,11 @@ impl Client {
                 next_id: AtomicU64::new(1),
                 servers: Mutex::new(Vec::new()),
                 events: Mutex::new(HashMap::new()),
-                outboxes: Mutex::new(HashMap::new()),
                 batches: Mutex::new(BatchState::default()),
                 batching: AtomicBool::new(true),
                 auth_id: Mutex::new(None),
-                recovery: Mutex::new(Vec::new()),
                 recovery_cond: Condvar::new(),
                 failover: Mutex::new(FailoverPolicy::default()),
-                retired: Mutex::new(TrafficStats::default()),
                 buffer_dirs: Mutex::new(Vec::new()),
                 coherence_mode: Mutex::new(CoherenceMode::from_env()),
             }),
@@ -2489,15 +2459,16 @@ impl Client {
         *self.inner.coherence_mode.lock()
     }
 
-    /// Aggregated wire-traffic counters over every connected server's
-    /// endpoint (requests, notifications, bulk stream bytes).
+    /// Aggregated wire-traffic counters over every server ever connected
+    /// (requests, notifications, bulk stream bytes).  Each slot's retired
+    /// counters keep the totals monotonic across reconnects and departures.
     pub fn traffic_stats(&self) -> TrafficStats {
-        // Start from the retired counters (replaced endpoints, reconnects,
-        // retries) so totals stay monotonic across connection failures.
-        let mut total = *self.inner.retired.lock();
-        let servers = self.inner.servers.lock();
-        for conn in servers.iter().flatten() {
-            total += conn.endpoint.stats();
+        let mut total = TrafficStats::default();
+        for slot in self.inner.servers.lock().iter() {
+            total += slot.retired;
+            if let Some(conn) = &slot.conn {
+                total += conn.endpoint.stats();
+            }
         }
         total
     }
@@ -2536,22 +2507,12 @@ impl Client {
     /// devices to the application's device list.
     pub fn connect_server(&self, address: &str) -> Result<ServerId> {
         let (endpoint, devices, _resumed) = self.inner.handshake(address, 0)?;
+        let conn =
+            ServerConn { name: address.to_string(), endpoint: Arc::clone(&endpoint), devices };
         let index = {
             let mut servers = self.inner.servers.lock();
-            let index = servers.len();
-            servers.push(Some(Arc::new(ServerConn {
-                name: address.to_string(),
-                endpoint: Arc::clone(&endpoint),
-                devices,
-            })));
-            self.inner.recovery.lock().push(SlotRecovery {
-                address: address.to_string(),
-                epoch: 0,
-                setup_log: Vec::new(),
-                reconnecting: false,
-                lost: false,
-            });
-            index
+            servers.push(ServerSlot { conn: Some(Arc::new(conn)), ..ServerSlot::default() });
+            servers.len() - 1
         };
         self.inner.install_supervisor(index, &endpoint);
         Ok(ServerId(index))
@@ -2570,16 +2531,19 @@ impl Client {
 
     /// `clDisconnectServerWWU`: disconnect a server; its devices become
     /// unavailable.  Pending command batches for the server are flushed
-    /// first.
+    /// first and the daemon is told, best effort; then the server leaves
+    /// exactly as a lost one does under
+    /// [`FailoverPolicy::drop_lost_servers`] (see the
+    /// [module docs](self#failure-semantics)): commands still outstanding
+    /// there fail with the wait-list error (`-14`), as do their dependants
+    /// on other servers, its buffer copies become invalid, and its traffic
+    /// stays counted in [`Client::traffic_stats`].
     pub fn disconnect_server(&self, server: ServerId) -> Result<()> {
         let _ = self.inner.flush_server(server.0);
         let conn = self.inner.server(server.0)?;
         let payload = self.inner.encode_charged(Phase::Initialization, &Request::Disconnect);
         let _ = conn.endpoint.call(payload);
-        conn.endpoint.close();
-        self.inner.servers.lock()[server.0] = None;
-        // Forwards and releases for the server have nowhere to go.
-        self.inner.outboxes.lock().remove(&server.0);
+        self.inner.drop_server(server.0);
         Ok(())
     }
 
@@ -2595,23 +2559,15 @@ impl Client {
 
     /// Ids of the currently connected servers.
     pub fn servers(&self) -> Vec<ServerId> {
-        self.inner
-            .servers
-            .lock()
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|_| ServerId(i)))
-            .collect()
+        self.inner.connected().into_iter().map(|(i, _)| ServerId(i)).collect()
     }
 
     /// The id of the connected server at `address`, if any.
     pub fn server_by_address(&self, address: &str) -> Option<ServerId> {
         self.inner
-            .servers
-            .lock()
-            .iter()
-            .enumerate()
-            .find(|(_, s)| s.as_ref().map(|s| s.name == address).unwrap_or(false))
+            .connected()
+            .into_iter()
+            .find(|(_, conn)| conn.name == address)
             .map(|(i, _)| ServerId(i))
     }
 
@@ -2619,8 +2575,9 @@ impl Client {
     /// list — the client half of a resource-manager `LeaseChanged` notice
     /// (migration, preemption, failover).  Servers in `addresses` that are
     /// not yet connected are connected; connected servers *not* in the list
-    /// are disconnected (their buffer copies are already invalid — the
-    /// coherence directory re-validates from the survivors on next use).
+    /// are disconnected through [`Client::disconnect_server`], which fails
+    /// their outstanding commands and invalidates their buffer copies, so
+    /// the coherence directory re-validates from the survivors on next use.
     /// Returns the ids now backing the lease, in `addresses` order.
     pub fn sync_servers(&self, addresses: &[String]) -> Result<Vec<ServerId>> {
         let mut ids = Vec::new();
@@ -2630,10 +2587,9 @@ impl Client {
                 None => ids.push(self.connect_server(address)?),
             }
         }
-        for id in self.servers() {
-            let name = self.inner.server(id.0)?.name.clone();
-            if !addresses.contains(&name) {
-                let _ = self.disconnect_server(id);
+        for (index, conn) in self.inner.connected() {
+            if !addresses.contains(&conn.name) {
+                let _ = self.disconnect_server(ServerId(index));
             }
         }
         Ok(ids)
@@ -2642,13 +2598,10 @@ impl Client {
     /// All devices of all connected servers, merged into the single device
     /// list of the dOpenCL platform.
     pub fn devices(&self) -> Vec<Device> {
-        let servers = self.inner.servers.lock();
         let mut out = Vec::new();
-        for (index, server) in servers.iter().enumerate() {
-            if let Some(server) = server {
-                for d in &server.devices {
-                    out.push(Device { server: index, descriptor: d.clone() });
-                }
+        for (index, conn) in self.inner.connected() {
+            for d in &conn.devices {
+                out.push(Device { server: index, descriptor: d.clone() });
             }
         }
         out

@@ -280,8 +280,24 @@ impl ManagerState {
     /// Admit a lease: place each share under `strategy` (applying the
     /// policy's saturation move when nothing fits), record the lease, and
     /// plan its install on every daemon hosting a share.  A rejected
-    /// request leaves no lease behind.
+    /// request changes nothing: the saturation moves made on its way are
+    /// undone, and their pushes dropped.
     pub(crate) fn place(
+        &mut self,
+        strategy: Strategy,
+        client_name: &str,
+        requests: &[ShareRequest],
+        priority: u32,
+    ) -> Result<Admission> {
+        let saved = (self.leases.clone(), self.watchers.clone(), self.last_vd);
+        let admitted = self.admit(strategy, client_name, requests, priority);
+        if admitted.is_err() {
+            (self.leases, self.watchers, self.last_vd) = saved;
+        }
+        admitted
+    }
+
+    fn admit(
         &mut self,
         strategy: Strategy,
         client_name: &str,
@@ -502,8 +518,10 @@ impl ManagerState {
                 break;
             }
             let Some(vd) = self.share(auth, *vd_id) else { continue };
-            let moved =
-                self.move_share(strategy, auth, *vd_id, &[(vd.server, vd.device)], true, plan);
+            // Never onto a device an earlier share of this request took:
+            // that share is not in the state yet, so its capacity looks free.
+            let away: Vec<_> = exclude.iter().copied().chain([(vd.server, vd.device)]).collect();
+            let moved = self.move_share(strategy, auth, *vd_id, &away, true, plan);
             self.plan_quota_update(auth, vd.server, plan);
             if self.leases[auth.as_str()].virtual_devices.is_empty() {
                 self.end_lease(auth, plan);

@@ -4,9 +4,11 @@
 //! API throughout.
 
 use dopencl::{Client, Context, LinkModel, LocalCluster, NdRange, SimClock, Value};
+use gcf::rpc::TrafficStats;
 use gcf::transport::tcp::TcpTransport;
 use integration_tests::{as_i32s, test_cluster};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use vocl::Platform;
 
 const INC_KERNEL: &str =
@@ -189,6 +191,90 @@ fn disconnecting_a_server_removes_its_devices_but_others_keep_working() {
     queue.write_buffer(&buffer, &[7u8; 16]).blocking().submit().unwrap();
     let (data, _) = queue.read_buffer(&buffer).submit().unwrap();
     assert_eq!(data, vec![7u8; 16]);
+}
+
+/// The disconnected server's traffic stays counted: no counter of
+/// `traffic_stats` falls across `disconnect_server`.
+#[test]
+fn disconnecting_a_server_keeps_its_traffic_counted() {
+    let (_cluster, client, _clock) = test_cluster(2, 1);
+    let devices = client.devices();
+    let context = Context::new(&client, &devices).unwrap();
+    let q0 = context.create_command_queue(&devices[0]).unwrap();
+    let buffer = context.create_buffer(16).unwrap();
+    q0.write_buffer(&buffer, &[3u8; 16]).blocking().submit().unwrap();
+    let before = client.traffic_stats();
+    client.disconnect_server(devices[0].server()).unwrap();
+    let after = client.traffic_stats();
+    // `delta` saturates, so it is all zeroes only if no counter fell.
+    assert_eq!(before.delta(&after), TrafficStats::default(), "{before:?} -> {after:?}");
+}
+
+/// A launch still running on a server that is disconnected, and a command
+/// on another server that waits on it, both fail with the wait-list error
+/// instead of hanging, and the client stops tracking them.
+#[test]
+fn disconnecting_a_server_fails_its_running_work_and_dependants() {
+    const SPIN: &str = "__kernel void spin(__global uint* out, uint rounds) {
+        uint x = 1u;
+        for (uint i = 0u; i < rounds; i++) { x = x * 1664525u + 1013904223u; }
+        out[get_global_id(0)] = x;
+    }";
+    const MAX_ITEMS: usize = 4096;
+    let (_cluster, client, _clock) = test_cluster(2, 1);
+    let devices = client.devices();
+    let context = Context::new(&client, &devices).unwrap();
+    let q0 = context.create_command_queue(&devices[0]).unwrap();
+    let q1 = context.create_command_queue(&devices[1]).unwrap();
+    let program = context.create_program_with_source(SPIN).unwrap();
+    program.build().unwrap();
+    let kernel = program.create_kernel("spin").unwrap();
+    kernel.set_arg(0, context.create_buffer(MAX_ITEMS * 4).unwrap()).unwrap();
+    kernel.set_arg(1, Value::uint(1_000_000)).unwrap();
+    // Time one work-item, then launch enough of them for about a second and
+    // a half, so server 0 is still running the launch at the disconnect.
+    let start = Instant::now();
+    q0.launch(&kernel, NdRange::linear(1)).submit().unwrap().wait().unwrap();
+    let items = (1.5 / start.elapsed().as_secs_f64()).ceil().clamp(1.0, MAX_ITEMS as f64);
+    let slow = q0.launch(&kernel, NdRange::linear(items as usize)).submit().unwrap();
+    q0.flush().unwrap();
+    let dependent = q1.marker().after(std::slice::from_ref(&slow)).submit().unwrap();
+    assert!(!slow.is_terminal(), "the launch must outlast the dependant's submission");
+
+    client.disconnect_server(devices[0].server()).unwrap();
+    // The timeout only guards against a hang.
+    for event in [&slow, &dependent] {
+        let err = event.wait_timeout(Duration::from_secs(10)).unwrap_err();
+        assert!(err.to_string().contains("status -14"), "{err}");
+    }
+    drop((slow, dependent));
+    assert_eq!(client.tracked_events(), 0);
+}
+
+/// After a disconnect, the data a kernel wrote on the disconnected server
+/// is gone, as when a lost server is dropped: a read on the survivor no
+/// longer reaches for it, and serves the client's last copy instead.
+#[test]
+fn disconnecting_a_server_invalidates_its_buffer_copies() {
+    let (_cluster, client, _clock) = test_cluster(2, 1);
+    let devices = client.devices();
+    let context = Context::new(&client, &devices).unwrap();
+    let q0 = context.create_command_queue(&devices[0]).unwrap();
+    let q1 = context.create_command_queue(&devices[1]).unwrap();
+    let buffer = context.create_buffer(16).unwrap();
+    q0.write_buffer(&buffer, &[5u8; 16]).blocking().submit().unwrap();
+    let program = context.create_program_with_source(INC_KERNEL).unwrap();
+    program.build().unwrap();
+    let kernel = program.create_kernel("inc").unwrap();
+    kernel.set_arg(0, &buffer).unwrap();
+    q0.launch(&kernel, NdRange::linear(4)).submit().unwrap().wait().unwrap();
+
+    let s0 = devices[0].server();
+    client.disconnect_server(s0).unwrap();
+    assert!(buffer.valid_ranges(s0).is_empty());
+    let (data, _) = q1.read_buffer(&buffer).submit().unwrap();
+    assert_eq!(data, vec![5u8; 16], "the lost range degrades to the client's copy");
+    assert_eq!(buffer.stale_ranges(devices[1].server()), vec![]);
 }
 
 /// A command on server 1 that waits on an event server 0 has already

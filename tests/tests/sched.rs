@@ -5,7 +5,9 @@
 //! compute millis or its memory.
 
 use devmgr::sched::fair_shares;
-use devmgr::{DevMgrError, DeviceManager, DmDevice, ShareRequest, Strategy, FULL_COMPUTE_MILLIS};
+use devmgr::{
+    DevMgrError, DeviceManager, DmDevice, Lease, ShareRequest, Strategy, FULL_COMPUTE_MILLIS,
+};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 
@@ -28,6 +30,16 @@ fn gpu_share(desired: u32, floor: u32) -> ShareRequest {
         min_millis: floor,
         mem_bytes: 0,
     }
+}
+
+/// Every lease with its shares in `vd_id` order, leases in auth-id order.
+fn sorted_leases(dm: &DeviceManager) -> Vec<Lease> {
+    let mut leases = dm.leases();
+    for lease in &mut leases {
+        lease.virtual_devices.sort_by_key(|vd| vd.vd_id);
+    }
+    leases.sort_by(|a, b| a.auth_id.cmp(&b.auth_id));
+    leases
 }
 
 proptest! {
@@ -72,21 +84,25 @@ proptest! {
         prop_assert!(max - min <= 1, "equal weights diverged: min {min}, max {max}");
     }
 
-    /// Drive a random sequence of fractional share requests, releases and
-    /// node-lifecycle operations (drain, forced removal, lease migration,
-    /// a health sweep that silences one server, re-registration) at a live
-    /// 3-node manager under every policy.  After every operation, no
-    /// device's shares may sum past 100% of its compute millis or past its
-    /// memory, no admitted lease may ever sit below its floor
-    /// (Fair/Priority shrink grants during rebalancing and preemption, but
-    /// never through the floor), no lease is empty or hosted on a down
-    /// server, and a newly admitted lease never lands on a draining or down
-    /// server.
+    /// Drive a random sequence of fractional requests of 1–3 shares,
+    /// releases and node-lifecycle operations (drain, forced removal,
+    /// lease migration, a health sweep that silences one server,
+    /// re-registration) at a live 3-node manager under every policy.  After
+    /// every operation, no device's shares may sum past 100% of its compute
+    /// millis or past its memory, no admitted lease may ever sit below its
+    /// floor (Fair/Priority shrink grants during rebalancing and
+    /// preemption, but never through the floor), no lease is empty or
+    /// hosted on a down server, a newly admitted lease never lands on a
+    /// draining or down server, and a rejected request leaves every lease
+    /// as it was.
     #[test]
     fn no_policy_oversubscribes_or_starves(
         strategy_index in 0usize..4,
         ops in proptest::collection::vec(
-            ((1u32..=1_000, 1u32..=150, 1u32..=4, any::<bool>()), (0u32..10, 0usize..3, 0u64..=3)),
+            (
+                (1u32..=1_000, 1u32..=150, 1u32..=4, any::<bool>()),
+                (0u32..10, 0usize..3, 0u64..=3, 1usize..=3),
+            ),
             1..32,
         ),
     ) {
@@ -113,7 +129,7 @@ proptest! {
         let mut draining = [false; 3];
 
         let mut held: Vec<String> = Vec::new();
-        for (i, &((desired, floor, weight, release_one), (lifecycle, target, mem_gib))) in
+        for (i, &((desired, floor, weight, release_one), (lifecycle, target, mem_gib, shares))) in
             ops.iter().enumerate()
         {
             let (name, devices) = &servers[target];
@@ -160,7 +176,14 @@ proptest! {
             let mut share = gpu_share(desired, floor);
             share.mem_bytes = mem_gib << 30;
             let up: Vec<bool> = dm.server_health().into_iter().map(|(_, up)| up).collect();
-            match dm.assign_shares(&format!("client-{i}"), &[share], weight) {
+            let before = sorted_leases(&dm);
+            let assigned = dm.assign_shares(&format!("client-{i}"), &vec![share; shares], weight);
+            if assigned.is_err() {
+                // A rejected request changes nothing, not even through a
+                // saturation move made on its way.
+                prop_assert_eq!(sorted_leases(&dm), before, "a rejected request moved shares");
+            }
+            match assigned {
                 Ok((lease, _)) => {
                     for vd in &lease.virtual_devices {
                         prop_assert!(
