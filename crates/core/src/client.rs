@@ -47,9 +47,11 @@
 //! run as a single `EnqueueBatch` request — one round trip for N commands
 //! instead of N round trips, which is the dominant cost on a
 //! gigabit-Ethernet link (Section V of the paper measures exactly this
-//! overhead).  Completion comes back asynchronously: the daemon pushes a
-//! one-way notification per command that resolves the client-side
-//! [`Event`].
+//! overhead).  Completion comes back in bulk: a small transfer that ran
+//! while the daemon handled the batch reports its status in that response,
+//! and the others are reported as they finish, a run of commands to one
+//! `EventsCompleted` notification, to resolve the client-side [`Event`]s
+//! (`ARCHITECTURE.md`, "Completion reporting").
 //!
 //! A queue's pending batch is flushed by:
 //!
@@ -88,7 +90,7 @@
 //!   event owned by another server, the batch carrying the command to S
 //!   first creates the replacement there — already terminal, with the
 //!   event's status, if the event has finished.  Otherwise, when the owning
-//!   daemon notifies the client of the completion, the client forwards the
+//!   daemon reports the completion to the client, the client forwards the
 //!   status (success or the error code) to every server holding a
 //!   replacement as a one-way notification, so a failed event fails its
 //!   dependants there with the wait-list error (`-14`).  Once the
@@ -159,8 +161,11 @@
 //! * **Exactly-once replay** — every batch entry carries a client-generated
 //!   `command_id`.  A batch whose response was lost is re-sent verbatim
 //!   after the reconnect; the daemon's bounded dedup window recognises ids
-//!   it already executed, suppresses re-execution, and re-arms the
-//!   completion notification instead.
+//!   it already executed and suppresses re-execution.  The replay needs no
+//!   status of its own: a daemon that hands back the parked session reports
+//!   again every finished command the client has not released, so a status
+//!   lost with the old connection still arrives, and a command still
+//!   running reports to the adopting connection when it finishes.
 //! * **Giving up** — if redialling exhausts the backoff budget and
 //!   [`FailoverPolicy::drop_lost_servers`] is set, the server leaves the
 //!   roster through the same routine as an explicit `clDisconnectServerWWU`
@@ -182,8 +187,8 @@ use crate::coherence::{BufferDirectory, ByteRange, CoherenceMode};
 use crate::config;
 use crate::error::{DclError, Result};
 use crate::protocol::{
-    BatchCommand, BatchEntry, ClientNotification, DeviceDescriptor, Notification, ObjectId,
-    Request, Response, ServerInfo, SessionInfo, WireNdRange, WireValue,
+    BatchCommand, BatchEntry, ClientNotification, DeviceDescriptor, EventCompletion, Notification,
+    ObjectId, Request, Response, ServerInfo, SessionInfo, WireNdRange, WireValue,
 };
 use gcf::retry::{retry_with_backoff, Backoff};
 use gcf::rpc::{Endpoint, EndpointHandler, TrafficStats};
@@ -979,9 +984,13 @@ impl Event {
         ServerId(self.record().owner)
     }
 
-    /// Whether the event reached a terminal state.
+    /// Whether the event reached a terminal state: its status is known.
+    /// [`Event::wait`] returns only once the status has also been forwarded
+    /// to the servers holding a replacement, but a dependant there can
+    /// finish in between, and its own wait must not find this event
+    /// pending.
     pub fn is_terminal(&self) -> bool {
-        self.record().state.lock().settled
+        self.record().state.lock().status.is_some()
     }
 
     /// Block until the command completes; errors if the command failed.
@@ -1060,6 +1069,12 @@ fn ids(events: &[Event]) -> Vec<ObjectId> {
 /// A batch entry that carries event bookkeeping rather than a command.
 fn bookkeeping_entry(event_id: ObjectId, command: BatchCommand) -> BatchEntry {
     BatchEntry { command_id: 0, queue_id: 0, event_id, wait_events: Vec::new(), command }
+}
+
+/// The client's own verdict on a command that never ran: status `code`, no
+/// modelled time.
+fn failed_completion(event_id: ObjectId, code: i32) -> EventCompletion {
+    EventCompletion { event_id, status: code, modeled_nanos: 0, work_items: 0 }
 }
 
 fn upgrade(client: &Weak<ClientInner>) -> Result<Arc<ClientInner>> {
@@ -1179,7 +1194,7 @@ struct ClientInner {
     /// The roster: one slot per server ever connected, indexed by
     /// [`ServerId`].  No network write happens while its lock is held.
     servers: Mutex<Vec<ServerSlot>>,
-    /// Events not yet terminal, by id, for the completion notifications.
+    /// Events not yet terminal, by id, for the completion reports.
     events: Mutex<HashMap<ObjectId, Arc<EventRecord>>>,
     batches: Mutex<BatchState>,
     batching: AtomicBool,
@@ -1223,8 +1238,24 @@ impl ClientInner {
         self.next_id.fetch_add(1, Ordering::Relaxed)
     }
 
-    fn complete_event(&self, event_id: ObjectId, status: i32, modeled_nanos: u64) {
-        let Some(record) = self.events.lock().remove(&event_id) else { return };
+    /// Apply the completions of one frame or response, in order: take their
+    /// records out of the event table under one lock, then store, forward
+    /// and settle each.  Ids the table no longer holds (already settled, or
+    /// reported twice across a reconnect) are skipped.
+    fn complete_events(&self, completions: &[EventCompletion]) {
+        let records: Vec<(Arc<EventRecord>, &EventCompletion)> = {
+            let mut events = self.events.lock();
+            completions.iter().filter_map(|c| Some((events.remove(&c.event_id)?, c))).collect()
+        };
+        for (record, completion) in records {
+            self.settle(&record, completion.status, completion.modeled_nanos);
+        }
+    }
+
+    /// Store `status` on an event taken out of the event table, forward it,
+    /// then wake the event's waiters.
+    fn settle(&self, record: &Arc<EventRecord>, status: i32, modeled_nanos: u64) {
+        let event_id = record.id;
         let modeled = Duration::from_nanos(modeled_nanos);
         self.clock.charge(record.phase, modeled);
         // Event consistency: forward the status to every server holding a
@@ -1247,7 +1278,7 @@ impl ClientInner {
             state.unreferenced
         };
         if unreferenced {
-            self.release_event(&record);
+            self.release_event(record);
         }
     }
 
@@ -1713,8 +1744,8 @@ impl ClientInner {
                 return Err(e);
             }
         };
-        let statuses = match response {
-            Response::BatchEnqueued { statuses } => statuses,
+        let (statuses, mut completed) = match response {
+            Response::BatchEnqueued { statuses, completed } => (statuses, completed),
             Response::Error { code, message } => {
                 self.fail_events(&event_ids, code);
                 return Err(DclError::Protocol(format!("server error {code}: {message}")));
@@ -1726,23 +1757,26 @@ impl ClientInner {
         };
         // The daemon stops at the first entry that fails to *enqueue*; its
         // status carries the error, entries past it were never attempted and
-        // fail with the wait-list error code.
+        // fail with the wait-list error code.  The failures settle after the
+        // completions the response carries.
         let mut first_error = None;
-        for (index, event_id) in event_ids.iter().enumerate() {
-            match statuses.get(first_command + index) {
-                Some(status) if status.code == 0 => {}
+        for (index, &event_id) in event_ids.iter().enumerate() {
+            let code = match statuses.get(first_command + index) {
+                Some(status) if status.code == 0 => continue,
                 Some(status) => {
-                    self.complete_event(*event_id, status.code, 0);
-                    if first_error.is_none() {
-                        first_error = Some(DclError::Protocol(format!(
+                    first_error.get_or_insert_with(|| {
+                        DclError::Protocol(format!(
                             "batch entry {index} failed: {} (code {})",
                             status.message, status.code
-                        )));
-                    }
+                        ))
+                    });
+                    status.code
                 }
-                None => self.complete_event(*event_id, -14, 0),
-            }
+                None => -14,
+            };
+            completed.push(failed_completion(event_id, code));
         }
+        self.complete_events(&completed);
         match first_error {
             Some(e) => Err(e),
             None => Ok(()),
@@ -1750,9 +1784,9 @@ impl ClientInner {
     }
 
     fn fail_events(&self, event_ids: &[ObjectId], code: i32) {
-        for &event_id in event_ids {
-            self.complete_event(event_id, code, 0);
-        }
+        let failed: Vec<EventCompletion> =
+            event_ids.iter().map(|&event_id| failed_completion(event_id, code)).collect();
+        self.complete_events(&failed);
     }
 
     // ----- command execution -----------------------------------------------
@@ -1912,7 +1946,7 @@ impl ClientInner {
         let wait_events = ids(wait);
         let entry = BatchEntry { command_id, queue_id: queue.id, event_id, wait_events, command };
         if let Err(e) = self.push_batch_entry(queue.server, entry, wait) {
-            self.complete_event(event_id, -14, 0);
+            self.fail_events(&[event_id], -14);
             return Err(e);
         }
         Ok(event)
@@ -2349,9 +2383,7 @@ impl EndpointHandler for ClientHandler {
         let Some(inner) = self.inner.upgrade() else { return };
         let Ok(notification) = Notification::from_bytes(payload) else { return };
         match notification {
-            Notification::EventCompleted { event_id, status, modeled_nanos, .. } => {
-                inner.complete_event(event_id, status, modeled_nanos);
-            }
+            Notification::EventsCompleted { events } => inner.complete_events(&events),
         }
     }
 }

@@ -16,18 +16,18 @@
 //! manager crate can plug in without a dependency cycle.
 
 use crate::protocol::{
-    BatchCommand, BatchEntry, BatchEntryStatus, ClientNotification, DeviceDescriptor, Notification,
-    ObjectId, Request, Response, ServerInfo, SessionInfo,
+    BatchCommand, BatchEntry, BatchEntryStatus, ClientNotification, DeviceDescriptor,
+    EventCompletion, Notification, ObjectId, Request, Response, ServerInfo, SessionInfo,
 };
 use crate::Result;
 use gcf::rpc::{Endpoint, EndpointHandler, STREAM_CHUNK};
 use gcf::transport::{Listener, Transport};
 use gcf::wire::{Decode, Encode};
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use vocl::{
     Buffer, ClError, CommandQueue, CommandType, Context, Device, DeviceInfoParam, DeviceInfoValue,
     Event, EventStatus, Kernel, KernelArg, MemFlags, Platform, Program, QueueProperties,
@@ -328,6 +328,142 @@ impl DedupWindow {
     }
 }
 
+/// Statuses the buffer holds at most: the one that makes this many
+/// pending sends them all.
+const COMPLETIONS_SEND_AT: usize = 64;
+
+/// How long a status waits for company at most: the first status appended
+/// after the oldest pending one has waited this long sends them all, so a
+/// command another server waits on is not held back by a run of long
+/// kernels queued behind it.
+const COMPLETIONS_HELD_AT_MOST: Duration = Duration::from_millis(10);
+
+/// A session's completion statuses not yet reported to the client.
+///
+/// A command that did not run inline appends its status here from its
+/// completion callback.  Pending statuses leave as one
+/// [`Notification::EventsCompleted`] when the status appended ends its
+/// queue's run in the batch (see [`report_points`]), when
+/// [`COMPLETIONS_SEND_AT`] are pending, or when the oldest has waited
+/// [`COMPLETIONS_HELD_AT_MOST`].  The first two follow from the batches
+/// alone, so the frames a client hears do not depend on how threads
+/// interleave.  The buffer lives in the session state, so the callbacks of
+/// a parked session reach the connection that adopts it.
+#[derive(Default)]
+struct CompletionBuffer {
+    pending: Mutex<PendingCompletions>,
+}
+
+#[derive(Default)]
+struct PendingCompletions {
+    /// The connection reports go to; re-pointed by every `Hello`.
+    endpoint: Weak<Endpoint>,
+    events: Vec<EventCompletion>,
+    /// When the first of `events` was appended.
+    since: Option<Instant>,
+}
+
+impl PendingCompletions {
+    /// Send everything pending as one frame.  A send that fails drops the
+    /// frame: a client that comes back hears those statuses again when it
+    /// adopts the session (see the `Hello` arm of [`DaemonSession::handle`]).
+    fn send(&mut self) {
+        self.since = None;
+        if self.events.is_empty() {
+            return;
+        }
+        let events = std::mem::take(&mut self.events);
+        if let Some(endpoint) = self.endpoint.upgrade() {
+            let _ = endpoint.notify(Notification::EventsCompleted { events }.to_bytes());
+        }
+    }
+}
+
+impl CompletionBuffer {
+    fn attach(&self, endpoint: &Arc<Endpoint>) {
+        self.pending.lock().endpoint = Arc::downgrade(endpoint);
+    }
+
+    /// Append `completion`, then send everything pending if `send_now`
+    /// says so (asked under the buffer's lock) or a bound is reached.
+    fn push(&self, completion: EventCompletion, send_now: impl FnOnce() -> bool) {
+        let mut pending = self.pending.lock();
+        let since = *pending.since.get_or_insert_with(Instant::now);
+        pending.events.push(completion);
+        if send_now()
+            || pending.events.len() >= COMPLETIONS_SEND_AT
+            || since.elapsed() >= COMPLETIONS_HELD_AT_MOST
+        {
+            pending.send();
+        }
+    }
+
+    /// Send everything pending as one frame.  The lock is held across the
+    /// send, so frames leave in completion order.
+    fn flush(&self) {
+        self.pending.lock().send();
+    }
+
+    /// Append `event`'s status once it completes, and send everything
+    /// pending then if it is a report point or its batch was `cut`.
+    fn report_on_completion(
+        self: &Arc<Self>,
+        event_id: ObjectId,
+        event: &Arc<Event>,
+        report_point: bool,
+        cut: &Arc<AtomicBool>,
+    ) {
+        let completions = Arc::clone(self);
+        let cut = Arc::clone(cut);
+        let weak_event = Arc::downgrade(event);
+        event.on_complete(Box::new(move |status| {
+            if let Some(event) = weak_event.upgrade() {
+                completions.push(completion_of(event_id, &event, status), || {
+                    report_point || cut.load(Ordering::SeqCst)
+                });
+            }
+        }));
+    }
+}
+
+/// For each entry of a batch, whether it is a *report point*: the last
+/// command entry of its queue in the batch, or one whose successor there
+/// has a wait list.  A report point's completion sends the statuses held
+/// for the commands before it.  The commands between two report points
+/// wait on nothing but their predecessor, so a held status never waits on
+/// a command that waits on another server, a user event or the host.
+fn report_points(entries: &[BatchEntry]) -> Vec<bool> {
+    let mut next_waits: HashMap<ObjectId, bool> = HashMap::new();
+    let mut points = vec![false; entries.len()];
+    for (point, entry) in points.iter_mut().zip(entries).rev() {
+        if let BatchCommand::Release { .. } | BatchCommand::Replacement { .. } = entry.command {
+            continue; // Event bookkeeping joins no queue.
+        }
+        *point = next_waits.insert(entry.queue_id, !entry.wait_events.is_empty()).unwrap_or(true);
+    }
+    points
+}
+
+/// Whether `command` may run inline, on the dispatch thread, when its
+/// queue is idle: a transfer small enough to travel in one stream chunk.
+fn may_run_inline(command: &BatchCommand) -> bool {
+    match command {
+        BatchCommand::WriteBuffer { size, .. } | BatchCommand::ReadBuffer { size, .. } => {
+            *size <= STREAM_CHUNK as u64
+        }
+        _ => false,
+    }
+}
+
+fn completion_of(event_id: ObjectId, event: &Event, status: EventStatus) -> EventCompletion {
+    EventCompletion {
+        event_id,
+        status: status.code(),
+        modeled_nanos: event.modeled_duration().as_nanos() as u64,
+        work_items: event.counters().map(|c| c.work_items).unwrap_or(0),
+    }
+}
+
 /// Per-connection session: the id → remote-object tables plus the handler
 /// that dispatches requests onto the native runtime.
 pub struct DaemonSession {
@@ -359,6 +495,7 @@ struct SessionState {
     kernels: HashMap<ObjectId, Arc<Kernel>>,
     events: HashMap<ObjectId, Arc<Event>>,
     dedup: DedupWindow,
+    completions: Arc<CompletionBuffer>,
     disconnected: bool,
 }
 
@@ -384,6 +521,12 @@ impl DaemonSession {
 
     fn set_endpoint(&self, endpoint: &Arc<Endpoint>) {
         *self.endpoint.lock() = Some(Arc::downgrade(endpoint));
+        self.completions().attach(endpoint);
+    }
+
+    /// The (possibly adopted) session state's completion buffer.
+    fn completions(&self) -> Arc<CompletionBuffer> {
+        Arc::clone(&self.state().lock().completions)
     }
 
     /// The (possibly adopted) session state.
@@ -446,33 +589,6 @@ impl DaemonSession {
         Response::Error { code: -34, message: format!("unknown {kind} id {id}") }
     }
 
-    /// Register a completion callback on `event` that reports completion to
-    /// the client as a notification.
-    fn notify_on_completion(&self, event_id: ObjectId, event: &Arc<Event>) {
-        let endpoint = self.endpoint.lock().clone();
-        let weak_event = Arc::downgrade(event);
-        event.on_complete(Box::new(move |status| {
-            let Some(endpoint) = endpoint.as_ref().and_then(Weak::upgrade) else { return };
-            let Some(event) = weak_event.upgrade() else { return };
-            let (modeled_nanos, work_items) = (
-                event.modeled_duration().as_nanos() as u64,
-                event.counters().map(|c| c.work_items).unwrap_or(0),
-            );
-            let status_code = match status {
-                EventStatus::Complete => 0,
-                EventStatus::Error(code) => code,
-                other => other.code(),
-            };
-            let notification = Notification::EventCompleted {
-                event_id,
-                status: status_code,
-                modeled_nanos,
-                work_items,
-            };
-            let _ = endpoint.notify(notification.to_bytes());
-        }));
-    }
-
     fn resolve_wait_list(
         state: &SessionState,
         wait_events: &[ObjectId],
@@ -517,11 +633,13 @@ impl DaemonSession {
         }
     }
 
-    /// Record a freshly enqueued command's event: push its completion to the
-    /// client and remember it for later wait lists.
-    fn track_event(&self, event_id: ObjectId, event: &Arc<Event>) {
-        self.notify_on_completion(event_id, event);
-        self.state().lock().events.insert(event_id, Arc::clone(event));
+    /// Record a freshly enqueued command: admit its id to the dedup window
+    /// and remember its event for later wait lists.
+    fn track_event(&self, command_id: u64, event_id: ObjectId, event: &Arc<Event>) {
+        let shared = self.state();
+        let mut state = shared.lock();
+        state.dedup.admit(command_id, event_id);
+        state.events.insert(event_id, Arc::clone(event));
     }
 
     /// The payload of an upload, bulk stream `stream_id`.  The client sends
@@ -537,12 +655,14 @@ impl DaemonSession {
         })
     }
 
-    /// Enqueue the command of one [`Request::EnqueueBatch`] entry and track
-    /// its event.
+    /// Enqueue the command of one [`Request::EnqueueBatch`] entry; with
+    /// `inline`, a command that [`may_run_inline`] runs on this thread if
+    /// its queue is idle.
     fn enqueue_entry(
         &self,
         entry: BatchEntry,
         chain: Option<&Arc<Event>>,
+        inline: bool,
     ) -> std::result::Result<Arc<Event>, Response> {
         let event = match entry.command {
             BatchCommand::WriteBuffer { buffer_id, offset, size, stream_id } => {
@@ -561,7 +681,7 @@ impl DaemonSession {
                     self.resolve_enqueue(entry.queue_id, &entry.wait_events, chain)?;
                 let buffer = self.buffer_by_id(buffer_id)?;
                 let offset = offset as usize;
-                if size <= STREAM_CHUNK as u64 {
+                if inline {
                     queue.enqueue_write_buffer_inline(&buffer, offset, data, wait)
                 } else {
                     queue.enqueue_write_buffer(&buffer, offset, data, wait)
@@ -573,18 +693,18 @@ impl DaemonSession {
                     self.resolve_enqueue(entry.queue_id, &entry.wait_events, chain)?;
                 let buffer = self.buffer_by_id(buffer_id)?;
                 let (offset, len) = (offset as usize, size as usize);
-                let event = if len <= STREAM_CHUNK {
+                let event = if inline {
                     queue.enqueue_read_buffer_inline(&buffer, offset, len, wait)
                 } else {
                     queue.enqueue_read_buffer(&buffer, offset, len, wait)
                 }
                 .map_err(|e| Self::cl_error(&e))?;
                 // When the read completes, ship the data to the client as a
-                // bulk stream; the completion notification follows (FIFO), so
+                // bulk stream; the completion is reported after it (FIFO), so
                 // by the time the client's event resolves the data is en route.
                 // A read that ran inline is complete already: the callback
-                // fires here, and the stream and the notification leave
-                // before the batch's response.
+                // fires here, and the stream leaves before the batch's
+                // response, which carries the completion.
                 let endpoint = self.endpoint.lock().clone();
                 let weak_event = Arc::downgrade(&event);
                 let stats = Arc::clone(&self.stats);
@@ -624,7 +744,6 @@ impl DaemonSession {
                 unreachable!("bookkeeping entries are handled by the batch loop")
             }
         };
-        self.track_event(entry.event_id, &event);
         Ok(event)
     }
 
@@ -668,6 +787,11 @@ impl DaemonSession {
                 // adopts the state its previous connection parked in the
                 // daemon's registry — remote objects and dedup window
                 // survive the connection, per Section IV-C.
+                //
+                // Statuses sent to the dead connection may never have arrived,
+                // in a frame or in a response, so an adopting connection hears
+                // every finished command the client has not released again;
+                // the client skips the ones it has already settled.
                 let identity = auth_id.clone().unwrap_or_else(|| client_name.clone());
                 let fresh = self.state();
                 let (shared, resumed) =
@@ -679,6 +803,20 @@ impl DaemonSession {
                 state.auth_id = auth_id.clone();
                 state.epoch = epoch;
                 state.disconnected = false;
+                if let Some(endpoint) = self.endpoint() {
+                    state.completions.attach(&endpoint);
+                }
+                if resumed {
+                    for (&event_id, event) in &state.events {
+                        let status = event.status();
+                        if event.command_type() != CommandType::User && status.is_terminal() {
+                            state
+                                .completions
+                                .push(completion_of(event_id, event, status), || false);
+                        }
+                    }
+                    state.completions.flush();
+                }
                 Response::SessionInfo(SessionInfo {
                     auth_id,
                     epoch,
@@ -885,9 +1023,25 @@ impl DaemonSession {
                 // failing entry's status carries the error and unattempted
                 // entries get no status at all (the client fails their events
                 // locally).
+                //
+                // A command that ran inline reports its status in
+                // `completed`.  The others report through the completion
+                // buffer, which a report point empties.  Only an entry whose
+                // queue has had no entry of this batch sent to the worker
+                // tries to run inline, so which carrier a status takes does
+                // not depend on how fast the worker is.  A batch that does
+                // not run as planned (an entry fails to enqueue, or is a
+                // replay) is `cut`: the statuses of its commands leave as
+                // they are appended, since a report point they wait for may
+                // never come.
+                let completions = self.completions();
+                let report_points = report_points(&entries);
+                let cut = Arc::new(AtomicBool::new(false));
+                let mut completed = Vec::new();
                 let mut statuses = Vec::with_capacity(entries.len());
                 let mut prev: HashMap<ObjectId, Arc<Event>> = HashMap::new();
-                for entry in entries {
+                let mut queued: HashSet<ObjectId> = HashSet::new();
+                for (entry, report_point) in entries.into_iter().zip(report_points) {
                     // Event bookkeeping: always succeeds, joins no chain.
                     let bookkeeping = match &entry.command {
                         BatchCommand::Release { event_ids } => {
@@ -906,35 +1060,47 @@ impl DaemonSession {
                     }
                     // Idempotent replay (client-generated command ids): a
                     // command already executed under this session state is
-                    // recognised by the dedup window and NOT re-enqueued.
-                    // The completion notification is re-armed instead, so a
-                    // client that missed it across a reconnect hears it
-                    // again (`on_complete` fires immediately on terminal
-                    // events).
+                    // recognised by the dedup window and NOT re-enqueued.  A
+                    // client replays only after it reconnected, and the
+                    // adopting `Hello` has reported every finished command
+                    // again; one still running reports when it finishes.
                     let hit = {
                         let shared = self.state();
                         let mut state = shared.lock();
                         state
                             .dedup
                             .replay_hit(entry.command_id)
-                            .map(|orig| (orig, state.events.get(&orig).cloned()))
+                            .map(|orig| state.events.get(&orig).cloned())
                     };
-                    if let Some((orig_event, event)) = hit {
+                    if let Some(event) = hit {
                         statuses.push(BatchEntryStatus::ok());
                         if let Some(event) = event {
-                            self.notify_on_completion(orig_event, &event);
                             prev.insert(entry.queue_id, event);
                         }
+                        cut.store(true, Ordering::SeqCst);
+                        completions.flush();
                         continue;
                     }
                     let chain = prev.get(&entry.queue_id).cloned();
                     let (command_id, event_id, queue_id) =
                         (entry.command_id, entry.event_id, entry.queue_id);
-                    let result = self.enqueue_entry(entry, chain.as_ref());
-                    match result {
+                    let inline = may_run_inline(&entry.command) && !queued.contains(&queue_id);
+                    match self.enqueue_entry(entry, chain.as_ref(), inline) {
                         Ok(event) => {
                             statuses.push(BatchEntryStatus::ok());
-                            self.state().lock().dedup.admit(command_id, event_id);
+                            self.track_event(command_id, event_id, &event);
+                            let status = event.status();
+                            if inline && status.is_terminal() {
+                                completed.push(completion_of(event_id, &event, status));
+                            } else {
+                                queued.insert(queue_id);
+                                completions.report_on_completion(
+                                    event_id,
+                                    &event,
+                                    report_point,
+                                    &cut,
+                                );
+                            }
                             prev.insert(queue_id, event);
                         }
                         Err(resp) => {
@@ -943,11 +1109,13 @@ impl DaemonSession {
                                 other => (-30, format!("unexpected enqueue failure: {other:?}")),
                             };
                             statuses.push(BatchEntryStatus { code, message });
+                            cut.store(true, Ordering::SeqCst);
+                            completions.flush();
                             break;
                         }
                     }
                 }
-                Response::BatchEnqueued { statuses }
+                Response::BatchEnqueued { statuses, completed }
             }
             Request::GetEventStatus { event_id } => {
                 let event = match self.state().lock().events.get(&event_id) {
@@ -1118,19 +1286,39 @@ mod tests {
         (daemon, endpoint, transport)
     }
 
-    /// Records every `EventCompleted` as `(event_id, status)`.
+    /// Records every completion an `EventsCompleted` frame carries as
+    /// `(event_id, status)`, and counts the frames.
     #[derive(Default)]
-    struct CompletionLog(Mutex<Vec<(ObjectId, i32)>>);
+    struct CompletionLog {
+        completions: Mutex<Vec<(ObjectId, i32)>>,
+        frames: AtomicU64,
+    }
+
+    impl CompletionLog {
+        fn completions(&self) -> Vec<(ObjectId, i32)> {
+            self.completions.lock().clone()
+        }
+    }
 
     impl EndpointHandler for CompletionLog {
         fn handle_request(&self, _payload: &[u8]) -> Vec<u8> {
             Vec::new()
         }
         fn handle_notification(&self, payload: &[u8]) {
-            let Notification::EventCompleted { event_id, status, .. } =
+            let Notification::EventsCompleted { events } =
                 Notification::from_bytes(payload).unwrap();
-            self.0.lock().push((event_id, status));
+            self.frames.fetch_add(1, Ordering::SeqCst);
+            self.completions.lock().extend(events.iter().map(|c| (c.event_id, c.status)));
         }
+    }
+
+    /// A batch response's per-entry statuses, and its completions as
+    /// `(event_id, status)`.
+    fn batch_outcome(resp: Response) -> (Vec<BatchEntryStatus>, Vec<(ObjectId, i32)>) {
+        let Response::BatchEnqueued { statuses, completed } = resp else {
+            panic!("expected a batch response, got {resp:?}")
+        };
+        (statuses, completed.iter().map(|c| (c.event_id, c.status)).collect())
     }
 
     fn call(endpoint: &Arc<Endpoint>, request: Request) -> Response {
@@ -1253,7 +1441,7 @@ mod tests {
         let launch =
             BatchCommand::NdRange { kernel_id: 5, range: WireNdRange(vocl::NdRange::linear(16)) };
         let resp = call(&endpoint, single_command(6, vec![], launch));
-        assert_eq!(resp, Response::BatchEnqueued { statuses: vec![BatchEntryStatus::ok()] });
+        assert_eq!(batch_outcome(resp).0, vec![BatchEntryStatus::ok()]);
         // Download the buffer through the coherence path and check contents.
         let data = download_all(&endpoint, 64, 777);
         assert_eq!(data.len(), 64);
@@ -1288,11 +1476,11 @@ mod tests {
         endpoint.send_bulk(42, &[1, 2, 3, 4, 5, 6, 7, 8]).unwrap();
         let write = BatchCommand::WriteBuffer { buffer_id: 3, offset: 0, size: 8, stream_id: 42 };
         let resp = call(&endpoint, single_command(10, vec![], write));
-        assert_eq!(resp, Response::BatchEnqueued { statuses: vec![BatchEntryStatus::ok()] });
+        assert_eq!(batch_outcome(resp), (vec![BatchEntryStatus::ok()], vec![(10, 0)]));
         // Read it back.
         let read = BatchCommand::ReadBuffer { buffer_id: 3, offset: 0, size: 8, stream_id: 43 };
         let resp = call(&endpoint, single_command(11, vec![10], read));
-        assert_eq!(resp, Response::BatchEnqueued { statuses: vec![BatchEntryStatus::ok()] });
+        assert_eq!(batch_outcome(resp), (vec![BatchEntryStatus::ok()], vec![(11, 0)]));
         let data = endpoint.wait_bulk(43, Duration::from_secs(5)).unwrap();
         assert_eq!(data, vec![1, 2, 3, 4, 5, 6, 7, 8]);
     }
@@ -1390,7 +1578,7 @@ mod tests {
                 ),
             ],
         };
-        let Response::BatchEnqueued { statuses } = call(endpoint, request) else { panic!() };
+        let (statuses, _) = batch_outcome(call(endpoint, request));
         assert_eq!(statuses, vec![BatchEntryStatus::ok(); 2]);
     }
 
@@ -1475,23 +1663,24 @@ mod tests {
         let log = Arc::new(CompletionLog::default());
         let (_daemon, endpoint, _t) = start_test_daemon_with(Arc::clone(&log) as _);
         build_write_session(&endpoint);
-        // A worker thread can beat the response now and then; running
-        // inline, the stream and the notification always do.
+        // A worker thread could beat the response now and then; running
+        // inline, the stream always precedes the response, and the response
+        // carries the status.
         for i in 0..100u8 {
             let (write_id, read_id) = (10 + 2 * u64::from(i), 11 + 2 * u64::from(i));
             endpoint.send_bulk(write_id, &[i; 4]).unwrap();
             let write =
                 BatchCommand::WriteBuffer { buffer_id: 3, offset: 0, size: 4, stream_id: write_id };
             let resp = call(&endpoint, single_command(write_id, vec![], write));
-            assert_eq!(resp, Response::BatchEnqueued { statuses: vec![BatchEntryStatus::ok()] });
-            assert_eq!(log.0.lock().last(), Some(&(write_id, 0)), "write notified late");
+            let ok = vec![BatchEntryStatus::ok()];
+            assert_eq!(batch_outcome(resp), (ok.clone(), vec![(write_id, 0)]), "write status");
             let read =
                 BatchCommand::ReadBuffer { buffer_id: 3, offset: 0, size: 4, stream_id: read_id };
             let resp = call(&endpoint, single_command(read_id, vec![write_id], read));
-            assert_eq!(resp, Response::BatchEnqueued { statuses: vec![BatchEntryStatus::ok()] });
+            assert_eq!(batch_outcome(resp), (ok, vec![(read_id, 0)]), "read status");
             assert_eq!(endpoint.try_take_bulk(read_id), Some(vec![i; 4]), "read streamed late");
-            assert_eq!(log.0.lock().last(), Some(&(read_id, 0)), "read notified late");
         }
+        assert_eq!(log.completions(), vec![], "a status also travelled in a frame");
     }
 
     #[test]
@@ -1501,7 +1690,7 @@ mod tests {
         gated_write(&endpoint, 1, 101, 50);
         let read = BatchCommand::ReadBuffer { buffer_id: 3, offset: 0, size: 4, stream_id: 60 };
         let resp = call(&endpoint, single_command(102, vec![], read));
-        assert_eq!(resp, Response::BatchEnqueued { statuses: vec![BatchEntryStatus::ok()] });
+        assert_eq!(batch_outcome(resp).0, vec![BatchEntryStatus::ok()]);
         std::thread::sleep(Duration::from_millis(50));
         assert_eq!(endpoint.try_take_bulk(60), None, "the read overtook the gated write");
         assert!(event_status(&endpoint, 102) > 0);
@@ -1529,16 +1718,108 @@ mod tests {
                 entry(101, vec![100], read),
             ],
         };
-        let Response::BatchEnqueued { statuses } = call(&endpoint, request) else { panic!() };
+        let (statuses, mut completed) = batch_outcome(call(&endpoint, request));
         assert_eq!(statuses, vec![BatchEntryStatus::ok(); 2]);
         assert_eq!(terminal_status(&endpoint, 101), -14, "wait-list error expected");
-        // The worker sends the notification just after the status turns.
+        // The read waits on a failed replacement, so it runs on the worker,
+        // which fails it; its status rides a frame, or the response when the
+        // worker failed it before the daemon tracked it.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while log.0.lock().is_empty() && std::time::Instant::now() < deadline {
+        while completed.is_empty()
+            && log.completions().is_empty()
+            && std::time::Instant::now() < deadline
+        {
             std::thread::sleep(Duration::from_millis(2));
         }
-        assert_eq!(*log.0.lock(), vec![(101, -14)]);
+        completed.extend(log.completions());
+        assert_eq!(completed, vec![(101, -14)]);
         assert_eq!(endpoint.try_take_bulk(61), None, "a failed read sent data");
+    }
+
+    /// Poll until `log` holds at least `n` completions, then return them.
+    fn completions_after(log: &CompletionLog, n: usize) -> Vec<(ObjectId, i32)> {
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while log.completions().len() < n && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        log.completions()
+    }
+
+    /// A command entry on `queue_id` as event `event_id`.
+    fn on_queue(
+        queue_id: ObjectId,
+        event_id: ObjectId,
+        wait_events: Vec<ObjectId>,
+        command: BatchCommand,
+    ) -> BatchEntry {
+        BatchEntry { command_id: 0, queue_id, event_id, wait_events, command }
+    }
+
+    #[test]
+    fn report_points_end_each_queues_runs() {
+        let bookkeeping = |command| BatchEntry {
+            command_id: 0,
+            queue_id: 0,
+            event_id: 0,
+            wait_events: vec![],
+            command,
+        };
+        let entries = vec![
+            bookkeeping(BatchCommand::Release { event_ids: vec![1] }),
+            on_queue(2, 10, vec![], BatchCommand::Marker),
+            on_queue(2, 11, vec![], BatchCommand::Marker),
+            on_queue(5, 12, vec![], BatchCommand::Marker),
+            on_queue(2, 13, vec![7], BatchCommand::Marker),
+            on_queue(2, 14, vec![], BatchCommand::Marker),
+            bookkeeping(BatchCommand::Replacement { status: None }),
+            on_queue(5, 15, vec![], BatchCommand::Marker),
+        ];
+        // 11 comes before an entry with a wait list, 14 and 15 end their
+        // queues' runs.
+        let expected = vec![false, false, true, false, false, true, false, true];
+        assert_eq!(report_points(&entries), expected);
+    }
+
+    #[test]
+    fn a_status_before_an_entry_with_a_wait_list_leaves_while_it_waits() {
+        let log = Arc::new(CompletionLog::default());
+        let (_daemon, endpoint, _t) = start_test_daemon_with(Arc::clone(&log) as _);
+        build_write_session(&endpoint);
+        let request = Request::EnqueueBatch {
+            entries: vec![
+                on_queue(0, 100, vec![], BatchCommand::Replacement { status: None }),
+                on_queue(2, 10, vec![], BatchCommand::Marker),
+                on_queue(2, 11, vec![100], BatchCommand::Marker),
+            ],
+        };
+        let outcome = batch_outcome(call(&endpoint, request));
+        assert_eq!(outcome, (vec![BatchEntryStatus::ok(); 3], vec![]));
+        assert_eq!(completions_after(&log, 1), vec![(10, 0)], "10 was held back");
+        assert!(event_status(&endpoint, 11) > 0);
+        forward(&endpoint, 100, 0);
+        assert_eq!(completions_after(&log, 2), vec![(10, 0), (11, 0)]);
+    }
+
+    #[test]
+    fn statuses_of_a_batch_cut_short_still_leave() {
+        let log = Arc::new(CompletionLog::default());
+        let (_daemon, endpoint, _t) = start_test_daemon_with(Arc::clone(&log) as _);
+        build_write_session(&endpoint);
+        // The read names a buffer the session lacks, so the batch stops
+        // there, and neither marker is the last entry of its queue.
+        let read = BatchCommand::ReadBuffer { buffer_id: 99, offset: 0, size: 4, stream_id: 60 };
+        let request = Request::EnqueueBatch {
+            entries: vec![
+                on_queue(2, 10, vec![], BatchCommand::Marker),
+                on_queue(2, 11, vec![], BatchCommand::Marker),
+                on_queue(2, 12, vec![], read),
+            ],
+        };
+        let (statuses, completed) = batch_outcome(call(&endpoint, request));
+        assert_eq!(statuses[..2], [BatchEntryStatus::ok(), BatchEntryStatus::ok()]);
+        assert_eq!(statuses[2].code, -34);
+        assert_eq!(completed, vec![]);
+        assert_eq!(completions_after(&log, 2), vec![(10, 0), (11, 0)]);
     }
 
     #[test]
@@ -1566,9 +1847,9 @@ mod tests {
         let write = BatchCommand::WriteBuffer { buffer_id: 3, offset: 0, size, stream_id: 42 };
         let read = BatchCommand::ReadBuffer { buffer_id: 3, offset: 0, size, stream_id: 43 };
         let resp = call(&endpoint, single_command(10, vec![], write));
-        assert_eq!(resp, Response::BatchEnqueued { statuses: vec![BatchEntryStatus::ok()] });
+        assert_eq!(batch_outcome(resp).0, vec![BatchEntryStatus::ok()]);
         let resp = call(&endpoint, single_command(11, vec![10], read));
-        assert_eq!(resp, Response::BatchEnqueued { statuses: vec![BatchEntryStatus::ok()] });
+        assert_eq!(batch_outcome(resp).0, vec![BatchEntryStatus::ok()]);
         assert!(endpoint.wait_bulk(43, Duration::from_secs(5)).unwrap() == data);
     }
 
@@ -1744,7 +2025,7 @@ mod tests {
         assert_eq!(info.epoch, 1);
         // The remote objects survived: the kernel enqueues without any
         // re-creation.
-        let Response::BatchEnqueued { statuses } = call(&endpoint2, fill_batch(500, 90)) else {
+        let Response::BatchEnqueued { statuses, .. } = call(&endpoint2, fill_batch(500, 90)) else {
             panic!("expected batch response")
         };
         assert_eq!(statuses.len(), 1);
@@ -1776,7 +2057,7 @@ mod tests {
         call(&endpoint, Request::Hello { client_name: "app".into(), auth_id: None, epoch: 0 });
         build_fill_session(&endpoint);
 
-        let Response::BatchEnqueued { statuses } = call(&endpoint, fill_batch(77, 10)) else {
+        let Response::BatchEnqueued { statuses, .. } = call(&endpoint, fill_batch(77, 10)) else {
             panic!("expected batch response")
         };
         assert_eq!(statuses[0].code, 0);
@@ -1786,7 +2067,7 @@ mod tests {
         // The client lost the response and replays the identical batch:
         // the dedup window recognises command id 77 and does NOT launch
         // the kernel again.
-        let Response::BatchEnqueued { statuses } = call(&endpoint, fill_batch(77, 10)) else {
+        let Response::BatchEnqueued { statuses, .. } = call(&endpoint, fill_batch(77, 10)) else {
             panic!("expected batch response")
         };
         assert_eq!(statuses[0].code, 0, "a replayed entry still reports success");
@@ -1795,7 +2076,8 @@ mod tests {
 
         // Command id 0 opts out of deduplication (legacy clients).
         for _ in 0..2 {
-            let Response::BatchEnqueued { statuses } = call(&endpoint, fill_batch(0, 11)) else {
+            let Response::BatchEnqueued { statuses, .. } = call(&endpoint, fill_batch(0, 11))
+            else {
                 panic!("expected batch response")
             };
             assert_eq!(statuses[0].code, 0);

@@ -1,9 +1,12 @@
 //! Wire protocol between the dOpenCL client driver and the daemons.
 //!
 //! Every OpenCL API call that needs a server is turned into a [`Request`]
-//! message; the daemon answers with a [`Response`].  Asynchronous state
-//! changes (most importantly event completion, the heart of the event
-//! consistency protocol of Section III-D) travel as [`Notification`]s; the
+//! message; the daemon answers with a [`Response`].  Event completions, the
+//! heart of the event consistency protocol of Section III-D, travel as
+//! [`EventCompletion`] records in bulk: inside the batch's
+//! [`Response::BatchEnqueued`] for a command that ran while the daemon
+//! handled the batch, otherwise in a [`Notification::EventsCompleted`], one
+//! per run of commands.  The
 //! client forwards a completion to the servers holding a replacement for the
 //! event as a [`ClientNotification`].  Bulk
 //! data (buffer uploads/downloads, i.e. *stream-based communication*) does
@@ -385,8 +388,9 @@ gcf::wire_message! {
         // of `UploadBufferRange` / `DownloadBufferRange`.
         /// A batch of enqueue commands accumulated client-side and shipped in a
         /// single round trip (the batched command pipeline).  Entries are
-        /// enqueued strictly in order; completion is reported asynchronously per
-        /// entry through [`Notification::EventCompleted`].  Event bookkeeping
+        /// enqueued strictly in order; each entry's completion is reported as
+        /// an [`EventCompletion`], in a [`Response::BatchEnqueued`] or a
+        /// [`Notification::EventsCompleted`].  Event bookkeeping
         /// rides along as entries too: [`BatchCommand::Release`] and
         /// [`BatchCommand::Replacement`] ahead of the commands.
         27 => EnqueueBatch {
@@ -458,8 +462,8 @@ gcf::wire_message! {
     /// and a `ReadBuffer` entry's data is sent back on `stream_id` when the read
     /// completes.  A transfer of at most one stream chunk that finds its queue
     /// idle and its wait list complete runs while the daemon handles the batch,
-    /// so its stream and its [`Notification::EventCompleted`] leave before the
-    /// [`Response::BatchEnqueued`]; any other transfer completes later.
+    /// so its stream leaves before the [`Response::BatchEnqueued`] that carries
+    /// its completion; any other transfer completes later.
     #[derive(Debug, Clone, PartialEq)]
     pub enum BatchCommand {
         /// `clEnqueueWriteBuffer`; payload arrives on bulk stream `stream_id`.
@@ -534,6 +538,21 @@ gcf::wire_message! {
         pub code: i32,
         /// Human-readable description (empty on success).
         pub message: String,
+    }
+}
+
+gcf::wire_message! {
+    /// A command's event reached a terminal state on the daemon.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct EventCompletion {
+        /// The client-assigned event id.
+        pub event_id: ObjectId,
+        /// Final OpenCL status (0 = complete, negative = error).
+        pub status: i32,
+        /// Modelled duration of the command in nanoseconds.
+        pub modeled_nanos: u64,
+        /// Number of work-items executed (kernel commands only).
+        pub work_items: u64,
     }
 }
 
@@ -627,6 +646,10 @@ gcf::wire_message! {
         7 => BatchEnqueued {
             /// Outcomes of the attempted entries, in batch order.
             statuses: Vec<BatchEntryStatus>,
+            /// The completions of this batch's entries that ran while the
+            /// daemon handled it (small transfers on an idle queue).  Every
+            /// other entry reports in a [`Notification::EventsCompleted`].
+            completed: Vec<EventCompletion>,
         },
         /// Session state for [`Request::Hello`] / [`Request::GetSessionInfo`].
         8 => SessionInfo(SessionInfo),
@@ -656,16 +679,15 @@ gcf::wire_message! {
     /// Asynchronous notifications sent by a daemon to the client.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub enum Notification {
-        /// An event on this server reached a terminal state.
-        0 => EventCompleted {
-            /// The client-assigned event id.
-            event_id: ObjectId,
-            /// Final OpenCL status (0 = complete, negative = error).
-            status: i32,
-            /// Modelled duration of the command in nanoseconds.
-            modeled_nanos: u64,
-            /// Number of work-items executed (kernel commands only).
-            work_items: u64,
+        // Tag 0 (`EventCompleted`, one frame per event) is retired:
+        // completions travel in bulk.
+        /// Events on this server reached a terminal state, in the order they
+        /// did.  Sent when a command that ends its queue's run in a batch
+        /// completes, or when enough completions have piled up or waited
+        /// long enough, with everything not reported yet.
+        1 => EventsCompleted {
+            /// The completions, oldest first.
+            events: Vec<EventCompletion>,
         },
     }
 }
@@ -920,9 +942,20 @@ mod tests {
                     BatchEntryStatus::ok(),
                     BatchEntryStatus { code: -34, message: "unknown event id 9".into() },
                 ],
+                completed: vec![EventCompletion {
+                    event_id: 20,
+                    status: 0,
+                    modeled_nanos: 4_096,
+                    work_items: 0,
+                }],
             },
             "07020000000000000000000000deffffff12000000756e6b6e6f776e20657665\
-                6e742069642039",
+                6e74206964203901000000140000000000000000000000001000000000000000\
+                00000000000000",
+        );
+        check(
+            Response::BatchEnqueued { statuses: vec![BatchEntryStatus::ok()], completed: vec![] },
+            "0701000000000000000000000000000000",
         );
         check(
             Response::SessionInfo(SessionInfo {
@@ -940,14 +973,21 @@ mod tests {
     #[test]
     fn notification_roundtrip() {
         check(
-            Notification::EventCompleted {
-                event_id: 42,
-                status: 0,
-                modeled_nanos: 5_000_000,
-                work_items: 1024,
+            Notification::EventsCompleted {
+                events: vec![
+                    EventCompletion {
+                        event_id: 42,
+                        status: 0,
+                        modeled_nanos: 5_000_000,
+                        work_items: 1024,
+                    },
+                    EventCompletion { event_id: 43, status: -14, modeled_nanos: 0, work_items: 0 },
+                ],
             },
-            "002a0000000000000000000000404b4c00000000000004000000000000",
+            "01020000002a0000000000000000000000404b4c000000000000040000000000\
+                002b00000000000000f2ffffff00000000000000000000000000000000",
         );
+        check(Notification::EventsCompleted { events: vec![] }, "0100000000");
     }
 
     #[test]
@@ -986,6 +1026,8 @@ mod tests {
         ];
         // 9: the range download's echo of its offset and size.
         let responses = ["0900100000000000000002000000000000db03000000000000"];
+        // 0: one event's completion per frame.
+        let notifications = ["002a0000000000000000000000404b4c00000000000004000000000000"];
         let bytes = |hex: &str| -> Vec<u8> {
             (0..hex.len())
                 .step_by(2)
@@ -997,6 +1039,10 @@ mod tests {
         }
         for hex in responses {
             assert!(Response::from_bytes(&bytes(hex)).is_err(), "retired response {hex} decoded");
+        }
+        for hex in notifications {
+            let decoded = Notification::from_bytes(&bytes(hex));
+            assert!(decoded.is_err(), "retired notification {hex} decoded");
         }
     }
 

@@ -7,9 +7,10 @@
 
 use dopencl::coherence::CoherenceMode;
 use dopencl::protocol::{BatchCommand, BatchEntry, Request, Response, WireNdRange};
-use dopencl::{Context, FailoverPolicy, LinkModel, LocalCluster, NdRange, SimClock, Value};
+use dopencl::{Client, Context, FailoverPolicy, LinkModel, LocalCluster, NdRange, SimClock, Value};
 use gcf::retry::Backoff;
 use gcf::rpc::{Endpoint, NullHandler};
+use gcf::transport::faulty::ChaosTransport;
 use gcf::transport::Transport;
 use gcf::wire::{Decode, Encode};
 use integration_tests::as_f32s;
@@ -106,7 +107,7 @@ fn dedup_window_rejects_replayed_ids_across_reconnect() {
             command: BatchCommand::NdRange { kernel_id: 4, range: WireNdRange(NdRange::linear(8)) },
         }],
     };
-    let Response::BatchEnqueued { statuses } = raw_call(&endpoint, batch()) else {
+    let Response::BatchEnqueued { statuses, .. } = raw_call(&endpoint, batch()) else {
         panic!("expected batch response")
     };
     assert_eq!(statuses[0].code, 0);
@@ -116,7 +117,7 @@ fn dedup_window_rejects_replayed_ids_across_reconnect() {
     endpoint.abort();
     let (endpoint2, resumed) = connect(1);
     assert!(resumed, "the daemon must hand back the parked session");
-    let Response::BatchEnqueued { statuses } = raw_call(&endpoint2, batch()) else {
+    let Response::BatchEnqueued { statuses, .. } = raw_call(&endpoint2, batch()) else {
         panic!("expected batch response")
     };
     assert_eq!(statuses[0].code, 0, "a replayed entry still reports success");
@@ -770,4 +771,76 @@ fn dependant_of_an_event_on_a_killed_server_fails_instead_of_hanging() {
     let err = slow.wait().unwrap_err();
     assert!(err.to_string().contains("status -14"), "{err}");
     assert_eq!(client.servers().len(), 1);
+}
+
+/// A launch the daemon has acknowledged, still running when its connection
+/// drops and finishing while the client cannot redial, completes its event
+/// once the client is back: the daemon reports it to the connection that
+/// adopts the session.  Guarded by `wait_timeout`, so a lost status fails
+/// the test instead of hanging it.
+#[test]
+fn completion_while_the_client_is_away_reaches_it_after_the_reconnect() {
+    const SPIN: &str = r#"
+        __kernel void spin(__global uint* out, uint rounds) {
+            uint x = 1u;
+            for (uint i = 0u; i < rounds; i++) {
+                x = x * 1664525u + 1013904223u;
+            }
+            out[get_global_id(0)] = x;
+        }
+    "#;
+    const MAX_ITEMS: usize = 4096;
+    let mut cluster = LocalCluster::new(LinkModel::gigabit_ethernet());
+    let daemon = cluster.add_node("node0", &Platform::test_platform(1)).unwrap();
+    let chaos = ChaosTransport::new(Arc::new(cluster.transport()));
+    let client = Client::new(
+        "away",
+        Arc::clone(&chaos) as _,
+        LinkModel::gigabit_ethernet(),
+        SimClock::new(),
+    );
+    client.set_failover_policy(FailoverPolicy {
+        reconnect: true,
+        backoff: Backoff {
+            base: Duration::from_millis(20),
+            max_delay: Duration::from_millis(50),
+            max_attempts: 400,
+            ..Backoff::default()
+        },
+        drop_lost_servers: false,
+    });
+    let server = client.connect_server(daemon.address()).unwrap();
+    let devices = client.devices();
+    let context = Context::new(&client, &devices).unwrap();
+    let queue = context.create_command_queue(&devices[0]).unwrap();
+    let buffer = context.create_buffer(MAX_ITEMS * 4).unwrap();
+    let program = context.create_program_with_source(SPIN).unwrap();
+    program.build().unwrap();
+    let kernel = program.create_kernel("spin").unwrap();
+    kernel.set_arg(0, &buffer).unwrap();
+    kernel.set_arg(1, Value::uint(1_000_000)).unwrap();
+
+    // Size the launch to run for about a third of a second, timing one
+    // work-item after a warm-up launch.
+    queue.launch(&kernel, NdRange::linear(1)).submit().unwrap().wait().unwrap();
+    let start = std::time::Instant::now();
+    queue.launch(&kernel, NdRange::linear(1)).submit().unwrap().wait().unwrap();
+    let one = start.elapsed();
+    let items = (0.3 / one.as_secs_f64()).ceil().clamp(1.0, MAX_ITEMS as f64);
+    let slow = queue.launch(&kernel, NdRange::linear(items as usize)).submit().unwrap();
+    // The flush returns once the daemon has acknowledged the batch.
+    queue.flush().unwrap();
+    assert!(!slow.is_terminal(), "the launch must outlast its acknowledgement");
+
+    // Cut the connection and refuse redials until the launch has finished.
+    chaos.kill(daemon.address());
+    std::thread::sleep(one.mul_f64(items) * 3 + Duration::from_millis(200));
+    chaos.revive(daemon.address());
+
+    assert!(
+        slow.wait_timeout(Duration::from_secs(20)).unwrap(),
+        "the launch's status was lost with the connection"
+    );
+    let epoch = client.session_info(server).unwrap().epoch;
+    assert!(epoch >= 1, "the status must have come through a reconnect");
 }

@@ -210,17 +210,19 @@ fn disconnecting_a_server_keeps_its_traffic_counted() {
     assert_eq!(before.delta(&after), TrafficStats::default(), "{before:?} -> {after:?}");
 }
 
+/// A kernel that runs for `rounds` iterations per work-item.
+const SPIN: &str = "__kernel void spin(__global uint* out, uint rounds) {
+    uint x = 1u;
+    for (uint i = 0u; i < rounds; i++) { x = x * 1664525u + 1013904223u; }
+    out[get_global_id(0)] = x;
+}";
+const MAX_ITEMS: usize = 4096;
+
 /// A launch still running on a server that is disconnected, and a command
 /// on another server that waits on it, both fail with the wait-list error
 /// instead of hanging, and the client stops tracking them.
 #[test]
 fn disconnecting_a_server_fails_its_running_work_and_dependants() {
-    const SPIN: &str = "__kernel void spin(__global uint* out, uint rounds) {
-        uint x = 1u;
-        for (uint i = 0u; i < rounds; i++) { x = x * 1664525u + 1013904223u; }
-        out[get_global_id(0)] = x;
-    }";
-    const MAX_ITEMS: usize = 4096;
     let (_cluster, client, _clock) = test_cluster(2, 1);
     let devices = client.devices();
     let context = Context::new(&client, &devices).unwrap();
@@ -390,5 +392,75 @@ fn event_tables_empty_once_every_handle_is_dropped() {
     }
     for daemon in cluster.daemons() {
         assert_eq!(daemon.events_held("integration"), Some(0), "{}", daemon.name());
+    }
+}
+
+/// A chain that crosses servers and comes back: a slow launch X on server
+/// 0, a marker E on server 1 waiting on X, and a marker Y on server 0
+/// waiting on E, shipped while X still runs.  Server 0's worker starts Y
+/// straight after X.  X ends its batch, so its status must leave when X
+/// completes; held until Y completes, it would wait behind Y, Y on E, and
+/// E on X.  The timeout turns that deadlock into a failure.
+#[test]
+fn a_chain_back_to_a_busy_server_completes() {
+    let (_cluster, client, _clock) = test_cluster(2, 1);
+    let devices = client.devices();
+    let context = Context::new(&client, &devices).unwrap();
+    let q0 = context.create_command_queue(&devices[0]).unwrap();
+    let q1 = context.create_command_queue(&devices[1]).unwrap();
+    let program = context.create_program_with_source(SPIN).unwrap();
+    program.build().unwrap();
+    let kernel = program.create_kernel("spin").unwrap();
+    kernel.set_arg(0, context.create_buffer(MAX_ITEMS * 4).unwrap()).unwrap();
+    kernel.set_arg(1, Value::uint(1_000_000)).unwrap();
+    // About half a second, so server 0 is still running X when Y arrives.
+    let items = items_for(&q0, &kernel, 0.5);
+    let x = q0.launch(&kernel, NdRange::linear(items)).submit().unwrap();
+    let e = q1.marker().after(std::slice::from_ref(&x)).submit().unwrap();
+    let y = q0.marker().after(std::slice::from_ref(&e)).submit().unwrap();
+    q0.flush().unwrap();
+    q1.flush().unwrap();
+    assert!(!x.is_terminal(), "X must still run when Y reaches server 0");
+    assert!(y.wait_timeout(Duration::from_secs(20)).unwrap(), "the chain deadlocked");
+    assert!(x.is_terminal() && e.is_terminal());
+}
+
+/// Launches `items` work-items of `kernel` take about `seconds`, timed on
+/// one work-item (after a warm-up launch) on `queue`.
+fn items_for(queue: &dopencl::CommandQueue, kernel: &dopencl::Kernel, seconds: f64) -> usize {
+    queue.launch(kernel, NdRange::linear(1)).submit().unwrap().wait().unwrap();
+    let start = Instant::now();
+    queue.launch(kernel, NdRange::linear(1)).submit().unwrap().wait().unwrap();
+    (seconds / start.elapsed().as_secs_f64()).ceil().clamp(1.0, MAX_ITEMS as f64) as usize
+}
+
+/// A status is held back at most a bounded time, not until the run of
+/// commands it belongs to ends: a launch X on server 0 is followed, in the
+/// same batch, by three more like it, and a marker E on server 1 waits on
+/// X.  E must finish while the last of the launches still runs.  All four
+/// write the same slice, so no coherence traffic splits the batch.
+#[test]
+fn a_dependant_is_not_held_back_by_long_kernels_behind_its_dependency() {
+    let (_cluster, client, _clock) = test_cluster(2, 1);
+    let devices = client.devices();
+    let context = Context::new(&client, &devices).unwrap();
+    let q0 = context.create_command_queue(&devices[0]).unwrap();
+    let q1 = context.create_command_queue(&devices[1]).unwrap();
+    let program = context.create_program_with_source(SPIN).unwrap();
+    program.build().unwrap();
+    let kernel = program.create_kernel("spin").unwrap();
+    kernel.set_arg(0, context.create_buffer(MAX_ITEMS * 4).unwrap()).unwrap();
+    kernel.set_arg(1, Value::uint(1_000_000)).unwrap();
+    let items = items_for(&q0, &kernel, 0.3);
+    let x = q0.launch(&kernel, NdRange::linear(items)).submit().unwrap();
+    let long: Vec<_> =
+        (0..3).map(|_| q0.launch(&kernel, NdRange::linear(items)).submit().unwrap()).collect();
+    // E waits on X, so X's batch (X and the long launches) ships first.
+    let e = q1.marker().after(std::slice::from_ref(&x)).submit().unwrap();
+    assert!(e.wait_timeout(Duration::from_secs(20)).unwrap(), "E never completed");
+    assert!(x.is_terminal());
+    assert!(!long[2].is_terminal(), "E waited for the last long launch");
+    for launch in &long {
+        launch.wait().unwrap();
     }
 }

@@ -200,3 +200,324 @@ proptest! {
         prop_assert!(parallel.execution >= x.execution.max(y.execution) - Duration::from_nanos(1));
     }
 }
+
+// ---------------------------------------------------------------------------
+// Completion reports: every command's status reaches the client exactly once
+// ---------------------------------------------------------------------------
+
+mod completions {
+    use dopencl::protocol::{
+        BatchCommand, BatchEntry, BatchEntryStatus, ClientNotification, EventCompletion,
+        Notification, ObjectId, Request, Response, WireNdRange,
+    };
+    use dopencl::{LinkModel, LocalCluster, NdRange};
+    use gcf::rpc::{Endpoint, EndpointHandler};
+    use gcf::transport::Transport;
+    use gcf::wire::{Decode, Encode};
+    use std::collections::HashMap;
+    use std::sync::{Arc, Mutex, OnceLock};
+    use std::time::{Duration, Instant};
+    use vocl::{CommandQueue, Context, Event, Platform, QueueProperties};
+
+    const INC: &str = "__kernel void inc(__global int* a) { a[get_global_id(0)] += 1; }";
+    const QUEUE: ObjectId = 2;
+    const GOOD_KERNEL: ObjectId = 5;
+    /// Its buffer argument is never set, so it fails when it runs.
+    const BAD_KERNEL: ObjectId = 6;
+
+    /// One command of a random event graph: a launch, or a small read of
+    /// the launches' buffer, which the daemon may run inline.
+    #[derive(Debug, Clone)]
+    pub struct Node {
+        pub server: usize,
+        pub reads: bool,
+        /// A launch whose kernel fails when it runs.
+        pub fails: bool,
+        /// Indices of earlier nodes it waits on.
+        pub waits: Vec<usize>,
+        /// The batch it rides ends after it.
+        pub ends_batch: bool,
+    }
+
+    /// A small client that reports what it hears and forwards statuses to
+    /// the replacements, as the client driver does.
+    #[derive(Default)]
+    struct MiniClient {
+        endpoints: OnceLock<Vec<Arc<Endpoint>>>,
+        /// Every completion heard, in a frame or a response, in order.
+        heard: Mutex<Vec<(ObjectId, i32)>>,
+        state: Mutex<Replication>,
+    }
+
+    #[derive(Default)]
+    struct Replication {
+        /// Statuses heard so far.
+        statuses: HashMap<ObjectId, i32>,
+        /// Servers holding a replacement that still waits for its status.
+        waiting: HashMap<ObjectId, Vec<usize>>,
+    }
+
+    impl MiniClient {
+        fn hear(&self, completions: &[EventCompletion]) {
+            for c in completions {
+                self.heard.lock().unwrap().push((c.event_id, c.status));
+                let mut state = self.state.lock().unwrap();
+                state.statuses.insert(c.event_id, c.status);
+                for server in state.waiting.remove(&c.event_id).unwrap_or_default() {
+                    let forward =
+                        ClientNotification::EventStatus { event_id: c.event_id, status: c.status };
+                    self.endpoints.get().unwrap()[server].notify(forward.to_bytes()).unwrap();
+                }
+            }
+        }
+
+        /// The replacement entry for `event_id` on `server`: created with
+        /// the status if it is known, else forwarded later.
+        fn replicate(&self, event_id: ObjectId, server: usize) -> BatchEntry {
+            let mut state = self.state.lock().unwrap();
+            let status = state.statuses.get(&event_id).copied();
+            if status.is_none() {
+                state.waiting.entry(event_id).or_default().push(server);
+            }
+            let command = BatchCommand::Replacement { status };
+            BatchEntry { command_id: 0, queue_id: 0, event_id, wait_events: vec![], command }
+        }
+    }
+
+    struct Handler(Arc<MiniClient>);
+
+    impl EndpointHandler for Handler {
+        fn handle_request(&self, _payload: &[u8]) -> Vec<u8> {
+            Vec::new()
+        }
+        fn handle_notification(&self, payload: &[u8]) {
+            let Notification::EventsCompleted { events } =
+                Notification::from_bytes(payload).unwrap();
+            self.0.hear(&events);
+        }
+    }
+
+    fn call(endpoint: &Endpoint, request: Request) -> Response {
+        Response::from_bytes(&endpoint.call(request.to_bytes()).unwrap()).unwrap()
+    }
+
+    fn event_id(node: usize) -> ObjectId {
+        1000 + node as ObjectId
+    }
+
+    /// Two daemons, shared by every case; each case is a session of its own.
+    fn cluster() -> &'static LocalCluster {
+        static CLUSTER: OnceLock<LocalCluster> = OnceLock::new();
+        CLUSTER.get_or_init(|| {
+            let mut cluster = LocalCluster::new(LinkModel::gigabit_ethernet());
+            for s in 0..2 {
+                cluster.add_node(&format!("node{s}"), &Platform::test_platform(1)).unwrap();
+            }
+            cluster
+        })
+    }
+
+    /// Run `nodes` on the first `servers` daemons (one queue each) as client
+    /// `case`; return every completion the client heard.
+    pub fn run_remote(servers: usize, case: u32, nodes: &[Node]) -> Vec<(ObjectId, i32)> {
+        let cluster = cluster();
+        let client = Arc::new(MiniClient::default());
+        let transport = cluster.transport();
+        let endpoints: Vec<Arc<Endpoint>> = cluster.daemons()[..servers]
+            .iter()
+            .map(|daemon| {
+                let conn = transport.connect(daemon.address()).unwrap();
+                let endpoint = Endpoint::new(conn, Arc::new(Handler(Arc::clone(&client))), "mini");
+                let hello =
+                    Request::Hello { client_name: format!("mini-{case}"), auth_id: None, epoch: 0 };
+                call(&endpoint, hello);
+                let Response::DeviceList { devices } = call(&endpoint, Request::GetDeviceList)
+                else {
+                    panic!("expected a device list")
+                };
+                let device = devices[0].remote_id;
+                for request in [
+                    Request::CreateContext { context_id: 1, devices: vec![device] },
+                    Request::CreateCommandQueue { queue_id: QUEUE, context_id: 1, device },
+                    Request::CreateBuffer {
+                        buffer_id: 3,
+                        context_id: 1,
+                        size: 64,
+                        readable: true,
+                        writable: true,
+                    },
+                    Request::CreateProgramWithSource {
+                        program_id: 4,
+                        context_id: 1,
+                        source: INC.into(),
+                    },
+                    Request::BuildProgram { program_id: 4 },
+                    Request::CreateKernel {
+                        kernel_id: GOOD_KERNEL,
+                        program_id: 4,
+                        name: "inc".into(),
+                    },
+                    Request::CreateKernel {
+                        kernel_id: BAD_KERNEL,
+                        program_id: 4,
+                        name: "inc".into(),
+                    },
+                    Request::SetKernelArgBuffer { kernel_id: GOOD_KERNEL, index: 0, buffer_id: 3 },
+                ] {
+                    assert!(!matches!(call(&endpoint, request), Response::Error { .. }));
+                }
+                endpoint
+            })
+            .collect();
+        assert!(client.endpoints.set(endpoints).is_ok());
+        let endpoints = client.endpoints.get().unwrap();
+
+        // Ship consecutive nodes of one server as one batch, up to a node
+        // that ends its batch.
+        let mut start = 0;
+        while start < nodes.len() {
+            let server = nodes[start].server;
+            let mut end = start + 1;
+            while end < nodes.len() && nodes[end].server == server && !nodes[end - 1].ends_batch {
+                end += 1;
+            }
+            let mut entries = Vec::new();
+            for node in &nodes[start..end] {
+                for &wait in &node.waits {
+                    if nodes[wait].server != server {
+                        entries.push(client.replicate(event_id(wait), server));
+                    }
+                }
+            }
+            for (index, node) in nodes.iter().enumerate().take(end).skip(start) {
+                let kernel_id = if node.fails { BAD_KERNEL } else { GOOD_KERNEL };
+                let command = if node.reads {
+                    let stream_id = event_id(index);
+                    BatchCommand::ReadBuffer { buffer_id: 3, offset: 0, size: 4, stream_id }
+                } else {
+                    BatchCommand::NdRange { kernel_id, range: WireNdRange(NdRange::linear(4)) }
+                };
+                entries.push(BatchEntry {
+                    command_id: 1 + index as u64,
+                    queue_id: QUEUE,
+                    event_id: event_id(index),
+                    wait_events: node.waits.iter().map(|&w| event_id(w)).collect(),
+                    command,
+                });
+            }
+            let attempted = entries.len();
+            let response = call(&endpoints[server], Request::EnqueueBatch { entries });
+            let Response::BatchEnqueued { statuses, completed } = response else {
+                panic!("expected a batch response, got {response:?}")
+            };
+            assert_eq!(statuses, vec![BatchEntryStatus::ok(); attempted]);
+            client.hear(&completed);
+            start = end;
+        }
+
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while client.state.lock().unwrap().statuses.len() < nodes.len() {
+            assert!(
+                Instant::now() < deadline,
+                "statuses missing: {:?}",
+                client.heard.lock().unwrap()
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // A round trip to every server: whatever was sent before its answer
+        // has been heard.
+        for endpoint in endpoints {
+            call(endpoint, Request::GetSessionInfo);
+        }
+        let heard = client.heard.lock().unwrap().clone();
+        heard
+    }
+
+    /// The terminal status of every node when the same graph runs straight
+    /// on `vocl`, with the daemon's in-batch chaining.
+    pub fn run_direct(servers: usize, nodes: &[Node]) -> Vec<i32> {
+        let platform = Platform::test_platform(servers);
+        let context = Context::new(platform.devices().to_vec()).unwrap();
+        let queues: Vec<Arc<CommandQueue>> = platform
+            .devices()
+            .iter()
+            .map(|d| {
+                CommandQueue::new(Arc::clone(&context), Arc::clone(d), QueueProperties::default())
+                    .unwrap()
+            })
+            .collect();
+        let program = vocl::Program::with_source(Arc::clone(&context), INC);
+        program.build().unwrap();
+        let buffer =
+            vocl::Buffer::new(Arc::clone(&context), 64, vocl::MemFlags::READ_WRITE, None).unwrap();
+        let good = program.create_kernel("inc").unwrap();
+        good.set_arg(0, vocl::KernelArg::Buffer(Arc::clone(&buffer))).unwrap();
+        let bad = program.create_kernel("inc").unwrap();
+        let mut events: Vec<Arc<Event>> = Vec::new();
+        for (index, node) in nodes.iter().enumerate() {
+            let mut wait: Vec<Arc<Event>> =
+                node.waits.iter().map(|&w| Arc::clone(&events[w])).collect();
+            let chained =
+                index > 0 && nodes[index - 1].server == node.server && !nodes[index - 1].ends_batch;
+            if chained {
+                wait.push(Arc::clone(&events[index - 1]));
+            }
+            let queue = &queues[node.server];
+            let kernel = if node.fails { &bad } else { &good };
+            events.push(if node.reads {
+                queue.enqueue_read_buffer(&buffer, 0, 4, wait).unwrap()
+            } else {
+                queue.enqueue_nd_range_kernel(kernel, NdRange::linear(4), wait).unwrap()
+            });
+        }
+        events
+            .iter()
+            .map(|e| {
+                let _ = e.wait();
+                e.status().code()
+            })
+            .collect()
+    }
+}
+
+proptest! {
+    /// Random batches of launches and small reads over one or two daemons,
+    /// with wait lists that cross servers and kernels that fail (their
+    /// dependants fail with -14):
+    /// every command's status reaches the client exactly once, across batch
+    /// responses and `EventsCompleted` frames, and it is the status the
+    /// same graph ends with straight on `vocl`.
+    #[test]
+    fn every_completion_is_reported_exactly_once(
+        servers in 1usize..=2,
+        raw in proptest::collection::vec(
+            (0usize..2, 0u8..5, proptest::collection::vec(any::<u16>(), 0..=2), any::<bool>()),
+            1..=10,
+        ),
+    ) {
+        use completions::{run_direct, run_remote, Node};
+        use std::sync::atomic::{AtomicU32, Ordering};
+        static CASE: AtomicU32 = AtomicU32::new(0);
+        let nodes: Vec<Node> = raw
+            .iter()
+            .enumerate()
+            .map(|(i, (server, kind, waits, ends_batch))| Node {
+                server: server % servers,
+                reads: *kind == 1,
+                fails: *kind == 0,
+                waits: if i == 0 { vec![] } else { waits.iter().map(|&w| w as usize % i).collect() },
+                ends_batch: *ends_batch,
+            })
+            .collect();
+        let case = CASE.fetch_add(1, Ordering::Relaxed);
+        let heard = run_remote(servers, case, &nodes);
+        let expected = run_direct(servers, &nodes);
+        let mut ids: Vec<u64> = heard.iter().map(|&(id, _)| id).collect();
+        ids.sort_unstable();
+        let all: Vec<u64> = (0..nodes.len() as u64).map(|i| 1000 + i).collect();
+        prop_assert_eq!(ids, all, "reports: {:?}, graph: {:?}", heard, nodes);
+        for (id, status) in heard {
+            prop_assert_eq!(status, expected[(id - 1000) as usize], "event {}, graph {:?}", id, nodes);
+        }
+    }
+}
