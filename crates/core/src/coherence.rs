@@ -204,11 +204,6 @@ impl DeltaPlan {
         self.fetches.is_empty() && self.uploads.is_empty()
     }
 
-    /// Total bytes the plan downloads from servers.
-    pub fn fetch_bytes(&self) -> usize {
-        self.fetches.iter().map(|f| f.span.len()).sum()
-    }
-
     /// Total bytes the plan uploads to the target.
     pub fn upload_bytes(&self) -> usize {
         self.uploads.iter().map(|r| r.len()).sum()

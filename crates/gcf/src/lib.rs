@@ -40,7 +40,6 @@
 pub mod error;
 pub mod linkmodel;
 pub mod message;
-pub mod process;
 pub mod retry;
 pub mod rpc;
 pub mod simtime;

@@ -1,6 +1,6 @@
 //! Flush semantics of the batched command pipeline.
 //!
-//! Commands accumulate client-side per queue and ship as one
+//! Commands accumulate client-side per server and ship as one
 //! `EnqueueBatch` request.  These tests pin down *when* the batch crosses
 //! the wire (blocking ops, event waits, markers, explicit flush, queue
 //! drop), that execution within a batch stays in order, and how an error
@@ -192,11 +192,17 @@ fn cross_queue_wait_flushes_the_dependency_first() {
     let q1 = context.create_command_queue(&devices[1]).unwrap();
     let buffer = context.create_buffer(16).unwrap();
 
+    let before = client.traffic_stats();
     let first = queue_write(&q0, &buffer, 1);
-    // q1's write waits on q0's still-pending write: pushing it must flush
-    // q0 so the daemon can resolve the wait list.
+    // q1's write waits on q0's still-pending write.  Both queues live on
+    // one server, so the dependency waits in the same batch, ahead of its
+    // dependant, and the daemon resolves the wait list in batch order.
     let second = q1.write_buffer(&buffer, &[2u8; 16]).after(&[first]).submit().unwrap();
+    assert_eq!(q0.pending_commands(), 1);
+    assert_eq!(q1.pending_commands(), 1);
     second.wait().unwrap();
+    // The dependency and its dependant left in one request.
+    assert_eq!(client.traffic_stats().delta(&before).requests_sent, 1);
     let (data, _) = q1.read_buffer(&buffer).submit().unwrap();
     assert_eq!(data, vec![2u8; 16]);
 }

@@ -841,6 +841,7 @@ fn completion_while_the_client_is_away_reaches_it_after_the_reconnect() {
         slow.wait_timeout(Duration::from_secs(20)).unwrap(),
         "the launch's status was lost with the connection"
     );
+    assert!(client.traffic_stats().reconnects >= 1);
     let epoch = client.session_info(server).unwrap().epoch;
     assert!(epoch >= 1, "the status must have come through a reconnect");
 }
