@@ -92,7 +92,7 @@ fn directory_benches(c: &mut Criterion) {
     for &(offset, size) in &slots {
         dir.record_host_write(0, offset, &patch[..size]);
     }
-    dir.record_upload_range(1, ByteRange::new(0, SHARED_BYTES));
+    dir.record_upload(1, ByteRange::new(0, SHARED_BYTES));
     assert_eq!(dir.segment_count(), 2 * SLOTS + 1);
     let mut written = 0;
     let mut group = c.benchmark_group("coherence");
@@ -103,10 +103,10 @@ fn directory_benches(c: &mut Criterion) {
                 written += 1;
                 dir.record_host_write(0, offset, &patch[..size]);
             }
-            let plan = dir.plan_delta(1);
+            let plan = dir.plan_delta(1, dir.full_range());
             assert_eq!(plan.uploads.len(), PATCHES);
             for upload in &plan.uploads {
-                dir.record_upload_range(1, *upload);
+                dir.record_upload(1, *upload);
             }
         });
     });

@@ -239,8 +239,8 @@ impl ClientInner {
         // daemon's dedup window (keyed by the entries' command ids) makes
         // the replay execute exactly once.
         let payload = self.encode_charged(phase, &request);
-        let response = match self.call_with_recovery(server, &payload) {
-            Ok(response) => response,
+        let (response, epoch) = match self.call_with_recovery(server, &payload) {
+            Ok(answer) => answer,
             Err(e) => {
                 self.fail_events(&event_ids, -14);
                 return Err(e);
@@ -279,6 +279,7 @@ impl ClientInner {
             completed.push(failed_completion(event_id, code));
         }
         self.complete_events(&completed);
+        self.accept_events(server, &event_ids, epoch);
         match first_error {
             Some(e) => Err(e),
             None => Ok(()),
@@ -339,7 +340,7 @@ impl ClientInner {
             )));
         }
         let server = queue.server;
-        self.ensure_valid_range_on(server, buffer, None)?;
+        self.ensure_valid_range_on(server, buffer, ByteRange::new(offset, offset + len))?;
         let stream_id = self.server(server)?.endpoint.allocate_id();
         let command = BatchCommand::ReadBuffer {
             buffer_id: buffer.id,
@@ -387,34 +388,30 @@ impl ClientInner {
                 _ => None,
             }
         };
-        let hint_for =
-            |index: u32, buffer: &Buffer| explicit(buffer.id).or_else(|| derived(index, buffer));
         // Memory consistency: the target server needs a valid copy of every
         // memory object the kernel may read — only the declared slice for
-        // launches carrying an access hint.
-        let buffer_args: Vec<(u32, Buffer)> =
-            kernel.buffer_args.lock().iter().map(|(i, b)| (*i, b.clone())).collect();
-        for (index, buffer) in &buffer_args {
-            match hint_for(*index, buffer) {
-                Some(AccessHint::Touches(slice)) => {
-                    self.ensure_valid_range_on(server, buffer, Some(slice))?
-                }
-                _ => self.ensure_valid_range_on(server, buffer, None)?,
-            }
+        // launches carrying an access hint — and afterwards the kernel may
+        // have written that range of it, unless the argument is read-only.
+        let buffer_args: Vec<(Buffer, ByteRange, bool)> = kernel
+            .buffer_args
+            .lock()
+            .iter()
+            .map(|(&index, buffer)| {
+                let hint = explicit(buffer.id).or_else(|| derived(index, buffer));
+                let range = match hint {
+                    Some(AccessHint::Touches(slice)) => slice,
+                    _ => ByteRange::new(0, buffer.size),
+                };
+                (buffer.clone(), range, hint != Some(AccessHint::ReadsOnly))
+            })
+            .collect();
+        for (buffer, range, _) in &buffer_args {
+            self.ensure_valid_range_on(server, buffer, *range)?;
         }
         let command = BatchCommand::NdRange { kernel_id: kernel.id, range: WireNdRange(range) };
         let event = self.enqueue(queue, Phase::Execution, command, wait)?;
-        // The kernel may have written any of its buffer arguments — only
-        // the declared (or derived) slice when the launch carries an access
-        // hint, and nothing at all for read-only arguments.
-        for (index, buffer) in &buffer_args {
-            match hint_for(*index, buffer) {
-                Some(AccessHint::ReadsOnly) => {}
-                Some(AccessHint::Touches(slice)) => {
-                    buffer.directory.lock().record_device_write_range(server, slice)
-                }
-                None => buffer.directory.lock().record_device_write(server),
-            }
+        for (buffer, range, _) in buffer_args.iter().filter(|(_, _, writes)| *writes) {
+            buffer.directory.lock().record_device_write(server, *range);
         }
         Ok(event)
     }

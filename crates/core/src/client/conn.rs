@@ -45,9 +45,9 @@ pub(super) struct ServerSlot {
     /// is reconnecting it is the dead one, whose name is the address to
     /// redial.
     conn: Option<Arc<ServerConn>>,
-    /// Session epoch of the current connection; bumped on every reconnect
-    /// so the daemon can tell a revival from a fresh client.
-    epoch: u64,
+    /// Epoch of the connection that opened the daemon's current session;
+    /// commands accepted on an earlier connection died with theirs.
+    session_start: u64,
     /// Initialization-phase requests replayed verbatim when the daemon did
     /// not park our session (it was restarted): re-creates every remote
     /// object in original order.
@@ -68,6 +68,9 @@ pub(super) struct ServerConn {
     pub(super) name: String,
     pub(super) endpoint: Arc<Endpoint>,
     pub(super) devices: Vec<DeviceDescriptor>,
+    /// Session epoch the handshake presented; bumped on every reconnect so
+    /// the daemon can tell a revival from a fresh client.
+    pub(super) epoch: u64,
 }
 
 impl ClientInner {
@@ -77,6 +80,11 @@ impl ClientInner {
             .get(index)
             .and_then(|slot| slot.conn.clone())
             .ok_or_else(|| DclError::ServerUnavailable(format!("server #{index}")))
+    }
+
+    /// Epoch of the connection that opened `server`'s current daemon session.
+    pub(super) fn session_start(&self, server: usize) -> u64 {
+        self.servers.lock().get(server).map_or(0, |slot| slot.session_start)
     }
 
     /// Every connected server, by roster index.
@@ -147,11 +155,16 @@ impl ClientInner {
         phase: Phase,
     ) -> Result<Response> {
         let payload = self.encode_charged(phase, &request);
-        let response = self.call_with_recovery(server, &payload)?.into_result()?;
+        let response = self.call_with_recovery(server, &payload)?.0.into_result()?;
         // Record setup requests so a reconnect to a restarted daemon can
-        // re-create the remote objects (see the recovery path).
+        // re-create the remote objects (see the recovery path).  A kernel
+        // argument keeps only its latest setting, moved to the end of the
+        // log: the objects it names were all created before it.
         if Self::is_setup_request(&request) {
             if let Some(slot) = self.servers.lock().get_mut(server) {
+                if let Some(arg) = kernel_arg(&request) {
+                    slot.setup_log.retain(|earlier| kernel_arg(earlier) != Some(arg));
+                }
                 slot.setup_log.push(request);
             }
         }
@@ -180,17 +193,23 @@ impl ClientInner {
 
     /// Call the encoded request `payload` on `server`, transparently
     /// reconnecting and re-sending the same bytes when the connection dies
-    /// mid-call.  Safe because every request the protocol retries this way
+    /// mid-call; returns the answer and the epoch of the connection that
+    /// gave it.  Safe because every request the protocol retries this way
     /// is idempotent — batches through their command ids, creation calls
     /// because they overwrite the same object id.  (Bulk-transfer requests
     /// bypass this path; their stream dies with the connection.)
-    pub(super) fn call_with_recovery(&self, server: usize, payload: &[u8]) -> Result<Response> {
+    pub(super) fn call_with_recovery(
+        &self,
+        server: usize,
+        payload: &[u8],
+    ) -> Result<(Response, u64)> {
         let mut recoveries = 0u32;
         loop {
             let conn = self.server(server)?;
             match conn.endpoint.call(payload.to_vec()) {
                 Ok(bytes) => {
                     return Response::from_bytes(&bytes)
+                        .map(|response| (response, conn.epoch))
                         .map_err(|e| DclError::Protocol(e.to_string()))
                 }
                 Err(e) if e.is_retryable() && recoveries < 3 => {
@@ -207,7 +226,7 @@ impl ClientInner {
     /// Single-flight reconnect for `server`: the first caller redials, all
     /// concurrent detections (supervisor callback, failing calls) wait for
     /// its outcome.  Returns once the slot holds a live connection again.
-    fn recover_server(&self, index: usize) -> Result<()> {
+    pub(super) fn recover_server(&self, index: usize) -> Result<()> {
         if !self.failover.lock().reconnect {
             return Err(DclError::ServerUnavailable(format!(
                 "server #{index} disconnected (failover disabled)"
@@ -215,31 +234,28 @@ impl ClientInner {
         }
         let unavailable =
             |why: &str| Err(DclError::ServerUnavailable(format!("server #{index}{why}")));
-        let (address, epoch, log) = {
+        let (dead, log) = {
             let mut servers = self.servers.lock();
             loop {
                 let Some(slot) = servers.get_mut(index) else { return unavailable("") };
-                let address = match &slot.conn {
+                let dead = match &slot.conn {
                     _ if slot.lost => return unavailable(" is permanently lost"),
                     None => return unavailable(" was dropped"),
                     Some(conn) if conn.endpoint.is_open() => return Ok(()),
-                    Some(conn) => conn.name.clone(),
+                    Some(conn) => Arc::clone(conn),
                 };
                 if !slot.reconnecting {
                     slot.reconnecting = true;
-                    break (address, slot.epoch + 1, slot.setup_log.clone());
+                    break (dead, slot.setup_log.clone());
                 }
                 self.recovery_cond.wait(&mut servers);
             }
         };
-        let result = self.reconnect_attempt(index, &address, epoch, &log);
+        let result = self.reconnect_attempt(index, &dead, &log);
         let lost = result.is_err() && self.failover.lock().drop_lost_servers;
         {
             let slot = &mut self.servers.lock()[index];
             slot.reconnecting = false;
-            if result.is_ok() {
-                slot.epoch = epoch;
-            }
             slot.lost |= lost;
         }
         // Drop the lost server *before* waking waiters: a caller that
@@ -252,29 +268,23 @@ impl ClientInner {
         result
     }
 
-    /// One full redial: retire the dead endpoint, reconnect with backoff,
-    /// re-handshake with the bumped epoch, and — if the daemon did not park
-    /// our session — replay the setup log and invalidate the server's
-    /// buffer copies.  The reconnect counts once the new connection is in
-    /// its slot, and only then do the statuses the daemon re-reported
-    /// during the handshake settle.
-    fn reconnect_attempt(
-        &self,
-        index: usize,
-        address: &str,
-        epoch: u64,
-        log: &[Request],
-    ) -> Result<()> {
+    /// One full redial of the `dead` connection: close it, reconnect with
+    /// backoff, re-handshake with the bumped epoch, and — if the daemon did
+    /// not park our session — replay the setup log, invalidate the
+    /// server's buffer copies and fail the commands the lost session had
+    /// accepted.  The reconnect counts once the new connection is in its
+    /// slot, and only then do the statuses the daemon re-reported during
+    /// the handshake settle.
+    fn reconnect_attempt(&self, index: usize, dead: &ServerConn, log: &[Request]) -> Result<()> {
         // Close the dead endpoint but leave it in its slot: its traffic
         // counters are retired exactly once, when the slot lets go of it
         // (replaced below on success, or by `drop_server` on permanent
         // loss) — retiring here too would double-count.
-        if let Ok(old) = self.server(index) {
-            old.endpoint.close();
-        }
+        dead.endpoint.close();
+        let epoch = dead.epoch + 1;
         let backoff = self.failover.lock().backoff;
         let (conn, handler, resumed) = retry_with_backoff(&backoff, |_attempt| {
-            self.handshake(address, epoch).map_err(|e| match e {
+            self.handshake(&dead.name, epoch).map_err(|e| match e {
                 DclError::Network(g) => g,
                 other => gcf::GcfError::Disconnected(other.to_string()),
             })
@@ -296,6 +306,12 @@ impl ClientInner {
                 slot.retired += old.endpoint.stats();
             }
             slot.retired.reconnects += 1;
+            slot.session_start = if resumed { slot.session_start } else { epoch };
+        }
+        if !resumed {
+            // The lost session's commands never report; a re-sent batch is
+            // accepted anew, on this connection.
+            self.fail_events_owned_by(index, Some(epoch));
         }
         handler.release();
         self.install_supervisor(index, &endpoint);
@@ -338,16 +354,18 @@ impl ClientInner {
                 Response::DeviceList { devices } => devices,
                 other => return Err(DclError::Protocol(format!("unexpected response {other:?}"))),
             };
-        Ok((ServerConn { name: address.to_string(), endpoint, devices }, handler, resumed))
+        Ok((ServerConn { name: address.to_string(), endpoint, devices, epoch }, handler, resumed))
     }
 
-    /// Wire the endpoint's death notification to the recovery routine.  The
-    /// callback runs on the dying endpoint's receiver thread, so the actual
-    /// redial is pushed to a fresh thread.
+    /// Wire the endpoint's death notification to the recovery routine, and
+    /// wake the waits on the server's outstanding events so they can join
+    /// it.  The callback runs on the dying endpoint's receiver thread, so
+    /// the actual redial is pushed to a fresh thread.
     fn install_supervisor(&self, index: usize, endpoint: &Arc<Endpoint>) {
         let weak = self.self_weak.clone();
         endpoint.set_supervisor(Arc::new(move |_reason: &str| {
             let Some(inner) = weak.upgrade() else { return };
+            inner.wake_waiters_on(index);
             std::thread::Builder::new()
                 .name("dcl-reconnect".to_string())
                 .spawn(move || {
@@ -381,7 +399,7 @@ impl ClientInner {
         // ones.
         let abandoned = outgoing.lock().close();
         drop(abandoned);
-        self.fail_events_owned_by(index);
+        self.fail_events_owned_by(index, None);
         // The server's buffer copies are gone with it: delta plans
         // re-validate from the surviving copies — in range mode moving only
         // the ranges that actually lived there.
@@ -405,6 +423,16 @@ impl ClientInner {
     fn exchange(&self, endpoint: &Endpoint, request: &Request, phase: Phase) -> Result<Response> {
         let bytes = endpoint.call(self.encode_charged(phase, request))?;
         Response::from_bytes(&bytes).map_err(|e| DclError::Protocol(e.to_string()))?.into_result()
+    }
+}
+
+/// The `(kernel_id, index)` a `SetKernelArg*` request sets.
+fn kernel_arg(request: &Request) -> Option<(u64, u32)> {
+    match *request {
+        Request::SetKernelArgScalar { kernel_id, index, .. }
+        | Request::SetKernelArgBuffer { kernel_id, index, .. }
+        | Request::SetKernelArgLocal { kernel_id, index, .. } => Some((kernel_id, index)),
+        _ => None,
     }
 }
 
@@ -451,5 +479,13 @@ impl EndpointHandler for ClientHandler {
                 inner.complete_events(&events);
             }
         }
+    }
+}
+
+#[cfg(test)]
+impl ClientInner {
+    /// `server`'s setup log, as a restarted daemon would get it replayed.
+    pub(super) fn setup_log(&self, server: usize) -> Vec<Request> {
+        self.servers.lock()[server].setup_log.clone()
     }
 }

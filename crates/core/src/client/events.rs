@@ -31,6 +31,9 @@ struct EventState {
     /// failed the command locally).
     status: Option<i32>,
     modeled: Duration,
+    /// Epoch of the connection on which the owner's daemon accepted the
+    /// command; `None` until a batch response says it did.
+    accepted_on: Option<u64>,
     /// Servers holding a replacement for this event: a command bound there
     /// waits on it.  Those added while `status` is `None` get the status
     /// forwarded; all of them get the release.
@@ -52,6 +55,20 @@ impl EventRecord {
             state: Mutex::new(EventState::default()),
             cond: Condvar::new(),
         })
+    }
+
+    /// Block until the event is settled (`true`), or until `waiting`,
+    /// asked under the record's lock first and whenever the record is
+    /// woken, turns false (`false`).
+    fn wait_settled_while(&self, waiting: impl Fn() -> bool) -> bool {
+        let mut state = self.state.lock();
+        while !state.settled {
+            if !waiting() {
+                return false;
+            }
+            self.cond.wait(&mut state);
+        }
+        true
     }
 
     /// The last handle dropped: release the event once it is settled (now,
@@ -144,11 +161,8 @@ impl Event {
     pub fn wait(&self) -> Result<()> {
         self.flush_if_pending();
         let record = self.record();
-        let mut state = record.state.lock();
-        while !state.settled {
-            record.cond.wait(&mut state);
-        }
-        outcome(state.status)
+        record.wait_settled_while(|| true);
+        outcome(record.state.lock().status)
     }
 
     /// Wait with a timeout; `Ok(false)` means it expired.  Flushes pending
@@ -221,6 +235,55 @@ impl ClientInner {
         Event { handle: Arc::new(EventHandle(record)) }
     }
 
+    /// The events owned by any of `servers` that are not terminal yet.
+    pub(super) fn outstanding_events(&self, servers: &[usize]) -> Vec<Arc<EventRecord>> {
+        let events = self.events.lock();
+        events.values().filter(|r| servers.contains(&r.owner)).cloned().collect()
+    }
+
+    /// Block until each of `records` is settled.  A wait whose owner's
+    /// connection has died runs the owner's recovery: it goes on once the
+    /// server is back, and returns the recovery's error if it is not, so
+    /// a lost server does not hold the caller forever.
+    pub(super) fn wait_settled(&self, records: &[Arc<EventRecord>]) -> Result<()> {
+        for record in records {
+            loop {
+                let conn = self.server(record.owner)?;
+                if record.wait_settled_while(|| conn.endpoint.is_open()) {
+                    break;
+                }
+                self.recover_server(record.owner).map_err(|e| {
+                    DclError::ServerUnavailable(format!("server #{}: {e}", record.owner))
+                })?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Record that `server`'s daemon accepted the commands of `event_ids`
+    /// on its connection of `epoch`; fail them if a later connection has
+    /// already replaced that session.  A reconnect fails the lost session's
+    /// events after replacing it, so one of the two sees each.
+    pub(super) fn accept_events(&self, server: usize, event_ids: &[ObjectId], epoch: u64) {
+        let events = self.events.lock();
+        for record in event_ids.iter().filter_map(|id| events.get(id)) {
+            record.state.lock().accepted_on = Some(epoch);
+        }
+        drop(events);
+        if epoch < self.session_start(server) {
+            self.fail_events(event_ids, -14);
+        }
+    }
+
+    /// Wake the waiters of every event `server` owns that is not terminal
+    /// yet, so that [`ClientInner::wait_settled`] sees its connection die.
+    pub(super) fn wake_waiters_on(&self, server: usize) {
+        for record in self.outstanding_events(&[server]) {
+            let _state = record.state.lock();
+            record.cond.notify_all();
+        }
+    }
+
     /// Number of events not terminal yet.
     pub(super) fn tracked_events(&self) -> usize {
         self.events.lock().len()
@@ -286,11 +349,15 @@ impl ClientInner {
         self.complete_events(&failed);
     }
 
-    /// Fail every event `server` owns that is not terminal yet with the
-    /// wait-list error.
-    pub(super) fn fail_events_owned_by(&self, server: usize) {
+    /// Fail with the wait-list error every event `server` owns that is not
+    /// terminal yet or, given `before`, only those whose command the daemon
+    /// accepted on a connection before that epoch: their session is gone.
+    pub(super) fn fail_events_owned_by(&self, server: usize, before: Option<u64>) {
+        let accepted_before =
+            |r: &EventRecord, b| r.state.lock().accepted_on.is_some_and(|e| e < b);
+        let lost = |r: &&Arc<EventRecord>| before.is_none_or(|b| accepted_before(r, b));
         let orphaned: Vec<ObjectId> =
-            self.events.lock().values().filter(|r| r.owner == server).map(|r| r.id).collect();
+            self.outstanding_events(&[server]).iter().filter(lost).map(|r| r.id).collect();
         self.fail_events(&orphaned, -14);
     }
 }

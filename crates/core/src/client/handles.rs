@@ -570,7 +570,8 @@ impl PendingRead {
         self.collected = true;
         // Stream-based communication back to the client.
         inner.clock.charge(Phase::DataTransfer, inner.link.transfer_time(self.len as u64));
-        self.buffer.directory.lock().record_host_read(self.server, self.offset, &data);
+        let range = ByteRange::new(self.offset, self.offset + self.len);
+        self.buffer.directory.lock().record_received(self.server, &[range], &data);
         Ok((data, self.event.clone()))
     }
 }

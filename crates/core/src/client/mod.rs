@@ -69,8 +69,10 @@
 //!   server**: that server's batch ships first, since a daemon resolves
 //!   wait lists at enqueue time;
 //! * coherence traffic that must observe queued commands: validating a
-//!   buffer on another server flushes the source/target servers first, and
-//!   [`Client::disconnect_server`] flushes the server being disconnected.
+//!   buffer on another server flushes the source/target servers first (and
+//!   then waits for the commands they still owe, see "Range coherence"),
+//!   and [`Client::disconnect_server`] flushes the server being
+//!   disconnected.
 //!
 //! Ordering within a batch is preserved, and the daemon chains each entry
 //! on its queue predecessor, so an entry that fails mid-batch fails every
@@ -110,15 +112,19 @@
 //! for the full semantics).  Before a command reads a buffer on a server,
 //! the driver asks the directory for a [`crate::coherence::DeltaPlan`] and
 //! moves *only the stale ranges*: it downloads the ranges its own copy
-//! lacks from their current owners (`DownloadBufferRange`), then uploads
-//! the server's stale ranges, all in one `UploadBufferRange`.  Host writes dirty
+//! lacks from their current owners (one `DownloadBufferRange` per owner),
+//! then uploads the server's stale ranges, all in one `UploadBufferRange`.
+//! A read validates only the range it reads.  Before it moves a byte, the
+//! driver waits for every command the target and the owners still owe it
+//! (its own outstanding events), so a move never overtakes a command
+//! submitted before it.  Host writes dirty
 //! exactly the written range; kernel launches dirty the whole buffer unless
 //! the launch declares its access slice with [`LaunchOp::writes_slice`]
 //! (or opts out of dirtying entirely with [`LaunchOp::reads_only`]) — which
 //! is what lets a buffer be partitioned across daemons, each device owning
-//! the slice its launches touch.  When a plan would fragment into more wire
-//! operations than the directory's fragmentation cap, it collapses to a
-//! whole-buffer transfer.
+//! the slice its launches touch.  When a plan would fragment into more
+//! ranges than the directory's fragmentation cap, it collapses to a
+//! whole-buffer upload.
 //!
 //! Setting `DCL_COHERENCE=whole` (or [`Client::set_coherence_mode`])
 //! puts the same directory under the paper's whole-buffer policy: a kernel
@@ -161,7 +167,8 @@
 //!   reads a buffer there re-validates it from a surviving copy through the
 //!   normal [`crate::coherence::DeltaPlan`] machinery, re-uploading only
 //!   the ranges that are stale there (the whole buffer under the
-//!   whole-buffer policy).
+//!   whole-buffer policy).  The commands the lost session had accepted
+//!   will never report, so their events fail with the wait-list error.
 //! * **Exactly-once replay** — every batch entry carries a client-generated
 //!   `command_id`.  A batch whose response was lost is re-sent verbatim
 //!   after the reconnect; the daemon's bounded dedup window recognises ids
@@ -676,9 +683,12 @@ impl Client {
 
 #[cfg(test)]
 mod tests {
-    use crate::{Context, LocalCluster};
+    use crate::protocol::{Request, WireValue};
+    use crate::{Context, LocalCluster, Value};
     use gcf::LinkModel;
     use vocl::Platform;
+
+    const SCALE: &str = "__kernel void scale(__global int* a, int k) { a[get_global_id(0)] *= k; }";
 
     #[test]
     fn dropped_pending_read_leaves_no_stream_behind() {
@@ -703,5 +713,34 @@ mod tests {
         assert_eq!(data.len(), 256 << 10);
         let endpoint = &client.inner.server(0).unwrap().endpoint;
         assert_eq!(endpoint.bulk_streams_held(), 0);
+    }
+
+    #[test]
+    fn setup_log_keeps_one_entry_per_kernel_argument() {
+        let mut cluster = LocalCluster::new(LinkModel::ideal());
+        cluster.add_node("node0", &Platform::test_platform(1)).unwrap();
+        let client = cluster.client("arg-log").unwrap();
+        let devices = client.devices();
+        let context = Context::new(&client, &devices).unwrap();
+        let buffer = context.create_buffer(64).unwrap();
+        let program = context.create_program_with_source(SCALE).unwrap();
+        program.build().unwrap();
+        let kernel = program.create_kernel("scale").unwrap();
+        kernel.set_arg(0, &buffer).unwrap();
+        let before = client.inner.setup_log(0).len();
+        for i in 0..1_000 {
+            kernel.set_arg(1, Value::int(i)).unwrap();
+        }
+        let log = client.inner.setup_log(0);
+        assert_eq!(log.len(), before + 1, "one entry for argument 1");
+        assert!(matches!(
+            log.last(),
+            Some(Request::SetKernelArgScalar { index: 1, value, .. }) if *value == WireValue(Value::int(999))
+        ));
+        // Resetting argument 0 moves its entry to the end, after argument 1.
+        kernel.set_arg(0, &buffer).unwrap();
+        let log = client.inner.setup_log(0);
+        assert_eq!(log.len(), before + 1);
+        assert!(matches!(log.last(), Some(Request::SetKernelArgBuffer { index: 0, .. })));
     }
 }

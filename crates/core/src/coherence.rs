@@ -22,9 +22,10 @@
 //! segment list covering `[0, size)`, each segment holding the client's
 //! validity and two bitmasks over the buffer's server slots (valid copies,
 //! Modified copies), so a segment state is copied and compared in O(1).
-//! Every recording operation (host write, device write, fetch, upload)
-//! splits segments at the range boundaries, updates the covered ones, then
-//! re-coalesces equal neighbours, so the segment list stays minimal.
+//! Every recording operation (host write, device write, bytes received,
+//! upload) splits segments at the range boundaries, updates the covered
+//! ones, then re-coalesces equal neighbours, so the segment list stays
+//! minimal.
 //!
 //! **Cost**, for `n` segments of which an operation covers `k`: finding a
 //! boundary is a binary search; an update changes the `k` covered segments
@@ -43,27 +44,27 @@
 //! Modified owner of its slice and no full-frame round trips occur.
 //!
 //! **Delta planning**: [`BufferDirectory::plan_delta`] computes the minimal
-//! transfer set that makes a server's copy valid, as a [`DeltaPlan`] of
-//! range *fetches* (pull ranges the client lacks from their current owners)
-//! followed by range *uploads* (push exactly the server's stale ranges).
-//! Only stale bytes move; adjacent stale ranges are coalesced.  Each fetch
-//! is one `DownloadBufferRange` request; all uploads go in **one**
-//! `UploadBufferRange { buffer_id, ranges: [(offset, size), ..], stream_id }`
-//! whose bulk stream carries the ranges' bytes back to back (the daemon
-//! checks every range and the stream length before writing any).  A
-//! whole-buffer move is the one-range case `[(0, size)]` of the same two
-//! messages.
+//! transfer set that makes a server's copy valid over a range, as a
+//! [`DeltaPlan`] of *fetches* (pull the ranges the client lacks from their
+//! current owners) followed by range *uploads* (push exactly the server's
+//! stale ranges).  Only stale bytes move; adjacent stale ranges are
+//! coalesced.  A plan fetches from each source once: one
+//! `DownloadBufferRange { buffer_id, ranges: [(offset, size), ..], stream_id }`
+//! whose bulk stream returns the ranges back to back.  All uploads go in
+//! **one** `UploadBufferRange` of the same shape.  The daemon checks that
+//! a list is sorted, disjoint and inside the buffer (and, for an upload,
+//! the stream length) before it copies any byte.  A whole-buffer move is
+//! the one-range case `[(0, size)]` of the same two messages.
 //!
 //! **Fragmentation cap**: a pathological write pattern (e.g. alternating
 //! dirty bytes) can degenerate the interval map into thousands of tiny
-//! ranges whose per-range overhead would dwarf the payload.  When a plan
-//! would need more than [`BufferDirectory::set_fragmentation_cap`] ranges
-//! (fetches plus uploads, default [`DEFAULT_FRAGMENTATION_CAP`]) — which
-//! also bounds the ranges inside one upload message — it *collapses*: the
-//! client fetches each source's ranges as one spanning read (applying only
-//! the valid sub-ranges), completes its copy over the whole buffer, and
-//! ships a single whole-buffer upload — at most one fetch per source plus
-//! one upload.
+//! ranges, and executing a plan updates the directory once per range it
+//! moves.  When a plan would need more than
+//! [`BufferDirectory::set_fragmentation_cap`] ranges (fetched plus
+//! uploaded, default [`DEFAULT_FRAGMENTATION_CAP`]) it *collapses*: the
+//! client completes its copy over the whole buffer (still one fetch per
+//! source) and ships one whole-buffer upload, which is one directory
+//! update.
 //!
 //! **Whole-buffer policy**: the paper's protocol, which moves whole buffers
 //! on every ownership change, is this same directory under
@@ -160,22 +161,14 @@ impl ByteRange {
     }
 }
 
-/// One fetch of a [`DeltaPlan`]: download `span` from `source` and merge the
-/// `apply` sub-ranges of it into the client's copy.
-///
-/// In an uncollapsed plan `apply` is exactly `[span]`.  In a collapsed plan
-/// `span` is the hull of all ranges needed from `source` and `apply` lists
-/// the sub-ranges that are actually valid there — the gap bytes of the
-/// spanning read are discarded, because `source` may hold stale data in the
-/// gaps.
+/// One fetch of a [`DeltaPlan`]: download `ranges` from `source`, which
+/// holds a valid copy of each, in one request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RangeFetch {
     /// Server to download from.
     pub source: usize,
-    /// The contiguous range to download.
-    pub span: ByteRange,
-    /// Sub-ranges of `span` to merge into the client copy.
-    pub apply: Vec<ByteRange>,
+    /// The ranges to download, sorted and disjoint.
+    pub ranges: Vec<ByteRange>,
 }
 
 /// The transfers the client must perform so that a server holds a valid
@@ -184,7 +177,7 @@ pub struct RangeFetch {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DeltaPlan {
     /// Ranges the client must download first (it holds no valid copy of
-    /// them), each from a server that does.
+    /// them), at most one fetch per source, in source order.
     pub fetches: Vec<RangeFetch>,
     /// Ranges to upload to the target server afterwards.
     pub uploads: Vec<ByteRange>,
@@ -194,19 +187,9 @@ pub struct DeltaPlan {
 }
 
 impl DeltaPlan {
-    /// A plan that moves nothing — the server is already valid.
-    pub fn noop() -> DeltaPlan {
-        DeltaPlan::default()
-    }
-
     /// Whether the plan schedules no transfers at all.
     pub fn is_noop(&self) -> bool {
         self.fetches.is_empty() && self.uploads.is_empty()
-    }
-
-    /// Total bytes the plan uploads to the target.
-    pub fn upload_bytes(&self) -> usize {
-        self.uploads.iter().map(|r| r.len()).sum()
     }
 }
 
@@ -253,11 +236,16 @@ fn push_coalesced(out: &mut Vec<ByteRange>, r: ByteRange) {
     }
 }
 
+/// One fetch per source, in source order.
+fn fetches_of(by_source: BTreeMap<usize, Vec<ByteRange>>) -> Vec<RangeFetch> {
+    by_source.into_iter().map(|(source, ranges)| RangeFetch { source, ranges }).collect()
+}
+
 /// Per-buffer directory tracking the state of every copy, byte range by
 /// byte range: segments sorted by start, the first at 0, each different in
 /// state from its neighbours.  See the [module docs](self) for the
-/// semantics; the whole-buffer methods ([`BufferDirectory::record_upload`],
-/// [`BufferDirectory::record_device_write`], ...) operate on the full range.
+/// semantics; every recording method takes the range it covers (pass
+/// [`BufferDirectory::full_range`] for the whole buffer).
 #[derive(Debug, Clone)]
 pub struct BufferDirectory {
     segments: Vec<Segment>,
@@ -275,14 +263,9 @@ pub struct BufferDirectory {
 }
 
 impl BufferDirectory {
-    /// A fresh range-coherence directory: every remote copy is invalid, the
+    /// A fresh directory under `mode`: every remote copy is invalid, the
     /// client's (conceptual, all-zero) copy is shared — exactly the initial
     /// state the paper describes.
-    pub fn new(servers: impl IntoIterator<Item = usize>, size: usize) -> Self {
-        Self::new_with_mode(servers, size, CoherenceMode::Range)
-    }
-
-    /// A fresh directory under an explicit [`CoherenceMode`].
     pub fn new_with_mode(
         servers: impl IntoIterator<Item = usize>,
         size: usize,
@@ -462,13 +445,9 @@ impl BufferDirectory {
         self.ranges_where(self.full_range(), |st| st.valid & bit == 0)
     }
 
-    /// The client's cached bytes, materialising the all-zero default.
-    pub fn client_data(&self) -> Vec<u8> {
-        self.client_data_range(self.full_range())
-    }
-
-    /// The client's cached bytes over `range` (clamped to the buffer).
-    pub fn client_data_range(&self, range: ByteRange) -> Vec<u8> {
+    /// The client's cached bytes over `range` (clamped to the buffer),
+    /// materialising the all-zero default.
+    pub fn client_data(&self, range: ByteRange) -> Vec<u8> {
         let range = range.clamp_to(self.size);
         match &self.client_copy {
             Some(copy) => copy[range.start..range.end].to_vec(),
@@ -498,18 +477,12 @@ impl BufferDirectory {
         self.update_range(range, |_| SegState { client: true, valid: bit, modified: 0 });
     }
 
-    /// Record that a device on `server` (potentially) wrote the whole
-    /// buffer: that copy becomes modified, every other copy — including the
-    /// client's — becomes invalid.
-    pub fn record_device_write(&mut self, server: usize) {
-        self.record_device_write_range(server, self.full_range());
-    }
-
-    /// Record that a device on `server` wrote only `range` (a kernel launch
-    /// with a declared access slice).  The whole-buffer policy widens a
-    /// non-empty slice to the full buffer.  An empty slice dirties nothing —
-    /// widening it would mark a copy Modified that was never validated.
-    pub fn record_device_write_range(&mut self, server: usize, range: ByteRange) {
+    /// Record that a device on `server` (potentially) wrote `range`: that
+    /// copy of it becomes Modified, every other copy — including the
+    /// client's — Invalid.  The whole-buffer policy widens a non-empty
+    /// range to the full buffer.  An empty range dirties nothing — widening
+    /// it would mark a copy Modified that was never validated.
+    pub fn record_device_write(&mut self, server: usize, range: ByteRange) {
         let range = if self.whole && !range.clamp_to(self.size).is_empty() {
             self.full_range()
         } else {
@@ -519,62 +492,31 @@ impl BufferDirectory {
         self.update_range(range, |_| SegState { client: false, valid: bit, modified: bit });
     }
 
-    /// The client copy of `r` became valid from `bit`'s copy, which is now
-    /// Shared there if it was Modified.
-    fn refresh_client(&mut self, r: ByteRange, src: &[u8], bit: Mask) {
-        self.client_data_mut()[r.start..r.end].copy_from_slice(src);
-        self.update_range(r, |st| SegState { client: true, modified: st.modified & !bit, ..st });
-    }
-
-    /// Record that the client read the buffer back from `server`
-    /// (`clEnqueueReadBuffer`): the read bytes refresh the client's copy
-    /// over the ranges the server validly owns, and a Modified owner is
-    /// demoted to Shared there.
-    pub fn record_host_read(&mut self, server: usize, offset: usize, data: &[u8]) {
-        if offset >= self.size {
-            return;
-        }
-        let range = ByteRange::new(offset, offset + data.len()).clamp_to(self.size);
-        // Only ranges where the server actually holds a valid copy can
-        // refresh the client copy (defensive: the client validates the
-        // server before reading).
+    /// Record that the client received `ranges` of the buffer from `server`,
+    /// their bytes back to back in `data`: a host read
+    /// (`clEnqueueReadBuffer`) or a plan's fetch.  The bytes refresh the
+    /// client's copy where the server holds a valid copy, and a Modified
+    /// owner is demoted to Shared there.  Elsewhere they are dropped: the
+    /// server's bytes there may be stale.
+    pub fn record_received(&mut self, server: usize, ranges: &[ByteRange], data: &[u8]) {
         let bit = self.bit(server);
-        for r in self.ranges_where(range, |st| st.valid & bit != 0) {
-            self.refresh_client(r, &data[r.start - offset..r.end - offset], bit);
+        let mut at = 0;
+        for range in ranges {
+            for r in self.ranges_where(*range, |st| st.valid & bit != 0) {
+                let src = &data[at + r.start - range.start..at + r.end - range.start];
+                self.client_data_mut()[r.start..r.end].copy_from_slice(src);
+                self.update_range(r, |st| SegState {
+                    client: true,
+                    modified: st.modified & !bit,
+                    ..st
+                });
+            }
+            at += range.len();
         }
-    }
-
-    /// Record that the client downloaded a full valid copy from a server:
-    /// both the source copy and the client copy are now shared.
-    pub fn record_client_fetch(&mut self, source: usize, data: Vec<u8>) {
-        let full = self.full_range();
-        self.record_client_fetch_ranges(source, full, &[full], &data);
-    }
-
-    /// Record a [`RangeFetch`]: `data` holds `span` downloaded from
-    /// `source`; the `apply` sub-ranges of it are merged into the client's
-    /// copy and become shared with the source.
-    pub fn record_client_fetch_ranges(
-        &mut self,
-        source: usize,
-        span: ByteRange,
-        apply: &[ByteRange],
-        data: &[u8],
-    ) {
-        let span = span.clamp_to(self.size);
-        let bit = self.bit(source);
-        for r in apply.iter().filter_map(|r| r.intersect(span)) {
-            self.refresh_client(r, &data[r.start - span.start..r.end - span.start], bit);
-        }
-    }
-
-    /// Record that the client uploaded its valid copy to `server`.
-    pub fn record_upload(&mut self, server: usize) {
-        self.record_upload_range(server, self.full_range());
     }
 
     /// Record that the client uploaded `range` of its copy to `server`.
-    pub fn record_upload_range(&mut self, server: usize, range: ByteRange) {
+    pub fn record_upload(&mut self, server: usize, range: ByteRange) {
         self.add_server(server);
         let bit = self.bit(server);
         // With no valid copy anywhere the uploaded (zero/stale) client bytes
@@ -625,17 +567,12 @@ impl BufferDirectory {
 
     // ----- delta planning --------------------------------------------------
 
-    /// The minimal delta set that makes `server`'s whole copy valid.
-    pub fn plan_delta(&self, server: usize) -> DeltaPlan {
-        self.plan_delta_range(server, self.full_range())
-    }
-
     /// The minimal delta set that makes `server` valid over `bound`, in one
     /// pass over its segments: every range stale on `server` is uploaded,
     /// and the part of it the client lacks is first fetched from the lowest
     /// server holding it.  The whole-buffer policy plans a non-empty bound
     /// over the whole buffer and collapses any plan that moves bytes.
-    pub fn plan_delta_range(&self, server: usize, bound: ByteRange) -> DeltaPlan {
+    pub fn plan_delta(&self, server: usize, bound: ByteRange) -> DeltaPlan {
         let bound = if self.whole && !bound.clamp_to(self.size).is_empty() {
             self.full_range()
         } else {
@@ -643,7 +580,7 @@ impl BufferDirectory {
         };
         let bit = self.bit(server);
         let mut uploads = Vec::new();
-        let mut needs: Vec<(usize, ByteRange)> = Vec::new();
+        let mut by_source: BTreeMap<usize, Vec<ByteRange>> = BTreeMap::new();
         for (r, st) in self.segments_in(bound) {
             if st.valid & bit != 0 {
                 continue;
@@ -652,26 +589,18 @@ impl BufferDirectory {
             // With no server copy either, the (zero/stale) client bytes are
             // uploaded as they are.
             let Some(src) = self.first_server(st.valid).filter(|_| !st.client) else { continue };
-            match needs.last_mut() {
-                Some((last_src, last)) if *last_src == src && last.end == r.start => {
-                    last.end = r.end
-                }
-                _ => needs.push((src, r)),
-            }
+            push_coalesced(by_source.entry(src).or_default(), r);
         }
-        if needs.len() + uploads.len() > self.frag_cap || self.whole && !uploads.is_empty() {
+        let fetched: usize = by_source.values().map(Vec::len).sum();
+        if fetched + uploads.len() > self.frag_cap || self.whole && !uploads.is_empty() {
             return self.collapsed_plan();
         }
-        let fetches = needs
-            .into_iter()
-            .map(|(source, r)| RangeFetch { source, span: r, apply: vec![r] })
-            .collect();
-        DeltaPlan { fetches, uploads, collapsed: false }
+        DeltaPlan { fetches: fetches_of(by_source), uploads, collapsed: false }
     }
 
     /// The collapsed plan: complete the client's copy over the *whole*
-    /// buffer (one spanning fetch per source, applying only the sub-ranges
-    /// that are valid there), then one whole-buffer upload.
+    /// buffer (from each source, the ranges the client lacks that it
+    /// holds), then one whole-buffer upload.
     fn collapsed_plan(&self) -> DeltaPlan {
         let mut by_source: BTreeMap<usize, Vec<ByteRange>> = BTreeMap::new();
         for (r, st) in self.segments_in(self.full_range()) {
@@ -679,15 +608,11 @@ impl BufferDirectory {
                 push_coalesced(by_source.entry(src).or_default(), r);
             }
         }
-        let fetches = by_source
-            .into_iter()
-            .map(|(source, apply)| RangeFetch {
-                source,
-                span: ByteRange::new(apply[0].start, apply[apply.len() - 1].end),
-                apply,
-            })
-            .collect();
-        DeltaPlan { fetches, uploads: vec![self.full_range()], collapsed: true }
+        DeltaPlan {
+            fetches: fetches_of(by_source),
+            uploads: vec![self.full_range()],
+            collapsed: true,
+        }
     }
 
     /// Check the directory's structural invariants (used by the property
@@ -736,10 +661,10 @@ mod tests {
             let dir = BufferDirectory::new_with_mode([0, 1], 16, mode);
             assert_eq!(dir.server_state(0), CoherenceState::Invalid);
             assert_eq!(dir.client_state(), CoherenceState::Shared);
-            let plan = dir.plan_delta(0);
+            let plan = dir.plan_delta(0, dir.full_range());
             assert!(plan.fetches.is_empty());
             assert_eq!(plan.uploads, vec![dir.full_range()]);
-            assert_eq!(dir.client_data(), vec![0u8; 16]);
+            assert_eq!(dir.client_data(dir.full_range()), vec![0u8; 16]);
             assert!(dir.valid_servers().is_empty());
             dir.check_invariants().unwrap();
         });
@@ -752,9 +677,9 @@ mod tests {
             dir.record_host_write(0, 0, &[1, 2, 3, 4]);
             assert_eq!(dir.server_state(0), CoherenceState::Shared);
             assert_eq!(dir.server_state(1), CoherenceState::Invalid);
-            assert_eq!(dir.client_data(), vec![1, 2, 3, 4]);
-            assert!(dir.plan_delta(0).is_noop());
-            let plan = dir.plan_delta(1);
+            assert_eq!(dir.client_data(dir.full_range()), vec![1, 2, 3, 4]);
+            assert!(dir.plan_delta(0, dir.full_range()).is_noop());
+            let plan = dir.plan_delta(1, dir.full_range());
             assert!(plan.fetches.is_empty());
             assert_eq!(plan.uploads, vec![dir.full_range()]);
             dir.check_invariants().unwrap();
@@ -767,7 +692,7 @@ mod tests {
             let mut dir = BufferDirectory::new_with_mode([0], 8, mode);
             dir.record_host_write(0, 0, &[1, 1, 1, 1, 1, 1, 1, 1]);
             dir.record_host_write(0, 4, &[2, 2, 2, 2]);
-            assert_eq!(dir.client_data(), vec![1, 1, 1, 1, 2, 2, 2, 2]);
+            assert_eq!(dir.client_data(dir.full_range()), vec![1, 1, 1, 1, 2, 2, 2, 2]);
         });
     }
 
@@ -776,17 +701,17 @@ mod tests {
         both_modes(|mode| {
             let mut dir = BufferDirectory::new_with_mode([0, 1], 8, mode);
             dir.record_host_write(0, 0, &[7; 8]);
-            dir.record_device_write(0);
+            dir.record_device_write(0, dir.full_range());
             assert_eq!(dir.server_state(0), CoherenceState::Modified);
             assert_eq!(dir.client_state(), CoherenceState::Invalid);
-            assert_eq!(dir.plan_delta(1).fetches[0].source, 0);
+            assert_eq!(dir.plan_delta(1, dir.full_range()).fetches[0].source, 0);
             // After the fetch + upload, both servers and the client share.
-            dir.record_client_fetch(0, vec![9; 8]);
-            dir.record_upload(1);
+            dir.record_received(0, &[dir.full_range()], &[9; 8]);
+            dir.record_upload(1, dir.full_range());
             assert_eq!(dir.server_state(0), CoherenceState::Shared);
             assert_eq!(dir.server_state(1), CoherenceState::Shared);
             assert_eq!(dir.client_state(), CoherenceState::Shared);
-            assert_eq!(dir.client_data(), vec![9; 8]);
+            assert_eq!(dir.client_data(dir.full_range()), vec![9; 8]);
             assert_eq!(dir.valid_servers(), vec![0, 1]);
             dir.check_invariants().unwrap();
         });
@@ -796,11 +721,11 @@ mod tests {
     fn host_read_demotes_modified_to_shared() {
         both_modes(|mode| {
             let mut dir = BufferDirectory::new_with_mode([0, 1], 4, mode);
-            dir.record_device_write(1);
-            dir.record_host_read(1, 0, &[5, 6, 7, 8]);
+            dir.record_device_write(1, dir.full_range());
+            dir.record_received(1, &[ByteRange::new(0, 4)], &[5, 6, 7, 8]);
             assert_eq!(dir.server_state(1), CoherenceState::Shared);
             assert_eq!(dir.client_state(), CoherenceState::Shared);
-            assert_eq!(dir.client_data(), vec![5, 6, 7, 8]);
+            assert_eq!(dir.client_data(dir.full_range()), vec![5, 6, 7, 8]);
         });
     }
 
@@ -808,8 +733,8 @@ mod tests {
     fn partial_read_does_not_mark_whole_client_valid() {
         both_modes(|mode| {
             let mut dir = BufferDirectory::new_with_mode([0], 8, mode);
-            dir.record_device_write(0);
-            dir.record_host_read(0, 0, &[1, 2]);
+            dir.record_device_write(0, dir.full_range());
+            dir.record_received(0, &[ByteRange::new(0, 2)], &[1, 2]);
             assert_eq!(dir.client_state(), CoherenceState::Invalid);
         });
     }
@@ -830,20 +755,19 @@ mod tests {
         // the whole copy, because the whole-buffer policy widens its write.
         let mut dir = BufferDirectory::new_with_mode([0, 1], 32, CoherenceMode::Whole);
         dir.record_host_write(0, 0, &[1; 32]);
-        dir.record_device_write(0);
+        dir.record_device_write(0, dir.full_range());
         dir.record_host_write(1, 0, &[2; 8]);
         assert_eq!(dir.valid_ranges(1), vec![ByteRange::new(0, 8)]);
-        let plan = dir.plan_delta_range(1, ByteRange::new(0, 8));
+        let plan = dir.plan_delta(1, ByteRange::new(0, 8));
         assert!(plan.collapsed);
         assert_eq!(plan.uploads, vec![dir.full_range()]);
         assert_eq!(plan.fetches.len(), 1);
         assert_eq!(plan.fetches[0].source, 0);
-        assert_eq!(plan.fetches[0].apply, vec![ByteRange::new(8, 32)]);
-        assert!(dir.plan_delta_range(1, ByteRange::new(4, 4)).is_noop());
-        let fetched = ByteRange::new(8, 32);
-        dir.record_client_fetch_ranges(0, fetched, &[fetched], &[3; 24]);
-        dir.record_upload(1);
-        dir.record_device_write_range(1, ByteRange::new(0, 8));
+        assert_eq!(plan.fetches[0].ranges, vec![ByteRange::new(8, 32)]);
+        assert!(dir.plan_delta(1, ByteRange::new(4, 4)).is_noop());
+        dir.record_received(0, &[ByteRange::new(8, 32)], &[3; 24]);
+        dir.record_upload(1, dir.full_range());
+        dir.record_device_write(1, ByteRange::new(0, 8));
         assert_eq!(dir.valid_ranges(1), vec![dir.full_range()]);
         assert_eq!(dir.server_state(1), CoherenceState::Modified);
         assert!(dir.valid_ranges(0).is_empty());
@@ -861,9 +785,9 @@ mod tests {
             dir.record_host_write(1, 4, &[]);
             assert_eq!(dir.server_state(0), before.server_state(0));
             assert_eq!(dir.server_state(1), before.server_state(1));
-            assert_eq!(dir.client_data(), before.client_data());
+            assert_eq!(dir.client_data(dir.full_range()), before.client_data(before.full_range()));
             assert_eq!(dir.segment_count(), before.segment_count());
-            dir.record_device_write_range(0, ByteRange::new(4, 4));
+            dir.record_device_write(0, ByteRange::new(4, 4));
             assert_eq!(dir.client_state(), CoherenceState::Shared);
             dir.check_invariants().unwrap();
         });
@@ -878,7 +802,7 @@ mod tests {
         // Three adjacent writes with identical state outcomes: one segment.
         assert_eq!(dir.segment_count(), 1);
         assert_eq!(dir.stale_ranges(1), vec![ByteRange::new(0, 64)]);
-        let plan = dir.plan_delta(1);
+        let plan = dir.plan_delta(1, dir.full_range());
         assert_eq!(plan.uploads, vec![ByteRange::new(0, 64)]);
         assert!(plan.fetches.is_empty());
         dir.check_invariants().unwrap();
@@ -895,7 +819,7 @@ mod tests {
         let mut expect = vec![0u8; 32];
         expect[4..16].fill(1);
         expect[8..24].fill(2);
-        assert_eq!(dir.client_data(), expect);
+        assert_eq!(dir.client_data(dir.full_range()), expect);
         dir.check_invariants().unwrap();
     }
 
@@ -905,37 +829,37 @@ mod tests {
         // boundary.
         let mut dir = BufferDirectory::new_with_mode([0, 1], 32, CoherenceMode::Range);
         dir.record_host_write(0, 0, &[1; 32]);
-        dir.record_upload(1);
-        dir.record_device_write_range(0, ByteRange::new(0, 16));
-        dir.record_device_write_range(1, ByteRange::new(16, 32));
+        dir.record_upload(1, dir.full_range());
+        dir.record_device_write(0, ByteRange::new(0, 16));
+        dir.record_device_write(1, ByteRange::new(16, 32));
         assert_eq!(dir.valid_ranges(0), vec![ByteRange::new(0, 16)]);
         assert_eq!(dir.valid_ranges(1), vec![ByteRange::new(16, 32)]);
         dir.check_invariants().unwrap();
         // Now server 1 writes across the boundary: [12, 20).
-        dir.record_device_write_range(1, ByteRange::new(12, 20));
+        dir.record_device_write(1, ByteRange::new(12, 20));
         assert_eq!(dir.valid_ranges(0), vec![ByteRange::new(0, 12)]);
         assert_eq!(dir.valid_ranges(1), vec![ByteRange::new(12, 32)]);
         dir.check_invariants().unwrap();
         // Validating server 0 moves only the 20 stale bytes, fetched from
         // their Modified owner.
-        let plan = dir.plan_delta(0);
+        let plan = dir.plan_delta(0, dir.full_range());
         assert_eq!(plan.uploads, vec![ByteRange::new(12, 32)]);
         assert_eq!(plan.fetches.len(), 1);
         assert_eq!(plan.fetches[0].source, 1);
-        assert_eq!(plan.fetches[0].span, ByteRange::new(12, 32));
-        assert_eq!(plan.upload_bytes(), 20);
+        assert_eq!(plan.fetches[0].ranges, vec![ByteRange::new(12, 32)]);
+        assert_eq!(plan.uploads.iter().map(ByteRange::len).sum::<usize>(), 20);
     }
 
     #[test]
     fn delta_plan_moves_only_stale_ranges() {
         let mut dir = BufferDirectory::new_with_mode([0, 1], 100, CoherenceMode::Range);
         dir.record_host_write(0, 0, &[1; 100]);
-        dir.record_upload(1); // both servers fully valid
+        dir.record_upload(1, dir.full_range()); // both servers fully valid
         dir.record_host_write(0, 40, &[9; 10]); // dirty 10% towards server 0
-        let plan = dir.plan_delta(1);
+        let plan = dir.plan_delta(1, dir.full_range());
         assert!(plan.fetches.is_empty(), "client is valid, no fetch needed");
         assert_eq!(plan.uploads, vec![ByteRange::new(40, 50)]);
-        assert_eq!(plan.upload_bytes(), 10);
+        assert_eq!(plan.uploads.iter().map(ByteRange::len).sum::<usize>(), 10);
         assert!(!plan.collapsed);
     }
 
@@ -943,45 +867,44 @@ mod tests {
     fn fragmentation_cap_collapses_to_whole_buffer() {
         let mut dir = BufferDirectory::new_with_mode([0, 1], 256, CoherenceMode::Range);
         dir.record_host_write(0, 0, &[1; 256]);
-        dir.record_upload(1);
+        dir.record_upload(1, dir.full_range());
         dir.set_fragmentation_cap(4);
         // Dirty every other 2-byte chunk: 64 fragments towards server 1.
         for i in 0..64 {
             dir.record_host_write(0, i * 4, &[9, 9]);
         }
         assert!(dir.segment_count() > 4);
-        let plan = dir.plan_delta(1);
+        let plan = dir.plan_delta(1, dir.full_range());
         assert!(plan.collapsed);
         assert_eq!(plan.uploads, vec![ByteRange::new(0, 256)]);
         assert!(plan.fetches.is_empty(), "client holds the whole buffer");
         // Executing the collapsed plan validates the server in one go.
-        dir.record_upload_range(1, ByteRange::new(0, 256));
-        assert!(dir.plan_delta(1).is_noop());
+        dir.record_upload(1, ByteRange::new(0, 256));
+        assert!(dir.plan_delta(1, dir.full_range()).is_noop());
         assert_eq!(dir.segment_count(), 1);
         dir.check_invariants().unwrap();
     }
 
     #[test]
-    fn collapsed_plan_fetches_spans_but_applies_only_valid_subranges() {
+    fn collapsed_plan_fetches_only_the_owned_subranges_in_one_request() {
         // Device writes fragment server 0's ownership; the collapsed plan
-        // must fetch a span from server 0 yet apply only the sub-ranges
-        // server 0 validly owns, and still upload the whole buffer.
+        // fetches exactly the sub-ranges server 0 validly owns, in one
+        // fetch, and still uploads the whole buffer.
         let mut dir = BufferDirectory::new_with_mode([0, 1], 64, CoherenceMode::Range);
         dir.record_host_write(0, 0, &[1; 64]);
-        dir.record_upload(1);
+        dir.record_upload(1, dir.full_range());
         dir.set_fragmentation_cap(2);
         for i in 0..8 {
-            dir.record_device_write_range(0, ByteRange::new(i * 8, i * 8 + 4));
+            dir.record_device_write(0, ByteRange::new(i * 8, i * 8 + 4));
         }
-        let plan = dir.plan_delta(1);
+        let plan = dir.plan_delta(1, dir.full_range());
         assert!(plan.collapsed);
         assert_eq!(plan.uploads, vec![ByteRange::new(0, 64)]);
         assert_eq!(plan.fetches.len(), 1);
         let fetch = &plan.fetches[0];
         assert_eq!(fetch.source, 0);
-        assert_eq!(fetch.span, ByteRange::new(0, 60));
-        assert_eq!(fetch.apply.len(), 8);
-        for (i, r) in fetch.apply.iter().enumerate() {
+        assert_eq!(fetch.ranges.len(), 8);
+        for (i, r) in fetch.ranges.iter().enumerate() {
             assert_eq!(*r, ByteRange::new(i * 8, i * 8 + 4));
         }
     }
@@ -992,12 +915,12 @@ mod tests {
         // bytes for the owner's own launches.
         let mut dir = BufferDirectory::new_with_mode([0, 1], 128, CoherenceMode::Range);
         dir.record_host_write(0, 0, &[0; 128]);
-        dir.record_upload(1);
+        dir.record_upload(1, dir.full_range());
         for _ in 0..10 {
-            assert!(dir.plan_delta_range(0, ByteRange::new(0, 64)).is_noop());
-            dir.record_device_write_range(0, ByteRange::new(0, 64));
-            assert!(dir.plan_delta_range(1, ByteRange::new(64, 128)).is_noop());
-            dir.record_device_write_range(1, ByteRange::new(64, 128));
+            assert!(dir.plan_delta(0, ByteRange::new(0, 64)).is_noop());
+            dir.record_device_write(0, ByteRange::new(0, 64));
+            assert!(dir.plan_delta(1, ByteRange::new(64, 128)).is_noop());
+            dir.record_device_write(1, ByteRange::new(64, 128));
             dir.check_invariants().unwrap();
         }
         assert_eq!(dir.valid_ranges(0), vec![ByteRange::new(0, 64)]);
@@ -1008,15 +931,15 @@ mod tests {
     fn invalidate_server_degrades_only_lost_ranges() {
         let mut dir = BufferDirectory::new_with_mode([0, 1], 32, CoherenceMode::Range);
         dir.record_host_write(0, 0, &[3; 32]);
-        dir.record_upload(1);
+        dir.record_upload(1, dir.full_range());
         // Server 0 exclusively owns [0, 16) after a device write.
-        dir.record_device_write_range(0, ByteRange::new(0, 16));
+        dir.record_device_write(0, ByteRange::new(0, 16));
         assert!(dir.invalidate_server(0), "its half is lost");
         // The surviving half is still valid on server 1; the lost half
         // degraded to the stale client copy.
         assert_eq!(dir.valid_ranges(1), vec![ByteRange::new(16, 32)]);
         dir.check_invariants().unwrap();
-        let plan = dir.plan_delta(1);
+        let plan = dir.plan_delta(1, dir.full_range());
         assert_eq!(plan.uploads, vec![ByteRange::new(0, 16)]);
         assert!(plan.fetches.is_empty());
     }
@@ -1164,30 +1087,40 @@ mod tests {
                     .map(|(_, r)| r)
                     .collect();
                 let need = |b: usize| self.source(b).filter(|_| !self.client[b]);
-                let fetches: Vec<RangeFetch> = self
-                    .runs(bound, |b| need(b).filter(|_| stale(b)))
-                    .into_iter()
-                    .map(|(source, r)| RangeFetch { source, span: r, apply: vec![r] })
-                    .collect();
+                // One fetch per source, in source order, of its runs.
+                let fetches = |runs: Vec<(usize, ByteRange)>| -> Vec<RangeFetch> {
+                    let mut by_source: BTreeMap<usize, Vec<ByteRange>> = BTreeMap::new();
+                    for (source, r) in runs {
+                        by_source.entry(source).or_default().push(r);
+                    }
+                    by_source
+                        .into_iter()
+                        .map(|(source, ranges)| RangeFetch { source, ranges })
+                        .collect()
+                };
+                let needed = self.runs(bound, |b| need(b).filter(|_| stale(b)));
                 if uploads.is_empty() {
-                    return DeltaPlan::noop();
+                    return DeltaPlan::default();
                 }
-                if !self.whole && fetches.len() + uploads.len() <= cap {
-                    return DeltaPlan { fetches, uploads, collapsed: false };
+                if !self.whole && needed.len() + uploads.len() <= cap {
+                    return DeltaPlan { fetches: fetches(needed), uploads, collapsed: false };
                 }
-                let mut by_source: BTreeMap<usize, Vec<ByteRange>> = BTreeMap::new();
-                for (source, r) in self.runs(ByteRange::new(0, SIZE), need) {
-                    by_source.entry(source).or_default().push(r);
-                }
-                let fetches = by_source
-                    .into_iter()
-                    .map(|(source, apply)| RangeFetch {
-                        source,
-                        span: ByteRange::new(apply[0].start, apply[apply.len() - 1].end),
-                        apply,
-                    })
-                    .collect();
+                let fetches = fetches(self.runs(ByteRange::new(0, SIZE), need));
                 DeltaPlan { fetches, uploads: vec![ByteRange::new(0, SIZE)], collapsed: true }
+            }
+
+            /// The client received `ranges` from `server`, back to back in
+            /// `data`: each byte the server holds refreshes the client.
+            fn receive(&mut self, server: usize, ranges: &[ByteRange], data: &[u8]) {
+                let mut at = 0;
+                for r in ranges {
+                    for x in r.start..r.end.min(SIZE) {
+                        if self.valid(server, x) {
+                            self.refresh(x, data[at + x - r.start], server);
+                        }
+                    }
+                    at += r.len();
+                }
             }
         }
 
@@ -1219,7 +1152,7 @@ mod tests {
                 assert_eq!(dir.valid_ranges(server), valid, "{step}: valid ranges of {server}");
                 assert_eq!(dir.stale_ranges(server), stale, "{step}: stale ranges of {server}");
             }
-            assert_eq!(dir.client_data(), model.data, "{step}: client data");
+            assert_eq!(dir.client_data(dir.full_range()), model.data, "{step}: client data");
             assert_eq!(dir.client_valid(), model.client.iter().all(|&c| c), "{step}: client valid");
         }
 
@@ -1233,7 +1166,7 @@ mod tests {
             for k in 0..SIZE / 8 {
                 let (server, r) = (k % 3, ByteRange::new(k * 8 + k % 3, k * 8 + 4 + k % 4));
                 if k % 4 == 3 {
-                    dir.record_device_write_range(server, r);
+                    dir.record_device_write(server, r);
                     model.set(r, false, |s| if s == server { Modified } else { Invalid });
                 } else {
                     let data = bytes(k as u64, r.len());
@@ -1280,60 +1213,50 @@ mod tests {
                         1 | 2 if registered => {
                             let widen = op == 1 || whole && !clamped.is_empty();
                             let r = if widen { ByteRange::new(0, SIZE) } else { clamped };
-                            if op == 1 {
-                                dir.record_device_write(server);
-                            } else {
-                                dir.record_device_write_range(server, r);
-                            }
+                            dir.record_device_write(server, if op == 1 { r } else { clamped });
                             model.set(r, false, |s| if s == server { Modified } else { Invalid });
                         }
                         3 => {
                             let data = bytes(a.rotate_left(7), r.len());
-                            dir.record_host_read(server, r.start, &data);
-                            for x in clamped.start..clamped.end {
-                                if r.start < SIZE && model.valid(server, x) {
-                                    model.refresh(x, data[x - r.start], server);
-                                }
-                            }
+                            dir.record_received(server, &[r], &data);
+                            model.receive(server, &[r], &data);
                         }
-                        4 if registered => {
-                            let apply = [range(b, a).clamp_to(SIZE), range(a ^ b, b)];
-                            let data = bytes(b, clamped.len());
-                            dir.record_client_fetch_ranges(server, clamped, &apply, &data);
-                            for x in apply.iter().filter_map(|r| r.intersect(clamped)) {
-                                for y in x.start..x.end {
-                                    model.refresh(y, data[y - clamped.start], server);
-                                }
-                            }
+                        4 => {
+                            let ranges = [r, range(b, a), range(a ^ b, b)];
+                            let data = bytes(b, ranges.iter().map(ByteRange::len).sum());
+                            dir.record_received(server, &ranges, &data);
+                            model.receive(server, &ranges, &data);
                         }
                         5 => {
                             let bound = if a % 2 == 0 { ByteRange::new(0, SIZE) } else { r };
-                            let plan = dir.plan_delta_range(server, bound);
+                            let plan = dir.plan_delta(server, bound);
                             assert_eq!(plan, model.plan(server, bound.clamp_to(SIZE), cap), "op {i}: plan");
                             for f in &plan.fetches {
-                                let data = bytes(f.span.start as u64 ^ a, f.span.len());
-                                dir.record_client_fetch_ranges(f.source, f.span, &f.apply, &data);
-                                for x in &f.apply {
+                                let len = f.ranges.iter().map(ByteRange::len).sum();
+                                let data = bytes(f.ranges[0].start as u64 ^ a, len);
+                                for x in &f.ranges {
                                     for y in x.start..x.end {
-                                        model.refresh(y, data[y - f.span.start], f.source);
+                                        assert!(model.valid(f.source, y), "op {i}: fetch of byte {y} from a stale copy");
                                     }
                                 }
+                                dir.record_received(f.source, &f.ranges, &data);
+                                model.receive(f.source, &f.ranges, &data);
                             }
                             for u in &plan.uploads {
                                 for b in u.start..u.end {
                                     let held = model.client[b] || model.source(b).is_none();
                                     assert!(held, "op {i}: upload ships byte {b} the client lacks");
                                 }
-                                dir.record_upload_range(server, *u);
+                                dir.record_upload(server, *u);
                                 model.upload(server, *u);
                             }
-                            assert!(dir.plan_delta_range(server, bound).is_noop(), "op {i}: executed plan");
+                            assert!(dir.plan_delta(server, bound).is_noop(), "op {i}: executed plan");
                             if whole && !bound.clamp_to(SIZE).is_empty() {
                                 assert!(dir.stale_ranges(server).is_empty(), "op {i}: whole-policy target");
                             }
                         }
                         6 => {
-                            dir.record_upload_range(server, r);
+                            dir.record_upload(server, r);
                             model.upload(server, clamped);
                         }
                         7 => assert_eq!(dir.invalidate_server(server), model.invalidate(server), "op {i}: lost"),

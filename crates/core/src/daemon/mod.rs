@@ -422,7 +422,7 @@ mod tests {
     fn download_all(endpoint: &Arc<Endpoint>, size: u64, stream_id: u64) -> Vec<u8> {
         let resp = call(
             endpoint,
-            Request::DownloadBufferRange { buffer_id: 3, offset: 0, size, stream_id },
+            Request::DownloadBufferRange { buffer_id: 3, ranges: vec![(0, size)], stream_id },
         );
         assert!(matches!(resp, Response::OkTimed { .. }), "{resp:?}");
         endpoint.wait_bulk(stream_id, Duration::from_secs(5)).unwrap()
@@ -524,6 +524,9 @@ mod tests {
         let resp = call(&endpoint, single_command(6, vec![], launch));
         assert_eq!(batch_outcome(resp).0, vec![BatchEntryStatus::ok()]);
         // Download the buffer through the coherence path and check contents.
+        // A coherence move does not wait for queued commands: the client
+        // sends it once the commands it must follow have finished.
+        assert_eq!(terminal_status(&endpoint, 6), 0);
         let data = download_all(&endpoint, 64, 777);
         assert_eq!(data.len(), 64);
         for chunk in data.chunks_exact(4) {
@@ -613,6 +616,55 @@ mod tests {
         expect[4..8].fill(0xaa);
         expect[40..48].fill(0xbb);
         assert_eq!(contents(62), expect);
+    }
+
+    #[test]
+    fn range_download_sends_every_range_or_nothing() {
+        let (_daemon, endpoint, _t) = start_test_daemon();
+        call(&endpoint, Request::Hello { client_name: "c".into(), auth_id: None, epoch: 0 });
+        let Response::DeviceList { devices } = call(&endpoint, Request::GetDeviceList) else {
+            panic!()
+        };
+        call(
+            &endpoint,
+            Request::CreateContext { context_id: 1, devices: vec![devices[0].remote_id] },
+        );
+        let create = Request::CreateBuffer {
+            buffer_id: 3,
+            context_id: 1,
+            size: 64,
+            readable: true,
+            writable: true,
+        };
+        call(&endpoint, create);
+        let original: Vec<u8> = (0..64).collect();
+        endpoint.send_bulk(40, &original).unwrap();
+        call(
+            &endpoint,
+            Request::UploadBufferRange { buffer_id: 3, ranges: vec![(0, 64)], stream_id: 40 },
+        );
+        let download = |stream_id: u64, ranges: Vec<(u64, u64)>| {
+            call(&endpoint, Request::DownloadBufferRange { buffer_id: 3, ranges, stream_id })
+        };
+        // Unsorted, overlapping, past the end, and overflowing lists: each
+        // is refused before any byte is sent.
+        let refused = [
+            vec![(40, 8), (4, 4)],
+            vec![(4, 8), (8, 4)],
+            vec![(4, 4), (60, 8)],
+            vec![(4, 4), (u64::MAX, 1)],
+        ];
+        for (i, ranges) in refused.into_iter().enumerate() {
+            let resp = download(50 + i as u64, ranges);
+            assert!(matches!(resp, Response::Error { code: -30, .. }), "{resp:?}");
+        }
+        // A good one sends its ranges back to back; the refused ones' streams
+        // would have arrived ahead of it on the FIFO connection.
+        let resp = download(60, vec![(4, 4), (8, 0), (40, 8)]);
+        assert!(matches!(resp, Response::OkTimed { .. }), "{resp:?}");
+        let data = endpoint.wait_bulk(60, Duration::from_secs(5)).unwrap();
+        assert_eq!(data, [&original[4..8], &original[40..48]].concat());
+        assert_eq!(endpoint.bulk_streams_held(), 0, "a refused download sent a stream");
     }
 
     /// Session with context 1, queue 2 and a 4-byte buffer 3.

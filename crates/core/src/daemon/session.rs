@@ -14,6 +14,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
+use vocl::profile::BusModel;
 use vocl::{
     Buffer, ClError, CommandQueue, CommandType, Context, Device, DeviceInfoParam, DeviceInfoValue,
     Event, EventStatus, KernelArg, MemFlags, Program, QueueProperties,
@@ -160,6 +161,36 @@ fn completion_of(event_id: ObjectId, event: &Event, status: EventStatus) -> Even
         work_items: event.counters().map(|c| c.work_items).unwrap_or(0),
     }
 }
+
+/// The total size of a coherence request's `(offset, size)` ranges, once
+/// they are sorted, disjoint and inside a buffer of `limit` bytes; else the
+/// error answering the request, before it has copied any byte.
+fn checked_total(ranges: &[(u64, u64)], limit: usize) -> Reply<usize> {
+    let mut end = 0u64;
+    for &(offset, size) in ranges {
+        let next = offset.checked_add(size).filter(|&e| offset >= end && e <= limit as u64);
+        let Some(next) = next else {
+            return Err(Response::Error {
+                code: -30,
+                message: format!(
+                    "range {offset}+{size} is out of order, overlaps, or exceeds buffer size \
+                     {limit}"
+                ),
+            });
+        };
+        end = next;
+    }
+    Ok(ranges.iter().map(|&(_, size)| size as usize).sum())
+}
+
+/// The modelled bus time, in nanoseconds, of moving `ranges` of `buffer`
+/// with `time`: each range is its own transfer and pays its own cost.
+fn bus_nanos(buffer: &Buffer, ranges: &[(u64, u64)], time: fn(&BusModel, u64) -> Duration) -> u64 {
+    let Some(device) = buffer.context().devices().first() else { return 0 };
+    let total: Duration = ranges.iter().map(|&(_, size)| time(&device.profile().bus, size)).sum();
+    total.as_nanos() as u64
+}
+
 /// A request's answer, or the error response that cut it short.
 type Reply<T = Response> = std::result::Result<T, Response>;
 
@@ -268,40 +299,6 @@ impl DaemonSession {
 
     fn device_by_id(&self, id: ObjectId) -> std::result::Result<Arc<Device>, ClError> {
         self.visible_devices().into_iter().find(|d| d.id() == id).ok_or(ClError::DeviceNotFound)
-    }
-
-    /// Drain every busy queue of `buffer`'s context before coherence
-    /// traffic touches the buffer directly (not through a queue): a kernel
-    /// that was enqueued earlier may still be writing it, and the MSI
-    /// protocol assumes the copy it moves reflects all previously submitted
-    /// commands.  An idle queue (its last command terminal) cannot be
-    /// writing the buffer, so it gets no marker.
-    ///
-    /// The wait is bounded: this runs on the session's receiver thread, and
-    /// a queued command could be gated on a replacement event whose status
-    /// forward ([`ClientNotification::EventStatus`]) arrives over that very
-    /// thread — an unbounded `finish()` would then deadlock.  A queue in
-    /// that state stalls the transfer for the full timeout and the data is
-    /// read as-is (the pre-quiesce behaviour); the timeout is kept short so
-    /// that worst case is a bounded delay, while the common case — a busy
-    /// but ungated queue — drains in microseconds.  Command failures surface
-    /// through their own events, so they are ignored here.
-    fn quiesce_buffer_queues(&self, buffer: &Buffer) {
-        let queues: Vec<Arc<CommandQueue>> = {
-            let shared = self.state();
-            let state = shared.lock();
-            state
-                .queues
-                .values()
-                .filter(|q| q.context().id() == buffer.context().id() && !q.is_idle())
-                .cloned()
-                .collect()
-        };
-        for queue in queues {
-            if let Ok(marker) = queue.enqueue_marker(Vec::new()) {
-                let _ = marker.wait_timeout(Duration::from_millis(500));
-            }
-        }
     }
 
     /// Resolve queue + wait list for an enqueue; `chain` is the implicit
@@ -629,8 +626,8 @@ impl DaemonSession {
             }
             Request::UploadBufferRange { buffer_id, ranges, stream_id } => {
                 let data = self.upload_stream(stream_id)?;
-                let total = ranges.iter().try_fold(0u64, |sum, &(_, size)| sum.checked_add(size));
-                if total != Some(data.len() as u64) {
+                let buffer = lookup(&self.state().lock().buffers, "buffer", buffer_id)?;
+                if checked_total(&ranges, buffer.size())? != data.len() {
                     return Err(Response::Error {
                         code: -30,
                         message: format!(
@@ -639,58 +636,31 @@ impl DaemonSession {
                         ),
                     });
                 }
-                let buffer = lookup(&self.state().lock().buffers, "buffer", buffer_id)?;
-                let limit = buffer.size() as u64;
-                if let Some((offset, size)) =
-                    ranges.iter().find(|(offset, size)| offset.saturating_add(*size) > limit)
-                {
-                    return Err(Response::Error {
-                        code: -30,
-                        message: format!(
-                            "range upload {offset}+{size} exceeds buffer size {limit}"
-                        ),
-                    });
-                }
-                self.quiesce_buffer_queues(&buffer);
                 self.stats.lock().bytes_uploaded += data.len() as u64;
-                // Each range is its own device write and pays its own bus cost.
-                let devices = buffer.context().devices();
-                let mut bus_time = Duration::ZERO;
                 let mut at = 0;
                 for &(offset, size) in &ranges {
                     let size = size as usize;
                     buffer.write(offset as usize, &data[at..at + size])?;
                     at += size;
-                    bus_time += devices
-                        .first()
-                        .map(|d| d.profile().bus.write_time(size as u64))
-                        .unwrap_or_default();
                 }
-                Response::OkTimed { modeled_nanos: bus_time.as_nanos() as u64 }
+                Response::OkTimed {
+                    modeled_nanos: bus_nanos(&buffer, &ranges, BusModel::write_time),
+                }
             }
-            Request::DownloadBufferRange { buffer_id, offset, size, stream_id } => {
+            Request::DownloadBufferRange { buffer_id, ranges, stream_id } => {
                 let endpoint = self.endpoint()?;
                 let buffer = lookup(&self.state().lock().buffers, "buffer", buffer_id)?;
-                if offset.saturating_add(size) > buffer.size() as u64 {
-                    return Err(Response::Error {
-                        code: -30,
-                        message: format!(
-                            "range download {offset}+{size} exceeds buffer size {}",
-                            buffer.size()
-                        ),
-                    });
-                }
-                self.quiesce_buffer_queues(&buffer);
-                let data = buffer.read(offset as usize, size as usize)?;
+                let mut data = Vec::with_capacity(checked_total(&ranges, buffer.size())?);
+                buffer.with_data(|bytes| {
+                    for &(offset, size) in &ranges {
+                        data.extend_from_slice(&bytes[offset as usize..(offset + size) as usize]);
+                    }
+                });
                 self.stats.lock().bytes_downloaded += data.len() as u64;
-                let bus_time = buffer
-                    .context()
-                    .devices()
-                    .first()
-                    .map(|d| d.profile().bus.read_time(data.len() as u64))
-                    .unwrap_or_default();
                 let _ = endpoint.send_bulk(stream_id, &data);
-                Response::OkTimed { modeled_nanos: bus_time.as_nanos() as u64 }
+                Response::OkTimed {
+                    modeled_nanos: bus_nanos(&buffer, &ranges, BusModel::read_time),
+                }
             }
             Request::Disconnect => {
                 let auth = {

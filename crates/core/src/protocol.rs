@@ -403,8 +403,9 @@ gcf::wire_message! {
         /// Coherence upload: overwrite each `(offset, size)` range of the
         /// remote buffer, in order, with the next `size` bytes of bulk stream
         /// `stream_id` (sent before this request), whose length is the sum of
-        /// the sizes.  The daemon checks every range and the stream length
-        /// before it writes anything, and answers with [`Response::OkTimed`].
+        /// the sizes.  The daemon checks that the ranges are sorted, disjoint
+        /// and inside the buffer, and the stream length, before it writes
+        /// anything, and answers with [`Response::OkTimed`].
         ///
         /// The coherence directory's only upload: one request carries a whole
         /// delta plan's uploads, and a whole-buffer upload is the one range
@@ -417,17 +418,20 @@ gcf::wire_message! {
             /// Bulk stream carrying the concatenated payload.
             stream_id: u64,
         },
-        /// Coherence download: send `[offset, offset + size)` of the remote
-        /// buffer to the client on bulk stream `stream_id`.  The daemon
-        /// answers with [`Response::OkTimed`]; a whole-buffer download is the
-        /// range `(0, size)`.
-        30 => DownloadBufferRange {
+        // Tag 30 (a download of one range) is retired: a plan's fetch from
+        // one source is one `DownloadBufferRange` of all its ranges.
+        /// Coherence download: send each `(offset, size)` range of the remote
+        /// buffer, in order and back to back, to the client on bulk stream
+        /// `stream_id`.  The daemon checks that the ranges are sorted,
+        /// disjoint and inside the buffer before it sends anything, and
+        /// answers with [`Response::OkTimed`].  The mirror of
+        /// [`Request::UploadBufferRange`]: a whole-buffer download is the one
+        /// range `[(0, size)]`.
+        31 => DownloadBufferRange {
             /// Buffer id.
             buffer_id: ObjectId,
-            /// First byte to send.
-            offset: u64,
-            /// Number of bytes to send.
-            size: u64,
+            /// `(offset, size)` of each range to send.
+            ranges: Vec<(u64, u64)>,
             /// Bulk stream the daemon sends the data on.
             stream_id: u64,
         },
@@ -894,9 +898,13 @@ mod tests {
                 000000000040000000000000000e00000000000000",
         );
         check(
-            Request::DownloadBufferRange { buffer_id: 3, offset: 128, size: 64, stream_id: 15 },
-            "1e0300000000000000800000000000000040000000000000000f000000000000\
-                00",
+            Request::DownloadBufferRange {
+                buffer_id: 3,
+                ranges: vec![(128, 64), (4096, 32)],
+                stream_id: 15,
+            },
+            "1f03000000000000000200000080000000000000004000000000000000001000\
+                000000000020000000000000000f00000000000000",
         );
     }
 
@@ -1023,6 +1031,9 @@ mod tests {
             // 25, 26: whole-buffer coherence upload and download.
             "1903000000000000000c000000000000004000000000000000",
             "1a03000000000000000d00000000000000",
+            // 30: a download of one range.
+            "1e0300000000000000800000000000000040000000000000000f000000000000\
+                00",
         ];
         // 9: the range download's echo of its offset and size.
         let responses = ["0900100000000000000002000000000000db03000000000000"];

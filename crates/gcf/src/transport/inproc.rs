@@ -103,6 +103,9 @@ struct InprocListenerInner {
     rx: Receiver<Arc<dyn Connection>>,
     addr: String,
     registry: Registry,
+    /// The address is unregistered: from here on it may belong to a
+    /// successor, which a later shutdown (or the drop) must not remove.
+    shut: AtomicBool,
 }
 
 /// Listener half of the in-process transport.
@@ -123,7 +126,9 @@ impl Listener for InprocListener {
     }
 
     fn shutdown(&self) {
-        self.inner.registry.lock().remove(&self.inner.addr);
+        if !self.inner.shut.swap(true, Ordering::AcqRel) {
+            self.inner.registry.lock().remove(&self.inner.addr);
+        }
     }
 }
 
@@ -165,6 +170,7 @@ impl Transport for InprocTransport {
                 rx,
                 addr: addr.to_string(),
                 registry: Arc::clone(&self.registry),
+                shut: AtomicBool::new(false),
             },
         }))
     }
@@ -208,6 +214,17 @@ mod tests {
         assert_eq!(t.listener_count(), 0);
         // Address can be reused after the listener is dropped.
         let _l2 = t.listen("a").unwrap();
+    }
+
+    #[test]
+    fn a_shut_listener_dropped_late_leaves_its_successor_registered() {
+        let t = InprocTransport::new();
+        let old = t.listen("a").unwrap();
+        old.shutdown();
+        let _new = t.listen("a").unwrap();
+        drop(old);
+        assert_eq!(t.listener_count(), 1);
+        assert!(t.connect("a").is_ok());
     }
 
     #[test]

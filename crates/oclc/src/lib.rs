@@ -34,15 +34,17 @@
 //! ## Execution model and the barrier guarantee
 //!
 //! The VM executes one *work-group* at a time: a work-stealing driver fans
-//! groups out across host threads, global buffers are shared, and each group
-//! gets its own zeroed `__local` arenas.  Within a group, work-items run
-//! batched in a tight bytecode loop; `barrier()` suspends each work-item
-//! (its frame stack is parked) and the group resumes all items in phases.
-//! This makes the classic barrier-separated local-memory reduction
-//! bit-correct — all local-memory writes that precede the barrier are
-//! visible to every work-item of the group after it.  Work-items of the same
-//! group that reach *different* barriers (or only some of them reach one)
-//! are reported as a "barrier divergence" error rather than hanging.
+//! groups out across host threads (as many as the host's available
+//! parallelism, or the count passed to
+//! [`KernelHandle::execute_vm_with_threads`]), global buffers are shared,
+//! and each group gets its own zeroed `__local` arenas.  Within a group,
+//! work-items run batched in a tight bytecode loop; `barrier()` suspends
+//! each work-item (its frame stack is parked) and the group resumes all
+//! items in phases.  This makes the classic barrier-separated local-memory
+//! reduction bit-correct — all local-memory writes that precede the barrier
+//! are visible to every work-item of the group after it.  Work-items of the
+//! same group that reach *different* barriers (or only some of them reach
+//! one) are reported as a "barrier divergence" error rather than hanging.
 //!
 //! ## `DCL_INTERP` escape hatch
 //!
@@ -53,9 +55,7 @@
 //! runs work-items strictly one after another, so it *cannot* implement
 //! barrier semantics; kernels that combine `barrier()` with `__local`-memory
 //! writes are rejected with a clear error instead of silently producing
-//! wrong results.  `DCL_VM_THREADS` caps the VM's worker threads (default:
-//! available parallelism).  Both variables are read when a kernel handle is
-//! created.
+//! wrong results.  The variable is read when a kernel handle is created.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -108,17 +108,12 @@ impl ExecMode {
     }
 }
 
-/// Worker-thread count for the VM: `DCL_VM_THREADS` if set (minimum 1),
-/// otherwise the host's available parallelism, measured once per process
-/// because on Linux each measurement reads cgroup files (tens of µs).
+/// Worker-thread count for the VM: the host's available parallelism,
+/// measured once per process because on Linux each measurement reads
+/// cgroup files (tens of µs).
 fn default_threads() -> usize {
     static HOST: OnceLock<usize> = OnceLock::new();
-    match std::env::var("DCL_VM_THREADS").ok().and_then(|v| v.parse::<usize>().ok()) {
-        Some(n) if n >= 1 => n,
-        _ => {
-            *HOST.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
-        }
-    }
+    *HOST.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
 }
 
 /// A successfully built program: the analysed AST, its kernel index, and the
@@ -167,8 +162,8 @@ impl Program {
     }
 
     /// Look up a kernel by name.  The handle's executor (`DCL_INTERP`) and
-    /// VM worker-thread count (`DCL_VM_THREADS` or the host's available
-    /// parallelism) are resolved here, once, not on every launch.
+    /// VM worker-thread count (the host's available parallelism) are
+    /// resolved here, once, not on every launch.
     pub fn kernel(&self, name: &str) -> Option<KernelHandle> {
         self.kernels.get(name).map(|idx| KernelHandle {
             unit: Arc::clone(&self.unit),
@@ -249,8 +244,8 @@ impl KernelHandle {
     }
 
     /// Execute on the bytecode VM with the default worker-thread count
-    /// (`DCL_VM_THREADS` or the host's available parallelism), resolved
-    /// when [`Program::kernel`] created this handle.
+    /// (the host's available parallelism), resolved when
+    /// [`Program::kernel`] created this handle.
     pub fn execute_vm(
         &self,
         range: &NdRange,

@@ -199,12 +199,6 @@ impl CommandQueue {
         Ok(Arc::clone(event))
     }
 
-    /// Whether every submitted command has finished: the last one is
-    /// terminal (the queue is in order, so all before it are too).
-    pub fn is_idle(&self) -> bool {
-        self.last.lock().as_ref().is_none_or(|e| e.status().is_terminal())
-    }
-
     /// `clEnqueueWriteBuffer` (non-blocking; the returned event completes
     /// when the data has been copied to the buffer).
     pub fn enqueue_write_buffer(
@@ -623,7 +617,6 @@ mod tests {
     fn inline_transfers_on_an_idle_queue_are_terminal_on_return() {
         let (context, _, queue) = setup();
         let buffer = Buffer::new(Arc::clone(&context), 4, MemFlags::READ_WRITE, None).unwrap();
-        assert!(queue.is_idle());
         let done = Event::user();
         done.set_complete();
         let write = queue.enqueue_write_buffer_inline(&buffer, 0, vec![4; 4], vec![done]).unwrap();
@@ -633,7 +626,6 @@ mod tests {
         assert_eq!(read.status(), EventStatus::Complete);
         assert_eq!(read.take_result(), Some(vec![4; 4]));
         assert_eq!(queue.pending_commands(), 0);
-        assert!(queue.is_idle());
     }
 
     #[test]
@@ -643,7 +635,6 @@ mod tests {
         let gate = Event::user();
         let gated =
             queue.enqueue_write_buffer(&buffer, 0, vec![1; 4], vec![Arc::clone(&gate)]).unwrap();
-        assert!(!queue.is_idle());
         // Nothing in its own wait list, but the gated write is ahead of it.
         let read = queue.enqueue_read_buffer_inline(&buffer, 0, 4, Vec::new()).unwrap();
         assert!(!read.status().is_terminal());
@@ -662,7 +653,6 @@ mod tests {
             queue.enqueue_write_buffer_inline(&buffer, 0, vec![2; 4], vec![Arc::clone(&gate)]);
         let write = write.unwrap();
         assert!(!write.status().is_terminal());
-        assert!(!queue.is_idle());
         gate.set_complete();
         write.wait().unwrap();
         assert_eq!(buffer.read(0, 4).unwrap(), vec![2; 4]);

@@ -30,9 +30,9 @@ use vocl::Platform;
 
 /// A directory plus the byte storage it is supposed to keep coherent: one
 /// `Vec<u8>` per server (the remote memory objects).  Transfers follow the
-/// client driver's `ensure_valid_range_on` to the letter — fetch the spans
-/// the plan names from their source's storage, merge the `apply` sub-ranges
-/// into the client copy, then upload exactly the planned ranges.
+/// client driver's `ensure_valid_range_on` to the letter — fetch the ranges
+/// the plan names from their source's storage, back to back, record them as
+/// received, then upload exactly the planned ranges.
 struct Sim {
     dir: BufferDirectory,
     storage: Vec<Vec<u8>>,
@@ -53,20 +53,19 @@ impl Sim {
 
     /// Execute the delta plan for `server`, mirroring the client driver.
     fn ensure_valid(&mut self, server: usize, range: Option<ByteRange>) {
-        let plan = match range {
-            Some(r) => self.dir.plan_delta_range(server, r),
-            None => self.dir.plan_delta(server),
-        };
+        let plan = self.dir.plan_delta(server, range.unwrap_or(self.dir.full_range()));
         for fetch in &plan.fetches {
-            let data = self.storage[fetch.source][fetch.span.start..fetch.span.end].to_vec();
+            let storage = &self.storage[fetch.source];
+            let data: Vec<u8> =
+                fetch.ranges.iter().flat_map(|r| &storage[r.start..r.end]).copied().collect();
             self.moved += data.len() as u64;
-            self.dir.record_client_fetch_ranges(fetch.source, fetch.span, &fetch.apply, &data);
+            self.dir.record_received(fetch.source, &fetch.ranges, &data);
         }
         for upload in &plan.uploads {
-            let data = self.dir.client_data_range(*upload);
+            let data = self.dir.client_data(*upload);
             self.moved += data.len() as u64;
             self.storage[server][upload.start..upload.end].copy_from_slice(&data);
-            self.dir.record_upload_range(server, *upload);
+            self.dir.record_upload(server, *upload);
         }
     }
 
@@ -85,12 +84,12 @@ impl Sim {
             Some(r) => {
                 self.ensure_valid(server, Some(r));
                 mutate(&mut self.storage[server][r.start..r.end], r.start);
-                self.dir.record_device_write_range(server, r);
+                self.dir.record_device_write(server, r);
             }
             None => {
                 self.ensure_valid(server, None);
                 mutate(&mut self.storage[server], 0);
-                self.dir.record_device_write(server);
+                self.dir.record_device_write(server, self.dir.full_range());
             }
         }
     }
@@ -101,11 +100,19 @@ impl Sim {
         self.ensure_valid(server, None);
     }
 
-    /// `clEnqueueReadBuffer` from `server`.
-    fn host_read(&mut self, server: usize, offset: usize, len: usize) -> Vec<u8> {
-        self.ensure_valid(server, None);
+    /// `clEnqueueReadBuffer` from `server`, after validating `validate`
+    /// there (`None` = the whole buffer; the client driver validates the
+    /// read's own range).
+    fn host_read(
+        &mut self,
+        server: usize,
+        offset: usize,
+        len: usize,
+        validate: Option<ByteRange>,
+    ) -> Vec<u8> {
+        self.ensure_valid(server, validate);
         let data = self.storage[server][offset..offset + len].to_vec();
-        self.dir.record_host_read(server, offset, &data);
+        self.dir.record_received(server, &[ByteRange::new(offset, offset + len)], &data);
         data
     }
 
@@ -158,6 +165,7 @@ enum Op {
     DeviceWrite { server: usize, slice: Option<(usize, usize)> },
     DeviceReadOnly { server: usize },
     HostRead { server: usize, offset: usize, len: usize },
+    RangeRead { server: usize, offset: usize, len: usize },
     Validate { server: usize, slice: Option<(usize, usize)> },
 }
 
@@ -182,6 +190,10 @@ fn op_strategy(servers: usize, size: usize) -> impl Strategy<Value = Op> {
             let (offset, len) = clamp(o, l, size);
             Op::HostRead { server: s, offset, len }
         }),
+        (0..servers, 0..size, 0..size).prop_map(move |(s, o, l)| {
+            let (offset, len) = clamp(o, l, size);
+            Op::RangeRead { server: s, offset, len }
+        }),
         (0..servers, 0..size, 0..size, any::<bool>()).prop_map(move |(s, o, l, whole)| {
             let slice = if whole { None } else { Some(clamp(o, l, size)) };
             Op::Validate { server: s, slice }
@@ -204,7 +216,10 @@ fn apply(sim: &mut Sim, op: &Op) -> Option<Vec<u8>> {
             sim.device_read_only(server);
             None
         }
-        Op::HostRead { server, offset, len } => Some(sim.host_read(server, offset, len)),
+        Op::HostRead { server, offset, len } => Some(sim.host_read(server, offset, len, None)),
+        Op::RangeRead { server, offset, len } => {
+            Some(sim.host_read(server, offset, len, Some(ByteRange::new(offset, offset + len))))
+        }
         Op::Validate { server, slice } => {
             sim.ensure_valid(server, slice.map(|(o, l)| ByteRange::new(o, o + l)));
             None
@@ -226,7 +241,9 @@ fn apply_reference(reference: &mut [u8], op: &Op) -> Option<Vec<u8>> {
             mutate(&mut reference[o..o + l], o);
             None
         }
-        Op::HostRead { offset, len, .. } => Some(reference[offset..offset + len].to_vec()),
+        Op::HostRead { offset, len, .. } | Op::RangeRead { offset, len, .. } => {
+            Some(reference[offset..offset + len].to_vec())
+        }
         Op::DeviceReadOnly { .. } | Op::Validate { .. } => None,
     }
 }

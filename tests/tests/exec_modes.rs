@@ -1,7 +1,9 @@
 //! Executor selection via environment variables.  These tests mutate
-//! process-global state (`DCL_INTERP`, `DCL_VM_THREADS`, `DCL_COHERENCE`),
-//! so they live in their own integration-test binary and serialise on a
-//! local mutex instead of sharing a process with the differential suite.
+//! process-global state (`DCL_INTERP`, `DCL_COHERENCE`), so they live in
+//! their own integration-test binary and serialise on a local mutex instead
+//! of sharing a process with the differential suite.  The VM's worker-thread
+//! count is not an environment setting: it is the host's available
+//! parallelism, or what a caller passes to `execute_vm_with_threads`.
 
 use oclc::{BufferBinding, KernelArgValue, NdRange, Program, Value};
 use std::sync::Mutex;
@@ -29,6 +31,12 @@ const BARRIER_REDUCE: &str = r#"
 "#;
 
 fn run_reduce() -> Result<Vec<i32>, oclc::CompileError> {
+    run_reduce_on(None)
+}
+
+/// Run the reduction through `KernelHandle::execute`, or on the VM with
+/// `threads` worker threads.
+fn run_reduce_on(threads: Option<usize>) -> Result<Vec<i32>, oclc::CompileError> {
     let program = Program::build(BARRIER_REDUCE).expect("build");
     let k = program.kernel("reduce").expect("kernel");
     let input: Vec<u8> = (1..=8i32).flat_map(|v| v.to_le_bytes()).collect();
@@ -36,11 +44,13 @@ fn run_reduce() -> Result<Vec<i32>, oclc::CompileError> {
     {
         let mut bindings: Vec<BufferBinding<'_>> =
             bufs.iter_mut().map(|b| BufferBinding::new(b)).collect();
-        k.execute(
-            &NdRange::linear(8).with_local([8, 1, 1]),
-            &[KernelArgValue::Buffer(0), KernelArgValue::Buffer(1), KernelArgValue::Local(32)],
-            &mut bindings,
-        )?;
+        let range = NdRange::linear(8).with_local([8, 1, 1]);
+        let args =
+            [KernelArgValue::Buffer(0), KernelArgValue::Buffer(1), KernelArgValue::Local(32)];
+        match threads {
+            Some(n) => k.execute_vm_with_threads(&range, &args, &mut bindings, n)?,
+            None => k.execute(&range, &args, &mut bindings)?,
+        };
     }
     Ok(bufs[1].chunks_exact(4).map(|c| i32::from_le_bytes(c.try_into().unwrap())).collect())
 }
@@ -62,12 +72,8 @@ fn dcl_interp_tree_selects_the_tree_walker() {
 }
 
 #[test]
-fn dcl_vm_threads_controls_the_worker_count_without_changing_results() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    std::env::remove_var("DCL_INTERP");
-    std::env::set_var("DCL_VM_THREADS", "4");
-    let result = run_reduce();
-    std::env::remove_var("DCL_VM_THREADS");
+fn an_explicit_vm_thread_count_does_not_change_results() {
+    let result = run_reduce_on(Some(4));
     assert_eq!(result.expect("vm executes with explicit thread count"), vec![36]);
 }
 

@@ -7,7 +7,10 @@
 
 use dopencl::coherence::CoherenceMode;
 use dopencl::protocol::{BatchCommand, BatchEntry, Request, Response, WireNdRange};
-use dopencl::{Client, Context, FailoverPolicy, LinkModel, LocalCluster, NdRange, SimClock, Value};
+use dopencl::{
+    Buffer, Client, CommandQueue, Context, Event, FailoverPolicy, Kernel, LinkModel, LocalCluster,
+    NdRange, SimClock, Value,
+};
 use gcf::retry::Backoff;
 use gcf::rpc::{Endpoint, NullHandler};
 use gcf::transport::faulty::ChaosTransport;
@@ -717,13 +720,21 @@ fn crash_between_delta_uploads_revalidates_only_stale_ranges_on_survivor() {
     assert_eq!(cluster.daemons()[1].stats().bytes_uploaded, uploaded_before);
 }
 
-/// A command on a survivor waits on an event whose owner is killed while
-/// running it.  Under `drop_lost_servers` the owner's pending events fail
-/// with the wait-list error, the failure is forwarded to the survivor's
-/// replacement, and the dependent command fails with -14 instead of
-/// hanging.
-#[test]
-fn dependant_of_an_event_on_a_killed_server_fails_instead_of_hanging() {
+/// A launch of about a second and a half on node0 of a two-node cluster,
+/// writing `buffer`: node0 is still running it when a test kills it.
+/// `node0` is its platform, for a daemon restarted in its place to offer
+/// the same devices.
+struct SlowLaunch {
+    cluster: LocalCluster,
+    node0: Platform,
+    client: Client,
+    q1: CommandQueue,
+    buffer: Buffer,
+    slow: Event,
+    _keep: (CommandQueue, Kernel),
+}
+
+fn slow_launch_on_node0(name: &str, policy: FailoverPolicy) -> SlowLaunch {
     const SPIN: &str = r#"
         __kernel void spin(__global uint* out, uint rounds) {
             uint x = 1u;
@@ -735,14 +746,11 @@ fn dependant_of_an_event_on_a_killed_server_fails_instead_of_hanging() {
     "#;
     const MAX_ITEMS: usize = 4096;
     let mut cluster = LocalCluster::new(LinkModel::gigabit_ethernet());
-    cluster.add_node("node0", &Platform::test_platform(1)).unwrap();
+    let node0 = Platform::test_platform(1);
+    cluster.add_node("node0", &node0).unwrap();
     cluster.add_node("node1", &Platform::test_platform(1)).unwrap();
-    let client = cluster.client_with_clock("killed-owner", SimClock::new()).unwrap();
-    client.set_failover_policy(FailoverPolicy {
-        reconnect: true,
-        backoff: Backoff::fast(),
-        drop_lost_servers: true,
-    });
+    let client = cluster.client_with_clock(name, SimClock::new()).unwrap();
+    client.set_failover_policy(policy);
     let devices = client.devices();
     let context = Context::new(&client, &devices).unwrap();
     let q0 = context.create_command_queue(&devices[0]).unwrap();
@@ -754,14 +762,26 @@ fn dependant_of_an_event_on_a_killed_server_fails_instead_of_hanging() {
     kernel.set_arg(0, &buffer).unwrap();
     kernel.set_arg(1, Value::uint(1_000_000)).unwrap();
 
-    // Size the launch so node0 is still running it when it is killed: time
-    // one work-item, then launch enough of them for about a second and a
-    // half.
+    // Time one work-item, then launch enough of them for about a second
+    // and a half.
     let start = std::time::Instant::now();
     q0.launch(&kernel, NdRange::linear(1)).submit().unwrap().wait().unwrap();
     let items = (1.5 / start.elapsed().as_secs_f64()).ceil().clamp(1.0, MAX_ITEMS as f64);
     let slow = q0.launch(&kernel, NdRange::linear(items as usize)).submit().unwrap();
     q0.flush().unwrap();
+    SlowLaunch { cluster, node0, client, q1, buffer, slow, _keep: (q0, kernel) }
+}
+
+/// A command on a survivor waits on an event whose owner is killed while
+/// running it.  Under `drop_lost_servers` the owner's pending events fail
+/// with the wait-list error, the failure is forwarded to the survivor's
+/// replacement, and the dependent command fails with -14 instead of
+/// hanging.
+#[test]
+fn dependant_of_an_event_on_a_killed_server_fails_instead_of_hanging() {
+    let policy =
+        FailoverPolicy { reconnect: true, backoff: Backoff::fast(), drop_lost_servers: true };
+    let SlowLaunch { cluster, client, q1, slow, .. } = slow_launch_on_node0("killed-owner", policy);
     let dependent = q1.marker().after(std::slice::from_ref(&slow)).submit().unwrap();
     assert!(!slow.is_terminal(), "the launch must outlast the dependant's submission");
 
@@ -844,4 +864,63 @@ fn completion_while_the_client_is_away_reaches_it_after_the_reconnect() {
     assert!(client.traffic_stats().reconnects >= 1);
     let epoch = client.session_info(server).unwrap().epoch;
     assert!(epoch >= 1, "the status must have come through a reconnect");
+}
+
+/// Read all of `buffer` through `queue` on a thread of its own, and hand
+/// back the receiver of its outcome, so a hang fails the test instead.
+fn read_in_background(
+    queue: CommandQueue,
+    buffer: Buffer,
+) -> std::sync::mpsc::Receiver<dopencl::Result<()>> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(queue.read_buffer(&buffer).submit().map(|_| ()));
+    });
+    rx
+}
+
+/// A coherence move waits for the commands still running on its source;
+/// when the source is killed meanwhile, the move fails with
+/// `ServerUnavailable` once redialling gives up, instead of waiting for
+/// those commands forever (no `drop_lost_servers` here, so their events
+/// stay outstanding).
+#[test]
+fn a_fetch_from_a_killed_server_fails_instead_of_hanging() {
+    let policy =
+        FailoverPolicy { reconnect: true, backoff: Backoff::fast(), drop_lost_servers: false };
+    let SlowLaunch { cluster, client: _client, q1, buffer, slow, .. } =
+        slow_launch_on_node0("killed-source", policy);
+    assert!(!slow.is_terminal());
+    let outcome = read_in_background(q1, buffer);
+    // Kill node0 while the read waits for the launch (about 1.5 s).
+    std::thread::sleep(Duration::from_millis(300));
+    assert!(!slow.is_terminal(), "the launch must outlast the kill");
+    cluster.daemons()[0].kill();
+    let result = outcome.recv_timeout(Duration::from_secs(20)).expect("the fetch hung");
+    let err = result.unwrap_err();
+    assert!(matches!(err, dopencl::DclError::ServerUnavailable(_)), "{err}");
+}
+
+/// As above, but a new daemon comes up at the killed one's address, so the
+/// reconnect succeeds without resuming the session.  The commands that
+/// session had accepted fail with the wait-list error, and the move waiting
+/// for them goes on instead of hanging.
+#[test]
+fn a_fetch_from_a_restarted_server_does_not_hang() {
+    // Redial long enough for the new daemon to come up.
+    let backoff =
+        Backoff { max_delay: Duration::from_millis(50), max_attempts: 400, ..Backoff::fast() };
+    let policy = FailoverPolicy { reconnect: true, backoff, drop_lost_servers: false };
+    let SlowLaunch { mut cluster, node0, client, q1, buffer, slow, .. } =
+        slow_launch_on_node0("restarted-source", policy);
+    assert!(!slow.is_terminal());
+    let outcome = read_in_background(q1, buffer);
+    std::thread::sleep(Duration::from_millis(300));
+    assert!(!slow.is_terminal(), "the launch must outlast the kill");
+    cluster.daemons()[0].kill();
+    cluster.add_node("node0", &node0).unwrap();
+    outcome.recv_timeout(Duration::from_secs(20)).expect("the fetch hung").unwrap();
+    let err = slow.wait().unwrap_err();
+    assert!(err.to_string().contains("status -14"), "{err}");
+    assert!(!client.session_info(dopencl::ServerId(0)).unwrap().resumed);
 }

@@ -464,3 +464,133 @@ fn a_dependant_is_not_held_back_by_long_kernels_behind_its_dependency() {
         launch.wait().unwrap();
     }
 }
+
+/// A coherence fetch comes after every command already submitted to its
+/// source: a read on server 1 that waits on a kernel of server 0 gets that
+/// kernel's output, however long the launches ahead of it run.  The kernel
+/// sits behind a launch of about a second on the same queue, so it has not
+/// started when the fetch is planned (a running kernel holds its buffers'
+/// locks, so a copy taken during it would wait for it anyway).
+#[test]
+fn a_fetch_waits_for_the_kernel_that_writes_its_range() {
+    let (_cluster, client, _clock) = test_cluster(2, 1);
+    let devices = client.devices();
+    let context = Context::new(&client, &devices).unwrap();
+    let q0 = context.create_command_queue(&devices[0]).unwrap();
+    let q1 = context.create_command_queue(&devices[1]).unwrap();
+    let program = context.create_program_with_source(SPIN).unwrap();
+    program.build().unwrap();
+    let slow = program.create_kernel("spin").unwrap();
+    slow.set_arg(0, context.create_buffer(MAX_ITEMS * 4).unwrap()).unwrap();
+    slow.set_arg(1, Value::uint(1_000_000)).unwrap();
+    let items = items_for(&q0, &slow, 1.0);
+    // Server 0 holds the output buffer already, so the writer's launch
+    // moves nothing.
+    let out = context.create_buffer(16).unwrap();
+    q0.write_buffer(&out, &[0u8; 16]).blocking().submit().unwrap();
+    let writer = program.create_kernel("spin").unwrap();
+    writer.set_arg(0, &out).unwrap();
+    writer.set_arg(1, Value::uint(1)).unwrap();
+
+    q0.launch(&slow, NdRange::linear(items)).submit().unwrap();
+    let k = q0.launch(&writer, NdRange::linear(4)).submit().unwrap();
+    let (data, _) = q1.read_buffer(&out).after(std::slice::from_ref(&k)).submit().unwrap();
+    let x = 1664525u32.wrapping_add(1013904223);
+    assert_eq!(data, x.to_le_bytes().repeat(4), "the read relayed bytes from before the kernel");
+}
+
+/// A plan that needs several ranges from one daemon fetches them in one
+/// request: server 0 writes two disjoint slices, and validating server 1
+/// for a read costs one download from server 0, one upload to server 1 and
+/// the read's batch.
+#[test]
+fn a_plan_fetches_all_its_ranges_from_one_daemon_in_one_request() {
+    let (cluster, client, _clock) = test_cluster(2, 1);
+    let devices = client.devices();
+    let context = Context::new(&client, &devices).unwrap();
+    let q0 = context.create_command_queue(&devices[0]).unwrap();
+    let q1 = context.create_command_queue(&devices[1]).unwrap();
+    let buffer = context.create_buffer(64).unwrap();
+    q0.write_buffer(&buffer, &[1u8; 64]).blocking().submit().unwrap();
+    let (primed, _) = q1.read_buffer(&buffer).submit().unwrap();
+    assert_eq!(primed, vec![1u8; 64]);
+    let program = context.create_program_with_source(INC_KERNEL).unwrap();
+    program.build().unwrap();
+    let kernel = program.create_kernel("inc").unwrap();
+    kernel.set_arg(0, &buffer).unwrap();
+    for first in [0, 8] {
+        let range = NdRange::linear(4).with_offset([first, 0, 0]);
+        q0.launch(&kernel, range).writes_slice(&buffer, first * 4, 16).submit().unwrap();
+    }
+    q0.finish().unwrap();
+    assert_eq!(buffer.stale_ranges(devices[1].server()).len(), 2);
+
+    let requests =
+        || -> Vec<u64> { cluster.daemons().iter().map(|d| d.stats().requests).collect() };
+    let (before, sent_before) = (requests(), client.traffic_stats().requests_sent);
+    let (data, _) = q1.read_buffer(&buffer).submit().unwrap();
+    let after = requests();
+    assert_eq!(after[0] - before[0], 1, "one download from server 0");
+    assert_eq!(client.traffic_stats().requests_sent - sent_before, 3);
+    let expected: Vec<i32> = (0..16)
+        .map(|i| if i < 4 || (8..12).contains(&i) { 0x0101_0102 } else { 0x0101_0101 })
+        .collect();
+    assert_eq!(as_i32s(&data), expected);
+}
+
+/// A read validates only the range it reads: server 0's kernel wrote one
+/// half of the buffer, and a read of the other half through server 1 moves
+/// none of server 0's bytes.
+#[test]
+fn a_partial_read_validates_only_its_range() {
+    let (_cluster, client, _clock) = test_cluster(2, 1);
+    let devices = client.devices();
+    let context = Context::new(&client, &devices).unwrap();
+    let q0 = context.create_command_queue(&devices[0]).unwrap();
+    let q1 = context.create_command_queue(&devices[1]).unwrap();
+    let buffer = context.create_buffer(64).unwrap();
+    q1.write_buffer(&buffer, &[1u8; 64]).blocking().submit().unwrap();
+    let program = context.create_program_with_source(INC_KERNEL).unwrap();
+    program.build().unwrap();
+    let kernel = program.create_kernel("inc").unwrap();
+    kernel.set_arg(0, &buffer).unwrap();
+    q0.launch(&kernel, NdRange::linear(8)).submit().unwrap().wait().unwrap();
+    assert_eq!(
+        buffer.valid_ranges(devices[0].server()),
+        vec![dopencl::coherence::ByteRange::new(0, 32)]
+    );
+
+    let before = client.traffic_stats();
+    let (data, _) = q1.read_buffer(&buffer).at_offset(32).len(32).submit().unwrap();
+    assert_eq!(data, vec![1u8; 32]);
+    assert_eq!(client.traffic_stats().delta(&before).stream_bytes_received, 32);
+}
+
+/// A launch validates the slice of an argument the analysis derives as
+/// written linearly, because such a kernel may skip some of its elements:
+/// here a store guarded by `i % 2 == 0`.  The odd elements keep the bytes
+/// the host wrote through the other server.
+#[test]
+fn a_conditionally_written_slice_keeps_the_bytes_it_skips() {
+    const EVENS: &str = "__kernel void evens(__global int* out) {
+        size_t i = get_global_id(0);
+        if (i % 2 == 0) { out[i] = 7; }
+    }";
+    let (_cluster, client, _clock) = test_cluster(2, 1);
+    let devices = client.devices();
+    let context = Context::new(&client, &devices).unwrap();
+    let q0 = context.create_command_queue(&devices[0]).unwrap();
+    let q1 = context.create_command_queue(&devices[1]).unwrap();
+    let buffer = context.create_buffer(64).unwrap();
+    let host: Vec<u8> = (0..16i32).flat_map(|v| (100 + v).to_le_bytes()).collect();
+    q0.write_buffer(&buffer, &host).blocking().submit().unwrap();
+    let program = context.create_program_with_source(EVENS).unwrap();
+    program.build().unwrap();
+    let kernel = program.create_kernel("evens").unwrap();
+    assert!(matches!(kernel.derived_access(0), oclc::access::ArgAccess::WrittenLinear { .. }));
+    kernel.set_arg(0, &buffer).unwrap();
+    q1.launch(&kernel, NdRange::linear(16)).submit().unwrap();
+    let (data, _) = q1.read_buffer(&buffer).submit().unwrap();
+    let expected: Vec<i32> = (0..16).map(|i| if i % 2 == 0 { 7 } else { 100 + i }).collect();
+    assert_eq!(as_i32s(&data), expected);
+}

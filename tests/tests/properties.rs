@@ -105,19 +105,19 @@ proptest! {
         for (op, server) in ops {
             match op {
                 0 => dir.record_host_write(server, 0, &[1u8; 64]),
-                1 => dir.record_device_write(server),
+                1 => dir.record_device_write(server, dir.full_range()),
                 2 => {
                     // Run the validation plan the client driver would run.
-                    let plan = dir.plan_delta(server);
-                    if let Some(fetch) = plan.fetches.first() {
-                        let data = dir.client_data();
-                        dir.record_client_fetch(fetch.source, data);
+                    let plan = dir.plan_delta(server, dir.full_range());
+                    for fetch in &plan.fetches {
+                        let len = fetch.ranges.iter().map(|r| r.len()).sum();
+                        dir.record_received(fetch.source, &fetch.ranges, &vec![0u8; len]);
                     }
-                    if !plan.is_noop() {
-                        dir.record_upload(server);
+                    for upload in &plan.uploads {
+                        dir.record_upload(server, *upload);
                     }
                 }
-                _ => dir.record_host_read(server, 0, &[0u8; 64]),
+                _ => dir.record_received(server, &[dir.full_range()], &[0u8; 64]),
             }
             let modified: Vec<usize> = servers
                 .iter()
