@@ -497,6 +497,9 @@ pub(crate) struct CompiledKernel {
     /// `get_local_size`, `get_group_id`, `get_num_groups`), so the driver
     /// must not re-chunk an unspecified local size.
     pub observes_group_shape: bool,
+    /// The lane executor's typing of the kernel, when it is eligible
+    /// ([`crate::lanes::analyze`]); `None` keeps it on the per-item path.
+    pub lanes: Option<crate::lanes::LaneKernel>,
 }
 
 /// All lowered functions of a translation unit.  Kernels are keyed by their

@@ -279,12 +279,14 @@ pub(crate) fn lower_unit(unit: &TranslationUnit) -> Result<CompiledUnit, Compile
         if f.is_kernel {
             let func = lower_function(unit, &helper_index, f)?;
             let use_ = analyze_kernel(unit, FunctionIndex(i));
+            let lanes = crate::lanes::analyze(&func);
             compiled.kernels.insert(
                 i,
                 CompiledKernel {
                     func,
                     has_barrier: use_.has_barrier,
                     observes_group_shape: use_.observes_group_shape,
+                    lanes,
                 },
             );
         }

@@ -141,6 +141,16 @@ pub struct WorkItemCounters {
     pub steps: u64,
 }
 
+impl std::ops::AddAssign for WorkItemCounters {
+    fn add_assign(&mut self, other: WorkItemCounters) {
+        self.work_items += other.work_items;
+        self.ops += other.ops;
+        self.loads += other.loads;
+        self.stores += other.stores;
+        self.steps += other.steps;
+    }
+}
+
 /// Identity of the currently executing work-item.
 #[derive(Debug, Clone, Copy, Default)]
 struct WorkItem {

@@ -37,10 +37,28 @@
 //! groups out across host threads (as many as the host's available
 //! parallelism, or the count passed to
 //! [`KernelHandle::execute_vm_with_threads`]), global buffers are shared,
-//! and each group gets its own zeroed `__local` arenas.  Within a group,
-//! work-items run batched in a tight bytecode loop; `barrier()` suspends
-//! each work-item (its frame stack is parked) and the group resumes all
-//! items in phases.  This makes the classic barrier-separated local-memory
+//! and each group gets its own zeroed `__local` arenas.
+//!
+//! Within a group, a kernel runs on one of two paths, chosen once by
+//! [`Program::build`] from the kernel alone
+//! ([`KernelHandle::runs_in_lanes`]):
+//!
+//! * **Lanes.**  A kernel with no barrier, helper call, atomic, math
+//!   builtin or vector value, with one static scalar or pointer type per
+//!   register, and with no buffer parameter both loaded and stored through,
+//!   runs 16 work-items at a time in lockstep: one decode and dispatch per
+//!   instruction for the whole batch, an execution mask for divergent
+//!   branches and loops, and reconvergence by running the lanes waiting at
+//!   the lowest instruction index first.  Results and operation counters
+//!   equal the per-item path's; the only ordering difference is between
+//!   racing stores of work-items of one batch, which OpenCL C leaves
+//!   undefined.  A batch that faults is re-run item by item, which reports
+//!   the error.
+//! * **Item by item.**  Every other kernel runs its work-items one after
+//!   another in a tight bytecode loop; `barrier()` suspends each work-item
+//!   (its frame stack is parked) and the group resumes all items in phases.
+//!
+//! The phases make the classic barrier-separated local-memory
 //! reduction bit-correct — all local-memory writes that precede the barrier
 //! are visible to every work-item of the group after it.  Work-items of the
 //! same group that reach *different* barriers (or only some of them reach
@@ -67,6 +85,7 @@ mod bytecode;
 mod compile;
 pub mod error;
 pub mod interp;
+mod lanes;
 pub mod lexer;
 pub mod parser;
 pub mod sema;
@@ -210,6 +229,14 @@ impl KernelHandle {
     /// Number of declared parameters (`CL_KERNEL_NUM_ARGS`).
     pub fn num_args(&self) -> usize {
         self.params().len()
+    }
+
+    /// Whether [`Program::build`] chose the lane executor for this kernel,
+    /// so VM launches run its work-items 16 at a time in lockstep (see the
+    /// crate docs' execution model).  A launch that binds one buffer to a
+    /// loaded and a stored parameter still runs item by item.
+    pub fn runs_in_lanes(&self) -> bool {
+        self.compiled.kernels[&self.index.0].lanes.is_some()
     }
 
     /// Execute the kernel over `range`, reading and writing the supplied

@@ -2,10 +2,13 @@
 //!
 //! The unit of parallelism is the *work-group*: a work-stealing driver fans
 //! groups out across host threads, every group gets its own `__local`
-//! arenas, and global buffers are shared by all groups.  Inside a group,
-//! work-items run batched in a tight instruction loop; a [`Inst::Barrier`]
-//! suspends the current item (its frame stack stays intact) and the group
-//! resumes every item in phases, which is what makes barrier-separated
+//! arenas, and global buffers are shared by all groups.  Inside a group, a
+//! kernel that [`crate::lanes`] accepted at build time runs 16 work-items at
+//! a time in lockstep; every other kernel runs its items one after another
+//! in a tight instruction loop, the *scalar path* (also the lane executor's
+//! fallback for a batch that faults).  There a [`Inst::Barrier`] suspends
+//! the current item (its frame stack stays intact) and the group resumes
+//! every item in phases, which is what makes barrier-separated
 //! local-memory reductions bit-correct instead of silently wrong.
 //!
 //! Work-items that disagree about which barrier they reached (or whether
@@ -37,7 +40,7 @@ const MAX_CALL_DEPTH: usize = 64;
 /// Maximum instructions per work-item.  The interpreter counts statements,
 /// the VM counts instructions (roughly 4× finer), so the cap is scaled to
 /// trip at about the same amount of work.
-const MAX_STEPS_PER_ITEM: u64 = 8_000_000;
+pub(crate) const MAX_STEPS_PER_ITEM: u64 = 8_000_000;
 
 /// Bounds-check-free access for the dispatch loop's hottest paths.
 ///
@@ -97,7 +100,7 @@ mod shared {
     /// work-group worker threads for the duration of one launch.  `'m` is
     /// the `&mut` borrow of the bindings, so the bindings stay untouchable
     /// while the view exists.
-    pub(super) struct SharedBufs<'m> {
+    pub(crate) struct SharedBufs<'m> {
         bufs: Vec<RawBuf>,
         _marker: PhantomData<&'m mut [u8]>,
     }
@@ -151,7 +154,7 @@ use shared::SharedBufs;
 
 /// Identity of one work-item (same fields the interpreter tracks).
 #[derive(Debug, Clone, Copy, Default)]
-struct WorkItem {
+pub(crate) struct WorkItem {
     global_id: [usize; 3],
     global_size: [usize; 3],
     local_id: [usize; 3],
@@ -160,6 +163,22 @@ struct WorkItem {
     num_groups: [usize; 3],
     offset: [usize; 3],
     work_dim: u8,
+}
+
+impl WorkItem {
+    /// Work-item query `which` in dimension `d` (0..=2).
+    pub(crate) fn query(&self, which: WorkItemFn, d: usize) -> usize {
+        match which {
+            WorkItemFn::GlobalId => self.global_id[d],
+            WorkItemFn::LocalId => self.local_id[d],
+            WorkItemFn::GroupId => self.group_id[d],
+            WorkItemFn::GlobalSize => self.global_size[d],
+            WorkItemFn::LocalSize => self.local_size[d],
+            WorkItemFn::NumGroups => self.num_groups[d],
+            WorkItemFn::GlobalOffset => self.offset[d],
+            WorkItemFn::WorkDim => self.work_dim as usize,
+        }
+    }
 }
 
 /// Which compiled function a frame executes.
@@ -184,6 +203,7 @@ impl Default for VecVal {
 }
 
 /// One call frame: its register file, vector arena and resume point.
+#[derive(Clone)]
 struct Frame {
     func: FuncId,
     pc: usize,
@@ -587,13 +607,15 @@ enum Stop {
 }
 
 /// Everything a group executor needs, shared across worker threads.
-struct LaunchCtx<'a, 'v> {
+pub(crate) struct LaunchCtx<'a, 'v> {
     unit: &'a CompiledUnit,
-    kernel: &'a CompiledKernel,
-    shared: &'a SharedBufs<'v>,
+    pub(crate) kernel: &'a CompiledKernel,
+    pub(crate) shared: &'a SharedBufs<'v>,
     /// Serialises atomics on global buffers across groups.
     atomic_lock: &'a Mutex<()>,
-    bound_args: &'a [Value],
+    pub(crate) bound_args: &'a [Value],
+    /// The lane executor, if the kernel is eligible and this launch `fits`.
+    lanes: Option<&'a crate::lanes::LaneKernel>,
     local_sizes: &'a [usize],
     local: [usize; 3],
     global: [usize; 3],
@@ -672,6 +694,7 @@ pub(crate) fn execute_kernel(
         shared: &shared,
         atomic_lock: &atomic_lock,
         bound_args: &bound_args,
+        lanes: kernel.lanes.as_ref().filter(|l| l.fits(&bound_args)),
         local_sizes: &local_sizes,
         local,
         global,
@@ -715,12 +738,7 @@ pub(crate) fn execute_kernel(
                         break;
                     }
                 }
-                let mut t = total.lock().unwrap();
-                t.work_items += counters.work_items;
-                t.ops += counters.ops;
-                t.loads += counters.loads;
-                t.stores += counters.stores;
-                t.steps += counters.steps;
+                *total.lock().unwrap() += counters;
             });
         }
     });
@@ -811,52 +829,11 @@ fn run_group(
         }
     }
 
-    let num_regs = ctx.kernel.func.num_regs;
-    // Bind the arguments into a seed register file once per group; restoring
-    // it per work-item is then a plain memcpy of `Copy` slots.
-    let mut seed_regs = vec![Slot::Void; num_regs];
-    let mut seed_vecs: Vec<VecVal> = Vec::new();
-    for (i, v) in ctx.bound_args.iter().enumerate() {
-        write_value(&mut seed_regs, &mut seed_vecs, i, v.clone());
-    }
-
     if !ctx.kernel.has_barrier {
-        // Fast path: run items straight through, reusing one frame stack and
-        // register file for the whole batch (registers are written before
-        // read, so stale values never leak between items).
-        let mut frames: Vec<Frame> = Vec::new();
-        let mut regs = seed_regs.clone();
-        let mut vecs = seed_vecs.clone();
-        for item in &items {
-            regs[..ctx.bound_args.len()].copy_from_slice(&seed_regs[..ctx.bound_args.len()]);
-            if !seed_vecs.is_empty() {
-                vecs.clone_from(&seed_vecs);
-            }
-            frames.clear();
-            frames.push(Frame {
-                func: FuncId::Kernel,
-                pc: 0,
-                regs: std::mem::take(&mut regs),
-                vecs: std::mem::take(&mut vecs),
-                ret_dst: None,
-            });
-            let mut steps = 0u64;
-            let stop = exec_frames(ctx, &mut locals, item, &mut frames, counters, &mut steps);
-            // Reclaim the register file for the next item before `?`.
-            if let Some(f) = frames.pop() {
-                regs = f.regs;
-                vecs = f.vecs;
-            }
-            match stop? {
-                Stop::Done => counters.work_items += 1,
-                Stop::Barrier => {
-                    return Err(CompileError::new(
-                        "internal error: barrier reached in a kernel analysed as barrier-free",
-                    ))
-                }
-            }
-        }
-        return Ok(());
+        return match ctx.lanes {
+            Some(lanes) => lanes.run_items(ctx, &mut locals, &items, counters),
+            None => run_serial(ctx, &mut locals, &items, counters),
+        };
     }
 
     // Barrier path: every item keeps its own parked frame stack; the group
@@ -867,20 +844,10 @@ fn run_group(
         steps: u64,
         done: bool,
     }
+    let seed = kernel_frame(ctx);
     let mut runs: Vec<ItemRun> = items
         .into_iter()
-        .map(|item| ItemRun {
-            item,
-            frames: vec![Frame {
-                func: FuncId::Kernel,
-                pc: 0,
-                regs: seed_regs.clone(),
-                vecs: seed_vecs.clone(),
-                ret_dst: None,
-            }],
-            steps: 0,
-            done: false,
-        })
+        .map(|item| ItemRun { item, frames: vec![seed.clone()], steps: 0, done: false })
         .collect();
 
     loop {
@@ -929,6 +896,52 @@ fn run_group(
             ));
         }
     }
+}
+
+/// A kernel frame at its first instruction with the arguments bound.
+fn kernel_frame(ctx: &LaunchCtx<'_, '_>) -> Frame {
+    let mut regs = vec![Slot::Void; ctx.kernel.func.num_regs];
+    let mut vecs: Vec<VecVal> = Vec::new();
+    for (i, v) in ctx.bound_args.iter().enumerate() {
+        write_value(&mut regs, &mut vecs, i, v.clone());
+    }
+    Frame { func: FuncId::Kernel, pc: 0, regs, vecs, ret_dst: None }
+}
+
+/// Run barrier-free `items` one after another, reusing one register file:
+/// registers are written before read, so stale values never leak.
+pub(crate) fn run_serial(
+    ctx: &LaunchCtx<'_, '_>,
+    locals: &mut [Vec<u8>],
+    items: &[WorkItem],
+    counters: &mut WorkItemCounters,
+) -> Result<(), CompileError> {
+    let seed = kernel_frame(ctx);
+    let nargs = ctx.bound_args.len();
+    let (mut regs, mut vecs) = (seed.regs.clone(), seed.vecs.clone());
+    let mut frames: Vec<Frame> = Vec::new();
+    for item in items {
+        regs[..nargs].copy_from_slice(&seed.regs[..nargs]);
+        if !seed.vecs.is_empty() {
+            vecs.clone_from(&seed.vecs);
+        }
+        frames.clear();
+        frames.push(Frame { func: FuncId::Kernel, pc: 0, regs, vecs, ret_dst: None });
+        let mut steps = 0u64;
+        let stop = exec_frames(ctx, locals, item, &mut frames, counters, &mut steps);
+        // Reclaim the register file for the next item before `?`.
+        let f = frames.pop().expect("exec_frames keeps the kernel frame");
+        (regs, vecs) = (f.regs, f.vecs);
+        match stop? {
+            Stop::Done => counters.work_items += 1,
+            Stop::Barrier => {
+                return Err(CompileError::new(
+                    "internal error: barrier reached in a kernel analysed as barrier-free",
+                ))
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Run the item's frame stack until it returns from the kernel frame or
@@ -1295,21 +1308,8 @@ fn exec_frames(
                             }
                         }
                     };
-                    let v = match which {
-                        WorkItemFn::GlobalId => item.global_id[d],
-                        WorkItemFn::LocalId => item.local_id[d],
-                        WorkItemFn::GroupId => item.group_id[d],
-                        WorkItemFn::GlobalSize => item.global_size[d],
-                        WorkItemFn::LocalSize => item.local_size[d],
-                        WorkItemFn::NumGroups => item.num_groups[d],
-                        WorkItemFn::GlobalOffset => item.offset[d],
-                        WorkItemFn::WorkDim => item.work_dim as usize,
-                    };
-                    trusted::set_reg(
-                        &mut fr.regs,
-                        dst,
-                        Slot::Scalar(ScalarType::SizeT, Scalar::U(v as u64)),
-                    );
+                    let v = Slot::Scalar(ScalarType::SizeT, Scalar::U(item.query(which, d) as u64));
+                    trusted::set_reg(&mut fr.regs, dst, v);
                 }
                 QInst::Atomic { op, dst, ptr, operand } => {
                     at!(
@@ -1414,7 +1414,7 @@ fn exec_frames(
     }
 }
 
-fn mem_load(
+pub(crate) fn mem_load(
     shared: &SharedBufs<'_>,
     locals: &[Vec<u8>],
     buffer: usize,
@@ -1428,7 +1428,7 @@ fn mem_load(
     }
 }
 
-fn mem_store(
+pub(crate) fn mem_store(
     shared: &SharedBufs<'_>,
     locals: &mut [Vec<u8>],
     buffer: usize,

@@ -449,3 +449,83 @@ fn runtime_error_messages_agree_between_executors() {
     assert_eq!(tree_err.message, vm_err.message);
     assert!(vm_err.message.contains("out-of-bounds"));
 }
+
+/// `Program::build` picks the lane executor from the kernel alone: kernels
+/// without barriers, helper calls, atomics or vectors whose loaded and
+/// stored buffers are distinct run in lanes, every other kernel item by item.
+#[test]
+fn lane_executor_takes_only_eligible_kernels() {
+    let runs_in_lanes = |src: &str, name: &str| {
+        Program::build(src).expect("build").kernel(name).expect("kernel").runs_in_lanes()
+    };
+    // The Fig. 4 kernel, and perfbench's `touch` shape (loads `s`, stores `out`).
+    assert!(runs_in_lanes(workloads::mandelbrot::KERNEL_SOURCE, "mandelbrot_rows"));
+    assert!(runs_in_lanes(
+        "__kernel void touch(__global const uchar* s, __global uint* out, uint at) \
+         { out[0] = s[at]; }",
+        "touch"
+    ));
+    // perfbench's `inc` shape and OSEM load and store one buffer, so
+    // lockstep would change their racy read-modify-writes.
+    assert!(!runs_in_lanes(
+        "__kernel void inc(__global uint* c, uint k) { c[0] = c[0] + k; }",
+        "inc"
+    ));
+    assert!(!runs_in_lanes(workloads::osem::KERNEL_SOURCE, "osem_subset"));
+    // The barrier reduction, helper-call, vector and atomic kernels above.
+    let reduction = r#"
+        __kernel void reduce(__global const int* in,
+                             __global int* partial,
+                             __local int* scratch) {
+            size_t lid = get_local_id(0);
+            size_t n = get_local_size(0);
+            scratch[lid] = in[get_global_id(0)];
+            barrier(CLK_LOCAL_MEM_FENCE);
+            for (size_t stride = n / 2; stride > 0; stride /= 2) {
+                if (lid < stride) {
+                    scratch[lid] += scratch[lid + stride];
+                }
+                barrier(CLK_LOCAL_MEM_FENCE);
+            }
+            if (lid == 0) {
+                partial[get_group_id(0)] = scratch[0];
+            }
+        }
+    "#;
+    assert!(!runs_in_lanes(reduction, "reduce"));
+    let helper = r#"
+        float accumulate(float base, uint count) {
+            float total = base;
+            for (uint i = 0; i < count; i++) {
+                total += 1.0f;
+            }
+            return total;
+        }
+        __kernel void k(__global float* out, uint count) {
+            size_t gid = get_global_id(0);
+            out[gid] = accumulate((float)gid, count);
+        }
+    "#;
+    assert!(!runs_in_lanes(helper, "k"));
+    let vector = r#"
+        __kernel void v(__global float* out) {
+            float4 a = (float4)(1.0f, 2.0f, 3.0f, 4.0f);
+            float4 b = a * 2.0f;
+            float2 hi = b.zw;
+            out[0] = dot(a, b);
+            out[1] = hi.x + hi.y;
+            out[2] = length((float2)(3.0f, 4.0f));
+            b.x = 10.0f;
+            out[3] = b.x;
+        }
+    "#;
+    assert!(!runs_in_lanes(vector, "v"));
+    let atomic = r#"
+        __kernel void count(__global int* counters) {
+            atomic_add(counters, 1);
+            atomic_max(counters + 1, (int)get_global_id(0));
+            atomic_inc(counters + 2);
+        }
+    "#;
+    assert!(!runs_in_lanes(atomic, "count"));
+}
