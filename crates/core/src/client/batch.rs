@@ -341,14 +341,19 @@ impl ClientInner {
         }
         let server = queue.server;
         self.ensure_valid_range_on(server, buffer, ByteRange::new(offset, offset + len))?;
-        let stream_id = self.server(server)?.endpoint.allocate_id();
+        // The bytes land in place: in the Vec `PendingRead::wait` returns.
+        let conn = self.server(server)?;
+        let stream_id = conn.endpoint.allocate_id();
+        conn.endpoint.expect_bulk(stream_id, len);
         let command = BatchCommand::ReadBuffer {
             buffer_id: buffer.id,
             offset: offset as u64,
             size: len as u64,
             stream_id,
         };
-        let event = self.enqueue(queue, Phase::DataTransfer, command, wait)?;
+        let event = self.enqueue(queue, Phase::DataTransfer, command, wait).inspect_err(|_| {
+            conn.endpoint.discard_bulk(stream_id);
+        })?;
         Ok(PendingRead {
             client: self.self_weak.clone(),
             server,

@@ -105,7 +105,8 @@ impl ClientInner {
     }
 
     /// Download `ranges` of `buffer` from `server` in one
-    /// `DownloadBufferRange` request; the data arrives back to back.
+    /// `DownloadBufferRange` request; the data lands back to back in the
+    /// `Vec` returned.
     fn download_buffer_ranges(
         &self,
         server: usize,
@@ -114,12 +115,15 @@ impl ClientInner {
     ) -> Result<Vec<u8>> {
         let conn = self.server(server)?;
         let stream_id = conn.endpoint.allocate_id();
+        conn.endpoint.expect_bulk(stream_id, ranges.iter().map(ByteRange::len).sum());
         let request = Request::DownloadBufferRange {
             buffer_id: buffer.id,
             ranges: wire_ranges(ranges),
             stream_id,
         };
-        self.call_bulk_request(&conn, &request)?;
+        self.call_bulk_request(&conn, &request).inspect_err(|_| {
+            conn.endpoint.discard_bulk(stream_id);
+        })?;
         let data = conn.endpoint.wait_bulk(stream_id, Duration::from_secs(300))?;
         self.clock.charge(Phase::DataTransfer, self.link.transfer_time(data.len() as u64));
         Ok(data)

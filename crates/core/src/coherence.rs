@@ -495,14 +495,18 @@ impl BufferDirectory {
     /// Record that the client received `ranges` of the buffer from `server`,
     /// their bytes back to back in `data`: a host read
     /// (`clEnqueueReadBuffer`) or a plan's fetch.  The bytes refresh the
-    /// client's copy where the server holds a valid copy, and a Modified
-    /// owner is demoted to Shared there.  Elsewhere they are dropped: the
-    /// server's bytes there may be stale.
-    pub fn record_received(&mut self, server: usize, ranges: &[ByteRange], data: &[u8]) {
+    /// client's copy where the server holds a valid copy and the client's
+    /// is stale, and a Modified owner is demoted to Shared there.  Where the
+    /// client's copy is valid too it already holds the same bytes, and
+    /// elsewhere they are dropped: the server's bytes there may be stale.
+    /// Returns the number of bytes copied.
+    pub fn record_received(&mut self, server: usize, ranges: &[ByteRange], data: &[u8]) -> usize {
         let bit = self.bit(server);
         let mut at = 0;
+        let mut copied = 0;
         for range in ranges {
-            for r in self.ranges_where(*range, |st| st.valid & bit != 0) {
+            for r in self.ranges_where(*range, |st| st.valid & bit != 0 && !st.client) {
+                copied += r.len();
                 let src = &data[at + r.start - range.start..at + r.end - range.start];
                 self.client_data_mut()[r.start..r.end].copy_from_slice(src);
                 self.update_range(r, |st| SegState {
@@ -513,6 +517,7 @@ impl BufferDirectory {
             }
             at += range.len();
         }
+        copied
     }
 
     /// Record that the client uploaded `range` of its copy to `server`.
@@ -726,6 +731,28 @@ mod tests {
             assert_eq!(dir.server_state(1), CoherenceState::Shared);
             assert_eq!(dir.client_state(), CoherenceState::Shared);
             assert_eq!(dir.client_data(dir.full_range()), vec![5, 6, 7, 8]);
+        });
+    }
+
+    /// A read copies only what the client's copy lacks: nothing after the
+    /// client's own write, the stale bytes after a device write.
+    #[test]
+    fn a_read_copies_only_the_bytes_the_client_lacks() {
+        both_modes(|mode| {
+            let mut dir = BufferDirectory::new_with_mode([0, 1], 64, mode);
+            let all = dir.full_range();
+            dir.record_host_write(0, 0, &[1; 64]);
+            assert_eq!(dir.record_received(0, &[all], &[1; 64]), 0, "{mode:?}");
+            dir.record_device_write(0, ByteRange::new(16, 32));
+            let stale = if mode == CoherenceMode::Whole { all } else { ByteRange::new(16, 32) };
+            assert_eq!(dir.record_received(1, &[all], &[3; 64]), 0, "{mode:?}: no valid copy");
+            assert_eq!(dir.record_received(0, &[all], &[2; 64]), stale.len(), "{mode:?}");
+            assert_eq!(dir.record_received(0, &[all], &[2; 64]), 0, "{mode:?}: read twice");
+            let mut expect = vec![1; 64];
+            expect[stale.start..stale.end].fill(2);
+            assert_eq!(dir.client_data(all), expect, "{mode:?}");
+            assert_eq!(dir.server_state(0), CoherenceState::Shared, "{mode:?}");
+            dir.check_invariants().unwrap();
         });
     }
 
@@ -1110,12 +1137,15 @@ mod tests {
             }
 
             /// The client received `ranges` from `server`, back to back in
-            /// `data`: each byte the server holds refreshes the client.
+            /// `data`: each byte the server holds refreshes a stale client
+            /// byte.  Where the client's byte is valid the server's equals
+            /// it, so the byte received changes nothing there (the test's
+            /// random bytes are not what a server would send).
             fn receive(&mut self, server: usize, ranges: &[ByteRange], data: &[u8]) {
                 let mut at = 0;
                 for r in ranges {
                     for x in r.start..r.end.min(SIZE) {
-                        if self.valid(server, x) {
+                        if self.valid(server, x) && !self.client[x] {
                             self.refresh(x, data[at + x - r.start], server);
                         }
                     }

@@ -816,6 +816,24 @@ mod tests {
         assert_eq!(log.completions(), vec![], "a status also travelled in a frame");
     }
 
+    /// A read that fails on the daemon sends no stream: a client that
+    /// expected one and gives it up holds none.
+    #[test]
+    fn an_out_of_bounds_read_sends_no_stream() {
+        let (_daemon, endpoint, _t) = start_test_daemon();
+        build_write_session(&endpoint);
+        endpoint.expect_bulk(62, 4);
+        let read = BatchCommand::ReadBuffer { buffer_id: 3, offset: 2, size: 4, stream_id: 62 };
+        let resp = call(&endpoint, single_command(102, vec![], read));
+        // It ran inline, so a stream would have come before the response.
+        let ok = vec![BatchEntryStatus::ok()];
+        assert_eq!(batch_outcome(resp), (ok, vec![(102, -30)]));
+        assert_eq!(endpoint.bulk_streams_held(), 1, "more than the expectation is held");
+        endpoint.discard_bulk(62);
+        assert_eq!(endpoint.bulk_streams_held(), 0);
+        assert_eq!(buffer_contents(&endpoint, 63), vec![0; 4]);
+    }
+
     #[test]
     fn small_read_behind_a_gated_write_waits_for_the_forward() {
         let (_daemon, endpoint, _t) = start_test_daemon();

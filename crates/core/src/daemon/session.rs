@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 use vocl::profile::BusModel;
 use vocl::{
     Buffer, ClError, CommandQueue, CommandType, Context, Device, DeviceInfoParam, DeviceInfoValue,
-    Event, EventStatus, KernelArg, MemFlags, Program, QueueProperties,
+    Event, EventStatus, KernelArg, MemFlags, Program, QueueProperties, ReadSink,
 };
 
 /// Statuses the buffer holds at most: the one that makes this many
@@ -377,34 +377,24 @@ impl DaemonSession {
                 let (queue, wait) = resolve()?;
                 let buffer = lookup(&self.state().lock().buffers, "buffer", buffer_id)?;
                 let (offset, len) = (offset as usize, size as usize);
-                let event = if inline {
-                    queue.enqueue_read_buffer_inline(&buffer, offset, len, wait)?
-                } else {
-                    queue.enqueue_read_buffer(&buffer, offset, len, wait)?
-                };
-                // When the read completes, ship the data to the client as a
-                // bulk stream; the completion is reported after it (FIFO), so
-                // by the time the client's event resolves the data is en route.
-                // A read that ran inline is complete already: the callback
-                // fires here, and the stream leaves before the batch's
-                // response, which carries the completion.
+                // The read sends its bytes to the client as a bulk stream
+                // straight from the buffer, before its event turns
+                // terminal, so its status always follows the stream (FIFO).
+                // A read that runs inline sends it before the batch's
+                // response, which carries the status.
                 let endpoint = self.endpoint().ok().map(|e| Arc::downgrade(&e));
-                let weak_event = Arc::downgrade(&event);
                 let stats = Arc::clone(&self.stats);
-                event.on_complete(Box::new(move |status| {
-                    let Some(endpoint) = endpoint.as_ref().and_then(Weak::upgrade) else {
-                        return;
-                    };
-                    if status == EventStatus::Complete {
-                        if let Some(event) = weak_event.upgrade() {
-                            if let Some(data) = event.take_result() {
-                                stats.lock().bytes_downloaded += data.len() as u64;
-                                let _ = endpoint.send_bulk(stream_id, &data);
-                            }
-                        }
+                let sink: ReadSink = Box::new(move |bytes| {
+                    if let Some(endpoint) = endpoint.as_ref().and_then(Weak::upgrade) {
+                        stats.lock().bytes_downloaded += bytes.len() as u64;
+                        let _ = endpoint.send_bulk(stream_id, bytes);
                     }
-                }));
-                event
+                });
+                if inline {
+                    queue.enqueue_read_buffer_inline_to(&buffer, offset, len, wait, sink)?
+                } else {
+                    queue.enqueue_read_buffer_to(&buffer, offset, len, wait, sink)?
+                }
             }
             BatchCommand::NdRange { kernel_id, range } => {
                 let (queue, wait) = resolve()?;

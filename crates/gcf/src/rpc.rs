@@ -12,17 +12,33 @@
 //!   given stream id has arrived.
 //!
 //! A background receiver thread owns the demultiplexing, so calls, streams
-//! and notifications may be issued concurrently from any thread.
+//! and notifications may be issued concurrently from any thread.  It blocks
+//! in its connection's receive holding the connection, not the endpoint;
+//! closing or dropping the endpoint shuts the connection down, which wakes
+//! it.
+//!
+//! # Streams in place
+//!
+//! A receiver that knows a stream's length registers it before the stream
+//! can arrive ([`Endpoint::expect_bulk`]): the stream then lands in one
+//! pre-sized `Vec`, which [`Endpoint::wait_bulk`] hands over as it is.  Over
+//! TCP each chunk is read from the socket straight into it; a transport
+//! that hands over whole frames has the chunk appended.  A stream that runs
+//! past, or ends short of, the length expected fails: its waiter gets an
+//! error, and no byte is written past the destination.  A stream nobody
+//! expects is reassembled as its chunks arrive.
 
 use crate::error::{GcfError, Result};
 use crate::message::{Envelope, MessageKind};
-use crate::transport::Connection;
+use crate::transport::{Connection, Received, StreamLanding};
 use crossbeam_channel::{bounded, Sender};
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// Chunk size used for bulk (stream-based) transfers.
 pub const STREAM_CHUNK: usize = 1 << 20;
@@ -145,13 +161,98 @@ impl std::ops::AddAssign for TrafficStats {
     }
 }
 
-struct BulkBuffers {
-    /// Partially received streams, keyed by stream id.
-    partial: HashMap<u64, Vec<u8>>,
-    /// Completed streams waiting to be claimed.
-    complete: HashMap<u64, Vec<u8>>,
-    /// Streams nobody will claim: their chunks are dropped on arrival.
-    discarded: HashSet<u64>,
+/// One bulk stream an endpoint receives.
+enum Stream {
+    /// Arriving with no expectation: the chunks so far, appended.
+    Partial(Vec<u8>),
+    /// Registered by [`Endpoint::expect_bulk`]: the pre-sized destination,
+    /// out of the table while a chunk is read into it, and the length
+    /// expected.
+    Expected { dest: Option<Vec<u8>>, len: usize },
+    /// Arrived whole, waiting to be claimed.
+    Complete(Vec<u8>),
+    /// Ran past, or ended short of, the length expected; `ended` once its
+    /// last chunk has arrived.
+    Failed { reason: String, ended: bool },
+    /// Given up by [`Endpoint::discard_bulk`]: chunks are dropped on arrival
+    /// until the last one.
+    Discarded,
+}
+
+/// The streams an endpoint receives, shared with its receiver thread.
+#[derive(Default)]
+struct Streams {
+    table: Mutex<HashMap<u64, Stream>>,
+    /// Signalled when a stream completes or fails, and when the endpoint
+    /// dies.
+    settled: Condvar,
+}
+
+impl StreamLanding for Streams {
+    fn claim(&self, id: u64, len: usize) -> Option<Vec<u8>> {
+        let mut table = self.table.lock();
+        let stream = table.get_mut(&id)?;
+        let Stream::Expected { dest, len: expected } = stream else { return None };
+        let received = dest.as_ref().map_or(0, Vec::len);
+        if received + len <= *expected {
+            return dest.take();
+        }
+        let reason = format!("bulk stream {id} runs past the {expected} bytes expected");
+        *stream = Stream::Failed { reason, ended: false };
+        self.settled.notify_all();
+        None
+    }
+}
+
+impl Streams {
+    /// Take a chunk of stream `id` that arrived as a whole frame.
+    fn accept(&self, id: u64, last: bool, data: &[u8]) {
+        if let Some(mut dest) = self.claim(id, data.len()) {
+            dest.extend_from_slice(data);
+            return self.land(id, last, dest);
+        }
+        let mut table = self.table.lock();
+        let stream = table.entry(id).or_insert(Stream::Partial(Vec::new()));
+        match stream {
+            Stream::Partial(bytes) => {
+                bytes.extend_from_slice(data);
+                if last {
+                    *stream = Stream::Complete(std::mem::take(bytes));
+                    self.settled.notify_all();
+                }
+            }
+            Stream::Failed { ended, .. } => *ended |= last,
+            Stream::Discarded if last => drop(table.remove(&id)),
+            // A chunk of a stream that has completed already: a repeated
+            // id, dropped.
+            _ => {}
+        }
+    }
+
+    /// Put back `dest`, a destination [`StreamLanding::claim`] gave out for
+    /// stream `id`, with the chunk appended; `last` ends the stream.
+    fn land(&self, id: u64, last: bool, dest: Vec<u8>) {
+        let mut table = self.table.lock();
+        let Entry::Occupied(mut slot) = table.entry(id) else { return };
+        match slot.get_mut() {
+            Stream::Expected { dest: out, .. } if !last => *out = Some(dest),
+            Stream::Expected { len, .. } => {
+                let settled = if dest.len() == *len {
+                    Stream::Complete(dest)
+                } else {
+                    let reason = format!(
+                        "bulk stream {id} ended at {} of the {len} bytes expected",
+                        dest.len()
+                    );
+                    Stream::Failed { reason, ended: true }
+                };
+                slot.insert(settled);
+                self.settled.notify_all();
+            }
+            Stream::Discarded if last => drop(slot.remove()),
+            _ => {}
+        }
+    }
 }
 
 /// Callback invoked (once per connection loss) when the endpoint dies, so a
@@ -163,8 +264,7 @@ pub struct Endpoint {
     conn: Arc<dyn Connection>,
     next_id: AtomicU64,
     pending: Mutex<HashMap<u64, Sender<Vec<u8>>>>,
-    bulk: Mutex<BulkBuffers>,
-    bulk_cond: Condvar,
+    streams: Arc<Streams>,
     stats: Mutex<TrafficStats>,
     call_timeout: Mutex<Duration>,
     closed: AtomicBool,
@@ -196,16 +296,21 @@ impl Endpoint {
         name: impl Into<String>,
         init: impl FnOnce(&Arc<Endpoint>),
     ) -> Arc<Self> {
+        Self::start(conn, handler, name, init).0
+    }
+
+    /// [`Endpoint::new_init`], returning the receiver thread's handle too.
+    fn start(
+        conn: Arc<dyn Connection>,
+        handler: Arc<dyn EndpointHandler>,
+        name: impl Into<String>,
+        init: impl FnOnce(&Arc<Endpoint>),
+    ) -> (Arc<Self>, JoinHandle<()>) {
         let endpoint = Arc::new(Endpoint {
             conn,
             next_id: AtomicU64::new(1),
             pending: Mutex::new(HashMap::new()),
-            bulk: Mutex::new(BulkBuffers {
-                partial: HashMap::new(),
-                complete: HashMap::new(),
-                discarded: HashSet::new(),
-            }),
-            bulk_cond: Condvar::new(),
+            streams: Arc::default(),
             stats: Mutex::new(TrafficStats::default()),
             call_timeout: Mutex::new(DEFAULT_CALL_TIMEOUT),
             closed: AtomicBool::new(false),
@@ -215,31 +320,36 @@ impl Endpoint {
         });
         init(&endpoint);
         let weak = Arc::downgrade(&endpoint);
+        let conn = Arc::clone(&endpoint.conn);
+        let streams = Arc::clone(&endpoint.streams);
         let thread_name = format!("gcf-endpoint-{}", endpoint.name);
-        std::thread::Builder::new()
+        let receiver = std::thread::Builder::new()
             .name(thread_name)
             .spawn(move || loop {
+                // Blocks holding the connection only: dropping the endpoint
+                // closes it, which ends the receive.
+                let received = conn.recv_landing(&*streams);
                 let Some(ep) = weak.upgrade() else { break };
+                match received {
+                    Ok(received) => ep.dispatch(received, &handler),
+                    // The connection died under us, unless a local close or
+                    // abort ended the receive: mark the endpoint closed so
+                    // callers fail fast, wake every waiter, and tell the
+                    // supervisor (if any) about the death.
+                    Err(e) => {
+                        if !ep.closed.swap(true, Ordering::AcqRel) {
+                            ep.fail_all_pending();
+                            ep.fire_supervisor(&e.to_string());
+                        }
+                        break;
+                    }
+                }
                 if ep.closed.load(Ordering::Acquire) {
                     break;
                 }
-                let frame = match ep.conn.recv_timeout(Duration::from_millis(200)) {
-                    Ok(frame) => frame,
-                    Err(GcfError::Timeout(_)) => continue,
-                    Err(e) => {
-                        // The connection died under us: mark the endpoint
-                        // closed so callers fail fast, wake every waiter,
-                        // and tell the supervisor (if any) about the death.
-                        ep.closed.store(true, Ordering::Release);
-                        ep.fail_all_pending();
-                        ep.fire_supervisor(&e.to_string());
-                        break;
-                    }
-                };
-                ep.dispatch(frame, &handler);
             })
             .expect("spawn endpoint receiver thread");
-        endpoint
+        (endpoint, receiver)
     }
 
     /// The peer's description.
@@ -267,7 +377,14 @@ impl Endpoint {
         !self.closed.load(Ordering::Acquire) && self.conn.is_open()
     }
 
-    fn dispatch(self: &Arc<Self>, frame: Envelope, handler: &Arc<dyn EndpointHandler>) {
+    fn dispatch(self: &Arc<Self>, received: Received, handler: &Arc<dyn EndpointHandler>) {
+        let frame = match received {
+            Received::Frame(frame) => frame,
+            Received::Landed { id, last, len, dest } => {
+                self.count_chunk(len);
+                return self.streams.land(id, last, dest);
+            }
+        };
         match frame.kind {
             MessageKind::Response => {
                 let waiter = self.pending.lock().remove(&frame.id);
@@ -285,10 +402,7 @@ impl Endpoint {
                 self.stats.lock().notifications_received += 1;
                 handler.handle_notification(&frame.payload);
             }
-            MessageKind::StreamData => {
-                self.stats.lock().stream_chunks_received += 1;
-                self.accept_stream_chunk(frame.id, frame.payload);
-            }
+            MessageKind::StreamData => self.accept_stream_chunk(frame.id, frame.payload),
             MessageKind::Hello => {
                 // Handshake frames carry no state we need to track here.
             }
@@ -300,27 +414,21 @@ impl Endpoint {
         }
     }
 
+    /// Take a stream chunk that arrived as a whole frame.
     fn accept_stream_chunk(&self, stream_id: u64, payload: Vec<u8>) {
         // Chunk layout: [last: u8][data...]
-        if payload.is_empty() {
+        let Some((&last, data)) = payload.split_first() else {
+            self.stats.lock().stream_chunks_received += 1;
             return;
-        }
-        let last = payload[0] == 1;
-        let data = &payload[1..];
-        let mut bulk = self.bulk.lock();
-        self.stats.lock().stream_bytes_received += data.len() as u64;
-        if bulk.discarded.contains(&stream_id) {
-            if last {
-                bulk.discarded.remove(&stream_id);
-            }
-            return;
-        }
-        bulk.partial.entry(stream_id).or_default().extend_from_slice(data);
-        if last {
-            let complete = bulk.partial.remove(&stream_id).unwrap_or_default();
-            bulk.complete.insert(stream_id, complete);
-            self.bulk_cond.notify_all();
-        }
+        };
+        self.count_chunk(data.len());
+        self.streams.accept(stream_id, last == 1, data);
+    }
+
+    fn count_chunk(&self, len: usize) {
+        let mut stats = self.stats.lock();
+        stats.stream_chunks_received += 1;
+        stats.stream_bytes_received += len as u64;
     }
 
     fn fail_all_pending(&self) {
@@ -336,8 +444,8 @@ impl Endpoint {
         }
         // Wake bulk waiters too, so they observe the closed endpoint instead
         // of sleeping out their full timeout.
-        let _bulk = self.bulk.lock();
-        self.bulk_cond.notify_all();
+        let _table = self.streams.table.lock();
+        self.streams.settled.notify_all();
     }
 
     /// Install a callback fired (at most once) when the connection dies
@@ -431,48 +539,79 @@ impl Endpoint {
         Ok(())
     }
 
+    /// Expect stream `stream_id` to bring exactly `len` bytes: they land in
+    /// one `Vec` allocated now, which [`Endpoint::wait_bulk`] returns.  Call
+    /// it before the stream can arrive, that is before asking the peer for
+    /// it; a stream of any other length fails (see the
+    /// [module docs](self)).
+    pub fn expect_bulk(&self, stream_id: u64, len: usize) {
+        let dest = Some(Vec::with_capacity(len));
+        self.streams.table.lock().insert(stream_id, Stream::Expected { dest, len });
+    }
+
     /// Block until a complete bulk transfer for `stream_id` has arrived and
-    /// return its data.
+    /// return its data.  Its arrival, its failure, the endpoint's death or
+    /// the `timeout` ends the wait.
     pub fn wait_bulk(&self, stream_id: u64, timeout: Duration) -> Result<Vec<u8>> {
-        let mut bulk = self.bulk.lock();
-        let deadline = std::time::Instant::now() + timeout;
+        let deadline = Instant::now() + timeout;
+        let mut table = self.streams.table.lock();
         loop {
-            if let Some(data) = bulk.complete.remove(&stream_id) {
-                return Ok(data);
+            match table.remove(&stream_id) {
+                Some(Stream::Complete(data)) => return Ok(data),
+                Some(Stream::Failed { reason, ended }) => {
+                    if !ended {
+                        table.insert(stream_id, Stream::Discarded);
+                    }
+                    return Err(GcfError::Codec(reason));
+                }
+                Some(arriving) => {
+                    table.insert(stream_id, arriving);
+                }
+                None => {}
             }
             if !self.is_open() {
                 return Err(GcfError::Disconnected(self.conn.peer()));
             }
-            let now = std::time::Instant::now();
+            let now = Instant::now();
             if now >= deadline {
                 return Err(GcfError::Timeout(format!("bulk stream {stream_id}")));
             }
-            let wait = (deadline - now).min(Duration::from_millis(100));
-            self.bulk_cond.wait_for(&mut bulk, wait);
+            self.streams.settled.wait_for(&mut table, deadline - now);
         }
     }
 
     /// Non-blocking check whether a bulk transfer has completed.
     pub fn try_take_bulk(&self, stream_id: u64) -> Option<Vec<u8>> {
-        self.bulk.lock().complete.remove(&stream_id)
+        let mut table = self.streams.table.lock();
+        match table.remove(&stream_id)? {
+            Stream::Complete(data) => Some(data),
+            other => {
+                table.insert(stream_id, other);
+                None
+            }
+        }
     }
 
     /// Give up on stream `stream_id`: free it if it has arrived, otherwise
     /// drop its chunks (those already here and those still to come) as they
     /// arrive, so an unclaimed stream does not stay buffered until disconnect.
     pub fn discard_bulk(&self, stream_id: u64) {
-        let mut bulk = self.bulk.lock();
-        if bulk.complete.remove(&stream_id).is_none() {
-            bulk.partial.remove(&stream_id);
-            bulk.discarded.insert(stream_id);
+        let mut table = self.streams.table.lock();
+        match table.get(&stream_id) {
+            Some(Stream::Complete(_) | Stream::Failed { ended: true, .. }) => {
+                table.remove(&stream_id);
+            }
+            _ => {
+                table.insert(stream_id, Stream::Discarded);
+            }
         }
     }
 
-    /// Number of streams buffered here, complete or partial (a leak check
-    /// for tests).
+    /// Number of streams held here: expected, arriving, complete or failed
+    /// (a leak check for tests).
     pub fn bulk_streams_held(&self) -> usize {
-        let bulk = self.bulk.lock();
-        bulk.partial.len() + bulk.complete.len()
+        let table = self.streams.table.lock();
+        table.values().filter(|s| !matches!(s, Stream::Discarded)).count()
     }
 
     /// Abruptly sever the connection *without* telling the peer (no Bye
@@ -705,7 +844,7 @@ mod tests {
             server.discard_bulk(4);
             server.accept_stream_chunk(4, vec![1, 3]);
             assert_eq!(server.bulk_streams_held(), 0, "{transport}: stream kept");
-            assert!(server.bulk.lock().discarded.is_empty(), "{transport}: ids kept");
+            assert!(server.streams.table.lock().is_empty(), "{transport}: ids kept");
         }
     }
 
@@ -795,5 +934,121 @@ mod tests {
         std::thread::sleep(Duration::from_millis(50));
         client.set_call_timeout(Duration::from_millis(200));
         assert!(client.call(vec![1]).is_err());
+    }
+
+    /// A stream sent after others has arrived only once they have: each
+    /// connection is FIFO.
+    fn sync(client: &Endpoint, server: &Endpoint, stream_id: u64) {
+        client.send_bulk(stream_id, &[1]).unwrap();
+        assert_eq!(server.wait_bulk(stream_id, Duration::from_secs(5)).unwrap(), vec![1]);
+    }
+
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i % 251) as u8).collect()
+    }
+
+    /// An expected stream lands in the one allocation `expect_bulk` made.
+    #[test]
+    fn expected_streams_land_in_their_destination() {
+        let sizes = [0, STREAM_CHUNK - 1, STREAM_CHUNK, STREAM_CHUNK + 1];
+        for (transport, client, server) in endpoint_pairs() {
+            for (stream_id, &size) in (1..).zip(&sizes) {
+                server.expect_bulk(stream_id, size);
+                let data = pattern(size);
+                client.send_bulk(stream_id, &data).unwrap();
+                let received = server.wait_bulk(stream_id, Duration::from_secs(5)).unwrap();
+                assert!(received == data, "{transport}: {size} bytes corrupted");
+                assert_eq!(received.capacity(), size, "{transport}: {size} bytes reallocated");
+            }
+            assert_eq!(server.bulk_streams_held(), 0, "{transport}");
+            let stats = server.stats();
+            assert_eq!(stats.stream_bytes_received, sizes.iter().sum::<usize>() as u64);
+            assert_eq!(stats.stream_chunks_received, 5, "{transport}");
+        }
+    }
+
+    #[test]
+    fn discarded_expected_streams_are_not_kept() {
+        for (transport, client, server) in endpoint_pairs() {
+            let data = pattern(2 * STREAM_CHUNK + 5);
+            // Discarded before any chunk arrives.
+            server.expect_bulk(1, data.len());
+            server.discard_bulk(1);
+            client.send_bulk(1, &data).unwrap();
+            sync(&client, &server, 100);
+            assert!(server.streams.table.lock().is_empty(), "{transport}: discarded before");
+            // Discarded once its first chunk has landed.
+            server.expect_bulk(2, data.len());
+            client.conn.send_stream(2, false, &data[..STREAM_CHUNK]).unwrap();
+            sync(&client, &server, 101);
+            server.discard_bulk(2);
+            assert_eq!(server.bulk_streams_held(), 0, "{transport}: discarded mid-way");
+            client.conn.send_stream(2, false, &data[STREAM_CHUNK..2 * STREAM_CHUNK]).unwrap();
+            client.conn.send_stream(2, true, &data[2 * STREAM_CHUNK..]).unwrap();
+            sync(&client, &server, 102);
+            assert!(server.streams.table.lock().is_empty(), "{transport}: discarded mid-way");
+            // Discarded once complete.
+            server.expect_bulk(3, data.len());
+            client.send_bulk(3, &data).unwrap();
+            sync(&client, &server, 103);
+            assert_eq!(server.bulk_streams_held(), 1, "{transport}");
+            server.discard_bulk(3);
+            assert!(server.streams.table.lock().is_empty(), "{transport}: discarded after");
+        }
+    }
+
+    /// A stream longer than expected fails its waiter and leaves the
+    /// connection in sync; so does one that ends short.  A chunk that would
+    /// run past the destination is refused before a byte of it is written.
+    #[test]
+    fn a_stream_longer_or_shorter_than_expected_fails() {
+        let cases = [
+            (10, 11),
+            (STREAM_CHUNK + 1, 2 * STREAM_CHUNK + 1),
+            (10, 5),
+            (STREAM_CHUNK + 1, STREAM_CHUNK),
+            (0, 1),
+        ];
+        for (transport, client, server) in endpoint_pairs() {
+            for (stream_id, (expected, sent)) in (1..).zip(cases) {
+                server.expect_bulk(stream_id, expected);
+                client.send_bulk(stream_id, &pattern(sent)).unwrap();
+                let err = server.wait_bulk(stream_id, Duration::from_secs(5)).unwrap_err();
+                let case = format!("{transport}: {sent} bytes for {expected}");
+                assert!(matches!(err, GcfError::Codec(_)), "{case}: {err:?}");
+                sync(&client, &server, 100 + stream_id);
+                assert!(server.is_open(), "{case}: connection closed");
+                assert!(server.streams.table.lock().is_empty(), "{case}: stream left");
+            }
+            server.expect_bulk(50, 4);
+            assert!(server.streams.claim(50, 5).is_none(), "{transport}: handed out");
+            let err = server.wait_bulk(50, Duration::from_secs(5)).unwrap_err();
+            assert!(matches!(err, GcfError::Codec(_)), "{transport}: {err:?}");
+        }
+    }
+
+    /// A local close, or dropping the endpoint, wakes its receiver thread
+    /// out of the connection's receive, and the thread ends.
+    #[test]
+    fn closing_or_dropping_an_endpoint_ends_its_receiver_thread() {
+        let inproc = InprocTransport::new();
+        let tcp = TcpTransport::new();
+        for (transport, addr) in [(&inproc as &dyn Transport, "srv"), (&tcp, "127.0.0.1:0")] {
+            for close in [true, false] {
+                let listener = transport.listen(addr).unwrap();
+                let bound = listener.local_addr();
+                let accept = std::thread::spawn(move || listener.accept().unwrap());
+                let conn = transport.connect(&bound).unwrap();
+                let _server_conn = accept.join().unwrap();
+                let (client, receiver) =
+                    Endpoint::start(conn, Arc::new(NullHandler), "client", |_| {});
+                if close {
+                    client.close();
+                } else {
+                    drop(client);
+                }
+                receiver.join().unwrap();
+            }
+        }
     }
 }

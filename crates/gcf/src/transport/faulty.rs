@@ -11,7 +11,7 @@
 //! per-address policy to every connection made through an inner transport,
 //! which is how the cluster harness simulates a daemon crash.
 
-use super::{Connection, Listener, Transport};
+use super::{Connection, Listener, Received, StreamLanding, Transport};
 use crate::error::{GcfError, Result};
 use crate::message::{Envelope, MessageKind};
 use parking_lot::Mutex;
@@ -189,6 +189,11 @@ impl Connection for FaultyConnection {
     fn recv(&self) -> Result<Envelope> {
         self.check()?;
         self.inner.recv()
+    }
+
+    fn recv_landing(&self, landing: &dyn StreamLanding) -> Result<Received> {
+        self.check()?;
+        self.inner.recv_landing(landing)
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Envelope> {

@@ -42,6 +42,19 @@ pub trait Connection: Send + Sync {
     /// is closed.
     fn recv(&self) -> Result<Envelope>;
 
+    /// Like [`Connection::recv`], but a stream chunk whose stream `landing`
+    /// claims may be read straight into the claimed destination
+    /// ([`Received::Landed`]).
+    ///
+    /// The default receives every frame whole, and the receiver appends a
+    /// chunk it expects itself.  A transport that can read a payload
+    /// straight into a caller's buffer overrides it
+    /// ([`tcp::TcpConnection`]).
+    fn recv_landing(&self, landing: &dyn StreamLanding) -> Result<Received> {
+        let _ = landing;
+        self.recv().map(Received::Frame)
+    }
+
     /// Receive with a timeout; returns `Err(GcfError::Timeout)` on expiry.
     fn recv_timeout(&self, timeout: Duration) -> Result<Envelope>;
 
@@ -54,6 +67,37 @@ pub trait Connection: Send + Sync {
 
     /// Whether the connection is still open.
     fn is_open(&self) -> bool;
+}
+
+/// The destinations of the bulk streams a receiver expects (see
+/// [`crate::rpc::Endpoint::expect_bulk`]).
+pub trait StreamLanding {
+    /// Take the destination of stream `id` for its next chunk, `len` bytes:
+    /// a `Vec` with at least `len` bytes of spare capacity.  `None` if the
+    /// stream is not expected, or if the chunk would run past the length
+    /// expected, which fails the stream: the chunk is then received whole
+    /// and dropped.
+    fn claim(&self, id: u64, len: usize) -> Option<Vec<u8>>;
+}
+
+/// What [`Connection::recv_landing`] received.
+#[derive(Debug)]
+pub enum Received {
+    /// A whole frame.
+    Frame(Envelope),
+    /// A chunk of `len` bytes of stream `id`, appended to `dest`, the
+    /// destination [`StreamLanding::claim`] gave out; `last` ends the
+    /// stream.
+    Landed {
+        /// The stream.
+        id: u64,
+        /// Whether this chunk ends the stream.
+        last: bool,
+        /// The chunk's length.
+        len: usize,
+        /// The claimed destination, the chunk appended.
+        dest: Vec<u8>,
+    },
 }
 
 /// A listening endpoint accepting incoming connections.

@@ -31,7 +31,14 @@
 //! [`Connection::send_stream`] the chunk slice itself (the `last` flag rides
 //! at the end of the header).  A frame is read header first, then straight
 //! into a `Vec` of exactly the payload's length: no zero fill, no decode
-//! copy.
+//! copy.  A chunk of a stream the receiver expects
+//! ([`Connection::recv_landing`]) is read straight into the expected
+//! destination instead: its flag byte first, then its data, at the end of
+//! what the destination already holds.
+//!
+//! The socket is read through an 8 KiB buffer, so a small frame and the
+//! header of the next usually arrive in one system call; a payload read
+//! bigger than the buffer bypasses it.
 //!
 //! # Read timeouts
 //!
@@ -39,11 +46,11 @@
 //! arrived, the part is kept and the next receive call continues the frame
 //! where this one stopped.
 
-use super::{Connection, Listener, Transport};
+use super::{Connection, Listener, Received, StreamLanding, Transport};
 use crate::error::{GcfError, Result};
 use crate::message::{Envelope, MessageKind};
 use parking_lot::Mutex;
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, BufReader, IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -70,7 +77,7 @@ pub struct TcpConnection {
 /// The receive side of a connection: the socket, and whatever part of the
 /// current frame has arrived.
 struct FrameReader {
-    stream: TcpStream,
+    stream: BufReader<TcpStream>,
     /// The read timeout currently set on the socket.
     timeout: Option<Duration>,
     header: [u8; HEADER_LEN],
@@ -86,7 +93,7 @@ impl FrameReader {
     /// already set to `timeout`.
     fn set_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
         if self.timeout != timeout {
-            self.stream.set_read_timeout(timeout)?;
+            self.stream.get_ref().set_read_timeout(timeout)?;
             self.timeout = timeout;
         }
         Ok(())
@@ -94,7 +101,11 @@ impl FrameReader {
 
     /// Read until the current frame is complete.  On an error, the bytes
     /// read so far stay in place for the next call.
-    fn read_frame(&mut self) -> io::Result<Envelope> {
+    ///
+    /// With `landing`, a stream chunk whose stream it claims is read into
+    /// the claimed destination.  Only a receive without a timeout passes
+    /// one, so such a read never stops part-way but on a closing error.
+    fn read_frame(&mut self, landing: Option<&dyn StreamLanding>) -> io::Result<Received> {
         while self.header_read < HEADER_LEN {
             match self.stream.read(&mut self.header[self.header_read..]) {
                 Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
@@ -104,24 +115,53 @@ impl FrameReader {
             }
         }
         if self.frame.is_none() {
-            self.frame = Some(parse_header(&self.header)?);
+            let (kind, id, len) = parse_header(&self.header)?;
+            let mut payload = Vec::new();
+            if let (Some(landing), MessageKind::StreamData, 1..) = (landing, kind, len) {
+                let mut last = [0u8];
+                self.stream.read_exact(&mut last)?;
+                if let Some(mut dest) = landing.claim(id, len - 1) {
+                    read_exactly(&mut self.stream, &mut dest, len - 1)?;
+                    self.header_read = 0;
+                    return Ok(Received::Landed { id, last: last[0] == 1, len: len - 1, dest });
+                }
+                payload.reserve_exact(len);
+                payload.push(last[0]);
+            } else {
+                payload.reserve_exact(len);
+            }
+            self.frame = Some((Envelope { kind, id, payload }, len));
         }
         let (frame, len) = self.frame.as_mut().expect("header parsed above");
         while frame.payload.len() < *len {
-            let missing = (*len - frame.payload.len()) as u64;
-            // Reads into the spare capacity, which is never zero-filled.
-            if (&mut self.stream).take(missing).read_to_end(&mut frame.payload)? == 0 {
-                return Err(io::ErrorKind::UnexpectedEof.into());
-            }
+            let missing = *len - frame.payload.len();
+            read_exactly(&mut self.stream, &mut frame.payload, missing)?;
         }
         self.header_read = 0;
-        Ok(self.frame.take().expect("frame completed above").0)
+        Ok(Received::Frame(self.frame.take().expect("frame completed above").0))
     }
 }
 
-/// Validate a frame header; returns the frame with an empty payload of the
-/// right capacity, and the payload length.
-fn parse_header(header: &[u8; HEADER_LEN]) -> io::Result<(Envelope, usize)> {
+/// Append the next `len` bytes of `stream` to `dest`, read into its spare
+/// capacity, which is never zero-filled.  Bytes read before an error stay
+/// appended.
+fn read_exactly(stream: &mut impl Read, dest: &mut Vec<u8>, len: usize) -> io::Result<()> {
+    if stream.take(len as u64).read_to_end(dest)? < len {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
+    Ok(())
+}
+
+/// The frame of a receive that passed no landing: nothing was claimed.
+fn frame_of_received(received: Received) -> Envelope {
+    match received {
+        Received::Frame(env) => env,
+        Received::Landed { .. } => unreachable!("a receive without a landing claims nothing"),
+    }
+}
+
+/// Validate a frame header; returns its kind, id and payload length.
+fn parse_header(header: &[u8; HEADER_LEN]) -> io::Result<(MessageKind, u64, usize)> {
     let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
     let field = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().expect("4 bytes"));
     let frame_len = field(0);
@@ -139,8 +179,7 @@ fn parse_header(header: &[u8; HEADER_LEN]) -> io::Result<(Envelope, usize)> {
     }
     let kind = MessageKind::from_byte(header[4]).map_err(|e| invalid(e.to_string()))?;
     let id = u64::from_le_bytes(header[5..13].try_into().expect("8 bytes"));
-    let len = len as usize;
-    Ok((Envelope { kind, id, payload: Vec::with_capacity(len) }, len))
+    Ok((kind, id, len as usize))
 }
 
 /// `write_all` for a list of buffers.
@@ -161,7 +200,7 @@ impl TcpConnection {
         let peer =
             stream.peer_addr().map(|a| a.to_string()).unwrap_or_else(|_| "<unknown>".to_string());
         let reader = FrameReader {
-            stream: stream.try_clone()?,
+            stream: BufReader::new(stream.try_clone()?),
             timeout: None,
             header: [0; HEADER_LEN],
             header_read: 0,
@@ -212,16 +251,21 @@ impl TcpConnection {
         Ok(())
     }
 
-    /// Receive one frame with the socket's read timeout set to `timeout`.
-    /// Any error but a timeout closes the connection.
-    fn receive(&self, timeout: Option<Duration>) -> Result<Envelope> {
+    /// Receive one frame with the socket's read timeout set to `timeout`
+    /// (see [`FrameReader::read_frame`] for `landing`).  Any error but a
+    /// timeout closes the connection.
+    fn receive(
+        &self,
+        timeout: Option<Duration>,
+        landing: Option<&dyn StreamLanding>,
+    ) -> Result<Received> {
         if !self.is_open() {
             return Err(GcfError::Disconnected(self.peer.clone()));
         }
         let mut reader = self.reader.lock();
         reader.set_timeout(timeout)?;
-        let err = match reader.read_frame() {
-            Ok(frame) => return Ok(frame),
+        let err = match reader.read_frame(landing) {
+            Ok(received) => return Ok(received),
             Err(e) => e,
         };
         if matches!(err.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) {
@@ -246,11 +290,15 @@ impl Connection for TcpConnection {
     }
 
     fn recv(&self) -> Result<Envelope> {
-        self.receive(None)
+        self.receive(None, None).map(frame_of_received)
+    }
+
+    fn recv_landing(&self, landing: &dyn StreamLanding) -> Result<Received> {
+        self.receive(None, Some(landing))
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Envelope> {
-        self.receive(Some(timeout))
+        self.receive(Some(timeout), None).map(frame_of_received)
     }
 
     fn peer(&self) -> String {
@@ -452,6 +500,59 @@ mod tests {
             raw.write_all(&frame[split..]).unwrap();
             assert_eq!(conn.recv_timeout(Duration::from_millis(500)).unwrap(), env, "{split}");
             assert!(conn.is_open());
+        }
+    }
+
+    /// Claims stream 5 once, into `dest`.
+    struct ClaimFive(Mutex<Option<Vec<u8>>>);
+
+    impl StreamLanding for ClaimFive {
+        fn claim(&self, id: u64, _len: usize) -> Option<Vec<u8>> {
+            if id == 5 {
+                self.0.lock().take()
+            } else {
+                None
+            }
+        }
+    }
+
+    /// A chunk the landing claims is read into the claimed `Vec`, after
+    /// what it holds; a chunk it does not claim arrives whole, flag first.
+    #[test]
+    fn claimed_chunks_land_and_others_arrive_whole() {
+        let (conn, mut raw) = raw_pair();
+        let mut dest = Vec::with_capacity(3);
+        dest.push(9);
+        let landing = ClaimFive(Mutex::new(Some(dest)));
+        let other = Envelope::stream(6, vec![0, 3]);
+        raw.write_all(&frame_of(&Envelope::stream(5, vec![1, 7, 8]))).unwrap();
+        raw.write_all(&frame_of(&other)).unwrap();
+        match conn.recv_landing(&landing).unwrap() {
+            Received::Landed { id: 5, last: true, len: 2, dest } => assert_eq!(dest, [9, 7, 8]),
+            received => panic!("{received:?}"),
+        }
+        match conn.recv_landing(&landing).unwrap() {
+            Received::Frame(env) => assert_eq!(env, other),
+            received => panic!("{received:?}"),
+        }
+        assert!(conn.is_open());
+    }
+
+    /// A frame a timed-out receive began is finished whole by the next
+    /// receive, even one that would land its stream.
+    #[test]
+    fn a_landing_receive_finishes_a_frame_begun_before() {
+        let env = Envelope::stream(5, vec![1, 2, 3, 4]);
+        let frame = frame_of(&env);
+        let (conn, mut raw) = raw_pair();
+        raw.write_all(&frame[..HEADER_LEN + 2]).unwrap();
+        let err = conn.recv_timeout(Duration::from_millis(50)).unwrap_err();
+        assert!(matches!(err, GcfError::Timeout(_)), "{err:?}");
+        raw.write_all(&frame[HEADER_LEN + 2..]).unwrap();
+        let landing = ClaimFive(Mutex::new(Some(Vec::with_capacity(3))));
+        match conn.recv_landing(&landing).unwrap() {
+            Received::Frame(received) => assert_eq!(received, env),
+            received => panic!("{received:?}"),
         }
     }
 

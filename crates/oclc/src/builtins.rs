@@ -165,17 +165,23 @@ pub fn eval_math(name: &str, args: &[Value]) -> Result<Value, CompileError> {
     // Component-wise application over vectors for single-argument functions.
     if args.len() == 1 {
         if let Some((t, lanes)) = lanes_of(&args[0]) {
+            // The lanes' result type: the argument's, but `abs` of an
+            // integer is unsigned.
+            let mut result_type = *t;
             let mapped: Result<Vec<Scalar>, CompileError> = lanes
                 .iter()
-                .map(|l| {
-                    let v = eval_math(name, &[Value::Scalar(*t, *l)])?;
-                    v.scalar()
+                .map(|l| match eval_math(name, &[Value::Scalar(*t, *l)])? {
+                    Value::Scalar(rt, s) => {
+                        result_type = rt;
+                        Ok(s)
+                    }
+                    v => v.scalar(),
                 })
                 .collect();
             // dot/length/normalize handled separately below, so reaching here
             // is fine for elementwise ops.
             if !matches!(name, "length" | "normalize" | "dot" | "distance") {
-                return Ok(Value::Vector(*t, mapped?));
+                return Ok(Value::Vector(result_type, mapped?));
             }
         }
     }
@@ -186,8 +192,9 @@ pub fn eval_math(name: &str, args: &[Value]) -> Result<Value, CompileError> {
         "abs" => {
             expect_args(name, args, 1)?;
             match &args[0] {
+                // OpenCL C: `abs` of an integer type is its unsigned type.
                 Value::Scalar(t, s) if t.is_integer() => {
-                    Ok(Value::Scalar(*t, Scalar::U(s.as_i64().unsigned_abs())))
+                    Ok(Value::Scalar(t.unsigned(), Scalar::U(s.as_i64().unsigned_abs())))
                 }
                 other => Ok(float_result(args, other.as_f64()?.abs())),
             }
@@ -398,7 +405,9 @@ mod tests {
 
     #[test]
     fn integer_abs() {
-        assert_eq!(eval_math("abs", &[Value::int(-5)]).unwrap().as_u64().unwrap(), 5);
+        let abs = eval_math("abs", &[Value::int(-5)]).unwrap();
+        assert_eq!(abs.as_u64().unwrap(), 5);
+        assert!(matches!(abs, Value::Scalar(ScalarType::UInt, _)), "{abs:?}");
     }
 
     #[test]

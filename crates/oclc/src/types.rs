@@ -57,6 +57,18 @@ impl ScalarType {
         matches!(self, ScalarType::Char | ScalarType::Short | ScalarType::Int | ScalarType::Long)
     }
 
+    /// The unsigned type of the same size (`int` → `uint`); other types
+    /// are their own.
+    pub fn unsigned(self) -> ScalarType {
+        match self {
+            ScalarType::Char => ScalarType::UChar,
+            ScalarType::Short => ScalarType::UShort,
+            ScalarType::Int => ScalarType::UInt,
+            ScalarType::Long => ScalarType::ULong,
+            other => other,
+        }
+    }
+
     /// Resolve a scalar type name.
     pub fn from_name(name: &str) -> Option<ScalarType> {
         Some(match name {

@@ -96,6 +96,12 @@ impl Buffer {
 
     /// Copy `len` bytes starting at `offset` out of the buffer.
     pub fn read(&self, offset: usize, len: usize) -> Result<Vec<u8>> {
+        self.read_with(offset, len, <[u8]>::to_vec)
+    }
+
+    /// Run `f` on the `len` bytes starting at `offset`, in place: the
+    /// buffer's data lock is held while `f` runs.
+    pub fn read_with<R>(&self, offset: usize, len: usize, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
         let data = self.data.lock();
         let end = offset
             .checked_add(len)
@@ -106,7 +112,7 @@ impl Buffer {
                 data.len()
             )));
         }
-        Ok(data[offset..end].to_vec())
+        Ok(f(&data[offset..end]))
     }
 
     /// Copy `bytes` into the buffer starting at `offset`.

@@ -4,9 +4,14 @@
 //! per-command wait lists, and complete their events.  They are pushed to a
 //! per-queue worker thread, except a transfer submitted through
 //! [`CommandQueue::enqueue_write_buffer_inline`] or
-//! [`CommandQueue::enqueue_read_buffer_inline`] that finds nothing ahead of
-//! it: that one runs on the calling thread, through the same executor,
-//! before the enqueue returns.  Every completed event carries the *modelled*
+//! [`CommandQueue::enqueue_read_buffer_inline_to`] that finds nothing ahead
+//! of it: that one runs on the calling thread, through the same executor,
+//! before the enqueue returns.
+//!
+//! A read hands its bytes to a [`ReadSink`] in place, under the buffer's
+//! data lock, before its event turns terminal.  The plain
+//! [`CommandQueue::enqueue_read_buffer`] is the sink that keeps a copy as the
+//! event's result.  Every completed event carries the *modelled*
 //! duration of its command (derived from the device's compute and bus
 //! models) so the dOpenCL layer and the figure harnesses can account
 //! simulated time without depending on wall-clock speed of the machine
@@ -27,6 +32,11 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 static NEXT_QUEUE_ID: AtomicU64 = AtomicU64::new(1);
+
+/// Where a read's bytes go: called once with the bytes read, while the
+/// buffer's data lock is held and before the read's event turns terminal.
+/// A read that fails does not call it.
+pub type ReadSink = Box<dyn FnOnce(&[u8]) + Send>;
 
 /// Properties of a command queue (`CL_QUEUE_PROPERTIES`), reduced to the
 /// flags relevant here.
@@ -52,6 +62,7 @@ enum Command {
         buffer: Arc<Buffer>,
         offset: usize,
         len: usize,
+        sink: ReadSink,
         wait_list: Vec<Arc<Event>>,
         event: Arc<Event>,
     },
@@ -255,36 +266,58 @@ impl CommandQueue {
         len: usize,
         wait_list: Vec<Arc<Event>>,
     ) -> Result<Arc<Event>> {
-        self.read(buffer, offset, len, wait_list, false)
+        self.read(buffer, offset, len, wait_list, None, false)
     }
 
-    /// [`CommandQueue::enqueue_read_buffer`], but run on the calling thread
-    /// when the queue is idle and every wait-list event is complete.
-    /// Otherwise it is queued behind the work ahead of it as usual.
-    pub fn enqueue_read_buffer_inline(
+    /// `clEnqueueReadBuffer` whose bytes go to `sink` instead of the
+    /// event's result.
+    pub fn enqueue_read_buffer_to(
         &self,
         buffer: &Arc<Buffer>,
         offset: usize,
         len: usize,
         wait_list: Vec<Arc<Event>>,
+        sink: ReadSink,
     ) -> Result<Arc<Event>> {
-        self.read(buffer, offset, len, wait_list, true)
+        self.read(buffer, offset, len, wait_list, Some(sink), false)
     }
 
+    /// [`CommandQueue::enqueue_read_buffer_to`], but run on the calling
+    /// thread when the queue is idle and every wait-list event is complete.
+    /// Otherwise it is queued behind the work ahead of it as usual.
+    pub fn enqueue_read_buffer_inline_to(
+        &self,
+        buffer: &Arc<Buffer>,
+        offset: usize,
+        len: usize,
+        wait_list: Vec<Arc<Event>>,
+        sink: ReadSink,
+    ) -> Result<Arc<Event>> {
+        self.read(buffer, offset, len, wait_list, Some(sink), true)
+    }
+
+    /// Submit a read whose bytes go to `sink`, or with none, to the event's
+    /// result.
     fn read(
         &self,
         buffer: &Arc<Buffer>,
         offset: usize,
         len: usize,
         wait_list: Vec<Arc<Event>>,
+        sink: Option<ReadSink>,
         inline: bool,
     ) -> Result<Arc<Event>> {
         let event = Event::new(CommandType::ReadBuffer);
+        let sink = sink.unwrap_or_else(|| {
+            let result = Arc::clone(&event);
+            Box::new(move |bytes| result.set_result(bytes.to_vec()))
+        });
         self.submit(
             Command::Read {
                 buffer: Arc::clone(buffer),
                 offset,
                 len,
+                sink,
                 wait_list,
                 event: Arc::clone(&event),
             },
@@ -420,16 +453,15 @@ fn execute_command(device: &Arc<Device>, command: Command) {
                 Err(e) => event.set_error(e.code()),
             }
         }
-        Command::Read { buffer, offset, len, wait_list, event } => {
+        Command::Read { buffer, offset, len, sink, wait_list, event } => {
             if let Err(code) = wait_for_list(&wait_list) {
                 event.set_error(code);
                 return;
             }
             event.set_status(EventStatus::Running);
-            match buffer.read(offset, len) {
-                Ok(data) => {
+            match buffer.read_with(offset, len, sink) {
+                Ok(()) => {
                     event.set_modeled(device.profile().bus.read_time(len as u64));
-                    event.set_result(data);
                     event.set_complete();
                 }
                 Err(e) => event.set_error(e.code()),
@@ -501,6 +533,13 @@ mod tests {
         )
         .unwrap();
         (context, device, queue)
+    }
+
+    /// A sink that keeps the bytes it is handed, and where it keeps them.
+    fn kept() -> (ReadSink, Arc<Mutex<Option<Vec<u8>>>>) {
+        let kept = Arc::new(Mutex::new(None));
+        let sink = Arc::clone(&kept);
+        (Box::new(move |bytes: &[u8]| *sink.lock() = Some(bytes.to_vec())), kept)
     }
 
     #[test]
@@ -622,9 +661,11 @@ mod tests {
         let write = queue.enqueue_write_buffer_inline(&buffer, 0, vec![4; 4], vec![done]).unwrap();
         assert_eq!(write.status(), EventStatus::Complete);
         assert!(write.modeled_duration() > Duration::ZERO);
-        let read = queue.enqueue_read_buffer_inline(&buffer, 0, 4, vec![write]).unwrap();
+        let (sink, kept) = kept();
+        let read = queue.enqueue_read_buffer_inline_to(&buffer, 0, 4, vec![write], sink).unwrap();
         assert_eq!(read.status(), EventStatus::Complete);
-        assert_eq!(read.take_result(), Some(vec![4; 4]));
+        assert_eq!(kept.lock().take(), Some(vec![4; 4]));
+        assert_eq!(read.take_result(), None, "a sink's bytes are not the event's result");
         assert_eq!(queue.pending_commands(), 0);
     }
 
@@ -636,12 +677,13 @@ mod tests {
         let gated =
             queue.enqueue_write_buffer(&buffer, 0, vec![1; 4], vec![Arc::clone(&gate)]).unwrap();
         // Nothing in its own wait list, but the gated write is ahead of it.
-        let read = queue.enqueue_read_buffer_inline(&buffer, 0, 4, Vec::new()).unwrap();
+        let (sink, kept) = kept();
+        let read = queue.enqueue_read_buffer_inline_to(&buffer, 0, 4, Vec::new(), sink).unwrap();
         assert!(!read.status().is_terminal());
         gate.set_complete();
         read.wait().unwrap();
         assert!(gated.status().is_terminal());
-        assert_eq!(read.take_result(), Some(vec![1; 4]), "the read overtook the write");
+        assert_eq!(kept.lock().take(), Some(vec![1; 4]), "the read overtook the write");
     }
 
     #[test]
@@ -660,9 +702,41 @@ mod tests {
         // worker fails the command with the wait-list error.
         let failed = Event::user();
         failed.set_error(-5);
-        let read = queue.enqueue_read_buffer_inline(&buffer, 0, 4, vec![failed]).unwrap();
+        let (sink, kept) = kept();
+        let read = queue.enqueue_read_buffer_inline_to(&buffer, 0, 4, vec![failed], sink).unwrap();
         assert!(read.wait().is_err());
         assert_eq!(read.status(), EventStatus::Error(-14));
+        assert_eq!(*kept.lock(), None, "a failed read called its sink");
+    }
+
+    /// A read hands its range to the sink in place, before its event turns
+    /// terminal; a read out of bounds fails without calling it.
+    #[test]
+    fn a_read_sink_gets_its_range_before_the_event_turns_terminal() {
+        let (context, _, queue) = setup();
+        let buffer =
+            Buffer::new(Arc::clone(&context), 4, MemFlags::READ_WRITE, Some(&[1, 2, 3, 4]))
+                .unwrap();
+        let gate = Event::user();
+        let read_event: Arc<Mutex<Option<Arc<Event>>>> = Arc::default();
+        let seen = Arc::new(Mutex::new(None));
+        let (event_in_sink, seen_in_sink) = (Arc::clone(&read_event), Arc::clone(&seen));
+        let sink: ReadSink = Box::new(move |bytes| {
+            let status = event_in_sink.lock().as_ref().map(|e| e.status());
+            *seen_in_sink.lock() = Some((bytes.to_vec(), status));
+        });
+        let read =
+            queue.enqueue_read_buffer_to(&buffer, 1, 2, vec![Arc::clone(&gate)], sink).unwrap();
+        *read_event.lock() = Some(Arc::clone(&read));
+        gate.set_complete();
+        read.wait().unwrap();
+        assert_eq!(*seen.lock(), Some((vec![2, 3], Some(EventStatus::Running))));
+        assert!(read.modeled_duration() > Duration::ZERO);
+
+        let (sink, kept) = kept();
+        let out_of_bounds = queue.enqueue_read_buffer_to(&buffer, 2, 4, Vec::new(), sink).unwrap();
+        assert!(out_of_bounds.wait().is_err());
+        assert_eq!(*kept.lock(), None);
     }
 
     #[test]

@@ -243,6 +243,30 @@ fn mixed_signedness_comparisons_match_oracle() {
     assert_eq!(i32s(&out[0]), vec![1, -1, 1]);
 }
 
+/// OpenCL C's `abs` of an integer returns the unsigned type, so comparing
+/// it with a negative `int` converts that to `uint`: `5u > (uint)-1` is 0.
+#[test]
+fn integer_abs_is_unsigned_on_both_executors() {
+    let src = r#"
+        __kernel void f(__global int* out) {
+            int x = -5;
+            out[0] = abs(x) > -1;
+            out[1] = abs(x);
+            out[2] = abs(x) - 6 > 0;
+            long y = -7;
+            out[3] = abs(y) > -1;
+        }
+    "#;
+    let out = differential(
+        src,
+        "f",
+        NdRange::linear(1),
+        vec![KernelArgValue::Buffer(0)],
+        vec![vec![0u8; 16]],
+    );
+    assert_eq!(i32s(&out[0]), vec![0, 5, 1, 0]);
+}
+
 #[test]
 fn global_atomics_match_oracle() {
     let src = r#"

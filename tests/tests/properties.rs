@@ -117,7 +117,9 @@ proptest! {
                         dir.record_upload(server, *upload);
                     }
                 }
-                _ => dir.record_received(server, &[dir.full_range()], &[0u8; 64]),
+                _ => {
+                    dir.record_received(server, &[dir.full_range()], &[0u8; 64]);
+                }
             }
             let modified: Vec<usize> = servers
                 .iter()
