@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Fail if a traced perfbench count rose above its committed baseline.
 
-    python3 ci/check_counts.py [--baseline ci/perfbench_counts.json]
+    python3 ci/check_counts.py [--baseline ci/perfbench_counts.json] [--write]
 
 For every workload in the baseline this runs
 
@@ -13,6 +13,9 @@ byte) with the baseline.  These counts are exact for a given seed: they
 are taken over a fixed window of rounds, not over wall-clock time, so any
 rise is a change in what the program does, not noise.  A count that fell
 is reported but passes; commit the new figure to keep the gate tight.
+`--write` stores the counts of this run as the new baseline: commit it with
+a change that lowers a count, and quote the diff in CHANGES.md.  It writes
+nothing when a count rose (or went missing) or a run was not correct.
 """
 
 import argparse
@@ -45,13 +48,16 @@ def traced_counts(workload, seed):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline", default=os.path.join(ROOT, "ci", "perfbench_counts.json"))
+    parser.add_argument("--write", action="store_true", help="store this run's counts as the baseline")
     args = parser.parse_args()
     with open(args.baseline) as f:
         baseline = json.load(f)
     seed = baseline["seed"]
     risen = []
+    counts = {}
     for workload, expected in baseline["workloads"].items():
         got = traced_counts(workload, seed)
+        counts[workload] = {name: got[name] for name in expected if name in got}
         for name, limit in expected.items():
             if name not in got:
                 risen.append(f"{workload} {name}: missing from the report")
@@ -62,11 +68,18 @@ def main():
                 verdict = "ROSE"
                 risen.append(f"{workload} {name}: {limit} -> {value}")
             elif value < limit - TOLERANCE * max(abs(limit), 1.0):
-                verdict = "fell (update the baseline)"
+                verdict = "fell (--write updates the baseline)"
             print(f"[{workload}] {name} = {value} (baseline {limit}) {verdict}")
     if risen:
         print("counts rose:\n  " + "\n  ".join(risen), file=sys.stderr)
+        if args.write:
+            print(f"not writing {args.baseline}", file=sys.stderr)
         return 1
+    if args.write:
+        with open(args.baseline, "w") as f:
+            json.dump({"seed": seed, "workloads": counts}, f, indent=2)
+            f.write("\n")
+        print(f"wrote {args.baseline}")
     return 0
 
 

@@ -351,9 +351,9 @@ impl ClientInner {
             size: len as u64,
             stream_id,
         };
-        let event = self.enqueue(queue, Phase::DataTransfer, command, wait).inspect_err(|_| {
-            conn.endpoint.discard_bulk(stream_id);
-        })?;
+        let event = self
+            .enqueue(queue, Phase::DataTransfer, command, wait)
+            .inspect_err(|_| conn.endpoint.discard_bulk(stream_id, true))?;
         Ok(PendingRead {
             client: self.self_weak.clone(),
             server,

@@ -45,8 +45,8 @@ pub(super) struct ServerSlot {
     /// is reconnecting it is the dead one, whose name is the address to
     /// redial.
     conn: Option<Arc<ServerConn>>,
-    /// Epoch of the connection that opened the daemon's current session;
-    /// commands accepted on an earlier connection died with theirs.
+    /// Epoch of the connection that opened the daemon's current session,
+    /// once rebuilt whole (`Hello` carries it); older commands died with it.
     session_start: u64,
     /// Initialization-phase requests replayed verbatim when the daemon did
     /// not park our session (it was restarted): re-creates every remote
@@ -116,7 +116,7 @@ impl ClientInner {
 
     /// Connect to the daemon at `address` and add it to the roster.
     pub(super) fn add_server(&self, address: &str) -> Result<usize> {
-        let (conn, handler, _resumed) = self.handshake(address, 0)?;
+        let (conn, handler, _resumed) = self.handshake(address, 0, 0)?;
         let endpoint = Arc::clone(&conn.endpoint);
         let index = {
             let mut servers = self.servers.lock();
@@ -281,10 +281,10 @@ impl ClientInner {
         // (replaced below on success, or by `drop_server` on permanent
         // loss) — retiring here too would double-count.
         dead.endpoint.close();
-        let epoch = dead.epoch + 1;
+        let (epoch, session_start) = (dead.epoch + 1, self.session_start(index));
         let backoff = self.failover.lock().backoff;
         let (conn, handler, resumed) = retry_with_backoff(&backoff, |_attempt| {
-            self.handshake(&dead.name, epoch).map_err(|e| match e {
+            self.handshake(&dead.name, epoch, session_start).map_err(|e| match e {
                 DclError::Network(g) => g,
                 other => gcf::GcfError::Disconnected(other.to_string()),
             })
@@ -321,13 +321,14 @@ impl ClientInner {
         Ok(())
     }
 
-    /// Dial `address`, handshake (`Hello` with `epoch`), fetch the device
-    /// list.  Shared by first connect and reconnect.  The connection's
-    /// completions are held until the caller releases its handler.
+    /// Dial `address`, handshake (`Hello`), fetch the device list.  Shared
+    /// by first connect and reconnect.  The connection's completions are
+    /// held until the caller releases its handler.
     fn handshake(
         &self,
         address: &str,
         epoch: u64,
+        session_start: u64,
     ) -> Result<(ServerConn, Arc<ClientHandler>, bool)> {
         let conn = self.transport.connect(address)?;
         let handler = Arc::new(ClientHandler {
@@ -344,6 +345,7 @@ impl ClientInner {
             client_name: self.name.clone(),
             auth_id: self.auth_id.lock().clone(),
             epoch,
+            session_start,
         };
         let resumed = match self.exchange(&endpoint, &hello, Phase::Initialization)? {
             Response::SessionInfo(info) => info.resumed,

@@ -153,6 +153,11 @@ impl Event {
         self.record().state.lock().status.is_some()
     }
 
+    /// Whether the event is terminal with an error status.
+    pub(super) fn failed(&self) -> bool {
+        self.record().state.lock().status.is_some_and(|status| status != 0)
+    }
+
     /// Block until the command completes; errors if the command failed.
     ///
     /// Flushes every pending command batch of the client first: the command

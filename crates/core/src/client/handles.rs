@@ -581,9 +581,9 @@ impl Drop for PendingRead {
         if self.collected {
             return;
         }
-        // The daemon streams the data whether or not anyone waits for it.
+        // The daemon streams the data anyway, unless the read failed: no stream follows a status.
         if let Some(conn) = self.client.upgrade().and_then(|inner| inner.server(self.server).ok()) {
-            conn.endpoint.discard_bulk(self.stream_id);
+            conn.endpoint.discard_bulk(self.stream_id, !self.event.failed());
         }
     }
 }

@@ -683,12 +683,19 @@ impl Client {
 
 #[cfg(test)]
 mod tests {
+    use super::Client;
     use crate::protocol::{Request, WireValue};
-    use crate::{Context, LocalCluster, Value};
+    use crate::{Context, LocalCluster, NdRange, Value};
+    use gcf::simtime::SimClock;
+    use gcf::transport::inproc::InprocTransport;
+    use gcf::transport::tcp::TcpTransport;
+    use gcf::transport::Transport;
     use gcf::LinkModel;
+    use std::sync::Arc;
     use vocl::Platform;
 
     const SCALE: &str = "__kernel void scale(__global int* a, int k) { a[get_global_id(0)] *= k; }";
+    const OUT_OF_BOUNDS: &str = "__kernel void oob(__global int* a) { a[1 << 20] = 1; }";
 
     #[test]
     fn dropped_pending_read_leaves_no_stream_behind() {
@@ -713,6 +720,44 @@ mod tests {
         assert_eq!(data.len(), 256 << 10);
         let endpoint = &client.inner.server(0).unwrap().endpoint;
         assert_eq!(endpoint.bulk_streams_held(), 0);
+    }
+
+    /// A read that fails on the daemon sends no stream, so the client
+    /// drops the read's expected stream outright: a thousand failed reads
+    /// leave no entry in the stream table, over either transport.
+    #[test]
+    fn failed_reads_leave_no_stream_entry() {
+        let transports: [(Arc<dyn Transport>, &str); 2] = [
+            (Arc::new(InprocTransport::new()), "failed-reads"),
+            (Arc::new(TcpTransport::new()), "127.0.0.1:0"),
+        ];
+        for (transport, address) in transports {
+            let platform = Platform::test_platform(1);
+            let open = Arc::new(crate::OpenAccess);
+            let daemon =
+                crate::Daemon::start("node0", &platform, Arc::clone(&transport), address, open)
+                    .unwrap();
+            let client =
+                Client::new("failed-reads", transport, LinkModel::ideal(), SimClock::new());
+            client.connect_server(daemon.address()).unwrap();
+            let devices = client.devices();
+            let context = Context::new(&client, &devices).unwrap();
+            let queue = context.create_command_queue(&devices[0]).unwrap();
+            let buffer = context.create_buffer(16).unwrap();
+            let program = context.create_program_with_source(OUT_OF_BOUNDS).unwrap();
+            program.build().unwrap();
+            let kernel = program.create_kernel("oob").unwrap();
+            kernel.set_arg(0, &buffer).unwrap();
+            let failed = queue.launch(&kernel, NdRange::linear(1)).submit().unwrap();
+            assert!(failed.wait().is_err(), "the out-of-bounds store succeeded");
+            for _ in 0..1_000 {
+                let read = queue.read_buffer(&buffer).after(std::slice::from_ref(&failed));
+                let err = read.submit().unwrap_err();
+                assert!(err.to_string().contains("status -14"), "{err}");
+            }
+            let endpoint = &client.inner.server(0).unwrap().endpoint;
+            assert_eq!(endpoint.bulk_streams_held(), 0, "{address}");
+        }
     }
 
     #[test]

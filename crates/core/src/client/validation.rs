@@ -121,9 +121,8 @@ impl ClientInner {
             ranges: wire_ranges(ranges),
             stream_id,
         };
-        self.call_bulk_request(&conn, &request).inspect_err(|_| {
-            conn.endpoint.discard_bulk(stream_id);
-        })?;
+        self.call_bulk_request(&conn, &request)
+            .inspect_err(|_| conn.endpoint.discard_bulk(stream_id, true))?;
         let data = conn.endpoint.wait_bulk(stream_id, Duration::from_secs(300))?;
         self.clock.charge(Phase::DataTransfer, self.link.transfer_time(data.len() as u64));
         Ok(data)

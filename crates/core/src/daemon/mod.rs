@@ -232,45 +232,46 @@ impl Daemon {
     /// `identity` still tracks — a leak check for tests: once the client has
     /// released every event, this is 0.
     pub fn events_held(&self, identity: &str) -> Option<usize> {
-        let state = Arc::clone(self.registry.lock().by_identity.get(identity)?);
+        let state = Arc::clone(&self.registry.lock().by_identity.get(identity)?.1);
         let held = state.lock().events_held();
         Some(held)
     }
 }
 
-/// Bounded identity → session-state map enabling reconnect revival.
+/// Bounded identity → (creation epoch, session state) map enabling
+/// reconnect revival.
 #[derive(Default)]
 struct SessionRegistry {
     order: VecDeque<String>,
-    by_identity: HashMap<String, Arc<Mutex<SessionState>>>,
+    by_identity: HashMap<String, (u64, Arc<Mutex<SessionState>>)>,
 }
 
 /// How many distinct client identities a daemon parks state for.
 const MAX_PARKED_SESSIONS: usize = 64;
 
 impl SessionRegistry {
-    /// Register `fresh` under `identity`, or — when `epoch > 0` and the
-    /// identity is known — hand back the existing (parked) state instead.
+    /// Register `fresh` under `identity` as created at `epoch`, or — when
+    /// `epoch > 0` and the identity's state was created at `session_start`,
+    /// the session the client built whole — hand that state back instead.
     fn adopt_or_register(
         &mut self,
         identity: &str,
         epoch: u64,
+        session_start: u64,
         fresh: &Arc<Mutex<SessionState>>,
     ) -> (Arc<Mutex<SessionState>>, bool) {
-        if epoch > 0 {
-            if let Some(existing) = self.by_identity.get(identity) {
+        if let Some((created, existing)) = self.by_identity.get(identity) {
+            if epoch > 0 && *created == session_start {
                 return (Arc::clone(existing), true);
             }
-        }
-        if !self.by_identity.contains_key(identity) {
+        } else {
             self.order.push_back(identity.to_string());
-            while self.order.len() > MAX_PARKED_SESSIONS {
-                if let Some(evicted) = self.order.pop_front() {
-                    self.by_identity.remove(&evicted);
-                }
+            let excess = self.order.len().saturating_sub(MAX_PARKED_SESSIONS);
+            for evicted in self.order.drain(..excess) {
+                self.by_identity.remove(&evicted);
             }
         }
-        self.by_identity.insert(identity.to_string(), Arc::clone(fresh));
+        self.by_identity.insert(identity.to_string(), (epoch, Arc::clone(fresh)));
         (Arc::clone(fresh), false)
     }
 }
@@ -331,7 +332,7 @@ impl DedupWindow {
 
 #[cfg(test)]
 mod tests {
-    use super::session::report_points;
+    use super::session::{report_points, INLINE_STEPS};
     use super::*;
     use crate::protocol::{
         BatchCommand, BatchEntry, BatchEntryStatus, ClientNotification, Notification, Request,
@@ -402,6 +403,11 @@ mod tests {
         (statuses, completed.iter().map(|c| (c.event_id, c.status)).collect())
     }
 
+    /// A first connect's `Hello` from client `name`.
+    fn hello(name: &str) -> Request {
+        Request::Hello { client_name: name.into(), auth_id: None, epoch: 0, session_start: 0 }
+    }
+
     fn call(endpoint: &Arc<Endpoint>, request: Request) -> Response {
         let bytes = endpoint.call(request.to_bytes()).unwrap();
         Response::from_bytes(&bytes).unwrap()
@@ -439,7 +445,7 @@ mod tests {
     #[test]
     fn device_list_and_server_info() {
         let (_daemon, endpoint, _t) = start_test_daemon();
-        call(&endpoint, Request::Hello { client_name: "test".into(), auth_id: None, epoch: 0 });
+        call(&endpoint, hello("test"));
         let Response::DeviceList { devices } = call(&endpoint, Request::GetDeviceList) else {
             panic!("expected device list")
         };
@@ -455,7 +461,7 @@ mod tests {
     #[test]
     fn full_remote_kernel_round_trip() {
         let (daemon, endpoint, _t) = start_test_daemon();
-        call(&endpoint, Request::Hello { client_name: "test".into(), auth_id: None, epoch: 0 });
+        call(&endpoint, hello("test"));
         let Response::DeviceList { devices } = call(&endpoint, Request::GetDeviceList) else {
             panic!()
         };
@@ -538,7 +544,7 @@ mod tests {
     #[test]
     fn upload_stream_then_request_roundtrip() {
         let (_daemon, endpoint, _t) = start_test_daemon();
-        call(&endpoint, Request::Hello { client_name: "c".into(), auth_id: None, epoch: 0 });
+        call(&endpoint, hello("c"));
         let Response::DeviceList { devices } = call(&endpoint, Request::GetDeviceList) else {
             panic!()
         };
@@ -572,7 +578,7 @@ mod tests {
     #[test]
     fn range_upload_writes_every_range_or_nothing() {
         let (_daemon, endpoint, _t) = start_test_daemon();
-        call(&endpoint, Request::Hello { client_name: "c".into(), auth_id: None, epoch: 0 });
+        call(&endpoint, hello("c"));
         let Response::DeviceList { devices } = call(&endpoint, Request::GetDeviceList) else {
             panic!()
         };
@@ -621,7 +627,7 @@ mod tests {
     #[test]
     fn range_download_sends_every_range_or_nothing() {
         let (_daemon, endpoint, _t) = start_test_daemon();
-        call(&endpoint, Request::Hello { client_name: "c".into(), auth_id: None, epoch: 0 });
+        call(&endpoint, hello("c"));
         let Response::DeviceList { devices } = call(&endpoint, Request::GetDeviceList) else {
             panic!()
         };
@@ -669,7 +675,7 @@ mod tests {
 
     /// Session with context 1, queue 2 and a 4-byte buffer 3.
     fn build_write_session(endpoint: &Arc<Endpoint>) {
-        call(endpoint, Request::Hello { client_name: "c".into(), auth_id: None, epoch: 0 });
+        call(endpoint, hello("c"));
         let Response::DeviceList { devices } = call(endpoint, Request::GetDeviceList) else {
             panic!()
         };
@@ -829,7 +835,7 @@ mod tests {
         let ok = vec![BatchEntryStatus::ok()];
         assert_eq!(batch_outcome(resp), (ok, vec![(102, -30)]));
         assert_eq!(endpoint.bulk_streams_held(), 1, "more than the expectation is held");
-        endpoint.discard_bulk(62);
+        endpoint.discard_bulk(62, false);
         assert_eq!(endpoint.bulk_streams_held(), 0);
         assert_eq!(buffer_contents(&endpoint, 63), vec![0; 4]);
     }
@@ -931,15 +937,87 @@ mod tests {
         assert_eq!(report_points(&entries), expected);
     }
 
+    /// A write of one byte over a stream chunk into a fresh buffer 4 of
+    /// the session [`build_write_session`] made, its stream sent first: too
+    /// big to run inline, it always goes to the queue's worker.
+    fn worker_bound_write(endpoint: &Arc<Endpoint>, stream_id: u64) -> BatchCommand {
+        let size = STREAM_CHUNK as u64 + 1;
+        let create = Request::CreateBuffer {
+            buffer_id: 4,
+            context_id: 1,
+            size,
+            readable: true,
+            writable: true,
+        };
+        assert!(matches!(call(endpoint, create), Response::Ok));
+        endpoint.send_bulk(stream_id, &vec![7; size as usize]).unwrap();
+        BatchCommand::WriteBuffer { buffer_id: 4, offset: 0, size, stream_id }
+    }
+
+    /// A launch whose kernel loops has no step bound, so even one
+    /// work-item on an idle queue runs on the worker: the session answers
+    /// while it runs, and its status leaves in a completion frame.  A
+    /// straight-line launch and a marker on the idle queue then complete
+    /// inside their batch's response, unless the launch's bound times its
+    /// work-items exceeds [`INLINE_STEPS`].
+    #[test]
+    fn a_looping_launch_runs_on_the_worker_and_a_straight_line_one_inline() {
+        const SOURCE: &str = "__kernel void spin(__global uint* out, uint rounds) { \
+            uint x = 1u; for (uint i = 0u; i < rounds; i++) { x = x * 1664525u + 1013904223u; } \
+            out[0] = x; } \
+            __kernel void inc(__global uint* c) { c[0] = c[0] + 1u; }";
+        let log = Arc::new(CompletionLog::default());
+        let (_daemon, endpoint, _t) = start_test_daemon_with(Arc::clone(&log) as _);
+        build_write_session(&endpoint);
+        let source = SOURCE.to_string();
+        call(&endpoint, Request::CreateProgramWithSource { program_id: 4, context_id: 1, source });
+        assert!(matches!(call(&endpoint, Request::BuildProgram { program_id: 4 }), Response::Ok));
+        for (kernel_id, name) in [(5, "spin"), (6, "inc")] {
+            let name = name.to_string();
+            call(&endpoint, Request::CreateKernel { kernel_id, program_id: 4, name });
+            call(&endpoint, Request::SetKernelArgBuffer { kernel_id, index: 0, buffer_id: 3 });
+        }
+        let rounds = crate::protocol::WireValue(vocl::Value::uint(100_000));
+        call(&endpoint, Request::SetKernelArgScalar { kernel_id: 5, index: 1, value: rounds });
+        let launch = |kernel_id, items| BatchCommand::NdRange {
+            kernel_id,
+            range: WireNdRange(vocl::NdRange::linear(items)),
+        };
+
+        let resp = call(&endpoint, single_command(10, vec![], launch(5, 1)));
+        assert_eq!(batch_outcome(resp), (vec![BatchEntryStatus::ok()], vec![]));
+        assert!(event_status(&endpoint, 10) > 0, "the spin ended before the session answered");
+        assert_eq!(terminal_status(&endpoint, 10), 0);
+        assert_eq!(completions_after(&log, 1), vec![(10, 0)]);
+
+        let request = Request::EnqueueBatch {
+            entries: vec![
+                on_queue(2, 11, vec![], launch(6, 1)),
+                on_queue(2, 12, vec![], BatchCommand::Marker),
+            ],
+        };
+        let ok = vec![BatchEntryStatus::ok(); 2];
+        assert_eq!(batch_outcome(call(&endpoint, request)), (ok, vec![(11, 0), (12, 0)]));
+        assert_eq!(log.completions(), vec![(10, 0)], "an inline status also left in a frame");
+
+        // Over more work-items than its bound allows, the same straight-line
+        // kernel goes to the worker.
+        let wide = launch(6, INLINE_STEPS as usize);
+        let resp = call(&endpoint, single_command(13, vec![], wide));
+        assert_eq!(batch_outcome(resp), (vec![BatchEntryStatus::ok()], vec![]));
+        assert_eq!(completions_after(&log, 2), vec![(10, 0), (13, 0)]);
+    }
+
     #[test]
     fn a_status_before_an_entry_with_a_wait_list_leaves_while_it_waits() {
         let log = Arc::new(CompletionLog::default());
         let (_daemon, endpoint, _t) = start_test_daemon_with(Arc::clone(&log) as _);
         build_write_session(&endpoint);
+        let write = worker_bound_write(&endpoint, 60);
         let request = Request::EnqueueBatch {
             entries: vec![
                 on_queue(0, 100, vec![], BatchCommand::Replacement { status: None }),
-                on_queue(2, 10, vec![], BatchCommand::Marker),
+                on_queue(2, 10, vec![], write),
                 on_queue(2, 11, vec![100], BatchCommand::Marker),
             ],
         };
@@ -957,11 +1035,13 @@ mod tests {
         let (_daemon, endpoint, _t) = start_test_daemon_with(Arc::clone(&log) as _);
         build_write_session(&endpoint);
         // The read names a buffer the session lacks, so the batch stops
-        // there, and neither marker is the last entry of its queue.
+        // there, and neither the write nor the marker behind it on the
+        // worker is the last entry of its queue.
+        let write = worker_bound_write(&endpoint, 59);
         let read = BatchCommand::ReadBuffer { buffer_id: 99, offset: 0, size: 4, stream_id: 60 };
         let request = Request::EnqueueBatch {
             entries: vec![
-                on_queue(2, 10, vec![], BatchCommand::Marker),
+                on_queue(2, 10, vec![], write),
                 on_queue(2, 11, vec![], BatchCommand::Marker),
                 on_queue(2, 12, vec![], read),
             ],
@@ -976,7 +1056,7 @@ mod tests {
     #[test]
     fn read_larger_than_one_stream_chunk_arrives_whole() {
         let (_daemon, endpoint, _t) = start_test_daemon();
-        call(&endpoint, Request::Hello { client_name: "c".into(), auth_id: None, epoch: 0 });
+        call(&endpoint, hello("c"));
         let Response::DeviceList { devices } = call(&endpoint, Request::GetDeviceList) else {
             panic!()
         };
@@ -1076,7 +1156,7 @@ mod tests {
         let conn = transport.connect(daemon.address()).unwrap();
         let endpoint = Endpoint::new(conn, Arc::new(NullHandler), "client");
         // Without the right auth id: no devices.
-        call(&endpoint, Request::Hello { client_name: "c".into(), auth_id: None, epoch: 0 });
+        call(&endpoint, hello("c"));
         let Response::DeviceList { devices } = call(&endpoint, Request::GetDeviceList) else {
             panic!()
         };
@@ -1084,7 +1164,12 @@ mod tests {
         // With it: one device.
         call(
             &endpoint,
-            Request::Hello { client_name: "c".into(), auth_id: Some("lease".into()), epoch: 0 },
+            Request::Hello {
+                client_name: "c".into(),
+                auth_id: Some("lease".into()),
+                epoch: 0,
+                session_start: 0,
+            },
         );
         let Response::DeviceList { devices } = call(&endpoint, Request::GetDeviceList) else {
             panic!()
@@ -1153,9 +1238,7 @@ mod tests {
     #[test]
     fn hello_returns_session_info_and_reconnect_resumes_state() {
         let (daemon, endpoint, transport) = start_test_daemon();
-        let Response::SessionInfo(info) =
-            call(&endpoint, Request::Hello { client_name: "app".into(), auth_id: None, epoch: 0 })
-        else {
+        let Response::SessionInfo(info) = call(&endpoint, hello("app")) else {
             panic!("expected session info")
         };
         assert!(!info.resumed);
@@ -1167,9 +1250,10 @@ mod tests {
         endpoint.abort();
         let conn = transport.connect(daemon.address()).unwrap();
         let endpoint2 = Endpoint::new(conn, Arc::new(NullHandler), "test-client-2");
-        let Response::SessionInfo(info) =
-            call(&endpoint2, Request::Hello { client_name: "app".into(), auth_id: None, epoch: 1 })
-        else {
+        let Response::SessionInfo(info) = call(
+            &endpoint2,
+            Request::Hello { client_name: "app".into(), auth_id: None, epoch: 1, session_start: 0 },
+        ) else {
             panic!("expected session info")
         };
         assert!(info.resumed, "epoch > 0 with a known identity must adopt the parked session");
@@ -1188,15 +1272,39 @@ mod tests {
         assert_eq!(info.dedup_admitted, 1);
     }
 
+    /// A reconnect resumes only the session the client finished building,
+    /// the one created at its `session_start`; a parked session created at
+    /// any other epoch (one whose setup-log replay failed part way) gives
+    /// way to a fresh one.
+    #[test]
+    fn reconnect_resumes_only_the_session_created_at_session_start() {
+        let (daemon, _endpoint, transport) = start_test_daemon();
+        let hello = |epoch, session_start| {
+            let conn = transport.connect(daemon.address()).unwrap();
+            let endpoint = Endpoint::new(conn, Arc::new(NullHandler), "redial");
+            let hello =
+                Request::Hello { client_name: "app".into(), auth_id: None, epoch, session_start };
+            let Response::SessionInfo(info) = call(&endpoint, hello) else {
+                panic!("expected session info")
+            };
+            info.resumed
+        };
+        assert!(!hello(0, 0));
+        assert!(hello(1, 0), "the session created at epoch 0");
+        // The client says its session started at epoch 1: not this one.
+        assert!(!hello(2, 1));
+        // Nor is the epoch-2 session the client's epoch-0 one.
+        assert!(!hello(3, 0));
+        assert!(hello(4, 3), "the session created at epoch 3");
+    }
+
     #[test]
     fn fresh_epoch_zero_hello_does_not_resume() {
         let (daemon, endpoint, transport) = start_test_daemon();
-        call(&endpoint, Request::Hello { client_name: "app".into(), auth_id: None, epoch: 0 });
+        call(&endpoint, hello("app"));
         let conn = transport.connect(daemon.address()).unwrap();
         let endpoint2 = Endpoint::new(conn, Arc::new(NullHandler), "test-client-2");
-        let Response::SessionInfo(info) =
-            call(&endpoint2, Request::Hello { client_name: "app".into(), auth_id: None, epoch: 0 })
-        else {
+        let Response::SessionInfo(info) = call(&endpoint2, hello("app")) else {
             panic!("expected session info")
         };
         assert!(!info.resumed, "epoch 0 always starts a fresh session");
@@ -1205,7 +1313,7 @@ mod tests {
     #[test]
     fn replayed_batch_executes_exactly_once() {
         let (daemon, endpoint, _t) = start_test_daemon();
-        call(&endpoint, Request::Hello { client_name: "app".into(), auth_id: None, epoch: 0 });
+        call(&endpoint, hello("app"));
         build_fill_session(&endpoint);
 
         let Response::BatchEnqueued { statuses, .. } = call(&endpoint, fill_batch(77, 10)) else {
@@ -1240,7 +1348,7 @@ mod tests {
     #[test]
     fn kill_severs_sessions_without_goodbye() {
         let (daemon, endpoint, transport) = start_test_daemon();
-        call(&endpoint, Request::Hello { client_name: "app".into(), auth_id: None, epoch: 0 });
+        call(&endpoint, hello("app"));
         daemon.kill();
         // Wait for the abort to propagate to this endpoint.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);

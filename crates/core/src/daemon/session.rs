@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 use vocl::profile::BusModel;
 use vocl::{
     Buffer, ClError, CommandQueue, CommandType, Context, Device, DeviceInfoParam, DeviceInfoValue,
-    Event, EventStatus, KernelArg, MemFlags, Program, QueueProperties, ReadSink,
+    Event, EventStatus, KernelArg, MemFlags, Program, QueueProperties, ReadSink, Work,
 };
 
 /// Statuses the buffer holds at most: the one that makes this many
@@ -142,14 +142,26 @@ pub(super) fn report_points(entries: &[BatchEntry]) -> Vec<bool> {
     points
 }
 
-/// Whether `command` may run inline, on the dispatch thread, when its
-/// queue is idle: a transfer small enough to travel in one stream chunk.
-fn may_run_inline(command: &BatchCommand) -> bool {
-    match command {
-        BatchCommand::WriteBuffer { size, .. } | BatchCommand::ReadBuffer { size, .. } => {
-            *size <= STREAM_CHUNK as u64
+/// The most VM steps a launch may take to run inline: about the cost of
+/// the largest inline transfer, a 1 MiB copy.  That copy takes 29 µs warm
+/// and about 100 µs from memory on the 2-vCPU host the benchmark runs on;
+/// a step of the scalar VM costs 17–26 ns there (lanes no more), so 4096
+/// steps cost 70–105 µs.
+pub(super) const INLINE_STEPS: u64 = 4096;
+
+/// Whether `work` is cheap enough to run inline, on the dispatch thread,
+/// when its queue is idle: a transfer of at most one stream chunk, a launch
+/// whose static step bound is at most [`INLINE_STEPS`] (a looping or
+/// built-in kernel has none), or a marker (no work).
+fn within_inline_cost(work: &Work) -> bool {
+    match work {
+        Work::Write { data, .. } => data.len() <= STREAM_CHUNK,
+        Work::Read { len, .. } => *len <= STREAM_CHUNK,
+        Work::NdRange { kernel, range } => {
+            kernel.step_bound(range).is_some_and(|steps| steps <= INLINE_STEPS)
         }
-        _ => false,
+        Work::Marker => true,
+        Work::Copy { .. } => false,
     }
 }
 
@@ -340,43 +352,30 @@ impl DaemonSession {
         })
     }
 
-    /// Enqueue the command of one [`Request::EnqueueBatch`] entry; with
-    /// `inline`, a command that [`may_run_inline`] runs on this thread if
-    /// its queue is idle.
+    /// Enqueue the command of one [`Request::EnqueueBatch`] entry.  With
+    /// `may_inline`, one [`within_inline_cost`] tries to run on this thread,
+    /// which it does if its queue is idle; returns its event and whether it
+    /// tried.
     fn enqueue_entry(
         &self,
         entry: BatchEntry,
         chain: Option<&Arc<Event>>,
-        inline: bool,
-    ) -> Reply<Arc<Event>> {
+        may_inline: bool,
+    ) -> Reply<(Arc<Event>, bool)> {
         let BatchEntry { queue_id, wait_events, command, .. } = entry;
-        let resolve = || self.resolve_enqueue(queue_id, &wait_events, chain);
-        let event = match command {
+        let buffer = |id| lookup(&self.state().lock().buffers, "buffer", id);
+        let work = match command {
             BatchCommand::WriteBuffer { buffer_id, offset, size, stream_id } => {
                 let data = self.upload_stream(stream_id)?;
                 if data.len() as u64 != size {
-                    return Err(Response::Error {
-                        code: -30,
-                        message: format!(
-                            "upload size mismatch: expected {size}, got {}",
-                            data.len()
-                        ),
-                    });
+                    let message =
+                        format!("upload size mismatch: expected {size}, got {}", data.len());
+                    return Err(Response::Error { code: -30, message });
                 }
                 self.stats.lock().bytes_uploaded += size;
-                let (queue, wait) = resolve()?;
-                let buffer = lookup(&self.state().lock().buffers, "buffer", buffer_id)?;
-                let offset = offset as usize;
-                if inline {
-                    queue.enqueue_write_buffer_inline(&buffer, offset, data, wait)?
-                } else {
-                    queue.enqueue_write_buffer(&buffer, offset, data, wait)?
-                }
+                Work::Write { buffer: buffer(buffer_id)?, offset: offset as usize, data }
             }
             BatchCommand::ReadBuffer { buffer_id, offset, size, stream_id } => {
-                let (queue, wait) = resolve()?;
-                let buffer = lookup(&self.state().lock().buffers, "buffer", buffer_id)?;
-                let (offset, len) = (offset as usize, size as usize);
                 // The read sends its bytes to the client as a bulk stream
                 // straight from the buffer, before its event turns
                 // terminal, so its status always follows the stream (FIFO).
@@ -390,27 +389,22 @@ impl DaemonSession {
                         let _ = endpoint.send_bulk(stream_id, bytes);
                     }
                 });
-                if inline {
-                    queue.enqueue_read_buffer_inline_to(&buffer, offset, len, wait, sink)?
-                } else {
-                    queue.enqueue_read_buffer_to(&buffer, offset, len, wait, sink)?
-                }
+                let (offset, len) = (offset as usize, size as usize);
+                Work::Read { buffer: buffer(buffer_id)?, offset, len, sink: Some(sink) }
             }
             BatchCommand::NdRange { kernel_id, range } => {
-                let (queue, wait) = resolve()?;
                 let kernel = lookup(&self.state().lock().kernels, "kernel", kernel_id)?;
                 self.stats.lock().kernel_launches += 1;
-                queue.enqueue_nd_range_kernel(&kernel, range.0, wait)?
+                Work::NdRange { kernel, range: range.0 }
             }
-            BatchCommand::Marker => {
-                let (queue, wait) = resolve()?;
-                queue.enqueue_marker(wait)?
-            }
+            BatchCommand::Marker => Work::Marker,
             BatchCommand::Release { .. } | BatchCommand::Replacement { .. } => {
                 unreachable!("bookkeeping entries are handled by the batch loop")
             }
         };
-        Ok(event)
+        let (queue, wait) = self.resolve_enqueue(queue_id, &wait_events, chain)?;
+        let inline = may_inline && within_inline_cost(&work);
+        Ok((queue.enqueue(work, wait, inline)?, inline))
     }
 
     /// Create the replacement event for `event_id` if this session holds
@@ -446,13 +440,14 @@ impl DaemonSession {
     fn handle(&self, request: Request) -> Reply {
         self.stats.lock().requests += 1;
         let response = match request {
-            Request::Hello { client_name, auth_id, epoch } => {
+            Request::Hello { client_name, auth_id, epoch, session_start } => {
                 // A client identifies itself by auth id when it has one (the
                 // device manager hands those out), otherwise by name.  A
                 // reconnecting client re-sends Hello with a bumped epoch and
                 // adopts the state its previous connection parked in the
                 // daemon's registry — remote objects and dedup window
-                // survive the connection, per Section IV-C.
+                // survive the connection, per Section IV-C, if the client
+                // finished building it (it was created at `session_start`).
                 //
                 // Statuses sent to the dead connection may never have arrived,
                 // in a frame or in a response, so an adopting connection hears
@@ -462,7 +457,7 @@ impl DaemonSession {
                 let endpoint = self.endpoint().ok();
                 let fresh = self.state();
                 let (shared, resumed) =
-                    self.registry.lock().adopt_or_register(&identity, epoch, &fresh);
+                    self.registry.lock().adopt_or_register(&identity, epoch, session_start, &fresh);
                 *self.state.lock() = Arc::clone(&shared);
                 self.my_epoch.store(epoch, Ordering::Release);
                 let mut state = shared.lock();
@@ -618,13 +613,10 @@ impl DaemonSession {
                 let data = self.upload_stream(stream_id)?;
                 let buffer = lookup(&self.state().lock().buffers, "buffer", buffer_id)?;
                 if checked_total(&ranges, buffer.size())? != data.len() {
-                    return Err(Response::Error {
-                        code: -30,
-                        message: format!(
-                            "range upload stream holds {} bytes, not the ranges' total",
-                            data.len()
-                        ),
-                    });
+                    let held = data.len();
+                    let message =
+                        format!("range upload stream holds {held} bytes, not the ranges' total");
+                    return Err(Response::Error { code: -30, message });
                 }
                 self.stats.lock().bytes_uploaded += data.len() as u64;
                 let mut at = 0;
@@ -737,9 +729,8 @@ impl DaemonSession {
             let chain = prev.get(&entry.queue_id).cloned();
             let (command_id, event_id, queue_id) =
                 (entry.command_id, entry.event_id, entry.queue_id);
-            let inline = may_run_inline(&entry.command) && !queued.contains(&queue_id);
-            match self.enqueue_entry(entry, chain.as_ref(), inline) {
-                Ok(event) => {
+            match self.enqueue_entry(entry, chain.as_ref(), !queued.contains(&queue_id)) {
+                Ok((event, inline)) => {
                     statuses.push(BatchEntryStatus::ok());
                     self.track_event(command_id, event_id, &event);
                     let status = event.status();

@@ -257,6 +257,8 @@ gcf::wire_message! {
             /// Session epoch: 0 on first connect, incremented by the client on
             /// every reconnect to the same daemon.
             epoch: u64,
+            /// Epoch the session the client built whole started at: no other is resumed.
+            session_start: u64,
         },
         /// List the devices this daemon exposes (filtered by lease in managed
         /// mode).
@@ -739,8 +741,13 @@ mod tests {
     #[test]
     fn all_requests_roundtrip() {
         check(
-            Request::Hello { client_name: "pc".into(), auth_id: Some("lease-1".into()), epoch: 3 },
-            "0002000000706301070000006c656173652d310300000000000000",
+            Request::Hello {
+                client_name: "pc".into(),
+                auth_id: Some("lease-1".into()),
+                epoch: 3,
+                session_start: 2,
+            },
+            "0002000000706301070000006c656173652d3103000000000000000200000000000000",
         );
         check(Request::GetDeviceList, "01");
         check(

@@ -592,26 +592,26 @@ impl Endpoint {
         }
     }
 
-    /// Give up on stream `stream_id`: free it if it has arrived, otherwise
-    /// drop its chunks (those already here and those still to come) as they
-    /// arrive, so an unclaimed stream does not stay buffered until disconnect.
-    pub fn discard_bulk(&self, stream_id: u64) {
+    /// Give up on stream `stream_id`: free what has arrived of it, and
+    /// while more `may_arrive`, drop its chunks as they come, up to the last
+    /// one, so an unclaimed stream does not stay buffered until disconnect.
+    /// A stream the peer will never send (a failed read sends none) leaves
+    /// no entry behind.
+    pub fn discard_bulk(&self, stream_id: u64, may_arrive: bool) {
         let mut table = self.streams.table.lock();
-        match table.get(&stream_id) {
-            Some(Stream::Complete(_) | Stream::Failed { ended: true, .. }) => {
-                table.remove(&stream_id);
-            }
-            _ => {
-                table.insert(stream_id, Stream::Discarded);
-            }
+        let ended = matches!(
+            table.remove(&stream_id),
+            Some(Stream::Complete(_) | Stream::Failed { ended: true, .. })
+        );
+        if may_arrive && !ended {
+            table.insert(stream_id, Stream::Discarded);
         }
     }
 
-    /// Number of streams held here: expected, arriving, complete or failed
-    /// (a leak check for tests).
+    /// Number of streams held here: expected, arriving, complete, failed,
+    /// or discarded while more of it may arrive (a leak check for tests).
     pub fn bulk_streams_held(&self) -> usize {
-        let table = self.streams.table.lock();
-        table.values().filter(|s| !matches!(s, Stream::Discarded)).count()
+        self.streams.table.lock().len()
     }
 
     /// Abruptly sever the connection *without* telling the peer (no Bye
@@ -833,15 +833,15 @@ mod tests {
             client.send_bulk(1, &[7; 100]).unwrap();
             sync(10);
             assert_eq!(server.bulk_streams_held(), 1, "{transport}");
-            server.discard_bulk(1);
+            server.discard_bulk(1, true);
             assert_eq!(server.bulk_streams_held(), 0, "{transport}: complete stream kept");
             // Discarded before any chunk arrives.
-            server.discard_bulk(2);
+            server.discard_bulk(2, true);
             client.send_bulk(2, &vec![9; 3 * STREAM_CHUNK]).unwrap();
             sync(11);
             // Discarded half way through.
             server.accept_stream_chunk(4, vec![0, 1, 2]);
-            server.discard_bulk(4);
+            server.discard_bulk(4, true);
             server.accept_stream_chunk(4, vec![1, 3]);
             assert_eq!(server.bulk_streams_held(), 0, "{transport}: stream kept");
             assert!(server.streams.table.lock().is_empty(), "{transport}: ids kept");
@@ -973,7 +973,7 @@ mod tests {
             let data = pattern(2 * STREAM_CHUNK + 5);
             // Discarded before any chunk arrives.
             server.expect_bulk(1, data.len());
-            server.discard_bulk(1);
+            server.discard_bulk(1, true);
             client.send_bulk(1, &data).unwrap();
             sync(&client, &server, 100);
             assert!(server.streams.table.lock().is_empty(), "{transport}: discarded before");
@@ -981,8 +981,9 @@ mod tests {
             server.expect_bulk(2, data.len());
             client.conn.send_stream(2, false, &data[..STREAM_CHUNK]).unwrap();
             sync(&client, &server, 101);
-            server.discard_bulk(2);
-            assert_eq!(server.bulk_streams_held(), 0, "{transport}: discarded mid-way");
+            server.discard_bulk(2, true);
+            // Its entry stays until the last chunk, which may still come.
+            assert_eq!(server.bulk_streams_held(), 1, "{transport}: discarded mid-way");
             client.conn.send_stream(2, false, &data[STREAM_CHUNK..2 * STREAM_CHUNK]).unwrap();
             client.conn.send_stream(2, true, &data[2 * STREAM_CHUNK..]).unwrap();
             sync(&client, &server, 102);
@@ -992,7 +993,7 @@ mod tests {
             client.send_bulk(3, &data).unwrap();
             sync(&client, &server, 103);
             assert_eq!(server.bulk_streams_held(), 1, "{transport}");
-            server.discard_bulk(3);
+            server.discard_bulk(3, true);
             assert!(server.streams.table.lock().is_empty(), "{transport}: discarded after");
         }
     }

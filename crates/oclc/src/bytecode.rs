@@ -500,6 +500,9 @@ pub(crate) struct CompiledKernel {
     /// The lane executor's typing of the kernel, when it is eligible
     /// ([`crate::lanes::analyze`]); `None` keeps it on the per-item path.
     pub lanes: Option<crate::lanes::LaneKernel>,
+    /// The most VM steps one work-item can take ([`step_bound`]); `None`
+    /// when the kernel, or a helper it calls, may loop.
+    pub step_bound: Option<u64>,
 }
 
 /// All lowered functions of a translation unit.  Kernels are keyed by their
@@ -698,4 +701,50 @@ pub(crate) fn verify(q: &QuickFunction, num_regs: usize) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// The instruction a jump (plain or fused) may continue at.
+fn jump_target(inst: &QInst) -> Option<u32> {
+    match *inst {
+        QInst::Jump { target }
+        | QInst::JumpIfFalse { target, .. }
+        | QInst::JumpIfTrue { target, .. }
+        | QInst::BinaryJf { target, .. }
+        | QInst::BinaryJt { target, .. }
+        | QInst::BinaryImmJf { target, .. } => Some(target),
+        _ => None,
+    }
+}
+
+/// The most VM steps one call of `q` can take, given the bounds of the
+/// helpers it may call (`helpers`, by compiled index): its stream length
+/// plus, per call site, the callee's bound.  Every dispatch counts one
+/// step, and a frame whose stream never jumps backward dispatches each
+/// instruction at most once.  `None` when `q` jumps backward (to the jump
+/// itself or an earlier instruction), when a callee's bound is `None`, or
+/// on overflow.
+pub(crate) fn step_bound(q: &QuickFunction, helpers: &[Option<u64>]) -> Option<u64> {
+    let mut steps = q.insts.len() as u64;
+    for (i, inst) in q.insts.iter().enumerate() {
+        if let QInst::CallUser { func, .. } = *inst {
+            steps = steps.checked_add((*helpers.get(func as usize)?)?)?;
+        } else if jump_target(inst).is_some_and(|t| t as usize <= i) {
+            return None;
+        }
+    }
+    Some(steps)
+}
+
+/// [`step_bound`] of every helper, by compiled index.  Each pass bounds the
+/// helpers whose callees the previous pass bounded, until a pass changes
+/// nothing; a helper on a call cycle (recursion) stays `None`.
+pub(crate) fn helper_step_bounds(functions: &[CompiledFunction]) -> Vec<Option<u64>> {
+    let mut bounds = vec![None; functions.len()];
+    loop {
+        let next: Vec<_> = functions.iter().map(|f| step_bound(&f.quick, &bounds)).collect();
+        if next == bounds {
+            return bounds;
+        }
+        bounds = next;
+    }
 }

@@ -275,11 +275,13 @@ pub(crate) fn lower_unit(unit: &TranslationUnit) -> Result<CompiledUnit, Compile
     for f in unit.functions.iter().filter(|f| !f.is_kernel) {
         compiled.functions.push(lower_function(unit, &helper_index, f)?);
     }
+    let helper_bounds = helper_step_bounds(&compiled.functions);
     for (i, f) in unit.functions.iter().enumerate() {
         if f.is_kernel {
             let func = lower_function(unit, &helper_index, f)?;
             let use_ = analyze_kernel(unit, FunctionIndex(i));
             let lanes = crate::lanes::analyze(&func);
+            let step_bound = step_bound(&func.quick, &helper_bounds);
             compiled.kernels.insert(
                 i,
                 CompiledKernel {
@@ -287,6 +289,7 @@ pub(crate) fn lower_unit(unit: &TranslationUnit) -> Result<CompiledUnit, Compile
                     has_barrier: use_.has_barrier,
                     observes_group_shape: use_.observes_group_shape,
                     lanes,
+                    step_bound,
                 },
             );
         }

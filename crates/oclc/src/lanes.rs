@@ -44,7 +44,7 @@ use crate::value::{convert_scalar, Scalar, Value};
 use crate::vm::{mem_load, mem_store, run_serial, LaunchCtx, WorkItem, MAX_STEPS_PER_ITEM};
 
 /// Work-items per batch (one bit each in a [`Mask`]).
-const LANES: usize = 16;
+pub(crate) const LANES: usize = 16;
 
 /// One register across the lanes of a batch.
 type Lane = [u64; LANES];
@@ -860,6 +860,33 @@ mod tests {
     use crate::bytecode::CompiledUnit;
     use crate::error::Location;
     use crate::{BufferBinding, KernelArgValue, NdRange, Program};
+
+    /// With more than one VM thread the VM cuts dimension 0 into
+    /// chunks of whole lane batches, and the result is the one thread's,
+    /// byte for byte and counter for counter.
+    #[test]
+    fn implicit_lane_chunks_are_whole_batches() {
+        for threads in [2, 3, 4] {
+            for global in [1, 15, 16, 17, 1_000, 4_099] {
+                let chunk = crate::vm::implicit_chunk(global, threads, true);
+                assert_eq!(chunk % LANES, 0, "{global} items on {threads} threads");
+                assert!(chunk >= crate::vm::implicit_chunk(global, threads, false));
+            }
+        }
+        let kernel = Program::build(INDEX2D).unwrap().kernel("index2d").unwrap();
+        assert!(kernel.runs_in_lanes());
+        let n = 1_000;
+        let args = [KernelArgValue::Buffer(0), KernelArgValue::Scalar(Value::uint(n as u64))];
+        let run = |threads| {
+            let mut out = vec![0u8; n * 4];
+            let mut bindings = vec![BufferBinding::new(&mut out)];
+            let range = NdRange::linear(n);
+            let counters =
+                kernel.execute_vm_with_threads(&range, &args, &mut bindings, threads).unwrap();
+            (out, counters)
+        };
+        assert_eq!(run(2), run(1));
+    }
 
     /// `workloads::mandelbrot::KERNEL_SOURCE` (the paper's Fig. 4 kernel).
     const MANDELBROT: &str = r#"

@@ -239,6 +239,15 @@ impl KernelHandle {
         self.compiled.kernels[&self.index.0].lanes.is_some()
     }
 
+    /// The most bytecode VM steps one work-item of this kernel can take,
+    /// bounded by [`Program::build`]: `Some` only when neither the kernel
+    /// nor any helper it calls can jump backward, so no instruction runs
+    /// twice in a frame (the kernel's stream length plus its callees'
+    /// bounds, summed per call site).  `None` for a kernel that may loop.
+    pub fn step_bound(&self) -> Option<u64> {
+        self.compiled.kernels[&self.index.0].step_bound
+    }
+
     /// Execute the kernel over `range`, reading and writing the supplied
     /// argument values and buffer bindings.
     ///
@@ -382,6 +391,60 @@ mod tests {
             let v = f32::from_le_bytes(out_bytes[i * 4..i * 4 + 4].try_into().unwrap());
             assert_eq!(v, (i + 2 * i) as f32);
         }
+    }
+
+    /// Straight-line kernels get a step bound that covers what the VM
+    /// counts; a loop in the kernel or in a helper it calls, or recursion,
+    /// gets none.
+    #[test]
+    fn step_bound_covers_straight_line_kernels_and_refuses_loops() {
+        const INC: &str = "__kernel void inc(__global uint* c, uint k) { c[0] = c[0] + k; }";
+        const TOUCH: &str = "__kernel void touch(__global const uchar* s, __global uint* out, \
+                             uint at) { out[0] = s[at]; }";
+        const CLIP: &str = "int twice(int v) { return v < 0 ? 0 : 2 * v; } \
+            __kernel void clip(__global int* a) { size_t i = get_global_id(0); \
+            if (a[i] > 3) { a[i] = twice(a[i]) + twice(1); } else { a[i] = -a[i]; } }";
+        let loops = [
+            "__kernel void k(__global int* a) { for (int i = 0; i < 4; i++) { a[i] = i; } }",
+            "__kernel void k(__global int* a) { int i = 0; while (i < 4) { a[i] = i; i++; } }",
+            "__kernel void k(__global int* a) { int i = 0; do { a[i] = i; i++; } while (i < 4); }",
+            "int sum(int n) { int s = 0; for (int i = 0; i < n; i++) { s += i; } return s; } \
+             __kernel void k(__global int* a) { a[0] = sum(a[1]); }",
+            "int inner(int n) { int s = 0; while (n > 0) { s += n; n--; } return s; } \
+             int outer(int n) { return inner(n) + 1; } \
+             __kernel void k(__global int* a) { a[0] = outer(a[1]); }",
+            "int down(int n) { return n > 0 ? down(n - 1) : 0; } \
+             __kernel void k(__global int* a) { a[0] = down(a[1]); }",
+        ];
+        for source in loops {
+            let program = Program::build(source).unwrap();
+            assert_eq!(program.kernel("k").unwrap().step_bound(), None, "{source}");
+        }
+
+        // The bound times the work-items is at least what the VM counts.
+        let check = |source: &str, name: &str, n: usize, args: Vec<KernelArgValue>| {
+            let kernel = Program::build(source).unwrap().kernel(name).unwrap();
+            let bound = kernel.step_bound().unwrap_or_else(|| panic!("{name}: no bound"));
+            let mut a: Vec<u8> = (0..n as i32).flat_map(|v| (v - 8).to_le_bytes()).collect();
+            let mut b = vec![7u8; 4];
+            let mut bindings = vec![BufferBinding::new(&mut a), BufferBinding::new(&mut b)];
+            let counters = kernel.execute_vm(&NdRange::linear(n), &args, &mut bindings).unwrap();
+            assert!(counters.steps > 0, "{name}");
+            assert!(bound * n as u64 >= counters.steps, "{name}: {bound} x {n} < {counters:?}");
+        };
+        check(
+            INC,
+            "inc",
+            1,
+            vec![KernelArgValue::Buffer(0), KernelArgValue::Scalar(Value::uint(3))],
+        );
+        let touch = vec![
+            KernelArgValue::Buffer(1),
+            KernelArgValue::Buffer(0),
+            KernelArgValue::Scalar(Value::uint(2)),
+        ];
+        check(TOUCH, "touch", 1, touch);
+        check(CLIP, "clip", 64, vec![KernelArgValue::Buffer(0)]);
     }
 
     #[test]

@@ -668,6 +668,7 @@ pub(crate) fn execute_kernel(
     let mut local = range.local_size();
     local = [local[0].max(1), local[1].max(1), local[2].max(1)];
 
+    let lanes = kernel.lanes.as_ref().filter(|l| l.fits(&bound_args));
     // Implicit chunking: when the caller left the group size unspecified and
     // the kernel can't tell groups apart (no barrier, no group-shape
     // queries, no `__local` args), split dimension 0 so groups can fan out
@@ -679,7 +680,7 @@ pub(crate) fn execute_kernel(
         && !kernel.observes_group_shape
         && local_sizes.is_empty()
     {
-        local[0] = global[0].div_ceil(threads * 4).max(1);
+        local[0] = implicit_chunk(global[0], threads, lanes.is_some());
     }
 
     let num_groups =
@@ -694,7 +695,7 @@ pub(crate) fn execute_kernel(
         shared: &shared,
         atomic_lock: &atomic_lock,
         bound_args: &bound_args,
-        lanes: kernel.lanes.as_ref().filter(|l| l.fits(&bound_args)),
+        lanes,
         local_sizes: &local_sizes,
         local,
         global,
@@ -746,6 +747,19 @@ pub(crate) fn execute_kernel(
         return Err(e);
     }
     Ok(total.into_inner().unwrap())
+}
+
+/// Dimension 0's group size when the VM re-chunks a launch of
+/// `global0` work-items for `threads` threads: about `threads * 4` groups,
+/// each a whole number of lane batches when the kernel runs in `lanes`, so
+/// only the range's last batch can run part-empty.
+pub(crate) fn implicit_chunk(global0: usize, threads: usize, lanes: bool) -> usize {
+    let chunk = global0.div_ceil(threads * 4).max(1);
+    if lanes {
+        chunk.next_multiple_of(crate::lanes::LANES)
+    } else {
+        chunk
+    }
 }
 
 fn bind_argument(

@@ -115,6 +115,15 @@ impl Kernel {
         Ok(out)
     }
 
+    /// The most VM steps a launch over `range` can take, when its build
+    /// bounded them ([`oclc::KernelHandle::step_bound`]): the bound of one
+    /// work-item times the work-items.  `None` for a built-in kernel, a
+    /// kernel that may loop, or a product past `u64`.
+    pub fn step_bound(&self, range: &NdRange) -> Option<u64> {
+        let per_item = self.handle.as_ref()?.step_bound()?;
+        range.global.iter().try_fold(per_item, |steps, &g| steps.checked_mul(g.max(1) as u64))
+    }
+
     /// Execute the kernel over `range` on the calling thread.
     ///
     /// Returns the work-item counters and whether the interpreted path was
@@ -190,6 +199,9 @@ mod tests {
         let buffer = Buffer::new(Arc::clone(&context), 4 * 8, MemFlags::READ_WRITE, None).unwrap();
         kernel.set_arg(0, KernelArg::Buffer(Arc::clone(&buffer))).unwrap();
         kernel.set_arg(1, KernelArg::Scalar(Value::int(7))).unwrap();
+        let per_item = kernel.step_bound(&NdRange::linear(1)).unwrap();
+        assert_eq!(kernel.step_bound(&NdRange::two_d(8, 3)), Some(per_item * 24));
+        assert_eq!(kernel.step_bound(&NdRange::two_d(usize::MAX, usize::MAX)), None);
         let (counters, interpreted) = kernel.execute(&NdRange::linear(8)).unwrap();
         assert!(interpreted);
         assert_eq!(counters.work_items, 8);
@@ -280,6 +292,7 @@ mod tests {
         let kernel = program.create_kernel("unit_test_double").unwrap();
         let buffer = Buffer::new(Arc::clone(&context), 16, MemFlags::READ_WRITE, None).unwrap();
         kernel.set_arg(0, KernelArg::Buffer(buffer)).unwrap();
+        assert_eq!(kernel.step_bound(&NdRange::linear(4)), None, "a built-in kernel is unbounded");
         let (counters, interpreted) = kernel.execute(&NdRange::linear(4)).unwrap();
         assert!(!interpreted);
         assert_eq!(counters.work_items, 4);

@@ -2,20 +2,19 @@
 //!
 //! Commands (`clEnqueue*`) execute in submission order, honouring
 //! per-command wait lists, and complete their events.  They are pushed to a
-//! per-queue worker thread, except a transfer submitted through
-//! [`CommandQueue::enqueue_write_buffer_inline`] or
-//! [`CommandQueue::enqueue_read_buffer_inline_to`] that finds nothing ahead
-//! of it: that one runs on the calling thread, through the same executor,
-//! before the enqueue returns.
+//! per-queue worker thread, except a command submitted through
+//! [`CommandQueue::enqueue`] with `inline` that finds nothing ahead of it:
+//! that one runs on the calling thread, through the same executor, before
+//! the enqueue returns.  Which commands are cheap enough to run that way is
+//! the caller's choice.
 //!
 //! A read hands its bytes to a [`ReadSink`] in place, under the buffer's
-//! data lock, before its event turns terminal.  The plain
-//! [`CommandQueue::enqueue_read_buffer`] is the sink that keeps a copy as the
-//! event's result.  Every completed event carries the *modelled*
-//! duration of its command (derived from the device's compute and bus
-//! models) so the dOpenCL layer and the figure harnesses can account
-//! simulated time without depending on wall-clock speed of the machine
-//! running the reproduction.
+//! data lock, before its event turns terminal; a read with no sink keeps a
+//! copy as the event's result.  Every completed event carries the
+//! *modelled* duration of its command (derived from the device's compute
+//! and bus models) so the dOpenCL layer and the figure harnesses can
+//! account simulated time without depending on wall-clock speed of the
+//! machine running the reproduction.
 
 use crate::buffer::Buffer;
 use crate::context::Context;
@@ -50,55 +49,72 @@ pub struct QueueProperties {
     pub out_of_order: bool,
 }
 
-enum Command {
+/// What one command does, as [`CommandQueue::enqueue`] takes it.
+pub enum Work {
+    /// `clEnqueueWriteBuffer`: copy `data` into `buffer` at `offset`.
     Write {
+        /// The buffer written.
         buffer: Arc<Buffer>,
+        /// Byte offset of the write.
         offset: usize,
+        /// The bytes written.
         data: Vec<u8>,
-        wait_list: Vec<Arc<Event>>,
-        event: Arc<Event>,
     },
+    /// `clEnqueueReadBuffer`: hand `len` bytes of `buffer` at `offset` to
+    /// `sink`, or with none, keep a copy as the event's result
+    /// ([`Event::take_result`]).
     Read {
+        /// The buffer read.
         buffer: Arc<Buffer>,
+        /// Byte offset of the read.
         offset: usize,
+        /// Bytes read.
         len: usize,
-        sink: ReadSink,
-        wait_list: Vec<Arc<Event>>,
-        event: Arc<Event>,
+        /// Where the bytes go.
+        sink: Option<ReadSink>,
     },
+    /// `clEnqueueCopyBuffer`.
     Copy {
+        /// The buffer read.
         src: Arc<Buffer>,
+        /// The buffer written.
         dst: Arc<Buffer>,
+        /// Byte offset in `src`.
         src_offset: usize,
+        /// Byte offset in `dst`.
         dst_offset: usize,
+        /// Bytes copied.
         len: usize,
-        wait_list: Vec<Arc<Event>>,
-        event: Arc<Event>,
     },
+    /// `clEnqueueNDRangeKernel`.
     NdRange {
+        /// The kernel launched, with the arguments it holds at execution.
         kernel: Arc<Kernel>,
+        /// The index space.
         range: NdRange,
-        wait_list: Vec<Arc<Event>>,
-        event: Arc<Event>,
     },
-    Marker {
-        wait_list: Vec<Arc<Event>>,
-        event: Arc<Event>,
-    },
-    Shutdown,
+    /// `clEnqueueMarkerWithWaitList`: completes once its wait list has,
+    /// doing no work.
+    Marker,
 }
 
-impl Command {
-    fn wait_list(&self) -> &[Arc<Event>] {
+impl Work {
+    fn command_type(&self) -> CommandType {
         match self {
-            Command::Write { wait_list, .. }
-            | Command::Read { wait_list, .. }
-            | Command::Copy { wait_list, .. }
-            | Command::NdRange { wait_list, .. }
-            | Command::Marker { wait_list, .. } => wait_list,
-            Command::Shutdown => &[],
+            Work::Write { .. } => CommandType::WriteBuffer,
+            Work::Read { .. } => CommandType::ReadBuffer,
+            Work::Copy { .. } => CommandType::CopyBuffer,
+            Work::NdRange { .. } => CommandType::NdRangeKernel,
+            Work::Marker => CommandType::Marker,
         }
     }
+}
+
+/// A submitted command: its work, what it waits on, and its event.
+struct Command {
+    work: Work,
+    wait_list: Vec<Arc<Event>>,
+    event: Arc<Event>,
 }
 
 /// An in-order command queue (`cl_command_queue`).
@@ -107,7 +123,8 @@ pub struct CommandQueue {
     device: Arc<Device>,
     context: Arc<Context>,
     properties: QueueProperties,
-    tx: Sender<Command>,
+    /// Commands for the worker; `None` shuts it down.
+    tx: Sender<Option<Command>>,
     depth: Arc<AtomicUsize>,
     worker: Mutex<Option<JoinHandle<()>>>,
     /// The event of the last submitted command.  Its lock is the submit
@@ -138,21 +155,16 @@ impl CommandQueue {
                 device.name()
             )));
         }
-        let (tx, rx) = unbounded::<Command>();
+        let (tx, rx) = unbounded::<Option<Command>>();
         let depth = Arc::new(AtomicUsize::new(0));
         let worker_device = Arc::clone(&device);
         let worker_depth = Arc::clone(&depth);
         let worker = std::thread::Builder::new()
             .name(format!("vocl-queue-{}", device.name()))
             .spawn(move || {
-                while let Ok(command) = rx.recv() {
-                    match command {
-                        Command::Shutdown => break,
-                        other => {
-                            worker_depth.fetch_sub(1, Ordering::AcqRel);
-                            execute_command(&worker_device, other);
-                        }
-                    }
+                while let Ok(Some(command)) = rx.recv() {
+                    worker_depth.fetch_sub(1, Ordering::AcqRel);
+                    execute_command(&worker_device, command);
                 }
             })
             .map_err(|e| ClError::OutOfResources(format!("cannot spawn queue worker: {e}")))?;
@@ -188,26 +200,38 @@ impl CommandQueue {
         self.properties
     }
 
-    /// Hand `command` to the worker.  With `inline`, a command that finds
-    /// the queue idle and every wait-list event `Complete` runs on the
-    /// calling thread instead, so its event is terminal when this returns.
-    fn submit(&self, command: Command, event: &Arc<Event>, inline: bool) -> Result<Arc<Event>> {
+    /// Submit `work` to run once every event of `wait_list` has completed,
+    /// and return its event.  It goes to the queue's worker, unless
+    /// `inline` is set and it finds the queue idle (the last submitted
+    /// command is terminal) and every wait-list event `Complete`: then it
+    /// runs on the calling thread, and its event is terminal when this
+    /// returns.  An `inline` command that finds work ahead of it, or a
+    /// wait-list event pending or failed, is queued behind that work as
+    /// usual.
+    pub fn enqueue(
+        &self,
+        work: Work,
+        wait_list: Vec<Arc<Event>>,
+        inline: bool,
+    ) -> Result<Arc<Event>> {
+        let event = Event::new(work.command_type());
+        let command = Command { work, wait_list, event: Arc::clone(&event) };
         let mut last = self.last.lock();
         event.set_status(EventStatus::Submitted);
         if inline
             && last.as_ref().is_none_or(|e| e.status().is_terminal())
-            && command.wait_list().iter().all(|e| e.status() == EventStatus::Complete)
+            && command.wait_list.iter().all(|e| e.status() == EventStatus::Complete)
         {
             execute_command(&self.device, command);
         } else {
             self.depth.fetch_add(1, Ordering::AcqRel);
-            if self.tx.send(command).is_err() {
+            if self.tx.send(Some(command)).is_err() {
                 self.depth.fetch_sub(1, Ordering::AcqRel);
                 return Err(ClError::QueueShutDown);
             }
         }
-        *last = Some(Arc::clone(event));
-        Ok(Arc::clone(event))
+        *last = Some(Arc::clone(&event));
+        Ok(event)
     }
 
     /// `clEnqueueWriteBuffer` (non-blocking; the returned event completes
@@ -219,42 +243,7 @@ impl CommandQueue {
         data: Vec<u8>,
         wait_list: Vec<Arc<Event>>,
     ) -> Result<Arc<Event>> {
-        self.write(buffer, offset, data, wait_list, false)
-    }
-
-    /// [`CommandQueue::enqueue_write_buffer`], but run on the calling thread
-    /// when the queue is idle and every wait-list event is complete.
-    /// Otherwise it is queued behind the work ahead of it as usual.
-    pub fn enqueue_write_buffer_inline(
-        &self,
-        buffer: &Arc<Buffer>,
-        offset: usize,
-        data: Vec<u8>,
-        wait_list: Vec<Arc<Event>>,
-    ) -> Result<Arc<Event>> {
-        self.write(buffer, offset, data, wait_list, true)
-    }
-
-    fn write(
-        &self,
-        buffer: &Arc<Buffer>,
-        offset: usize,
-        data: Vec<u8>,
-        wait_list: Vec<Arc<Event>>,
-        inline: bool,
-    ) -> Result<Arc<Event>> {
-        let event = Event::new(CommandType::WriteBuffer);
-        self.submit(
-            Command::Write {
-                buffer: Arc::clone(buffer),
-                offset,
-                data,
-                wait_list,
-                event: Arc::clone(&event),
-            },
-            &event,
-            inline,
-        )
+        self.enqueue(Work::Write { buffer: Arc::clone(buffer), offset, data }, wait_list, false)
     }
 
     /// `clEnqueueReadBuffer` (non-blocking; the data is available from
@@ -266,64 +255,8 @@ impl CommandQueue {
         len: usize,
         wait_list: Vec<Arc<Event>>,
     ) -> Result<Arc<Event>> {
-        self.read(buffer, offset, len, wait_list, None, false)
-    }
-
-    /// `clEnqueueReadBuffer` whose bytes go to `sink` instead of the
-    /// event's result.
-    pub fn enqueue_read_buffer_to(
-        &self,
-        buffer: &Arc<Buffer>,
-        offset: usize,
-        len: usize,
-        wait_list: Vec<Arc<Event>>,
-        sink: ReadSink,
-    ) -> Result<Arc<Event>> {
-        self.read(buffer, offset, len, wait_list, Some(sink), false)
-    }
-
-    /// [`CommandQueue::enqueue_read_buffer_to`], but run on the calling
-    /// thread when the queue is idle and every wait-list event is complete.
-    /// Otherwise it is queued behind the work ahead of it as usual.
-    pub fn enqueue_read_buffer_inline_to(
-        &self,
-        buffer: &Arc<Buffer>,
-        offset: usize,
-        len: usize,
-        wait_list: Vec<Arc<Event>>,
-        sink: ReadSink,
-    ) -> Result<Arc<Event>> {
-        self.read(buffer, offset, len, wait_list, Some(sink), true)
-    }
-
-    /// Submit a read whose bytes go to `sink`, or with none, to the event's
-    /// result.
-    fn read(
-        &self,
-        buffer: &Arc<Buffer>,
-        offset: usize,
-        len: usize,
-        wait_list: Vec<Arc<Event>>,
-        sink: Option<ReadSink>,
-        inline: bool,
-    ) -> Result<Arc<Event>> {
-        let event = Event::new(CommandType::ReadBuffer);
-        let sink = sink.unwrap_or_else(|| {
-            let result = Arc::clone(&event);
-            Box::new(move |bytes| result.set_result(bytes.to_vec()))
-        });
-        self.submit(
-            Command::Read {
-                buffer: Arc::clone(buffer),
-                offset,
-                len,
-                sink,
-                wait_list,
-                event: Arc::clone(&event),
-            },
-            &event,
-            inline,
-        )
+        let work = Work::Read { buffer: Arc::clone(buffer), offset, len, sink: None };
+        self.enqueue(work, wait_list, false)
     }
 
     /// Blocking read helper: enqueue, wait, return the data.
@@ -350,20 +283,8 @@ impl CommandQueue {
         len: usize,
         wait_list: Vec<Arc<Event>>,
     ) -> Result<Arc<Event>> {
-        let event = Event::new(CommandType::CopyBuffer);
-        self.submit(
-            Command::Copy {
-                src: Arc::clone(src),
-                dst: Arc::clone(dst),
-                src_offset,
-                dst_offset,
-                len,
-                wait_list,
-                event: Arc::clone(&event),
-            },
-            &event,
-            false,
-        )
+        let (src, dst) = (Arc::clone(src), Arc::clone(dst));
+        self.enqueue(Work::Copy { src, dst, src_offset, dst_offset, len }, wait_list, false)
     }
 
     /// `clEnqueueNDRangeKernel`.
@@ -373,23 +294,12 @@ impl CommandQueue {
         range: NdRange,
         wait_list: Vec<Arc<Event>>,
     ) -> Result<Arc<Event>> {
-        let event = Event::new(CommandType::NdRangeKernel);
-        self.submit(
-            Command::NdRange {
-                kernel: Arc::clone(kernel),
-                range,
-                wait_list,
-                event: Arc::clone(&event),
-            },
-            &event,
-            false,
-        )
+        self.enqueue(Work::NdRange { kernel: Arc::clone(kernel), range }, wait_list, false)
     }
 
     /// `clEnqueueMarkerWithWaitList`.
     pub fn enqueue_marker(&self, wait_list: Vec<Arc<Event>>) -> Result<Arc<Event>> {
-        let event = Event::new(CommandType::Marker);
-        self.submit(Command::Marker { wait_list, event: Arc::clone(&event) }, &event, false)
+        self.enqueue(Work::Marker, wait_list, false)
     }
 
     /// `clFlush` (a no-op: commands are handed to the worker immediately).
@@ -418,7 +328,7 @@ impl CommandQueue {
 
 impl Drop for CommandQueue {
     fn drop(&mut self) {
-        let _ = self.tx.send(Command::Shutdown);
+        let _ = self.tx.send(None);
         if let Some(handle) = self.worker.lock().take() {
             let _ = handle.join();
         }
@@ -435,82 +345,52 @@ fn wait_for_list(wait_list: &[Arc<Event>]) -> std::result::Result<(), i32> {
     Ok(())
 }
 
+/// Run `command` once its wait list has completed, and complete its event
+/// with the work's modelled duration, or fail it.
 fn execute_command(device: &Arc<Device>, command: Command) {
-    match command {
-        Command::Shutdown => {}
-        Command::Write { buffer, offset, data, wait_list, event } => {
-            if let Err(code) = wait_for_list(&wait_list) {
-                event.set_error(code);
-                return;
-            }
-            event.set_status(EventStatus::Running);
-            let bytes = data.len() as u64;
-            match buffer.write(offset, &data) {
-                Ok(()) => {
-                    event.set_modeled(device.profile().bus.write_time(bytes));
-                    event.set_complete();
-                }
-                Err(e) => event.set_error(e.code()),
-            }
+    // The work is borrowed, so what it owns (a write's data) is freed only
+    // once the event is terminal: freeing 128 MiB costs milliseconds.
+    let Command { mut work, wait_list, event } = command;
+    if let Err(code) = wait_for_list(&wait_list) {
+        event.set_error(code);
+        return;
+    }
+    event.set_status(EventStatus::Running);
+    let bus = &device.profile().bus;
+    let modeled = match &mut work {
+        Work::Write { buffer, offset, data } => {
+            buffer.write(*offset, data).map(|()| bus.write_time(data.len() as u64))
         }
-        Command::Read { buffer, offset, len, sink, wait_list, event } => {
-            if let Err(code) = wait_for_list(&wait_list) {
-                event.set_error(code);
-                return;
-            }
-            event.set_status(EventStatus::Running);
-            match buffer.read_with(offset, len, sink) {
-                Ok(()) => {
-                    event.set_modeled(device.profile().bus.read_time(len as u64));
-                    event.set_complete();
-                }
-                Err(e) => event.set_error(e.code()),
-            }
+        Work::Read { buffer, offset, len, sink } => {
+            let sink = sink.take().unwrap_or_else(|| {
+                let result = Arc::clone(&event);
+                Box::new(move |bytes| result.set_result(bytes.to_vec()))
+            });
+            buffer.read_with(*offset, *len, sink).map(|()| bus.read_time(*len as u64))
         }
-        Command::Copy { src, dst, src_offset, dst_offset, len, wait_list, event } => {
-            if let Err(code) = wait_for_list(&wait_list) {
-                event.set_error(code);
-                return;
-            }
-            event.set_status(EventStatus::Running);
-            let result = src.read(src_offset, len).and_then(|data| dst.write(dst_offset, &data));
-            match result {
-                Ok(()) => {
-                    // A device-internal copy moves data once over the bus.
-                    event.set_modeled(device.profile().bus.write_time(len as u64));
-                    event.set_complete();
-                }
-                Err(e) => event.set_error(e.code()),
-            }
+        Work::Copy { src, dst, src_offset, dst_offset, len } => {
+            // A device-internal copy moves data once over the bus.
+            let copied = src.read(*src_offset, *len).and_then(|data| dst.write(*dst_offset, &data));
+            copied.map(|()| bus.write_time(*len as u64))
         }
-        Command::NdRange { kernel, range, wait_list, event } => {
-            if let Err(code) = wait_for_list(&wait_list) {
-                event.set_error(code);
-                return;
-            }
-            event.set_status(EventStatus::Running);
-            match kernel.execute(&range) {
-                Ok((counters, interpreted)) => {
-                    let compute = &device.profile().compute;
-                    let modeled: Duration = if interpreted {
-                        compute.interp_time(counters.steps)
-                    } else {
-                        compute.native_time(counters.ops as f64)
-                    };
-                    event.set_counters(counters);
-                    event.set_modeled(modeled);
-                    event.set_complete();
-                }
-                Err(e) => event.set_error(e.code()),
-            }
-        }
-        Command::Marker { wait_list, event } => {
-            if let Err(code) = wait_for_list(&wait_list) {
-                event.set_error(code);
-                return;
-            }
+        Work::NdRange { kernel, range } => kernel.execute(range).map(|(counters, interpreted)| {
+            let compute = &device.profile().compute;
+            let modeled: Duration = if interpreted {
+                compute.interp_time(counters.steps)
+            } else {
+                compute.native_time(counters.ops as f64)
+            };
+            event.set_counters(counters);
+            modeled
+        }),
+        Work::Marker => Ok(Duration::ZERO),
+    };
+    match modeled {
+        Ok(modeled) => {
+            event.set_modeled(modeled);
             event.set_complete();
         }
+        Err(e) => event.set_error(e.code()),
     }
 }
 
@@ -540,6 +420,16 @@ mod tests {
         let kept = Arc::new(Mutex::new(None));
         let sink = Arc::clone(&kept);
         (Box::new(move |bytes: &[u8]| *sink.lock() = Some(bytes.to_vec())), kept)
+    }
+
+    /// A write of `data` at the start of `buffer`.
+    fn write(buffer: &Arc<Buffer>, data: Vec<u8>) -> Work {
+        Work::Write { buffer: Arc::clone(buffer), offset: 0, data }
+    }
+
+    /// A read of `len` bytes of `buffer` at `offset` into `sink`.
+    fn read_to(buffer: &Arc<Buffer>, offset: usize, len: usize, sink: ReadSink) -> Work {
+        Work::Read { buffer: Arc::clone(buffer), offset, len, sink: Some(sink) }
     }
 
     #[test]
@@ -658,15 +548,38 @@ mod tests {
         let buffer = Buffer::new(Arc::clone(&context), 4, MemFlags::READ_WRITE, None).unwrap();
         let done = Event::user();
         done.set_complete();
-        let write = queue.enqueue_write_buffer_inline(&buffer, 0, vec![4; 4], vec![done]).unwrap();
+        let write = queue.enqueue(write(&buffer, vec![4; 4]), vec![done], true).unwrap();
         assert_eq!(write.status(), EventStatus::Complete);
         assert!(write.modeled_duration() > Duration::ZERO);
         let (sink, kept) = kept();
-        let read = queue.enqueue_read_buffer_inline_to(&buffer, 0, 4, vec![write], sink).unwrap();
+        let read = queue.enqueue(read_to(&buffer, 0, 4, sink), vec![write], true).unwrap();
         assert_eq!(read.status(), EventStatus::Complete);
         assert_eq!(kept.lock().take(), Some(vec![4; 4]));
         assert_eq!(read.take_result(), None, "a sink's bytes are not the event's result");
         assert_eq!(queue.pending_commands(), 0);
+    }
+
+    #[test]
+    fn inline_launches_and_markers_on_an_idle_queue_are_terminal_on_return() {
+        let (context, _, queue) = setup();
+        let program = Program::with_source(
+            Arc::clone(&context),
+            "__kernel void inc(__global int* a) { size_t i = get_global_id(0); a[i] = a[i] + 1; }",
+        );
+        program.build().unwrap();
+        let kernel = program.create_kernel("inc").unwrap();
+        let buffer = Buffer::new(Arc::clone(&context), 16, MemFlags::READ_WRITE, None).unwrap();
+        kernel.set_arg(0, KernelArg::Buffer(Arc::clone(&buffer))).unwrap();
+        let launch = Work::NdRange { kernel, range: NdRange::linear(4) };
+        let launch = queue.enqueue(launch, Vec::new(), true).unwrap();
+        assert_eq!(launch.status(), EventStatus::Complete);
+        assert_eq!(launch.counters().unwrap().work_items, 4);
+        assert!(launch.modeled_duration() > Duration::ZERO);
+        let marker = queue.enqueue(Work::Marker, vec![launch], true).unwrap();
+        assert_eq!(marker.status(), EventStatus::Complete);
+        assert_eq!(queue.pending_commands(), 0);
+        let out = buffer.read(0, 16).unwrap();
+        assert!(out.chunks_exact(4).all(|c| i32::from_le_bytes(c.try_into().unwrap()) == 1));
     }
 
     #[test]
@@ -678,7 +591,7 @@ mod tests {
             queue.enqueue_write_buffer(&buffer, 0, vec![1; 4], vec![Arc::clone(&gate)]).unwrap();
         // Nothing in its own wait list, but the gated write is ahead of it.
         let (sink, kept) = kept();
-        let read = queue.enqueue_read_buffer_inline_to(&buffer, 0, 4, Vec::new(), sink).unwrap();
+        let read = queue.enqueue(read_to(&buffer, 0, 4, sink), Vec::new(), true).unwrap();
         assert!(!read.status().is_terminal());
         gate.set_complete();
         read.wait().unwrap();
@@ -691,8 +604,7 @@ mod tests {
         let (context, _, queue) = setup();
         let buffer = Buffer::new(Arc::clone(&context), 4, MemFlags::READ_WRITE, None).unwrap();
         let gate = Event::user();
-        let write =
-            queue.enqueue_write_buffer_inline(&buffer, 0, vec![2; 4], vec![Arc::clone(&gate)]);
+        let write = queue.enqueue(write(&buffer, vec![2; 4]), vec![Arc::clone(&gate)], true);
         let write = write.unwrap();
         assert!(!write.status().is_terminal());
         gate.set_complete();
@@ -703,7 +615,7 @@ mod tests {
         let failed = Event::user();
         failed.set_error(-5);
         let (sink, kept) = kept();
-        let read = queue.enqueue_read_buffer_inline_to(&buffer, 0, 4, vec![failed], sink).unwrap();
+        let read = queue.enqueue(read_to(&buffer, 0, 4, sink), vec![failed], true).unwrap();
         assert!(read.wait().is_err());
         assert_eq!(read.status(), EventStatus::Error(-14));
         assert_eq!(*kept.lock(), None, "a failed read called its sink");
@@ -725,8 +637,8 @@ mod tests {
             let status = event_in_sink.lock().as_ref().map(|e| e.status());
             *seen_in_sink.lock() = Some((bytes.to_vec(), status));
         });
-        let read =
-            queue.enqueue_read_buffer_to(&buffer, 1, 2, vec![Arc::clone(&gate)], sink).unwrap();
+        let read = queue.enqueue(read_to(&buffer, 1, 2, sink), vec![Arc::clone(&gate)], false);
+        let read = read.unwrap();
         *read_event.lock() = Some(Arc::clone(&read));
         gate.set_complete();
         read.wait().unwrap();
@@ -734,7 +646,7 @@ mod tests {
         assert!(read.modeled_duration() > Duration::ZERO);
 
         let (sink, kept) = kept();
-        let out_of_bounds = queue.enqueue_read_buffer_to(&buffer, 2, 4, Vec::new(), sink).unwrap();
+        let out_of_bounds = queue.enqueue(read_to(&buffer, 2, 4, sink), Vec::new(), false).unwrap();
         assert!(out_of_bounds.wait().is_err());
         assert_eq!(*kept.lock(), None);
     }

@@ -75,7 +75,12 @@ fn dedup_window_rejects_replayed_ids_across_reconnect() {
         let endpoint = Endpoint::new(conn, Arc::new(NullHandler), "raw-client");
         let Response::SessionInfo(info) = raw_call(
             &endpoint,
-            Request::Hello { client_name: "replayer".into(), auth_id: None, epoch },
+            Request::Hello {
+                client_name: "replayer".into(),
+                auth_id: None,
+                epoch,
+                session_start: 0,
+            },
         ) else {
             panic!("expected session info")
         };
@@ -923,4 +928,31 @@ fn a_fetch_from_a_restarted_server_does_not_hang() {
     let err = slow.wait().unwrap_err();
     assert!(err.to_string().contains("status -14"), "{err}");
     assert!(!client.session_info(dopencl::ServerId(0)).unwrap().resumed);
+}
+
+/// As above, but the daemon restarted at the killed one's address serves
+/// a new platform, whose device ids the setup log does not name, so the
+/// replay fails part way.  No redial may resume that half-built session:
+/// the fetch waiting for the lost session's launch fails instead of
+/// hanging, and so does a later call that redials again.
+#[test]
+fn a_session_whose_replay_failed_is_never_resumed() {
+    let backoff =
+        Backoff { max_delay: Duration::from_millis(50), max_attempts: 400, ..Backoff::fast() };
+    let policy = FailoverPolicy { reconnect: true, backoff, drop_lost_servers: false };
+    let SlowLaunch { mut cluster, client, q1, buffer, slow, .. } =
+        slow_launch_on_node0("failed-replay", policy);
+    assert!(!slow.is_terminal());
+    let outcome = read_in_background(q1, buffer);
+    std::thread::sleep(Duration::from_millis(300));
+    assert!(!slow.is_terminal(), "the launch must outlast the kill");
+    cluster.daemons()[0].kill();
+    cluster.add_node("node0", &Platform::test_platform(1)).unwrap();
+    let err = outcome.recv_timeout(Duration::from_secs(20)).expect("the fetch hung").unwrap_err();
+    let failed = matches!(err, dopencl::DclError::ServerUnavailable(_))
+        || err.to_string().contains("status -14");
+    assert!(failed, "{err}");
+    let redial = client.session_info(dopencl::ServerId(0));
+    assert!(redial.is_err(), "a redial resumed the half-built session: {redial:?}");
+    assert_eq!(client.traffic_stats().reconnects, 0);
 }

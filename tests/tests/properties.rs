@@ -330,8 +330,12 @@ mod completions {
             .map(|daemon| {
                 let conn = transport.connect(daemon.address()).unwrap();
                 let endpoint = Endpoint::new(conn, Arc::new(Handler(Arc::clone(&client))), "mini");
-                let hello =
-                    Request::Hello { client_name: format!("mini-{case}"), auth_id: None, epoch: 0 };
+                let hello = Request::Hello {
+                    client_name: format!("mini-{case}"),
+                    auth_id: None,
+                    epoch: 0,
+                    session_start: 0,
+                };
                 call(&endpoint, hello);
                 let Response::DeviceList { devices } = call(&endpoint, Request::GetDeviceList)
                 else {
