@@ -12,6 +12,7 @@ use crate::error::{DclError, Result};
 use crate::protocol::{
     BatchCommand, BatchEntry, ClientNotification, ObjectId, Request, Response, WireNdRange,
 };
+use gcf::rpc::STREAM_CHUNK;
 use gcf::simtime::Phase;
 use gcf::wire::Encode;
 use std::sync::atomic::Ordering;
@@ -69,7 +70,19 @@ impl ClientInner {
     /// by the same batch (event consistency, Section III-D).  With batching
     /// disabled the entry ships immediately as a batch of one (the
     /// pre-batching wire behaviour).
-    fn push_batch_entry(&self, server: usize, entry: BatchEntry, wait: &[Event]) -> Result<()> {
+    ///
+    /// An entry with a `following` stream (`(stream id, bytes)`, a write of
+    /// more than one stream chunk) ships at once with the batch it ends: the
+    /// batch is taken under the same outgoing lock that appends it, so no
+    /// other flush can ship the entry without its bytes, and the stream
+    /// follows the batch's request inside the same call.
+    fn push_batch_entry(
+        &self,
+        server: usize,
+        entry: BatchEntry,
+        wait: &[Event],
+        following: Option<(u64, &[u8])>,
+    ) -> Result<()> {
         for event in wait {
             let owner = event.owner().0;
             if owner != server && self.holds_pending(owner, event.id()) {
@@ -83,7 +96,7 @@ impl ClientInner {
             .collect();
         let left = || DclError::ServerUnavailable(format!("server #{server} has left"));
         let outgoing = self.outgoing(server).ok_or_else(left)?;
-        {
+        let taken = {
             let mut out = outgoing.lock();
             if out.closed {
                 return Err(left());
@@ -95,6 +108,10 @@ impl ClientInner {
             }
             out.waits.extend_from_slice(wait);
             out.entries.push(entry);
+            following.and_then(|_| self.take_batch(server, &mut out))
+        };
+        if let Some((entries, first_command, _waits)) = taken {
+            return self.ship_batch(server, entries, first_command, following);
         }
         if !self.batching.load(Ordering::Relaxed) {
             self.flush_server(server)?;
@@ -122,25 +139,35 @@ impl ClientInner {
     /// handles drop when this returns.
     pub(super) fn flush_server(&self, server: usize) -> Result<()> {
         let Some(outgoing) = self.outgoing(server) else { return Ok(()) };
-        let (entries, first_command, _waits) = {
-            let mut out = outgoing.lock();
-            if out.entries.is_empty() {
-                return Ok(());
-            }
-            self.send_forwards(server, &mut out);
-            let mut entries = Vec::with_capacity(out.entries.len() + out.replacements.len() + 1);
-            if out.forwards.is_empty() && !out.released.is_empty() {
-                let event_ids = std::mem::take(&mut out.released);
-                entries.push(bookkeeping_entry(0, BatchCommand::Release { event_ids }));
-            }
-            for (event_id, status) in out.replacements.drain(..) {
-                entries.push(bookkeeping_entry(event_id, BatchCommand::Replacement { status }));
-            }
-            let first_command = entries.len();
-            entries.append(&mut out.entries);
-            (entries, first_command, std::mem::take(&mut out.waits))
-        };
-        self.ship_batch(server, entries, first_command)
+        let taken = self.take_batch(server, &mut outgoing.lock());
+        let Some((entries, first_command, _waits)) = taken else { return Ok(()) };
+        self.ship_batch(server, entries, first_command, None)
+    }
+
+    /// Take `server`'s pending batch out of its outgoing record `out`, as
+    /// `flush_server` ships it: the entries, the index of the first
+    /// command, and the wait-list handles to hold until it has shipped.
+    /// `None` if no command is pending.
+    fn take_batch(
+        &self,
+        server: usize,
+        out: &mut Outgoing,
+    ) -> Option<(Vec<BatchEntry>, usize, Vec<Event>)> {
+        if out.entries.is_empty() {
+            return None;
+        }
+        self.send_forwards(server, out);
+        let mut entries = Vec::with_capacity(out.entries.len() + out.replacements.len() + 1);
+        if out.forwards.is_empty() && !out.released.is_empty() {
+            let event_ids = std::mem::take(&mut out.released);
+            entries.push(bookkeeping_entry(0, BatchCommand::Release { event_ids }));
+        }
+        for (event_id, status) in out.replacements.drain(..) {
+            entries.push(bookkeeping_entry(event_id, BatchCommand::Replacement { status }));
+        }
+        let first_command = entries.len();
+        entries.append(&mut out.entries);
+        Some((entries, first_command, std::mem::take(&mut out.waits)))
     }
 
     /// Ship every pending batch, best effort: transport failures fail the
@@ -218,13 +245,15 @@ impl ClientInner {
     }
 
     /// Ship `entries`, a batch taken out of `server`'s outgoing record whose
-    /// commands start at `first_command`, in one round trip, and settle
-    /// what the response reports.
+    /// commands start at `first_command`, in one round trip, with the
+    /// `following` stream of its last write, if any, right after the
+    /// request; and settle what the response reports.
     fn ship_batch(
         &self,
         server: usize,
         entries: Vec<BatchEntry>,
         first_command: usize,
+        following: Option<(u64, &[u8])>,
     ) -> Result<()> {
         let commands = &entries[first_command..];
         let event_ids: Vec<ObjectId> = commands.iter().map(|e| e.event_id).collect();
@@ -235,11 +264,11 @@ impl ClientInner {
         let request = Request::EnqueueBatch { entries };
         // One round trip for the whole batch — the point of accumulating.
         // Goes through the recovery path: if the connection dies mid-call
-        // the batch is re-sent verbatim after the reconnect, and the
-        // daemon's dedup window (keyed by the entries' command ids) makes
-        // the replay execute exactly once.
+        // the batch, and the stream that follows it, are re-sent verbatim
+        // after the reconnect, and the daemon's dedup window (keyed by the
+        // entries' command ids) makes the replay execute exactly once.
         let payload = self.encode_charged(phase, &request);
-        let (response, epoch) = match self.call_with_recovery(server, &payload) {
+        let (response, epoch) = match self.call_with_recovery(server, &payload, following) {
             Ok(answer) => answer,
             Err(e) => {
                 self.fail_events(&event_ids, -14);
@@ -304,23 +333,27 @@ impl ClientInner {
             )));
         }
         let server = queue.server;
-        let conn = self.server(server)?;
-        let stream_id = conn.endpoint.allocate_id();
-
-        // Stream-based communication: the payload crosses the network now;
-        // FIFO ordering guarantees it reaches the daemon ahead of the
-        // batched request that references it.
+        // Client-wide, like every stream id the client sends on, so a
+        // stream re-sent on a new connection cannot meet another of its id.
+        let stream_id = self.allocate_id();
         self.clock.charge(Phase::DataTransfer, self.link.transfer_time(data.len() as u64));
-        let sent = conn.endpoint.send_bulk(stream_id, data).map_err(DclError::from);
-        self.recover_after_bulk(server, sent)?;
-
         let command = BatchCommand::WriteBuffer {
             buffer_id: buffer.id,
             offset: offset as u64,
             size: data.len() as u64,
             stream_id,
         };
-        let event = self.enqueue(queue, Phase::DataTransfer, command, wait)?;
+        // Stream-based communication.  A write of at most one chunk sends
+        // its payload now, and FIFO ordering brings it to the daemon ahead
+        // of the batched request that references it.  A larger one follows
+        // its request, so the daemon can receive it into its destination.
+        let following = (data.len() > STREAM_CHUNK).then_some((stream_id, data));
+        if following.is_none() {
+            let conn = self.server(server)?;
+            let sent = conn.endpoint.send_bulk(stream_id, data).map_err(DclError::from);
+            self.recover_after_bulk(server, sent)?;
+        }
+        let event = self.enqueue(queue, Phase::DataTransfer, command, wait, following)?;
         buffer.directory.lock().record_host_write(server, offset, data);
         Ok(event)
     }
@@ -352,7 +385,7 @@ impl ClientInner {
             stream_id,
         };
         let event = self
-            .enqueue(queue, Phase::DataTransfer, command, wait)
+            .enqueue(queue, Phase::DataTransfer, command, wait, None)
             .inspect_err(|_| conn.endpoint.discard_bulk(stream_id, true))?;
         Ok(PendingRead {
             client: self.self_weak.clone(),
@@ -414,7 +447,7 @@ impl ClientInner {
             self.ensure_valid_range_on(server, buffer, *range)?;
         }
         let command = BatchCommand::NdRange { kernel_id: kernel.id, range: WireNdRange(range) };
-        let event = self.enqueue(queue, Phase::Execution, command, wait)?;
+        let event = self.enqueue(queue, Phase::Execution, command, wait, None)?;
         for (buffer, range, _) in buffer_args.iter().filter(|(_, _, writes)| *writes) {
             buffer.directory.lock().record_device_write(server, *range);
         }
@@ -428,20 +461,21 @@ impl ClientInner {
     /// fails with the wait-list error.  No server hears of the event until
     /// the command ships; replacements elsewhere are created only when a
     /// command bound for another server waits on it (see
-    /// `push_batch_entry`).
+    /// `push_batch_entry`, which also ships a `following` stream).
     pub(super) fn enqueue(
         &self,
         queue: &CommandQueue,
         phase: Phase,
         command: BatchCommand,
         wait: &[Event],
+        following: Option<(u64, &[u8])>,
     ) -> Result<Event> {
         let event = self.track_event(queue.server, phase);
         let event_id = event.id();
         let command_id = self.allocate_id();
         let wait_events = wait.iter().map(Event::id).collect();
         let entry = BatchEntry { command_id, queue_id: queue.id, event_id, wait_events, command };
-        if let Err(e) = self.push_batch_entry(queue.server, entry, wait) {
+        if let Err(e) = self.push_batch_entry(queue.server, entry, wait, following) {
             self.fail_events(&[event_id], -14);
             return Err(e);
         }

@@ -155,7 +155,7 @@ impl ClientInner {
         phase: Phase,
     ) -> Result<Response> {
         let payload = self.encode_charged(phase, &request);
-        let response = self.call_with_recovery(server, &payload)?.0.into_result()?;
+        let response = self.call_with_recovery(server, &payload, None)?.0.into_result()?;
         // Record setup requests so a reconnect to a restarted daemon can
         // re-create the remote objects (see the recovery path).  A kernel
         // argument keeps only its latest setting, moved to the end of the
@@ -191,22 +191,24 @@ impl ClientInner {
         )
     }
 
-    /// Call the encoded request `payload` on `server`, transparently
-    /// reconnecting and re-sending the same bytes when the connection dies
-    /// mid-call; returns the answer and the epoch of the connection that
-    /// gave it.  Safe because every request the protocol retries this way
-    /// is idempotent — batches through their command ids, creation calls
-    /// because they overwrite the same object id.  (Bulk-transfer requests
-    /// bypass this path; their stream dies with the connection.)
+    /// Call the encoded request `payload` on `server`, followed by the
+    /// `following` stream if any, transparently reconnecting and re-sending
+    /// the same bytes when the connection dies mid-call; returns the answer
+    /// and the epoch of the connection that gave it.  Safe because every
+    /// request the protocol retries this way is idempotent — batches
+    /// through their command ids, creation calls because they overwrite
+    /// the same object id.  (Coherence uploads bypass this path; a stream
+    /// sent ahead of its request dies with the connection.)
     pub(super) fn call_with_recovery(
         &self,
         server: usize,
         payload: &[u8],
+        following: Option<(u64, &[u8])>,
     ) -> Result<(Response, u64)> {
         let mut recoveries = 0u32;
         loop {
             let conn = self.server(server)?;
-            match conn.endpoint.call(payload.to_vec()) {
+            match conn.endpoint.call_with_stream(payload.to_vec(), following) {
                 Ok(bytes) => {
                     return Response::from_bytes(&bytes)
                         .map(|response| (response, conn.epoch))

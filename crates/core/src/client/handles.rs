@@ -669,7 +669,7 @@ impl MarkerOp<'_> {
     pub fn submit(self) -> Result<Event> {
         let inner = self.queue.inner()?;
         let event =
-            inner.enqueue(self.queue, Phase::Execution, BatchCommand::Marker, &self.wait)?;
+            inner.enqueue(self.queue, Phase::Execution, BatchCommand::Marker, &self.wait, None)?;
         inner.flush_server(self.queue.server)?;
         Ok(event)
     }

@@ -93,7 +93,7 @@ impl ClientInner {
         data: &[u8],
     ) -> Result<()> {
         let conn = self.server(server)?;
-        let stream_id = conn.endpoint.allocate_id();
+        let stream_id = self.allocate_id();
         self.clock.charge(Phase::DataTransfer, self.link.transfer_time(data.len() as u64));
         conn.endpoint.send_bulk(stream_id, data)?;
         let request = Request::UploadBufferRange {

@@ -413,6 +413,17 @@ mod tests {
         Response::from_bytes(&bytes).unwrap()
     }
 
+    /// [`call`], stream `stream_id` (`data`) following the request.
+    fn call_then_stream(
+        endpoint: &Arc<Endpoint>,
+        request: Request,
+        stream_id: u64,
+        data: &[u8],
+    ) -> Response {
+        let bytes = endpoint.call_with_stream(request.to_bytes(), Some((stream_id, data))).unwrap();
+        Response::from_bytes(&bytes).unwrap()
+    }
+
     /// A batch of the one command `command` on queue 2, completing as
     /// event `event_id` once `wait_events` have.
     fn single_command(
@@ -937,21 +948,17 @@ mod tests {
         assert_eq!(report_points(&entries), expected);
     }
 
-    /// A write of one byte over a stream chunk into a fresh buffer 4 of
-    /// the session [`build_write_session`] made, its stream sent first: too
-    /// big to run inline, it always goes to the queue's worker.
-    fn worker_bound_write(endpoint: &Arc<Endpoint>, stream_id: u64) -> BatchCommand {
-        let size = STREAM_CHUNK as u64 + 1;
-        let create = Request::CreateBuffer {
-            buffer_id: 4,
-            context_id: 1,
-            size,
-            readable: true,
-            writable: true,
-        };
-        assert!(matches!(call(endpoint, create), Response::Ok));
-        endpoint.send_bulk(stream_id, &vec![7; size as usize]).unwrap();
-        BatchCommand::WriteBuffer { buffer_id: 4, offset: 0, size, stream_id }
+    /// A launch of kernel 6, `inc` on buffer 3 of the session
+    /// [`build_write_session`] made, over more work-items than
+    /// [`INLINE_STEPS`] allows: it always goes to the queue's worker.
+    fn worker_bound_launch(endpoint: &Arc<Endpoint>) -> BatchCommand {
+        let source = "__kernel void inc(__global uint* c) { c[0] = c[0] + 1u; }".to_string();
+        call(endpoint, Request::CreateProgramWithSource { program_id: 4, context_id: 1, source });
+        assert!(matches!(call(endpoint, Request::BuildProgram { program_id: 4 }), Response::Ok));
+        call(endpoint, Request::CreateKernel { kernel_id: 6, program_id: 4, name: "inc".into() });
+        call(endpoint, Request::SetKernelArgBuffer { kernel_id: 6, index: 0, buffer_id: 3 });
+        let range = WireNdRange(vocl::NdRange::linear(INLINE_STEPS as usize));
+        BatchCommand::NdRange { kernel_id: 6, range }
     }
 
     /// A launch whose kernel loops has no step bound, so even one
@@ -1013,11 +1020,11 @@ mod tests {
         let log = Arc::new(CompletionLog::default());
         let (_daemon, endpoint, _t) = start_test_daemon_with(Arc::clone(&log) as _);
         build_write_session(&endpoint);
-        let write = worker_bound_write(&endpoint, 60);
+        let launch = worker_bound_launch(&endpoint);
         let request = Request::EnqueueBatch {
             entries: vec![
                 on_queue(0, 100, vec![], BatchCommand::Replacement { status: None }),
-                on_queue(2, 10, vec![], write),
+                on_queue(2, 10, vec![], launch),
                 on_queue(2, 11, vec![100], BatchCommand::Marker),
             ],
         };
@@ -1035,13 +1042,13 @@ mod tests {
         let (_daemon, endpoint, _t) = start_test_daemon_with(Arc::clone(&log) as _);
         build_write_session(&endpoint);
         // The read names a buffer the session lacks, so the batch stops
-        // there, and neither the write nor the marker behind it on the
+        // there, and neither the launch nor the marker behind it on the
         // worker is the last entry of its queue.
-        let write = worker_bound_write(&endpoint, 59);
+        let launch = worker_bound_launch(&endpoint);
         let read = BatchCommand::ReadBuffer { buffer_id: 99, offset: 0, size: 4, stream_id: 60 };
         let request = Request::EnqueueBatch {
             entries: vec![
-                on_queue(2, 10, vec![], write),
+                on_queue(2, 10, vec![], launch),
                 on_queue(2, 11, vec![], BatchCommand::Marker),
                 on_queue(2, 12, vec![], read),
             ],
@@ -1073,11 +1080,10 @@ mod tests {
         };
         call(&endpoint, create);
         let data: Vec<u8> = (0..size).map(|i| (i % 251) as u8).collect();
-        endpoint.send_bulk(42, &data).unwrap();
         let size = size as u64;
         let write = BatchCommand::WriteBuffer { buffer_id: 3, offset: 0, size, stream_id: 42 };
         let read = BatchCommand::ReadBuffer { buffer_id: 3, offset: 0, size, stream_id: 43 };
-        let resp = call(&endpoint, single_command(10, vec![], write));
+        let resp = call_then_stream(&endpoint, single_command(10, vec![], write), 42, &data);
         assert_eq!(batch_outcome(resp).0, vec![BatchEntryStatus::ok()]);
         let resp = call(&endpoint, single_command(11, vec![10], read));
         assert_eq!(batch_outcome(resp).0, vec![BatchEntryStatus::ok()]);
@@ -1358,5 +1364,247 @@ mod tests {
         assert!(endpoint.call(Request::GetServerInfo.to_bytes()).is_err());
         // New connections are refused (the listener is shut down).
         assert!(transport.connect(daemon.address()).is_err());
+    }
+
+    /// A small write's stream precedes its request on the same connection,
+    /// so one the daemon does not hold was lost: the entry fails at once,
+    /// and the connection serves the next request.
+    #[test]
+    fn a_write_naming_a_stream_never_sent_fails_fast() {
+        let (_daemon, endpoint, _t) = start_test_daemon();
+        build_write_session(&endpoint);
+        let write = BatchCommand::WriteBuffer { buffer_id: 3, offset: 0, size: 4, stream_id: 99 };
+        let start = std::time::Instant::now();
+        let (statuses, completed) =
+            batch_outcome(call(&endpoint, single_command(10, vec![], write)));
+        assert!(start.elapsed() < Duration::from_secs(1), "took {:?}", start.elapsed());
+        assert_eq!(statuses[0].code, -30, "{statuses:?}");
+        assert_eq!(completed, vec![]);
+        assert!(matches!(call(&endpoint, Request::GetServerInfo), Response::ServerInfo(_)));
+    }
+
+    /// A kernel launch that names an unknown queue is not counted.
+    #[test]
+    fn a_launch_that_fails_to_enqueue_is_not_counted() {
+        let (daemon, endpoint, _t) = start_test_daemon();
+        call(&endpoint, hello("c"));
+        build_fill_session(&endpoint);
+        let launch =
+            BatchCommand::NdRange { kernel_id: 5, range: WireNdRange(vocl::NdRange::linear(16)) };
+        let entry = BatchEntry {
+            command_id: 0,
+            queue_id: 77,
+            event_id: 10,
+            wait_events: vec![],
+            command: launch,
+        };
+        let (statuses, _) =
+            batch_outcome(call(&endpoint, Request::EnqueueBatch { entries: vec![entry] }));
+        assert_eq!(statuses[0].code, -34, "{statuses:?}");
+        assert_eq!(daemon.stats().kernel_launches, 0);
+        call(&endpoint, fill_batch(0, 11));
+        assert_eq!(daemon.stats().kernel_launches, 1);
+    }
+
+    /// Bytes of a write over one stream chunk, and its size.
+    const LARGE: usize = 2 * STREAM_CHUNK + 3;
+
+    fn large_data(seed: u8) -> Vec<u8> {
+        (0..LARGE).map(|i| (i % 251) as u8 ^ seed).collect()
+    }
+
+    /// Session with context 1, queue 2 and a [`LARGE`]-byte buffer 3.
+    fn build_large_session(endpoint: &Arc<Endpoint>) {
+        call(endpoint, hello("c"));
+        let Response::DeviceList { devices } = call(endpoint, Request::GetDeviceList) else {
+            panic!()
+        };
+        let dev = devices[0].remote_id;
+        call(endpoint, Request::CreateContext { context_id: 1, devices: vec![dev] });
+        call(endpoint, Request::CreateCommandQueue { queue_id: 2, context_id: 1, device: dev });
+        let create = Request::CreateBuffer {
+            buffer_id: 3,
+            context_id: 1,
+            size: LARGE as u64,
+            readable: true,
+            writable: true,
+        };
+        assert!(matches!(call(endpoint, create), Response::Ok));
+    }
+
+    /// A write of all of buffer 3 from bulk stream `stream_id`.
+    fn large_write(stream_id: u64) -> BatchCommand {
+        BatchCommand::WriteBuffer { buffer_id: 3, offset: 0, size: LARGE as u64, stream_id }
+    }
+
+    /// The daemon's end of its one client connection.
+    fn daemon_endpoint(daemon: &Daemon) -> Arc<Endpoint> {
+        Arc::clone(&daemon.sessions.lock()[0])
+    }
+
+    /// A large write on an idle queue runs while the daemon handles its
+    /// batch, its stream received into the buffer, and its status rides
+    /// the response.
+    #[test]
+    fn a_large_write_on_an_idle_queue_lands_in_the_buffer() {
+        let log = Arc::new(CompletionLog::default());
+        let (daemon, endpoint, _t) = start_test_daemon_with(Arc::clone(&log) as _);
+        build_large_session(&endpoint);
+        let data = large_data(1);
+        let resp =
+            call_then_stream(&endpoint, single_command(10, vec![], large_write(40)), 40, &data);
+        assert_eq!(batch_outcome(resp), (vec![BatchEntryStatus::ok()], vec![(10, 0)]));
+        assert!(download_all(&endpoint, LARGE as u64, 41) == data);
+        assert_eq!(log.completions(), vec![], "the status also left in a frame");
+        assert_eq!(daemon.stats().bytes_uploaded, LARGE as u64);
+        assert_eq!(daemon_endpoint(&daemon).bulk_streams_held(), 0);
+    }
+
+    /// A request that arrives while a large write's stream is received
+    /// runs once the stream is in: here a small write, whose own stream
+    /// came in between too.
+    #[test]
+    fn frames_amid_a_large_write_run_after_it_in_order() {
+        let (_daemon, endpoint, _t) = start_test_daemon();
+        build_large_session(&endpoint);
+        let data = large_data(2);
+        let request = single_command(10, vec![], large_write(40)).to_bytes();
+        // The large write's request, then the small write's stream and
+        // request, then the large write's stream.
+        let caller = {
+            let endpoint = Arc::clone(&endpoint);
+            std::thread::spawn(move || endpoint.call(request).unwrap())
+        };
+        std::thread::sleep(Duration::from_millis(50));
+        endpoint.send_bulk(50, &[5; 4]).unwrap();
+        let small = BatchCommand::WriteBuffer { buffer_id: 3, offset: 8, size: 4, stream_id: 50 };
+        let request = on_queue(2, 11, vec![], small);
+        let small_caller = {
+            let endpoint = Arc::clone(&endpoint);
+            let request = Request::EnqueueBatch { entries: vec![request] }.to_bytes();
+            std::thread::spawn(move || endpoint.call(request).unwrap())
+        };
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(!small_caller.is_finished(), "the small write ran amid the large one");
+        endpoint.send_bulk(40, &data).unwrap();
+        let resp = Response::from_bytes(&caller.join().unwrap()).unwrap();
+        assert_eq!(batch_outcome(resp), (vec![BatchEntryStatus::ok()], vec![(10, 0)]));
+        let resp = Response::from_bytes(&small_caller.join().unwrap()).unwrap();
+        assert_eq!(batch_outcome(resp), (vec![BatchEntryStatus::ok()], vec![(11, 0)]));
+        let mut expect = data;
+        expect[8..12].fill(5);
+        assert!(download_all(&endpoint, LARGE as u64, 41) == expect, "wrong order");
+    }
+
+    /// A large write behind an entry that fails to enqueue, and one whose
+    /// command the dedup window knows, do not run: their streams are read
+    /// and dropped, and the connection stays in sync.
+    #[test]
+    fn a_large_write_that_does_not_run_drops_its_stream() {
+        let (daemon, endpoint, _t) = start_test_daemon();
+        build_large_session(&endpoint);
+        let connection = daemon_endpoint(&daemon);
+        let first = large_data(3);
+        let bad_read =
+            BatchCommand::ReadBuffer { buffer_id: 99, offset: 0, size: 4, stream_id: 30 };
+        let request = Request::EnqueueBatch {
+            entries: vec![
+                on_queue(2, 10, vec![], bad_read),
+                on_queue(2, 11, vec![], large_write(40)),
+            ],
+        };
+        let (statuses, _) = batch_outcome(call_then_stream(&endpoint, request, 40, &first));
+        assert_eq!(statuses.len(), 1, "{statuses:?}");
+        assert_eq!(statuses[0].code, -34);
+        call(&endpoint, Request::GetServerInfo);
+        assert_eq!(connection.bulk_streams_held(), 0, "the dropped stream was kept");
+
+        let write = |command_id, data: &[u8]| {
+            let entry = BatchEntry {
+                command_id,
+                queue_id: 2,
+                event_id: 12,
+                wait_events: vec![],
+                command: large_write(41),
+            };
+            call_then_stream(&endpoint, Request::EnqueueBatch { entries: vec![entry] }, 41, data)
+        };
+        assert_eq!(batch_outcome(write(7, &first)).0, vec![BatchEntryStatus::ok()]);
+        // The replay's bytes differ, so a replay that ran would show.
+        let (statuses, completed) = batch_outcome(write(7, &large_data(4)));
+        assert_eq!((statuses, completed), (vec![BatchEntryStatus::ok()], vec![]));
+        call(&endpoint, Request::GetServerInfo);
+        assert_eq!(connection.bulk_streams_held(), 0, "the replay's stream was kept");
+        assert_eq!(dedup_window_counts(&endpoint), (1, 1));
+        assert!(download_all(&endpoint, LARGE as u64, 42) == first);
+    }
+
+    /// A large write on a busy queue lands in one `Vec` while the daemon
+    /// handles its batch; the worker copies it once the write ahead of it
+    /// has run, and its status leaves in a frame.
+    #[test]
+    fn a_large_write_on_a_busy_queue_lands_and_completes_in_order() {
+        let log = Arc::new(CompletionLog::default());
+        let (daemon, endpoint, _t) = start_test_daemon_with(Arc::clone(&log) as _);
+        build_large_session(&endpoint);
+        // A small write gated by replacement 100 keeps the queue busy.
+        endpoint.send_bulk(50, &[9; 4]).unwrap();
+        let small = BatchCommand::WriteBuffer { buffer_id: 3, offset: 0, size: 4, stream_id: 50 };
+        let data = large_data(5);
+        let request = Request::EnqueueBatch {
+            entries: vec![
+                on_queue(0, 100, vec![], BatchCommand::Replacement { status: None }),
+                on_queue(2, 10, vec![100], small),
+                on_queue(2, 11, vec![], large_write(40)),
+            ],
+        };
+        let (statuses, completed) = batch_outcome(call_then_stream(&endpoint, request, 40, &data));
+        assert_eq!((statuses, completed), (vec![BatchEntryStatus::ok(); 3], vec![]));
+        assert_eq!(daemon_endpoint(&daemon).bulk_streams_held(), 0);
+        assert!(event_status(&endpoint, 11) > 0, "the large write overtook the gated one");
+        forward(&endpoint, 100, 0);
+        assert_eq!(completions_after(&log, 2), vec![(10, 0), (11, 0)]);
+        assert!(download_all(&endpoint, LARGE as u64, 41) == data, "the writes ran out of order");
+    }
+
+    /// A large write whose stream the connection cuts short fails without
+    /// entering the dedup window: replayed on the next connection, with its
+    /// stream, it runs.
+    #[test]
+    fn a_large_write_cut_short_is_not_admitted() {
+        use gcf::transport::faulty::{ChaosPolicy, FaultyConnection};
+        use gcf::transport::Transport;
+        let (daemon, endpoint, transport) = start_test_daemon();
+        build_large_session(&endpoint);
+        endpoint.close();
+        let policy = ChaosPolicy { fail_after_stream_chunks: 1, ..ChaosPolicy::none() };
+        let dial = |epoch, policy| {
+            let conn =
+                FaultyConnection::with_policy(transport.connect(daemon.address()).unwrap(), policy);
+            let endpoint = Endpoint::new(conn, Arc::new(NullHandler), "redial");
+            let hello =
+                Request::Hello { client_name: "c".into(), auth_id: None, epoch, session_start: 0 };
+            assert!(matches!(call(&endpoint, hello), Response::SessionInfo(info) if info.resumed));
+            endpoint
+        };
+        let data = large_data(6);
+        let batch = || {
+            let entry = BatchEntry {
+                command_id: 7,
+                queue_id: 2,
+                event_id: 10,
+                wait_events: vec![],
+                command: large_write(40),
+            };
+            Request::EnqueueBatch { entries: vec![entry] }.to_bytes()
+        };
+        let cut = dial(1, policy);
+        assert!(cut.call_with_stream(batch(), Some((40, &data))).is_err());
+        let endpoint = dial(2, ChaosPolicy::none());
+        let bytes = endpoint.call_with_stream(batch(), Some((40, &data))).unwrap();
+        let (statuses, completed) = batch_outcome(Response::from_bytes(&bytes).unwrap());
+        assert_eq!((statuses, completed), (vec![BatchEntryStatus::ok()], vec![(10, 0)]));
+        assert_eq!(dedup_window_counts(&endpoint), (1, 0));
+        assert!(download_all(&endpoint, LARGE as u64, 41) == data);
     }
 }

@@ -12,12 +12,12 @@ use gcf::wire::{Decode, Encode};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 use vocl::profile::BusModel;
 use vocl::{
     Buffer, ClError, CommandQueue, CommandType, Context, Device, DeviceInfoParam, DeviceInfoValue,
-    Event, EventStatus, KernelArg, MemFlags, Program, QueueProperties, ReadSink, Work,
+    Event, EventStatus, KernelArg, MemFlags, Program, QueueProperties, ReadSink, Work, WriteSource,
 };
 
 /// Statuses the buffer holds at most: the one that makes this many
@@ -152,10 +152,11 @@ pub(super) const INLINE_STEPS: u64 = 4096;
 /// Whether `work` is cheap enough to run inline, on the dispatch thread,
 /// when its queue is idle: a transfer of at most one stream chunk, a launch
 /// whose static step bound is at most [`INLINE_STEPS`] (a looping or
-/// built-in kernel has none), or a marker (no work).
+/// built-in kernel has none), or a marker (no work).  A write whose stream
+/// follows its request is not asked (see `enqueue_following_write`).
 fn within_inline_cost(work: &Work) -> bool {
     match work {
-        Work::Write { data, .. } => data.len() <= STREAM_CHUNK,
+        Work::Write { len, .. } => *len <= STREAM_CHUNK,
         Work::Read { len, .. } => *len <= STREAM_CHUNK,
         Work::NdRange { kernel, range } => {
             kernel.step_bound(range).is_some_and(|steps| steps <= INLINE_STEPS)
@@ -163,6 +164,13 @@ fn within_inline_cost(work: &Work) -> bool {
         Work::Marker => true,
         Work::Copy { .. } => false,
     }
+}
+
+/// The stream of a `WriteBuffer` entry that follows the batch's request:
+/// a write of more than one stream chunk (smaller ones stream first).
+fn following_stream(command: &BatchCommand) -> Option<u64> {
+    let BatchCommand::WriteBuffer { size, stream_id, .. } = *command else { return None };
+    (size > STREAM_CHUNK as u64).then_some(stream_id)
 }
 
 fn completion_of(event_id: ObjectId, event: &Event, status: EventStatus) -> EventCompletion {
@@ -235,6 +243,9 @@ pub struct DaemonSession {
     /// The epoch this session adopted the state at (from its `Hello`); the
     /// drop guard skips lease release when a newer session took over.
     my_epoch: AtomicU64,
+    /// This session's own connection: the client's streams to it arrive
+    /// there, whichever connection the state reports to.
+    connection: OnceLock<Weak<Endpoint>>,
     registry: Arc<Mutex<SessionRegistry>>,
 }
 
@@ -276,12 +287,20 @@ impl DaemonSession {
             stats,
             state: Mutex::new(Arc::new(Mutex::new(SessionState::default()))),
             my_epoch: AtomicU64::new(0),
+            connection: OnceLock::new(),
             registry,
         }
     }
 
     pub(super) fn set_endpoint(&self, endpoint: &Arc<Endpoint>) {
+        let _ = self.connection.set(Arc::downgrade(endpoint));
         self.completions().attach(endpoint);
+    }
+
+    /// This session's connection, on which the client's streams arrive.
+    fn connection(&self) -> Reply<Arc<Endpoint>> {
+        let endpoint = self.connection.get().and_then(Weak::upgrade);
+        endpoint.ok_or_else(|| Response::Error { code: -36, message: "no connection".into() })
     }
 
     /// The (possibly adopted) session state's completion buffer.
@@ -344,24 +363,32 @@ impl DaemonSession {
     }
 
     /// The payload of an upload, bulk stream `stream_id`.  The client sends
-    /// it before the request that names it, so the stream has already been
-    /// reassembled.
+    /// it before the request that names it, on this connection, whose frames
+    /// this thread dispatches in order: if it is not complete now, it was
+    /// lost (a dropped frame, or a connection that died before a replay).
     fn upload_stream(&self, stream_id: u64) -> Reply<Vec<u8>> {
-        self.endpoint()?.wait_bulk(stream_id, Duration::from_secs(120)).map_err(|e| {
-            Response::Error { code: -30, message: format!("missing upload stream: {e}") }
+        let endpoint = self.connection()?;
+        endpoint.try_take_bulk(stream_id).ok_or_else(|| {
+            endpoint.discard_bulk(stream_id, false);
+            let message = format!("upload stream {stream_id} did not precede its request");
+            Response::Error { code: -30, message }
         })
     }
 
     /// Enqueue the command of one [`Request::EnqueueBatch`] entry.  With
     /// `may_inline`, one [`within_inline_cost`] tries to run on this thread,
     /// which it does if its queue is idle; returns its event and whether it
-    /// tried.
+    /// tried.  A write whose stream follows the request goes to
+    /// [`DaemonSession::enqueue_following_write`].
     fn enqueue_entry(
         &self,
         entry: BatchEntry,
         chain: Option<&Arc<Event>>,
         may_inline: bool,
     ) -> Reply<(Arc<Event>, bool)> {
+        if following_stream(&entry.command).is_some() {
+            return self.enqueue_following_write(entry, chain, may_inline);
+        }
         let BatchEntry { queue_id, wait_events, command, .. } = entry;
         let buffer = |id| lookup(&self.state().lock().buffers, "buffer", id);
         let work = match command {
@@ -373,7 +400,7 @@ impl DaemonSession {
                     return Err(Response::Error { code: -30, message });
                 }
                 self.stats.lock().bytes_uploaded += size;
-                Work::Write { buffer: buffer(buffer_id)?, offset: offset as usize, data }
+                Work::write(buffer(buffer_id)?, offset as usize, data)
             }
             BatchCommand::ReadBuffer { buffer_id, offset, size, stream_id } => {
                 // The read sends its bytes to the client as a bulk stream
@@ -394,7 +421,6 @@ impl DaemonSession {
             }
             BatchCommand::NdRange { kernel_id, range } => {
                 let kernel = lookup(&self.state().lock().kernels, "kernel", kernel_id)?;
-                self.stats.lock().kernel_launches += 1;
                 Work::NdRange { kernel, range: range.0 }
             }
             BatchCommand::Marker => Work::Marker,
@@ -403,8 +429,72 @@ impl DaemonSession {
             }
         };
         let (queue, wait) = self.resolve_enqueue(queue_id, &wait_events, chain)?;
+        if matches!(work, Work::NdRange { .. }) {
+            self.stats.lock().kernel_launches += 1;
+        }
         let inline = may_inline && within_inline_cost(&work);
         Ok((queue.enqueue(work, wait, inline)?, inline))
+    }
+
+    /// Enqueue a write whose stream follows the batch's request, taking the
+    /// stream off the connection now: inline at any size, straight into the
+    /// buffer, when `may_inline` and the queue is `ready_for` it; else into
+    /// one `Vec` the worker copies.  One whose stream fails is not tracked.
+    fn enqueue_following_write(
+        &self,
+        entry: BatchEntry,
+        chain: Option<&Arc<Event>>,
+        may_inline: bool,
+    ) -> Reply<(Arc<Event>, bool)> {
+        let BatchEntry { queue_id, wait_events, command, .. } = entry;
+        let BatchCommand::WriteBuffer { buffer_id, offset, size, stream_id } = command else {
+            unreachable!("only a write has a following stream")
+        };
+        let connection = self.connection()?;
+        let (offset, len) = (offset as usize, size as usize);
+        let failed = |message| Response::Error { code: -30, message };
+        let buffer = lookup(&self.state().lock().buffers, "buffer", buffer_id);
+        let resolved = buffer.and_then(|buffer| {
+            if offset.checked_add(len).is_none_or(|end| end > buffer.size()) {
+                return Err(failed(format!("write of {len} bytes at {offset} exceeds the buffer")));
+            }
+            Ok((buffer, self.resolve_enqueue(queue_id, &wait_events, chain)?))
+        });
+        let (buffer, (queue, wait)) =
+            resolved.inspect_err(|_| connection.discard_bulk(stream_id, true))?;
+        if !(may_inline && queue.ready_for(&wait)) {
+            // `vec![0; n]` asks for zeroed memory, which fresh pages are.
+            let mut data = vec![0; len];
+            let received = connection.receive_stream_into(stream_id, &mut data);
+            received.map_err(|e| failed(e.to_string()))?;
+            self.stats.lock().bytes_uploaded += size;
+            return Ok((queue.enqueue(Work::write(buffer, offset, data), wait, false)?, false));
+        }
+        // What became of the stream: `None` while it is still on the
+        // connection, as when a concurrent submission sent the write to the
+        // worker, whose thread may not read the connection.
+        let landed = Arc::new(Mutex::new(None));
+        let (outcome, endpoint) = (Arc::clone(&landed), Arc::clone(&connection));
+        let dispatch = std::thread::current().id();
+        let source: WriteSource = Box::new(move |dest| {
+            if std::thread::current().id() != dispatch {
+                return Err(ClError::InvalidValue("write queued behind another".into()));
+            }
+            let received = endpoint.receive_stream_into(stream_id, dest).map_err(|e| e.to_string());
+            *outcome.lock() = Some(received.clone());
+            received.map_err(ClError::InvalidValue)
+        });
+        let write = Work::Write { buffer, offset, len, source };
+        let event = queue
+            .enqueue(write, wait, true)
+            .inspect_err(|_| connection.discard_bulk(stream_id, true))?;
+        let landed = landed.lock().take();
+        match landed {
+            Some(Ok(())) => self.stats.lock().bytes_uploaded += size,
+            Some(Err(message)) => return Err(failed(message)),
+            None => connection.discard_bulk(stream_id, true),
+        }
+        Ok((event, true))
     }
 
     /// Create the replacement event for `event_id` if this session holds
@@ -686,7 +776,8 @@ impl DaemonSession {
         let mut statuses = Vec::with_capacity(entries.len());
         let mut prev: HashMap<ObjectId, Arc<Event>> = HashMap::new();
         let mut queued: HashSet<ObjectId> = HashSet::new();
-        for (entry, report_point) in entries.into_iter().zip(report_points) {
+        let mut entries = entries.into_iter().zip(report_points);
+        for (entry, report_point) in entries.by_ref() {
             // Event bookkeeping: always succeeds, joins no chain.
             let bookkeeping = match &entry.command {
                 BatchCommand::Release { event_ids } => {
@@ -718,6 +809,7 @@ impl DaemonSession {
                     .map(|orig| state.events.get(&orig).cloned())
             };
             if let Some(event) = hit {
+                self.give_up_following_stream(&entry);
                 statuses.push(BatchEntryStatus::ok());
                 if let Some(event) = event {
                     prev.insert(entry.queue_id, event);
@@ -754,7 +846,17 @@ impl DaemonSession {
                 }
             }
         }
+        entries.for_each(|(entry, _)| self.give_up_following_stream(&entry));
         Response::BatchEnqueued { statuses, completed }
+    }
+
+    /// Drop the stream that follows the request for `entry`, which will not
+    /// run: its chunks are dropped as they arrive, keeping the connection in sync.
+    fn give_up_following_stream(&self, entry: &BatchEntry) {
+        let stream_id = following_stream(&entry.command);
+        if let (Some(stream_id), Ok(connection)) = (stream_id, self.connection()) {
+            connection.discard_bulk(stream_id, true);
+        }
     }
 }
 

@@ -27,17 +27,28 @@
 //! past, or ends short of, the length expected fails: its waiter gets an
 //! error, and no byte is written past the destination.  A stream nobody
 //! expects is reassembled as its chunks arrive.
+//!
+//! # Streams that follow a request
+//!
+//! A caller may send a stream right after its request, inside the same
+//! call ([`Endpoint::call_with_stream`]).  The handler then receives it
+//! while it handles the request, on the receiver thread, straight into a
+//! slice it holds ([`Endpoint::receive_stream_into`]).  Chunks of other
+//! streams land as usual meanwhile; any other frame that arrives is kept
+//! and dispatched once the handler has returned, in arrival order, so no
+//! handler ever runs inside another.
 
 use crate::error::{GcfError, Result};
 use crate::message::{Envelope, MessageKind};
-use crate::transport::{Connection, Received, StreamLanding};
+use crate::transport::{Connection, Destination, Received, StreamLanding};
 use crossbeam_channel::{bounded, Sender};
 use parking_lot::{Condvar, Mutex};
+use std::cell::Cell;
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::{Arc, OnceLock};
+use std::thread::{JoinHandle, ThreadId};
 use std::time::{Duration, Instant};
 
 /// Chunk size used for bulk (stream-based) transfers.
@@ -189,13 +200,13 @@ struct Streams {
 }
 
 impl StreamLanding for Streams {
-    fn claim(&self, id: u64, len: usize) -> Option<Vec<u8>> {
+    fn claim(&self, id: u64, len: usize) -> Option<Destination<'_>> {
         let mut table = self.table.lock();
         let stream = table.get_mut(&id)?;
         let Stream::Expected { dest, len: expected } = stream else { return None };
         let received = dest.as_ref().map_or(0, Vec::len);
         if received + len <= *expected {
-            return dest.take();
+            return dest.take().map(Destination::Append);
         }
         let reason = format!("bulk stream {id} runs past the {expected} bytes expected");
         *stream = Stream::Failed { reason, ended: false };
@@ -207,7 +218,7 @@ impl StreamLanding for Streams {
 impl Streams {
     /// Take a chunk of stream `id` that arrived as a whole frame.
     fn accept(&self, id: u64, last: bool, data: &[u8]) {
-        if let Some(mut dest) = self.claim(id, data.len()) {
+        if let Some(Destination::Append(mut dest)) = self.claim(id, data.len()) {
             dest.extend_from_slice(data);
             return self.land(id, last, dest);
         }
@@ -255,6 +266,33 @@ impl Streams {
     }
 }
 
+/// The landing of a stream a handler receives into a slice
+/// ([`Endpoint::receive_stream_into`]): each chunk of stream `id` fills the
+/// next part of the slice; chunks of other streams land as the endpoint's
+/// own streams do.
+struct InPlace<'a> {
+    id: u64,
+    /// The part of the slice not filled yet; `None` once a chunk ran past
+    /// it, which fails the stream: no later chunk of it is written.
+    rest: Cell<Option<&'a mut [u8]>>,
+    streams: &'a Streams,
+}
+
+impl StreamLanding for InPlace<'_> {
+    fn claim(&self, id: u64, len: usize) -> Option<Destination<'_>> {
+        if id != self.id {
+            return self.streams.claim(id, len);
+        }
+        let rest = self.rest.take()?;
+        if len > rest.len() {
+            return None;
+        }
+        let (head, tail) = rest.split_at_mut(len);
+        self.rest.set(Some(tail));
+        Some(Destination::Fill(head))
+    }
+}
+
 /// Callback invoked (once per connection loss) when the endpoint dies, so a
 /// supervisor can schedule a reconnect.
 pub type SupervisorCallback = Arc<dyn Fn(&str) + Send + Sync>;
@@ -265,6 +303,11 @@ pub struct Endpoint {
     next_id: AtomicU64,
     pending: Mutex<HashMap<u64, Sender<Vec<u8>>>>,
     streams: Arc<Streams>,
+    /// Frames a handler received while it took a stream that follows its
+    /// request; the receiver thread dispatches them next, in order.
+    deferred: Arc<Mutex<VecDeque<Envelope>>>,
+    /// The receiver thread, the one thread that may receive beside it.
+    receiver: OnceLock<ThreadId>,
     stats: Mutex<TrafficStats>,
     call_timeout: Mutex<Duration>,
     closed: AtomicBool,
@@ -311,6 +354,8 @@ impl Endpoint {
             next_id: AtomicU64::new(1),
             pending: Mutex::new(HashMap::new()),
             streams: Arc::default(),
+            deferred: Arc::default(),
+            receiver: OnceLock::new(),
             stats: Mutex::new(TrafficStats::default()),
             call_timeout: Mutex::new(DEFAULT_CALL_TIMEOUT),
             closed: AtomicBool::new(false),
@@ -322,14 +367,20 @@ impl Endpoint {
         let weak = Arc::downgrade(&endpoint);
         let conn = Arc::clone(&endpoint.conn);
         let streams = Arc::clone(&endpoint.streams);
+        let deferred = Arc::clone(&endpoint.deferred);
         let thread_name = format!("gcf-endpoint-{}", endpoint.name);
         let receiver = std::thread::Builder::new()
             .name(thread_name)
             .spawn(move || loop {
                 // Blocks holding the connection only: dropping the endpoint
                 // closes it, which ends the receive.
-                let received = conn.recv_landing(&*streams);
+                let next = deferred.lock().pop_front();
+                let received = match next {
+                    Some(frame) => Ok(Received::Frame(frame)),
+                    None => conn.recv_landing(&*streams),
+                };
                 let Some(ep) = weak.upgrade() else { break };
+                ep.receiver.get_or_init(|| std::thread::current().id());
                 match received {
                     Ok(received) => ep.dispatch(received, &handler),
                     // The connection died under us, unless a local close or
@@ -384,6 +435,8 @@ impl Endpoint {
                 self.count_chunk(len);
                 return self.streams.land(id, last, dest);
             }
+            // The endpoint's own streams never hand out a slice.
+            Received::Filled { len, .. } => return self.count_chunk(len),
         };
         match frame.kind {
             MessageKind::Response => {
@@ -474,6 +527,19 @@ impl Endpoint {
 
     /// Send a request and block for its response payload.
     pub fn call(&self, payload: Vec<u8>) -> Result<Vec<u8>> {
+        self.call_with_stream(payload, None)
+    }
+
+    /// [`Endpoint::call`], sending `stream` (`(stream id, bytes)`) right
+    /// after the request, before waiting for the response: the peer's
+    /// handler receives it while it handles the request (see the
+    /// [module docs](self)).  A stream that cannot be sent fails the call
+    /// and closes the connection, whose peer would wait for the rest.
+    pub fn call_with_stream(
+        &self,
+        payload: Vec<u8>,
+        stream: Option<(u64, &[u8])>,
+    ) -> Result<Vec<u8>> {
         if !self.is_open() {
             self.stats.lock().failed_requests += 1;
             return Err(GcfError::Disconnected(self.conn.peer()));
@@ -486,7 +552,11 @@ impl Endpoint {
             stats.requests_sent += 1;
             stats.message_bytes_sent += payload.len() as u64;
         }
-        if let Err(e) = self.conn.send(Envelope::request(id, payload)) {
+        let mut sent = self.conn.send(Envelope::request(id, payload));
+        if let (Ok(()), Some((stream_id, data))) = (&sent, stream) {
+            sent = self.send_bulk(stream_id, data).inspect_err(|_| self.conn.close());
+        }
+        if let Err(e) = sent {
             self.pending.lock().remove(&id);
             self.stats.lock().failed_requests += 1;
             return Err(e);
@@ -547,6 +617,66 @@ impl Endpoint {
     pub fn expect_bulk(&self, stream_id: u64, len: usize) {
         let dest = Some(Vec::with_capacity(len));
         self.streams.table.lock().insert(stream_id, Stream::Expected { dest, len });
+    }
+
+    /// Receive stream `stream_id`, which the peer sends right after the
+    /// request being handled ([`Endpoint::call_with_stream`]), straight into
+    /// `dest`.  Only a handler may call it, on the receiver thread.  Chunks
+    /// of other streams land meanwhile; other frames are dispatched after
+    /// the handler returns, in arrival order.  A stream longer or shorter
+    /// than `dest` fails once its last chunk is in, with no byte written
+    /// past `dest`; a connection that dies fails it at once.
+    pub fn receive_stream_into(&self, stream_id: u64, dest: &mut [u8]) -> Result<()> {
+        if self.receiver.get() != Some(&std::thread::current().id()) {
+            let name = &self.name;
+            return Err(GcfError::Protocol(format!(
+                "{name}: stream taken off its receiver thread"
+            )));
+        }
+        let len = dest.len();
+        let landing =
+            InPlace { id: stream_id, rest: Cell::new(Some(dest)), streams: &self.streams };
+        loop {
+            let last = match self.conn.recv_landing(&landing)? {
+                // Only this stream is filled in place.
+                Received::Filled { last, len, .. } => {
+                    self.count_chunk(len);
+                    last
+                }
+                Received::Landed { id, last, len, dest } => {
+                    self.count_chunk(len);
+                    self.streams.land(id, last, dest);
+                    continue;
+                }
+                Received::Frame(frame)
+                    if frame.kind == MessageKind::StreamData && frame.id == stream_id =>
+                {
+                    let Some((&last, data)) = frame.payload.split_first() else { continue };
+                    self.count_chunk(data.len());
+                    if let Some(Destination::Fill(dest)) = landing.claim(stream_id, data.len()) {
+                        dest.copy_from_slice(data);
+                    }
+                    last == 1
+                }
+                Received::Frame(frame) if frame.kind == MessageKind::StreamData => {
+                    self.accept_stream_chunk(frame.id, frame.payload);
+                    continue;
+                }
+                Received::Frame(frame) => {
+                    self.deferred.lock().push_back(frame);
+                    continue;
+                }
+            };
+            if last {
+                break;
+            }
+        }
+        if landing.rest.take().is_none_or(|rest| !rest.is_empty()) {
+            return Err(GcfError::Codec(format!(
+                "bulk stream {stream_id} did not bring the {len} bytes expected"
+            )));
+        }
+        Ok(())
     }
 
     /// Block until a complete bulk transfer for `stream_id` has arrived and
@@ -1026,6 +1156,121 @@ mod tests {
             let err = server.wait_bulk(50, Duration::from_secs(5)).unwrap_err();
             assert!(matches!(err, GcfError::Codec(_)), "{transport}: {err:?}");
         }
+    }
+
+    /// Takes the stream that follows each request.  A request is the
+    /// stream's id and length, 8 bytes each; the answer is the bytes
+    /// received, or `[0xee]` if the receive failed.  Logs what it handled,
+    /// in order.
+    #[derive(Default)]
+    struct StreamTaker {
+        endpoint: OnceLock<std::sync::Weak<Endpoint>>,
+        log: Mutex<Vec<String>>,
+    }
+
+    impl EndpointHandler for StreamTaker {
+        fn handle_request(&self, payload: &[u8]) -> Vec<u8> {
+            let field = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
+            let (id, len) = (field(0), field(8) as usize);
+            self.log.lock().push(format!("request {id}"));
+            let endpoint = self.endpoint.get().and_then(std::sync::Weak::upgrade).unwrap();
+            let mut dest = vec![0u8; len];
+            endpoint.receive_stream_into(id, &mut dest).map_or_else(|_| vec![0xee], |()| dest)
+        }
+
+        fn handle_notification(&self, payload: &[u8]) {
+            self.log.lock().push(format!("notification {}", payload[0]));
+        }
+    }
+
+    /// A transport's name, a client, a server, and the server's handler.
+    type TakerPair = (&'static str, Arc<Endpoint>, Arc<Endpoint>, Arc<StreamTaker>);
+
+    /// A client, and a server whose handler is a [`StreamTaker`], over
+    /// each transport.
+    fn taker_pairs() -> Vec<TakerPair> {
+        let inproc = InprocTransport::new();
+        let tcp = TcpTransport::new();
+        [(&inproc as &dyn Transport, "srv"), (&tcp, "127.0.0.1:0")]
+            .into_iter()
+            .map(|(transport, addr)| {
+                let listener = transport.listen(addr).unwrap();
+                let bound = listener.local_addr();
+                let accept = std::thread::spawn(move || listener.accept().unwrap());
+                let client_conn = transport.connect(&bound).unwrap();
+                let taker = Arc::new(StreamTaker::default());
+                let handler = Arc::clone(&taker);
+                let server = Endpoint::new_init(accept.join().unwrap(), handler, "server", |ep| {
+                    let _ = taker.endpoint.set(Arc::downgrade(ep));
+                });
+                let client = Endpoint::new(client_conn, Arc::new(NullHandler), "client");
+                (transport.name(), client, server, taker)
+            })
+            .collect()
+    }
+
+    fn take_request(id: u64, len: usize) -> Vec<u8> {
+        [id.to_le_bytes(), (len as u64).to_le_bytes()].concat()
+    }
+
+    /// A stream that follows its request reaches the handler whole; one
+    /// longer or shorter than expected fails once its last chunk is in, and
+    /// the connection stays in sync.
+    #[test]
+    fn a_handler_receives_the_stream_that_follows_its_request() {
+        let sizes = [0, 1, STREAM_CHUNK, STREAM_CHUNK + 1, 3 * STREAM_CHUNK + 5];
+        let wrong =
+            [(10, 11), (STREAM_CHUNK + 1, 2 * STREAM_CHUNK + 1), (STREAM_CHUNK + 1, 5), (5, 0)];
+        for (transport, client, server, _) in taker_pairs() {
+            for (id, &size) in (1..).zip(&sizes) {
+                let data = pattern(size);
+                let got =
+                    client.call_with_stream(take_request(id, size), Some((id, &data))).unwrap();
+                assert!(got == data, "{transport}: {size} bytes");
+            }
+            for (id, (expected, sent)) in (10..).zip(wrong) {
+                let request = take_request(id, expected);
+                let got = client.call_with_stream(request, Some((id, &pattern(sent)))).unwrap();
+                assert_eq!(got, [0xee], "{transport}: {sent} bytes for {expected}");
+            }
+            sync(&client, &server, 1000);
+            assert!(server.is_open(), "{transport}");
+            assert_eq!(server.bulk_streams_held(), 0, "{transport}");
+        }
+    }
+
+    /// Frames that arrive while a handler receives its stream are
+    /// dispatched after it returns, in arrival order; a chunk of another
+    /// stream lands at once.
+    #[test]
+    fn frames_amid_a_following_stream_are_dispatched_after_it() {
+        for (transport, client, server, taker) in taker_pairs() {
+            let data = pattern(2 * STREAM_CHUNK);
+            let caller = {
+                let client = Arc::clone(&client);
+                std::thread::spawn(move || client.call(take_request(7, 2 * STREAM_CHUNK)))
+            };
+            while taker.log.lock().is_empty() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            client.notify(vec![1]).unwrap();
+            client.send_bulk(8, &[3; 5]).unwrap();
+            client.notify(vec![2]).unwrap();
+            client.send_bulk(7, &data).unwrap();
+            assert!(caller.join().unwrap().unwrap() == data, "{transport}");
+            assert_eq!(server.wait_bulk(8, Duration::from_secs(5)).unwrap(), [3; 5]);
+            sync(&client, &server, 9);
+            let log = taker.log.lock().clone();
+            assert_eq!(log, ["request 7", "notification 1", "notification 2"], "{transport}");
+        }
+    }
+
+    /// Only a handler, on the receiver thread, may take a following stream.
+    #[test]
+    fn a_following_stream_is_received_on_the_receiver_thread_only() {
+        let (_client, server) = endpoint_pair(Arc::new(NullHandler), Arc::new(NullHandler));
+        let err = server.receive_stream_into(1, &mut [0; 4]).unwrap_err();
+        assert!(matches!(err, GcfError::Protocol(_)), "{err:?}");
     }
 
     /// A local close, or dropping the endpoint, wakes its receiver thread

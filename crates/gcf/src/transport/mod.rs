@@ -70,14 +70,26 @@ pub trait Connection: Send + Sync {
 }
 
 /// The destinations of the bulk streams a receiver expects (see
-/// [`crate::rpc::Endpoint::expect_bulk`]).
+/// [`crate::rpc::Endpoint::expect_bulk`] and
+/// [`crate::rpc::Endpoint::receive_stream_into`]).
 pub trait StreamLanding {
-    /// Take the destination of stream `id` for its next chunk, `len` bytes:
-    /// a `Vec` with at least `len` bytes of spare capacity.  `None` if the
-    /// stream is not expected, or if the chunk would run past the length
-    /// expected, which fails the stream: the chunk is then received whole
-    /// and dropped.
-    fn claim(&self, id: u64, len: usize) -> Option<Vec<u8>>;
+    /// Take the destination of stream `id` for its next chunk, `len` bytes.
+    /// `None` if the stream is not expected, or if the chunk would run past
+    /// the length expected, which fails the stream: the chunk is then
+    /// received whole and dropped.
+    fn claim(&self, id: u64, len: usize) -> Option<Destination<'_>>;
+}
+
+/// Where [`StreamLanding::claim`] puts a chunk.
+#[derive(Debug)]
+pub enum Destination<'a> {
+    /// A `Vec` with at least the chunk's length of spare capacity: the
+    /// chunk is appended, and the `Vec` handed back in
+    /// [`Received::Landed`].
+    Append(Vec<u8>),
+    /// Exactly the chunk's length, overwritten in place
+    /// ([`Received::Filled`]).
+    Fill(&'a mut [u8]),
 }
 
 /// What [`Connection::recv_landing`] received.
@@ -86,7 +98,7 @@ pub enum Received {
     /// A whole frame.
     Frame(Envelope),
     /// A chunk of `len` bytes of stream `id`, appended to `dest`, the
-    /// destination [`StreamLanding::claim`] gave out; `last` ends the
+    /// [`Destination::Append`] the landing gave out; `last` ends the
     /// stream.
     Landed {
         /// The stream.
@@ -97,6 +109,16 @@ pub enum Received {
         len: usize,
         /// The claimed destination, the chunk appended.
         dest: Vec<u8>,
+    },
+    /// A chunk of `len` bytes of stream `id`, written into the
+    /// [`Destination::Fill`] the landing gave out; `last` ends the stream.
+    Filled {
+        /// The stream.
+        id: u64,
+        /// Whether this chunk ends the stream.
+        last: bool,
+        /// The chunk's length.
+        len: usize,
     },
 }
 

@@ -34,7 +34,7 @@
 //! copy.  A chunk of a stream the receiver expects
 //! ([`Connection::recv_landing`]) is read straight into the expected
 //! destination instead: its flag byte first, then its data, at the end of
-//! what the destination already holds.
+//! what the destination already holds, or over the slice it hands out.
 //!
 //! The socket is read through an 8 KiB buffer, so a small frame and the
 //! header of the next usually arrive in one system call; a payload read
@@ -46,7 +46,7 @@
 //! arrived, the part is kept and the next receive call continues the frame
 //! where this one stopped.
 
-use super::{Connection, Listener, Received, StreamLanding, Transport};
+use super::{Connection, Destination, Listener, Received, StreamLanding, Transport};
 use crate::error::{GcfError, Result};
 use crate::message::{Envelope, MessageKind};
 use parking_lot::Mutex;
@@ -120,13 +120,22 @@ impl FrameReader {
             if let (Some(landing), MessageKind::StreamData, 1..) = (landing, kind, len) {
                 let mut last = [0u8];
                 self.stream.read_exact(&mut last)?;
-                if let Some(mut dest) = landing.claim(id, len - 1) {
-                    read_exactly(&mut self.stream, &mut dest, len - 1)?;
-                    self.header_read = 0;
-                    return Ok(Received::Landed { id, last: last[0] == 1, len: len - 1, dest });
+                let (last, len) = (last[0] == 1, len - 1);
+                match landing.claim(id, len) {
+                    Some(Destination::Append(mut dest)) => {
+                        read_exactly(&mut self.stream, &mut dest, len)?;
+                        self.header_read = 0;
+                        return Ok(Received::Landed { id, last, len, dest });
+                    }
+                    Some(Destination::Fill(dest)) => {
+                        self.stream.read_exact(dest)?;
+                        self.header_read = 0;
+                        return Ok(Received::Filled { id, last, len });
+                    }
+                    None => {}
                 }
-                payload.reserve_exact(len);
-                payload.push(last[0]);
+                payload.reserve_exact(len + 1);
+                payload.push(u8::from(last));
             } else {
                 payload.reserve_exact(len);
             }
@@ -156,7 +165,9 @@ fn read_exactly(stream: &mut impl Read, dest: &mut Vec<u8>, len: usize) -> io::R
 fn frame_of_received(received: Received) -> Envelope {
     match received {
         Received::Frame(env) => env,
-        Received::Landed { .. } => unreachable!("a receive without a landing claims nothing"),
+        Received::Landed { .. } | Received::Filled { .. } => {
+            unreachable!("a receive without a landing claims nothing")
+        }
     }
 }
 
@@ -507,13 +518,43 @@ mod tests {
     struct ClaimFive(Mutex<Option<Vec<u8>>>);
 
     impl StreamLanding for ClaimFive {
-        fn claim(&self, id: u64, _len: usize) -> Option<Vec<u8>> {
+        fn claim(&self, id: u64, _len: usize) -> Option<Destination<'_>> {
             if id == 5 {
-                self.0.lock().take()
+                self.0.lock().take().map(Destination::Append)
             } else {
                 None
             }
         }
+    }
+
+    /// Claims stream 5 once, into the slice it holds.
+    struct FillFive<'a>(std::cell::Cell<Option<&'a mut [u8]>>);
+
+    impl StreamLanding for FillFive<'_> {
+        fn claim(&self, id: u64, _len: usize) -> Option<Destination<'_>> {
+            (id == 5).then(|| self.0.take()).flatten().map(Destination::Fill)
+        }
+    }
+
+    /// A chunk the landing claims as a slice is read over that slice, and
+    /// nothing past it is consumed.
+    #[test]
+    fn a_claimed_slice_is_filled_in_place() {
+        let (conn, mut raw) = raw_pair();
+        let mut dest = [0u8; 3];
+        let landing = FillFive(std::cell::Cell::new(Some(&mut dest[..])));
+        let next = Envelope::request(8, vec![4]);
+        raw.write_all(&frame_of(&Envelope::stream(5, vec![0, 7, 8, 9]))).unwrap();
+        raw.write_all(&frame_of(&next)).unwrap();
+        match conn.recv_landing(&landing).unwrap() {
+            Received::Filled { id: 5, last: false, len: 3 } => {}
+            received => panic!("{received:?}"),
+        }
+        match conn.recv_landing(&landing).unwrap() {
+            Received::Frame(env) => assert_eq!(env, next),
+            received => panic!("{received:?}"),
+        }
+        assert_eq!(dest, [7, 8, 9]);
     }
 
     /// A chunk the landing claims is read into the claimed `Vec`, after

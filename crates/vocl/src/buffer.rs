@@ -117,19 +117,32 @@ impl Buffer {
 
     /// Copy `bytes` into the buffer starting at `offset`.
     pub fn write(&self, offset: usize, bytes: &[u8]) -> Result<()> {
+        self.write_with(offset, bytes.len(), |dest| {
+            dest.copy_from_slice(bytes);
+            Ok(())
+        })
+    }
+
+    /// Have `fill` write the `len` bytes starting at `offset`, in place:
+    /// the buffer's data lock is held while it runs.  An error it returns
+    /// is the write's.
+    pub fn write_with(
+        &self,
+        offset: usize,
+        len: usize,
+        fill: impl FnOnce(&mut [u8]) -> Result<()>,
+    ) -> Result<()> {
         let mut data = self.data.lock();
         let end = offset
-            .checked_add(bytes.len())
+            .checked_add(len)
             .ok_or_else(|| ClError::InvalidValue("write range overflows".into()))?;
         if end > data.len() {
             return Err(ClError::InvalidValue(format!(
-                "write of {} bytes at offset {offset} exceeds buffer size {}",
-                bytes.len(),
+                "write of {len} bytes at offset {offset} exceeds buffer size {}",
                 data.len()
             )));
         }
-        data[offset..end].copy_from_slice(bytes);
-        Ok(())
+        fill(&mut data[offset..end])
     }
 
     /// Run `f` with mutable access to the whole buffer contents.

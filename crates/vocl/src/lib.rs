@@ -46,7 +46,7 @@ pub use profile::{BusModel, ComputeModel, DeviceProfile};
 pub use program::{
     built_in_kernel, built_in_kernel_names, register_built_in_kernel, BuiltInKernelFn, Program,
 };
-pub use queue::{CommandQueue, QueueProperties, ReadSink, Work};
+pub use queue::{CommandQueue, QueueProperties, ReadSink, Work, WriteSource};
 
 // Re-export the kernel-language types that appear in this crate's public API.
 pub use oclc::{BufferBinding, KernelArgValue, NdRange, Value, WorkItemCounters};

@@ -10,11 +10,13 @@
 //!
 //! A read hands its bytes to a [`ReadSink`] in place, under the buffer's
 //! data lock, before its event turns terminal; a read with no sink keeps a
-//! copy as the event's result.  Every completed event carries the
-//! *modelled* duration of its command (derived from the device's compute
-//! and bus models) so the dOpenCL layer and the figure harnesses can
-//! account simulated time without depending on wall-clock speed of the
-//! machine running the reproduction.
+//! copy as the event's result.  A write takes its bytes the same way, from
+//! a [`WriteSource`] that fills the destination range in place.
+//!
+//! Every completed event carries the *modelled* duration of its command
+//! (derived from the device's compute and bus models) so the dOpenCL layer
+//! and the figure harnesses can account simulated time without depending
+//! on wall-clock speed of the machine running the reproduction.
 
 use crate::buffer::Buffer;
 use crate::context::Context;
@@ -37,6 +39,13 @@ static NEXT_QUEUE_ID: AtomicU64 = AtomicU64::new(1);
 /// A read that fails does not call it.
 pub type ReadSink = Box<dyn FnOnce(&[u8]) + Send>;
 
+/// Where a write's bytes come from: called once with the destination
+/// range, while the buffer's data lock is held and before the write's
+/// event turns terminal; an error it returns fails the write.  A write out
+/// of bounds does not call it.  It is dropped with the command, once the
+/// event is terminal, so what it owns is freed then.
+pub type WriteSource = Box<dyn FnMut(&mut [u8]) -> Result<()> + Send>;
+
 /// Properties of a command queue (`CL_QUEUE_PROPERTIES`), reduced to the
 /// flags relevant here.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -51,14 +60,17 @@ pub struct QueueProperties {
 
 /// What one command does, as [`CommandQueue::enqueue`] takes it.
 pub enum Work {
-    /// `clEnqueueWriteBuffer`: copy `data` into `buffer` at `offset`.
+    /// `clEnqueueWriteBuffer`: fill `len` bytes of `buffer` at `offset`
+    /// from `source` ([`Work::write`] copies a `Vec`).
     Write {
         /// The buffer written.
         buffer: Arc<Buffer>,
         /// Byte offset of the write.
         offset: usize,
-        /// The bytes written.
-        data: Vec<u8>,
+        /// Bytes written.
+        len: usize,
+        /// Where the bytes come from.
+        source: WriteSource,
     },
     /// `clEnqueueReadBuffer`: hand `len` bytes of `buffer` at `offset` to
     /// `sink`, or with none, keep a copy as the event's result
@@ -99,6 +111,16 @@ pub enum Work {
 }
 
 impl Work {
+    /// A write of `data` into `buffer` at `offset`.
+    pub fn write(buffer: Arc<Buffer>, offset: usize, data: Vec<u8>) -> Work {
+        let len = data.len();
+        let source = Box::new(move |dest: &mut [u8]| {
+            dest.copy_from_slice(&data);
+            Ok(())
+        });
+        Work::Write { buffer, offset, len, source }
+    }
+
     fn command_type(&self) -> CommandType {
         match self {
             Work::Write { .. } => CommandType::WriteBuffer,
@@ -218,10 +240,7 @@ impl CommandQueue {
         let command = Command { work, wait_list, event: Arc::clone(&event) };
         let mut last = self.last.lock();
         event.set_status(EventStatus::Submitted);
-        if inline
-            && last.as_ref().is_none_or(|e| e.status().is_terminal())
-            && command.wait_list.iter().all(|e| e.status() == EventStatus::Complete)
-        {
+        if inline && ready_for(&last, &command.wait_list) {
             execute_command(&self.device, command);
         } else {
             self.depth.fetch_add(1, Ordering::AcqRel);
@@ -234,6 +253,14 @@ impl CommandQueue {
         Ok(event)
     }
 
+    /// Whether a command waiting on `wait_list`, submitted now with
+    /// `inline`, would run on the calling thread: the queue is idle and
+    /// every wait-list event `Complete`.  A later submission only finds the
+    /// queue more idle unless another thread submits in between.
+    pub fn ready_for(&self, wait_list: &[Arc<Event>]) -> bool {
+        ready_for(&self.last.lock(), wait_list)
+    }
+
     /// `clEnqueueWriteBuffer` (non-blocking; the returned event completes
     /// when the data has been copied to the buffer).
     pub fn enqueue_write_buffer(
@@ -243,7 +270,7 @@ impl CommandQueue {
         data: Vec<u8>,
         wait_list: Vec<Arc<Event>>,
     ) -> Result<Arc<Event>> {
-        self.enqueue(Work::Write { buffer: Arc::clone(buffer), offset, data }, wait_list, false)
+        self.enqueue(Work::write(Arc::clone(buffer), offset, data), wait_list, false)
     }
 
     /// `clEnqueueReadBuffer` (non-blocking; the data is available from
@@ -335,6 +362,13 @@ impl Drop for CommandQueue {
     }
 }
 
+/// Whether the queue whose last submitted command is `last` is idle and
+/// every event of `wait_list` `Complete` (see [`CommandQueue::enqueue`]).
+fn ready_for(last: &Option<Arc<Event>>, wait_list: &[Arc<Event>]) -> bool {
+    last.as_ref().is_none_or(|e| e.status().is_terminal())
+        && wait_list.iter().all(|e| e.status() == EventStatus::Complete)
+}
+
 fn wait_for_list(wait_list: &[Arc<Event>]) -> std::result::Result<(), i32> {
     for e in wait_list {
         match e.wait() {
@@ -358,8 +392,8 @@ fn execute_command(device: &Arc<Device>, command: Command) {
     event.set_status(EventStatus::Running);
     let bus = &device.profile().bus;
     let modeled = match &mut work {
-        Work::Write { buffer, offset, data } => {
-            buffer.write(*offset, data).map(|()| bus.write_time(data.len() as u64))
+        Work::Write { buffer, offset, len, source } => {
+            buffer.write_with(*offset, *len, source).map(|()| bus.write_time(*len as u64))
         }
         Work::Read { buffer, offset, len, sink } => {
             let sink = sink.take().unwrap_or_else(|| {
@@ -424,7 +458,7 @@ mod tests {
 
     /// A write of `data` at the start of `buffer`.
     fn write(buffer: &Arc<Buffer>, data: Vec<u8>) -> Work {
-        Work::Write { buffer: Arc::clone(buffer), offset: 0, data }
+        Work::write(Arc::clone(buffer), 0, data)
     }
 
     /// A read of `len` bytes of `buffer` at `offset` into `sink`.
@@ -649,6 +683,43 @@ mod tests {
         let out_of_bounds = queue.enqueue(read_to(&buffer, 2, 4, sink), Vec::new(), false).unwrap();
         assert!(out_of_bounds.wait().is_err());
         assert_eq!(*kept.lock(), None);
+    }
+
+    /// A write's source fills its range in place, before its event turns
+    /// terminal; an error it returns fails the write, and a write out of
+    /// bounds fails without calling it.
+    #[test]
+    fn a_write_source_fills_its_range_before_the_event_turns_terminal() {
+        let (context, _, queue) = setup();
+        let buffer = Buffer::new(Arc::clone(&context), 4, MemFlags::READ_WRITE, None).unwrap();
+        let write_event: Arc<Mutex<Option<Arc<Event>>>> = Arc::default();
+        let seen = Arc::clone(&write_event);
+        let source: WriteSource = Box::new(move |dest| {
+            assert_eq!(seen.lock().as_ref().map(|e| e.status()), Some(EventStatus::Running));
+            dest.copy_from_slice(&[5, 6]);
+            Ok(())
+        });
+        let gate = Event::user();
+        let work = Work::Write { buffer: Arc::clone(&buffer), offset: 1, len: 2, source };
+        let write = queue.enqueue(work, vec![Arc::clone(&gate)], false).unwrap();
+        *write_event.lock() = Some(Arc::clone(&write));
+        gate.set_complete();
+        write.wait().unwrap();
+        assert_eq!(buffer.read(0, 4).unwrap(), vec![0, 5, 6, 0]);
+
+        let failing: WriteSource = Box::new(|_| Err(ClError::InvalidValue("cut".into())));
+        let work = Work::Write { buffer: Arc::clone(&buffer), offset: 0, len: 4, source: failing };
+        let failed = queue.enqueue(work, Vec::new(), true).unwrap();
+        assert_eq!(failed.status(), EventStatus::Error(-30));
+        let called = Arc::new(Mutex::new(false));
+        let flag = Arc::clone(&called);
+        let source: WriteSource = Box::new(move |_| {
+            *flag.lock() = true;
+            Ok(())
+        });
+        let work = Work::Write { buffer: Arc::clone(&buffer), offset: 3, len: 2, source };
+        assert!(queue.enqueue(work, Vec::new(), true).unwrap().wait().is_err());
+        assert!(!*called.lock(), "a write out of bounds called its source");
     }
 
     #[test]

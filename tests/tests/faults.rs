@@ -13,7 +13,7 @@ use dopencl::{
 };
 use gcf::retry::Backoff;
 use gcf::rpc::{Endpoint, NullHandler};
-use gcf::transport::faulty::ChaosTransport;
+use gcf::transport::faulty::{ChaosPolicy, ChaosTransport};
 use gcf::transport::Transport;
 use gcf::wire::{Decode, Encode};
 use integration_tests::as_f32s;
@@ -955,4 +955,58 @@ fn a_session_whose_replay_failed_is_never_resumed() {
     let redial = client.session_info(dopencl::ServerId(0));
     assert!(redial.is_err(), "a redial resumed the half-built session: {redial:?}");
     assert_eq!(client.traffic_stats().reconnects, 0);
+}
+
+/// A large write's stream follows its batch's request.  Killing the
+/// connection part way through it must end in one of two ways, never in a
+/// hang: the client replays the batch with its stream on a new connection
+/// and the buffer holds the bytes written, or the write fails with a typed
+/// error.
+#[test]
+fn a_connection_killed_amid_a_large_write_replays_it_or_fails_typed() {
+    const LEN: usize = 4 << 20;
+    let mut cluster = LocalCluster::new(LinkModel::gigabit_ethernet());
+    let daemon = cluster.add_node("node0", &Platform::test_platform(1)).unwrap();
+    let chaos = ChaosTransport::new(Arc::new(cluster.transport()));
+    let client = Client::new(
+        "cut-write",
+        Arc::clone(&chaos) as _,
+        LinkModel::gigabit_ethernet(),
+        SimClock::new(),
+    );
+    client.set_failover_policy(FailoverPolicy {
+        reconnect: true,
+        backoff: Backoff::fast(),
+        drop_lost_servers: false,
+    });
+    client.connect_server(daemon.address()).unwrap();
+    let devices = client.devices();
+    let context = Context::new(&client, &devices).unwrap();
+    let queue = context.create_command_queue(&devices[0]).unwrap();
+    let buffer = context.create_buffer(LEN).unwrap();
+    queue.write_buffer(&buffer, &vec![1u8; LEN]).blocking().submit().unwrap();
+
+    // The next connection to node0 is a fresh one, without the policy.
+    let conn = chaos.connections(daemon.address()).pop().unwrap();
+    let chunks = conn.stream_chunk_count();
+    conn.set_policy(ChaosPolicy { fail_after_stream_chunks: chunks + 2, ..ChaosPolicy::none() });
+    let data: Vec<u8> = (0..LEN).map(|i| (i % 251) as u8).collect();
+    let (tx, rx) = std::sync::mpsc::channel();
+    {
+        let (queue, buffer, data) = (queue.clone(), buffer.clone(), data.clone());
+        std::thread::spawn(move || {
+            let _ = tx.send(queue.write_buffer(&buffer, &data).blocking().submit().map(|_| ()));
+        });
+    }
+    match rx.recv_timeout(Duration::from_secs(20)).expect("the write hung") {
+        Ok(()) => {
+            assert!(client.traffic_stats().reconnects >= 1, "the stream was not cut");
+            let (read, _) = queue.read_buffer(&buffer).submit().unwrap();
+            assert!(read == data, "the replayed write left other bytes");
+        }
+        Err(e) => assert!(
+            matches!(e, dopencl::DclError::ServerUnavailable(_) | dopencl::DclError::Network(_)),
+            "{e}"
+        ),
+    }
 }
