@@ -1572,12 +1572,37 @@ mod tests {
     /// stream, it runs.
     #[test]
     fn a_large_write_cut_short_is_not_admitted() {
+        use gcf::transport::faulty::ChaosPolicy;
+        let policy = ChaosPolicy { fail_after_stream_chunks: 1, ..ChaosPolicy::none() };
+        replay_after_a_failed_landing(policy, None);
+    }
+
+    /// A large write whose stream stalls part-way, on a connection that
+    /// stays open, holds its queue only until the daemon's call timeout:
+    /// then the receive fails and closes the connection, and the write,
+    /// kept out of the dedup window, runs when the next connection replays
+    /// it.
+    #[test]
+    fn a_large_write_whose_stream_stalls_gives_way_to_its_replay() {
+        use gcf::transport::faulty::ChaosPolicy;
+        // Hello, the batch, and three chunks: the last one is lost.
+        let policy = ChaosPolicy { drop_every: 5, ..ChaosPolicy::none() };
+        replay_after_a_failed_landing(policy, Some(Duration::from_millis(300)));
+    }
+
+    /// Send a large write on a connection dialled with `policy`, whose
+    /// stream must then fail to land, with the daemon's end of that
+    /// connection given the call timeout `stall` if any; then replay it on
+    /// a new connection, where it must run.
+    fn replay_after_a_failed_landing(
+        policy: gcf::transport::faulty::ChaosPolicy,
+        stall: Option<Duration>,
+    ) {
         use gcf::transport::faulty::{ChaosPolicy, FaultyConnection};
         use gcf::transport::Transport;
         let (daemon, endpoint, transport) = start_test_daemon();
         build_large_session(&endpoint);
         endpoint.close();
-        let policy = ChaosPolicy { fail_after_stream_chunks: 1, ..ChaosPolicy::none() };
         let dial = |epoch, policy| {
             let conn =
                 FaultyConnection::with_policy(transport.connect(daemon.address()).unwrap(), policy);
@@ -1587,7 +1612,7 @@ mod tests {
             assert!(matches!(call(&endpoint, hello), Response::SessionInfo(info) if info.resumed));
             endpoint
         };
-        let data = large_data(6);
+        let data = Arc::new(large_data(6));
         let batch = || {
             let entry = BatchEntry {
                 command_id: 7,
@@ -1598,13 +1623,30 @@ mod tests {
             };
             Request::EnqueueBatch { entries: vec![entry] }.to_bytes()
         };
-        let cut = dial(1, policy);
-        assert!(cut.call_with_stream(batch(), Some((40, &data))).is_err());
+        let failing = dial(1, policy);
+        let daemon_end = daemon.sessions.lock().last().cloned().unwrap();
+        if let Some(timeout) = stall {
+            daemon_end.set_call_timeout(timeout);
+        }
+        let first = {
+            let (data, request) = (Arc::clone(&data), batch());
+            std::thread::spawn(move || failing.call_with_stream(request, Some((40, &data))))
+        };
+        if stall.is_some() {
+            // The replay's batch must arrive while the stalled one holds the
+            // queue: once two chunks are in, the daemon is receiving them.
+            while daemon_end.stats().stream_chunks_received < 2 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
         let endpoint = dial(2, ChaosPolicy::none());
+        let start = std::time::Instant::now();
         let bytes = endpoint.call_with_stream(batch(), Some((40, &data))).unwrap();
+        assert!(start.elapsed() < Duration::from_secs(10), "took {:?}", start.elapsed());
         let (statuses, completed) = batch_outcome(Response::from_bytes(&bytes).unwrap());
         assert_eq!((statuses, completed), (vec![BatchEntryStatus::ok()], vec![(10, 0)]));
         assert_eq!(dedup_window_counts(&endpoint), (1, 0));
-        assert!(download_all(&endpoint, LARGE as u64, 41) == data);
+        assert!(download_all(&endpoint, LARGE as u64, 41) == *data);
+        assert!(first.join().unwrap().is_err(), "the failed landing was answered");
     }
 }

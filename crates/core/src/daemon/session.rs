@@ -437,9 +437,10 @@ impl DaemonSession {
     }
 
     /// Enqueue a write whose stream follows the batch's request, taking the
-    /// stream off the connection now: inline at any size, straight into the
-    /// buffer, when `may_inline` and the queue is `ready_for` it; else into
-    /// one `Vec` the worker copies.  One whose stream fails is not tracked.
+    /// stream off the connection now: with `may_inline`, on an idle queue
+    /// and a complete wait list, it runs here at any size, the stream
+    /// received straight into the buffer; else into one `Vec` the worker
+    /// copies.  One whose stream fails is not tracked.
     fn enqueue_following_write(
         &self,
         entry: BatchEntry,
@@ -462,39 +463,31 @@ impl DaemonSession {
         });
         let (buffer, (queue, wait)) =
             resolved.inspect_err(|_| connection.discard_bulk(stream_id, true))?;
-        if !(may_inline && queue.ready_for(&wait)) {
-            // `vec![0; n]` asks for zeroed memory, which fresh pages are.
-            let mut data = vec![0; len];
-            let received = connection.receive_stream_into(stream_id, &mut data);
-            received.map_err(|e| failed(e.to_string()))?;
-            self.stats.lock().bytes_uploaded += size;
-            return Ok((queue.enqueue(Work::write(buffer, offset, data), wait, false)?, false));
-        }
-        // What became of the stream: `None` while it is still on the
-        // connection, as when a concurrent submission sent the write to the
-        // worker, whose thread may not read the connection.
-        let landed = Arc::new(Mutex::new(None));
-        let (outcome, endpoint) = (Arc::clone(&landed), Arc::clone(&connection));
-        let dispatch = std::thread::current().id();
-        let source: WriteSource = Box::new(move |dest| {
-            if std::thread::current().id() != dispatch {
-                return Err(ClError::InvalidValue("write queued behind another".into()));
+        if may_inline {
+            // Why the stream did not land, if it did not.
+            let failure = Arc::new(Mutex::new(None));
+            let (reason, endpoint) = (Arc::clone(&failure), Arc::clone(&connection));
+            let source: WriteSource = Box::new(move |dest| {
+                endpoint.receive_stream_into(stream_id, dest).map_err(|e| {
+                    *reason.lock() = Some(e.to_string());
+                    ClError::InvalidValue(e.to_string())
+                })
+            });
+            let write = Work::Write { buffer: Arc::clone(&buffer), offset, len, source };
+            if let Ok(event) = queue.try_inline(write, &wait) {
+                if let Some(message) = failure.lock().take() {
+                    return Err(failed(message));
+                }
+                self.stats.lock().bytes_uploaded += size;
+                return Ok((event, true));
             }
-            let received = endpoint.receive_stream_into(stream_id, dest).map_err(|e| e.to_string());
-            *outcome.lock() = Some(received.clone());
-            received.map_err(ClError::InvalidValue)
-        });
-        let write = Work::Write { buffer, offset, len, source };
-        let event = queue
-            .enqueue(write, wait, true)
-            .inspect_err(|_| connection.discard_bulk(stream_id, true))?;
-        let landed = landed.lock().take();
-        match landed {
-            Some(Ok(())) => self.stats.lock().bytes_uploaded += size,
-            Some(Err(message)) => return Err(failed(message)),
-            None => connection.discard_bulk(stream_id, true),
         }
-        Ok((event, true))
+        // `vec![0; n]` asks for zeroed memory, which fresh pages are.
+        let mut data = vec![0; len];
+        let received = connection.receive_stream_into(stream_id, &mut data);
+        received.map_err(|e| failed(e.to_string()))?;
+        self.stats.lock().bytes_uploaded += size;
+        Ok((queue.enqueue(Work::write(buffer, offset, data), wait, false)?, false))
     }
 
     /// Create the replacement event for `event_id` if this session holds

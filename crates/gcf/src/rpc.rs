@@ -308,6 +308,10 @@ pub struct Endpoint {
     deferred: Arc<Mutex<VecDeque<Envelope>>>,
     /// The receiver thread, the one thread that may receive beside it.
     receiver: OnceLock<ThreadId>,
+    /// Held while a request and the stream that follows it are sent, so no
+    /// other such pair comes between them on the wire: the peer's handler
+    /// receives the next stream it expects, not another's.
+    following: Mutex<()>,
     stats: Mutex<TrafficStats>,
     call_timeout: Mutex<Duration>,
     closed: AtomicBool,
@@ -356,6 +360,7 @@ impl Endpoint {
             streams: Arc::default(),
             deferred: Arc::default(),
             receiver: OnceLock::new(),
+            following: Mutex::new(()),
             stats: Mutex::new(TrafficStats::default()),
             call_timeout: Mutex::new(DEFAULT_CALL_TIMEOUT),
             closed: AtomicBool::new(false),
@@ -377,7 +382,7 @@ impl Endpoint {
                 let next = deferred.lock().pop_front();
                 let received = match next {
                     Some(frame) => Ok(Received::Frame(frame)),
-                    None => conn.recv_landing(&*streams),
+                    None => conn.recv_landing(&*streams, None),
                 };
                 let Some(ep) = weak.upgrade() else { break };
                 ep.receiver.get_or_init(|| std::thread::current().id());
@@ -552,10 +557,15 @@ impl Endpoint {
             stats.requests_sent += 1;
             stats.message_bytes_sent += payload.len() as u64;
         }
-        let mut sent = self.conn.send(Envelope::request(id, payload));
-        if let (Ok(()), Some((stream_id, data))) = (&sent, stream) {
-            sent = self.send_bulk(stream_id, data).inspect_err(|_| self.conn.close());
-        }
+        let sent = {
+            let _pair = stream.map(|_| self.following.lock());
+            self.conn.send(Envelope::request(id, payload)).and_then(|()| match stream {
+                Some((stream_id, data)) => {
+                    self.send_bulk(stream_id, data).inspect_err(|_| self.conn.close())
+                }
+                None => Ok(()),
+            })
+        };
         if let Err(e) = sent {
             self.pending.lock().remove(&id);
             self.stats.lock().failed_requests += 1;
@@ -625,7 +635,11 @@ impl Endpoint {
     /// of other streams land meanwhile; other frames are dispatched after
     /// the handler returns, in arrival order.  A stream longer or shorter
     /// than `dest` fails once its last chunk is in, with no byte written
-    /// past `dest`; a connection that dies fails it at once.
+    /// past `dest`; a connection that dies fails it at once.  One whose
+    /// chunks came before this call fails at once too, its chunks dropped.
+    /// If no frame arrives for the call timeout, the peer stalled
+    /// mid-stream: the receive fails and closes the connection, which could
+    /// not be kept in step with the rest of the stream.
     pub fn receive_stream_into(&self, stream_id: u64, dest: &mut [u8]) -> Result<()> {
         if self.receiver.get() != Some(&std::thread::current().id()) {
             let name = &self.name;
@@ -633,11 +647,19 @@ impl Endpoint {
                 "{name}: stream taken off its receiver thread"
             )));
         }
+        if self.streams.table.lock().contains_key(&stream_id) {
+            self.discard_bulk(stream_id, true);
+            return Err(GcfError::Protocol(format!(
+                "bulk stream {stream_id} arrived ahead of the request it follows"
+            )));
+        }
         let len = dest.len();
         let landing =
             InPlace { id: stream_id, rest: Cell::new(Some(dest)), streams: &self.streams };
+        let timeout = *self.call_timeout.lock();
         loop {
-            let last = match self.conn.recv_landing(&landing)? {
+            let received = self.conn.recv_landing(&landing, Some(timeout));
+            let last = match received.inspect_err(|_| self.conn.close())? {
                 // Only this stream is filled in place.
                 Received::Filled { last, len, .. } => {
                     self.count_chunk(len);
@@ -778,6 +800,7 @@ impl Drop for Endpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::faulty::{ChaosPolicy, FaultyConnection};
     use crate::transport::inproc::InprocTransport;
     use crate::transport::tcp::TcpTransport;
     use crate::transport::Transport;
@@ -1189,6 +1212,11 @@ mod tests {
     /// A client, and a server whose handler is a [`StreamTaker`], over
     /// each transport.
     fn taker_pairs() -> Vec<TakerPair> {
+        taker_pairs_with(ChaosPolicy::none())
+    }
+
+    /// [`taker_pairs`], the client's connection misbehaving by `policy`.
+    fn taker_pairs_with(policy: ChaosPolicy) -> Vec<TakerPair> {
         let inproc = InprocTransport::new();
         let tcp = TcpTransport::new();
         [(&inproc as &dyn Transport, "srv"), (&tcp, "127.0.0.1:0")]
@@ -1197,7 +1225,8 @@ mod tests {
                 let listener = transport.listen(addr).unwrap();
                 let bound = listener.local_addr();
                 let accept = std::thread::spawn(move || listener.accept().unwrap());
-                let client_conn = transport.connect(&bound).unwrap();
+                let client_conn =
+                    FaultyConnection::with_policy(transport.connect(&bound).unwrap(), policy);
                 let taker = Arc::new(StreamTaker::default());
                 let handler = Arc::clone(&taker);
                 let server = Endpoint::new_init(accept.join().unwrap(), handler, "server", |ep| {
@@ -1262,6 +1291,65 @@ mod tests {
             sync(&client, &server, 9);
             let log = taker.log.lock().clone();
             assert_eq!(log, ["request 7", "notification 1", "notification 2"], "{transport}");
+        }
+    }
+
+    /// Requests with a following stream, sent by two threads at once, each
+    /// reach the handler with their own stream right behind them.
+    #[test]
+    fn following_streams_of_concurrent_calls_do_not_interleave() {
+        const CALLS: u64 = 6;
+        for (transport, client, server, _) in taker_pairs() {
+            let callers: Vec<_> = (0..2u64)
+                .map(|thread| {
+                    let client = Arc::clone(&client);
+                    std::thread::spawn(move || {
+                        (0..CALLS).all(|call| {
+                            let id = 100 * (thread + 1) + call;
+                            let data = pattern(2 * STREAM_CHUNK + id as usize);
+                            let request = take_request(id, data.len());
+                            client.call_with_stream(request, Some((id, &data))).unwrap() == data
+                        })
+                    })
+                })
+                .collect();
+            for caller in callers {
+                assert!(caller.join().unwrap(), "{transport}: a stream came out wrong");
+            }
+            sync(&client, &server, 1000);
+            assert_eq!(server.bulk_streams_held(), 0, "{transport}");
+        }
+    }
+
+    /// A stream whose chunks came before the request it should follow
+    /// fails at once, its chunks dropped, and the connection stays in sync.
+    #[test]
+    fn a_following_stream_that_came_ahead_fails_at_once() {
+        for (transport, client, server, _) in taker_pairs() {
+            client.send_bulk(5, &pattern(STREAM_CHUNK + 1)).unwrap();
+            let got = client.call(take_request(5, STREAM_CHUNK + 1)).unwrap();
+            assert_eq!(got, [0xee], "{transport}");
+            let data = pattern(STREAM_CHUNK + 2);
+            let got = client.call_with_stream(take_request(6, data.len()), Some((6, &data)));
+            assert!(got.unwrap() == data, "{transport}");
+            assert_eq!(server.bulk_streams_held(), 0, "{transport}");
+        }
+    }
+
+    /// A following stream that stalls part-way, its connection left open,
+    /// fails the receive after the call timeout and closes the connection.
+    #[test]
+    fn a_following_stream_that_stalls_closes_the_connection() {
+        // The request, then three chunks: the last one is lost.
+        let policy = ChaosPolicy { drop_every: 4, ..ChaosPolicy::none() };
+        for (transport, client, server, _) in taker_pairs_with(policy) {
+            server.set_call_timeout(Duration::from_millis(200));
+            let data = pattern(2 * STREAM_CHUNK + 1);
+            let start = Instant::now();
+            let got = client.call_with_stream(take_request(5, data.len()), Some((5, &data)));
+            assert!(got.is_err(), "{transport}: {got:?}");
+            assert!(start.elapsed() < Duration::from_secs(5), "{transport}: {:?}", start.elapsed());
+            assert!(!server.is_open(), "{transport}");
         }
     }
 

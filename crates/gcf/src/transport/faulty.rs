@@ -191,9 +191,13 @@ impl Connection for FaultyConnection {
         self.inner.recv()
     }
 
-    fn recv_landing(&self, landing: &dyn StreamLanding) -> Result<Received> {
+    fn recv_landing(
+        &self,
+        landing: &dyn StreamLanding,
+        timeout: Option<Duration>,
+    ) -> Result<Received> {
         self.check()?;
-        self.inner.recv_landing(landing)
+        self.inner.recv_landing(landing, timeout)
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Envelope> {

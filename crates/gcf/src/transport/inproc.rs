@@ -14,7 +14,7 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One half of an in-process duplex connection.
 pub struct InprocConnection {
@@ -45,6 +45,31 @@ impl InprocConnection {
     }
 }
 
+impl InprocConnection {
+    /// Receive the next frame, failing once the `deadline`, if any, passes.
+    /// Polls, so that a concurrent close() unblocks it.
+    fn recv_until(&self, deadline: Option<Instant>) -> Result<Envelope> {
+        const POLL: Duration = Duration::from_millis(50);
+        loop {
+            if !self.open.load(Ordering::Acquire) {
+                return Err(GcfError::Disconnected(self.peer.clone()));
+            }
+            let wait = deadline.map_or(POLL, |d| d.saturating_duration_since(Instant::now()));
+            match self.rx.recv_timeout(wait.min(POLL)) {
+                Ok(env) => return Ok(env),
+                Err(RecvTimeoutError::Timeout) => {
+                    if deadline.is_some_and(|d| Instant::now() >= d) {
+                        return Err(GcfError::Timeout(format!("recv from {}", self.peer)));
+                    }
+                }
+                Err(RecvTimeoutError::Disconnected) => {
+                    return Err(GcfError::Disconnected(self.peer.clone()))
+                }
+            }
+        }
+    }
+}
+
 impl Connection for InprocConnection {
     fn send(&self, env: Envelope) -> Result<()> {
         if !self.open.load(Ordering::Acquire) {
@@ -54,33 +79,11 @@ impl Connection for InprocConnection {
     }
 
     fn recv(&self) -> Result<Envelope> {
-        if !self.open.load(Ordering::Acquire) {
-            return Err(GcfError::Disconnected(self.peer.clone()));
-        }
-        // Poll so that a concurrent close() unblocks us.
-        loop {
-            match self.rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(env) => return Ok(env),
-                Err(RecvTimeoutError::Timeout) => {
-                    if !self.open.load(Ordering::Acquire) {
-                        return Err(GcfError::Disconnected(self.peer.clone()));
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(GcfError::Disconnected(self.peer.clone()))
-                }
-            }
-        }
+        self.recv_until(None)
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Envelope> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(env) => Ok(env),
-            Err(RecvTimeoutError::Timeout) => {
-                Err(GcfError::Timeout(format!("recv from {}", self.peer)))
-            }
-            Err(RecvTimeoutError::Disconnected) => Err(GcfError::Disconnected(self.peer.clone())),
-        }
+        self.recv_until(Some(Instant::now() + timeout))
     }
 
     fn peer(&self) -> String {

@@ -44,15 +44,25 @@ pub trait Connection: Send + Sync {
 
     /// Like [`Connection::recv`], but a stream chunk whose stream `landing`
     /// claims may be read straight into the claimed destination
-    /// ([`Received::Landed`]).
+    /// ([`Received::Landed`], [`Received::Filled`]).  With a `timeout`, it
+    /// fails with [`crate::GcfError::Timeout`] if no frame arrives in time.
     ///
     /// The default receives every frame whole, and the receiver appends a
     /// chunk it expects itself.  A transport that can read a payload
     /// straight into a caller's buffer overrides it
-    /// ([`tcp::TcpConnection`]).
-    fn recv_landing(&self, landing: &dyn StreamLanding) -> Result<Received> {
+    /// ([`tcp::TcpConnection`]); its timeout closes the connection, as a
+    /// read into a claimed destination cannot be resumed.
+    fn recv_landing(
+        &self,
+        landing: &dyn StreamLanding,
+        timeout: Option<Duration>,
+    ) -> Result<Received> {
         let _ = landing;
-        self.recv().map(Received::Frame)
+        match timeout {
+            Some(timeout) => self.recv_timeout(timeout),
+            None => self.recv(),
+        }
+        .map(Received::Frame)
     }
 
     /// Receive with a timeout; returns `Err(GcfError::Timeout)` on expiry.

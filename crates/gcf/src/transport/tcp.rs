@@ -44,7 +44,9 @@
 //!
 //! A timeout never loses bytes.  If it expires after part of a frame has
 //! arrived, the part is kept and the next receive call continues the frame
-//! where this one stopped.
+//! where this one stopped.  The one exception is a receive that passes a
+//! landing: its timeout closes the connection, since a read into a claimed
+//! destination cannot be resumed.
 
 use super::{Connection, Destination, Listener, Received, StreamLanding, Transport};
 use crate::error::{GcfError, Result};
@@ -103,8 +105,8 @@ impl FrameReader {
     /// read so far stay in place for the next call.
     ///
     /// With `landing`, a stream chunk whose stream it claims is read into
-    /// the claimed destination.  Only a receive without a timeout passes
-    /// one, so such a read never stops part-way but on a closing error.
+    /// the claimed destination.  Any error then closes the connection (see
+    /// [`TcpConnection::receive`]), so such a read is never resumed.
     fn read_frame(&mut self, landing: Option<&dyn StreamLanding>) -> io::Result<Received> {
         while self.header_read < HEADER_LEN {
             match self.stream.read(&mut self.header[self.header_read..]) {
@@ -264,7 +266,7 @@ impl TcpConnection {
 
     /// Receive one frame with the socket's read timeout set to `timeout`
     /// (see [`FrameReader::read_frame`] for `landing`).  Any error but a
-    /// timeout closes the connection.
+    /// timeout without a `landing` closes the connection.
     fn receive(
         &self,
         timeout: Option<Duration>,
@@ -279,10 +281,13 @@ impl TcpConnection {
             Ok(received) => return Ok(received),
             Err(e) => e,
         };
-        if matches!(err.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) {
+        let timed_out = matches!(err.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut);
+        if !timed_out || landing.is_some() {
+            self.close();
+        }
+        if timed_out {
             return Err(GcfError::Timeout(format!("recv from {}", self.peer)));
         }
-        self.close();
         Err(match err.kind() {
             io::ErrorKind::UnexpectedEof => GcfError::Disconnected(self.peer.clone()),
             io::ErrorKind::InvalidData => GcfError::Codec(err.to_string()),
@@ -304,8 +309,12 @@ impl Connection for TcpConnection {
         self.receive(None, None).map(frame_of_received)
     }
 
-    fn recv_landing(&self, landing: &dyn StreamLanding) -> Result<Received> {
-        self.receive(None, Some(landing))
+    fn recv_landing(
+        &self,
+        landing: &dyn StreamLanding,
+        timeout: Option<Duration>,
+    ) -> Result<Received> {
+        self.receive(timeout, Some(landing))
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Envelope> {
@@ -546,15 +555,29 @@ mod tests {
         let next = Envelope::request(8, vec![4]);
         raw.write_all(&frame_of(&Envelope::stream(5, vec![0, 7, 8, 9]))).unwrap();
         raw.write_all(&frame_of(&next)).unwrap();
-        match conn.recv_landing(&landing).unwrap() {
+        match conn.recv_landing(&landing, None).unwrap() {
             Received::Filled { id: 5, last: false, len: 3 } => {}
             received => panic!("{received:?}"),
         }
-        match conn.recv_landing(&landing).unwrap() {
+        match conn.recv_landing(&landing, None).unwrap() {
             Received::Frame(env) => assert_eq!(env, next),
             received => panic!("{received:?}"),
         }
         assert_eq!(dest, [7, 8, 9]);
+    }
+
+    /// A receive with a landing whose timeout expires closes the
+    /// connection: the read may have stopped inside a claimed slice.
+    #[test]
+    fn a_landing_receive_that_times_out_closes_the_connection() {
+        let (conn, mut raw) = raw_pair();
+        let mut dest = [0u8; 3];
+        let landing = FillFive(std::cell::Cell::new(Some(&mut dest[..])));
+        let frame = frame_of(&Envelope::stream(5, vec![0, 7, 8, 9]));
+        raw.write_all(&frame[..frame.len() - 1]).unwrap();
+        let err = conn.recv_landing(&landing, Some(Duration::from_millis(50))).unwrap_err();
+        assert!(matches!(err, GcfError::Timeout(_)), "{err:?}");
+        assert!(!conn.is_open());
     }
 
     /// A chunk the landing claims is read into the claimed `Vec`, after
@@ -568,11 +591,11 @@ mod tests {
         let other = Envelope::stream(6, vec![0, 3]);
         raw.write_all(&frame_of(&Envelope::stream(5, vec![1, 7, 8]))).unwrap();
         raw.write_all(&frame_of(&other)).unwrap();
-        match conn.recv_landing(&landing).unwrap() {
+        match conn.recv_landing(&landing, None).unwrap() {
             Received::Landed { id: 5, last: true, len: 2, dest } => assert_eq!(dest, [9, 7, 8]),
             received => panic!("{received:?}"),
         }
-        match conn.recv_landing(&landing).unwrap() {
+        match conn.recv_landing(&landing, None).unwrap() {
             Received::Frame(env) => assert_eq!(env, other),
             received => panic!("{received:?}"),
         }
@@ -591,7 +614,7 @@ mod tests {
         assert!(matches!(err, GcfError::Timeout(_)), "{err:?}");
         raw.write_all(&frame[HEADER_LEN + 2..]).unwrap();
         let landing = ClaimFive(Mutex::new(Some(Vec::with_capacity(3))));
-        match conn.recv_landing(&landing).unwrap() {
+        match conn.recv_landing(&landing, None).unwrap() {
             Received::Frame(received) => assert_eq!(received, env),
             received => panic!("{received:?}"),
         }

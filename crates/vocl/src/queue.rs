@@ -253,12 +253,28 @@ impl CommandQueue {
         Ok(event)
     }
 
-    /// Whether a command waiting on `wait_list`, submitted now with
-    /// `inline`, would run on the calling thread: the queue is idle and
-    /// every wait-list event `Complete`.  A later submission only finds the
-    /// queue more idle unless another thread submits in between.
-    pub fn ready_for(&self, wait_list: &[Arc<Event>]) -> bool {
-        ready_for(&self.last.lock(), wait_list)
+    /// Run `work` on the calling thread, as an `inline` [`enqueue`] does,
+    /// if it finds the queue idle and every event of `wait_list` `Complete`,
+    /// and return its terminal event; else hand `work` back unsubmitted.
+    /// The check and the run hold the queue's submission lock throughout,
+    /// so no other submission comes between them.
+    ///
+    /// [`enqueue`]: CommandQueue::enqueue
+    pub fn try_inline(
+        &self,
+        work: Work,
+        wait_list: &[Arc<Event>],
+    ) -> std::result::Result<Arc<Event>, Work> {
+        let mut last = self.last.lock();
+        if !ready_for(&last, wait_list) {
+            return Err(work);
+        }
+        let event = Event::new(work.command_type());
+        event.set_status(EventStatus::Submitted);
+        let wait_list = wait_list.to_vec();
+        execute_command(&self.device, Command { work, wait_list, event: Arc::clone(&event) });
+        *last = Some(Arc::clone(&event));
+        Ok(event)
     }
 
     /// `clEnqueueWriteBuffer` (non-blocking; the returned event completes
@@ -720,6 +736,26 @@ mod tests {
         let work = Work::Write { buffer: Arc::clone(&buffer), offset: 3, len: 2, source };
         assert!(queue.enqueue(work, Vec::new(), true).unwrap().wait().is_err());
         assert!(!*called.lock(), "a write out of bounds called its source");
+    }
+
+    /// `try_inline` runs a command on an idle queue whose wait list is
+    /// complete, and hands it back when work is queued ahead of it or a
+    /// wait-list event is pending.
+    #[test]
+    fn try_inline_runs_only_on_an_idle_queue() {
+        let (context, _, queue) = setup();
+        let buffer = Buffer::new(Arc::clone(&context), 2, MemFlags::READ_WRITE, None).unwrap();
+        let gate = Event::user();
+        let gated = queue.enqueue(write(&buffer, vec![1, 1]), vec![Arc::clone(&gate)], false);
+        let work = queue.try_inline(write(&buffer, vec![2, 2]), &[]).map(|_| ());
+        assert!(work.is_err(), "it ran with work queued ahead");
+        gate.set_complete();
+        gated.unwrap().wait().unwrap();
+        let pending = Event::user();
+        assert!(queue.try_inline(write(&buffer, vec![3, 3]), &[pending]).is_err());
+        let event = queue.try_inline(write(&buffer, vec![4, 4]), &[gate]).ok().unwrap();
+        assert_eq!(event.status(), EventStatus::Complete);
+        assert_eq!(buffer.read(0, 2).unwrap(), vec![4, 4]);
     }
 
     #[test]

@@ -67,6 +67,51 @@ fn kernel_round_trip_over_tcp_transport() {
     assert_eq!(as_i32s(&data)[0], expected_first);
 }
 
+/// Two threads each make blocking 4 MiB writes to their own buffer on one
+/// TCP daemon at once.  Each write's stream follows its batch's request,
+/// and the daemon receives it into the buffer: the requests and streams of
+/// the two must not interleave on the wire, and each buffer reads back the
+/// bytes written to it.
+#[test]
+fn concurrent_large_writes_over_tcp_land_whole() {
+    const LEN: usize = 4 << 20;
+    let transport: Arc<dyn gcf::Transport> = Arc::new(TcpTransport::new());
+    let daemon = dopencl::Daemon::start(
+        "tcp-node",
+        &Platform::test_platform(1),
+        Arc::clone(&transport),
+        "127.0.0.1:0",
+        Arc::new(dopencl::OpenAccess),
+    )
+    .unwrap();
+    let client = Client::new("tcp-client", transport, LinkModel::ideal(), SimClock::new());
+    client.connect_server(daemon.address()).unwrap();
+    let devices = client.devices();
+    let context = Context::new(&client, &devices).unwrap();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let start = Arc::new(std::sync::Barrier::new(2));
+    for seed in 0..2u8 {
+        let queue = context.create_command_queue(&devices[0]).unwrap();
+        let buffer = context.create_buffer(LEN).unwrap();
+        let (tx, start) = (tx.clone(), Arc::clone(&start));
+        std::thread::spawn(move || {
+            let data: Vec<Vec<u8>> = (0..4u8)
+                .map(|round| (0..LEN).map(|i| (i % 251) as u8 ^ seed ^ (round << 2)).collect())
+                .collect();
+            start.wait();
+            let written = data.iter().try_for_each(|data| {
+                queue.write_buffer(&buffer, data).blocking().submit().map(|_| ())
+            });
+            let read = written.and_then(|()| queue.read_buffer(&buffer).submit());
+            let _ = tx.send(read.map(|(read, _)| read == data[3]));
+        });
+    }
+    for _ in 0..2 {
+        let landed = rx.recv_timeout(Duration::from_secs(60)).expect("a write hung").unwrap();
+        assert!(landed, "a buffer read back other bytes");
+    }
+}
+
 #[test]
 fn buffer_stays_consistent_across_three_servers() {
     let (_cluster, client, clock) = test_cluster(3, 1);
